@@ -170,6 +170,7 @@ void BenchVectorOps(bool quick, std::vector<Record>* out) {
 void BenchLstmCell(bool quick, std::vector<Record>* out) {
   const size_t batch = 8, hidden = 32;
   Matrix gates(batch, 4 * hidden), act(batch, 4 * hidden);
+  Matrix hw(batch, 4 * hidden), bias(1, 4 * hidden);
   Matrix cp(batch, hidden), h(batch, hidden), c(batch, hidden);
   Matrix tc(batch, hidden), dh(batch, hidden), dc(batch, hidden);
   Matrix dgates(batch, 4 * hidden), dcp(batch, hidden);
@@ -178,19 +179,21 @@ void BenchLstmCell(bool quick, std::vector<Record>* out) {
   FillUniform(&cp, &rng);
   FillUniform(&dh, &rng);
   FillUniform(&dc, &rng);
+  FillUniform(&hw, &rng);
+  FillUniform(&bias, &rng);
   const std::string shape = StrFormat("b=%zu h=%zu", batch, hidden);
-  // Nominal per-element flop counts: forward ~= 4 activations + 4 mul/add,
-  // backward ~= 23 mul/add/sub.
-  const double fwd_flops = 8.0 * static_cast<double>(batch * hidden);
+  // Nominal per-element flop counts: forward ~= 8 gate-input adds +
+  // 4 activations + 4 mul/add, backward ~= 23 mul/add/sub.
+  const double fwd_flops = 16.0 * static_cast<double>(batch * hidden);
   const double bwd_flops = 23.0 * static_cast<double>(batch * hidden);
   for (SimdLevel level : SupportedLevels()) {
     const char* name = kernels::LevelName(level);
     out->push_back({"lstm_cell_fwd", shape, name, NsPerIter(quick, [&] {
                       act = gates;
-                      kernels::LstmCellForward(level, batch, hidden,
-                                               act.data(), cp.data(), hidden,
-                                               h.data(), hidden, c.data(),
-                                               hidden, tc.data());
+                      kernels::LstmCellForward(
+                          level, batch, hidden, act.data(), hw.data(),
+                          bias.data(), cp.data(), hidden, h.data(), hidden,
+                          c.data(), hidden, tc.data());
                     }),
                     0.0});
     out->back().gflops = fwd_flops / out->back().ns_per_iter;

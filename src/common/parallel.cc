@@ -174,7 +174,7 @@ struct ParallelForState {
   size_t begin = 0;
   size_t end = 0;
   size_t grain = 1;
-  const std::function<void(size_t, size_t)>* fn = nullptr;
+  const ChunkFnRef* fn = nullptr;
 
   std::atomic<size_t> next_chunk{0};
   size_t num_chunks = 0;
@@ -236,8 +236,7 @@ struct ParallelForState {
 
 }  // namespace
 
-void ParallelFor(size_t begin, size_t end, size_t grain,
-                 const std::function<void(size_t, size_t)>& fn) {
+void ParallelFor(size_t begin, size_t end, size_t grain, ChunkFnRef fn) {
   if (begin >= end) {
     return;
   }

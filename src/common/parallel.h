@@ -7,8 +7,10 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace rpas {
@@ -88,6 +90,31 @@ class ThreadPool {
   size_t max_queue_depth_ = 0;  // guarded by mu_
 };
 
+/// Non-owning reference to a `void(size_t, size_t)` chunk body. Unlike
+/// std::function it never allocates, so a kernel's ParallelFor call costs
+/// no heap traffic. It only borrows the callable, which must outlive every
+/// call through it; ParallelFor blocks until all chunks have run, so a
+/// lambda written at the call site always does.
+class ChunkFnRef {
+ public:
+  template <typename F, typename = std::enable_if_t<
+                            !std::is_same_v<std::decay_t<F>, ChunkFnRef>>>
+  ChunkFnRef(F&& fn)  // implicit: call sites pass lambdas directly
+      : callable_(static_cast<const void*>(std::addressof(fn))),
+        invoke_([](const void* callable, size_t begin, size_t end) {
+          (*static_cast<const std::remove_reference_t<F>*>(callable))(begin,
+                                                                      end);
+        }) {}
+
+  void operator()(size_t begin, size_t end) const {
+    invoke_(callable_, begin, end);
+  }
+
+ private:
+  const void* callable_;
+  void (*invoke_)(const void*, size_t, size_t);
+};
+
 /// Splits [begin, end) into consecutive chunks of at most `grain`
 /// iterations and runs `fn(chunk_begin, chunk_end)` for every chunk,
 /// fanning chunks across the shared thread pool. Blocks until all chunks
@@ -105,8 +132,7 @@ class ThreadPool {
 /// `grain` >= the range size yields a single chunk. `grain` 0 is treated
 /// as 1. Nested calls (from inside a pool worker) and calls with
 /// RpasThreads() == 1 run serially on the calling thread.
-void ParallelFor(size_t begin, size_t end, size_t grain,
-                 const std::function<void(size_t, size_t)>& fn);
+void ParallelFor(size_t begin, size_t end, size_t grain, ChunkFnRef fn);
 
 }  // namespace rpas
 

@@ -7,6 +7,19 @@
 
 namespace rpas::dist {
 
+double SortedQuantile(const double* sorted, size_t n, double p) {
+  RPAS_CHECK(p > 0.0 && p < 1.0) << "Quantile requires p in (0,1)";
+  RPAS_CHECK(n > 0) << "Quantile needs at least one sample";
+  if (n == 1) {
+    return sorted[0];
+  }
+  const double h = (static_cast<double>(n) - 1.0) * p;
+  const size_t lo = static_cast<size_t>(std::floor(h));
+  const size_t hi = std::min(lo + 1, n - 1);
+  const double frac = h - static_cast<double>(lo);
+  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+}
+
 Empirical::Empirical(std::vector<double> samples)
     : sorted_(std::move(samples)) {
   RPAS_CHECK(!sorted_.empty()) << "Empirical needs at least one sample";
@@ -42,16 +55,7 @@ double Empirical::Cdf(double x) const {
 }
 
 double Empirical::Quantile(double p) const {
-  RPAS_CHECK(p > 0.0 && p < 1.0) << "Quantile requires p in (0,1)";
-  const size_t n = sorted_.size();
-  if (n == 1) {
-    return sorted_[0];
-  }
-  const double h = (static_cast<double>(n) - 1.0) * p;
-  const size_t lo = static_cast<size_t>(std::floor(h));
-  const size_t hi = std::min(lo + 1, n - 1);
-  const double frac = h - static_cast<double>(lo);
-  return sorted_[lo] + frac * (sorted_[hi] - sorted_[lo]);
+  return SortedQuantile(sorted_.data(), sorted_.size(), p);
 }
 
 double Empirical::Sample(Rng* rng) const {

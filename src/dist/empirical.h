@@ -8,6 +8,12 @@
 
 namespace rpas::dist {
 
+/// Linear-interpolation sample quantile (type-7 / the default in R and
+/// NumPy) of the ascending-sorted, non-empty `sorted[0, n)`; p in (0, 1).
+/// The one quantile implementation behind Empirical::Quantile, exposed for
+/// callers that sort into a reused buffer.
+double SortedQuantile(const double* sorted, size_t n, double p);
+
 /// Empirical distribution over a finite sample. DeepAR's multi-step quantile
 /// forecasts are obtained by ancestral sampling of whole trajectories and
 /// taking per-step empirical quantiles (paper §III-B: "generate possible
@@ -23,8 +29,7 @@ class Empirical final : public Distribution {
   /// returns the log-pdf of a moment-matched Gaussian as an approximation.
   double LogPdf(double x) const override;
   double Cdf(double x) const override;
-  /// Linear-interpolation sample quantile (type-7 / the default in R and
-  /// NumPy).
+  /// Type-7 sample quantile (SortedQuantile over the sorted sample).
   double Quantile(double p) const override;
   double Sample(Rng* rng) const override;
 

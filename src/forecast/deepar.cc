@@ -4,11 +4,12 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "common/parallel.h"
 #include "common/strings.h"
 #include "dist/empirical.h"
 #include "nn/checkpoint.h"
 #include "nn/losses.h"
-#include "tensor/ops.h"
+#include "tensor/kernels.h"
 #include "ts/window.h"
 
 namespace rpas::forecast {
@@ -16,6 +17,7 @@ namespace rpas::forecast {
 using autodiff::Tape;
 using autodiff::Var;
 using tensor::Matrix;
+namespace kernels = ::rpas::tensor::kernels;
 
 namespace {
 constexpr double kScaleEps = 1e-6;
@@ -32,6 +34,18 @@ double WindowScale(const std::vector<double>& context) {
   }
   mean_abs /= static_cast<double>(context.size());
   return std::max(mean_abs, kScaleEps);
+}
+
+/// fp64 image of one layer weight as the layer's GEMM multiplies it: a
+/// quantized payload decoded exactly as kernels::GemmQuant decodes it, else
+/// the parameter itself.
+void WeightImage(const Matrix& param, const tensor::QTensorView& view,
+                 double* out) {
+  if (view.valid()) {
+    tensor::DecodePayload(view.dtype, view.payload, view.size(), out);
+  } else {
+    std::copy(param.data(), param.data() + param.size(), out);
+  }
 }
 }  // namespace
 
@@ -253,94 +267,196 @@ DeepArForecaster::IncrementalUpdate(const ts::TimeSeries& history,
   return report;
 }
 
-Result<std::vector<std::vector<double>>> DeepArForecaster::SampleTrajectories(
-    const ForecastInput& input, size_t num_samples) const {
-  return SampleWithRng(input, num_samples, &sample_rng_);
-}
-
-Rng DeepArForecaster::SamplingRng(uint64_t seed) {
-  return Rng(DeriveSeed(seed, 0xD1CEu));
-}
-
-Result<std::vector<std::vector<double>>> DeepArForecaster::SampleWithRng(
-    const ForecastInput& input, size_t num_samples, Rng* rng) const {
+Status DeepArForecaster::CheckInput(const ForecastInput& input) const {
   if (!fitted_) {
     return Status::FailedPrecondition("DeepAR: Fit() not called");
   }
   if (input.context.size() != options_.context_length) {
     return Status::InvalidArgument("DeepAR: context length mismatch");
   }
-  const size_t t_len = options_.context_length;
-  const size_t h = options_.horizon;
-  const double scale = WindowScale(input.context);
+  return Status::OK();
+}
 
-  // Encode the observed context once (batch of 1).
-  nn::LstmCell::RawState encoded = lstm_->ZeroRawState(1);
-  for (size_t t = 1; t < t_len; ++t) {
-    Matrix x(1, kInputDim);
-    x(0, 0) = input.context[t - 1] / scale;
-    const auto tf = TimeFeatures(input.start_index + t, input.step_minutes);
-    for (size_t j = 0; j < kNumTimeFeatures; ++j) {
-      x(0, 1 + j) = tf[j];
+Rng DeepArForecaster::SamplingRng(uint64_t seed) {
+  return Rng(DeriveSeed(seed, 0xD1CEu));
+}
+
+std::vector<double> DeepArForecaster::SampleRoll(const ForecastInput* inputs,
+                                                 Rng* rngs, size_t requests,
+                                                 size_t num_samples) const {
+  const size_t hd = options_.hidden_dim;
+  const size_t gw = 4 * hd;  // gate columns
+  const size_t rows = requests * num_samples;
+  const kernels::SimdLevel level = kernels::ActiveLevel();
+  const tensor::QTensorView& qwx = lstm_->quantized_w_x();
+  const tensor::QTensorView& qwh = lstm_->quantized_w_h();
+  const tensor::QTensorView& qmu = mu_head_->quantized_weight();
+  const tensor::QTensorView& qsigma = sigma_head_->quantized_weight();
+  // q8 weights under the opt-in int8 GEMM stay on GemmQuant, whose int8
+  // core quantizes each call's activations by design. A quantized model
+  // holds views for all four weights (LoadQuantizedCheckpoint sets them
+  // together), so this mode multiplies every weight through its view.
+  const bool int8 =
+      lstm_->has_quantized_weights() && kernels::GemmQuantInt8Enabled() &&
+      (qwx.dtype == tensor::DType::kQ8 || qwh.dtype == tensor::DType::kQ8 ||
+       qmu.dtype == tensor::DType::kQ8 || qsigma.dtype == tensor::DType::kQ8);
+
+  // Once per call: decode and pack W_x and W_h, interleave the two head
+  // columns into one H x 2 operand [mu | sigma] (columns never mix in a
+  // GEMM), and size every buffer, so the steps allocate nothing. Nothing is
+  // cached on the model, so concurrent PredictSeeded calls share only
+  // read-only weights.
+  std::vector<double> wx_packed, wh_packed, head_w(2 * hd);
+  if (!int8) {
+    std::vector<double> image(std::max(kInputDim, hd) * gw);
+    WeightImage(lstm_->w_x(), qwx, image.data());
+    wx_packed.resize(kernels::PackedSize(kInputDim, gw));
+    kernels::PackB(kInputDim, gw, image.data(), gw, wx_packed.data());
+    WeightImage(lstm_->w_h(), qwh, image.data());
+    wh_packed.resize(kernels::PackedSize(hd, gw));
+    kernels::PackB(hd, gw, image.data(), gw, wh_packed.data());
+    const nn::Dense* head_layers[2] = {mu_head_.get(), sigma_head_.get()};
+    for (size_t col = 0; col < 2; ++col) {
+      WeightImage(head_layers[col]->weight(),
+                  head_layers[col]->quantized_weight(), image.data());
+      for (size_t p = 0; p < hd; ++p) {
+        head_w[2 * p + col] = image[p];
+      }
     }
-    encoded = lstm_->Step(x, encoded);
+  }
+  const double* bias = lstm_->bias().data();
+  const double mu_bias = mu_head_->bias()(0, 0);
+  const double sigma_bias = sigma_head_->bias()(0, 0);
+  std::vector<double> x(rows * kInputDim), gates(rows * gw), hw(rows * gw);
+  std::vector<double> heads(rows * 2);
+  std::vector<double> h_enc(requests * hd), c_enc(requests * hd);
+  std::vector<double> h_state(rows * hd), c_state(rows * hd);
+  std::vector<double> draws(options_.horizon * rows);
+  std::vector<double> scales(requests);
+  for (size_t r = 0; r < requests; ++r) {
+    scales[r] = WindowScale(inputs[r].context);
   }
 
-  // Replicate the encoded state across sample rows and roll forward,
-  // feeding each sampled value back as the next input (ancestral sampling).
-  nn::LstmCell::RawState state = lstm_->ZeroRawState(num_samples);
-  for (size_t r = 0; r < num_samples; ++r) {
-    for (size_t c = 0; c < options_.hidden_dim; ++c) {
-      state.h(r, c) = encoded.h(0, c);
-      state.c(r, c) = encoded.c(0, c);
+  // One LSTM step over the first m rows of x, updating (hs, cs) in place:
+  // both GEMMs on the shape-only GemmRowGrain partition, then the cell
+  // kernel adds x*W_x, h*W_h and the bias in registers.
+  auto lstm_step = [&](size_t m, double* hs, double* cs) {
+    std::fill_n(gates.data(), m * gw, 0.0);
+    std::fill_n(hw.data(), m * gw, 0.0);
+    if (int8) {
+      kernels::GemmQuant(level, m, gw, kInputDim, x.data(), kInputDim,
+                         qwx.dtype, qwx.payload, gates.data(), gw);
+      kernels::GemmQuant(level, m, gw, hd, hs, hd, qwh.dtype, qwh.payload,
+                         hw.data(), gw);
+    } else {
+      ParallelFor(0, m, kernels::GemmRowGrain(m, gw, kInputDim),
+                  [&](size_t r0, size_t r1) {
+                    kernels::GemmPackedRows(level, r0, r1, gw, kInputDim,
+                                            x.data(), kInputDim,
+                                            wx_packed.data(), gates.data(),
+                                            gw);
+                  });
+      ParallelFor(0, m, kernels::GemmRowGrain(m, gw, hd),
+                  [&](size_t r0, size_t r1) {
+                    kernels::GemmPackedRows(level, r0, r1, gw, hd, hs, hd,
+                                            wh_packed.data(), hw.data(), gw);
+                  });
     }
+    kernels::LstmCellForward(level, m, hd, gates.data(), hw.data(), bias, cs,
+                             hd, hs, hd, cs, hd, /*tanh_c=*/nullptr);
+  };
+
+  // Encode the observed contexts, one row per request. Rows of a step are
+  // independent, so row r equals a batch-of-1 encode of request r.
+  for (size_t t = 1; t < options_.context_length; ++t) {
+    for (size_t r = 0; r < requests; ++r) {
+      double* xr = x.data() + r * kInputDim;
+      xr[0] = inputs[r].context[t - 1] / scales[r];
+      const auto tf =
+          TimeFeatures(inputs[r].start_index + t, inputs[r].step_minutes);
+      std::copy(tf.begin(), tf.end(), xr + 1);
+    }
+    lstm_step(requests, h_enc.data(), c_enc.data());
   }
 
+  // Ancestral sampling: request r owns rows [r*S, (r+1)*S), each starting
+  // from the request's encoded state and its last observed value. Each
+  // sampled value is fed back as the row's next input.
+  for (size_t r = 0; r < requests; ++r) {
+    for (size_t s = 0; s < num_samples; ++s) {
+      const size_t row = r * num_samples + s;
+      std::copy_n(h_enc.data() + r * hd, hd, h_state.data() + row * hd);
+      std::copy_n(c_enc.data() + r * hd, hd, c_state.data() + row * hd);
+      x[row * kInputDim] = inputs[r].context.back() / scales[r];
+    }
+  }
+  for (size_t step = 0; step < options_.horizon; ++step) {
+    for (size_t r = 0; r < requests; ++r) {
+      const auto tf = TimeFeatures(inputs[r].forecast_start() + step,
+                                   inputs[r].step_minutes);
+      for (size_t s = 0; s < num_samples; ++s) {
+        std::copy(tf.begin(), tf.end(),
+                  x.data() + (r * num_samples + s) * kInputDim + 1);
+      }
+    }
+    lstm_step(rows, h_state.data(), c_state.data());
+    std::fill(heads.begin(), heads.end(), 0.0);
+    if (int8) {
+      kernels::GemmQuant(level, rows, 1, hd, h_state.data(), hd, qmu.dtype,
+                         qmu.payload, heads.data(), 2);
+      kernels::GemmQuant(level, rows, 1, hd, h_state.data(), hd,
+                         qsigma.dtype, qsigma.payload, heads.data() + 1, 2);
+    } else {
+      kernels::Gemm(level, rows, 2, hd, h_state.data(), hd, head_w.data(), 2,
+                    heads.data(), 2);
+    }
+    double* out = draws.data() + step * rows;
+    for (size_t r = 0; r < requests; ++r) {
+      for (size_t s = 0; s < num_samples; ++s) {
+        const size_t row = r * num_samples + s;
+        const double mu = heads[2 * row] + mu_bias;
+        const double sigma =
+            SoftplusScalar(heads[2 * row + 1] + sigma_bias) +
+            options_.min_sigma;
+        double draw;
+        if (options_.head == Head::kStudentT) {
+          draw = mu + sigma * rngs[r].StudentT(options_.student_t_dof);
+        } else {
+          draw = mu + sigma * rngs[r].Normal();
+        }
+        out[row] = draw * scales[r];
+        x[row * kInputDim] = draw;
+      }
+    }
+  }
+  return draws;
+}
+
+Result<std::vector<std::vector<double>>> DeepArForecaster::SampleTrajectories(
+    const ForecastInput& input, size_t num_samples) const {
+  RPAS_RETURN_IF_ERROR(CheckInput(input));
+  const std::vector<double> draws =
+      SampleRoll(&input, &sample_rng_, 1, num_samples);
   std::vector<std::vector<double>> trajectories(
-      num_samples, std::vector<double>(h, 0.0));
-  std::vector<double> prev(num_samples, input.context.back() / scale);
-  for (size_t step = 0; step < h; ++step) {
-    const size_t abs_index = input.forecast_start() + step;
-    const auto tf = TimeFeatures(abs_index, input.step_minutes);
-    Matrix x(num_samples, kInputDim);
-    for (size_t r = 0; r < num_samples; ++r) {
-      x(r, 0) = prev[r];
-      for (size_t j = 0; j < kNumTimeFeatures; ++j) {
-        x(r, 1 + j) = tf[j];
-      }
-    }
-    state = lstm_->Step(x, state);
-    Matrix mu = mu_head_->Apply(state.h);
-    Matrix sigma_raw = sigma_head_->Apply(state.h);
-    for (size_t r = 0; r < num_samples; ++r) {
-      const double sigma =
-          SoftplusScalar(sigma_raw(r, 0)) + options_.min_sigma;
-      double draw;
-      if (options_.head == Head::kStudentT) {
-        draw = mu(r, 0) + sigma * rng->StudentT(options_.student_t_dof);
-      } else {
-        draw = mu(r, 0) + sigma * rng->Normal();
-      }
-      trajectories[r][step] = draw * scale;
-      prev[r] = draw;
+      num_samples, std::vector<double>(options_.horizon));
+  for (size_t step = 0; step < options_.horizon; ++step) {
+    for (size_t s = 0; s < num_samples; ++s) {
+      trajectories[s][step] = draws[step * num_samples + s];
     }
   }
   return trajectories;
 }
 
 ts::QuantileForecast DeepArForecaster::ReduceToQuantiles(
-    const std::vector<std::vector<double>>& trajectories) const {
-  const size_t h = options_.horizon;
-  std::vector<std::vector<double>> values(h);
-  std::vector<double> column(trajectories.size());
-  for (size_t step = 0; step < h; ++step) {
-    for (size_t r = 0; r < trajectories.size(); ++r) {
-      column[r] = trajectories[r][step];
-    }
-    dist::Empirical empirical(column);
+    const double* draws, size_t stride, size_t samples) const {
+  std::vector<std::vector<double>> values(options_.horizon);
+  std::vector<double> sorted(samples);
+  for (size_t step = 0; step < options_.horizon; ++step) {
+    std::copy_n(draws + step * stride, samples, sorted.begin());
+    std::sort(sorted.begin(), sorted.end());
     values[step].reserve(options_.levels.size());
     for (double tau : options_.levels) {
-      values[step].push_back(empirical.Quantile(tau));
+      values[step].push_back(dist::SortedQuantile(sorted.data(), samples, tau));
     }
   }
   ts::QuantileForecast forecast(options_.levels, std::move(values));
@@ -350,17 +466,20 @@ ts::QuantileForecast DeepArForecaster::ReduceToQuantiles(
 
 Result<ts::QuantileForecast> DeepArForecaster::Predict(
     const ForecastInput& input) const {
-  RPAS_ASSIGN_OR_RETURN(std::vector<std::vector<double>> trajectories,
-                        SampleTrajectories(input, options_.num_samples));
-  return ReduceToQuantiles(trajectories);
+  RPAS_RETURN_IF_ERROR(CheckInput(input));
+  const size_t samples = options_.num_samples;
+  const std::vector<double> draws =
+      SampleRoll(&input, &sample_rng_, 1, samples);
+  return ReduceToQuantiles(draws.data(), samples, samples);
 }
 
 Result<ts::QuantileForecast> DeepArForecaster::PredictSeeded(
     const ForecastInput& input, uint64_t seed) const {
+  RPAS_RETURN_IF_ERROR(CheckInput(input));
   Rng rng = SamplingRng(seed);
-  RPAS_ASSIGN_OR_RETURN(std::vector<std::vector<double>> trajectories,
-                        SampleWithRng(input, options_.num_samples, &rng));
-  return ReduceToQuantiles(trajectories);
+  const size_t samples = options_.num_samples;
+  const std::vector<double> draws = SampleRoll(&input, &rng, 1, samples);
+  return ReduceToQuantiles(draws.data(), samples, samples);
 }
 
 Result<std::vector<ts::QuantileForecast>> DeepArForecaster::PredictBatch(
@@ -373,111 +492,26 @@ Result<std::vector<ts::QuantileForecast>> DeepArForecaster::PredictBatch(
   if (inputs.empty()) {
     return std::vector<ts::QuantileForecast>{};
   }
-  if (!fitted_) {
-    return Status::FailedPrecondition("DeepAR: Fit() not called");
-  }
   for (const ForecastInput& input : inputs) {
-    if (input.context.size() != options_.context_length) {
-      return Status::InvalidArgument("DeepAR: context length mismatch");
-    }
+    RPAS_RETURN_IF_ERROR(CheckInput(input));
   }
-  const size_t t_len = options_.context_length;
-  const size_t h = options_.horizon;
-  const size_t num_requests = inputs.size();
-  const size_t samples = options_.num_samples;
-
-  std::vector<double> scales(num_requests);
-  for (size_t r = 0; r < num_requests; ++r) {
-    scales[r] = WindowScale(inputs[r].context);
-  }
-
-  // Batched context encoding: one roll with one row per request. Every row
-  // of an LSTM step is an independent function of that row's input and
-  // state (MatMul accumulates each output element over k in a fixed order
-  // regardless of the row count), so row r here is bit-identical to the
-  // batch-of-1 encode PredictSeeded performs for the same request.
-  nn::LstmCell::RawState encoded = lstm_->ZeroRawState(num_requests);
-  for (size_t t = 1; t < t_len; ++t) {
-    Matrix x(num_requests, kInputDim);
-    for (size_t r = 0; r < num_requests; ++r) {
-      x(r, 0) = inputs[r].context[t - 1] / scales[r];
-      const auto tf =
-          TimeFeatures(inputs[r].start_index + t, inputs[r].step_minutes);
-      for (size_t j = 0; j < kNumTimeFeatures; ++j) {
-        x(r, 1 + j) = tf[j];
-      }
-    }
-    encoded = lstm_->Step(x, encoded);
-  }
-
-  // Stacked ancestral sampling: request r owns rows [r*S, (r+1)*S). Each
-  // request draws from its own seed-derived generator in the same order as
-  // the unbatched path (per step: its rows in sample order), so the draws —
-  // and therefore the trajectories — match PredictSeeded exactly.
-  const size_t rows = num_requests * samples;
-  nn::LstmCell::RawState state = lstm_->ZeroRawState(rows);
-  for (size_t r = 0; r < num_requests; ++r) {
-    for (size_t s = 0; s < samples; ++s) {
-      for (size_t c = 0; c < options_.hidden_dim; ++c) {
-        state.h(r * samples + s, c) = encoded.h(r, c);
-        state.c(r * samples + s, c) = encoded.c(r, c);
-      }
-    }
-  }
+  // Each request draws from its own seed-derived generator in the order
+  // PredictSeeded uses, so element i is bit-identical to
+  // PredictSeeded(inputs[i], seeds[i]).
   std::vector<Rng> rngs;
-  rngs.reserve(num_requests);
-  for (size_t r = 0; r < num_requests; ++r) {
-    rngs.push_back(SamplingRng(seeds[r]));
+  rngs.reserve(inputs.size());
+  for (uint64_t seed : seeds) {
+    rngs.push_back(SamplingRng(seed));
   }
-  std::vector<double> prev(rows);
-  for (size_t r = 0; r < num_requests; ++r) {
-    for (size_t s = 0; s < samples; ++s) {
-      prev[r * samples + s] = inputs[r].context.back() / scales[r];
-    }
-  }
-  std::vector<std::vector<double>> trajectories(rows,
-                                                std::vector<double>(h, 0.0));
-  for (size_t step = 0; step < h; ++step) {
-    Matrix x(rows, kInputDim);
-    for (size_t r = 0; r < num_requests; ++r) {
-      const auto tf = TimeFeatures(inputs[r].forecast_start() + step,
-                                   inputs[r].step_minutes);
-      for (size_t s = 0; s < samples; ++s) {
-        const size_t row = r * samples + s;
-        x(row, 0) = prev[row];
-        for (size_t j = 0; j < kNumTimeFeatures; ++j) {
-          x(row, 1 + j) = tf[j];
-        }
-      }
-    }
-    state = lstm_->Step(x, state);
-    Matrix mu = mu_head_->Apply(state.h);
-    Matrix sigma_raw = sigma_head_->Apply(state.h);
-    for (size_t r = 0; r < num_requests; ++r) {
-      for (size_t s = 0; s < samples; ++s) {
-        const size_t row = r * samples + s;
-        const double sigma =
-            SoftplusScalar(sigma_raw(row, 0)) + options_.min_sigma;
-        double draw;
-        if (options_.head == Head::kStudentT) {
-          draw = mu(row, 0) + sigma * rngs[r].StudentT(options_.student_t_dof);
-        } else {
-          draw = mu(row, 0) + sigma * rngs[r].Normal();
-        }
-        trajectories[row][step] = draw * scales[r];
-        prev[row] = draw;
-      }
-    }
-  }
-
+  const size_t samples = options_.num_samples;
+  const size_t rows = inputs.size() * samples;
+  const std::vector<double> draws =
+      SampleRoll(inputs.data(), rngs.data(), inputs.size(), samples);
   std::vector<ts::QuantileForecast> out;
-  out.reserve(num_requests);
-  std::vector<std::vector<double>> block(samples);
-  for (size_t r = 0; r < num_requests; ++r) {
-    for (size_t s = 0; s < samples; ++s) {
-      block[s] = std::move(trajectories[r * samples + s]);
-    }
-    out.push_back(ReduceToQuantiles(block));
+  out.reserve(inputs.size());
+  for (size_t r = 0; r < inputs.size(); ++r) {
+    out.push_back(ReduceToQuantiles(draws.data() + r * samples, rows,
+                                    samples));
   }
   return out;
 }

@@ -23,7 +23,8 @@ namespace rpas::forecast {
 /// back as the next input, and per-step empirical quantiles are taken. This
 /// is the sampling cost the paper's Table III attributes DeepAR's high
 /// inference latency to — and the iterative error accumulation behind its
-/// long-horizon degradation (Fig. 8).
+/// long-horizon degradation (Fig. 8). Every prediction path runs the same
+/// fused, allocation-free roll (SampleRoll; DESIGN.md §10).
 class DeepArForecaster final : public Forecaster {
  public:
   enum class Head { kStudentT, kGaussian };
@@ -123,14 +124,22 @@ class DeepArForecaster final : public Forecaster {
                                double step_minutes,
                                const nn::TrainConfig& config);
 
-  /// Sampling core shared by every prediction path: draws noise from `rng`
-  /// (never from sample_rng_).
-  Result<std::vector<std::vector<double>>> SampleWithRng(
-      const ForecastInput& input, size_t num_samples, Rng* rng) const;
-  /// Reduces sampled trajectories to per-step quantiles at the configured
-  /// levels.
-  ts::QuantileForecast ReduceToQuantiles(
-      const std::vector<std::vector<double>>& trajectories) const;
+  /// FailedPrecondition before Fit/Load, InvalidArgument on a context of
+  /// the wrong length.
+  Status CheckInput(const ForecastInput& input) const;
+  /// The sampling roll behind every prediction path. Encodes the
+  /// `requests` contexts in one roll (a row per request), copies each
+  /// encoded state to `num_samples` rows and rolls all paths forward;
+  /// request r draws from rngs[r], its rows in sample order per step.
+  /// Returns the rescaled draws step-major:
+  /// draws[step * rows + r * num_samples + s], rows = requests *
+  /// num_samples. Inputs must pass CheckInput.
+  std::vector<double> SampleRoll(const ForecastInput* inputs, Rng* rngs,
+                                 size_t requests, size_t num_samples) const;
+  /// Per-step quantiles at the configured levels of one request's
+  /// `samples` draws, read from draws[step * stride + s].
+  ts::QuantileForecast ReduceToQuantiles(const double* draws, size_t stride,
+                                         size_t samples) const;
   /// The seed-derived generator used by PredictSeeded / PredictBatch.
   static Rng SamplingRng(uint64_t seed);
 

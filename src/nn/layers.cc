@@ -147,9 +147,9 @@ LstmCell::RawState LstmCell::ZeroRawState(size_t batch) const {
   return {Matrix(batch, hidden_dim_), Matrix(batch, hidden_dim_)};
 }
 
-// Fused step: one node carries [h | c] (batch x 2H). Pre-activations come
-// from two packed GEMMs plus a fused bias pass, the activation/cell update
-// runs in kernels::LstmCellForward, and the backward replays the whole chain
+// Fused step: one node carries [h | c] (batch x 2H). Two packed GEMMs give
+// x*Wx and h*Wh; kernels::LstmCellForward adds them and the bias and runs
+// the activation/cell update, and the backward replays the whole chain
 // through kernels::LstmCellBackward + GEMM kernels. At the scalar dispatch
 // level every intermediate rounding matches the old 14-node-per-step graph,
 // so parameter gradients are bit-identical to the unfused implementation.
@@ -179,18 +179,12 @@ LstmCell::State LstmCell::Step(Tape* tape, Var x, const State& state) {
   Var wh = tape->Bind(&w_h_);
   Var b = tape->Bind(&b_);
 
-  // act starts as x*Wx; t2 holds h*Wh. The bias pass keeps the historical
-  // rounding order: (xWx + hWh) + b, two roundings per element.
+  // act starts as x*Wx; t2 holds h*Wh. The cell kernel forms
+  // (xWx + hWh) + b in that order, the roundings of the unfused graph.
   Matrix* act = tape->Scratch(batch, 4 * h);
   Matrix* t2 = tape->Scratch(batch, 4 * h);
   ops::MatMulInto(xv, w_x_.value, act);
   ops::MatMulInto(hv, w_h_.value, t2);
-  const Matrix& bv = b_.value;
-  for (size_t r = 0; r < batch; ++r) {
-    for (size_t c = 0; c < 4 * h; ++c) {
-      (*act)(r, c) = ((*act)(r, c) + (*t2)(r, c)) + bv(0, c);
-    }
-  }
 
   Matrix* tanh_c = tape->Scratch(batch, h);
   const size_t xi = x.id();
@@ -250,8 +244,9 @@ LstmCell::State LstmCell::Step(Tape* tape, Var x, const State& state) {
   // Activates `act` in place (saved for the backward) and writes h into
   // columns [0, H), c into [H, 2H) of the fused value.
   kernels::LstmCellForward(kernels::ActiveLevel(), batch, h, act->data(),
-                           cv.data(), h, value->data(), 2 * h,
-                           value->data() + h, 2 * h, tanh_c->data());
+                           t2->data(), b_.value.data(), cv.data(), h,
+                           value->data(), 2 * h, value->data() + h, 2 * h,
+                           tanh_c->data());
   Var new_h = tape->SliceCols(fused, 0, h);
   Var new_c = tape->SliceCols(fused, h, 2 * h);
   return {new_h, new_c};
@@ -279,18 +274,13 @@ LstmCell::RawState LstmCell::Step(const Matrix& x,
     ops::MatMulInto(x, w_x_.value, &gates);
     ops::MatMulInto(state.h, w_h_.value, &t2);
   }
-  const Matrix& bv = b_.value;
-  for (size_t r = 0; r < batch; ++r) {
-    for (size_t c = 0; c < 4 * h; ++c) {
-      gates(r, c) = (gates(r, c) + t2(r, c)) + bv(0, c);
-    }
-  }
   RawState out;
   out.h = Matrix(batch, h);
   out.c = Matrix(batch, h);
   kernels::LstmCellForward(kernels::ActiveLevel(), batch, h, gates.data(),
-                           state.c.data(), h, out.h.data(), h, out.c.data(),
-                           h, /*tanh_c=*/nullptr);
+                           t2.data(), b_.value.data(), state.c.data(), h,
+                           out.h.data(), h, out.c.data(), h,
+                           /*tanh_c=*/nullptr);
   return out;
 }
 

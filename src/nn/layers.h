@@ -58,6 +58,13 @@ class Dense final : public Module {
   Status SetQuantizedWeights(const tensor::QTensorView& w);
   bool has_quantized_weights() const { return qw_.valid(); }
 
+  /// Read-only inference weights, for callers that run their own fused
+  /// forward: the fp64 parameters, and the quantized view Apply()
+  /// multiplies against instead of weight() when one is set.
+  const Matrix& weight() const { return w_.value; }
+  const Matrix& bias() const { return b_.value; }
+  const tensor::QTensorView& quantized_weight() const { return qw_; }
+
   std::vector<Parameter*> Params() override;
 
   size_t in_dim() const { return in_dim_; }
@@ -95,7 +102,7 @@ class LstmCell final : public Module {
   /// One step of the recurrence on the tape (training). CHECK-fails on a
   /// cell serving quantized weights — quantized models are inference-only.
   State Step(Tape* tape, Var x, const State& state);
-  /// One step, tape-free (inference; used by DeepAR ancestral sampling).
+  /// One step, tape-free (inference; used by the TFT and QB5000 encoders).
   /// With quantized weights both recurrence GEMMs dequantize on the fly.
   RawState Step(const Matrix& x, const RawState& state) const;
 
@@ -105,6 +112,13 @@ class LstmCell final : public Module {
   Status SetQuantizedWeights(const tensor::QTensorView& wx,
                              const tensor::QTensorView& wh);
   bool has_quantized_weights() const { return qwx_.valid(); }
+
+  /// Read-only inference weights (same contract as Dense::weight()).
+  const Matrix& w_x() const { return w_x_.value; }
+  const Matrix& w_h() const { return w_h_.value; }
+  const Matrix& bias() const { return b_.value; }
+  const tensor::QTensorView& quantized_w_x() const { return qwx_; }
+  const tensor::QTensorView& quantized_w_h() const { return qwh_; }
 
   std::vector<Parameter*> Params() override;
 

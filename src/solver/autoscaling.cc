@@ -1,6 +1,7 @@
 #include "solver/autoscaling.h"
 
 #include <cmath>
+#include <limits>
 
 #include "common/logging.h"
 #include "common/strings.h"
@@ -13,6 +14,9 @@ double AutoScalingProblem::ThresholdAt(size_t t) const {
 }
 
 namespace {
+// Every caller's inputs pass here before the node-count cast, so NaN, ±Inf
+// and node counts beyond int are rejected where they enter rather than by
+// whichever caller remembered to check.
 Status ValidateProblem(const AutoScalingProblem& problem) {
   if (problem.workloads.empty()) {
     return Status::InvalidArgument("auto-scaling problem has no steps");
@@ -22,12 +26,22 @@ Status ValidateProblem(const AutoScalingProblem& problem) {
     return Status::InvalidArgument(
         "thresholds must have size 1 or match workloads");
   }
+  constexpr double kMaxNodes = std::numeric_limits<int>::max();
   for (size_t t = 0; t < problem.workloads.size(); ++t) {
-    if (problem.ThresholdAt(t) <= 0.0) {
-      return Status::InvalidArgument("thresholds must be positive");
+    const double threshold = problem.ThresholdAt(t);
+    if (!std::isfinite(threshold) || threshold <= 0.0) {
+      return Status::InvalidArgument("thresholds must be positive and finite");
     }
-    if (problem.workloads[t] < 0.0) {
-      return Status::InvalidArgument("workloads must be non-negative");
+    const double workload = problem.workloads[t];
+    if (!std::isfinite(workload) || workload < 0.0) {
+      return Status::InvalidArgument(
+          StrFormat("workload at step %zu must be finite and non-negative",
+                    t));
+    }
+    // Finite inputs can still overflow to +Inf here; that fails too.
+    if (std::ceil(workload / threshold - 1e-9) > kMaxNodes) {
+      return Status::InvalidArgument(StrFormat(
+          "step %zu needs more nodes than an int can hold", t));
     }
   }
   if (problem.min_nodes < 0) {

@@ -25,8 +25,9 @@ struct AutoScalingProblem {
 
 /// Integral allocation: the constraint set is separable per step, so the
 /// optimum is c_t = max(min_nodes, ceil(w_t / theta_t)). Returns
-/// InvalidArgument on non-positive thresholds or negative workloads;
-/// OutOfRange if a cap is given and some step needs more than max_nodes.
+/// InvalidArgument on non-positive or non-finite thresholds, negative or
+/// non-finite workloads, and node counts beyond the int range; OutOfRange
+/// if a cap is given and some step needs more than max_nodes.
 Result<std::vector<int>> SolveAutoScalingInteger(
     const AutoScalingProblem& problem);
 

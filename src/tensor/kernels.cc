@@ -183,6 +183,58 @@ void GemmPackedRowsScalar(size_t r0, size_t r1, size_t n, size_t k,
   }
 }
 
+// Skinny-output GEMM (n = N < kPanelWidth): R rows starting at i, with
+// their R x N running sums held in registers across the whole k loop
+// instead of read-modify-written in memory. Every element still sees the
+// ascending-p mul-then-add sequence of GemmRowsScalar, bit for bit.
+template <size_t N, size_t R>
+void NarrowTile(size_t i, size_t k, const double* a, size_t lda,
+                const double* b, size_t ldb, double* c, size_t ldc) {
+  double acc[R][N];
+  for (size_t t = 0; t < R; ++t) {
+    for (size_t j = 0; j < N; ++j) {
+      acc[t][j] = c[(i + t) * ldc + j];
+    }
+  }
+  for (size_t p = 0; p < k; ++p) {
+    const double* b_row = b + p * ldb;
+    for (size_t t = 0; t < R; ++t) {
+      const double a_ip = a[(i + t) * lda + p];
+      for (size_t j = 0; j < N; ++j) {
+        acc[t][j] += a_ip * b_row[j];
+      }
+    }
+  }
+  for (size_t t = 0; t < R; ++t) {
+    for (size_t j = 0; j < N; ++j) {
+      c[(i + t) * ldc + j] = acc[t][j];
+    }
+  }
+}
+
+// Rows in tiles of four, so four independent add chains overlap.
+template <size_t N>
+void GemmRowsNarrow(size_t r0, size_t r1, size_t k, const double* a,
+                    size_t lda, const double* b, size_t ldb, double* c,
+                    size_t ldc) {
+  size_t i = r0;
+  for (; i + 4 <= r1; i += 4) {
+    NarrowTile<N, 4>(i, k, a, lda, b, ldb, c, ldc);
+  }
+  for (; i < r1; ++i) {
+    NarrowTile<N, 1>(i, k, a, lda, b, ldb, c, ldc);
+  }
+}
+
+using GemmRowsNarrowFn = void (*)(size_t, size_t, size_t, const double*,
+                                  size_t, const double*, size_t, double*,
+                                  size_t);
+// Indexed by n; n = 0 never reaches the table.
+constexpr GemmRowsNarrowFn kGemmRowsNarrow[kPanelWidth] = {
+    nullptr,           GemmRowsNarrow<1>, GemmRowsNarrow<2>,
+    GemmRowsNarrow<3>, GemmRowsNarrow<4>, GemmRowsNarrow<5>,
+    GemmRowsNarrow<6>, GemmRowsNarrow<7>};
+
 void GemmTNScalar(size_t m, size_t n, size_t k, const double* a, size_t lda,
                   const double* b, size_t ldb, double* c, size_t ldc) {
   // c[i][j] += sum_p a[p][i] * b[p][j], ascending p: the exact accumulation
@@ -217,20 +269,24 @@ void GemmNTScalar(size_t m, size_t n, size_t k, const double* a, size_t lda,
 }
 
 void LstmCellForwardScalar(size_t batch, size_t hidden, double* gates,
+                           const double* hw, const double* bias,
                            const double* c_prev, size_t ldcp, double* h_out,
                            size_t ldh, double* c_out, size_t ldc,
                            double* tanh_c) {
   for (size_t r = 0; r < batch; ++r) {
     double* g_row = gates + r * 4 * hidden;
+    const double* hw_row = hw + r * 4 * hidden;
     const double* cp_row = c_prev + r * ldcp;
     double* h_row = h_out + r * ldh;
     double* c_row = c_out + r * ldc;
     double* tc_row = tanh_c != nullptr ? tanh_c + r * hidden : nullptr;
+    // Pre-activation of gate column c: (xW_x + hW_h) + b.
+    auto pre = [&](size_t c) { return (g_row[c] + hw_row[c]) + bias[c]; };
     for (size_t j = 0; j < hidden; ++j) {
-      const double i = ScalarSigmoid(g_row[j]);
-      const double f = ScalarSigmoid(g_row[hidden + j]);
-      const double g = std::tanh(g_row[2 * hidden + j]);
-      const double o = ScalarSigmoid(g_row[3 * hidden + j]);
+      const double i = ScalarSigmoid(pre(j));
+      const double f = ScalarSigmoid(pre(hidden + j));
+      const double g = std::tanh(pre(2 * hidden + j));
+      const double o = ScalarSigmoid(pre(3 * hidden + j));
       // Mul-then-add in the historical shapes (f*c + i*g; no FMA) so the
       // scalar level reproduces the old per-node graph bit-for-bit.
       const double t1 = f * cp_row[j];
@@ -522,11 +578,17 @@ void Gemm(SimdLevel level, size_t m, size_t n, size_t k, const double* a,
     return;
   }
   const size_t grain = GemmRowGrain(m, n, k);
-  if (level == SimdLevel::kScalar || n < kPanelWidth) {
-    // Scalar reference path (also used for very skinny outputs such as
-    // head projections, where packing overhead dominates). The narrow-n
-    // cutoff depends only on the operand shapes, never on the batch row
-    // count, preserving batched-vs-unbatched bit-identity.
+  if (n < kPanelWidth) {
+    // Skinny outputs such as head projections, where packing overhead
+    // dominates. The cutoff depends only on the operand shapes, never on
+    // the batch row count, preserving batched-vs-unbatched bit-identity.
+    const GemmRowsNarrowFn narrow = kGemmRowsNarrow[n];
+    ParallelFor(0, m, grain, [&](size_t r0, size_t r1) {
+      narrow(r0, r1, k, a, lda, b, ldb, c, ldc);
+    });
+    return;
+  }
+  if (level == SimdLevel::kScalar) {
     ParallelFor(0, m, grain, [&](size_t r0, size_t r1) {
       GemmRowsScalar(r0, r1, n, k, a, lda, b, ldb, c, ldc);
     });
@@ -865,9 +927,9 @@ void EwRelu(SimdLevel level, size_t n, const double* x, double* out) {
 }
 
 void LstmCellForward(SimdLevel level, size_t batch, size_t hidden,
-                     double* gates, const double* c_prev, size_t ldcp,
-                     double* h_out, size_t ldh, double* c_out, size_t ldc,
-                     double* tanh_c) {
+                     double* gates, const double* hw, const double* bias,
+                     const double* c_prev, size_t ldcp, double* h_out,
+                     size_t ldh, double* c_out, size_t ldc, double* tanh_c) {
   if (batch == 0 || hidden == 0) {
     return;
   }
@@ -877,20 +939,23 @@ void LstmCellForward(SimdLevel level, size_t batch, size_t hidden,
               [&](size_t r0, size_t r1) {
     const size_t rows = r1 - r0;
     double* g = gates + r0 * 4 * hidden;
+    const double* hwp = hw + r0 * 4 * hidden;
     const double* cp = c_prev + r0 * ldcp;
     double* h = h_out + r0 * ldh;
     double* co = c_out + r0 * ldc;
     double* tc = tanh_c != nullptr ? tanh_c + r0 * hidden : nullptr;
 #if RPAS_KERNELS_HAVE_AVX2
     if (level == SimdLevel::kAvx2) {
-      avx2::LstmCellForward(rows, hidden, g, cp, ldcp, h, ldh, co, ldc, tc);
+      avx2::LstmCellForward(rows, hidden, g, hwp, bias, cp, ldcp, h, ldh, co,
+                            ldc, tc);
       return;
     }
 #endif
     // SSE2 routes here too: the step is transcendental-bound and the scalar
     // formulas are the bit-identity reference.
     (void)level;
-    LstmCellForwardScalar(rows, hidden, g, cp, ldcp, h, ldh, co, ldc, tc);
+    LstmCellForwardScalar(rows, hidden, g, hwp, bias, cp, ldcp, h, ldh, co,
+                          ldc, tc);
   });
 }
 

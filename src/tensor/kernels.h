@@ -83,8 +83,9 @@ inline constexpr size_t kPanelWidth = 8;
 void PackB(size_t k, size_t n, const double* b, size_t ldb, double* packed);
 
 /// C rows [r0, r1) += A * B using a packed B. Serial — callers parallelize
-/// over row ranges. `level` must not be kScalar (the scalar reference path
-/// uses GemmRowsScalar on the unpacked B).
+/// over row ranges. Every level keeps each element's ascending-p chain, and
+/// the scalar level's plain mul-then-add equals GemmRowsScalar bit for bit,
+/// so a caller that packs B once can serve every level through this call.
 void GemmPackedRows(SimdLevel level, size_t r0, size_t r1, size_t n, size_t k,
                     const double* a, size_t lda, const double* packed,
                     double* c, size_t ldc);
@@ -105,12 +106,15 @@ size_t LstmRowGrain(size_t batch, size_t hidden);
 
 /// Full parallel GEMM driver: C (m x n, ldc) += A (m x k, lda) * B (k x n,
 /// ldb), all row-major. Packs B into column panels once (non-scalar levels
-/// with n >= kPanelWidth; the scalar level and skinny outputs use the
-/// unpacked reference rows) and fans GemmRowGrain()-sized row chunks
-/// across the shared thread pool. Each output row is written by exactly
-/// one chunk with its k-accumulation in ascending order, so the result is
-/// bit-identical to the serial row kernels at any thread count and any
-/// dispatch level. Small products run on the calling thread.
+/// with n >= kPanelWidth; the scalar level uses the unpacked reference
+/// rows) and fans GemmRowGrain()-sized row chunks across the shared thread
+/// pool. Skinny outputs (n < kPanelWidth, such as 1- or 2-column head
+/// projections) take a fixed-width path at every level that keeps each
+/// row's n running sums in registers over the ascending-p mul-then-add
+/// chain — bit-identical to GemmRowsScalar. Each output row is written by
+/// exactly one chunk with its k-accumulation in ascending order, so the
+/// result is bit-identical to the serial row kernels at any thread count
+/// and any dispatch level. Small products run on the calling thread.
 void Gemm(SimdLevel level, size_t m, size_t n, size_t k, const double* a,
           size_t lda, const double* b, size_t ldb, double* c, size_t ldc);
 
@@ -241,21 +245,25 @@ void EwRelu(SimdLevel level, size_t n, const double* x, double* out);
 // nn::LstmCell's fused 4H weight layout).
 // ---------------------------------------------------------------------------
 
-/// Forward: `gates` (batch x 4H, row-major, contiguous) holds pre-activations
-/// on entry and activated gates (sigmoid i/f/o, tanh g) on exit.
-/// For each row r, column j:
+/// Forward: `gates` (batch x 4H, row-major, contiguous) holds x * W_x on
+/// entry and activated gates (sigmoid i/f/o, tanh g) on exit; `hw`
+/// (batch x 4H, contiguous) holds h_prev * W_h and `bias` (4H) the gate
+/// bias. For each row r, column j the pre-activation is formed in registers
+/// as (xW_x + hW_h) + b — two roundings, in that order at every level — and
+/// then
 ///   c_out = f * c_prev + i * g
 ///   h_out = o * tanh(c_out)
 /// `tanh_c` (batch x hidden, contiguous) receives tanh(c_out) when non-null
 /// (the training path saves it for the backward); pass nullptr in inference.
 /// h_out/c_out/c_prev use explicit leading dimensions so the training path
-/// can write straight into a [h | c] node value.
+/// can write straight into a [h | c] node value; c_out may alias c_prev
+/// (same leading dimension) for an in-place state update.
 /// Parallel over the batch dimension (LstmRowGrain cost model): rows are
 /// fully independent, so the fan-out is bit-identical to the serial step.
 void LstmCellForward(SimdLevel level, size_t batch, size_t hidden,
-                     double* gates, const double* c_prev, size_t ldcp,
-                     double* h_out, size_t ldh, double* c_out, size_t ldc,
-                     double* tanh_c);
+                     double* gates, const double* hw, const double* bias,
+                     const double* c_prev, size_t ldcp, double* h_out,
+                     size_t ldh, double* c_out, size_t ldc, double* tanh_c);
 
 /// Backward through one cell step. Inputs: activated gates `act`
 /// (batch x 4H), previous cell state, saved tanh(c_new), and incoming

@@ -72,15 +72,17 @@ RPAS_AVX2_FN inline __m256d Exp4(__m256d x) {
   return _mm256_mul_pd(e, _mm256_castsi256_pd(bits));
 }
 
+// Both branches below end in a division. Each lane selects its branch's
+// numerator and denominator first and the vector divides once, so a lane
+// performs exactly the division its branch defines, at half the divider
+// cost of dividing both ways and blending the quotients.
+
 RPAS_AVX2_FN inline __m256d Tanh4(__m256d x) {
   const __m256d sign_bit = _mm256_set1_pd(-0.0);
   const __m256d one = _mm256_set1_pd(1.0);
   const __m256d ax = _mm256_andnot_pd(sign_bit, x);
   // |x| >= 0.625: 1 - 2/(exp(2|x|) + 1), with the input's sign restored.
   const __m256d e2 = Exp4(_mm256_add_pd(ax, ax));
-  __m256d big = _mm256_sub_pd(
-      one, _mm256_div_pd(_mm256_set1_pd(2.0), _mm256_add_pd(e2, one)));
-  big = _mm256_or_pd(big, _mm256_and_pd(sign_bit, x));
   // |x| < 0.625: x + x*z*P(z)/Q1(z), z = x^2 (Cephes tanh rational).
   const __m256d z = _mm256_mul_pd(x, x);
   __m256d p = _mm256_set1_pd(-9.64399179425052238628e-1);
@@ -89,12 +91,17 @@ RPAS_AVX2_FN inline __m256d Tanh4(__m256d x) {
   __m256d q = _mm256_add_pd(z, _mm256_set1_pd(1.12811678491632931402e2));
   q = _mm256_fmadd_pd(q, z, _mm256_set1_pd(2.23548839060100448583e3));
   q = _mm256_fmadd_pd(q, z, _mm256_set1_pd(4.84406305325125486048e3));
-  const __m256d small = _mm256_add_pd(
-      x, _mm256_div_pd(_mm256_mul_pd(_mm256_mul_pd(x, z), p), q));
   // NaN compares unordered/false, so NaN lanes take the `small` path and
   // propagate through z = x*x.
   const __m256d use_big =
       _mm256_cmp_pd(ax, _mm256_set1_pd(0.625), _CMP_GE_OQ);
+  const __m256d quotient = _mm256_div_pd(
+      _mm256_blendv_pd(_mm256_mul_pd(_mm256_mul_pd(x, z), p),
+                       _mm256_set1_pd(2.0), use_big),
+      _mm256_blendv_pd(q, _mm256_add_pd(e2, one), use_big));
+  const __m256d big = _mm256_or_pd(_mm256_sub_pd(one, quotient),
+                                   _mm256_and_pd(sign_bit, x));
+  const __m256d small = _mm256_add_pd(x, quotient);
   return _mm256_blendv_pd(small, big, use_big);
 }
 
@@ -105,15 +112,28 @@ RPAS_AVX2_FN inline __m256d Sigmoid4(__m256d x) {
   const __m256d one = _mm256_set1_pd(1.0);
   const __m256d ax = _mm256_andnot_pd(sign_bit, x);
   const __m256d e = Exp4(_mm256_or_pd(ax, sign_bit));
-  const __m256d denom = _mm256_add_pd(one, e);
-  const __m256d pos = _mm256_div_pd(one, denom);
-  const __m256d neg = _mm256_div_pd(e, denom);
   const __m256d nonneg =
       _mm256_cmp_pd(x, _mm256_setzero_pd(), _CMP_GE_OQ);
-  __m256d res = _mm256_blendv_pd(neg, pos, nonneg);
+  const __m256d res = _mm256_div_pd(_mm256_blendv_pd(e, one, nonneg),
+                                    _mm256_add_pd(one, e));
   // Exp4's range clamp eats NaN; restore propagation.
   const __m256d unord = _mm256_cmp_pd(x, x, _CMP_UNORD_Q);
   return _mm256_blendv_pd(res, x, unord);
+}
+
+// Live lanes of p[0..4): a full load, or a masked one on the column tail.
+RPAS_AVX2_FN inline __m256d LoadLive(const double* p, bool full, __m256i m) {
+  return full ? _mm256_loadu_pd(p) : _mm256_maskload_pd(p, m);
+}
+
+// Gate pre-activation (xW_x + hW_h) + b: two plain adds in the scalar
+// kernel's order, so every lane rounds exactly like the scalar level.
+RPAS_AVX2_FN inline __m256d PreActivation(const double* xw, const double* hw,
+                                          const double* b, bool full,
+                                          __m256i m) {
+  return _mm256_add_pd(
+      _mm256_add_pd(LoadLive(xw, full, m), LoadLive(hw, full, m)),
+      LoadLive(b, full, m));
 }
 
 // 4-row x 8-column register tile over one full packed panel.
@@ -421,11 +441,13 @@ RPAS_AVX2_FN void EwSigmoid(size_t n, const double* x, double* out) {
 }
 
 RPAS_AVX2_FN void LstmCellForward(size_t batch, size_t hidden, double* gates,
+                                  const double* hw, const double* bias,
                                   const double* c_prev, size_t ldcp,
                                   double* h_out, size_t ldh, double* c_out,
                                   size_t ldc, double* tanh_c) {
   for (size_t r = 0; r < batch; ++r) {
     double* g_row = gates + r * 4 * hidden;
+    const double* hw_row = hw + r * 4 * hidden;
     const double* cp_row = c_prev + r * ldcp;
     double* h_row = h_out + r * ldh;
     double* c_row = c_out + r * ldc;
@@ -434,20 +456,18 @@ RPAS_AVX2_FN void LstmCellForward(size_t batch, size_t hidden, double* gates,
       const size_t live = std::min<size_t>(4, hidden - j);
       const bool full = live == 4;
       const __m256i m = TailMask(live);
-      __m256d gi, gf, gg, go, cp;
-      if (full) {
-        gi = _mm256_loadu_pd(g_row + j);
-        gf = _mm256_loadu_pd(g_row + hidden + j);
-        gg = _mm256_loadu_pd(g_row + 2 * hidden + j);
-        go = _mm256_loadu_pd(g_row + 3 * hidden + j);
-        cp = _mm256_loadu_pd(cp_row + j);
-      } else {
-        gi = _mm256_maskload_pd(g_row + j, m);
-        gf = _mm256_maskload_pd(g_row + hidden + j, m);
-        gg = _mm256_maskload_pd(g_row + 2 * hidden + j, m);
-        go = _mm256_maskload_pd(g_row + 3 * hidden + j, m);
-        cp = _mm256_maskload_pd(cp_row + j, m);
-      }
+      const __m256d gi =
+          PreActivation(g_row + j, hw_row + j, bias + j, full, m);
+      const __m256d gf = PreActivation(g_row + hidden + j,
+                                       hw_row + hidden + j,
+                                       bias + hidden + j, full, m);
+      const __m256d gg = PreActivation(g_row + 2 * hidden + j,
+                                       hw_row + 2 * hidden + j,
+                                       bias + 2 * hidden + j, full, m);
+      const __m256d go = PreActivation(g_row + 3 * hidden + j,
+                                       hw_row + 3 * hidden + j,
+                                       bias + 3 * hidden + j, full, m);
+      const __m256d cp = LoadLive(cp_row + j, full, m);
       const __m256d iv = Sigmoid4(gi);
       const __m256d fv = Sigmoid4(gf);
       const __m256d gv = Tanh4(gg);

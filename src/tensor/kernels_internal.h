@@ -38,6 +38,7 @@ double Sum(size_t n, const double* x);
 void EwTanh(size_t n, const double* x, double* out);
 void EwSigmoid(size_t n, const double* x, double* out);
 void LstmCellForward(size_t batch, size_t hidden, double* gates,
+                     const double* hw, const double* bias,
                      const double* c_prev, size_t ldcp, double* h_out,
                      size_t ldh, double* c_out, size_t ldc, double* tanh_c);
 void LstmCellBackward(size_t batch, size_t hidden, const double* act,

@@ -565,16 +565,24 @@ TEST(ElementwiseTest, ResultsIndependentOfBufferSplit) {
 struct LstmFixture {
   size_t batch;
   size_t hidden;
-  Matrix gates;   // batch x 4H pre-activations
+  Matrix gates;   // batch x 4H, x * W_x
   Matrix c_prev;  // batch x H
+  Matrix hw;      // batch x 4H, h * W_h
+  Matrix bias;    // 1 x 4H
 };
 
 LstmFixture MakeLstmFixture(size_t batch, size_t hidden, uint64_t seed) {
-  LstmFixture f{batch, hidden, Matrix(batch, 4 * hidden),
-                Matrix(batch, hidden)};
+  LstmFixture f{batch,
+                hidden,
+                Matrix(batch, 4 * hidden),
+                Matrix(batch, hidden),
+                Matrix(batch, 4 * hidden),
+                Matrix(1, 4 * hidden)};
   Rng rng(seed);
   FillUniform(&f.gates, &rng, -3.0, 3.0);
   FillUniform(&f.c_prev, &rng, -1.5, 1.5);
+  FillUniform(&f.hw, &rng, -1.0, 1.0);
+  FillUniform(&f.bias, &rng, -0.5, 0.5);
   return f;
 }
 
@@ -585,13 +593,15 @@ TEST(LstmKernelTest, ForwardMatchesScalarWithinBound) {
     Matrix h_ref(f.batch, hidden), c_ref(f.batch, hidden);
     Matrix tc_ref(f.batch, hidden);
     LstmCellForward(SimdLevel::kScalar, f.batch, hidden, act_ref.data(),
-                    f.c_prev.data(), hidden, h_ref.data(), hidden,
-                    c_ref.data(), hidden, tc_ref.data());
+                    f.hw.data(), f.bias.data(), f.c_prev.data(), hidden,
+                    h_ref.data(), hidden, c_ref.data(), hidden,
+                    tc_ref.data());
     for (SimdLevel level : SupportedLevels()) {
       Matrix act = f.gates;
       Matrix h(f.batch, hidden), c(f.batch, hidden), tc(f.batch, hidden);
-      LstmCellForward(level, f.batch, hidden, act.data(), f.c_prev.data(),
-                      hidden, h.data(), hidden, c.data(), hidden, tc.data());
+      LstmCellForward(level, f.batch, hidden, act.data(), f.hw.data(),
+                      f.bias.data(), f.c_prev.data(), hidden, h.data(),
+                      hidden, c.data(), hidden, tc.data());
       for (size_t i = 0; i < act.size(); ++i) {
         EXPECT_LE(UlpDistance(act_ref[i], act[i]), 4u)
             << LevelName(level) << " activated gate " << i;
@@ -617,28 +627,144 @@ TEST(LstmKernelTest, ForwardRowsIndependentOfBatchSize) {
   for (SimdLevel level : SupportedLevels()) {
     Matrix act_full = f.gates;
     Matrix h_full(f.batch, hidden), c_full(f.batch, hidden);
-    LstmCellForward(level, f.batch, hidden, act_full.data(), f.c_prev.data(),
-                    hidden, h_full.data(), hidden, c_full.data(), hidden,
-                    nullptr);
+    LstmCellForward(level, f.batch, hidden, act_full.data(), f.hw.data(),
+                    f.bias.data(), f.c_prev.data(), hidden, h_full.data(),
+                    hidden, c_full.data(), hidden, nullptr);
     for (size_t r = 0; r < f.batch; ++r) {
       Matrix act_row(1, 4 * hidden);
+      Matrix hw_row(1, 4 * hidden);
       Matrix cp_row(1, hidden);
       for (size_t j = 0; j < 4 * hidden; ++j) {
         act_row(0, j) = f.gates(r, j);
+        hw_row(0, j) = f.hw(r, j);
       }
       for (size_t j = 0; j < hidden; ++j) {
         cp_row(0, j) = f.c_prev(r, j);
       }
       Matrix h_row(1, hidden), c_row(1, hidden);
-      LstmCellForward(level, 1, hidden, act_row.data(), cp_row.data(),
-                      hidden, h_row.data(), hidden, c_row.data(), hidden,
-                      nullptr);
+      LstmCellForward(level, 1, hidden, act_row.data(), hw_row.data(),
+                      f.bias.data(), cp_row.data(), hidden, h_row.data(),
+                      hidden, c_row.data(), hidden, nullptr);
       for (size_t j = 0; j < hidden; ++j) {
         EXPECT_EQ(h_full(r, j), h_row(0, j))
             << LevelName(level) << " h row " << r;
         EXPECT_EQ(c_full(r, j), c_row(0, j))
             << LevelName(level) << " c row " << r;
       }
+    }
+  }
+}
+
+/// Equal bit patterns, or NaN on both sides (a NaN's payload is not part
+/// of the kernel contract).
+bool SameValue(double a, double b) {
+  if (std::isnan(a) || std::isnan(b)) {
+    return std::isnan(a) && std::isnan(b);
+  }
+  return std::memcmp(&a, &b, sizeof(a)) == 0;
+}
+
+TEST(LstmKernelTest, FusedBiasAddEqualsAddThenKernel) {
+  // The kernel forms (xW_x + hW_h) + b in registers. Feeding it the
+  // pre-added gates with hW_h = b = -0.0 runs the same activation code on
+  // exactly the pre-activations (v + -0.0 == v for every v, signed zeros,
+  // infinities and NaN included), i.e. "add, then the old kernel".
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (size_t hidden : {1u, 3u, 4u, 5u, 18u, 32u}) {
+    const size_t batch = 3;
+    LstmFixture f = MakeLstmFixture(batch, hidden, 0x5EED + hidden);
+    // Specials on every gate block of row 1: a NaN from each operand, both
+    // infinities, Inf + -Inf, overflow to Inf, and signed zeros.
+    const size_t gw = 4 * hidden;
+    const size_t cols[] = {0, hidden, 2 * hidden, 3 * hidden};
+    for (size_t k = 0; k < 4; ++k) {
+      const size_t c = cols[k];
+      switch (k) {
+        case 0:
+          f.gates(1, c) = nan;
+          break;
+        case 1:
+          f.hw(1, c) = inf;
+          break;
+        case 2:
+          f.gates(1, c) = inf;
+          f.hw(1, c) = -inf;
+          break;
+        case 3:
+          f.gates(1, c) = std::numeric_limits<double>::max();
+          f.hw(1, c) = std::numeric_limits<double>::max();
+          break;
+      }
+    }
+    f.gates(2, gw - 1) = -0.0;
+    f.hw(2, gw - 1) = -0.0;
+    f.bias(0, gw - 1) = -0.0;
+    f.bias(0, 0) = -inf;
+    f.c_prev(0, hidden - 1) = nan;
+    Matrix pre(batch, gw);
+    for (size_t r = 0; r < batch; ++r) {
+      for (size_t c = 0; c < gw; ++c) {
+        pre(r, c) = (f.gates(r, c) + f.hw(r, c)) + f.bias(0, c);
+      }
+    }
+    const std::vector<double> neg_zero(batch * gw, -0.0);
+    for (SimdLevel level : SupportedLevels()) {
+      Matrix act = f.gates;
+      Matrix h(batch, hidden), c(batch, hidden), tc(batch, hidden);
+      LstmCellForward(level, batch, hidden, act.data(), f.hw.data(),
+                      f.bias.data(), f.c_prev.data(), hidden, h.data(),
+                      hidden, c.data(), hidden, tc.data());
+      Matrix act_ref = pre;
+      Matrix h_ref(batch, hidden), c_ref(batch, hidden);
+      Matrix tc_ref(batch, hidden);
+      LstmCellForward(level, batch, hidden, act_ref.data(), neg_zero.data(),
+                      neg_zero.data(), f.c_prev.data(), hidden,
+                      h_ref.data(), hidden, c_ref.data(), hidden,
+                      tc_ref.data());
+      for (size_t i = 0; i < act.size(); ++i) {
+        EXPECT_TRUE(SameValue(act_ref[i], act[i]))
+            << LevelName(level) << " H=" << hidden << " gate " << i << ": "
+            << act_ref[i] << " vs " << act[i];
+      }
+      for (size_t i = 0; i < h.size(); ++i) {
+        EXPECT_TRUE(SameValue(h_ref[i], h[i]))
+            << LevelName(level) << " H=" << hidden << " h " << i;
+        EXPECT_TRUE(SameValue(c_ref[i], c[i]))
+            << LevelName(level) << " H=" << hidden << " c " << i;
+        EXPECT_TRUE(SameValue(tc_ref[i], tc[i]))
+            << LevelName(level) << " H=" << hidden << " tanh_c " << i;
+      }
+      // The specials propagate: NaN and Inf - Inf give a NaN input gate,
+      // +Inf saturates the forget gate, and the NaN cell state poisons
+      // its own column only.
+      EXPECT_TRUE(std::isnan(act(1, 0))) << LevelName(level);
+      EXPECT_EQ(1.0, act(1, hidden)) << LevelName(level);
+      EXPECT_TRUE(std::isnan(act(1, 2 * hidden))) << LevelName(level);
+      EXPECT_TRUE(std::isnan(c(0, hidden - 1))) << LevelName(level);
+    }
+  }
+}
+
+TEST(LstmKernelTest, ForwardUpdatesCellStateInPlace) {
+  const size_t batch = 5, hidden = 18;
+  LstmFixture f = MakeLstmFixture(batch, hidden, 0x1D);
+  for (SimdLevel level : SupportedLevels()) {
+    Matrix act = f.gates;
+    Matrix h(batch, hidden), c(batch, hidden);
+    LstmCellForward(level, batch, hidden, act.data(), f.hw.data(),
+                    f.bias.data(), f.c_prev.data(), hidden, h.data(), hidden,
+                    c.data(), hidden, nullptr);
+    Matrix act_in_place = f.gates;
+    Matrix h_in_place(batch, hidden);
+    Matrix c_in_place = f.c_prev;
+    LstmCellForward(level, batch, hidden, act_in_place.data(), f.hw.data(),
+                    f.bias.data(), c_in_place.data(), hidden,
+                    h_in_place.data(), hidden, c_in_place.data(), hidden,
+                    nullptr);
+    for (size_t i = 0; i < c.size(); ++i) {
+      EXPECT_EQ(c[i], c_in_place[i]) << LevelName(level) << " c " << i;
+      EXPECT_EQ(h[i], h_in_place[i]) << LevelName(level) << " h " << i;
     }
   }
 }
@@ -651,8 +777,8 @@ TEST(LstmKernelTest, BackwardBitIdenticalAcrossLevels) {
   Matrix act = f.gates;
   Matrix h(batch, hidden), c(batch, hidden), tc(batch, hidden);
   LstmCellForward(SimdLevel::kScalar, batch, hidden, act.data(),
-                  f.c_prev.data(), hidden, h.data(), hidden, c.data(),
-                  hidden, tc.data());
+                  f.hw.data(), f.bias.data(), f.c_prev.data(), hidden,
+                  h.data(), hidden, c.data(), hidden, tc.data());
   Rng rng(0xEF);
   Matrix dh(batch, hidden), dc(batch, hidden);
   FillUniform(&dh, &rng, -1.0, 1.0);
@@ -902,6 +1028,40 @@ TEST(ParallelKernelTest, GemmBitIdenticalAcrossThreadCountsAtEveryLevel) {
   }
 }
 
+TEST(ParallelKernelTest, NarrowGemmBitIdenticalToScalarRowsAtEveryLevel) {
+  // Gemm's fixed n < 8 path keeps each row's running sums in registers; it
+  // must equal the memory-accumulating GemmRowsScalar bit for bit, across
+  // the kBlockK = 64 boundary, with strided operands, accumulating into a
+  // non-zero C, at every level and thread count.
+  ThreadOverrideGuard guard;
+  Rng rng(0xA11);
+  const size_t m = 1501;  // tiles of four plus a tail row
+  for (size_t n : {1u, 2u, 7u}) {
+    for (size_t k : {1u, 32u, 65u, 130u}) {
+      const size_t lda = k + 2, ldb = n + 1, ldc = n + 3;
+      std::vector<double> a(m * lda), b(k * ldb), c0(m * ldc);
+      for (double& v : a) v = rng.Uniform(-2.0, 2.0);
+      for (double& v : b) v = rng.Uniform(-2.0, 2.0);
+      for (double& v : c0) v = rng.Uniform(-1.0, 1.0);
+      std::vector<double> ref = c0;
+      GemmRowsScalar(0, m, n, k, a.data(), lda, b.data(), ldb, ref.data(),
+                     ldc);
+      for (SimdLevel level : SupportedLevels()) {
+        for (int threads : {1, 4}) {
+          SetRpasThreads(threads);
+          std::vector<double> c = c0;
+          Gemm(level, m, n, k, a.data(), lda, b.data(), ldb, c.data(), ldc);
+          for (size_t i = 0; i < c.size(); ++i) {
+            ASSERT_EQ(ref[i], c[i])
+                << LevelName(level) << " n=" << n << " k=" << k << " @ " << i
+                << " with " << threads << " threads";
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(ParallelKernelTest, TransposedGemmsBitIdenticalAcrossThreadCounts) {
   ThreadOverrideGuard guard;
   Rng rng(0xD1CE);
@@ -950,10 +1110,13 @@ TEST(ParallelKernelTest, LstmCellBitIdenticalAcrossThreadCounts) {
   std::vector<double> gates0(batch * 4 * hidden);
   std::vector<double> c_prev(batch * hidden);
   std::vector<double> dh(batch * hidden), dc(batch * hidden);
+  std::vector<double> hw(batch * 4 * hidden), bias(4 * hidden);
   for (double& v : gates0) v = rng.Uniform(-2.0, 2.0);
   for (double& v : c_prev) v = rng.Uniform(-1.0, 1.0);
   for (double& v : dh) v = rng.Uniform(-1.0, 1.0);
   for (double& v : dc) v = rng.Uniform(-1.0, 1.0);
+  for (double& v : hw) v = rng.Uniform(-1.0, 1.0);
+  for (double& v : bias) v = rng.Uniform(-0.5, 0.5);
   for (SimdLevel level : SupportedLevels()) {
     ScopedSimdLevel scoped(level);
     struct Run {
@@ -968,9 +1131,9 @@ TEST(ParallelKernelTest, LstmCellBitIdenticalAcrossThreadCounts) {
       r.tanh_c.assign(batch * hidden, 0.0);
       r.dgates.assign(batch * 4 * hidden, 0.0);
       r.dc_prev.assign(batch * hidden, 0.0);
-      LstmCellForward(ActiveLevel(), batch, hidden, r.act.data(),
-                      c_prev.data(), hidden, r.h.data(), hidden, r.c.data(),
-                      hidden, r.tanh_c.data());
+      LstmCellForward(ActiveLevel(), batch, hidden, r.act.data(), hw.data(),
+                      bias.data(), c_prev.data(), hidden, r.h.data(), hidden,
+                      r.c.data(), hidden, r.tanh_c.data());
       LstmCellBackward(ActiveLevel(), batch, hidden, r.act.data(),
                        c_prev.data(), hidden, r.tanh_c.data(), dh.data(),
                        hidden, dc.data(), hidden, r.dgates.data(),

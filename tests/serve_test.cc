@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -822,6 +823,72 @@ TEST(FleetTest, InvalidOptionsRejected) {
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
+}
+
+/// A served model whose upper quantile is NaN at one step: what a diverged
+/// fine-tune could hand the allocator.
+class NanQuantileForecaster final : public forecast::Forecaster {
+ public:
+  Status Fit(const ts::TimeSeries&) override { return Status::OK(); }
+  Status LoadCheckpoint(const std::string&) override { return Status::OK(); }
+  bool SupportsCheckpoint() const override { return true; }
+  Result<ts::QuantileForecast> Predict(const ForecastInput&) const override {
+    std::vector<std::vector<double>> values(kHorizon, {1.0, 2.0});
+    values[kHorizon / 2][1] = std::numeric_limits<double>::quiet_NaN();
+    return ts::QuantileForecast(levels_, std::move(values));
+  }
+  size_t Horizon() const override { return kHorizon; }
+  size_t ContextLength() const override { return kContext; }
+  const std::vector<double>& Levels() const override { return levels_; }
+  std::string Name() const override { return "NanQuantile"; }
+
+ private:
+  std::vector<double> levels_ = {0.5, 0.95};
+};
+
+TEST(FleetTest, NanQuantileRoundCountsAsErrorAndFallsBack) {
+  // RunFleet allocates straight from the served forecast, so the solver's
+  // own validation is what keeps a NaN from reaching the node-count cast.
+  TestRegistry r = MakeRegistry(1 << 20);
+  const std::string path = "/tmp/rpas_serve_test_nan_" +
+                           std::to_string(static_cast<long>(getpid())) +
+                           ".ckpt";
+  {
+    std::ofstream file(path);
+    file << "stub\n";
+  }
+  ASSERT_TRUE(r.registry
+                  ->RegisterVersion({"nan", 1}, path,
+                                    [] {
+                                      return std::make_unique<
+                                          NanQuantileForecaster>();
+                                    })
+                  .ok());
+  FleetOptions options = SmallFleetOptions();
+  options.metrics = r.metrics.get();
+  // Tenants alternate between a healthy MLP and the NaN model.
+  auto result = RunFleet(r.registry.get(), {{"mlp", 1}, {"nan", 1}}, options);
+  std::remove(path.c_str());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->tenants.size(), 4u);
+  for (size_t t = 0; t < result->tenants.size(); ++t) {
+    const TenantSummary& tenant = result->tenants[t];
+    EXPECT_EQ(tenant.rounds, tenant.fresh_rounds + tenant.stale_rounds +
+                                 tenant.fallback_rounds)
+        << "tenant " << t;
+    if (t % 2 == 1) {
+      EXPECT_EQ(tenant.error_rounds, tenant.rounds) << "tenant " << t;
+      EXPECT_EQ(tenant.fallback_rounds, tenant.rounds) << "tenant " << t;
+      EXPECT_EQ(tenant.fresh_rounds, 0u) << "tenant " << t;
+    } else {
+      EXPECT_EQ(tenant.error_rounds, 0u) << "tenant " << t;
+      EXPECT_EQ(tenant.fresh_rounds, tenant.rounds) << "tenant " << t;
+    }
+  }
+  // Every step still got a valid node count from the fallback.
+  for (const auto& decision : result->decisions) {
+    EXPECT_GE(decision.target_nodes, 1);
+  }
 }
 
 // -------------------------------------------------- Adaptive selection ---

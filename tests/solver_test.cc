@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/rng.h"
 #include "solver/autoscaling.h"
@@ -185,6 +186,43 @@ TEST(AutoScalingTest, RejectsNonPositiveThreshold) {
   AutoScalingProblem problem;
   problem.workloads = {1.0};
   problem.thresholds = {0.0};
+  EXPECT_EQ(SolveAutoScalingInteger(problem).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(AutoScalingTest, RejectsNonFiniteAndOutOfIntRangeInputs) {
+  // NaN fails every ordered comparison, so a check written as `w < 0`
+  // lets it through to the node-count cast; so do infinities and
+  // workloads whose node count overflows int.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    std::vector<double> workloads;
+    double threshold;
+  };
+  const Case cases[] = {
+      {{1.0, nan}, 1.0}, {{inf}, 1.0},   {{-inf}, 1.0},    {{1e300}, 1.0},
+      {{1.0}, nan},      {{1.0}, inf},   {{1e10}, 1e-300},
+  };
+  for (const Case& c : cases) {
+    AutoScalingProblem problem;
+    problem.workloads = c.workloads;
+    problem.thresholds = {c.threshold};
+    EXPECT_EQ(SolveAutoScalingInteger(problem).status().code(),
+              StatusCode::kInvalidArgument)
+        << c.workloads.back() << " / " << c.threshold;
+    EXPECT_EQ(SolveAutoScalingLp(problem).status().code(),
+              StatusCode::kInvalidArgument)
+        << c.workloads.back() << " / " << c.threshold;
+  }
+  // The int range is the boundary: INT_MAX nodes solve, one more does not.
+  AutoScalingProblem problem;
+  problem.thresholds = {1.0};
+  problem.workloads = {2147483647.0};
+  auto alloc = SolveAutoScalingInteger(problem);
+  ASSERT_TRUE(alloc.ok()) << alloc.status().ToString();
+  EXPECT_EQ((*alloc)[0], std::numeric_limits<int>::max());
+  problem.workloads = {2147483648.0};
   EXPECT_EQ(SolveAutoScalingInteger(problem).status().code(),
             StatusCode::kInvalidArgument);
 }
