@@ -1,37 +1,12 @@
 #include "core/online_loop.h"
 
-#include <algorithm>
-#include <cmath>
 #include <memory>
-#include <optional>
 #include <unordered_set>
+#include <utility>
 
-#include "common/logging.h"
 #include "common/stopwatch.h"
-#include "core/evaluator.h"
-#include "forecast/rolling_wql.h"
-#include "stream/ring.h"
-#include "ts/metrics.h"
 
 namespace rpas::core {
-
-std::vector<int> BuildFallbackPlan(const std::vector<double>& recent,
-                                   const std::vector<int>& last_good_plan,
-                                   int current_nodes,
-                                   const ScalingConfig& config,
-                                   const DegradationPolicy& policy) {
-  double peak = 0.0;
-  for (double w : recent) {
-    peak = std::max(peak, w);
-  }
-  int hold = RequiredNodes(peak * policy.reactive_safety_margin, config);
-  if (!last_good_plan.empty()) {
-    hold = std::max(hold, last_good_plan.back());
-  }
-  hold = std::max(hold, current_nodes);
-  const size_t steps = std::max<size_t>(policy.fallback_plan_steps, 1);
-  return std::vector<int>(steps, hold);
-}
 
 Result<OnlineLoopResult> RunOnlineLoop(const RobustAutoScalingManager& manager,
                                        const ts::TimeSeries& series,
@@ -60,11 +35,6 @@ Result<OnlineLoopResult> RunOnlineLoop(const RobustAutoScalingManager& manager,
   const bool selecting =
       options.selection.mode == SelectionMode::kAdaptive;
   if (selecting) {
-    if (streaming) {
-      return Status::InvalidArgument(
-          "adaptive selection cannot be combined with incremental refresh: "
-          "the refresher tracks one model, the ladder switches models");
-    }
     if (options.selection.ladder.empty()) {
       return Status::InvalidArgument(
           "adaptive selection needs a non-empty candidate ladder");
@@ -85,480 +55,167 @@ Result<OnlineLoopResult> RunOnlineLoop(const RobustAutoScalingManager& manager,
 
   obs::TraceBuffer* trace = obs::ResolveTrace(options.trace);
   obs::Span run_span(trace, "online.run", static_cast<int64_t>(num_steps));
+  obs::MetricsRegistry* metrics = obs::ResolveRegistry(options.metrics);
+
+  TenantSession::Options session_options;
+  session_options.scaling = manager.config();
+  session_options.cluster = options.cluster;
+  session_options.faults = options.faults;
+  session_options.degradation = options.degradation;
+  if (streaming) {
+    session_options.ring_capacity = options.streaming.ring_capacity;
+    session_options.refresh_target = options.streaming.refresh_target;
+    session_options.refresher = options.streaming.refresher;
+  }
+  if (selecting) {
+    session_options.ladder_size = options.selection.ladder.size();
+    session_options.classifier = options.selection.classifier;
+    session_options.selector = options.selection.selector;
+    session_options.prescale = options.selection.prescale;
+    session_options.prescaler = options.selection.prescaler;
+  }
+  session_options.staleness =
+      metrics->GetHistogram("online.staleness_points");
+  RPAS_ASSIGN_OR_RETURN(
+      std::unique_ptr<TenantSession> session,
+      TenantSession::Create(series, eval_start, std::move(session_options)));
 
   OnlineLoopResult result;
-  result.allocation.reserve(num_steps);
   result.steps.reserve(num_steps);
-
-  // Streaming-ingest state (incremental mode only). Workload points flow
-  // producer-side into the ring as they are realized; each planning round
-  // polls the cursor and folds the new points into the forecaster.
-  std::unique_ptr<stream::IngestRing> ring;
-  std::unique_ptr<stream::StreamCursor> cursor;
-  std::unique_ptr<stream::IncrementalRefresher> refresher;
-  std::vector<double> stall_queue;  // points held back by a producer stall
-  std::vector<double> poll_buf;
-  if (streaming) {
-    ring = std::make_unique<stream::IngestRing>(
-        options.streaming.ring_capacity);
-    cursor = std::make_unique<stream::StreamCursor>(ring.get());
-    refresher = std::make_unique<stream::IncrementalRefresher>(
-        options.streaming.refresh_target, options.streaming.refresher);
-    RPAS_RETURN_IF_ERROR(refresher->Prime(series.Slice(0, eval_start)));
-  }
-  // Drift guard input: the forecast of the newest fresh plan, scored
-  // against however many of its steps have realized by the next round.
-  std::optional<ts::QuantileForecast> live_forecast;
-  size_t live_forecast_start = eval_start;
-
-  // Adaptive-selection state (kAdaptive only). The `active` pointer is the
-  // single planning indirection: in kOff mode it stays `&manager` for the
-  // whole run, so the off path is bit-identical to the pre-selection loop.
-  const RobustAutoScalingManager* active = &manager;
-  std::unique_ptr<select::WorkloadClassifier> classifier;
-  std::unique_ptr<select::AdaptiveSelector> selector;
-  std::unique_ptr<select::PreScaler> prescaler;
-  std::unique_ptr<forecast::RollingWql> rolling;
-  if (selecting) {
-    classifier = std::make_unique<select::WorkloadClassifier>(
-        options.selection.classifier);
-    // Seed the pattern — and the starting tier — from observed history.
-    std::vector<double> history_window(
-        series.values.begin(), series.values.begin() +
-            static_cast<long>(eval_start));
-    classifier->PushAll(history_window);
-    select::SelectorOptions selector_options = options.selection.selector;
-    selector_options.ladder_size = options.selection.ladder.size();
-    selector = std::make_unique<select::AdaptiveSelector>(selector_options);
-    selector->SeedFromPattern(classifier->Classify());
-    active = options.selection.ladder[selector->tier()];
-    if (options.selection.prescale) {
-      prescaler = std::make_unique<select::PreScaler>(
-          options.selection.prescaler, manager.config().min_nodes);
-    }
-    rolling = std::make_unique<forecast::RollingWql>(
-        selector_options.wql_window);
-  }
-
-  // Forecast staleness, tracked in both modes: steps since the newest
-  // fresh (non-stale, non-fallback) plan landed.
-  size_t last_fresh_step = 0;
-  uint64_t staleness_sum = 0;
-  obs::MetricsRegistry* metrics = obs::ResolveRegistry(options.metrics);
-  obs::Histogram* staleness_hist =
-      metrics->GetHistogram("online.staleness_points");
-
   const bool inject = options.faults.Any();
-  const simdb::FaultInjector injector(options.faults);
-  const DegradationPolicy& policy = options.degradation;
-
-  simdb::Cluster cluster(options.cluster);
-  std::vector<int> current_plan;
-  std::vector<int> last_good_plan;
-  bool plan_is_fallback = false;
-  size_t plan_cursor = 0;
   double uncertainty_sum = 0.0;
   size_t uncertainty_n = 0;
-  int current_nodes = options.cluster.initial_nodes;
-
-  // Trailing realized workloads feeding the reactive fallback, seeded from
-  // the observed history so degradation works even on the very first round.
-  std::vector<double> recent;
-  const size_t window = std::max<size_t>(policy.reactive_window, 1);
-  for (size_t back = std::min(window, eval_start); back > 0; --back) {
-    recent.push_back(series.values[eval_start - back]);
-  }
-
   for (size_t i = 0; i < num_steps; ++i) {
-    const size_t t = eval_start + i;
-    simdb::StepFaults faults;  // default: no fault
-    if (inject) {
-      faults = injector.FaultsForStep(i);
-    }
-    const size_t replan =
-        options.replan_every > 0 ? options.replan_every : SIZE_MAX;
-    if (current_plan.empty() || plan_cursor >= current_plan.size() ||
-        (options.replan_every > 0 && plan_cursor >= replan)) {
-      // ---- Planning round, with graceful degradation under faults. ----
+    if (session->plan_cursor() >= session->plan_size() ||
+        (options.replan_every > 0 &&
+         session->plan_cursor() >= options.replan_every)) {
+      // Planning round. The session settles stale and fallback rounds; a
+      // fresh one plans from what the stream delivered (everything realized
+      // so far in kBatch mode) with the manager of the selected tier.
       obs::Span plan_span(trace, "online.plan", static_cast<int64_t>(i));
-      plan_is_fallback = false;
-      ++result.plans_made;
-
-      // Adaptive selection: score the expiring plan's forecast, feed the
-      // selector one observed round (wQL + whether this round's degradation
-      // path is about to fire), and route planning to the resulting tier.
-      // Decisions are a pure function of the observed sequence — no RNG —
-      // so enabling selection cannot perturb any seeded schedule.
+      const RoundNeed need = session->BeginRound(i);
       if (selecting) {
-        double wql = 0.0;
-        bool wql_valid = false;
-        if (live_forecast.has_value() && t > live_forecast_start) {
-          const size_t elapsed = std::min<size_t>(
-              t - live_forecast_start, live_forecast->Horizon());
-          const std::vector<double> actual(
-              series.values.begin() +
-                  static_cast<long>(live_forecast_start),
-              series.values.begin() +
-                  static_cast<long>(live_forecast_start + elapsed));
-          wql = ts::PrefixMeanWql(*live_forecast, actual);
-          wql_valid = true;
-          rolling->Observe(wql);
-        }
-        const int about_to_fail = faults.forecaster_timeout_attempts +
-                                  (faults.forecaster_nan ? 1 : 0);
-        const bool round_faulted =
-            inject &&
-            ((faults.stale_forecast && !last_good_plan.empty()) ||
-             about_to_fail > policy.max_retries);
-        selector->ObserveRound(wql, wql_valid, round_faulted);
-        active = options.selection.ladder[selector->tier()];
-        result.selection.tier_by_round.push_back(selector->tier());
+        result.selection.tier_by_round.push_back(session->tier());
       }
-
-      // Streaming refresh: poll the ring for points ingested since the
-      // last round and fold them into the forecaster before planning.
-      // A stalled producer leaves the cursor behind `t`, so the planner
-      // sees (and plans from) a correspondingly shorter history.
-      size_t observed_points = i;  // kBatch: everything realized so far
+      rpas::Stopwatch refresh_watch;
+      RPAS_RETURN_IF_ERROR(session->Refresh(i));
       if (streaming) {
-        // Score the expiring plan's forecast against what realized, so the
-        // refresher's drift guard can schedule a full retrain.
-        if (live_forecast.has_value() && t > live_forecast_start) {
-          const size_t elapsed = std::min<size_t>(
-              t - live_forecast_start, live_forecast->Horizon());
-          const std::vector<double> actual(
-              series.values.begin() +
-                  static_cast<long>(live_forecast_start),
-              series.values.begin() +
-                  static_cast<long>(live_forecast_start + elapsed));
-          refresher->ObserveForecastLoss(
-              ts::PrefixMeanWql(*live_forecast, actual));
-        }
-        rpas::Stopwatch refresh_watch;
-        poll_buf.clear();
-        const stream::StreamCursor::Batch batch = cursor->Poll(&poll_buf);
-        observed_points = static_cast<size_t>(cursor->next_seq());
-        const ts::TimeSeries observed =
-            series.Slice(0, eval_start + observed_points);
-        RPAS_ASSIGN_OR_RETURN(
-            const stream::RefreshOutcome outcome,
-            refresher->Refresh(observed, batch.count, batch.missed));
-        (void)outcome;
-        const double refresh_ms = refresh_watch.ElapsedMillis();
-        result.round_refresh_millis.push_back(refresh_ms);
-        result.total_refresh_millis += refresh_ms;
-        metrics->GetHistogram("stream.refresh_ms", {},
-                              /*deterministic=*/false)
-            ->Observe(refresh_ms);
+        metrics->GetHistogram("stream.refresh_ms", {}, /*deterministic=*/false)
+            ->Observe(refresh_watch.ElapsedMillis());
       }
       rpas::Stopwatch plan_watch;
-      const int failed_attempts =
-          faults.forecaster_timeout_attempts + (faults.forecaster_nan ? 1 : 0);
-      if (inject && faults.stale_forecast && !last_good_plan.empty()) {
-        // The forecaster served its cached previous forecast; the round
-        // silently replays the last known-good plan from its start.
-        current_plan = last_good_plan;
-        plan_cursor = 0;
-        ++result.stale_plans;
-        result.fault_events.push_back(
-            {i, simdb::FaultType::kStaleForecast, simdb::FaultAction::kNone,
-             0, 0.0});
-      } else if (inject && failed_attempts > policy.max_retries) {
-        // Bounded retry exhausted: degrade instead of aborting.
-        ++result.forecaster_faults;
-        ++result.fallback_plans;
-        const simdb::FaultAction action =
-            last_good_plan.empty() ? simdb::FaultAction::kFallbackReactive
-                                   : simdb::FaultAction::kFallbackLastGood;
-        result.fault_events.push_back(
-            {i,
-             faults.forecaster_timeout_attempts > 0
-                 ? simdb::FaultType::kForecasterTimeout
-                 : simdb::FaultType::kForecasterNan,
-             action, failed_attempts, 0.0});
-        current_plan = BuildFallbackPlan(recent, last_good_plan,
-                                         current_nodes, manager.config(),
-                                         policy);
-        plan_cursor = 0;
-        plan_is_fallback = true;
-      } else {
-        // Either a clean round, or a faulted one whose
-        // (failed_attempts + 1)-th attempt lands within the retry budget —
-        // the successful attempt's output is what PlanNext returns. In
-        // streaming mode the planner sees only what the stream delivered
-        // (a stalled producer starves it); in batch mode that is always
-        // everything realized so far, making the two modes identical when
-        // no ingest faults fire.
-        ts::TimeSeries history =
-            series.Slice(0, eval_start + observed_points);
-        auto plan_or = active->PlanNext(history, current_nodes);
+      if (need == RoundNeed::kFresh) {
+        const RobustAutoScalingManager& active =
+            selecting ? *options.selection.ladder[session->tier()] : manager;
+        auto plan_or = active.PlanNext(series.Slice(0, session->ObservedEnd()),
+                                       session->current_nodes());
         if (!plan_or.ok()) {
+          // Without a fault plan a planner error surfaces; under injection
+          // it degrades like any other fault and the loop keeps serving.
           if (!inject) {
             return plan_or.status();
           }
-          // A genuine planner error under fault injection is handled by
-          // the same degradation path: record, fall back, keep serving.
-          ++result.fallback_plans;
-          const simdb::FaultAction action =
-              last_good_plan.empty() ? simdb::FaultAction::kFallbackReactive
-                                     : simdb::FaultAction::kFallbackLastGood;
-          result.fault_events.push_back({i, simdb::FaultType::kPlannerError,
-                                         action, failed_attempts, 0.0});
-          current_plan = BuildFallbackPlan(recent, last_good_plan,
-                                           current_nodes, manager.config(),
-                                           policy);
-          plan_cursor = 0;
-          plan_is_fallback = true;
+          session->Degrade(DegradeCause::kPlannerError);
         } else {
-          RobustAutoScalingManager::Plan plan = std::move(plan_or).value();
-          current_plan = std::move(plan.nodes);
-          if (current_plan.empty()) {
-            // Indexing an empty plan below would be out-of-bounds UB; a
-            // planner that yields no steps is a contract violation.
-            return Status::Internal(
-                "online loop: planner returned an empty plan");
-          }
-          if (failed_attempts > 0) {
-            ++result.forecaster_faults;
-            ++result.retried_plans;
-            result.fault_events.push_back(
-                {i,
-                 faults.forecaster_timeout_attempts > 0
-                     ? simdb::FaultType::kForecasterTimeout
-                     : simdb::FaultType::kForecasterNan,
-                 simdb::FaultAction::kRetrySucceeded, failed_attempts, 0.0});
-          }
-          last_good_plan = current_plan;
-          plan_cursor = 0;
-          for (double u : plan.uncertainty) {
+          for (double u : plan_or->uncertainty) {
             uncertainty_sum += u;
             ++uncertainty_n;
           }
-          // A genuinely fresh forecast landed: reset staleness and arm the
-          // drift guard with the forecast to score next round.
-          last_fresh_step = i;
-          live_forecast = std::move(plan.forecast);
-          live_forecast_start = t;
-          if (prescaler) {
-            // The fresh quantile plan is the spike predictor: schedule a
-            // floor raise `lead_steps` before any predicted spike.
-            prescaler->ObservePlan(current_plan, i);
-          }
+          RPAS_RETURN_IF_ERROR(session->Install(std::move(plan_or->nodes),
+                                                std::move(plan_or->forecast)));
         }
       }
-      const double plan_ms = plan_watch.ElapsedMillis();
-      result.round_plan_millis.push_back(plan_ms);
-      result.total_plan_millis += plan_ms;
       metrics->GetHistogram("online.plan_ms", {}, /*deterministic=*/false)
-          ->Observe(plan_ms);
+          ->Observe(plan_watch.ElapsedMillis());
     }
-    int target = current_plan[plan_cursor++];
-    if (prescaler) {
-      // Monotone merge: the pre-scale floor can only raise the decision,
-      // never fight the reactive plan downward.
-      target = prescaler->Merge(target, i);
-    }
-    const double realized = series.values[t];
-    simdb::StepStats stats = cluster.Step(target, realized, faults);
-    current_nodes = cluster.NumNodes();
-    if (inject) {
-      if (stats.nodes_delayed > 0) {
-        result.fault_events.push_back(
-            {i, simdb::FaultType::kActuationDelay,
-             simdb::FaultAction::kNone, 0,
-             static_cast<double>(stats.nodes_delayed)});
-      }
-      if (stats.nodes_denied > 0) {
-        result.fault_events.push_back(
-            {i, simdb::FaultType::kPartialScaleOut,
-             simdb::FaultAction::kNone, 0,
-             static_cast<double>(stats.nodes_denied)});
-      }
-      if (faults.crash_nodes > 0 && stats.nodes_failed > 0) {
-        result.fault_events.push_back(
-            {i, simdb::FaultType::kNodeCrash, simdb::FaultAction::kNone, 0,
-             static_cast<double>(stats.nodes_failed)});
-      }
-      if (faults.workload_multiplier != 1.0) {
-        result.fault_events.push_back(
-            {i, simdb::FaultType::kWorkloadSpike, simdb::FaultAction::kNone,
-             0, faults.workload_multiplier});
-      }
-      if (faults.Any()) {
-        ++result.faulted_steps;
-      }
-      if (plan_is_fallback) {
-        ++result.degraded_steps;
-      }
-    }
-    recent.push_back(stats.workload);
-    if (recent.size() > window) {
-      recent.erase(recent.begin());
-    }
-    if (classifier) {
-      classifier->Push(stats.workload);
-    }
-    result.allocation.push_back(target);
-    result.steps.push_back(stats);
-
-    // Forecast staleness this step: age of the newest fresh plan.
-    const uint64_t staleness = static_cast<uint64_t>(i - last_fresh_step);
-    staleness_sum += staleness;
-    result.max_staleness_points =
-        std::max(result.max_staleness_points, staleness);
-    staleness_hist->Observe(static_cast<double>(staleness));
-
-    if (streaming) {
-      // Producer side: the realized point enters the stream *after* the
-      // step, so the next planning round can consume it. A stalled
-      // producer queues points and burst-flushes when the stall clears.
-      const double point = series.values[t];
-      if (faults.ingest_stalled) {
-        stall_queue.push_back(point);
-        ++result.ingest_stall_steps;
-        result.fault_events.push_back(
-            {i, simdb::FaultType::kIngestStall, simdb::FaultAction::kNone, 0,
-             static_cast<double>(stall_queue.size())});
-      } else {
-        if (!stall_queue.empty()) {
-          for (double queued : stall_queue) {
-            ring->Push(queued);
-            ++result.points_ingested;
-          }
-          ++result.ingest_bursts;
-          result.fault_events.push_back(
-              {i, simdb::FaultType::kIngestBurst, simdb::FaultAction::kNone,
-               0, static_cast<double>(stall_queue.size())});
-          stall_queue.clear();
-        }
-        ring->Push(point);
-        ++result.points_ingested;
-      }
-    }
+    result.steps.push_back(session->Step(i));
   }
 
-  // Aggregate outcomes. Under workload-spike faults the realized demand is
-  // what the cluster actually saw (stats.workload), so provisioning rates
-  // report performance against the faulted workload.
-  std::vector<double> realized;
-  realized.reserve(num_steps);
-  for (const simdb::StepStats& s : result.steps) {
-    realized.push_back(s.workload);
-  }
-  ScalingConfig config = manager.config();
-  const ProvisioningReport provisioning =
-      EvaluateAllocation(realized, result.allocation, config);
-  result.under_provision_rate = provisioning.under_provision_rate;
-  result.over_provision_rate = provisioning.over_provision_rate;
-
-  double util_sum = 0.0;
-  size_t slo = 0;
-  for (const simdb::StepStats& s : result.steps) {
-    util_sum += s.avg_utilization;
-    if (s.slo_violated) {
-      ++slo;
-    }
-  }
-  result.mean_utilization = util_sum / static_cast<double>(num_steps);
-  result.slo_violation_rate =
-      static_cast<double>(slo) / static_cast<double>(num_steps);
-  result.total_node_steps = cluster.total_node_steps();
-  result.scale_events = cluster.total_scale_events();
-  result.direction_changes = cluster.total_direction_changes();
+  // Rates are scored against what the cluster saw (stats.workload), so
+  // under workload-spike faults they report against the faulted demand.
+  TenantSession::Summary summary = session->Finish();
+  result.allocation = std::move(summary.allocation);
+  result.under_provision_rate = summary.under_provision_rate;
+  result.over_provision_rate = summary.over_provision_rate;
+  result.mean_utilization = summary.mean_utilization;
+  result.slo_violation_rate = summary.slo_violation_rate;
+  result.total_node_steps = session->cluster().total_node_steps();
+  result.scale_events = session->cluster().total_scale_events();
+  result.direction_changes = session->cluster().total_direction_changes();
+  result.plans_made = summary.rounds;
   result.mean_uncertainty =
       uncertainty_n > 0 ? uncertainty_sum / static_cast<double>(uncertainty_n)
                         : 0.0;
-  result.mean_staleness_points =
-      static_cast<double>(staleness_sum) / static_cast<double>(num_steps);
-  if (streaming) {
-    result.points_pending = static_cast<uint64_t>(stall_queue.size());
-    // The cursor's missed count, not ring->dropped(): the tail advances
-    // past already-read slots too, and only unread overwrites are losses.
-    result.points_dropped = cursor->missed_total();
-    result.refresh = refresher->stats();
-  }
+  result.fault_events = std::move(summary.fault_events);
+  const size_t fault_fallbacks = summary.fallbacks_by_cause[static_cast<size_t>(
+      DegradeCause::kForecasterFault)];
+  result.forecaster_faults = fault_fallbacks + summary.retried_rounds;
+  result.retried_plans = summary.retried_rounds;
+  result.fallback_plans = summary.fallback_rounds;
+  result.stale_plans = summary.stale_rounds;
+  result.faulted_steps = summary.faulted_steps;
+  result.degraded_steps = summary.degraded_steps;
+  result.points_ingested = summary.points_pushed;
+  result.points_pending = summary.points_pending;
+  result.points_dropped = summary.points_dropped;
+  result.ingest_stall_steps = summary.ingest_stall_steps;
+  result.ingest_bursts = summary.ingest_bursts;
+  result.refresh = summary.refresh;
+  result.mean_staleness_points = summary.mean_staleness;
+  result.max_staleness_points = summary.max_staleness;
   if (selecting) {
-    if (prescaler) {
-      // Force rollback of any in-flight floor raise so activations always
-      // balance rollbacks at the end of a run.
-      prescaler->Finish();
-      result.selection.prescaler = prescaler->stats();
-    }
     result.selection.enabled = true;
-    result.selection.final_tier = selector->tier();
-    result.selection.pattern = classifier->Classify();
-    result.selection.rolling_wql = rolling->Mean();
-    result.selection.selector = selector->stats();
+    result.selection.final_tier = summary.final_tier;
+    result.selection.pattern = summary.pattern;
+    result.selection.rolling_wql = summary.rolling_wql;
+    result.selection.selector = summary.selector;
+    result.selection.prescaler = summary.prescaler;
   }
 
-  // Registry counters are bulk-incremented from the finished result, so
-  // they agree *exactly* with the OnlineLoopResult fields by construction
-  // (see tests/obs_test.cc) and stay deterministic across thread counts.
-  metrics->GetCounter("online.steps")
-      ->Increment(static_cast<int64_t>(num_steps));
-  metrics->GetCounter("online.plans_made")
-      ->Increment(static_cast<int64_t>(result.plans_made));
-  metrics->GetCounter("online.forecaster_faults")
-      ->Increment(static_cast<int64_t>(result.forecaster_faults));
-  metrics->GetCounter("online.retried_plans")
-      ->Increment(static_cast<int64_t>(result.retried_plans));
-  metrics->GetCounter("online.fallback_plans")
-      ->Increment(static_cast<int64_t>(result.fallback_plans));
-  metrics->GetCounter("online.stale_plans")
-      ->Increment(static_cast<int64_t>(result.stale_plans));
-  metrics->GetCounter("online.faulted_steps")
-      ->Increment(static_cast<int64_t>(result.faulted_steps));
-  metrics->GetCounter("online.degraded_steps")
-      ->Increment(static_cast<int64_t>(result.degraded_steps));
-  metrics->GetCounter("online.fault_events")
-      ->Increment(static_cast<int64_t>(result.fault_events.size()));
+  // Registry counters mirror the finished result, so they agree *exactly*
+  // with the OnlineLoopResult fields (see tests/obs_test.cc) and stay
+  // deterministic across thread counts.
+  obs::IncrementCounters(
+      metrics, {{"online.steps", num_steps},
+                {"online.plans_made", result.plans_made},
+                {"online.forecaster_faults", result.forecaster_faults},
+                {"online.retried_plans", result.retried_plans},
+                {"online.fallback_plans", result.fallback_plans},
+                {"online.stale_plans", result.stale_plans},
+                {"online.faulted_steps", result.faulted_steps},
+                {"online.degraded_steps", result.degraded_steps},
+                {"online.fault_events", result.fault_events.size()}});
   if (streaming) {
-    metrics->GetCounter("stream.ingested")
-        ->Increment(static_cast<int64_t>(result.points_ingested));
-    metrics->GetCounter("stream.dropped")
-        ->Increment(static_cast<int64_t>(result.points_dropped));
-    metrics->GetCounter("stream.pending")
-        ->Increment(static_cast<int64_t>(result.points_pending));
-    metrics->GetCounter("stream.refresh.recursive_updates")
-        ->Increment(static_cast<int64_t>(result.refresh.recursive_updates));
-    metrics->GetCounter("stream.refresh.fine_tunes")
-        ->Increment(static_cast<int64_t>(result.refresh.fine_tunes));
-    metrics->GetCounter("stream.refresh.gradient_steps")
-        ->Increment(static_cast<int64_t>(result.refresh.gradient_steps));
-    metrics->GetCounter("stream.refresh.resyncs")
-        ->Increment(static_cast<int64_t>(result.refresh.resyncs));
-    metrics->GetCounter("stream.refresh.fallback_retrains")
-        ->Increment(static_cast<int64_t>(result.refresh.full_retrains));
-    metrics->GetCounter("online.ingest_stall_steps")
-        ->Increment(static_cast<int64_t>(result.ingest_stall_steps));
-    metrics->GetCounter("online.ingest_bursts")
-        ->Increment(static_cast<int64_t>(result.ingest_bursts));
+    const stream::RefreshStats& refresh = result.refresh;
+    obs::IncrementCounters(
+        metrics,
+        {{"stream.ingested", result.points_ingested},
+         {"stream.dropped", result.points_dropped},
+         {"stream.pending", result.points_pending},
+         {"stream.refresh.recursive_updates", refresh.recursive_updates},
+         {"stream.refresh.fine_tunes", refresh.fine_tunes},
+         {"stream.refresh.gradient_steps", refresh.gradient_steps},
+         {"stream.refresh.resyncs", refresh.resyncs},
+         {"stream.refresh.fallback_retrains", refresh.full_retrains},
+         {"online.ingest_stall_steps", result.ingest_stall_steps},
+         {"online.ingest_bursts", result.ingest_bursts}});
   }
   if (selecting) {
     const select::SelectorStats& sel = result.selection.selector;
-    metrics->GetCounter("select.rounds")
-        ->Increment(static_cast<int64_t>(sel.rounds));
-    metrics->GetCounter("select.switches")
-        ->Increment(static_cast<int64_t>(sel.switches));
-    metrics->GetCounter("select.promotions")
-        ->Increment(static_cast<int64_t>(sel.promotions));
-    metrics->GetCounter("select.probe_demotions")
-        ->Increment(static_cast<int64_t>(sel.probe_demotions));
-    metrics->GetCounter("select.fault_demotions")
-        ->Increment(static_cast<int64_t>(sel.fault_demotions));
-    metrics->GetCounter("select.drift_demotions")
-        ->Increment(static_cast<int64_t>(sel.drift_demotions));
     const select::PreScalerStats& pre = result.selection.prescaler;
-    metrics->GetCounter("select.prescale.spikes_detected")
-        ->Increment(static_cast<int64_t>(pre.spikes_detected));
-    metrics->GetCounter("select.prescale.activations")
-        ->Increment(static_cast<int64_t>(pre.activations));
-    metrics->GetCounter("select.prescale.rollbacks")
-        ->Increment(static_cast<int64_t>(pre.rollbacks));
-    metrics->GetCounter("select.prescale.timeout_rollbacks")
-        ->Increment(static_cast<int64_t>(pre.timeout_rollbacks));
-    metrics->GetCounter("select.prescale.floor_raised_steps")
-        ->Increment(static_cast<int64_t>(pre.floor_raised_steps));
+    obs::IncrementCounters(
+        metrics,
+        {{"select.rounds", sel.rounds},
+         {"select.switches", sel.switches},
+         {"select.promotions", sel.promotions},
+         {"select.probe_demotions", sel.probe_demotions},
+         {"select.fault_demotions", sel.fault_demotions},
+         {"select.drift_demotions", sel.drift_demotions},
+         {"select.prescale.spikes_detected", pre.spikes_detected},
+         {"select.prescale.activations", pre.activations},
+         {"select.prescale.rollbacks", pre.rollbacks},
+         {"select.prescale.timeout_rollbacks", pre.timeout_rollbacks},
+         {"select.prescale.floor_raised_steps", pre.floor_raised_steps}});
   }
   return result;
 }

@@ -6,6 +6,7 @@
 
 #include "common/result.h"
 #include "core/manager.h"
+#include "core/tenant_session.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -18,24 +19,6 @@
 #include "ts/time_series.h"
 
 namespace rpas::core {
-
-/// Graceful-degradation policy for forecaster/planner faults inside the
-/// online loop (paper §IV-C robustness story, generalized): a faulted
-/// planning round is retried a bounded number of times; if the fault
-/// outlasts the retries the loop falls back to a conservative reactive
-/// plan derived from the last known-good allocation and recently observed
-/// workload, and re-attempts a fresh forecast a few steps later. The loop
-/// never aborts because of an injected fault.
-struct DegradationPolicy {
-  /// Failed planning attempts absorbed per round before falling back.
-  int max_retries = 2;
-  /// Steps a fallback plan covers before the next planning attempt.
-  size_t fallback_plan_steps = 6;
-  /// Trailing observed-workload window feeding the reactive fallback.
-  size_t reactive_window = 6;
-  /// Head-room multiplier on the observed peak while running blind.
-  double reactive_safety_margin = 1.2;
-};
 
 /// How the loop keeps the forecaster current while workload streams in.
 enum class RefreshMode {
@@ -155,16 +138,6 @@ struct OnlineLoopResult {
   /// Steps executed under a fallback plan (degraded operation).
   size_t degraded_steps = 0;
 
-  // --- Refresh/plan latency attribution (satellite of ISSUE 8) -----------
-  // Wall-clock values; unlike everything above they are NOT deterministic
-  // across runs. Lengths equal plans_made.
-  /// Per-round planning wall time (PlanNext / stale replay / fallback).
-  std::vector<double> round_plan_millis;
-  /// Per-round streaming-refresh wall time (empty in kBatch mode).
-  std::vector<double> round_refresh_millis;
-  double total_plan_millis = 0.0;
-  double total_refresh_millis = 0.0;
-
   // --- Streaming ingest accounting (zero in kBatch mode) -----------------
   /// Points pushed into the ingest ring.
   uint64_t points_ingested = 0;
@@ -203,22 +176,15 @@ struct OnlineLoopResult {
   uint64_t max_staleness_points = 0;
 };
 
-/// Conservative plan used while the forecaster is unavailable: hold the
-/// larger of the last known-good allocation level and a reactive-max
-/// requirement from recently observed workload (with head-room), and never
-/// scale in below the current node count while running blind. Shared by the
-/// online loop's degradation path and serve's deadline-shed fallback.
-std::vector<int> BuildFallbackPlan(const std::vector<double>& recent,
-                                   const std::vector<int>& last_good_plan,
-                                   int current_nodes,
-                                   const ScalingConfig& config,
-                                   const DegradationPolicy& policy);
-
 /// Runs the full deployment loop of paper Fig. 2 *online*: at every
 /// re-planning point the manager forecasts from the history observed so
 /// far and produces a node plan; the plan drives the disaggregated-database
 /// cluster simulator step by step while realized workload arrives. This is
 /// the closed-loop counterpart of the open-loop evaluators in evaluator.h.
+/// The loop drives one TenantSession: it opens a round whenever the plan in
+/// force runs out or `replan_every` steps have passed (so a fallback plan
+/// shorter than `replan_every` replans early), and plans fresh rounds with
+/// `manager` or the selected ladder manager.
 ///
 /// Validated up front: `series` must contain at least
 /// `eval_start + num_steps` observations and `eval_start` must leave at

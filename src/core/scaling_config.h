@@ -2,6 +2,7 @@
 #define RPAS_CORE_SCALING_CONFIG_H_
 
 #include <cmath>
+#include <limits>
 
 namespace rpas::core {
 
@@ -19,10 +20,17 @@ struct ScalingConfig {
 
 /// Minimum node count satisfying workload / c <= theta (with min/max
 /// clamping). The integral optimum of the per-step auto-scaling problem.
+/// Total over every double: a need that is NaN, +Inf or at least INT_MAX
+/// saturates to INT_MAX before the max_nodes cap (unknown or unbounded
+/// demand never scales in), and one at or below min_nodes (-Inf included)
+/// gives min_nodes.
 inline int RequiredNodes(double workload, const ScalingConfig& config) {
-  int nodes = static_cast<int>(std::ceil(workload / config.theta - 1e-9));
-  if (nodes < config.min_nodes) {
-    nodes = config.min_nodes;
+  const double need = std::ceil(workload / config.theta - 1e-9);
+  int nodes = config.min_nodes;
+  if (!(need < static_cast<double>(std::numeric_limits<int>::max()))) {
+    nodes = std::numeric_limits<int>::max();
+  } else if (need > static_cast<double>(config.min_nodes)) {
+    nodes = static_cast<int>(need);
   }
   if (config.max_nodes > 0 && nodes > config.max_nodes) {
     nodes = config.max_nodes;

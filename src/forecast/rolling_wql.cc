@@ -8,7 +8,7 @@ RollingWql::RollingWql(size_t capacity) : capacity_(capacity) {
 
 void RollingWql::Observe(double wql) {
   window_.push_back(wql);
-  while (window_.size() > capacity_) window_.pop_front();
+  if (window_.size() > capacity_) window_.erase(window_.begin());
   ++total_observed_;
 }
 

@@ -3,7 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 namespace rpas::forecast {
 
@@ -33,7 +33,7 @@ class RollingWql {
 
  private:
   size_t capacity_;
-  std::deque<double> window_;
+  std::vector<double> window_;  ///< oldest first; a few samples
   uint64_t total_observed_ = 0;
 };
 

@@ -324,6 +324,14 @@ MetricsRegistry::Histograms() const {
   return out;
 }
 
+void IncrementCounters(
+    MetricsRegistry* registry,
+    std::initializer_list<std::pair<const char*, uint64_t>> rows) {
+  for (const auto& [name, value] : rows) {
+    registry->GetCounter(name)->Increment(static_cast<int64_t>(value));
+  }
+}
+
 MetricsRegistry& MetricsRegistry::Global() {
   // Leaked so instrument handles cached in other static-lifetime objects
   // stay valid through shutdown.

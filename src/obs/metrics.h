@@ -3,10 +3,12 @@
 
 #include <atomic>
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace rpas::obs {
@@ -253,6 +255,13 @@ class MetricsRegistry {
 inline MetricsRegistry* ResolveRegistry(MetricsRegistry* injected) {
   return injected != nullptr ? injected : &MetricsRegistry::Global();
 }
+
+/// Adds each (counter name, value) row to its deterministic counter: the
+/// table a driver mirrors its finished result through, so the registry
+/// agrees with the result fields by construction.
+void IncrementCounters(
+    MetricsRegistry* registry,
+    std::initializer_list<std::pair<const char*, uint64_t>> rows);
 
 /// Snapshots the shared ThreadPool's scheduling statistics (tasks
 /// executed, queue depths, worker count) into gauges on `registry`

@@ -2,20 +2,15 @@
 
 #include <algorithm>
 #include <memory>
-#include <numeric>
-#include <optional>
-#include <string>
 #include <utility>
 
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "common/strings.h"
-#include "core/evaluator.h"
 #include "core/scaling_config.h"
 #include "core/strategies.h"
+#include "core/tenant_session.h"
 #include "simdb/cluster.h"
-#include "stream/ring.h"
-#include "ts/metrics.h"
 
 namespace rpas::serve {
 namespace {
@@ -25,48 +20,6 @@ constexpr uint64_t kTraceStream = 0x51AE;
 constexpr uint64_t kClusterStream = 0xC105;
 constexpr uint64_t kFaultStream = 0xFA17;
 constexpr uint64_t kRequestStream = 0x5EED;
-
-/// Everything one simulated tenant carries across rounds.
-struct TenantState {
-  ModelId model;
-  size_t context_length = 0;
-  ts::TimeSeries series;  ///< history_steps + num_steps observations
-  core::ScalingConfig config;
-  std::unique_ptr<simdb::Cluster> cluster;
-  std::unique_ptr<simdb::FaultInjector> injector;  ///< null when inert
-  std::vector<int> plan;
-  std::vector<int> last_good_plan;
-  std::vector<double> recent;  ///< trailing realized workloads
-  int current_nodes = 1;
-  // Streaming ingest: realized workload flows through the tenant's ring
-  // each step and is drained by the cursor once per planning round.
-  std::unique_ptr<stream::IngestRing> ring;
-  std::unique_ptr<stream::StreamCursor> cursor;
-  uint64_t stream_points = 0;
-  // Forecast staleness, in steps since the round a fresh plan landed.
-  size_t last_fresh_step = 0;
-  uint64_t staleness_sum = 0;
-  uint64_t staleness_max = 0;
-  // Adaptive selection (selection.enabled only): classifier + selector +
-  // pre-scaler, and the newest fresh forecast kept for rolling-wQL scoring.
-  std::unique_ptr<select::WorkloadClassifier> classifier;
-  std::unique_ptr<select::AdaptiveSelector> selector;
-  std::unique_ptr<select::PreScaler> prescaler;
-  std::optional<ts::QuantileForecast> live_forecast;
-  size_t live_forecast_step = 0;  ///< absolute step of its first prediction
-  // Incremental refresh (kIncremental only): the tenant's private fitted
-  // forecaster and its refresher. Model staleness is tracked per round.
-  std::unique_ptr<forecast::Forecaster> refresh_model;
-  std::unique_ptr<stream::IncrementalRefresher> refresher;
-  uint64_t model_staleness_sum = 0;
-  uint64_t model_staleness_max = 0;
-  // Per-step records for final provisioning evaluation.
-  std::vector<double> realized;
-  std::vector<int> allocation;
-  double utilization_sum = 0.0;
-  size_t slo_violations = 0;
-  TenantSummary summary;
-};
 
 /// One serving shard: its own inference engine and admission controller,
 /// plus its own model registry when the fleet provides a factory. Tenant
@@ -80,13 +33,6 @@ struct Shard {
   std::unique_ptr<AdmissionController> admission;
   std::unique_ptr<BatchEngine> engine;
 };
-
-void PushRecent(TenantState* tenant, double workload, size_t window) {
-  tenant->recent.push_back(workload);
-  if (tenant->recent.size() > window) {
-    tenant->recent.erase(tenant->recent.begin());
-  }
-}
 
 void AccumulateCacheStats(const ModelRegistry::CacheStats& from,
                           ModelRegistry::CacheStats* into) {
@@ -144,47 +90,34 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
     return Status::InvalidArgument(
         "fleet selection needs a non-empty model ladder");
   }
-  if (selecting && incremental) {
-    return Status::InvalidArgument(
-        "fleet selection cannot be combined with incremental refresh: "
-        "the refresher tracks one model, the ladder switches models");
-  }
   if (incremental && options.refresh_model_factory == nullptr) {
     return Status::InvalidArgument(
         "incremental refresh mode needs a refresh_model_factory");
   }
 
-  const core::DegradationPolicy& policy = options.degradation;
-  const size_t window = std::max<size_t>(policy.reactive_window, 1);
-
   // Warm-up pass: verify every referenced version loads and note its
-  // context length (the request window size). One Acquire per distinct
+  // context length (the request window size). One Acquire per listed
   // model; these land in the cache stats as the setup cost of the fleet.
-  std::vector<size_t> model_context(models.size(), 0);
-  for (size_t m = 0; m < models.size(); ++m) {
-    RPAS_ASSIGN_OR_RETURN(std::shared_ptr<const forecast::Forecaster> fc,
-                          registry->Acquire(models[m]));
-    model_context[m] = fc->ContextLength();
-    if (model_context[m] > options.history_steps) {
-      return Status::InvalidArgument(StrFormat(
-          "%s: context length %zu exceeds history_steps %zu",
-          models[m].ToString().c_str(), model_context[m],
-          options.history_steps));
+  auto context_lengths =
+      [&](const std::vector<ModelId>& ids) -> Result<std::vector<size_t>> {
+    std::vector<size_t> context(ids.size(), 0);
+    for (size_t m = 0; m < ids.size(); ++m) {
+      RPAS_ASSIGN_OR_RETURN(std::shared_ptr<const forecast::Forecaster> fc,
+                            registry->Acquire(ids[m]));
+      context[m] = fc->ContextLength();
+      if (context[m] > options.history_steps) {
+        return Status::InvalidArgument(StrFormat(
+            "%s: context length %zu exceeds history_steps %zu",
+            ids[m].ToString().c_str(), context[m], options.history_steps));
+      }
     }
-  }
+    return context;
+  };
+  RPAS_ASSIGN_OR_RETURN(const std::vector<size_t> model_context,
+                        context_lengths(models));
   const std::vector<ModelId>& ladder = options.selection.ladder;
-  std::vector<size_t> ladder_context(ladder.size(), 0);
-  for (size_t m = 0; m < ladder.size(); ++m) {
-    RPAS_ASSIGN_OR_RETURN(std::shared_ptr<const forecast::Forecaster> fc,
-                          registry->Acquire(ladder[m]));
-    ladder_context[m] = fc->ContextLength();
-    if (ladder_context[m] > options.history_steps) {
-      return Status::InvalidArgument(StrFormat(
-          "%s: context length %zu exceeds history_steps %zu",
-          ladder[m].ToString().c_str(), ladder_context[m],
-          options.history_steps));
-    }
-  }
+  RPAS_ASSIGN_OR_RETURN(const std::vector<size_t> ladder_context,
+                        context_lengths(ladder));
 
   // Shard topology: stable-hash tenant assignment, per-shard serving tier.
   const size_t num_shards = std::max<size_t>(options.num_shards, 1);
@@ -227,9 +160,12 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
   // schedule. Every seed derives from the *global* tenant id, so the
   // tenant's trajectory is independent of the shard topology. Setup is
   // embarrassingly parallel across tenants.
-  std::vector<TenantState> tenants(options.num_tenants);
-  const bool inject = options.faults.Any();
-  std::vector<Status> setup_status(options.num_tenants);
+  const size_t num_tenants = options.num_tenants;
+  std::vector<ts::TimeSeries> series(num_tenants);
+  std::vector<std::unique_ptr<forecast::Forecaster>> refresh_models(
+      incremental ? num_tenants : 0);
+  std::vector<std::unique_ptr<core::TenantSession>> sessions(num_tenants);
+  std::vector<Status> setup_status(num_tenants);
   obs::MetricsRegistry* metrics = obs::ResolveRegistry(options.metrics);
   // Resolve the simdb.* instrument bundle once for the whole fleet: the
   // parallel setup below constructs one cluster per tenant, and without a
@@ -237,99 +173,68 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
   // name-lookup mutex seven times — a cross-tenant serialization point.
   const simdb::Cluster::MetricHandles cluster_handles =
       simdb::Cluster::MetricHandles::Resolve(metrics);
-  ParallelFor(0, options.num_tenants, 1, [&](size_t t0, size_t t1) {
+  // Observed once per tenant-step inside the parallel shard phase —
+  // striped, so concurrent shards write per-thread-slot cache lines
+  // instead of CAS-contending on one histogram (deterministic export is
+  // unchanged: integer bucket counts merge exactly).
+  obs::Histogram* staleness_hist =
+      metrics->GetStripedHistogram("serve.stream.staleness_steps");
+  ParallelFor(0, num_tenants, 1, [&](size_t t0, size_t t1) {
     for (size_t t = t0; t < t1; ++t) {
-      TenantState& tenant = tenants[t];
-      tenant.summary.tenant_id = t;
-      tenant.model = models[t % models.size()];
-      tenant.summary.model = tenant.model;
-      tenant.context_length = model_context[t % models.size()];
-
       trace::SyntheticTraceGenerator generator(
           options.profile, DeriveSeed(options.seed, kTraceStream + t));
-      tenant.series =
+      series[t] =
           generator.GenerateCpu(options.history_steps + options.num_steps);
+      const ts::TimeSeries history = series[t].Slice(0, options.history_steps);
 
-      const double mean_history =
-          std::accumulate(tenant.series.values.begin(),
-                          tenant.series.values.begin() +
-                              static_cast<long>(options.history_steps),
-                          0.0) /
-          static_cast<double>(options.history_steps);
-      tenant.config.theta = std::max(mean_history / options.theta_divisor,
-                                     1e-9);
-
-      simdb::Cluster::Options cluster_options;
-      cluster_options.node_capacity = tenant.config.theta;
-      cluster_options.seed = DeriveSeed(options.seed, kClusterStream + t);
-      cluster_options.metrics = options.metrics;
-      cluster_options.handles = &cluster_handles;
-      cluster_options.initial_nodes = core::RequiredNodes(
-          tenant.series.values[options.history_steps - 1], tenant.config);
-      tenant.cluster = std::make_unique<simdb::Cluster>(cluster_options);
-      tenant.current_nodes = cluster_options.initial_nodes;
-
-      if (inject) {
-        simdb::FaultPlan plan = options.faults;
-        plan.seed = DeriveSeed(options.faults.seed, kFaultStream + t);
-        tenant.injector = std::make_unique<simdb::FaultInjector>(plan);
+      core::TenantSession::Options session;
+      session.scaling.theta =
+          std::max(history.Mean() / options.theta_divisor, 1e-9);
+      session.cluster.node_capacity = session.scaling.theta;
+      session.cluster.seed = DeriveSeed(options.seed, kClusterStream + t);
+      session.cluster.metrics = options.metrics;
+      session.cluster.handles = &cluster_handles;
+      session.cluster.initial_nodes =
+          core::RequiredNodes(history.values.back(), session.scaling);
+      if (options.faults.Any()) {
+        session.faults = options.faults;
+        session.faults.seed = DeriveSeed(options.faults.seed, kFaultStream + t);
       }
-
-      const size_t ring_capacity =
-          options.stream_ring_capacity > 0 ? options.stream_ring_capacity
-                                           : 2 * options.replan_every;
-      tenant.ring = std::make_unique<stream::IngestRing>(ring_capacity);
-      tenant.cursor = std::make_unique<stream::StreamCursor>(tenant.ring.get());
-
-      for (size_t back = std::min(window, options.history_steps); back > 0;
-           --back) {
-        tenant.recent.push_back(
-            tenant.series.values[options.history_steps - back]);
-      }
-
+      session.degradation = options.degradation;
+      session.ring_capacity = options.stream_ring_capacity > 0
+                                  ? options.stream_ring_capacity
+                                  : 2 * options.replan_every;
+      session.staleness = staleness_hist;
       if (selecting) {
-        // Classify the tenant's observed history, seed the starting tier,
-        // and point the tenant at that ladder entry. All of this is a pure
-        // function of (series, options) — no RNG streams are consumed.
-        tenant.classifier = std::make_unique<select::WorkloadClassifier>(
-            options.selection.classifier);
-        tenant.classifier->PushAll(std::vector<double>(
-            tenant.series.values.begin(),
-            tenant.series.values.begin() +
-                static_cast<long>(options.history_steps)));
-        select::SelectorOptions selector_options = options.selection.selector;
-        selector_options.ladder_size = ladder.size();
-        tenant.selector =
-            std::make_unique<select::AdaptiveSelector>(selector_options);
-        tenant.selector->SeedFromPattern(tenant.classifier->Classify());
-        tenant.model = ladder[tenant.selector->tier()];
-        tenant.summary.model = tenant.model;
-        tenant.context_length = ladder_context[tenant.selector->tier()];
-        if (options.selection.prescale) {
-          tenant.prescaler = std::make_unique<select::PreScaler>(
-              options.selection.prescaler, tenant.config.min_nodes);
-        }
+        session.ladder_size = ladder.size();
+        session.classifier = options.selection.classifier;
+        session.selector = options.selection.selector;
+        session.prescale = options.selection.prescale;
+        session.prescaler = options.selection.prescaler;
       }
-
       if (incremental) {
         // Private per-tenant forecaster, fitted on the tenant's own
-        // history — the state the refresher keeps current round by round.
-        tenant.refresh_model = options.refresh_model_factory(tenant.model);
-        if (tenant.refresh_model == nullptr) {
+        // history — the state the session's refresher keeps current.
+        refresh_models[t] =
+            options.refresh_model_factory(models[t % models.size()]);
+        if (refresh_models[t] == nullptr) {
           setup_status[t] =
               Status::InvalidArgument("refresh_model_factory returned null");
           continue;
         }
-        const ts::TimeSeries history =
-            tenant.series.Slice(0, options.history_steps);
-        Status fitted = tenant.refresh_model->Fit(history);
-        if (!fitted.ok()) {
-          setup_status[t] = std::move(fitted);
+        setup_status[t] = refresh_models[t]->Fit(history);
+        if (!setup_status[t].ok()) {
           continue;
         }
-        tenant.refresher = std::make_unique<stream::IncrementalRefresher>(
-            tenant.refresh_model.get(), options.refresher);
-        setup_status[t] = tenant.refresher->Prime(history);
+        session.refresh_target = refresh_models[t].get();
+        session.refresher = options.refresher;
+      }
+      auto created = core::TenantSession::Create(
+          series[t], options.history_steps, std::move(session));
+      if (created.ok()) {
+        sessions[t] = std::move(created).value();
+      } else {
+        setup_status[t] = created.status();
       }
     }
   });
@@ -339,25 +244,20 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
     }
   }
 
+  // A tenant's model is its current ladder tier under selection, else the
+  // round-robin `models[t % models]` assignment.
+  auto model_index = [&](size_t t) {
+    return selecting ? sessions[t]->tier() : t % models.size();
+  };
+  const std::vector<ModelId>& served = selecting ? ladder : models;
+  const std::vector<size_t>& served_context =
+      selecting ? ladder_context : model_context;
   const core::RobustQuantileAllocator allocator(options.tau);
 
-  // Observed once per tenant per round inside the parallel shard phase —
-  // striped, so concurrent shards write per-thread-slot cache lines
-  // instead of CAS-contending on one histogram (deterministic export is
-  // unchanged: integer bucket counts merge exactly).
-  obs::Histogram* staleness_hist =
-      metrics->GetStripedHistogram("serve.stream.staleness_steps");
-
   FleetResult result;
-  result.tenants.resize(options.num_tenants);
-
-  enum class RoundPlan { kFresh, kStale, kFallback };
-
-  // Per-round scratch, hoisted so round iterations recycle capacity.
-  std::vector<RoundPlan> disposition;
-  std::vector<uint8_t> wants_fresh;
+  result.tenants.resize(num_tenants);
   std::vector<std::vector<obs::ScalingDecision>> round_decisions(
-      options.collect_decisions ? options.num_tenants : 0);
+      options.collect_decisions ? num_tenants : 0);
 
   for (size_t step = 0; step < options.num_steps;
        step += options.replan_every) {
@@ -367,58 +267,14 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
       shard.admission->BeginRound();
     }
 
-    // Phase 1: decide each tenant's round disposition (injected forecaster
-    // faults first — a tenant whose forecaster is down does not compete
-    // for the round's inference budget). Per-tenant work; shards fan out.
-    disposition.assign(options.num_tenants, RoundPlan::kFresh);
-    wants_fresh.assign(options.num_tenants, 0);
+    // Phase 1: every session opens its round. Injected forecaster faults
+    // settle first — a tenant whose forecaster is down does not compete
+    // for the round's inference budget — and the selector picks the
+    // round's model. Per-tenant work; shards fan out.
     ParallelFor(0, num_shards, 1, [&](size_t s0, size_t s1) {
       for (size_t s = s0; s < s1; ++s) {
         for (size_t t : shard_tenants[s]) {
-          TenantState& tenant = tenants[t];
-          ++tenant.summary.rounds;
-          bool fault_round = false;
-          if (tenant.injector != nullptr) {
-            const simdb::StepFaults faults =
-                tenant.injector->FaultsForStep(step);
-            const int attempts = faults.forecaster_timeout_attempts +
-                                 (faults.forecaster_nan ? 1 : 0);
-            if (faults.stale_forecast && !tenant.last_good_plan.empty()) {
-              disposition[t] = RoundPlan::kStale;
-              fault_round = true;
-            } else if (attempts > policy.max_retries) {
-              disposition[t] = RoundPlan::kFallback;
-              ++tenant.summary.fault_rounds;
-              fault_round = true;
-            }
-          }
-          if (tenant.selector != nullptr) {
-            // Score the expiring plan's forecast against what realized and
-            // feed the selector one round; the round's model — and with it
-            // the request's context length — comes from the updated tier.
-            double wql = 0.0;
-            bool wql_valid = false;
-            if (tenant.live_forecast.has_value() &&
-                step > tenant.live_forecast_step) {
-              const size_t elapsed = std::min<size_t>(
-                  step - tenant.live_forecast_step,
-                  tenant.live_forecast->Horizon());
-              const size_t begin =
-                  options.history_steps + tenant.live_forecast_step;
-              const std::vector<double> actual(
-                  tenant.series.values.begin() + static_cast<long>(begin),
-                  tenant.series.values.begin() +
-                      static_cast<long>(begin + elapsed));
-              wql = ts::PrefixMeanWql(*tenant.live_forecast, actual);
-              wql_valid = true;
-            }
-            tenant.selector->ObserveRound(wql, wql_valid, fault_round);
-            tenant.model = ladder[tenant.selector->tier()];
-            tenant.context_length = ladder_context[tenant.selector->tier()];
-          }
-          if (!fault_round) {
-            wants_fresh[t] = 1;
-          }
+          sessions[t]->BeginRound(step);
         }
       }
     });
@@ -426,8 +282,8 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
     // The global requesting list, ascending by tenant id — the exact order
     // the unsharded fleet submits, which the deadline shed ranks against.
     std::vector<uint64_t> requesting;
-    for (size_t t = 0; t < options.num_tenants; ++t) {
-      if (wants_fresh[t] != 0) {
+    for (size_t t = 0; t < num_tenants; ++t) {
+      if (sessions[t]->awaiting_plan()) {
         requesting.push_back(t);
       }
     }
@@ -490,7 +346,6 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
     std::vector<std::vector<size_t>> shard_admitted(num_shards);
     for (size_t i = 0; i < requesting.size(); ++i) {
       const size_t t = requesting[i];
-      TenantState& tenant = tenants[t];
       switch (verdicts[i]) {
         case AdmissionVerdict::kAdmitted:
           ++result.requests_admitted;
@@ -498,13 +353,11 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
           break;
         case AdmissionVerdict::kThrottled:
           ++result.requests_throttled;
-          ++tenant.summary.throttled_rounds;
-          disposition[t] = RoundPlan::kFallback;
+          sessions[t]->Degrade(core::DegradeCause::kThrottled);
           break;
         case AdmissionVerdict::kDeadlineShed:
           ++result.requests_shed;
-          ++tenant.summary.shed_rounds;
-          disposition[t] = RoundPlan::kFallback;
+          sessions[t]->Degrade(core::DegradeCause::kDeadlineShed);
           break;
       }
     }
@@ -512,54 +365,21 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
     // Phases 3+4, fused per shard and fanned across the pool. ParallelFor
     // claims shard indices dynamically, so a thread that finishes a cheap
     // shard steals the next unstarted one. Everything inside is disjoint
-    // per shard: requests, engine, tenant state, decision buffers.
+    // per shard: requests, engine, sessions, decision buffers.
     const size_t round_end =
         std::min(step + options.replan_every, options.num_steps);
     ParallelFor(0, num_shards, 1, [&](size_t s0, size_t s1) {
       for (size_t s = s0; s < s1; ++s) {
-        // Incremental refresh: drain the round's ingested points from each
-        // tenant's ring and fold them into the tenant's private forecaster
-        // *before* serving, so admitted requests run against a model that
-        // has seen everything realized so far (model staleness 0). A
-        // refresh error degrades the tenant to the reactive fallback for
-        // the round — never the whole fleet.
-        std::vector<double> refresh_scratch;
+        // Drain each tenant's stream and, in kIncremental mode, fold it
+        // into the tenant's private forecaster *before* serving, so
+        // admitted requests run against a model that has seen everything
+        // realized so far. A refresh error degrades the tenant's round —
+        // never the whole fleet.
         for (size_t t : shard_tenants[s]) {
-          TenantState& tenant = tenants[t];
-          uint64_t model_staleness = static_cast<uint64_t>(step);
-          if (tenant.refresher != nullptr) {
-            if (tenant.live_forecast.has_value() &&
-                step > tenant.live_forecast_step) {
-              const size_t elapsed = std::min<size_t>(
-                  step - tenant.live_forecast_step,
-                  tenant.live_forecast->Horizon());
-              const size_t begin =
-                  options.history_steps + tenant.live_forecast_step;
-              const std::vector<double> actual(
-                  tenant.series.values.begin() + static_cast<long>(begin),
-                  tenant.series.values.begin() +
-                      static_cast<long>(begin + elapsed));
-              tenant.refresher->ObserveForecastLoss(
-                  ts::PrefixMeanWql(*tenant.live_forecast, actual));
-            }
-            refresh_scratch.clear();
-            const stream::StreamCursor::Batch batch =
-                tenant.cursor->Poll(&refresh_scratch);
-            tenant.stream_points += batch.count;
-            const ts::TimeSeries observed =
-                tenant.series.Slice(0, options.history_steps + step);
-            auto outcome = tenant.refresher->Refresh(observed, batch.count,
-                                                     batch.missed);
-            if (outcome.ok()) {
-              model_staleness = 0;
-            } else if (disposition[t] == RoundPlan::kFresh) {
-              ++tenant.summary.error_rounds;
-              disposition[t] = RoundPlan::kFallback;
-            }
+          if (!sessions[t]->Refresh(step).ok() &&
+              sessions[t]->awaiting_plan()) {
+            sessions[t]->Degrade(core::DegradeCause::kRefreshError);
           }
-          tenant.model_staleness_sum += model_staleness;
-          tenant.model_staleness_max =
-              std::max(tenant.model_staleness_max, model_staleness);
         }
 
         // Phase 3: serve the admitted requests — through the shard's
@@ -573,20 +393,19 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
         requests.reserve(shard_admitted[s].size());
         request_tenant.reserve(shard_admitted[s].size());
         for (size_t t : shard_admitted[s]) {
-          TenantState& tenant = tenants[t];
-          if (disposition[t] != RoundPlan::kFresh) {
+          if (!sessions[t]->awaiting_plan()) {
             continue;  // refresh error already degraded this round
           }
+          const size_t context = served_context[model_index(t)];
+          const size_t end = sessions[t]->ObservedEnd();
           ForecastRequest request;
           request.tenant_id = t;
-          request.model = tenant.model;
-          const size_t end = options.history_steps + step;
+          request.model = served[model_index(t)];
           request.input.context.assign(
-              tenant.series.values.begin() +
-                  static_cast<long>(end - tenant.context_length),
-              tenant.series.values.begin() + static_cast<long>(end));
-          request.input.start_index = end - tenant.context_length;
-          request.input.step_minutes = tenant.series.step_minutes;
+              series[t].values.begin() + static_cast<long>(end - context),
+              series[t].values.begin() + static_cast<long>(end));
+          request.input.start_index = end - context;
+          request.input.step_minutes = series[t].step_minutes;
           request.seed =
               DeriveSeed(DeriveSeed(options.seed, kRequestStream + t), round);
           requests.push_back(std::move(request));
@@ -596,9 +415,10 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
         if (incremental) {
           responses.resize(requests.size());
           for (size_t k = 0; k < requests.size(); ++k) {
-            TenantState& tenant = tenants[request_tenant[k]];
-            auto forecast_or = tenant.refresh_model->PredictSeeded(
-                requests[k].input, requests[k].seed);
+            const forecast::Forecaster& model =
+                *refresh_models[request_tenant[k]];
+            auto forecast_or =
+                model.PredictSeeded(requests[k].input, requests[k].seed);
             if (forecast_or.ok()) {
               responses[k].forecast = std::move(*forecast_or);
             } else {
@@ -609,99 +429,27 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
           responses = shards[s].engine->Execute(requests);
         }
         for (size_t k = 0; k < responses.size(); ++k) {
-          const size_t t = request_tenant[k];
-          TenantState& tenant = tenants[t];
-          if (!responses[k].ok()) {
-            ++tenant.summary.error_rounds;
-            disposition[t] = RoundPlan::kFallback;
-            continue;
+          core::TenantSession& session = *sessions[request_tenant[k]];
+          Status installed = responses[k].status;
+          if (installed.ok()) {
+            Result<std::vector<int>> plan =
+                allocator.Allocate(responses[k].forecast, session.config());
+            installed = plan.ok()
+                            ? session.Install(std::move(plan).value(),
+                                              std::move(responses[k].forecast))
+                            : plan.status();
           }
-          auto plan =
-              allocator.Allocate(responses[k].forecast, tenant.config);
-          if (!plan.ok()) {
-            ++tenant.summary.error_rounds;
-            disposition[t] = RoundPlan::kFallback;
-            continue;
-          }
-          tenant.plan = std::move(*plan);
-          tenant.last_good_plan = tenant.plan;
-          tenant.last_fresh_step = step;
-          ++tenant.summary.fresh_rounds;
-          if (tenant.selector != nullptr || tenant.refresher != nullptr) {
-            // Keep the fresh forecast for next round's rolling-wQL score
-            // (selector promotion/demotion, refresher drift guard).
-            tenant.live_forecast = responses[k].forecast;
-            tenant.live_forecast_step = step;
-          }
-          if (tenant.prescaler != nullptr) {
-            // The fresh quantile plan is the spike predictor: schedule a
-            // floor raise lead_steps ahead of any predicted spike.
-            tenant.prescaler->ObservePlan(tenant.plan, step);
-          }
-        }
-        for (size_t t : shard_tenants[s]) {
-          TenantState& tenant = tenants[t];
-          switch (disposition[t]) {
-            case RoundPlan::kFresh:
-              break;  // plan already installed (or errored into fallback)
-            case RoundPlan::kStale:
-              tenant.plan = tenant.last_good_plan;
-              ++tenant.summary.stale_rounds;
-              break;
-            case RoundPlan::kFallback:
-              tenant.plan = core::BuildFallbackPlan(
-                  tenant.recent, tenant.last_good_plan, tenant.current_nodes,
-                  tenant.config, policy);
-              ++tenant.summary.fallback_rounds;
-              break;
-          }
-          if (tenant.plan.empty()) {
-            // First round shed before any good plan existed: hold current.
-            tenant.plan.assign(1, tenant.current_nodes);
+          if (!installed.ok()) {
+            session.Degrade(core::DegradeCause::kPlannerError);
           }
         }
 
         // Phase 4: drive the shard's clusters to the next planning round.
-        std::vector<double> drained;  // shard-local cursor scratch
+        // Synchronized rounds: a plan shorter than the round holds its last
+        // value.
         for (size_t t : shard_tenants[s]) {
-          TenantState& tenant = tenants[t];
           for (size_t st = step; st < round_end; ++st) {
-            simdb::StepFaults faults;
-            if (tenant.injector != nullptr) {
-              faults = tenant.injector->FaultsForStep(st);
-              if (faults.Any()) {
-                ++tenant.summary.faulted_steps;
-              }
-            }
-            const size_t cursor = st - step;
-            int target =
-                tenant.plan[std::min(cursor, tenant.plan.size() - 1)];
-            if (tenant.prescaler != nullptr) {
-              // Monotone merge: the pre-scale floor can only raise the
-              // decision, never fight the reactive plan downward.
-              target = tenant.prescaler->Merge(target, st);
-            }
-            const double workload =
-                tenant.series.values[options.history_steps + st];
-            const simdb::StepStats stats =
-                tenant.cluster->Step(target, workload, faults);
-            tenant.realized.push_back(stats.workload);
-            tenant.allocation.push_back(target);
-            tenant.utilization_sum += stats.avg_utilization;
-            if (stats.slo_violated) {
-              ++tenant.slo_violations;
-            }
-            PushRecent(&tenant, stats.workload, window);
-            if (tenant.classifier != nullptr) {
-              tenant.classifier->Push(stats.workload);
-            }
-            tenant.ring->Push(stats.workload);
-            const uint64_t staleness =
-                static_cast<uint64_t>(st - tenant.last_fresh_step);
-            tenant.staleness_sum += staleness;
-            tenant.staleness_max = std::max(tenant.staleness_max, staleness);
-            staleness_hist->Observe(static_cast<double>(staleness));
-            tenant.current_nodes = tenant.cluster->NumNodes();
+            const simdb::StepStats stats = sessions[t]->Step(st);
             if (options.collect_decisions) {
               obs::ScalingDecision decision;
               decision.run = StrFormat("tenant%zu", t);
@@ -712,20 +460,9 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
               decision.utilization = stats.avg_utilization;
               decision.under_provisioned = stats.under_provisioned;
               decision.slo_violated = stats.slo_violated;
+              decision.faulted = sessions[t]->last_step_faulted();
               round_decisions[t].push_back(std::move(decision));
-              round_decisions[t].back().faulted = faults.Any();
             }
-          }
-          // Drain the round's ingested observations through the cursor —
-          // the same "new since last seq" contract the streaming online
-          // loop consumes; capacity >= 2 * replan_every makes this
-          // drop-free. In incremental mode the refresher drains instead,
-          // at the top of the next round, so the points feed the model.
-          if (!incremental) {
-            drained.clear();
-            const stream::StreamCursor::Batch batch =
-                tenant.cursor->Poll(&drained);
-            tenant.stream_points += batch.count;
           }
         }
       }
@@ -745,109 +482,95 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
   }
 
   // Final accounting.
-  for (size_t t = 0; t < options.num_tenants; ++t) {
-    TenantState& tenant = tenants[t];
-    const core::ProvisioningReport report = core::EvaluateAllocation(
-        tenant.realized, tenant.allocation, tenant.config);
-    tenant.summary.under_provision_rate = report.under_provision_rate;
-    tenant.summary.over_provision_rate = report.over_provision_rate;
-    tenant.summary.mean_utilization =
-        tenant.utilization_sum / static_cast<double>(options.num_steps);
-    tenant.summary.slo_violation_rate =
-        static_cast<double>(tenant.slo_violations) /
-        static_cast<double>(options.num_steps);
-    tenant.summary.stream_points = tenant.stream_points;
-    // Missed, not ring->dropped(): the ring advances its tail as soon as a
-    // slot is overwritten, whether or not the cursor had already read it —
-    // only the cursor knows which points were truly lost.
-    tenant.summary.stream_dropped = tenant.cursor->missed_total();
-    tenant.summary.mean_staleness_steps =
-        static_cast<double>(tenant.staleness_sum) /
-        static_cast<double>(options.num_steps);
-    tenant.summary.max_staleness_steps = tenant.staleness_max;
-    tenant.summary.mean_model_staleness_steps =
-        static_cast<double>(tenant.model_staleness_sum) /
-        static_cast<double>(result.rounds);
-    tenant.summary.max_model_staleness_steps = tenant.model_staleness_max;
-    if (tenant.selector != nullptr) {
-      if (tenant.prescaler != nullptr) {
-        // Force rollback of any in-flight floor raise so activations
-        // balance rollbacks at the end of every run.
-        tenant.prescaler->Finish();
-        tenant.summary.prescale = tenant.prescaler->stats();
-      }
-      tenant.summary.final_tier = tenant.selector->tier();
-      tenant.summary.pattern = tenant.classifier->Classify();
-      tenant.summary.selector = tenant.selector->stats();
-      tenant.summary.model = ladder[tenant.selector->tier()];
-      result.tier_switches += tenant.summary.selector.switches;
-      result.tier_promotions += tenant.summary.selector.promotions;
-      result.tier_demotions += tenant.summary.selector.probe_demotions +
-                               tenant.summary.selector.fault_demotions +
-                               tenant.summary.selector.drift_demotions;
-      result.prescale_activations += tenant.summary.prescale.activations;
-      result.prescale_rollbacks += tenant.summary.prescale.rollbacks;
-      result.prescale_floor_raised_steps +=
-          tenant.summary.prescale.floor_raised_steps;
+  for (size_t t = 0; t < num_tenants; ++t) {
+    const core::TenantSession::Summary s = sessions[t]->Finish();
+    auto by_cause = [&s](core::DegradeCause cause) {
+      return s.fallbacks_by_cause[static_cast<size_t>(cause)];
+    };
+    TenantSummary& tenant = result.tenants[t];
+    tenant.tenant_id = t;
+    tenant.model = served[model_index(t)];
+    tenant.under_provision_rate = s.under_provision_rate;
+    tenant.over_provision_rate = s.over_provision_rate;
+    tenant.mean_utilization = s.mean_utilization;
+    tenant.slo_violation_rate = s.slo_violation_rate;
+    tenant.rounds = s.rounds;
+    tenant.fresh_rounds = s.rounds - s.stale_rounds - s.fallback_rounds;
+    tenant.stale_rounds = s.stale_rounds;
+    tenant.fallback_rounds = s.fallback_rounds;
+    tenant.shed_rounds = by_cause(core::DegradeCause::kDeadlineShed);
+    tenant.throttled_rounds = by_cause(core::DegradeCause::kThrottled);
+    tenant.fault_rounds = by_cause(core::DegradeCause::kForecasterFault);
+    tenant.error_rounds = by_cause(core::DegradeCause::kPlannerError) +
+                          by_cause(core::DegradeCause::kRefreshError);
+    tenant.faulted_steps = s.faulted_steps;
+    tenant.stream_points = s.points_delivered;
+    tenant.stream_dropped = s.points_dropped;
+    tenant.mean_staleness_steps = s.mean_staleness;
+    tenant.max_staleness_steps = s.max_staleness;
+    tenant.mean_model_staleness_steps = s.mean_model_staleness;
+    tenant.max_model_staleness_steps = s.max_model_staleness;
+    if (selecting) {
+      tenant.final_tier = s.final_tier;
+      tenant.pattern = s.pattern;
+      tenant.selector = s.selector;
+      tenant.prescale = s.prescaler;
+      result.tier_switches += s.selector.switches;
+      result.tier_promotions += s.selector.promotions;
+      result.tier_demotions += s.selector.probe_demotions +
+                               s.selector.fault_demotions +
+                               s.selector.drift_demotions;
+      result.prescale_activations += s.prescaler.activations;
+      result.prescale_rollbacks += s.prescaler.rollbacks;
+      result.prescale_floor_raised_steps += s.prescaler.floor_raised_steps;
     }
-    if (tenant.refresher != nullptr) {
-      const stream::RefreshStats& rs = tenant.refresher->stats();
-      result.refresh.refreshes += rs.refreshes;
-      result.refresh.points_consumed += rs.points_consumed;
-      result.refresh.recursive_updates += rs.recursive_updates;
-      result.refresh.fine_tunes += rs.fine_tunes;
-      result.refresh.gradient_steps += rs.gradient_steps;
-      result.refresh.resyncs += rs.resyncs;
-      result.refresh.full_retrains += rs.full_retrains;
-    }
-    result.mean_model_staleness_steps +=
-        tenant.summary.mean_model_staleness_steps;
-    result.max_model_staleness_steps =
-        std::max(result.max_model_staleness_steps,
-                 tenant.summary.max_model_staleness_steps);
-    result.tenants[t] = tenant.summary;
-    result.mean_under_provision_rate += tenant.summary.under_provision_rate;
-    result.mean_over_provision_rate += tenant.summary.over_provision_rate;
-    result.mean_utilization += tenant.summary.mean_utilization;
-    result.mean_slo_violation_rate += tenant.summary.slo_violation_rate;
-    result.stream_points += tenant.summary.stream_points;
-    result.stream_dropped += tenant.summary.stream_dropped;
-    result.mean_staleness_steps += tenant.summary.mean_staleness_steps;
+    result.refresh.refreshes += s.refresh.refreshes;
+    result.refresh.points_consumed += s.refresh.points_consumed;
+    result.refresh.recursive_updates += s.refresh.recursive_updates;
+    result.refresh.fine_tunes += s.refresh.fine_tunes;
+    result.refresh.gradient_steps += s.refresh.gradient_steps;
+    result.refresh.resyncs += s.refresh.resyncs;
+    result.refresh.full_retrains += s.refresh.full_retrains;
+    result.mean_model_staleness_steps += tenant.mean_model_staleness_steps;
+    result.max_model_staleness_steps = std::max(
+        result.max_model_staleness_steps, tenant.max_model_staleness_steps);
+    result.mean_under_provision_rate += tenant.under_provision_rate;
+    result.mean_over_provision_rate += tenant.over_provision_rate;
+    result.mean_utilization += tenant.mean_utilization;
+    result.mean_slo_violation_rate += tenant.slo_violation_rate;
+    result.stream_points += tenant.stream_points;
+    result.stream_dropped += tenant.stream_dropped;
+    result.mean_staleness_steps += tenant.mean_staleness_steps;
     result.max_staleness_steps =
-        std::max(result.max_staleness_steps, tenant.summary.max_staleness_steps);
+        std::max(result.max_staleness_steps, tenant.max_staleness_steps);
   }
-  const double n = static_cast<double>(options.num_tenants);
+  const double n = static_cast<double>(num_tenants);
   result.mean_under_provision_rate /= n;
   result.mean_over_provision_rate /= n;
   result.mean_utilization /= n;
   result.mean_slo_violation_rate /= n;
   result.mean_staleness_steps /= n;
   result.mean_model_staleness_steps /= n;
+  // The serve.* counters mirror the finished result, so registry values
+  // agree exactly with the result fields.
   if (selecting) {
-    // serve.select.* counters are bulk-incremented from the finished
-    // result, so registry values agree exactly with the result fields.
-    metrics->GetCounter("serve.select.switches")
-        ->Increment(static_cast<int64_t>(result.tier_switches));
-    metrics->GetCounter("serve.select.promotions")
-        ->Increment(static_cast<int64_t>(result.tier_promotions));
-    metrics->GetCounter("serve.select.demotions")
-        ->Increment(static_cast<int64_t>(result.tier_demotions));
-    metrics->GetCounter("serve.select.prescale.activations")
-        ->Increment(static_cast<int64_t>(result.prescale_activations));
-    metrics->GetCounter("serve.select.prescale.rollbacks")
-        ->Increment(static_cast<int64_t>(result.prescale_rollbacks));
-    metrics->GetCounter("serve.select.prescale.floor_raised_steps")
-        ->Increment(static_cast<int64_t>(result.prescale_floor_raised_steps));
+    obs::IncrementCounters(
+        metrics,
+        {{"serve.select.switches", result.tier_switches},
+         {"serve.select.promotions", result.tier_promotions},
+         {"serve.select.demotions", result.tier_demotions},
+         {"serve.select.prescale.activations", result.prescale_activations},
+         {"serve.select.prescale.rollbacks", result.prescale_rollbacks},
+         {"serve.select.prescale.floor_raised_steps",
+          result.prescale_floor_raised_steps}});
   }
   if (incremental) {
-    metrics->GetCounter("serve.refresh.rounds")
-        ->Increment(static_cast<int64_t>(result.refresh.refreshes));
-    metrics->GetCounter("serve.refresh.points_consumed")
-        ->Increment(static_cast<int64_t>(result.refresh.points_consumed));
-    metrics->GetCounter("serve.refresh.resyncs")
-        ->Increment(static_cast<int64_t>(result.refresh.resyncs));
-    metrics->GetCounter("serve.refresh.full_retrains")
-        ->Increment(static_cast<int64_t>(result.refresh.full_retrains));
+    obs::IncrementCounters(
+        metrics,
+        {{"serve.refresh.rounds", result.refresh.refreshes},
+         {"serve.refresh.points_consumed", result.refresh.points_consumed},
+         {"serve.refresh.resyncs", result.refresh.resyncs},
+         {"serve.refresh.full_retrains", result.refresh.full_retrains}});
   }
   result.cache = registry->GetCacheStats();
   for (const Shard& shard : shards) {

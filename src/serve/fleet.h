@@ -214,10 +214,11 @@ size_t ShardOfTenant(uint64_t tenant_id, size_t num_shards);
 /// the admission controller applies rate limits and the round's deadline
 /// budget, admitted requests run through the batch engine, and each
 /// tenant's RobustQuantileAllocator plan drives its cluster until the next
-/// round. Tenants that are throttled, shed, or hit by an injected
-/// forecaster fault degrade to the reactive fallback plan of PR 2
-/// (core::BuildFallbackPlan) — a tenant's round is never dropped and the
-/// fleet never aborts on a fault.
+/// round. Each tenant is one core::TenantSession; rounds are synchronized,
+/// so a plan shorter than the round holds its last value. Tenants that
+/// are throttled, shed, or hit by an injected forecaster fault degrade to
+/// the session's reactive fallback plan — a tenant's round is never
+/// dropped and the fleet never aborts on a fault.
 ///
 /// Determinism: the result is a pure function of `options` and the
 /// registered model weights — independent of thread count and of

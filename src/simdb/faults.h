@@ -87,9 +87,9 @@ struct FaultPlan {
   /// Stream-ingest producer stall: a firing at step s stalls ingestion for
   /// steps s .. s + ingest_stall_steps - 1 (points queue at the producer);
   /// the first clear step flushes the queue as a burst append. Only
-  /// consulted by streaming consumers (core::RunOnlineLoop in incremental
-  /// refresh mode); not part of Uniform() so existing composite-fault
-  /// schedules keep their exact event counts.
+  /// consulted by streaming consumers (a core::TenantSession with an ingest
+  /// ring); not part of Uniform() so existing composite-fault schedules
+  /// keep their exact event counts.
   double ingest_stall_rate = 0.0;
   int ingest_stall_steps = 2;
 

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <vector>
 
 #include "core/evaluator.h"
 #include "core/manager.h"
+#include "core/online_loop.h"
 #include "core/scaling_config.h"
 #include "core/strategies.h"
 #include "core/uncertainty.h"
@@ -71,6 +74,73 @@ TEST(ScalingConfigTest, MaxNodesCap) {
   ScalingConfig config = UnitConfig();
   config.max_nodes = 3;
   EXPECT_EQ(RequiredNodes(100.0, config), 3);
+}
+
+TEST(ScalingConfigTest, RequiredNodesIsTotalOverDoubles) {
+  // Unknown or unbounded demand saturates to INT_MAX before the max_nodes
+  // cap; demand at or below the floor gives min_nodes; in-range needs are
+  // the plain ceiling.
+  constexpr int kIntMax = std::numeric_limits<int>::max();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  struct Case {
+    double workload;
+    int uncapped;  // max_nodes = 0
+    int capped;    // max_nodes = 100
+  };
+  const Case cases[] = {
+      {1e300, kIntMax, 100},
+      {inf, kIntMax, 100},
+      {nan, kIntMax, 100},
+      {-inf, 1, 1},
+      {-1e300, 1, 1},
+      {2147483646.0, 2147483646, 100},  // largest need below INT_MAX
+      {2147483647.0, kIntMax, 100},     // exactly INT_MAX
+      {2147483647.5, kIntMax, 100},     // ceiling one past INT_MAX
+      {2147483648.0, kIntMax, 100},
+      {7.3, 8, 8},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.workload);
+    ScalingConfig config = UnitConfig();
+    EXPECT_EQ(RequiredNodes(c.workload, config), c.uncapped);
+    config.max_nodes = 100;
+    EXPECT_EQ(RequiredNodes(c.workload, config), c.capped);
+  }
+}
+
+TEST(EvaluateAllocationTest, UnboundedDemandIsUnderProvisioned) {
+  // No node count absorbs a 1e300 workload: that step is under-provisioned,
+  // never counted as exactly provisioned.
+  const ProvisioningReport report =
+      EvaluateAllocation({1e300, 1.0}, {1, 1}, UnitConfig());
+  EXPECT_EQ(report.under_provision_rate, 0.5);
+  EXPECT_EQ(report.over_provision_rate, 0.0);
+}
+
+TEST(OnlineLoopFallbackTest, UnboundedObservedPeakHoldsSaturatedTarget) {
+  // Every round's forecaster fault outlasts the retries, so the loop runs
+  // on the reactive fallback sized from the observed peak. A 1e300
+  // observation must saturate the held target instead of wrapping it to
+  // the current node count.
+  ts::TimeSeries series;
+  series.values = {1.0, 1.0, 1.0, 1e300, 1.0, 1.0, 1.0, 1.0};
+  forecast::SeasonalNaiveForecaster model(
+      forecast::SeasonalNaiveForecaster::Options{4, 4, 2, {}});
+  RobustAutoScalingManager manager(
+      &model, std::make_unique<RobustQuantileAllocator>(0.9), UnitConfig());
+  OnlineLoopOptions options;
+  options.cluster.max_nodes = 8;
+  options.faults.forecaster_timeout_rate = 1.0;
+  options.faults.forecaster_timeout_attempts = 3;
+  auto result = RunOnlineLoop(manager, series, 4, 4, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->fallback_plans, result->plans_made);
+  EXPECT_EQ(result->allocation,
+            std::vector<int>(4, std::numeric_limits<int>::max()));
+  for (const simdb::StepStats& step : result->steps) {
+    EXPECT_EQ(step.target_nodes, 8);  // the cluster's own cap applies
+  }
 }
 
 // --------------------------------------------------------------- Reactive ---

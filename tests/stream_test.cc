@@ -695,11 +695,7 @@ TEST_F(StreamingLoopFixture, BatchModeIsDefaultAndLeavesStreamFieldsZero) {
   EXPECT_EQ(a->points_dropped, 0u);
   EXPECT_EQ(a->points_pending, 0u);
   EXPECT_EQ(a->refresh.refreshes, 0u);
-  EXPECT_TRUE(a->round_refresh_millis.empty());
-  EXPECT_EQ(a->total_refresh_millis, 0.0);
-  // ...while plan timing and staleness are tracked in both modes.
-  EXPECT_EQ(a->round_plan_millis.size(), a->plans_made);
-  EXPECT_GE(a->total_plan_millis, 0.0);
+  // ...while staleness is tracked in both modes.
   // A fresh plan lands every replan_every=12 steps: staleness 0..11.
   EXPECT_EQ(a->max_staleness_points, 11u);
   EXPECT_EQ(a->mean_staleness_points, 5.5);
@@ -729,9 +725,11 @@ TEST_F(StreamingLoopFixture, IncrementalModeIngestsRefreshesAndReports) {
   EXPECT_EQ(result->refresh.full_retrains, 0u);
   EXPECT_EQ(result->refresh.resyncs, 0u);
 
-  // Per-round wall time for both phases, one entry per round.
-  EXPECT_EQ(result->round_refresh_millis.size(), result->plans_made);
-  EXPECT_EQ(result->round_plan_millis.size(), result->plans_made);
+  // Per-round wall time for both phases, one observation per round.
+  EXPECT_EQ(metrics.GetHistogram("stream.refresh_ms", {}, false)->count(),
+            result->plans_made);
+  EXPECT_EQ(metrics.GetHistogram("online.plan_ms", {}, false)->count(),
+            result->plans_made);
 
   // Counters agree exactly with the result fields.
   EXPECT_EQ(metrics.GetCounter("stream.ingested")->value(),
