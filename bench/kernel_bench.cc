@@ -1,6 +1,7 @@
 // Kernel-layer microbenchmarks: GEMM, vector primitives, elementwise
 // transcendentals, the fused LSTM cell step, and a DeepAR-shaped training
-// step, each swept across every SIMD dispatch level this machine supports.
+// step on the tape and through DeepArForecaster::Fit's fused unroll, each
+// swept across every SIMD dispatch level this machine supports.
 //
 // Besides the human-readable table, the run is written as JSON (default
 // BENCH_kernels.json, override with --json-out=PATH) with one record per
@@ -8,6 +9,7 @@
 // CI uploads the file as an artifact so kernel regressions are visible per
 // commit. GFLOP/s uses nominal flop counts (2mnk for GEMM, n-ish for the
 // transcendentals); 0 marks ops where a flop rate is not meaningful.
+#include <cmath>
 #include <cstdio>
 #include <functional>
 #include <string>
@@ -18,6 +20,8 @@
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "common/strings.h"
+#include "forecast/deepar.h"
+#include "forecast/time_features.h"
 #include "nn/layers.h"
 #include "nn/losses.h"
 #include "nn/trainer.h"
@@ -210,14 +214,18 @@ void BenchLstmCell(bool quick, std::vector<Record>* out) {
 
 // ------------------------------------------------- DeepAR train step ---
 
-/// One optimizer step of a DeepAR-shaped model: LSTM(14->32), mu/sigma
-/// heads, 143 unroll steps, batch 8, Student-t NLL — the end-to-end number
-/// the kernel layer exists to improve.
+/// DeepAR's input width: the scaled previous value plus calendar features.
+constexpr size_t kDeepArInput = 1 + forecast::kNumTimeFeatures;
+
+/// One optimizer step of a DeepAR-shaped model on the autodiff tape:
+/// LSTM(5->32), mu/sigma heads, 143 unroll steps, batch 8, Student-t NLL.
+/// The tape is how TFT, MLP and QB5000 train; for DeepAR it is the
+/// reference its fused unroll (deepar_fit_step below) must match.
 void BenchTrainStep(bool quick, std::vector<Record>* out) {
   for (SimdLevel level : SupportedLevels()) {
     kernels::ScopedSimdLevel scoped(level);
     Rng init(7);
-    nn::LstmCell lstm(14, 32, &init);
+    nn::LstmCell lstm(kDeepArInput, 32, &init);
     nn::Dense mu_head(32, 1, nn::Dense::Activation::kNone, &init);
     nn::Dense sigma_head(32, 1, nn::Dense::Activation::kNone, &init);
     std::vector<autodiff::Parameter*> params;
@@ -229,7 +237,7 @@ void BenchTrainStep(bool quick, std::vector<Record>* out) {
       nn::LstmCell::State state = lstm.ZeroState(tape, batch);
       autodiff::Var total_nll;
       for (size_t t = 1; t < total; ++t) {
-        autodiff::Var xv = tape->Input(batch, 14);
+        autodiff::Var xv = tape->Input(batch, kDeepArInput);
         autodiff::Var yv = tape->Input(batch, 1);
         Matrix& x = *tape->MutableValue(xv);
         Matrix& y = *tape->MutableValue(yv);
@@ -254,7 +262,38 @@ void BenchTrainStep(bool quick, std::vector<Record>* out) {
     const double ns = w.ElapsedMillis() * 1e6 / steps;
     RPAS_CHECK(summary.arena_allocs_after_warmup == summary.arena_allocs_final)
         << "train step is expected to be allocation-free in steady state";
-    out->push_back({"deepar_train_step", "lstm14->32 b=8 u=143",
+    out->push_back({"deepar_train_step", "tape lstm5->32 b=8 u=143",
+                    kernels::LevelName(level), ns, 0.0});
+  }
+}
+
+/// DeepArForecaster::Fit per gradient step at the paper shape (context and
+/// horizon 72, H 32, batch 8): the fused, tape-free unroll at the same
+/// shape as the tape row above.
+void BenchDeepArFit(bool quick, std::vector<Record>* out) {
+  ts::TimeSeries series;
+  series.step_minutes = 10.0;
+  Rng rng(8);
+  for (size_t i = 0; i < 600; ++i) {
+    const double phase = 0.0436 * static_cast<double>(i);
+    series.values.push_back(10.0 + 4.0 * std::sin(phase) + rng.Normal());
+  }
+  forecast::DeepArForecaster::Options options;
+  options.hidden_dim = 32;
+  options.batch_size = 8;
+  options.num_samples = 20;
+  options.student_t_dof = 3.0;
+  for (SimdLevel level : SupportedLevels()) {
+    kernels::ScopedSimdLevel scoped(level);
+    options.train.steps = quick ? 1 : 3;
+    RPAS_CHECK(forecast::DeepArForecaster(options).Fit(series).ok());  // warmup
+    const int steps = quick ? 5 : 20;
+    options.train.steps = steps;
+    forecast::DeepArForecaster model(options);
+    Stopwatch w;
+    RPAS_CHECK(model.Fit(series).ok());
+    const double ns = w.ElapsedMillis() * 1e6 / steps;
+    out->push_back({"deepar_fit_step", "fused lstm5->32 b=8 u=143",
                     kernels::LevelName(level), ns, 0.0});
   }
 }
@@ -288,6 +327,7 @@ int Run(const BenchOptions& options, const std::string& json_out) {
   BenchVectorOps(options.quick, &records);
   BenchLstmCell(options.quick, &records);
   BenchTrainStep(options.quick, &records);
+  BenchDeepArFit(options.quick, &records);
 
   TablePrinter table({"op", "shape", "dispatch", "ns/iter", "GFLOP/s"});
   for (const Record& r : records) {

@@ -14,8 +14,6 @@
 
 namespace rpas::forecast {
 
-using autodiff::Tape;
-using autodiff::Var;
 using tensor::Matrix;
 namespace kernels = ::rpas::tensor::kernels;
 
@@ -25,6 +23,42 @@ constexpr double kScaleEps = 1e-6;
 double SoftplusScalar(double x) {
   return (x > 0.0 ? x : 0.0) + std::log1p(std::exp(-std::fabs(x)));
 }
+
+/// d softplus / dx = sigmoid(x), in the sign-split form of the tape's
+/// Softplus backward.
+double SoftplusSlope(double x) {
+  return x >= 0.0 ? 1.0 / (1.0 + std::exp(-x))
+                  : std::exp(x) / (1.0 + std::exp(x));
+}
+
+/// Adds x·W_x into `gates` and h·W_h into `hw` over `m` rows (x is
+/// m x in_dim, h is m x hd, both outputs m x 4hd) through weights packed by
+/// kernels::PackB, on the shape-only GemmRowGrain partition that Gemm uses.
+void PackedGateProducts(kernels::SimdLevel level, size_t m, size_t in_dim,
+                        size_t hd, const double* x, const double* wx_packed,
+                        const double* h, const double* wh_packed,
+                        double* gates, double* hw) {
+  const size_t gw = 4 * hd;
+  ParallelFor(0, m, kernels::GemmRowGrain(m, gw, in_dim),
+              [&](size_t r0, size_t r1) {
+                kernels::GemmPackedRows(level, r0, r1, gw, in_dim, x, in_dim,
+                                        wx_packed, gates, gw);
+              });
+  ParallelFor(0, m, kernels::GemmRowGrain(m, gw, hd),
+              [&](size_t r0, size_t r1) {
+                kernels::GemmPackedRows(level, r0, r1, gw, hd, h, hd,
+                                        wh_packed, hw, gw);
+              });
+}
+
+/// Forward values of one (step, row) NLL term that its gradient reads.
+struct HeadTerm {
+  double pre;    ///< sigma head output before softplus
+  double sigma;  ///< softplus(pre) + min_sigma
+  double d;      ///< y - mu
+  double z;      ///< d / sigma
+  double ap;     ///< z^2 / dof + 1 (Student-t head only)
+};
 
 /// Per-window mean-abs scale (DeepAR's standard per-item scaling).
 double WindowScale(const std::vector<double>& context) {
@@ -52,7 +86,7 @@ void WeightImage(const Matrix& param, const tensor::QTensorView& view,
 DeepArForecaster::DeepArForecaster(Options options)
     : options_(std::move(options)), sample_rng_(options_.seed ^ 0xD1CEu) {
   RPAS_CHECK(options_.context_length > 0 && options_.horizon > 0);
-  RPAS_CHECK(options_.num_samples >= 2);
+  RPAS_CHECK(options_.num_samples >= 2 && options_.batch_size > 0);
   if (options_.levels.empty()) {
     options_.levels = DefaultQuantileLevels();
   }
@@ -96,8 +130,16 @@ Status DeepArForecaster::Save(const std::string& path) const {
 }
 
 Status DeepArForecaster::Load(const std::string& path) {
-  BuildModel();
-  RPAS_RETURN_IF_ERROR(nn::LoadParameters(path, Signature(), AllParams()));
+  // Parse into fresh layers and commit them only on success, so a failed
+  // load leaves the served weights untouched.
+  DeepArForecaster staged(options_);
+  staged.BuildModel();
+  RPAS_RETURN_IF_ERROR(
+      nn::LoadParameters(path, Signature(), staged.AllParams()));
+  lstm_ = std::move(staged.lstm_);
+  mu_head_ = std::move(staged.mu_head_);
+  sigma_head_ = std::move(staged.sigma_head_);
+  qckpt_.reset();
   fitted_ = true;
   return Status::OK();
 }
@@ -141,70 +183,232 @@ nn::TrainSummary DeepArForecaster::RunTraining(
     const ts::WindowDataset& dataset, double step_minutes,
     const nn::TrainConfig& config) {
   const size_t t_len = options_.context_length;
-  const size_t h = options_.horizon;
-  std::vector<autodiff::Parameter*> params = AllParams();
+  const size_t hd = options_.hidden_dim;
+  const size_t gw = 4 * hd;  // gate columns
+  const size_t total = t_len + options_.horizon;
+  // Unroll step s feeds the observed value s and predicts value s + 1.
+  const size_t unroll = total - 1;
+  // SampleIndices draws min(batch_size, windows) rows on every call.
+  const size_t batch = std::min(options_.batch_size, dataset.size());
+  const size_t bh = batch * hd;
+  const size_t bg = batch * gw;
+  const kernels::SimdLevel level = kernels::ActiveLevel();
+  const bool student_t = options_.head == Head::kStudentT;
+  // The constants the tape losses scale and shift by, formed the same way.
+  const double inv_dof = 1.0 / options_.student_t_dof;
+  const double half_dof1 = (options_.student_t_dof + 1.0) / 2.0;
+  const double nll_constant =
+      student_t ? nn::StudentTNllConstant(options_.student_t_dof)
+                : nn::GaussianNllConstant();
+  const double inv_batch = 1.0 / static_cast<double>(batch);
+  const double inv_unroll = 1.0 / static_cast<double>(unroll);
+  // d loss / d (one row's NLL term): the 1/unroll mean over steps, then the
+  // 1/batch mean over rows.
+  const double g_row = inv_batch * inv_unroll;
 
-  auto loss_fn = [&, step_minutes](Tape* tape, Rng* rng) -> Var {
-    const std::vector<size_t> indices =
-        dataset.SampleIndices(options_.batch_size, rng);
-    const size_t batch = indices.size();
-    const size_t total = t_len + h;
+  // Save()/AllParams() order: LSTM w_x, w_h, b, then (weight, bias) of the
+  // mu and sigma heads.
+  const std::vector<autodiff::Parameter*> params = AllParams();
+  autodiff::Parameter& wx = *params[0];
+  autodiff::Parameter& wh = *params[1];
+  autodiff::Parameter& bias = *params[2];
+  autodiff::Parameter& w_mu = *params[3];
+  autodiff::Parameter& b_mu = *params[4];
+  autodiff::Parameter& w_sigma = *params[5];
+  autodiff::Parameter& b_sigma = *params[6];
 
-    // Whole windows (context + target), per-window scaled.
-    std::vector<std::vector<double>> scaled(batch);
-    std::vector<size_t> begins(batch);
-    for (size_t r = 0; r < batch; ++r) {
-      const ts::Window& w = dataset[indices[r]];
-      begins[r] = w.begin;
-      const double scale = WindowScale(w.context);
-      scaled[r].reserve(total);
-      for (double v : w.context) {
-        scaled[r].push_back(v / scale);
-      }
-      for (double v : w.target) {
-        scaled[r].push_back(v / scale);
-      }
+  // Calendar features depend only on the absolute index, so one table over
+  // the dataset's span replaces a TimeFeatures call per row and step.
+  size_t first = dataset[0].begin;
+  size_t last = first;
+  for (size_t i = 1; i < dataset.size(); ++i) {
+    first = std::min(first, dataset[i].begin);
+    last = std::max(last, dataset[i].begin);
+  }
+  std::vector<double> calendar((last - first + total) * kNumTimeFeatures);
+  for (size_t i = 0; i < last - first + total; ++i) {
+    const auto tf = TimeFeatures(first + i, step_minutes);
+    std::copy(tf.begin(), tf.end(), calendar.begin() + i * kNumTimeFeatures);
+  }
+
+  // Every buffer is sized here, once per call, so no gradient step
+  // allocates. The forward keeps each step's activations for the reverse
+  // pass: x_s, the states h_s and c_s (index 0 is the zero state), the
+  // activated gates, tanh(c), the two head outputs and each row's NLL term.
+  std::vector<size_t> indices;
+  indices.reserve(dataset.size());
+  std::vector<double> series(batch * total);
+  std::vector<double> wx_packed(kernels::PackedSize(kInputDim, gw));
+  std::vector<double> wh_packed(kernels::PackedSize(hd, gw));
+  std::vector<double> head_w(2 * hd);
+  std::vector<double> x(unroll * batch * kInputDim);
+  std::vector<double> h((unroll + 1) * bh), c((unroll + 1) * bh);
+  std::vector<double> act(unroll * bg), tanh_c(unroll * bh), hw(bg);
+  std::vector<double> heads(unroll * batch * 2), nll(batch);
+  std::vector<HeadTerm> terms(unroll * batch);
+  std::vector<double> dh(bh), dh_next(bh), dc(bh), dc_next(bh), dgates(bg);
+  std::vector<double> dheads(batch * 2), head_grad(hd * 2), gate_sums(gw);
+  std::vector<double> w_grad(std::max(kInputDim, hd) * gw);
+
+  // Teacher-forced forward: at step s the input is the observed value s plus
+  // the calendar features of s + 1, and the heads predict value s + 1. Every
+  // product and rounding is the one the tape graph (LstmCell::Step, the
+  // Dense heads, Softplus + min_sigma and the NLL composite) computed.
+  auto forward = [&]() {
+    kernels::PackB(kInputDim, gw, wx.value.data(), gw, wx_packed.data());
+    kernels::PackB(hd, gw, wh.value.data(), gw, wh_packed.data());
+    for (size_t p = 0; p < hd; ++p) {
+      head_w[2 * p] = w_mu.value[p];
+      head_w[2 * p + 1] = w_sigma.value[p];
     }
-
-    // Teacher-forced unroll: at step t the input is the observed value at
-    // t-1 plus calendar features of t; the head predicts the value at t.
-    nn::LstmCell::State state = lstm_->ZeroState(tape, batch);
-    Var total_nll;
-    size_t terms = 0;
-    for (size_t t = 1; t < total; ++t) {
-      // Arena-backed leaves filled in place: the steady-state unroll reuses
-      // the previous step's buffers instead of allocating fresh matrices.
-      Var xv = tape->Input(batch, kInputDim);
-      Var y = tape->Input(batch, 1);
-      Matrix& x = *tape->MutableValue(xv);
-      Matrix& target = *tape->MutableValue(y);
+    double total_nll = 0.0;
+    for (size_t s = 0; s < unroll; ++s) {
+      const double* xs = x.data() + s * batch * kInputDim;
+      const double* h_in = h.data() + s * bh;
+      double* h_out = h.data() + (s + 1) * bh;
+      double* gates = act.data() + s * bg;
+      std::fill_n(gates, bg, 0.0);
+      std::fill(hw.begin(), hw.end(), 0.0);
+      PackedGateProducts(level, batch, kInputDim, hd, xs, wx_packed.data(),
+                         h_in, wh_packed.data(), gates, hw.data());
+      kernels::LstmCellForward(level, batch, hd, gates, hw.data(),
+                               bias.value.data(), c.data() + s * bh, hd,
+                               h_out, hd, c.data() + (s + 1) * bh, hd,
+                               tanh_c.data() + s * bh);
+      double* hs = heads.data() + s * batch * 2;
+      std::fill_n(hs, batch * 2, 0.0);
+      kernels::Gemm(level, batch, 2, hd, h_out, hd, head_w.data(), 2, hs, 2);
       for (size_t r = 0; r < batch; ++r) {
-        x(r, 0) = scaled[r][t - 1];
-        const auto tf = TimeFeatures(begins[r] + t, step_minutes);
-        for (size_t j = 0; j < kNumTimeFeatures; ++j) {
-          x(r, 1 + j) = tf[j];
+        HeadTerm& term = terms[s * batch + r];
+        const double mu = hs[2 * r] + b_mu.value[0];
+        term.pre = hs[2 * r + 1] + b_sigma.value[0];
+        term.sigma = SoftplusScalar(term.pre) + options_.min_sigma;
+        term.d = series[r * total + s + 1] - mu;
+        term.z = term.d / term.sigma;
+        const double sq = term.z * term.z;
+        double spread;  // the z-dependent part of the NLL
+        if (student_t) {
+          term.ap = sq * inv_dof + 1.0;
+          spread = std::log(term.ap) * half_dof1;
+        } else {
+          spread = sq * 0.5;
         }
-        target(r, 0) = scaled[r][t];
+        nll[r] = (std::log(term.sigma) + spread) + nll_constant;
       }
-      state = lstm_->Step(tape, xv, state);
-      Var mu = mu_head_->Forward(tape, state.h);
-      Var sigma = tape->AddScalar(
-          tape->Softplus(sigma_head_->Forward(tape, state.h)),
-          options_.min_sigma);
-      Var nll = options_.head == Head::kStudentT
-                    ? nn::StudentTNllLoss(tape, mu, sigma, y,
-                                          options_.student_t_dof)
-                    : nn::GaussianNllLoss(tape, mu, sigma, y);
-      total_nll = terms == 0 ? nll : tape->Add(total_nll, nll);
-      ++terms;
+      const double step_nll =
+          kernels::Sum(level, batch, nll.data()) * inv_batch;
+      total_nll = s == 0 ? step_nll : total_nll + step_nll;
     }
-    return tape->Scale(total_nll, 1.0 / static_cast<double>(terms));
+    return total_nll * inv_unroll;
   };
 
-  return nn::TrainLoop(config, params, loss_fn);
+  // Reverse pass in the tape's node order: steps from last to first, within
+  // a step the NLL, the sigma head, the mu head, then the cell. Each step's
+  // parameter products are summed from zero and then added to the gradients,
+  // as the tape's AccumulateGrad did (DESIGN.md §10).
+  auto backward = [&]() {
+    std::fill(dh_next.begin(), dh_next.end(), 0.0);
+    std::fill(dc_next.begin(), dc_next.end(), 0.0);
+    for (size_t s = unroll; s-- > 0;) {
+      const double* h_in = h.data() + s * bh;
+      const double* h_out = h_in + bh;
+      double db_mu = 0.0;
+      double db_sigma = 0.0;
+      for (size_t r = 0; r < batch; ++r) {
+        const HeadTerm& term = terms[s * batch + r];
+        double g_sq;  // d loss / d z^2
+        if (student_t) {
+          g_sq = inv_dof * ((half_dof1 * g_row) / term.ap);
+        } else {
+          g_sq = 0.5 * g_row;
+        }
+        const double g_z = (g_sq * term.z) * 2.0;
+        const double g_sigma = g_row / term.sigma +
+                               -(g_z * term.d) / (term.sigma * term.sigma);
+        dheads[2 * r] = -(g_z / term.sigma);
+        dheads[2 * r + 1] = g_sigma * SoftplusSlope(term.pre);
+        db_sigma += dheads[2 * r + 1];
+        db_mu += dheads[2 * r];
+      }
+      b_sigma.grad[0] += db_sigma;
+      b_mu.grad[0] += db_mu;
+      // Both heads' weight gradients in one 2-column product; its columns
+      // never mix, so each equals the tape's 1-column h^T g.
+      std::fill(head_grad.begin(), head_grad.end(), 0.0);
+      kernels::GemmTN(level, hd, 2, batch, h_out, hd, dheads.data(), 2,
+                      head_grad.data(), 2);
+      for (size_t p = 0; p < hd; ++p) {
+        w_mu.grad[p] += head_grad[2 * p];
+        w_sigma.grad[p] += head_grad[2 * p + 1];
+      }
+      // d loss / d h_{s+1}: the next step's dh_prev, then the sigma head's
+      // and the mu head's 1-term products, in that order.
+      for (size_t r = 0; r < batch; ++r) {
+        for (size_t j = 0; j < hd; ++j) {
+          dh[r * hd + j] = (dh_next[r * hd + j] +
+                            dheads[2 * r + 1] * w_sigma.value[j]) +
+                           dheads[2 * r] * w_mu.value[j];
+        }
+      }
+      kernels::LstmCellBackward(level, batch, hd, act.data() + s * bg,
+                                c.data() + s * bh, hd, tanh_c.data() + s * bh,
+                                dh.data(), hd, dc_next.data(), hd,
+                                dgates.data(), dc.data());
+      std::swap(dc, dc_next);
+      std::fill(gate_sums.begin(), gate_sums.end(), 0.0);
+      for (size_t r = 0; r < batch; ++r) {
+        for (size_t col = 0; col < gw; ++col) {
+          gate_sums[col] += dgates[r * gw + col];
+        }
+      }
+      kernels::Axpy(level, gw, 1.0, gate_sums.data(), bias.grad.data());
+      if (s > 0) {  // h_0 is the zero state: no gradient flows into it
+        std::fill(dh_next.begin(), dh_next.end(), 0.0);
+        kernels::GemmNT(level, batch, hd, gw, dgates.data(), gw,
+                        wh.value.data(), gw, dh_next.data(), hd);
+      }
+      std::fill_n(w_grad.data(), hd * gw, 0.0);
+      kernels::GemmTN(level, hd, gw, batch, h_in, hd, dgates.data(), gw,
+                      w_grad.data(), gw);
+      kernels::Axpy(level, hd * gw, 1.0, w_grad.data(), wh.grad.data());
+      std::fill_n(w_grad.data(), kInputDim * gw, 0.0);
+      kernels::GemmTN(level, kInputDim, gw, batch,
+                      x.data() + s * batch * kInputDim, kInputDim,
+                      dgates.data(), gw, w_grad.data(), gw);
+      kernels::Axpy(level, kInputDim * gw, 1.0, w_grad.data(),
+                    wx.grad.data());
+    }
+  };
+
+  return nn::TrainLoop(config, params, [&](Rng* rng) {
+    dataset.SampleIndices(options_.batch_size, rng, &indices);
+    for (size_t r = 0; r < batch; ++r) {
+      const ts::Window& w = dataset[indices[r]];
+      const double scale = WindowScale(w.context);
+      double* row = series.data() + r * total;
+      for (size_t i = 0; i < t_len; ++i) {
+        row[i] = w.context[i] / scale;
+      }
+      for (size_t i = t_len; i < total; ++i) {
+        row[i] = w.target[i - t_len] / scale;
+      }
+      const double* features =
+          calendar.data() + (w.begin - first + 1) * kNumTimeFeatures;
+      for (size_t s = 0; s < unroll; ++s) {
+        double* xr = x.data() + (s * batch + r) * kInputDim;
+        xr[0] = row[s];
+        std::copy_n(features + s * kNumTimeFeatures, kNumTimeFeatures,
+                    xr + 1);
+      }
+    }
+    const double loss = forward();
+    backward();
+    return loss;
+  });
 }
 
 Status DeepArForecaster::Fit(const ts::TimeSeries& train) {
+  RPAS_RETURN_IF_ERROR(nn::ValidateTrainConfig(options_.train));
   const size_t t_len = options_.context_length;
   const size_t h = options_.horizon;
   ts::WindowDataset dataset(train, t_len, h, /*stride=*/1);
@@ -234,6 +438,12 @@ DeepArForecaster::IncrementalUpdate(const ts::TimeSeries& history,
     return Status::InvalidArgument(
         "DeepAR: new_points exceeds history length");
   }
+  nn::TrainConfig config = options_.train;
+  config.steps = options_.fine_tune_steps;
+  if (options_.fine_tune_lr > 0.0) {
+    config.lr = options_.fine_tune_lr;
+  }
+  RPAS_RETURN_IF_ERROR(nn::ValidateTrainConfig(config));
   IncrementalUpdateReport report;
   report.points = new_points;
   if (new_points == 0) {
@@ -252,11 +462,6 @@ DeepArForecaster::IncrementalUpdate(const ts::TimeSeries& history,
                             /*index_offset=*/start);
   if (dataset.empty()) {
     return report;  // not enough history for a single window yet
-  }
-  nn::TrainConfig config = options_.train;
-  config.steps = options_.fine_tune_steps;
-  if (options_.fine_tune_lr > 0.0) {
-    config.lr = options_.fine_tune_lr;
   }
   // Distinct, deterministic minibatch stream per update.
   config.seed = DeriveSeed(options_.seed, 0x57EA + update_count_);
@@ -349,18 +554,8 @@ std::vector<double> DeepArForecaster::SampleRoll(const ForecastInput* inputs,
       kernels::GemmQuant(level, m, gw, hd, hs, hd, qwh.dtype, qwh.payload,
                          hw.data(), gw);
     } else {
-      ParallelFor(0, m, kernels::GemmRowGrain(m, gw, kInputDim),
-                  [&](size_t r0, size_t r1) {
-                    kernels::GemmPackedRows(level, r0, r1, gw, kInputDim,
-                                            x.data(), kInputDim,
-                                            wx_packed.data(), gates.data(),
-                                            gw);
-                  });
-      ParallelFor(0, m, kernels::GemmRowGrain(m, gw, hd),
-                  [&](size_t r0, size_t r1) {
-                    kernels::GemmPackedRows(level, r0, r1, gw, hd, hs, hd,
-                                            wh_packed.data(), hw.data(), gw);
-                  });
+      PackedGateProducts(level, m, kInputDim, hd, x.data(), wx_packed.data(),
+                         hs, wh_packed.data(), gates.data(), hw.data());
     }
     kernels::LstmCellForward(level, m, hd, gates.data(), hw.data(), bias, cs,
                              hd, hs, hd, cs, hd, /*tanh_c=*/nullptr);

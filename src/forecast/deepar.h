@@ -57,7 +57,7 @@ class DeepArForecaster final : public Forecaster {
   /// suffix of `history` whose windows touch the newest `new_points`
   /// observations — O(new_points) work, weights continue from their current
   /// values. Models restored from quantized checkpoints are frozen and
-  /// return FailedPrecondition.
+  /// return FailedPrecondition; a zero fine-tune budget is InvalidArgument.
   Result<IncrementalUpdateReport> IncrementalUpdate(
       const ts::TimeSeries& history, size_t new_points) override;
   bool SupportsIncrementalUpdate() const override { return true; }
@@ -109,7 +109,8 @@ class DeepArForecaster final : public Forecaster {
 
   /// Persists the trained weights (text checkpoint, see nn/checkpoint.h).
   Status Save(const std::string& path) const;
-  /// Restores weights saved by an identically configured model.
+  /// Restores weights saved by an identically configured model. A failed
+  /// load leaves the model as it was.
   Status Load(const std::string& path);
 
  private:
@@ -119,7 +120,10 @@ class DeepArForecaster final : public Forecaster {
 
   /// Runs the teacher-forced NLL training loop over `dataset` with the
   /// current weights as the starting point (shared by Fit and
-  /// IncrementalUpdate).
+  /// IncrementalUpdate). Each gradient step is one tape-free unroll: the
+  /// sampling roll's kernels forward, a hand-written reverse pass backward,
+  /// in buffers sized once per call (DESIGN.md §10). `dataset` must not be
+  /// empty and `config` must pass nn::ValidateTrainConfig.
   nn::TrainSummary RunTraining(const ts::WindowDataset& dataset,
                                double step_minutes,
                                const nn::TrainConfig& config);
@@ -156,6 +160,10 @@ class DeepArForecaster final : public Forecaster {
   std::shared_ptr<const nn::QuantizedCheckpoint> qckpt_;
   /// IncrementalUpdate calls so far; salts each fine-tune's sampling seed.
   uint64_t update_count_ = 0;
+
+  /// Drives RunTraining against its tape reference in
+  /// tests/deepar_train_test.cc.
+  friend class DeepArTrainingPeer;
 };
 
 }  // namespace rpas::forecast

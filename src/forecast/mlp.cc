@@ -95,16 +95,23 @@ Status MlpForecaster::Save(const std::string& path) const {
 }
 
 Status MlpForecaster::Load(const std::string& path) {
-  BuildModel();
+  // Parse into fresh layers and commit them and the scaler only on success,
+  // so a failed load leaves the served model untouched.
+  MlpForecaster staged(options_);
+  staged.BuildModel();
   autodiff::Parameter scaler_tensor(Matrix(1, 2));
-  std::vector<autodiff::Parameter*> params = AllParams();
+  std::vector<autodiff::Parameter*> params = staged.AllParams();
   params.push_back(&scaler_tensor);
   RPAS_RETURN_IF_ERROR(nn::LoadParameters(path, Signature(), params));
   if (scaler_tensor.value(0, 1) <= 0.0) {
     return Status::InvalidArgument("checkpoint holds a non-positive scale");
   }
+  fc1_ = std::move(staged.fc1_);
+  fc2_ = std::move(staged.fc2_);
+  head_ = std::move(staged.head_);
   scaler_ = ts::AffineScaler(scaler_tensor.value(0, 0),
                              scaler_tensor.value(0, 1));
+  qckpt_.reset();
   fitted_ = true;
   return Status::OK();
 }
@@ -197,6 +204,7 @@ nn::TrainSummary MlpForecaster::RunTraining(const ts::WindowDataset& dataset,
 }
 
 Status MlpForecaster::Fit(const ts::TimeSeries& train) {
+  RPAS_RETURN_IF_ERROR(nn::ValidateTrainConfig(options_.train));
   const size_t t_len = options_.context_length;
   const size_t h = options_.horizon;
   ts::WindowDataset dataset(train, t_len, h, /*stride=*/1);
@@ -225,6 +233,12 @@ Result<Forecaster::IncrementalUpdateReport> MlpForecaster::IncrementalUpdate(
   if (new_points > history.size()) {
     return Status::InvalidArgument("MLP: new_points exceeds history length");
   }
+  nn::TrainConfig config = options_.train;
+  config.steps = options_.fine_tune_steps;
+  if (options_.fine_tune_lr > 0.0) {
+    config.lr = options_.fine_tune_lr;
+  }
+  RPAS_RETURN_IF_ERROR(nn::ValidateTrainConfig(config));
   IncrementalUpdateReport report;
   report.points = new_points;
   if (new_points == 0) {
@@ -244,11 +258,6 @@ Result<Forecaster::IncrementalUpdateReport> MlpForecaster::IncrementalUpdate(
                             /*index_offset=*/start);
   if (dataset.empty()) {
     return report;  // not enough history for a single window yet
-  }
-  nn::TrainConfig config = options_.train;
-  config.steps = options_.fine_tune_steps;
-  if (options_.fine_tune_lr > 0.0) {
-    config.lr = options_.fine_tune_lr;
   }
   // Distinct, deterministic minibatch stream per update.
   config.seed = DeriveSeed(options_.seed, 0x57EA + update_count_);

@@ -50,7 +50,8 @@ class MlpForecaster final : public Forecaster {
   /// suffix of `history` whose windows touch the newest `new_points`
   /// observations — O(new_points) work, weights continue from their current
   /// values and the fitted scaler stays frozen. Models restored from
-  /// quantized checkpoints are frozen and return FailedPrecondition.
+  /// quantized checkpoints are frozen and return FailedPrecondition; a zero
+  /// fine-tune budget is InvalidArgument.
   Result<IncrementalUpdateReport> IncrementalUpdate(
       const ts::TimeSeries& history, size_t new_points) override;
   bool SupportsIncrementalUpdate() const override { return true; }
@@ -96,7 +97,8 @@ class MlpForecaster final : public Forecaster {
 
   /// Persists the trained weights and the fitted scaler (text checkpoint).
   Status Save(const std::string& path) const;
-  /// Restores a model saved by an identically configured instance.
+  /// Restores a model saved by an identically configured instance. A
+  /// failed load leaves the model as it was.
   Status Load(const std::string& path);
 
  private:

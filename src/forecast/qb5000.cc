@@ -35,6 +35,7 @@ std::vector<double> Qb5000Forecaster::LinearFeatures(
 }
 
 Status Qb5000Forecaster::Fit(const ts::TimeSeries& train) {
+  RPAS_RETURN_IF_ERROR(nn::ValidateTrainConfig(options_.train));
   const size_t t_len = options_.context_length;
   const size_t h = options_.horizon;
   ts::WindowDataset dataset(train, t_len, h, /*stride=*/1);

@@ -192,6 +192,7 @@ Status TftForecaster::Load(const std::string& path) {
 }
 
 Status TftForecaster::Fit(const ts::TimeSeries& train) {
+  RPAS_RETURN_IF_ERROR(nn::ValidateTrainConfig(options_.train));
   const size_t t_len = options_.context_length;
   const size_t h = options_.horizon;
   ts::WindowDataset dataset(train, t_len, h, /*stride=*/1);

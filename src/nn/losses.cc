@@ -10,19 +10,24 @@ Var MseLoss(Tape* tape, Var pred, Var target) {
   return tape->Mean(tape->Square(tape->Sub(pred, target)));
 }
 
+double GaussianNllConstant() { return 0.5 * std::log(2.0 * M_PI); }
+
+double StudentTNllConstant(double dof) {
+  RPAS_CHECK(dof > 0.0) << "StudentT dof must be positive";
+  return -std::lgamma((dof + 1.0) / 2.0) + std::lgamma(dof / 2.0) +
+         0.5 * std::log(dof * M_PI);
+}
+
 Var GaussianNllLoss(Tape* tape, Var mu, Var sigma, Var target) {
   // 0.5*log(2*pi) + log(sigma) + (y-mu)^2 / (2*sigma^2)
   Var z = tape->Div(tape->Sub(target, mu), sigma);
   Var nll = tape->Add(tape->Log(sigma), tape->Scale(tape->Square(z), 0.5));
-  nll = tape->AddScalar(nll, 0.5 * std::log(2.0 * M_PI));
+  nll = tape->AddScalar(nll, GaussianNllConstant());
   return tape->Mean(nll);
 }
 
 Var StudentTNllLoss(Tape* tape, Var mu, Var sigma, Var target, double dof) {
-  RPAS_CHECK(dof > 0.0) << "StudentT dof must be positive";
-  const double constant = -std::lgamma((dof + 1.0) / 2.0) +
-                          std::lgamma(dof / 2.0) +
-                          0.5 * std::log(dof * M_PI);
+  const double constant = StudentTNllConstant(dof);
   Var z = tape->Div(tape->Sub(target, mu), sigma);
   // log(1 + z^2/dof)
   Var log_term =

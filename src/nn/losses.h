@@ -27,6 +27,12 @@ Var GaussianNllLoss(Tape* tape, Var mu, Var sigma, Var target);
 ///   + (dof+1)/2 * log(1 + z^2/dof), z = (target-mu)/sigma.
 Var StudentTNllLoss(Tape* tape, Var mu, Var sigma, Var target, double dof);
 
+/// The additive constants of the two NLLs above: 0.5 * log(2 pi), and
+/// -lgamma((dof+1)/2) + lgamma(dof/2) + 0.5 * log(dof pi). Shared with
+/// DeepAR's fused training unroll, which must add the same bits.
+double GaussianNllConstant();
+double StudentTNllConstant(double dof);
+
 /// Joint pinball loss over a pre-specified quantile grid (paper Eq. 1-2).
 /// `pred` is N x Q (one column per level in `taus`); `target` is N x 1.
 /// Returns the loss summed over quantiles, averaged over rows.

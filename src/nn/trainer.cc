@@ -7,10 +7,20 @@
 
 namespace rpas::nn {
 
-TrainSummary TrainLoop(
-    const TrainConfig& config, const std::vector<Parameter*>& params,
-    const std::function<autodiff::Var(autodiff::Tape*, Rng*)>& loss_fn) {
-  RPAS_CHECK(config.steps > 0);
+Status ValidateTrainConfig(const TrainConfig& config) {
+  if (config.steps <= 0) {
+    return Status::InvalidArgument("training needs at least one step");
+  }
+  if (!(config.clip_norm > 0.0)) {
+    return Status::InvalidArgument("gradient clip norm must be positive");
+  }
+  return Status::OK();
+}
+
+TrainSummary TrainLoop(const TrainConfig& config,
+                       const std::vector<Parameter*>& params,
+                       const StepFn& step_fn) {
+  RPAS_CHECK(ValidateTrainConfig(config).ok());
   Rng rng(config.seed);
   Adam optimizer(Adam::Options{.lr = config.lr});
 
@@ -27,19 +37,16 @@ TrainSummary TrainLoop(
   summary.best_loss = std::numeric_limits<double>::infinity();
   if (config.record_loss) {
     summary.loss_history.reserve(static_cast<size_t>(config.steps));
+    summary.grad_norm_history.reserve(static_cast<size_t>(config.steps));
   }
   for (Parameter* p : params) {
     p->ZeroGrad();
   }
 
-  // One tape for the whole run: Reset() rewinds node slots and the matrix
-  // arena, so steady-state steps reuse the first step's heap blocks.
-  autodiff::Tape tape;
   for (int step = 0; step < config.steps; ++step) {
-    tape.Reset();
-    autodiff::Var loss = loss_fn(&tape, &rng);
-    const double loss_value = loss.value()(0, 0);
-    tape.Backward(loss);
+    // Adam::Step zeroes every gradient after it applies it, so each step
+    // starts from zeroed grads.
+    const double loss_value = step_fn(&rng);
     const double grad_norm = ClipGradNorm(params, config.clip_norm);
     optimizer.Step(params);
 
@@ -53,11 +60,8 @@ TrainSummary TrainLoop(
     ++summary.steps_run;
     if (config.record_loss) {
       summary.loss_history.push_back(loss_value);
+      summary.grad_norm_history.push_back(grad_norm);
     }
-    if (step == 0) {
-      summary.arena_allocs_after_warmup = tape.ArenaStats().heap_allocs;
-    }
-    summary.arena_allocs_final = tape.ArenaStats().heap_allocs;
 
     steps_counter->Increment();
     loss_hist->Observe(loss_value);
@@ -75,6 +79,30 @@ TrainSummary TrainLoop(
                       << " clipped=" << summary.clip_events;
     }
   }
+  return summary;
+}
+
+TrainSummary TrainLoop(
+    const TrainConfig& config, const std::vector<Parameter*>& params,
+    const std::function<autodiff::Var(autodiff::Tape*, Rng*)>& loss_fn) {
+  // One tape for the whole run: Reset() rewinds node slots and the matrix
+  // arena, so steady-state steps reuse the first step's heap blocks.
+  autodiff::Tape tape;
+  bool warmup = true;
+  size_t allocs_after_warmup = 0;
+  TrainSummary summary = TrainLoop(config, params, [&](Rng* rng) {
+    tape.Reset();
+    autodiff::Var loss = loss_fn(&tape, rng);
+    const double loss_value = loss.value()(0, 0);
+    tape.Backward(loss);
+    if (warmup) {
+      allocs_after_warmup = tape.ArenaStats().heap_allocs;
+      warmup = false;
+    }
+    return loss_value;
+  });
+  summary.arena_allocs_after_warmup = allocs_after_warmup;
+  summary.arena_allocs_final = tape.ArenaStats().heap_allocs;
   return summary;
 }
 

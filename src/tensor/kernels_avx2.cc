@@ -344,12 +344,49 @@ RPAS_AVX2_FN void GemmTN(size_t m, size_t n, size_t k, const double* a,
 RPAS_AVX2_FN void GemmNT(size_t m, size_t n, size_t k, const double* a,
                          size_t lda, const double* b, size_t ldb, double* c,
                          size_t ldc) {
-  // c[i][j] += dot(a_row_i, b_row_j): both operands contiguous over k. The
-  // reduction order depends only on k, so results are row-count independent.
+  // c[i][j] += dot(a_row_i, b_row_j): both operands contiguous over k. Each
+  // element reduces with one 4-lane FMA accumulator over the full k-chunks,
+  // the fixed HSum, then a scalar fma tail. That order depends only on k, so
+  // results are row-count independent. Four output columns share each A
+  // load but keep independent accumulators, so their FMA chains overlap
+  // while every element's sequence stays the single-column one.
   for (size_t i = 0; i < m; ++i) {
     const double* a_row = a + i * lda;
     double* c_row = c + i * ldc;
-    for (size_t j = 0; j < n; ++j) {
+    size_t j = 0;
+    for (; j + 4 <= n; j += 4) {
+      const double* b0 = b + j * ldb;
+      const double* b1 = b0 + ldb;
+      const double* b2 = b1 + ldb;
+      const double* b3 = b2 + ldb;
+      __m256d acc0 = _mm256_setzero_pd();
+      __m256d acc1 = _mm256_setzero_pd();
+      __m256d acc2 = _mm256_setzero_pd();
+      __m256d acc3 = _mm256_setzero_pd();
+      size_t p = 0;
+      for (; p + 4 <= k; p += 4) {
+        const __m256d av = _mm256_loadu_pd(a_row + p);
+        acc0 = _mm256_fmadd_pd(av, _mm256_loadu_pd(b0 + p), acc0);
+        acc1 = _mm256_fmadd_pd(av, _mm256_loadu_pd(b1 + p), acc1);
+        acc2 = _mm256_fmadd_pd(av, _mm256_loadu_pd(b2 + p), acc2);
+        acc3 = _mm256_fmadd_pd(av, _mm256_loadu_pd(b3 + p), acc3);
+      }
+      double s0 = HSum(acc0);
+      double s1 = HSum(acc1);
+      double s2 = HSum(acc2);
+      double s3 = HSum(acc3);
+      for (; p < k; ++p) {
+        s0 = std::fma(a_row[p], b0[p], s0);
+        s1 = std::fma(a_row[p], b1[p], s1);
+        s2 = std::fma(a_row[p], b2[p], s2);
+        s3 = std::fma(a_row[p], b3[p], s3);
+      }
+      c_row[j] += s0;
+      c_row[j + 1] += s1;
+      c_row[j + 2] += s2;
+      c_row[j + 3] += s3;
+    }
+    for (; j < n; ++j) {
       const double* b_row = b + j * ldb;
       __m256d acc = _mm256_setzero_pd();
       size_t p = 0;

@@ -53,10 +53,18 @@ tensor::Matrix WindowDataset::TargetMatrix() const {
 
 std::vector<size_t> WindowDataset::SampleIndices(size_t count,
                                                  Rng* rng) const {
-  std::vector<size_t> indices(windows_.size());
+  std::vector<size_t> indices;
+  SampleIndices(count, rng, &indices);
+  return indices;
+}
+
+void WindowDataset::SampleIndices(size_t count, Rng* rng,
+                                  std::vector<size_t>* out) const {
+  std::vector<size_t>& indices = *out;
+  indices.resize(windows_.size());
   std::iota(indices.begin(), indices.end(), size_t{0});
   if (count >= indices.size()) {
-    return indices;
+    return;
   }
   // Partial Fisher–Yates.
   for (size_t i = 0; i < count; ++i) {
@@ -64,7 +72,6 @@ std::vector<size_t> WindowDataset::SampleIndices(size_t count,
     std::swap(indices[i], indices[j]);
   }
   indices.resize(count);
-  return indices;
 }
 
 void WindowDataset::Batch(const std::vector<size_t>& indices,

@@ -44,6 +44,9 @@ class WindowDataset {
   /// Selects `count` window indices uniformly without replacement
   /// (or all of them when count >= size()).
   std::vector<size_t> SampleIndices(size_t count, Rng* rng) const;
+  /// The same draw into `out`, reusing its capacity: a caller that keeps
+  /// `out` across calls samples without allocating.
+  void SampleIndices(size_t count, Rng* rng, std::vector<size_t>* out) const;
 
   /// Builds batch matrices (contexts: B x T, targets: B x H) for the given
   /// window indices.

@@ -6,7 +6,10 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <memory>
+#include <sstream>
+#include <string>
 
 #include "common/rng.h"
 #include "core/multi_resource.h"
@@ -17,6 +20,7 @@
 #include "forecast/seasonal_naive.h"
 #include "forecast/tft.h"
 #include "nn/checkpoint.h"
+#include "nn/qcheckpoint.h"
 #include "obs/metrics.h"
 #include "trace/generator.h"
 #include "ts/metrics.h"
@@ -308,6 +312,121 @@ TEST_F(CheckpointTest, DeepArSaveLoadGivesBitIdenticalForecast) {
   }
   EXPECT_EQ(off.GetCounter("nn.train.steps")->value(), 0);
   EXPECT_EQ(off.GetHistogram("nn.train.loss")->count(), 0u);
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+void WriteFile(const std::string& path, const std::string& text) {
+  std::ofstream(path) << text;
+}
+/// Text checkpoint `text` with tensor `index`'s column count off by one;
+/// the signature still matches.
+std::string WrongShape(const std::string& text, size_t index) {
+  std::istringstream in(text);
+  std::string out, line;
+  // Magic, signature, count, then a shape line and a data line per tensor.
+  for (size_t n = 0; std::getline(in, line); ++n) {
+    if (n == 3 + 2 * index) {
+      size_t rows = 0, cols = 0;
+      std::istringstream(line) >> rows >> cols;
+      line = std::to_string(rows) + " " + std::to_string(cols + 1);
+    }
+    out += line + "\n";
+  }
+  return out;
+}
+
+/// A failed text load must leave `model` serving exactly what it served
+/// before: a truncated checkpoint and a shape-mismatched one each fail, and
+/// PredictSeeded stays bit-identical.
+void ExpectFailedLoadsKeepForecast(forecast::Forecaster* model,
+                                   const std::string& ckpt,
+                                   const std::string& bad_path,
+                                   size_t wrong_tensor,
+                                   const ts::TimeSeries& s) {
+  forecast::ForecastInput input;
+  input.start_index = s.size() - model->ContextLength();
+  input.step_minutes = s.step_minutes;
+  input.context.assign(s.values.end() -
+                           static_cast<long>(model->ContextLength()),
+                       s.values.end());
+  auto before = model->PredictSeeded(input, 7);
+  ASSERT_TRUE(before.ok());
+  const std::string text = ReadFile(ckpt);
+  for (const std::string& bad :
+       {text.substr(0, text.size() / 2), WrongShape(text, wrong_tensor)}) {
+    WriteFile(bad_path, bad);
+    EXPECT_EQ(model->LoadCheckpoint(bad_path).code(),
+              StatusCode::kInvalidArgument);
+    auto after = model->PredictSeeded(input, 7);
+    ASSERT_TRUE(after.ok()) << after.status().ToString();
+    for (size_t h = 0; h < before->Horizon(); ++h) {
+      for (size_t q = 0; q < before->Levels().size(); ++q) {
+        ASSERT_EQ(before->ValueAtIndex(h, q), after->ValueAtIndex(h, q))
+            << model->Name() << " step " << h << " level " << q;
+      }
+    }
+  }
+  std::filesystem::remove(bad_path);
+}
+
+/// A model served from rpasq is frozen; a successful text load makes it a
+/// trainable fp64 model again.
+void ExpectTextLoadUnfreezes(forecast::Forecaster* model,
+                             const std::string& ckpt,
+                             const std::string& rpasq,
+                             const ts::TimeSeries& history) {
+  ASSERT_TRUE(
+      nn::QuantizeCheckpointFile(ckpt, rpasq, tensor::DType::kQ8).ok());
+  auto mapped = nn::QuantizedCheckpoint::Map(rpasq);
+  ASSERT_TRUE(mapped.ok());
+  ASSERT_TRUE(model->LoadQuantizedCheckpoint(*mapped).ok());
+  EXPECT_EQ(model->IncrementalUpdate(history, 3).status().code(),
+            StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(model->LoadCheckpoint(ckpt).ok());
+  auto report = model->IncrementalUpdate(history, 3);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_GT(report->gradient_steps, 0);
+  std::filesystem::remove(rpasq);
+}
+
+TEST_F(CheckpointTest, DeepArFailedLoadKeepsServingItsWeights) {
+  const ts::TimeSeries s = SineSeries(3 * kDay, 0.3, 21);
+  forecast::DeepArForecaster::Options options;
+  options.context_length = 36;
+  options.horizon = 12;
+  options.hidden_dim = 8;
+  options.batch_size = 4;
+  options.num_samples = 25;
+  options.train.steps = 20;
+  options.fine_tune_steps = 2;
+  forecast::DeepArForecaster model(options);
+  ASSERT_TRUE(model.Fit(s.Slice(0, s.size() - 3)).ok());
+  ASSERT_TRUE(model.Save(path()).ok());
+  // Tensor 3 is the mu head's weight: the old load left it and every later
+  // tensor freshly initialized.
+  ExpectFailedLoadsKeepForecast(&model, path(), path() + ".bad", 3, s);
+  ExpectTextLoadUnfreezes(&model, path(), path() + ".rpasq", s);
+}
+
+TEST_F(CheckpointTest, MlpFailedLoadKeepsServingItsWeightsAndScaler) {
+  const ts::TimeSeries s = SineSeries(3 * kDay, 0.3, 22);
+  forecast::MlpForecaster::Options options;
+  options.context_length = 36;
+  options.horizon = 12;
+  options.hidden_dim = 16;
+  options.train.steps = 20;
+  options.fine_tune_steps = 2;
+  forecast::MlpForecaster model(options);
+  ASSERT_TRUE(model.Fit(s.Slice(0, s.size() - 3)).ok());
+  ASSERT_TRUE(model.Save(path()).ok());
+  // Tensor 2 is the second layer's weight.
+  ExpectFailedLoadsKeepForecast(&model, path(), path() + ".bad", 2, s);
+  ExpectTextLoadUnfreezes(&model, path(), path() + ".rpasq", s);
 }
 
 TEST_F(CheckpointTest, SaveUnfittedModelFails) {

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <memory>
+#include <vector>
 
 #include "common/rng.h"
 #include "forecast/arima.h"
@@ -584,6 +585,82 @@ TEST_F(Qb5000Fixture, KernelComponentInterpolatesTrainingData) {
   ASSERT_TRUE(kernel.ok());
   for (size_t h = 0; h < 3; ++h) {
     EXPECT_NEAR((*kernel)[h], train_.values[kDay + kContext + h], 2.5);
+  }
+}
+
+// ------------------------------------------------------- Train budgets ---
+
+TEST(TrainBudgetTest, ZeroStepFitIsInvalidArgumentForEveryTrainedModel) {
+  // TrainLoop cannot run zero steps; every model rejects the budget before
+  // it builds a layer, instead of aborting the process.
+  const ts::TimeSeries s = SineSeries(2 * kDay, 0.3, 5);
+  const ForecastInput input = InputFromTail(s, 24);
+  DeepArForecaster::Options deepar;
+  deepar.context_length = 24;
+  deepar.horizon = 6;
+  deepar.hidden_dim = 8;
+  deepar.train.steps = 0;
+  MlpForecaster::Options mlp;
+  mlp.context_length = 24;
+  mlp.horizon = 6;
+  mlp.train.steps = 0;
+  TftForecaster::Options tft;
+  tft.context_length = 24;
+  tft.horizon = 6;
+  tft.d_model = 8;
+  tft.train.steps = 0;
+  Qb5000Forecaster::Options qb;
+  qb.context_length = 24;
+  qb.horizon = 6;
+  qb.lstm_hidden = 8;
+  qb.train.steps = 0;
+  std::vector<std::unique_ptr<Forecaster>> models;
+  models.push_back(std::make_unique<DeepArForecaster>(deepar));
+  models.push_back(std::make_unique<MlpForecaster>(mlp));
+  models.push_back(std::make_unique<TftForecaster>(tft));
+  models.push_back(std::make_unique<Qb5000Forecaster>(qb));
+  for (const auto& model : models) {
+    EXPECT_EQ(model->Fit(s).code(), StatusCode::kInvalidArgument)
+        << model->Name();
+    EXPECT_EQ(model->Predict(input).status().code(),
+              StatusCode::kFailedPrecondition)
+        << model->Name() << " must stay unfitted";
+  }
+}
+
+TEST(TrainBudgetTest, ZeroStepFineTuneIsInvalidArgumentAndKeepsWeights) {
+  const ts::TimeSeries s = SineSeries(2 * kDay, 0.3, 6);
+  const ForecastInput input = InputFromTail(s, 24);
+  DeepArForecaster::Options deepar;
+  deepar.context_length = 24;
+  deepar.horizon = 6;
+  deepar.hidden_dim = 8;
+  deepar.num_samples = 20;
+  deepar.train.steps = 5;
+  deepar.fine_tune_steps = 0;
+  MlpForecaster::Options mlp;
+  mlp.context_length = 24;
+  mlp.horizon = 6;
+  mlp.train.steps = 5;
+  mlp.fine_tune_steps = 0;
+  std::vector<std::unique_ptr<Forecaster>> models;
+  models.push_back(std::make_unique<DeepArForecaster>(deepar));
+  models.push_back(std::make_unique<MlpForecaster>(mlp));
+  for (const auto& model : models) {
+    ASSERT_TRUE(model->Fit(s.Slice(0, s.size() - 10)).ok()) << model->Name();
+    auto before = model->PredictSeeded(input, 3);
+    ASSERT_TRUE(before.ok());
+    EXPECT_EQ(model->IncrementalUpdate(s, 10).status().code(),
+              StatusCode::kInvalidArgument)
+        << model->Name();
+    auto after = model->PredictSeeded(input, 3);
+    ASSERT_TRUE(after.ok());
+    for (size_t h = 0; h < before->Horizon(); ++h) {
+      for (size_t q = 0; q < before->Levels().size(); ++q) {
+        EXPECT_EQ(before->ValueAtIndex(h, q), after->ValueAtIndex(h, q))
+            << model->Name();
+      }
+    }
   }
 }
 

@@ -18,6 +18,10 @@
 #include "tensor/ops.h"
 #include "tensor/quant.h"
 
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <immintrin.h>
+#endif
+
 namespace rpas::tensor::kernels {
 namespace {
 
@@ -1097,6 +1101,103 @@ TEST(ParallelKernelTest, TransposedGemmsBitIdenticalAcrossThreadCounts) {
         ASSERT_EQ(nt_ref[i], nt[i])
             << LevelName(level) << " GemmNT diverged at " << i << " with "
             << threads << " threads";
+      }
+    }
+  }
+}
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+/// The AVX2 GemmNT before it went four columns per pass, kept as the
+/// reference: one output element at a time, one 4-lane FMA accumulator over
+/// the full k-chunks, the fixed (v0 + v2) + (v1 + v3) reduction, then a
+/// scalar fma tail.
+__attribute__((target("avx2,fma"))) void GemmNTOneColumnAvx2(
+    size_t m, size_t n, size_t k, const double* a, size_t lda,
+    const double* b, size_t ldb, double* c, size_t ldc) {
+  for (size_t i = 0; i < m; ++i) {
+    const double* a_row = a + i * lda;
+    for (size_t j = 0; j < n; ++j) {
+      const double* b_row = b + j * ldb;
+      __m256d acc = _mm256_setzero_pd();
+      size_t p = 0;
+      for (; p + 4 <= k; p += 4) {
+        acc = _mm256_fmadd_pd(_mm256_loadu_pd(a_row + p),
+                              _mm256_loadu_pd(b_row + p), acc);
+      }
+      const __m128d half = _mm_add_pd(_mm256_castpd256_pd128(acc),
+                                      _mm256_extractf128_pd(acc, 1));
+      double s = _mm_cvtsd_f64(_mm_add_sd(half, _mm_unpackhi_pd(half, half)));
+      for (; p < k; ++p) {
+        s = std::fma(a_row[p], b_row[p], s);
+      }
+      c[i * ldc + j] += s;
+    }
+  }
+}
+#endif
+
+/// GemmNT's scalar level: one dot product per element, ascending p.
+void GemmNTOneColumnScalar(size_t m, size_t n, size_t k, const double* a,
+                           size_t lda, const double* b, size_t ldb, double* c,
+                           size_t ldc) {
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      double s = c[i * ldc + j];
+      for (size_t p = 0; p < k; ++p) {
+        s += a[i * lda + p] * b[j * ldb + p];
+      }
+      c[i * ldc + j] = s;
+    }
+  }
+}
+
+TEST(ParallelKernelTest, GemmNTBitIdenticalToOneColumnReference) {
+  // GemmNT computes four output columns per pass; each element must still
+  // follow the single-column sequence bit for bit. Random small shapes
+  // cover every n % 4 and k % 4 tail, plus rows wide enough to clear the
+  // parallel threshold; operands are strided and C accumulates.
+  ThreadOverrideGuard guard;
+  Rng rng(0x47E3);
+  struct Shape {
+    size_t m, n, k;
+  };
+  std::vector<Shape> shapes;
+  for (int i = 0; i < 200; ++i) {
+    shapes.push_back({1 + rng.UniformInt(9), 1 + rng.UniformInt(37),
+                      1 + rng.UniformInt(130)});
+  }
+  shapes.push_back({64, 37, 130});
+  shapes.push_back({96, 33, 129});
+  for (const Shape& s : shapes) {
+    const size_t lda = s.k + 3, ldb = s.k + 5, ldc = s.n + 2;
+    std::vector<double> a(s.m * lda), b(s.n * ldb), c0(s.m * ldc);
+    for (double& v : a) v = rng.Uniform(-2.0, 2.0);
+    for (double& v : b) v = rng.Uniform(-2.0, 2.0);
+    for (double& v : c0) v = rng.Uniform(-2.0, 2.0);
+    for (SimdLevel level : SupportedLevels()) {
+      std::vector<double> want = c0;
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+      if (level == SimdLevel::kAvx2) {
+        GemmNTOneColumnAvx2(s.m, s.n, s.k, a.data(), lda, b.data(), ldb,
+                            want.data(), ldc);
+      } else {
+        GemmNTOneColumnScalar(s.m, s.n, s.k, a.data(), lda, b.data(), ldb,
+                              want.data(), ldc);
+      }
+#else
+      GemmNTOneColumnScalar(s.m, s.n, s.k, a.data(), lda, b.data(), ldb,
+                            want.data(), ldc);
+#endif
+      for (int threads : {1, 4}) {
+        SetRpasThreads(threads);
+        std::vector<double> got = c0;
+        GemmNT(level, s.m, s.n, s.k, a.data(), lda, b.data(), ldb, got.data(),
+               ldc);
+        for (size_t i = 0; i < got.size(); ++i) {
+          ASSERT_EQ(want[i], got[i])
+              << LevelName(level) << " " << s.m << "x" << s.n << "x" << s.k
+              << " at " << i << " with " << threads << " threads";
+        }
       }
     }
   }

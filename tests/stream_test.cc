@@ -17,6 +17,7 @@
 #include "core/online_loop.h"
 #include "core/strategies.h"
 #include "forecast/arima.h"
+#include "forecast/deepar.h"
 #include "forecast/holt_winters.h"
 #include "forecast/mlp.h"
 #include "forecast/seasonal_naive.h"
@@ -755,6 +756,47 @@ TEST_F(StreamingLoopFixture, IncrementalModeNeedsRefreshTarget) {
   auto result = core::RunOnlineLoop(*manager_, series_, 6 * kDay, kDay,
                                     options);
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(StreamingLoopBudgetTest, ZeroFineTuneBudgetIsReturnedNotAborted) {
+  // A refresh model whose fine-tune budget is zero fails its first
+  // incremental refresh with InvalidArgument, and the loop returns it.
+  const ts::TimeSeries series = SineSeries(4 * kDay, 0.3, 51);
+  forecast::DeepArForecaster::Options deepar;
+  deepar.context_length = 24;
+  deepar.horizon = 12;
+  deepar.hidden_dim = 8;
+  deepar.num_samples = 20;
+  deepar.train.steps = 5;
+  deepar.fine_tune_steps = 0;
+  forecast::MlpForecaster::Options mlp;
+  mlp.context_length = 24;
+  mlp.horizon = 12;
+  mlp.train.steps = 5;
+  mlp.fine_tune_steps = 0;
+  std::vector<std::unique_ptr<forecast::Forecaster>> models;
+  models.push_back(std::make_unique<forecast::DeepArForecaster>(deepar));
+  models.push_back(std::make_unique<forecast::MlpForecaster>(mlp));
+  for (const auto& model : models) {
+    ASSERT_TRUE(model->Fit(series.Slice(0, 3 * kDay)).ok());
+    core::ScalingConfig config;
+    config.theta = 2.0;
+    config.min_nodes = 1;
+    core::RobustAutoScalingManager manager(
+        model.get(), std::make_unique<core::RobustQuantileAllocator>(0.9),
+        config);
+    core::OnlineLoopOptions options;
+    options.replan_every = 6;
+    options.cluster.node_capacity = config.theta;
+    options.cluster.initial_nodes = 5;
+    options.streaming.refresh_mode = core::RefreshMode::kIncremental;
+    options.streaming.refresh_target = model.get();
+    options.streaming.refresher.drift_threshold = 1e9;
+    auto result =
+        core::RunOnlineLoop(manager, series, 3 * kDay, kDay / 2, options);
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+        << model->Name() << ": " << result.status().ToString();
+  }
 }
 
 TEST_F(StreamingLoopFixture, IngestStallQueuesAndBurstFlushes) {
