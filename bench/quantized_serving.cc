@@ -1,12 +1,12 @@
 // Quantized checkpoint serving: storage dtype x tenant-count grid.
 //
 // Each cell registers one model version per tenant (alternating MLP /
-// DeepAR architectures) backed by checkpoints in one storage format —
-// the fp64 text format, or rpasq.v1 at f64 / f32 / f16 / q8 — and
-// reports, per warm tenant: resident cache bytes (split into mmap-backed
-// and heap), cold-start milliseconds (registry Acquire of a cold
-// version: parse-or-map + validate), and the wQL delta against the fp64
-// text baseline on a held-out window set with fixed sampling seeds.
+// DeepAR architectures) backed by rpasq.v1 checkpoints at one storage
+// dtype — f64 / f32 / f16 / q8 — and reports, per warm tenant: resident
+// cache bytes (split into mmap-backed and heap), cold-start milliseconds
+// (registry Acquire of a cold version: map + validate), and the wQL delta
+// against the exact f64 row on a held-out window set with fixed sampling
+// seeds.
 //
 // Asserted invariants (exit 1 on violation):
 //   - batched PredictBatch is bit-identical to unbatched PredictSeeded
@@ -14,8 +14,7 @@
 //     determinism contract);
 //   - q8 AND q8-int8 (the opt-in true-int8 GEMM core) wQL deltas <= 0.5%
 //     and f16 wQL delta <= 0.05% vs fp64;
-//   - q8 warm-cache bytes/tenant is >= 4x smaller than the fp64 text
-//     baseline.
+//   - q8 warm-cache bytes/tenant is >= 4x smaller than the f64 row.
 //
 // --json=PATH writes a machine-readable summary for the CI smoke step.
 
@@ -121,8 +120,7 @@ double EvalWql(const forecast::Forecaster& model, const EvalSet& eval,
 }
 
 struct DtypeSpec {
-  std::string label;    ///< row label ("text-f64", "q8", ...)
-  bool text = false;    ///< serve the fp64 text checkpoint directly
+  std::string label;  ///< row label ("f64", "q8", ...)
   tensor::DType dtype = tensor::DType::kF64;  ///< rpasq storage dtype
   bool int8_gemm = false;  ///< serve q8 through the true-int8 GEMM core
 };
@@ -135,15 +133,15 @@ struct RowResult {
   size_t heap_bytes = 0;
   double cold_ms = 0.0;  ///< mean Acquire() ms for a cold version
   double wql = 0.0;
-  double wql_delta_pct = 0.0;  ///< vs the text-f64 baseline
+  double wql_delta_pct = 0.0;  ///< vs the f64 row
 };
 
 /// Registers `tenants` versions (alternating MLP/DeepAR) backed by
-/// per-version checkpoint files in the row's format, acquires them all on
-/// a cold registry, and measures byte/latency/accuracy columns.
+/// per-version checkpoint files converted to the row's dtype, acquires them
+/// all on a cold registry, and measures byte/latency/accuracy columns.
 RowResult RunRow(const BenchOptions& options, const DtypeSpec& spec,
-                 size_t tenants, const std::string& mlp_text,
-                 const std::string& deepar_text, const EvalSet& eval,
+                 size_t tenants, const std::string& mlp_ckpt,
+                 const std::string& deepar_ckpt, const EvalSet& eval,
                  bool* identical) {
   // The q8-int8 row is the q8 row served through the opt-in true-int8
   // GEMM core (tensor/kernels.h): same checkpoints, same bytes, different
@@ -157,14 +155,12 @@ RowResult RunRow(const BenchOptions& options, const DtypeSpec& spec,
   std::vector<serve::ModelId> models;
   for (size_t v = 0; v < tenants; ++v) {
     const bool is_mlp = v % 2 == 0;
-    const std::string& text_path = is_mlp ? mlp_text : deepar_text;
-    std::string path = text_path;
-    if (!spec.text) {
-      path = StrFormat("/tmp/rpas_qserve_%s_%s_v%zu.rpasq",
-                       spec.label.c_str(), is_mlp ? "mlp" : "deepar", v);
-      RPAS_CHECK(
-          nn::QuantizeCheckpointFile(text_path, path, spec.dtype).ok());
-    }
+    std::string path = StrFormat("/tmp/rpas_qserve_%s_%s_v%zu.rpasq",
+                                 spec.label.c_str(), is_mlp ? "mlp" : "deepar",
+                                 v);
+    RPAS_CHECK(nn::QuantizeCheckpointFile(is_mlp ? mlp_ckpt : deepar_ckpt,
+                                          path, spec.dtype)
+                   .ok());
     paths.push_back(std::move(path));
     models.push_back({is_mlp ? "mlp" : "deepar", v + 1});
   }
@@ -195,8 +191,8 @@ RowResult RunRow(const BenchOptions& options, const DtypeSpec& spec,
     return registry;
   };
 
-  // Cold-start latency: every Acquire below parses (text) or maps +
-  // validates (rpasq) a cold checkpoint. Keep the fastest of a few reps.
+  // Cold-start latency: every Acquire below maps + validates a cold
+  // checkpoint. Keep the fastest of a few reps.
   constexpr int kTimingReps = 3;
   RowResult row;
   std::unique_ptr<serve::ModelRegistry> registry;
@@ -282,20 +278,20 @@ void RunQuantizedServing(const BenchOptions& options, size_t only_tenants,
   RPAS_CHECK(mlp.Fit(train).ok());
   forecast::DeepArForecaster deepar(ServeDeepArOptions(options));
   RPAS_CHECK(deepar.Fit(train).ok());
-  const std::string mlp_text = "/tmp/rpas_qserve_mlp.ckpt";
-  const std::string deepar_text = "/tmp/rpas_qserve_deepar.ckpt";
-  RPAS_CHECK(mlp.SaveCheckpoint(mlp_text).ok());
-  RPAS_CHECK(deepar.SaveCheckpoint(deepar_text).ok());
+  const std::string mlp_ckpt = "/tmp/rpas_qserve_mlp.ckpt";
+  const std::string deepar_ckpt = "/tmp/rpas_qserve_deepar.ckpt";
+  RPAS_CHECK(mlp.SaveCheckpoint(mlp_ckpt).ok());
+  RPAS_CHECK(deepar.SaveCheckpoint(deepar_ckpt).ok());
 
   const EvalSet eval = BuildEvalSet(series, eval_steps);
 
+  // The first row is the exact baseline every delta is measured against.
   const std::vector<DtypeSpec> specs{
-      {"text-f64", /*text=*/true, tensor::DType::kF64},
-      {"f64", /*text=*/false, tensor::DType::kF64},
-      {"f32", /*text=*/false, tensor::DType::kF32},
-      {"f16", /*text=*/false, tensor::DType::kF16},
-      {"q8", /*text=*/false, tensor::DType::kQ8},
-      {"q8-int8", /*text=*/false, tensor::DType::kQ8, /*int8_gemm=*/true},
+      {"f64", tensor::DType::kF64},
+      {"f32", tensor::DType::kF32},
+      {"f16", tensor::DType::kF16},
+      {"q8", tensor::DType::kQ8},
+      {"q8-int8", tensor::DType::kQ8, /*int8_gemm=*/true},
   };
 
   TablePrinter table({"dtype", "tenants", "bytes/tenant", "mapped_KiB",
@@ -304,13 +300,11 @@ void RunQuantizedServing(const BenchOptions& options, size_t only_tenants,
   bool identical = true;
   for (size_t tenants : tenant_counts) {
     double baseline_wql = 0.0;
-    double baseline_bytes = 0.0;
     for (const DtypeSpec& spec : specs) {
-      RowResult row = RunRow(options, spec, tenants, mlp_text, deepar_text,
+      RowResult row = RunRow(options, spec, tenants, mlp_ckpt, deepar_ckpt,
                              eval, &identical);
-      if (spec.text) {
+      if (&spec == &specs.front()) {
         baseline_wql = row.wql;
-        baseline_bytes = row.bytes_per_tenant;
       }
       row.wql_delta_pct =
           baseline_wql > 0.0
@@ -322,9 +316,6 @@ void RunQuantizedServing(const BenchOptions& options, size_t only_tenants,
                     Num(row.wql, 6), Num(row.wql_delta_pct)});
       rows.push_back(row);
     }
-    // Context for the compression column: the q8 row must be >= 4x
-    // smaller per tenant than the text baseline (acceptance bound).
-    (void)baseline_bytes;
   }
   table.Print("Quantized checkpoint serving (per-tenant versions, warm "
               "cache fits all)");
@@ -332,10 +323,11 @@ void RunQuantizedServing(const BenchOptions& options, size_t only_tenants,
     table.PrintCsv();
   }
 
-  // Acceptance bounds (ISSUE 7): wQL deltas and the q8 compression ratio.
+  // Acceptance bounds: wQL deltas and the q8 compression ratio, both
+  // against the f64 row of the same tenant count.
   bool bounds_ok = true;
   for (size_t base = 0; base < rows.size(); base += specs.size()) {
-    const RowResult& text = rows[base];
+    const RowResult& f64 = rows[base];
     for (size_t i = 0; i < specs.size(); ++i) {
       const RowResult& row = rows[base + i];
       if (row.label == "q8" || row.label == "q8-int8") {
@@ -349,11 +341,11 @@ void RunQuantizedServing(const BenchOptions& options, size_t only_tenants,
                        "BOUND VIOLATION: %s wQL delta %.4f%% > 0.5%%\n",
                        row.label.c_str(), row.wql_delta_pct);
         }
-        const double ratio = text.bytes_per_tenant / row.bytes_per_tenant;
+        const double ratio = f64.bytes_per_tenant / row.bytes_per_tenant;
         if (ratio < 4.0) {
           bounds_ok = false;
           std::fprintf(stderr,
-                       "BOUND VIOLATION: q8 compression %.2fx < 4x vs text\n",
+                       "BOUND VIOLATION: q8 compression %.2fx < 4x vs f64\n",
                        ratio);
         }
       }

@@ -7,8 +7,8 @@
 #include "common/parallel.h"
 #include "common/strings.h"
 #include "dist/empirical.h"
-#include "nn/checkpoint.h"
 #include "nn/losses.h"
+#include "nn/qcheckpoint.h"
 #include "tensor/kernels.h"
 #include "ts/window.h"
 
@@ -121,7 +121,7 @@ std::string DeepArForecaster::Signature() const {
                    options_.hidden_dim, static_cast<int>(options_.head));
 }
 
-Status DeepArForecaster::Save(const std::string& path) const {
+Status DeepArForecaster::SaveCheckpoint(const std::string& path) const {
   if (!fitted_) {
     return Status::FailedPrecondition(
         "DeepAR: cannot save an unfitted model");
@@ -129,18 +129,14 @@ Status DeepArForecaster::Save(const std::string& path) const {
   return nn::SaveParameters(path, Signature(), AllParams());
 }
 
-Status DeepArForecaster::Load(const std::string& path) {
-  // Parse into fresh layers and commit them only on success, so a failed
+Status DeepArForecaster::LoadCheckpoint(const std::string& path) {
+  // Restore into fresh layers and commit them only on success, so a failed
   // load leaves the served weights untouched.
   DeepArForecaster staged(options_);
   staged.BuildModel();
   RPAS_RETURN_IF_ERROR(
       nn::LoadParameters(path, Signature(), staged.AllParams()));
-  lstm_ = std::move(staged.lstm_);
-  mu_head_ = std::move(staged.mu_head_);
-  sigma_head_ = std::move(staged.sigma_head_);
-  qckpt_.reset();
-  fitted_ = true;
+  CommitStaged(&staged, nullptr);
   return Status::OK();
 }
 
@@ -149,34 +145,35 @@ Status DeepArForecaster::LoadQuantizedCheckpoint(
   if (checkpoint == nullptr) {
     return Status::InvalidArgument("DeepAR: null quantized checkpoint");
   }
-  if (checkpoint->signature() != Signature()) {
-    return Status::InvalidArgument(
-        StrFormat("DeepAR: checkpoint signature '%s' does not match '%s'",
-                  checkpoint->signature().c_str(), Signature().c_str()));
-  }
-  BuildModel();
-  // Tensor order mirrors Save()/AllParams(): lstm (w_x, w_h, b), then
-  // (weight, bias) for each head.
-  constexpr size_t kExpected = 7;
-  if (checkpoint->num_tensors() != kExpected) {
-    return Status::InvalidArgument(
-        StrFormat("DeepAR: checkpoint holds %zu tensors, expected %zu",
-                  checkpoint->num_tensors(), kExpected));
-  }
-  RPAS_RETURN_IF_ERROR(lstm_->SetQuantizedWeights(
-      checkpoint->tensor(0).view, checkpoint->tensor(1).view));
+  // Staged like LoadCheckpoint. Tensor order is AllParams(): lstm (w_x, w_h,
+  // b), then (weight, bias) for each head.
+  DeepArForecaster staged(options_);
+  staged.BuildModel();
   RPAS_RETURN_IF_ERROR(
-      nn::AssignDequantized(checkpoint->tensor(2), lstm_->Params()[2]));
+      nn::CheckLayout(*checkpoint, Signature(), staged.AllParams()));
+  RPAS_RETURN_IF_ERROR(staged.lstm_->SetQuantizedWeights(
+      checkpoint->tensor(0).view, checkpoint->tensor(1).view));
+  RPAS_RETURN_IF_ERROR(nn::AssignDequantized(checkpoint->tensor(2),
+                                             staged.lstm_->Params()[2]));
   size_t idx = 3;
-  for (nn::Dense* head : {mu_head_.get(), sigma_head_.get()}) {
+  for (nn::Dense* head : {staged.mu_head_.get(), staged.sigma_head_.get()}) {
     RPAS_RETURN_IF_ERROR(
         head->SetQuantizedWeights(checkpoint->tensor(idx++).view));
     RPAS_RETURN_IF_ERROR(
         nn::AssignDequantized(checkpoint->tensor(idx++), head->Params()[1]));
   }
+  CommitStaged(&staged, std::move(checkpoint));
+  return Status::OK();
+}
+
+void DeepArForecaster::CommitStaged(
+    DeepArForecaster* staged,
+    std::shared_ptr<const nn::QuantizedCheckpoint> checkpoint) {
+  lstm_ = std::move(staged->lstm_);
+  mu_head_ = std::move(staged->mu_head_);
+  sigma_head_ = std::move(staged->sigma_head_);
   qckpt_ = std::move(checkpoint);
   fitted_ = true;
-  return Status::OK();
 }
 
 nn::TrainSummary DeepArForecaster::RunTraining(
@@ -206,8 +203,8 @@ nn::TrainSummary DeepArForecaster::RunTraining(
   // 1/batch mean over rows.
   const double g_row = inv_batch * inv_unroll;
 
-  // Save()/AllParams() order: LSTM w_x, w_h, b, then (weight, bias) of the
-  // mu and sigma heads.
+  // AllParams() order: LSTM w_x, w_h, b, then (weight, bias) of the mu and
+  // sigma heads.
   const std::vector<autodiff::Parameter*> params = AllParams();
   autodiff::Parameter& wx = *params[0];
   autodiff::Parameter& wh = *params[1];

@@ -79,18 +79,19 @@ class DeepArForecaster final : public Forecaster {
       const std::vector<uint64_t>& seeds) const override;
   bool SupportsBatchedInference() const override { return true; }
 
-  Status SaveCheckpoint(const std::string& path) const override {
-    return Save(path);
-  }
-  Status LoadCheckpoint(const std::string& path) override {
-    return Load(path);
-  }
+  /// Persists the trained weights as an fp64 rpasq.v1 checkpoint
+  /// (nn::SaveParameters). Requires a fitted model.
+  Status SaveCheckpoint(const std::string& path) const override;
+  /// Restores weights saved by an identically configured model as owned
+  /// fp64, so the model stays trainable. A failed load leaves the model as
+  /// it was.
+  Status LoadCheckpoint(const std::string& path) override;
   bool SupportsCheckpoint() const override { return true; }
 
   /// Serves from an rpasq.v1 checkpoint: the LSTM recurrence matrices and
   /// head weights stay in the mapped file (dequant-on-the-fly GEMM), biases
   /// decode to fp64. The model keeps `checkpoint` alive and becomes
-  /// inference-only.
+  /// inference-only. A failed load leaves the model as it was.
   Status LoadQuantizedCheckpoint(
       std::shared_ptr<const nn::QuantizedCheckpoint> checkpoint) override;
   bool SupportsQuantizedCheckpoint() const override { return true; }
@@ -107,16 +108,14 @@ class DeepArForecaster final : public Forecaster {
   Result<std::vector<std::vector<double>>> SampleTrajectories(
       const ForecastInput& input, size_t num_samples) const;
 
-  /// Persists the trained weights (text checkpoint, see nn/checkpoint.h).
-  Status Save(const std::string& path) const;
-  /// Restores weights saved by an identically configured model. A failed
-  /// load leaves the model as it was.
-  Status Load(const std::string& path);
-
  private:
   void BuildModel();
   std::vector<autodiff::Parameter*> AllParams() const;
   std::string Signature() const;
+  /// Ends a successful restore: takes `staged`'s layers and `checkpoint`
+  /// (null for an owned fp64 restore).
+  void CommitStaged(DeepArForecaster* staged,
+                    std::shared_ptr<const nn::QuantizedCheckpoint> checkpoint);
 
   /// Runs the teacher-forced NLL training loop over `dataset` with the
   /// current weights as the starting point (shared by Fit and
@@ -128,8 +127,8 @@ class DeepArForecaster final : public Forecaster {
                                double step_minutes,
                                const nn::TrainConfig& config);
 
-  /// FailedPrecondition before Fit/Load, InvalidArgument on a context of
-  /// the wrong length.
+  /// FailedPrecondition before Fit or a restore, InvalidArgument on a
+  /// context of the wrong length.
   Status CheckInput(const ForecastInput& input) const;
   /// The sampling roll behind every prediction path. Encodes the
   /// `requests` contexts in one roll (a row per request), copies each

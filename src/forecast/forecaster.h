@@ -72,12 +72,15 @@ class Forecaster {
   virtual bool SupportsBatchedInference() const { return false; }
 
   /// Common checkpoint interface (serve::ModelRegistry). Persists the
-  /// fitted state so an identically configured instance can serve without
-  /// re-training. Defaults return Unimplemented; models with a trained
-  /// state override and return true from SupportsCheckpoint().
+  /// fitted state as an fp64 rpasq.v1 checkpoint (nn/qcheckpoint.h) so an
+  /// identically configured instance can serve without re-training; the
+  /// file is replaced by atomic rename. Defaults return Unimplemented;
+  /// models with a trained state override and return true from
+  /// SupportsCheckpoint().
   virtual Status SaveCheckpoint(const std::string& path) const;
   /// Restores state written by SaveCheckpoint() on an identically
-  /// configured model; the restored model is ready to predict.
+  /// configured model; the restored model is ready to predict and owns its
+  /// weights, so it can still be trained.
   virtual Status LoadCheckpoint(const std::string& path);
   virtual bool SupportsCheckpoint() const { return false; }
 

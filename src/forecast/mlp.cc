@@ -6,8 +6,8 @@
 #include "common/strings.h"
 #include "dist/special.h"
 #include "forecast/time_features.h"
-#include "nn/checkpoint.h"
 #include "nn/losses.h"
+#include "nn/qcheckpoint.h"
 #include "tensor/ops.h"
 #include "ts/window.h"
 
@@ -82,7 +82,7 @@ std::string MlpForecaster::Signature() const {
                    options_.use_time_features ? 1 : 0);
 }
 
-Status MlpForecaster::Save(const std::string& path) const {
+Status MlpForecaster::SaveCheckpoint(const std::string& path) const {
   if (!fitted_) {
     return Status::FailedPrecondition("MLP: cannot save an unfitted model");
   }
@@ -94,26 +94,16 @@ Status MlpForecaster::Save(const std::string& path) const {
   return nn::SaveParameters(path, Signature(), params);
 }
 
-Status MlpForecaster::Load(const std::string& path) {
-  // Parse into fresh layers and commit them and the scaler only on success,
-  // so a failed load leaves the served model untouched.
+Status MlpForecaster::LoadCheckpoint(const std::string& path) {
+  // Restore into fresh layers and commit them and the scaler only on
+  // success, so a failed load leaves the served model untouched.
   MlpForecaster staged(options_);
   staged.BuildModel();
   autodiff::Parameter scaler_tensor(Matrix(1, 2));
   std::vector<autodiff::Parameter*> params = staged.AllParams();
   params.push_back(&scaler_tensor);
   RPAS_RETURN_IF_ERROR(nn::LoadParameters(path, Signature(), params));
-  if (scaler_tensor.value(0, 1) <= 0.0) {
-    return Status::InvalidArgument("checkpoint holds a non-positive scale");
-  }
-  fc1_ = std::move(staged.fc1_);
-  fc2_ = std::move(staged.fc2_);
-  head_ = std::move(staged.head_);
-  scaler_ = ts::AffineScaler(scaler_tensor.value(0, 0),
-                             scaler_tensor.value(0, 1));
-  qckpt_.reset();
-  fitted_ = true;
-  return Status::OK();
+  return CommitStaged(&staged, scaler_tensor, nullptr);
 }
 
 Status MlpForecaster::LoadQuantizedCheckpoint(
@@ -121,22 +111,17 @@ Status MlpForecaster::LoadQuantizedCheckpoint(
   if (checkpoint == nullptr) {
     return Status::InvalidArgument("MLP: null quantized checkpoint");
   }
-  if (checkpoint->signature() != Signature()) {
-    return Status::InvalidArgument(
-        StrFormat("MLP: checkpoint signature '%s' does not match '%s'",
-                  checkpoint->signature().c_str(), Signature().c_str()));
-  }
-  BuildModel();
-  // Tensor order mirrors Save(): per layer (weight, bias), then the 1x2
-  // scaler [shift, scale].
-  const size_t expected = AllParams().size() + 1;
-  if (checkpoint->num_tensors() != expected) {
-    return Status::InvalidArgument(
-        StrFormat("MLP: checkpoint holds %zu tensors, expected %zu",
-                  checkpoint->num_tensors(), expected));
-  }
+  // Staged like LoadCheckpoint. Tensor order is SaveCheckpoint's: per layer
+  // (weight, bias), then the 1x2 scaler [shift, scale].
+  MlpForecaster staged(options_);
+  staged.BuildModel();
+  autodiff::Parameter scaler_tensor(Matrix(1, 2));
+  std::vector<autodiff::Parameter*> params = staged.AllParams();
+  params.push_back(&scaler_tensor);
+  RPAS_RETURN_IF_ERROR(nn::CheckLayout(*checkpoint, Signature(), params));
   size_t idx = 0;
-  for (nn::Dense* layer : {fc1_.get(), fc2_.get(), head_.get()}) {
+  for (nn::Dense* layer :
+       {staged.fc1_.get(), staged.fc2_.get(), staged.head_.get()}) {
     if (layer == nullptr) {
       continue;
     }
@@ -145,12 +130,20 @@ Status MlpForecaster::LoadQuantizedCheckpoint(
     RPAS_RETURN_IF_ERROR(
         nn::AssignDequantized(checkpoint->tensor(idx++), layer->Params()[1]));
   }
-  autodiff::Parameter scaler_tensor(Matrix(1, 2));
   RPAS_RETURN_IF_ERROR(
       nn::AssignDequantized(checkpoint->tensor(idx), &scaler_tensor));
+  return CommitStaged(&staged, scaler_tensor, std::move(checkpoint));
+}
+
+Status MlpForecaster::CommitStaged(
+    MlpForecaster* staged, const autodiff::Parameter& scaler_tensor,
+    std::shared_ptr<const nn::QuantizedCheckpoint> checkpoint) {
   if (scaler_tensor.value(0, 1) <= 0.0) {
     return Status::InvalidArgument("checkpoint holds a non-positive scale");
   }
+  fc1_ = std::move(staged->fc1_);
+  fc2_ = std::move(staged->fc2_);
+  head_ = std::move(staged->head_);
   scaler_ = ts::AffineScaler(scaler_tensor.value(0, 0),
                              scaler_tensor.value(0, 1));
   qckpt_ = std::move(checkpoint);

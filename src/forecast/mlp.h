@@ -65,17 +65,19 @@ class MlpForecaster final : public Forecaster {
       const std::vector<uint64_t>& seeds) const override;
   bool SupportsBatchedInference() const override { return true; }
 
-  Status SaveCheckpoint(const std::string& path) const override {
-    return Save(path);
-  }
-  Status LoadCheckpoint(const std::string& path) override {
-    return Load(path);
-  }
+  /// Persists the trained weights and the fitted scaler as an fp64 rpasq.v1
+  /// checkpoint (nn::SaveParameters). Requires a fitted model.
+  Status SaveCheckpoint(const std::string& path) const override;
+  /// Restores a model saved by an identically configured instance as owned
+  /// fp64, so the model stays trainable. A failed load leaves the model as
+  /// it was.
+  Status LoadCheckpoint(const std::string& path) override;
   bool SupportsCheckpoint() const override { return true; }
 
   /// Serves from an rpasq.v1 checkpoint: layer weights stay in the mapped
   /// file (dequant-on-the-fly GEMM), biases and the scaler decode to fp64.
-  /// The model keeps `checkpoint` alive and becomes inference-only.
+  /// The model keeps `checkpoint` alive and becomes inference-only. A
+  /// failed load leaves the model as it was.
   Status LoadQuantizedCheckpoint(
       std::shared_ptr<const nn::QuantizedCheckpoint> checkpoint) override;
   bool SupportsQuantizedCheckpoint() const override { return true; }
@@ -95,16 +97,16 @@ class MlpForecaster final : public Forecaster {
   };
   Result<GaussianParams> PredictDistribution(const ForecastInput& input) const;
 
-  /// Persists the trained weights and the fitted scaler (text checkpoint).
-  Status Save(const std::string& path) const;
-  /// Restores a model saved by an identically configured instance. A
-  /// failed load leaves the model as it was.
-  Status Load(const std::string& path);
-
  private:
   void BuildModel();
   std::vector<autodiff::Parameter*> AllParams() const;
   std::string Signature() const;
+  /// Ends a restore: checks the restored [shift, scale] tensor, then takes
+  /// `staged`'s layers, the scaler and `checkpoint` (null for an owned fp64
+  /// restore). Nothing changes on error.
+  Status CommitStaged(
+      MlpForecaster* staged, const autodiff::Parameter& scaler_tensor,
+      std::shared_ptr<const nn::QuantizedCheckpoint> checkpoint);
 
   /// Runs the Gaussian-NLL training loop over `dataset` with the current
   /// weights as the starting point (shared by Fit and IncrementalUpdate).

@@ -5,8 +5,8 @@
 
 #include "common/logging.h"
 #include "common/strings.h"
-#include "nn/checkpoint.h"
 #include "nn/losses.h"
+#include "nn/qcheckpoint.h"
 #include "tensor/ops.h"
 #include "ts/window.h"
 
@@ -177,16 +177,26 @@ std::string TftForecaster::Signature() const {
                    options_.levels.size());
 }
 
-Status TftForecaster::Save(const std::string& path) const {
+Status TftForecaster::SaveCheckpoint(const std::string& path) const {
   if (!fitted_) {
     return Status::FailedPrecondition("TFT: cannot save an unfitted model");
   }
   return nn::SaveParameters(path, Signature(), AllParams());
 }
 
-Status TftForecaster::Load(const std::string& path) {
-  BuildModel();
-  RPAS_RETURN_IF_ERROR(nn::LoadParameters(path, Signature(), AllParams()));
+Status TftForecaster::LoadCheckpoint(const std::string& path) {
+  // Restore into fresh layers and commit them only on success, so a failed
+  // load leaves the served weights untouched.
+  TftForecaster staged(options_);
+  staged.BuildModel();
+  RPAS_RETURN_IF_ERROR(
+      nn::LoadParameters(path, Signature(), staged.AllParams()));
+  enc_embed_ = std::move(staged.enc_embed_);
+  dec_embed_ = std::move(staged.dec_embed_);
+  lstm_ = std::move(staged.lstm_);
+  attention_ = std::move(staged.attention_);
+  fusion_ = std::move(staged.fusion_);
+  head_ = std::move(staged.head_);
   fitted_ = true;
   return Status::OK();
 }

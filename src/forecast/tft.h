@@ -47,19 +47,13 @@ class TftForecaster final : public Forecaster {
   Result<ts::QuantileForecast> Predict(
       const ForecastInput& input) const override;
 
-  /// Persists the trained weights (text checkpoint, see nn/checkpoint.h).
-  /// Requires a fitted model.
-  Status Save(const std::string& path) const;
+  /// Persists the trained weights as an fp64 rpasq.v1 checkpoint
+  /// (nn::SaveParameters). Requires a fitted model.
+  Status SaveCheckpoint(const std::string& path) const override;
   /// Restores weights saved by an identically configured model; the
-  /// restored model is ready to Predict without calling Fit.
-  Status Load(const std::string& path);
-
-  Status SaveCheckpoint(const std::string& path) const override {
-    return Save(path);
-  }
-  Status LoadCheckpoint(const std::string& path) override {
-    return Load(path);
-  }
+  /// restored model is ready to Predict without calling Fit. A failed load
+  /// leaves the model as it was.
+  Status LoadCheckpoint(const std::string& path) override;
   bool SupportsCheckpoint() const override { return true; }
 
   size_t Horizon() const override { return options_.horizon; }

@@ -1,5 +1,6 @@
 #include "nn/qcheckpoint.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -111,6 +112,19 @@ Status Malformed(const std::string& path, const std::string& why) {
                                  why);
 }
 
+/// A NaN or infinite weight poisons every forecast that reads it, so the
+/// writer refuses to persist one and the loader refuses to restore one.
+Status CheckFinite(const std::string& name, const Matrix& m) {
+  for (size_t i = 0; i < m.size(); ++i) {
+    if (!std::isfinite(m[i])) {
+      return Status::InvalidArgument(StrFormat(
+          "rpasq: tensor '%s' holds a non-finite value at element %zu",
+          name.c_str(), i));
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 tensor::DType StorageDType(const Matrix& m, DType target) {
@@ -147,6 +161,7 @@ Status WriteQuantizedCheckpoint(const std::string& path,
       return Status::InvalidArgument("rpasq: tensor '" + t.name +
                                      "' exceeds the format's size caps");
     }
+    RPAS_RETURN_IF_ERROR(CheckFinite(t.name, *t.data));
     table_bytes += EntryBytes(t.name.size());
   }
 
@@ -230,88 +245,66 @@ Status WriteQuantizedCheckpoint(const std::string& path,
   return Status::OK();
 }
 
-Status SaveQuantized(const std::string& path, const std::string& signature,
-                     const std::vector<autodiff::Parameter*>& params,
-                     DType target) {
+Status SaveParameters(const std::string& path, const std::string& signature,
+                      const std::vector<autodiff::Parameter*>& params) {
   std::vector<QTensorSpec> specs;
   specs.reserve(params.size());
   for (size_t i = 0; i < params.size(); ++i) {
-    QTensorSpec spec;
-    spec.name = StrFormat("t%zu", i);
-    spec.dtype = StorageDType(params[i]->value, target);
-    spec.data = &params[i]->value;
-    specs.push_back(std::move(spec));
+    specs.push_back({StrFormat("t%zu", i), DType::kF64, &params[i]->value});
   }
   return WriteQuantizedCheckpoint(path, signature, specs);
 }
 
-Result<ParsedTextCheckpoint> ReadTextCheckpoint(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    return Status::IoError("cannot open '" + path + "' for reading");
+Status CheckLayout(const QuantizedCheckpoint& checkpoint,
+                   const std::string& signature,
+                   const std::vector<autodiff::Parameter*>& params) {
+  if (checkpoint.signature() != signature) {
+    return Status::InvalidArgument(
+        StrFormat("checkpoint signature '%s' does not match '%s'",
+                  checkpoint.signature().c_str(), signature.c_str()));
   }
-  std::string line;
-  if (!std::getline(in, line) || line != "RPASCKPT1") {
-    return Status::InvalidArgument("'" + path +
-                                   "' is not an RPAS text checkpoint");
+  if (checkpoint.num_tensors() != params.size()) {
+    return Status::InvalidArgument(
+        StrFormat("checkpoint holds %zu tensors, expected %zu",
+                  checkpoint.num_tensors(), params.size()));
   }
-  ParsedTextCheckpoint parsed;
-  if (!std::getline(in, parsed.signature) || parsed.signature.empty()) {
-    return Status::InvalidArgument("'" + path +
-                                   "' has no architecture signature");
-  }
-  size_t count = 0;
-  if (!(in >> count) || count == 0 || count > kMaxTensors) {
-    return Status::InvalidArgument("'" + path +
-                                   "' has a missing or absurd tensor count");
-  }
-  parsed.tensors.reserve(count);
-  for (size_t idx = 0; idx < count; ++idx) {
-    size_t rows = 0;
-    size_t cols = 0;
-    if (!(in >> rows >> cols) || rows == 0 || cols == 0 || rows > kMaxDim ||
-        cols > kMaxDim || rows * cols > kMaxElements) {
-      return Status::InvalidArgument(
-          StrFormat("'%s': tensor %zu has a truncated or absurd shape",
-                    path.c_str(), idx));
+  for (size_t i = 0; i < params.size(); ++i) {
+    const tensor::QTensorView& view = checkpoint.tensor(i).view;
+    const Matrix& value = params[i]->value;
+    if (view.rows != value.rows() || view.cols != value.cols()) {
+      return Status::InvalidArgument(StrFormat(
+          "checkpoint tensor %zu is %zu x %zu, model expects %zu x %zu", i,
+          view.rows, view.cols, value.rows(), value.cols()));
     }
-    Matrix m(rows, cols);
-    for (size_t i = 0; i < m.size(); ++i) {
-      if (!(in >> m[i])) {
-        return Status::InvalidArgument(StrFormat(
-            "'%s': tensor %zu data is truncated", path.c_str(), idx));
-      }
-    }
-    parsed.tensors.push_back(std::move(m));
   }
-  return parsed;
+  return Status::OK();
+}
+
+Status LoadParameters(const std::string& path, const std::string& signature,
+                      const std::vector<autodiff::Parameter*>& params) {
+  RPAS_ASSIGN_OR_RETURN(std::shared_ptr<const QuantizedCheckpoint> checkpoint,
+                        QuantizedCheckpoint::Map(path));
+  RPAS_RETURN_IF_ERROR(CheckLayout(*checkpoint, signature, params));
+  for (size_t i = 0; i < params.size(); ++i) {
+    RPAS_RETURN_IF_ERROR(AssignDequantized(checkpoint->tensor(i), params[i]));
+  }
+  return Status::OK();
 }
 
 Status QuantizeCheckpointFile(const std::string& in_path,
                               const std::string& out_path, DType target) {
-  RPAS_ASSIGN_OR_RETURN(ParsedTextCheckpoint parsed,
-                        ReadTextCheckpoint(in_path));
+  RPAS_ASSIGN_OR_RETURN(std::shared_ptr<const QuantizedCheckpoint> in,
+                        QuantizedCheckpoint::Map(in_path));
+  std::vector<Matrix> decoded(in->num_tensors());
   std::vector<QTensorSpec> specs;
-  specs.reserve(parsed.tensors.size());
-  for (size_t i = 0; i < parsed.tensors.size(); ++i) {
-    QTensorSpec spec;
-    spec.name = StrFormat("t%zu", i);
-    spec.dtype = StorageDType(parsed.tensors[i], target);
-    spec.data = &parsed.tensors[i];
-    specs.push_back(std::move(spec));
+  specs.reserve(decoded.size());
+  for (size_t i = 0; i < decoded.size(); ++i) {
+    RPAS_RETURN_IF_ERROR(
+        tensor::DequantizeToMatrix(in->tensor(i).view, &decoded[i]));
+    specs.push_back({in->tensor(i).name, StorageDType(decoded[i], target),
+                     &decoded[i]});
   }
-  return WriteQuantizedCheckpoint(out_path, parsed.signature, specs);
-}
-
-bool IsQuantizedCheckpointFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return false;
-  }
-  uint8_t magic[sizeof(kQckptMagic)] = {};
-  in.read(reinterpret_cast<char*>(magic), sizeof(magic));
-  return in.gcount() == static_cast<std::streamsize>(sizeof(magic)) &&
-         std::memcmp(magic, kQckptMagic, sizeof(magic)) == 0;
+  return WriteQuantizedCheckpoint(out_path, in->signature(), specs);
 }
 
 Status AssignDequantized(const QTensor& t, autodiff::Parameter* param) {
@@ -324,6 +317,7 @@ Status AssignDequantized(const QTensor& t, autodiff::Parameter* param) {
   }
   Matrix decoded;
   RPAS_RETURN_IF_ERROR(tensor::DequantizeToMatrix(t.view, &decoded));
+  RPAS_RETURN_IF_ERROR(CheckFinite(t.name, decoded));
   param->value = std::move(decoded);
   param->ZeroGrad();
   return Status::OK();

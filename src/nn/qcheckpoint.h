@@ -14,7 +14,9 @@
 
 namespace rpas::nn {
 
-/// rpasq.v1 — the quantized, memory-mappable checkpoint format.
+/// rpasq.v1 — the one checkpoint format: models save exact fp64 files
+/// (SaveParameters), the converter re-encodes them at a smaller storage
+/// dtype, and every file is memory-mappable.
 ///
 /// Layout (every multi-byte lane little-endian; see DESIGN.md §11 for the
 /// full invariant list):
@@ -54,42 +56,41 @@ struct QTensorSpec {
 
 /// Serializes `tensors` to `path` (temp file + atomic rename). Encoding is
 /// deterministic: identical inputs produce identical bytes, which the
-/// golden-file tests rely on.
+/// golden-file tests rely on. A NaN or infinite value in any tensor is
+/// InvalidArgument, returned before a file is created.
 Status WriteQuantizedCheckpoint(const std::string& path,
                                 const std::string& signature,
                                 const std::vector<QTensorSpec>& tensors);
 
-/// Storage-dtype policy shared by the converter and SaveQuantized: 2-d
-/// weight matrices (both dims >= 2) are stored at the requested target
-/// dtype; vectors, scalars, and tiny tensors (biases, the MLP scaler) stay
-/// exact fp64 — they are a rounding error of the byte budget, and keeping
-/// them exact means the measured wQL delta isolates weight quantization.
+/// Storage-dtype policy of the converter: 2-d weight matrices (both dims
+/// >= 2) are stored at the requested target dtype; vectors, scalars, and
+/// tiny tensors (biases, the MLP scaler) stay exact fp64 — they are a
+/// rounding error of the byte budget, and keeping them exact means the
+/// measured wQL delta isolates weight quantization.
 tensor::DType StorageDType(const tensor::Matrix& m, tensor::DType target);
 
-/// Writes a model's parameters (Params() order, names "t0", "t1", ...)
-/// as an rpasq.v1 checkpoint at the target dtype under StorageDType().
-Status SaveQuantized(const std::string& path, const std::string& signature,
-                     const std::vector<autodiff::Parameter*>& params,
-                     tensor::DType target);
+/// Writes a model's parameters (Params() order, names "t0", "t1", ...) as
+/// an rpasq.v1 checkpoint with every tensor exact fp64. This is the one
+/// checkpoint format every model saves.
+Status SaveParameters(const std::string& path, const std::string& signature,
+                      const std::vector<autodiff::Parameter*>& params);
 
-/// Generic reader for the *text* checkpoint format (nn/checkpoint.h),
-/// model-free: the signature plus every tensor in file order. Used by the
-/// rpas_quantize converter, which re-encodes without knowing the
-/// architecture.
-struct ParsedTextCheckpoint {
-  std::string signature;
-  std::vector<tensor::Matrix> tensors;
-};
-Result<ParsedTextCheckpoint> ReadTextCheckpoint(const std::string& path);
+/// Restores parameters saved by SaveParameters (or any rpasq.v1 file of the
+/// same layout): maps `path`, runs CheckLayout against `params`, then
+/// decodes every tensor into its parameter as owned fp64, so the restored
+/// model stays trainable. IoError when the file cannot be opened,
+/// InvalidArgument on malformed bytes, a layout mismatch or a non-finite
+/// value. Parameters may be partly assigned on error; models stage the load
+/// into fresh layers.
+Status LoadParameters(const std::string& path, const std::string& signature,
+                      const std::vector<autodiff::Parameter*>& params);
 
-/// One-call converter: text checkpoint -> rpasq.v1 at `target` dtype.
+/// One-call converter: any rpasq.v1 checkpoint -> rpasq.v1 at `target`
+/// dtype under StorageDType(). Tensor names and the signature carry over;
+/// converting a SaveParameters file at kF64 reproduces it byte for byte.
 Status QuantizeCheckpointFile(const std::string& in_path,
                               const std::string& out_path,
                               tensor::DType target);
-
-/// True when the file at `path` starts with the rpasq magic (cheap sniff
-/// used by serve::ModelRegistry to pick the mmap load path).
-bool IsQuantizedCheckpointFile(const std::string& path);
 
 /// A named tensor inside a mapped checkpoint.
 struct QTensor {
@@ -100,7 +101,8 @@ struct QTensor {
 /// Decodes checkpoint tensor `t` into the fp64 parameter (the small-tensor
 /// load path: biases, layer norms, the MLP scaler). The parameter's shape
 /// must already match; its gradient is zeroed. InvalidArgument on shape or
-/// payload mismatch — the parameter is untouched on error.
+/// payload mismatch, or on a NaN or infinite decoded value — the parameter
+/// is untouched on error.
 Status AssignDequantized(const QTensor& t, autodiff::Parameter* param);
 
 /// A validated, memory-mapped rpasq.v1 checkpoint.
@@ -154,6 +156,14 @@ class QuantizedCheckpoint {
   std::string signature_;
   std::vector<QTensor> tensors_;
 };
+
+/// The layout check every restore runs before it touches a model:
+/// `checkpoint` must carry `signature`, exactly params.size() tensors, and
+/// tensor i must have the shape of params[i]. InvalidArgument naming the
+/// first mismatch otherwise.
+Status CheckLayout(const QuantizedCheckpoint& checkpoint,
+                   const std::string& signature,
+                   const std::vector<autodiff::Parameter*>& params);
 
 }  // namespace rpas::nn
 

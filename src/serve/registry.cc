@@ -158,7 +158,7 @@ Result<std::shared_ptr<const forecast::Forecaster>> ModelRegistry::AcquireCold(
   misses_->Increment();
   loads_->Increment();
 
-  // The expensive step — factory + checkpoint parse/map — runs outside
+  // The expensive step — factory + checkpoint map/load — runs outside
   // every lock; only same-version callers (blocked on the latch) wait.
   std::shared_ptr<const forecast::Forecaster> shared;
   size_t bytes = 0;
@@ -224,23 +224,13 @@ Status ModelRegistry::LoadVersion(
   }
   // Everything below builds into locals; the caller commits entry state
   // and byte accounting only when every step has succeeded — any failure
-  // leaves the registry unchanged.
-  //
-  // Probe before sniffing the format: IsQuantizedCheckpointFile() returns
-  // false for a file it cannot open, and routing a *missing* file to the
-  // text parser turns "checkpoint temporarily absent" (a retryable
-  // IoError — it happens while a checkpoint is being atomically replaced)
-  // into a misleading parse error once the file reappears in the other
-  // format.
-  if (!std::ifstream(info->path, std::ios::binary).is_open()) {
-    return Status::IoError(
-        StrFormat("%s: cannot open checkpoint '%s'", id.ToString().c_str(),
-                  info->path.c_str()));
-  }
+  // (a missing file is Map's or LoadCheckpoint's IoError) leaves the
+  // registry unchanged. Models that can serve from a mapping do; the rest
+  // restore onto the heap.
   size_t bytes = 0;
   size_t mapped = 0;
   size_t heap = 0;
-  if (nn::IsQuantizedCheckpointFile(info->path)) {
+  if (model->SupportsQuantizedCheckpoint()) {
     RPAS_ASSIGN_OR_RETURN(std::shared_ptr<const nn::QuantizedCheckpoint> ckpt,
                           nn::QuantizedCheckpoint::Map(info->path));
     bytes = ckpt->file_bytes();
@@ -249,7 +239,7 @@ Status ModelRegistry::LoadVersion(
     RPAS_RETURN_IF_ERROR(model->LoadQuantizedCheckpoint(std::move(ckpt)));
   } else {
     RPAS_RETURN_IF_ERROR(model->LoadCheckpoint(info->path));
-    // Re-stat after the successful parse: the registered size is stale
+    // Re-stat after the successful load: the registered size is stale
     // when the checkpoint was atomically replaced since registration.
     bytes = FileSizeBytes(info->path);
     if (bytes == 0) {

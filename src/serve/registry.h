@@ -95,14 +95,15 @@ class ModelRegistry {
     int64_t hits = 0;        ///< Acquire() served from the warm cache
     int64_t misses = 0;      ///< Acquire() had to load a checkpoint
     int64_t evictions = 0;   ///< warm models dropped to respect the budget
-    int64_t loads = 0;       ///< checkpoint parses (== misses)
+    int64_t loads = 0;       ///< checkpoint loads (== misses)
     size_t resident_bytes = 0;
     size_t resident_models = 0;
     /// Split of resident_bytes by backing store. mapped_bytes counts
     /// rpasq.v1 checkpoints served straight from their file mapping —
     /// page-cache-shareable, reclaimable by the kernel; heap_bytes counts
-    /// private allocations (text-checkpoint models, plus the no-mmap
-    /// fallback buffer). mapped_bytes + heap_bytes == resident_bytes.
+    /// private allocations (models restored through LoadCheckpoint, plus
+    /// the no-mmap fallback buffer). mapped_bytes + heap_bytes ==
+    /// resident_bytes.
     size_t mapped_bytes = 0;
     size_t heap_bytes = 0;
     /// Budget-weighted residency: heap_bytes plus the mapped_byte_weight
@@ -132,14 +133,15 @@ class ModelRegistry {
   /// FailedPrecondition on a duplicate id and InvalidArgument when the
   /// checkpoint file is missing or empty.
   ///
-  /// Both checkpoint formats are accepted: the text format (loaded onto the
-  /// heap via LoadCheckpoint) and rpasq.v1 (memory-mapped and served in
-  /// place via LoadQuantizedCheckpoint; the factory's model must return
-  /// true from SupportsQuantizedCheckpoint()). The format is sniffed from
-  /// the file magic at load time. Because rpasq files are mapped, the file
-  /// at `path` must only ever be replaced by atomic rename — truncating or
-  /// rewriting it in place while a model serves from the mapping is
-  /// undefined behavior (SIGBUS on a shrunk file).
+  /// The load path follows the model's capability: a model whose
+  /// SupportsQuantizedCheckpoint() is true (MLP, DeepAR) is served in place
+  /// from the memory-mapped rpasq.v1 file at any storage dtype, including
+  /// the fp64 files SaveCheckpoint() writes; any other model restores onto
+  /// the heap through LoadCheckpoint(). Because files are mapped, the file
+  /// at `path` must only ever be replaced by atomic rename (as
+  /// SaveCheckpoint() and the converter do) — truncating or rewriting it in
+  /// place while a model serves from the mapping is undefined behavior
+  /// (SIGBUS on a shrunk file).
   Status RegisterVersion(const ModelId& id, const std::string& path,
                          ForecasterFactory factory);
 
@@ -257,13 +259,13 @@ class ModelRegistry {
   Result<std::shared_ptr<const forecast::Forecaster>> AcquireCold(
       const ModelId& id, std::shared_ptr<VersionInfo> info);
 
-  /// Builds the fully-loaded model (sniffing the checkpoint format) into
-  /// the out-params without touching registry state — any failure returns
-  /// a typed Status with the registry bit-for-bit unchanged, so a
-  /// checkpoint deleted or corrupted between registration and first
-  /// Acquire() is an error on that call, not a poisoned cache. Runs
-  /// outside every lock (the caller holds only the per-version `loading`
-  /// claim).
+  /// Builds the fully-loaded model (mapped or heap, by the model's
+  /// capability) into the out-params without touching registry state —
+  /// any failure returns a typed Status with the registry bit-for-bit
+  /// unchanged, so a checkpoint deleted or corrupted between registration
+  /// and first Acquire() is an error on that call, not a poisoned cache.
+  /// Runs outside every lock (the caller holds only the per-version
+  /// `loading` claim).
   Status LoadVersion(const ModelId& id, VersionInfo* info,
                      std::shared_ptr<const forecast::Forecaster>* out,
                      size_t* bytes_out, size_t* mapped_out,

@@ -27,6 +27,7 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/strings.h"
+#include "forecast/mlp.h"
 #include "nn/qcheckpoint.h"
 #include "tensor/quant.h"
 
@@ -610,6 +611,91 @@ TEST(CkptFormatRoundTrip, WriterRejectsMalformedSpecs) {
   EXPECT_FALSE(WriteQuantizedCheckpoint(
                    path, "sig", {{std::string(300, 'n'), DType::kF64, &w}})
                    .ok());
+  // A non-finite value is refused, naming its tensor, before any file (or
+  // temp file) exists — at every storage dtype.
+  std::remove(path.c_str());
+  for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    for (const DType dtype : {DType::kF64, DType::kQ8}) {
+      Matrix poisoned = RefMatrix(2, 2);
+      poisoned(1, 0) = bad;
+      const Status st = WriteQuantizedCheckpoint(
+          path, "sig",
+          {{"w", DType::kF64, &w}, {"poisoned", dtype, &poisoned}});
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << bad;
+      EXPECT_NE(st.ToString().find("'poisoned'"), std::string::npos)
+          << st.ToString();
+      EXPECT_FALSE(std::ifstream(path).is_open()) << bad;
+      EXPECT_FALSE(
+          std::ifstream(path + ".tmp." + std::to_string(::getpid())).is_open())
+          << bad;
+    }
+  }
+}
+
+/// Overwrites element `element` of f64 tensor `index` in a valid rpasq image
+/// and re-seals the payload and header checksums, so Map() accepts the file
+/// and only a value check can refuse it.
+void PatchF64(std::vector<uint8_t>* b, size_t index, size_t element,
+              double value) {
+  const EntryFields f = FieldsAt(*b, EntryOffset(*b, index));
+  RPAS_CHECK((*b)[f.dtype] == static_cast<uint8_t>(DType::kF64));
+  // Low halves of the u64 fields: these test files are far below 4 GiB.
+  const size_t offset = GetU32(*b, f.offset);
+  const size_t payload_bytes = GetU32(*b, f.payload_bytes);
+  RPAS_CHECK(8 * (element + 1) <= payload_bytes);
+  uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  SetU64(b, offset + 8 * element, bits);
+  SetU32(b, f.crc, Crc32(b->data() + offset, payload_bytes));
+  FixHeaderCrc(b);
+}
+
+// The writer refuses non-finite values, but a file from elsewhere can carry
+// one under valid checksums. Both restore paths must refuse it: the owned
+// fp64 restore (LoadParameters, under LoadCheckpoint) and the bias/scaler
+// decode of a mapped-serving load (LoadQuantizedCheckpoint).
+TEST(CkptFormatRoundTrip, NonFiniteValueRejectedByBothLoaders) {
+  const std::string path = TmpPath("nonfinite");
+  autodiff::Parameter w(RefMatrix(2, 3));
+  ASSERT_TRUE(SaveParameters(path, "nonfinite", {&w}).ok());
+  std::vector<uint8_t> bytes = ReadFileBytes(path);
+  PatchF64(&bytes, 0, 4, std::nan(""));
+  WriteFileBytes(path, bytes);
+  auto mapped = QuantizedCheckpoint::Map(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  autodiff::Parameter restored(Matrix(2, 3));
+  EXPECT_EQ(LoadParameters(path, "nonfinite", {&restored}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(AssignDequantized((*mapped)->tensor(0), &restored).code(),
+            StatusCode::kInvalidArgument);
+
+  // An MLP checkpoint with an infinite first-layer bias (tensor 1).
+  forecast::MlpForecaster::Options options;
+  options.context_length = 8;
+  options.horizon = 4;
+  options.hidden_dim = 4;
+  options.num_hidden_layers = 1;
+  options.batch_size = 8;
+  options.train.steps = 5;
+  ts::TimeSeries series;
+  for (size_t i = 0; i < 120; ++i) {
+    series.values.push_back(10.0 + std::sin(0.3 * static_cast<double>(i)));
+  }
+  forecast::MlpForecaster model(options);
+  ASSERT_TRUE(model.Fit(series).ok());
+  ASSERT_TRUE(model.SaveCheckpoint(path).ok());
+  bytes = ReadFileBytes(path);
+  PatchF64(&bytes, 1, 0, HUGE_VAL);
+  WriteFileBytes(path, bytes);
+  forecast::MlpForecaster fresh(options);
+  EXPECT_EQ(fresh.LoadCheckpoint(path).code(), StatusCode::kInvalidArgument);
+  mapped = QuantizedCheckpoint::Map(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  EXPECT_EQ(model.LoadQuantizedCheckpoint(*mapped).code(),
+            StatusCode::kInvalidArgument);
+  // The rejected load left the fitted model serving and trainable.
+  EXPECT_TRUE(model.IncrementalUpdate(series, 4).ok());
+  std::remove(path.c_str());
 }
 
 TEST(CkptFormatRoundTrip, PerDtypeRoundTripWithinBounds) {

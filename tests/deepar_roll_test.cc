@@ -324,14 +324,14 @@ TEST_P(DeepArRollTest, EveryPathMatchesStepByStepReference) {
   const std::string base = "/tmp/rpas_deepar_roll_test_" +
                            std::to_string(static_cast<long>(getpid())) +
                            "_h" + std::to_string(hidden);
-  const std::string text = base + ".ckpt";
-  ASSERT_TRUE(trained.Save(text).ok());
+  const std::string saved = base + ".ckpt";
+  ASSERT_TRUE(trained.SaveCheckpoint(saved).ok());
 
   // fp64: the trained parameters, read back exactly through an f64 rpasq.
   {
     const std::string f64 = base + ".f64.rpasq";
     ASSERT_TRUE(
-        nn::QuantizeCheckpointFile(text, f64, tensor::DType::kF64).ok());
+        nn::QuantizeCheckpointFile(saved, f64, tensor::DType::kF64).ok());
     auto ckpt = nn::QuantizedCheckpoint::Map(f64);
     ASSERT_TRUE(ckpt.ok());
     const RefModel ref = FromCheckpoint(options, **ckpt, /*int8=*/false);
@@ -339,7 +339,7 @@ TEST_P(DeepArRollTest, EveryPathMatchesStepByStepReference) {
         ref,
         [&] {
           auto m = std::make_unique<DeepArForecaster>(options);
-          RPAS_CHECK(m->Load(text).ok());
+          RPAS_CHECK(m->LoadCheckpoint(saved).ok());
           return m;
         },
         "fp64 H=" + std::to_string(hidden));
@@ -348,7 +348,7 @@ TEST_P(DeepArRollTest, EveryPathMatchesStepByStepReference) {
 
   // q8, served from the mapped checkpoint, with the int8 GEMM off and on.
   const std::string q8 = base + ".q8.rpasq";
-  ASSERT_TRUE(nn::QuantizeCheckpointFile(text, q8, tensor::DType::kQ8).ok());
+  ASSERT_TRUE(nn::QuantizeCheckpointFile(saved, q8, tensor::DType::kQ8).ok());
   auto ckpt = nn::QuantizedCheckpoint::Map(q8);
   ASSERT_TRUE(ckpt.ok());
   for (bool int8 : {false, true}) {
@@ -365,7 +365,7 @@ TEST_P(DeepArRollTest, EveryPathMatchesStepByStepReference) {
             " H=" + std::to_string(hidden));
   }
   std::remove(q8.c_str());
-  std::remove(text.c_str());
+  std::remove(saved.c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(HiddenSizes, DeepArRollTest,

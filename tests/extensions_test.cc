@@ -7,9 +7,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <iterator>
 #include <memory>
-#include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/multi_resource.h"
@@ -19,7 +21,6 @@
 #include "forecast/mlp.h"
 #include "forecast/seasonal_naive.h"
 #include "forecast/tft.h"
-#include "nn/checkpoint.h"
 #include "nn/qcheckpoint.h"
 #include "obs/metrics.h"
 #include "trace/generator.h"
@@ -144,7 +145,7 @@ class CheckpointTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = std::filesystem::temp_directory_path() /
-            ("rpas_ckpt_" + std::to_string(::getpid()) + ".txt");
+            ("rpas_ckpt_" + std::to_string(::getpid()) + ".rpasq");
   }
   void TearDown() override { std::filesystem::remove(path_); }
   std::string path() const { return path_.string(); }
@@ -211,10 +212,10 @@ TEST_F(CheckpointTest, TftSaveLoadPreservesPredictions) {
   options.levels = {0.1, 0.5, 0.9};
   forecast::TftForecaster original(options);
   ASSERT_TRUE(original.Fit(s).ok());
-  ASSERT_TRUE(original.Save(path()).ok());
+  ASSERT_TRUE(original.SaveCheckpoint(path()).ok());
 
   forecast::TftForecaster restored(options);
-  ASSERT_TRUE(restored.Load(path()).ok());
+  ASSERT_TRUE(restored.LoadCheckpoint(path()).ok());
 
   forecast::ForecastInput input;
   input.start_index = s.size() - 36;
@@ -241,11 +242,11 @@ TEST_F(CheckpointTest, TftRejectsDifferentArchitecture) {
   options.levels = {0.1, 0.5, 0.9};
   forecast::TftForecaster original(options);
   ASSERT_TRUE(original.Fit(s).ok());
-  ASSERT_TRUE(original.Save(path()).ok());
+  ASSERT_TRUE(original.SaveCheckpoint(path()).ok());
 
   options.d_model = 16;  // different architecture
   forecast::TftForecaster other(options);
-  EXPECT_FALSE(other.Load(path()).ok());
+  EXPECT_FALSE(other.LoadCheckpoint(path()).ok());
 }
 
 TEST_F(CheckpointTest, MlpSaveLoadPreservesScalerAndWeights) {
@@ -257,10 +258,10 @@ TEST_F(CheckpointTest, MlpSaveLoadPreservesScalerAndWeights) {
   options.train.steps = 60;
   forecast::MlpForecaster original(options);
   ASSERT_TRUE(original.Fit(s).ok());
-  ASSERT_TRUE(original.Save(path()).ok());
+  ASSERT_TRUE(original.SaveCheckpoint(path()).ok());
 
   forecast::MlpForecaster restored(options);
-  ASSERT_TRUE(restored.Load(path()).ok());
+  ASSERT_TRUE(restored.LoadCheckpoint(path()).ok());
   forecast::ForecastInput input;
   input.start_index = s.size() - 36;
   input.step_minutes = 10.0;
@@ -291,13 +292,14 @@ TEST_F(CheckpointTest, DeepArSaveLoadGivesBitIdenticalForecast) {
 
   forecast::DeepArForecaster original(options);
   ASSERT_TRUE(original.Fit(s).ok());
-  ASSERT_TRUE(original.Save(path()).ok());
+  ASSERT_TRUE(original.SaveCheckpoint(path()).ok());
 
   forecast::DeepArForecaster restored(options);
-  ASSERT_TRUE(restored.Load(path()).ok());
+  ASSERT_TRUE(restored.LoadCheckpoint(path()).ok());
 
   // DeepAR's sampling RNG is seeded at construction and untouched by Fit /
-  // Save / Load, so one Predict on each instance must agree bit-for-bit.
+  // SaveCheckpoint / LoadCheckpoint, so one Predict on each instance must
+  // agree bit-for-bit.
   forecast::ForecastInput input;
   input.start_index = s.size() - 36;
   input.step_minutes = 10.0;
@@ -315,34 +317,57 @@ TEST_F(CheckpointTest, DeepArSaveLoadGivesBitIdenticalForecast) {
 }
 
 std::string ReadFile(const std::string& path) {
-  std::ifstream in(path);
-  std::stringstream text;
-  text << in.rdbuf();
-  return text.str();
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
 }
-void WriteFile(const std::string& path, const std::string& text) {
-  std::ofstream(path) << text;
-}
-/// Text checkpoint `text` with tensor `index`'s column count off by one;
-/// the signature still matches.
-std::string WrongShape(const std::string& text, size_t index) {
-  std::istringstream in(text);
-  std::string out, line;
-  // Magic, signature, count, then a shape line and a data line per tensor.
-  for (size_t n = 0; std::getline(in, line); ++n) {
-    if (n == 3 + 2 * index) {
-      size_t rows = 0, cols = 0;
-      std::istringstream(line) >> rows >> cols;
-      line = std::to_string(rows) + " " + std::to_string(cols + 1);
-    }
-    out += line + "\n";
-  }
-  return out;
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary) << bytes;
 }
 
-/// A failed text load must leave `model` serving exactly what it served
-/// before: a truncated checkpoint and a shape-mismatched one each fail, and
-/// PredictSeeded stays bit-identical.
+/// An edit of a checkpoint's decoded tensors.
+using TensorEdit = std::function<void(std::vector<tensor::Matrix>*)>;
+
+/// Writes the tensors of the checkpoint at `ckpt`, changed by `edit`, to
+/// `out` under the same signature.
+void RewriteCheckpoint(const std::string& ckpt, const std::string& out,
+                       const TensorEdit& edit) {
+  auto mapped = nn::QuantizedCheckpoint::Map(ckpt);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  std::vector<tensor::Matrix> tensors((*mapped)->num_tensors());
+  for (size_t i = 0; i < tensors.size(); ++i) {
+    ASSERT_TRUE(
+        tensor::DequantizeToMatrix((*mapped)->tensor(i).view, &tensors[i])
+            .ok());
+  }
+  edit(&tensors);
+  std::vector<nn::QTensorSpec> specs;
+  for (size_t i = 0; i < tensors.size(); ++i) {
+    specs.push_back(
+        {(*mapped)->tensor(i).name, tensor::DType::kF64, &tensors[i]});
+  }
+  ASSERT_TRUE(
+      nn::WriteQuantizedCheckpoint(out, (*mapped)->signature(), specs).ok());
+}
+
+/// Tensor `index` one column wider.
+TensorEdit WidenTensor(size_t index) {
+  return [index](std::vector<tensor::Matrix>* tensors) {
+    const tensor::Matrix& old = (*tensors)[index];
+    tensor::Matrix wide(old.rows(), old.cols() + 1);
+    for (size_t r = 0; r < old.rows(); ++r) {
+      for (size_t c = 0; c < old.cols(); ++c) {
+        wide(r, c) = old(r, c);
+      }
+    }
+    (*tensors)[index] = std::move(wide);
+  };
+}
+
+/// A failed load must leave `model` serving exactly what it served before.
+/// Through LoadCheckpoint: a half-truncated checkpoint, one with tensor
+/// `wrong_tensor` one column wider, and one a tensor short each fail, and
+/// PredictSeeded stays bit-identical. Models that serve mapped checkpoints
+/// get the last two through LoadQuantizedCheckpoint as well.
 void ExpectFailedLoadsKeepForecast(forecast::Forecaster* model,
                                    const std::string& ckpt,
                                    const std::string& bad_path,
@@ -356,30 +381,49 @@ void ExpectFailedLoadsKeepForecast(forecast::Forecaster* model,
                        s.values.end());
   auto before = model->PredictSeeded(input, 7);
   ASSERT_TRUE(before.ok());
-  const std::string text = ReadFile(ckpt);
-  for (const std::string& bad :
-       {text.substr(0, text.size() / 2), WrongShape(text, wrong_tensor)}) {
-    WriteFile(bad_path, bad);
-    EXPECT_EQ(model->LoadCheckpoint(bad_path).code(),
-              StatusCode::kInvalidArgument);
+  auto expect_unchanged = [&](const std::string& what) {
     auto after = model->PredictSeeded(input, 7);
-    ASSERT_TRUE(after.ok()) << after.status().ToString();
+    ASSERT_TRUE(after.ok()) << what << ": " << after.status().ToString();
     for (size_t h = 0; h < before->Horizon(); ++h) {
       for (size_t q = 0; q < before->Levels().size(); ++q) {
         ASSERT_EQ(before->ValueAtIndex(h, q), after->ValueAtIndex(h, q))
-            << model->Name() << " step " << h << " level " << q;
+            << model->Name() << " " << what << " step " << h << " level "
+            << q;
       }
+    }
+  };
+  const std::string bytes = ReadFile(ckpt);
+  WriteFile(bad_path, bytes.substr(0, bytes.size() / 2));
+  EXPECT_EQ(model->LoadCheckpoint(bad_path).code(),
+            StatusCode::kInvalidArgument);
+  expect_unchanged("truncated");
+  const std::vector<std::pair<std::string, TensorEdit>> edits = {
+      {"wrong shape", WidenTensor(wrong_tensor)},
+      {"tensor short", [](std::vector<tensor::Matrix>* t) { t->pop_back(); }}};
+  for (const auto& [what, edit] : edits) {
+    RewriteCheckpoint(ckpt, bad_path, edit);
+    EXPECT_EQ(model->LoadCheckpoint(bad_path).code(),
+              StatusCode::kInvalidArgument)
+        << what;
+    expect_unchanged(what);
+    if (model->SupportsQuantizedCheckpoint()) {
+      auto mapped = nn::QuantizedCheckpoint::Map(bad_path);
+      ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+      EXPECT_EQ(model->LoadQuantizedCheckpoint(*mapped).code(),
+                StatusCode::kInvalidArgument)
+          << what;
+      expect_unchanged(what + " (mapped)");
     }
   }
   std::filesystem::remove(bad_path);
 }
 
-/// A model served from rpasq is frozen; a successful text load makes it a
-/// trainable fp64 model again.
-void ExpectTextLoadUnfreezes(forecast::Forecaster* model,
-                             const std::string& ckpt,
-                             const std::string& rpasq,
-                             const ts::TimeSeries& history) {
+/// A model served from a q8 rpasq file is frozen; a successful
+/// LoadCheckpoint makes it a trainable fp64 model again.
+void ExpectLoadCheckpointUnfreezes(forecast::Forecaster* model,
+                                   const std::string& ckpt,
+                                   const std::string& rpasq,
+                                   const ts::TimeSeries& history) {
   ASSERT_TRUE(
       nn::QuantizeCheckpointFile(ckpt, rpasq, tensor::DType::kQ8).ok());
   auto mapped = nn::QuantizedCheckpoint::Map(rpasq);
@@ -406,11 +450,11 @@ TEST_F(CheckpointTest, DeepArFailedLoadKeepsServingItsWeights) {
   options.fine_tune_steps = 2;
   forecast::DeepArForecaster model(options);
   ASSERT_TRUE(model.Fit(s.Slice(0, s.size() - 3)).ok());
-  ASSERT_TRUE(model.Save(path()).ok());
+  ASSERT_TRUE(model.SaveCheckpoint(path()).ok());
   // Tensor 3 is the mu head's weight: the old load left it and every later
   // tensor freshly initialized.
   ExpectFailedLoadsKeepForecast(&model, path(), path() + ".bad", 3, s);
-  ExpectTextLoadUnfreezes(&model, path(), path() + ".rpasq", s);
+  ExpectLoadCheckpointUnfreezes(&model, path(), path() + ".q8", s);
 }
 
 TEST_F(CheckpointTest, MlpFailedLoadKeepsServingItsWeightsAndScaler) {
@@ -423,15 +467,111 @@ TEST_F(CheckpointTest, MlpFailedLoadKeepsServingItsWeightsAndScaler) {
   options.fine_tune_steps = 2;
   forecast::MlpForecaster model(options);
   ASSERT_TRUE(model.Fit(s.Slice(0, s.size() - 3)).ok());
-  ASSERT_TRUE(model.Save(path()).ok());
+  ASSERT_TRUE(model.SaveCheckpoint(path()).ok());
   // Tensor 2 is the second layer's weight.
   ExpectFailedLoadsKeepForecast(&model, path(), path() + ".bad", 2, s);
-  ExpectTextLoadUnfreezes(&model, path(), path() + ".rpasq", s);
+  ExpectLoadCheckpointUnfreezes(&model, path(), path() + ".q8", s);
+}
+
+TEST_F(CheckpointTest, TftFailedLoadKeepsServingItsWeights) {
+  const ts::TimeSeries s = SineSeries(3 * kDay, 0.3, 23);
+  forecast::TftForecaster::Options options;
+  options.context_length = 36;
+  options.horizon = 12;
+  options.d_model = 8;
+  options.batch_size = 2;
+  options.train.steps = 10;
+  options.levels = {0.1, 0.5, 0.9};
+  forecast::TftForecaster model(options);
+  ASSERT_TRUE(model.Fit(s).ok());
+  ASSERT_TRUE(model.SaveCheckpoint(path()).ok());
+  // Tensor 4 is the LSTM's input weight: the old load rebuilt every layer
+  // in place before it read a byte.
+  ExpectFailedLoadsKeepForecast(&model, path(), path() + ".bad", 4, s);
+}
+
+// SaveCheckpoint -> LoadCheckpoint on a fresh instance restores the fitted
+// model exactly: the same PredictSeeded bits, and (for the fine-tunable
+// models) the same weights after one more IncrementalUpdate. Converting the
+// saved file at f64 reproduces it byte for byte.
+TEST_F(CheckpointTest, RestoreIsExactTrainableAndCanonical) {
+  const ts::TimeSeries s = SineSeries(3 * kDay, 0.3, 24);
+  const ts::TimeSeries train = s.Slice(0, s.size() - 3);
+  forecast::DeepArForecaster::Options deepar;
+  deepar.context_length = 36;
+  deepar.horizon = 12;
+  deepar.hidden_dim = 8;
+  deepar.batch_size = 4;
+  deepar.num_samples = 25;
+  deepar.train.steps = 10;
+  deepar.fine_tune_steps = 2;
+  forecast::MlpForecaster::Options mlp;
+  mlp.context_length = 36;
+  mlp.horizon = 12;
+  mlp.hidden_dim = 16;
+  mlp.train.steps = 10;
+  mlp.fine_tune_steps = 2;
+  forecast::TftForecaster::Options tft;
+  tft.context_length = 36;
+  tft.horizon = 12;
+  tft.d_model = 8;
+  tft.batch_size = 2;
+  tft.train.steps = 10;
+  tft.levels = {0.1, 0.5, 0.9};
+  using Pair = std::pair<std::unique_ptr<forecast::Forecaster>,
+                         std::unique_ptr<forecast::Forecaster>>;
+  std::vector<Pair> models;
+  models.emplace_back(std::make_unique<forecast::DeepArForecaster>(deepar),
+                      std::make_unique<forecast::DeepArForecaster>(deepar));
+  models.emplace_back(std::make_unique<forecast::MlpForecaster>(mlp),
+                      std::make_unique<forecast::MlpForecaster>(mlp));
+  models.emplace_back(std::make_unique<forecast::TftForecaster>(tft),
+                      std::make_unique<forecast::TftForecaster>(tft));
+
+  forecast::ForecastInput input;
+  input.start_index = s.size() - 36;
+  input.step_minutes = s.step_minutes;
+  input.context.assign(s.values.end() - 36, s.values.end());
+  auto expect_same = [&](const forecast::Forecaster& a,
+                         const forecast::Forecaster& b,
+                         const std::string& what) {
+    auto fa = a.PredictSeeded(input, 5);
+    auto fb = b.PredictSeeded(input, 5);
+    ASSERT_TRUE(fa.ok() && fb.ok()) << what;
+    for (size_t h = 0; h < fa->Horizon(); ++h) {
+      for (size_t q = 0; q < fa->Levels().size(); ++q) {
+        ASSERT_EQ(fa->ValueAtIndex(h, q), fb->ValueAtIndex(h, q))
+            << a.Name() << " " << what << " step " << h << " level " << q;
+      }
+    }
+  };
+  const std::string converted = path() + ".f64";
+  for (auto& [fitted, restored] : models) {
+    ASSERT_TRUE(fitted->Fit(train).ok());
+    ASSERT_TRUE(fitted->SaveCheckpoint(path()).ok());
+    ASSERT_TRUE(restored->LoadCheckpoint(path()).ok());
+    expect_same(*fitted, *restored, "restored");
+
+    ASSERT_TRUE(
+        nn::QuantizeCheckpointFile(path(), converted, tensor::DType::kF64)
+            .ok());
+    EXPECT_EQ(ReadFile(converted), ReadFile(path())) << fitted->Name();
+
+    if (fitted->SupportsIncrementalUpdate()) {
+      auto a = fitted->IncrementalUpdate(s, 3);
+      auto b = restored->IncrementalUpdate(s, 3);
+      ASSERT_TRUE(a.ok() && b.ok()) << fitted->Name();
+      EXPECT_GT(b->gradient_steps, 0);
+      expect_same(*fitted, *restored, "fine-tuned");
+    }
+  }
+  std::filesystem::remove(converted);
 }
 
 TEST_F(CheckpointTest, SaveUnfittedModelFails) {
   forecast::TftForecaster model(forecast::TftForecaster::Options{});
-  EXPECT_EQ(model.Save(path()).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(model.SaveCheckpoint(path()).code(),
+            StatusCode::kFailedPrecondition);
 }
 
 // -------------------------------------------------------------- OnlineLoop ---

@@ -16,6 +16,7 @@
 #include "common/strings.h"
 #include "forecast/deepar.h"
 #include "forecast/mlp.h"
+#include "forecast/tft.h"
 #include "nn/qcheckpoint.h"
 #include "serve/admission.h"
 #include "serve/batching.h"
@@ -29,6 +30,7 @@ namespace {
 using forecast::DeepArForecaster;
 using forecast::ForecastInput;
 using forecast::MlpForecaster;
+using forecast::TftForecaster;
 
 constexpr size_t kContext = 12;
 constexpr size_t kHorizon = 6;
@@ -70,6 +72,16 @@ DeepArForecaster::Options SmallDeepArOptions() {
   return options;
 }
 
+TftForecaster::Options SmallTftOptions() {
+  TftForecaster::Options options;
+  options.context_length = kContext;
+  options.horizon = kHorizon;
+  options.d_model = 4;
+  options.batch_size = 2;
+  options.train.steps = 10;
+  return options;
+}
+
 /// Checkpoints of one tiny trained MLP and one tiny trained DeepAR,
 /// written once per test binary (training dominates the suite's runtime).
 struct TrainedCheckpoints {
@@ -77,21 +89,10 @@ struct TrainedCheckpoints {
   std::string deepar_path;
 };
 
-/// SaveCheckpoint truncates and rewrites `path` in place, and ctest runs
-/// this binary's cases as separate concurrent processes that all lazily
-/// rebuild these shared /tmp checkpoints — a sibling reading a
-/// half-written file would fail its registry setup and abort. Writing a
-/// pid-suffixed temp and renaming it into place keeps the shared path
-/// complete at every instant (rename(2) is atomic on one filesystem, and
-/// training is deterministic, so every process produces identical bytes).
-void SaveCheckpointAtomically(const forecast::Forecaster& model,
-                              const std::string& path) {
-  const std::string tmp =
-      path + "." + std::to_string(static_cast<long>(getpid())) + ".tmp";
-  RPAS_CHECK(model.SaveCheckpoint(tmp).ok());
-  RPAS_CHECK(std::rename(tmp.c_str(), path.c_str()) == 0);
-}
-
+/// ctest runs this binary's cases as separate concurrent processes that all
+/// lazily rebuild these shared /tmp checkpoints. SaveCheckpoint commits by
+/// atomic rename, so a sibling never reads a half-written file, and
+/// training is deterministic, so every process writes identical bytes.
 const TrainedCheckpoints& Checkpoints() {
   static const TrainedCheckpoints* checkpoints = [] {
     auto* c = new TrainedCheckpoints;
@@ -100,10 +101,10 @@ const TrainedCheckpoints& Checkpoints() {
     const ts::TimeSeries train = SineSeries(400, 7);
     MlpForecaster mlp(SmallMlpOptions());
     RPAS_CHECK(mlp.Fit(train).ok());
-    SaveCheckpointAtomically(mlp, c->mlp_path);
+    RPAS_CHECK(mlp.SaveCheckpoint(c->mlp_path).ok());
     DeepArForecaster deepar(SmallDeepArOptions());
     RPAS_CHECK(deepar.Fit(train).ok());
-    SaveCheckpointAtomically(deepar, c->deepar_path);
+    RPAS_CHECK(deepar.SaveCheckpoint(c->deepar_path).ok());
     return c;
   }();
   return *checkpoints;
@@ -119,9 +120,9 @@ ForecasterFactory DeepArFactory() {
   };
 }
 
-/// Registry with `versions` MLP versions named "mlp" (all sharing one
-/// checkpoint file's content, copied so each version has its own path)
-/// plus one DeepAR version "deepar@v1".
+/// Registry with "mlp@v1" and "deepar@v1" served from the shared fp64
+/// checkpoints. Mapped bytes are charged at full price (weight 1.0), so
+/// every byte budget below is in file bytes.
 struct TestRegistry {
   std::unique_ptr<obs::MetricsRegistry> metrics;
   std::unique_ptr<ModelRegistry> registry;
@@ -132,6 +133,7 @@ TestRegistry MakeRegistry(size_t cache_budget_bytes) {
   r.metrics = std::make_unique<obs::MetricsRegistry>(true);
   ModelRegistry::Options options;
   options.cache_budget_bytes = cache_budget_bytes;
+  options.mapped_byte_weight = 1.0;
   options.metrics = r.metrics.get();
   r.registry = std::make_unique<ModelRegistry>(options);
   RPAS_CHECK(r.registry
@@ -1116,7 +1118,7 @@ size_t FileBytes(const std::string& path) {
 }
 
 /// rpasq.v1 conversions of the shared trained checkpoints, one pair per
-/// storage dtype. Shared /tmp paths are safe for the same reason the text
+/// storage dtype. Shared /tmp paths are safe for the same reason the fp64
 /// checkpoints are: conversion is deterministic and the writer commits via
 /// atomic rename, so concurrent ctest processes always see complete,
 /// identical bytes.
@@ -1215,7 +1217,7 @@ double RegistryWql(const std::string& mlp_path,
 
 // The ISSUE's serving accuracy contract: quantizing the fleet's weights
 // must not move wQL by more than 0.5% (int8) / 0.05% (fp16) relative to
-// the exact fp64 text checkpoints.
+// the exact fp64 checkpoints.
 TEST(QuantizedServingTest, WqlDeltaWithinDtypeBounds) {
   const double base =
       RegistryWql(Checkpoints().mlp_path, Checkpoints().deepar_path);
@@ -1230,12 +1232,29 @@ TEST(QuantizedServingTest, WqlDeltaWithinDtypeBounds) {
 }
 
 TEST(QuantizedServingTest, MappedBytesAccountedSeparatelyFromHeap) {
-  TestRegistry text = MakeRegistry(1 << 20);
-  ASSERT_TRUE(text.registry->Acquire({"mlp", 1}).ok());
-  const ModelRegistry::CacheStats text_stats =
-      text.registry->GetCacheStats();
-  EXPECT_EQ(text_stats.mapped_bytes, 0u);  // text models live on the heap
-  EXPECT_EQ(text_stats.heap_bytes, text_stats.resident_bytes);
+  // TFT has no mapped serving path, so the registry restores it onto the
+  // heap through LoadCheckpoint and charges its whole file as heap bytes.
+  const std::string tft_path = StrFormat("/tmp/rpas_serve_test_tft_%ld.ckpt",
+                                         static_cast<long>(getpid()));
+  TftForecaster tft(SmallTftOptions());
+  ASSERT_TRUE(tft.Fit(SineSeries(400, 7)).ok());
+  obs::MetricsRegistry heap_metrics(true);
+  ModelRegistry::Options heap_options;
+  heap_options.metrics = &heap_metrics;
+  ModelRegistry heap(heap_options);
+  ASSERT_TRUE(heap.RegisterTrained({"tft", 1}, tft_path, tft, [] {
+                    return std::make_unique<TftForecaster>(SmallTftOptions());
+                  })
+                  .ok());
+  auto restored = heap.Acquire({"tft", 1});
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_TRUE((*restored)->PredictSeeded(MakeInput(0), 1).ok());
+  const ModelRegistry::CacheStats heap_stats = heap.GetCacheStats();
+  EXPECT_EQ(heap_stats.mapped_bytes, 0u);
+  EXPECT_EQ(heap_stats.heap_bytes, heap_stats.resident_bytes);
+  EXPECT_EQ(heap_stats.resident_bytes, FileBytes(tft_path));
+  EXPECT_EQ(heap_stats.charged_bytes, heap_stats.heap_bytes);
+  std::remove(tft_path.c_str());
 
   TestRegistry quant =
       MakeRegistryAt(QuantCkpts().mlp_q8, QuantCkpts().deepar_q8, 1 << 20);
@@ -1259,9 +1278,9 @@ TEST(QuantizedServingTest, AdmissionAndShedInvariantAcrossDtypes) {
   FleetOptions options = SmallFleetOptions();
   options.admission.round_budget = 2;  // force sheds every round
 
-  TestRegistry text = MakeRegistry(1 << 20);
-  options.metrics = text.metrics.get();
-  auto base = RunFleet(text.registry.get(), {{"mlp", 1}, {"deepar", 1}},
+  TestRegistry f64 = MakeRegistry(1 << 20);
+  options.metrics = f64.metrics.get();
+  auto base = RunFleet(f64.registry.get(), {{"mlp", 1}, {"deepar", 1}},
                        options);
   ASSERT_TRUE(base.ok()) << base.status().ToString();
 

@@ -7,10 +7,8 @@
 // one round long, so the loop's early-replan rule never fires.
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -53,10 +51,10 @@ MlpForecaster::Options MlpOptions(size_t version) {
   return options;
 }
 
-/// Checkpoint of MLP version `version` (1 or 2), trained once per process
-/// and renamed into place so concurrent test processes only ever read a
-/// complete file (training is deterministic: every process writes the same
-/// bytes).
+/// Checkpoint of MLP version `version` (1 or 2), trained once per process.
+/// SaveCheckpoint commits by atomic rename, so concurrent test processes
+/// only ever read a complete file (training is deterministic: every process
+/// writes the same bytes).
 const std::string& CheckpointPath(size_t version) {
   static const std::vector<std::string>* paths = [] {
     auto* p = new std::vector<std::string>;
@@ -68,10 +66,7 @@ const std::string& CheckpointPath(size_t version) {
           "/tmp/rpas_tenant_session_test_mlp_v" + std::to_string(v) + ".ckpt";
       MlpForecaster model(MlpOptions(v));
       RPAS_CHECK(model.Fit(train).ok());
-      const std::string tmp =
-          path + "." + std::to_string(static_cast<long>(getpid())) + ".tmp";
-      RPAS_CHECK(model.SaveCheckpoint(tmp).ok());
-      RPAS_CHECK(std::rename(tmp.c_str(), path.c_str()) == 0);
+      RPAS_CHECK(model.SaveCheckpoint(path).ok());
       p->push_back(path);
     }
     return p;

@@ -7,8 +7,9 @@
 //
 //   rpas train     --data=trace.csv --ckpt=model.ckpt [--model=tft|deepar|mlp]
 //                  [--context=72] [--horizon=72] [--steps=400] [--seed=23]
-//       Trains a probabilistic forecaster on the CSV series and saves a
-//       checkpoint.
+//       Trains a probabilistic forecaster on the CSV series and saves an
+//       fp64 rpasq.v1 checkpoint (rpas_quantize converts it to a smaller
+//       storage dtype).
 //
 //   rpas forecast  --data=trace.csv --ckpt=model.ckpt [--model=...]
 //                  [--context=72] [--horizon=72]
@@ -108,21 +109,12 @@ ts::TimeSeries LoadSeries(const Flags& flags) {
 
 /// Builds the (untrained) model described by the flags. The same flags must
 /// be passed to train and to the restoring subcommands.
-struct ModelBundle {
-  std::unique_ptr<forecast::Forecaster> forecaster;
-  // Non-owning typed views for Save/Load dispatch.
-  forecast::TftForecaster* tft = nullptr;
-  forecast::DeepArForecaster* deepar = nullptr;
-  forecast::MlpForecaster* mlp = nullptr;
-};
-
-ModelBundle BuildModel(const Flags& flags) {
+std::unique_ptr<forecast::Forecaster> BuildModel(const Flags& flags) {
   const std::string kind = flags.Get("model", "tft");
   const size_t context = static_cast<size_t>(flags.GetInt("context", 72));
   const size_t horizon = static_cast<size_t>(flags.GetInt("horizon", 72));
   const int steps = flags.GetInt("steps", 400);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 23));
-  ModelBundle bundle;
   if (kind == "tft") {
     forecast::TftForecaster::Options options;
     options.context_length = context;
@@ -132,10 +124,9 @@ ModelBundle BuildModel(const Flags& flags) {
     options.train.steps = steps;
     options.levels = forecast::ScalingQuantileLevels();
     options.seed = seed;
-    auto model = std::make_unique<forecast::TftForecaster>(options);
-    bundle.tft = model.get();
-    bundle.forecaster = std::move(model);
-  } else if (kind == "deepar") {
+    return std::make_unique<forecast::TftForecaster>(options);
+  }
+  if (kind == "deepar") {
     forecast::DeepArForecaster::Options options;
     options.context_length = context;
     options.horizon = horizon;
@@ -143,10 +134,9 @@ ModelBundle BuildModel(const Flags& flags) {
     options.train.steps = steps;
     options.levels = forecast::ScalingQuantileLevels();
     options.seed = seed;
-    auto model = std::make_unique<forecast::DeepArForecaster>(options);
-    bundle.deepar = model.get();
-    bundle.forecaster = std::move(model);
-  } else if (kind == "mlp") {
+    return std::make_unique<forecast::DeepArForecaster>(options);
+  }
+  if (kind == "mlp") {
     forecast::MlpForecaster::Options options;
     options.context_length = context;
     options.horizon = horizon;
@@ -155,35 +145,10 @@ ModelBundle BuildModel(const Flags& flags) {
     options.train.steps = steps;
     options.levels = forecast::ScalingQuantileLevels();
     options.seed = seed;
-    auto model = std::make_unique<forecast::MlpForecaster>(options);
-    bundle.mlp = model.get();
-    bundle.forecaster = std::move(model);
-  } else {
-    std::fprintf(stderr, "unknown --model=%s (tft|deepar|mlp)\n",
-                 kind.c_str());
-    std::exit(2);
+    return std::make_unique<forecast::MlpForecaster>(options);
   }
-  return bundle;
-}
-
-Status SaveModel(const ModelBundle& bundle, const std::string& path) {
-  if (bundle.tft != nullptr) {
-    return bundle.tft->Save(path);
-  }
-  if (bundle.deepar != nullptr) {
-    return bundle.deepar->Save(path);
-  }
-  return bundle.mlp->Save(path);
-}
-
-Status LoadModel(ModelBundle* bundle, const std::string& path) {
-  if (bundle->tft != nullptr) {
-    return bundle->tft->Load(path);
-  }
-  if (bundle->deepar != nullptr) {
-    return bundle->deepar->Load(path);
-  }
-  return bundle->mlp->Load(path);
+  std::fprintf(stderr, "unknown --model=%s (tft|deepar|mlp)\n", kind.c_str());
+  std::exit(2);
 }
 
 forecast::ForecastInput TailInput(const ts::TimeSeries& series,
@@ -224,13 +189,13 @@ int CmdGenerate(const Flags& flags) {
 int CmdTrain(const Flags& flags) {
   const std::string ckpt = flags.Require("ckpt");
   ts::TimeSeries series = LoadSeries(flags);
-  ModelBundle bundle = BuildModel(flags);
-  std::printf("training %s on %zu points...\n",
-              bundle.forecaster->Name().c_str(), series.size());
-  if (Status s = bundle.forecaster->Fit(series); !s.ok()) {
+  std::unique_ptr<forecast::Forecaster> model = BuildModel(flags);
+  std::printf("training %s on %zu points...\n", model->Name().c_str(),
+              series.size());
+  if (Status s = model->Fit(series); !s.ok()) {
     Fail(s);
   }
-  if (Status s = SaveModel(bundle, ckpt); !s.ok()) {
+  if (Status s = model->SaveCheckpoint(ckpt); !s.ok()) {
     Fail(s);
   }
   std::printf("checkpoint written to %s\n", ckpt.c_str());
@@ -240,12 +205,11 @@ int CmdTrain(const Flags& flags) {
 int CmdForecast(const Flags& flags) {
   const std::string ckpt = flags.Require("ckpt");
   ts::TimeSeries series = LoadSeries(flags);
-  ModelBundle bundle = BuildModel(flags);
-  if (Status s = LoadModel(&bundle, ckpt); !s.ok()) {
+  std::unique_ptr<forecast::Forecaster> model = BuildModel(flags);
+  if (Status s = model->LoadCheckpoint(ckpt); !s.ok()) {
     Fail(s);
   }
-  auto fc = bundle.forecaster->Predict(
-      TailInput(series, bundle.forecaster->ContextLength()));
+  auto fc = model->Predict(TailInput(series, model->ContextLength()));
   if (!fc.ok()) {
     Fail(fc.status());
   }
@@ -267,8 +231,8 @@ int CmdForecast(const Flags& flags) {
 int CmdPlan(const Flags& flags) {
   const std::string ckpt = flags.Require("ckpt");
   ts::TimeSeries series = LoadSeries(flags);
-  ModelBundle bundle = BuildModel(flags);
-  if (Status s = LoadModel(&bundle, ckpt); !s.ok()) {
+  std::unique_ptr<forecast::Forecaster> model = BuildModel(flags);
+  if (Status s = model->LoadCheckpoint(ckpt); !s.ok()) {
     Fail(s);
   }
   core::ScalingConfig config;
@@ -276,8 +240,8 @@ int CmdPlan(const Flags& flags) {
   config.min_nodes = flags.GetInt("min-nodes", 1);
   const double tau = flags.GetDouble("tau", 0.9);
   core::RobustAutoScalingManager manager(
-      bundle.forecaster.get(),
-      std::make_unique<core::RobustQuantileAllocator>(tau), config);
+      model.get(), std::make_unique<core::RobustQuantileAllocator>(tau),
+      config);
   auto plan = manager.PlanNext(series);
   if (!plan.ok()) {
     Fail(plan.status());
@@ -295,25 +259,25 @@ int CmdPlan(const Flags& flags) {
 int CmdEvaluate(const Flags& flags) {
   const std::string ckpt = flags.Require("ckpt");
   ts::TimeSeries series = LoadSeries(flags);
-  ModelBundle bundle = BuildModel(flags);
-  if (Status s = LoadModel(&bundle, ckpt); !s.ok()) {
+  std::unique_ptr<forecast::Forecaster> model = BuildModel(flags);
+  if (Status s = model->LoadCheckpoint(ckpt); !s.ok()) {
     Fail(s);
   }
   const size_t test_steps =
       static_cast<size_t>(flags.GetInt("test-steps", 432));
-  if (series.size() <= test_steps + bundle.forecaster->ContextLength()) {
+  if (series.size() <= test_steps + model->ContextLength()) {
     std::fprintf(stderr, "series too short for --test-steps=%zu\n",
                  test_steps);
     return 1;
   }
   auto [train, test] = series.SplitTail(test_steps);
-  auto rolled = forecast::RollForecasts(*bundle.forecaster, train, test,
-                                        bundle.forecaster->Horizon());
+  auto rolled =
+      forecast::RollForecasts(*model, train, test, model->Horizon());
   if (!rolled.ok()) {
     Fail(rolled.status());
   }
   auto report = ts::EvaluateForecasts(rolled->forecasts, rolled->actuals,
-                                      bundle.forecaster->Levels());
+                                      model->Levels());
   std::printf("windows=%zu points=%zu\n", rolled->forecasts.size(),
               report.num_points);
   std::printf("mean_wQL=%.4f  MSE=%.2f  MAE=%.2f\n", report.mean_wql,

@@ -1,13 +1,14 @@
-// rpas_quantize — converts text checkpoints (nn/checkpoint.h) to the
-// quantized, memory-mappable rpasq.v1 format, and inspects rpasq files.
+// rpas_quantize — re-encodes rpasq.v1 checkpoints (nn/qcheckpoint.h) at a
+// smaller storage dtype, and inspects rpasq files.
 //
 // Usage:
 //   rpas_quantize --in=model.ckpt --out=model.rpasq [--dtype=q8]
-//       Converts a text checkpoint. --dtype selects the storage type for
-//       weight matrices (q8 | f16 | f32 | f64, default q8); vectors and
-//       tiny tensors always stay exact fp64 (see nn::StorageDType). The
-//       output is written via temp file + atomic rename, so it is safe to
-//       replace a checkpoint that is currently being served from a mapping.
+//       Converts any rpasq.v1 checkpoint, such as the fp64 one `rpas train`
+//       writes. --dtype selects the storage type for weight matrices
+//       (q8 | f16 | f32 | f64, default q8); vectors and tiny tensors always
+//       stay exact fp64 (see nn::StorageDType). The output is written via
+//       temp file + atomic rename, so it is safe to replace a checkpoint
+//       that is currently being served from a mapping.
 //
 //   rpas_quantize --inspect=model.rpasq
 //       Validates an rpasq.v1 file (header, checksums, bounds) and prints
@@ -44,6 +45,8 @@ int Usage(std::FILE* out) {
                "usage:\n"
                "  rpas_quantize --in=model.ckpt --out=model.rpasq "
                "[--dtype=q8|f16|f32|f64]\n"
+               "      --in takes any rpasq.v1 checkpoint, such as the one "
+               "`rpas train` writes\n"
                "  rpas_quantize --inspect=model.rpasq\n");
   return out == stdout ? 0 : 2;
 }
