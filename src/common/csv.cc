@@ -1,5 +1,6 @@
 #include "common/csv.h"
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -165,9 +166,15 @@ Result<std::vector<double>> CsvNumericColumn(const CsvTable& table,
   }
   std::vector<double> values;
   values.reserve(table.rows.size());
-  for (const auto& row : table.rows) {
-    RPAS_ASSIGN_OR_RETURN(double v, ParseDouble(row[idx]));
-    values.push_back(v);
+  for (size_t r = 0; r < table.rows.size(); ++r) {
+    const std::string& cell = table.rows[r][idx];
+    Result<double> v = ParseDouble(cell);
+    if (!v.ok() || !std::isfinite(*v)) {
+      return Status::InvalidArgument(StrFormat(
+          "column '%s', data row %zu: '%s' is not a finite number",
+          column.c_str(), r + 1, cell.c_str()));
+    }
+    values.push_back(*v);
   }
   return values;
 }

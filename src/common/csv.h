@@ -39,7 +39,9 @@ Result<CsvTable> ReadCsv(const std::string& path);
 /// output is never structurally ambiguous.) Returns IoError on failure.
 Status WriteCsv(const std::string& path, const CsvTable& table);
 
-/// Convenience: extracts one numeric column by name.
+/// Convenience: extracts one numeric column by name. NotFound when no
+/// column has that name; InvalidArgument naming the column, the 1-based
+/// data row and the cell text when a cell is malformed, NaN or ±Inf.
 Result<std::vector<double>> CsvNumericColumn(const CsvTable& table,
                                              const std::string& column);
 

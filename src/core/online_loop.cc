@@ -1,7 +1,6 @@
 #include "core/online_loop.h"
 
 #include <memory>
-#include <unordered_set>
 #include <utility>
 
 #include "common/stopwatch.h"
@@ -222,24 +221,10 @@ Result<OnlineLoopResult> RunOnlineLoop(const RobustAutoScalingManager& manager,
 
 std::vector<obs::ScalingDecision> CollectDecisions(
     const OnlineLoopResult& result, const std::string& run) {
-  std::unordered_set<size_t> faulted_steps;
-  for (const simdb::FaultEvent& event : result.fault_events) {
-    faulted_steps.insert(event.step);
-  }
   std::vector<obs::ScalingDecision> decisions;
   decisions.reserve(result.steps.size());
   for (const simdb::StepStats& stats : result.steps) {
-    obs::ScalingDecision d;
-    d.run = run;
-    d.step = static_cast<uint64_t>(stats.step);
-    d.target_nodes = stats.target_nodes;
-    d.active_nodes = stats.active_nodes;
-    d.workload = stats.workload;
-    d.utilization = stats.avg_utilization;
-    d.under_provisioned = stats.under_provisioned;
-    d.slo_violated = stats.slo_violated;
-    d.faulted = faulted_steps.count(stats.step) > 0;
-    decisions.push_back(std::move(d));
+    decisions.push_back(MakeScalingDecision(stats, run));
   }
   return decisions;
 }

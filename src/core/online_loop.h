@@ -202,7 +202,9 @@ Result<OnlineLoopResult> RunOnlineLoop(const RobustAutoScalingManager& manager,
 /// Flattens a finished run into per-step obs::ScalingDecision records for
 /// the structured exporters (obs/export.h). `run` labels every record (use
 /// it to distinguish strategies or fault rates in one export). A step's
-/// `faulted` flag is true iff at least one fault event was logged for it.
+/// `faulted` flag is true iff an injected fault was active at it
+/// (StepStats::faulted, StepFaults::Any()), so the flagged count equals
+/// `faulted_steps`, and the fleet's records use the same rule.
 std::vector<obs::ScalingDecision> CollectDecisions(
     const OnlineLoopResult& result, const std::string& run);
 

@@ -239,7 +239,6 @@ simdb::StepStats TenantSession::Step(size_t step) {
   const double point = series_.values[start_ + step];
   const simdb::StepStats stats = cluster_.Step(target, point, faults);
   current_nodes_ = cluster_.NumNodes();
-  last_step_faulted_ = faults.Any();
   if (stats.nodes_delayed > 0) {
     LogEvent(step, simdb::FaultType::kActuationDelay, stats.nodes_delayed);
   }
@@ -253,7 +252,7 @@ simdb::StepStats TenantSession::Step(size_t step) {
     LogEvent(step, simdb::FaultType::kWorkloadSpike,
              faults.workload_multiplier);
   }
-  if (last_step_faulted_) {
+  if (stats.faulted) {
     ++summary_.faulted_steps;
   }
   if (plan_is_fallback_) {
@@ -355,6 +354,21 @@ TenantSession::Summary TenantSession::Finish() {
     summary.selector = selector_->stats();
   }
   return summary;
+}
+
+obs::ScalingDecision MakeScalingDecision(const simdb::StepStats& stats,
+                                         std::string run) {
+  obs::ScalingDecision d;
+  d.run = std::move(run);
+  d.step = static_cast<uint64_t>(stats.step);
+  d.target_nodes = stats.target_nodes;
+  d.active_nodes = stats.active_nodes;
+  d.workload = stats.workload;
+  d.utilization = stats.avg_utilization;
+  d.under_provisioned = stats.under_provisioned;
+  d.slo_violated = stats.slo_violated;
+  d.faulted = stats.faulted;
+  return d;
 }
 
 }  // namespace rpas::core

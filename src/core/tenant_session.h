@@ -5,12 +5,14 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/result.h"
 #include "core/scaling_config.h"
 #include "forecast/forecaster.h"
 #include "forecast/rolling_wql.h"
+#include "obs/export.h"
 #include "obs/metrics.h"
 #include "select/classifier.h"
 #include "select/prescaler.h"
@@ -188,8 +190,6 @@ class TenantSession {
   size_t plan_size() const { return plan_.size(); }
   /// Steps of the current plan already applied.
   size_t plan_cursor() const { return cursor_; }
-  /// Whether the last Step ran under an injected fault.
-  bool last_step_faulted() const { return last_step_faulted_; }
 
  private:
   TenantSession(const ts::TimeSeries& series, size_t start,
@@ -253,9 +253,14 @@ class TenantSession {
   size_t last_fresh_step_ = 0;
   uint64_t staleness_sum_ = 0;
   uint64_t model_staleness_sum_ = 0;
-  bool last_step_faulted_ = false;
   Summary summary_;  ///< counters accumulate here as the session runs
 };
+
+/// One step's decision record, labelled `run`. The loop's CollectDecisions
+/// and the fleet both build their records here, so both drivers export the
+/// same fields under the same definitions (`faulted` is StepStats::faulted).
+obs::ScalingDecision MakeScalingDecision(const simdb::StepStats& stats,
+                                         std::string run);
 
 }  // namespace rpas::core
 

@@ -490,31 +490,20 @@ std::vector<double> DeepArForecaster::SampleRoll(const ForecastInput* inputs,
   const size_t gw = 4 * hd;  // gate columns
   const size_t rows = requests * num_samples;
   const kernels::SimdLevel level = kernels::ActiveLevel();
-  const tensor::QTensorView& qwx = lstm_->quantized_w_x();
-  const tensor::QTensorView& qwh = lstm_->quantized_w_h();
-  const tensor::QTensorView& qmu = mu_head_->quantized_weight();
-  const tensor::QTensorView& qsigma = sigma_head_->quantized_weight();
-  // q8 weights under the opt-in int8 GEMM stay on GemmQuant, whose int8
-  // core quantizes each call's activations by design. A quantized model
-  // holds views for all four weights (LoadQuantizedCheckpoint sets them
-  // together), so this mode multiplies every weight through its view.
-  const bool int8 =
-      lstm_->has_quantized_weights() && kernels::GemmQuantInt8Enabled() &&
-      (qwx.dtype == tensor::DType::kQ8 || qwh.dtype == tensor::DType::kQ8 ||
-       qmu.dtype == tensor::DType::kQ8 || qsigma.dtype == tensor::DType::kQ8);
 
   // Once per call: decode and pack W_x and W_h, interleave the two head
   // columns into one H x 2 operand [mu | sigma] (columns never mix in a
   // GEMM), and size every buffer, so the steps allocate nothing. Nothing is
   // cached on the model, so concurrent PredictSeeded calls share only
-  // read-only weights.
+  // read-only weights. The decoded image is freed before the step buffers
+  // are sized.
   std::vector<double> wx_packed, wh_packed, head_w(2 * hd);
-  if (!int8) {
+  {
     std::vector<double> image(std::max(kInputDim, hd) * gw);
-    WeightImage(lstm_->w_x(), qwx, image.data());
+    WeightImage(lstm_->w_x(), lstm_->quantized_w_x(), image.data());
     wx_packed.resize(kernels::PackedSize(kInputDim, gw));
     kernels::PackB(kInputDim, gw, image.data(), gw, wx_packed.data());
-    WeightImage(lstm_->w_h(), qwh, image.data());
+    WeightImage(lstm_->w_h(), lstm_->quantized_w_h(), image.data());
     wh_packed.resize(kernels::PackedSize(hd, gw));
     kernels::PackB(hd, gw, image.data(), gw, wh_packed.data());
     const nn::Dense* head_layers[2] = {mu_head_.get(), sigma_head_.get()};
@@ -545,15 +534,8 @@ std::vector<double> DeepArForecaster::SampleRoll(const ForecastInput* inputs,
   auto lstm_step = [&](size_t m, double* hs, double* cs) {
     std::fill_n(gates.data(), m * gw, 0.0);
     std::fill_n(hw.data(), m * gw, 0.0);
-    if (int8) {
-      kernels::GemmQuant(level, m, gw, kInputDim, x.data(), kInputDim,
-                         qwx.dtype, qwx.payload, gates.data(), gw);
-      kernels::GemmQuant(level, m, gw, hd, hs, hd, qwh.dtype, qwh.payload,
-                         hw.data(), gw);
-    } else {
-      PackedGateProducts(level, m, kInputDim, hd, x.data(), wx_packed.data(),
-                         hs, wh_packed.data(), gates.data(), hw.data());
-    }
+    PackedGateProducts(level, m, kInputDim, hd, x.data(), wx_packed.data(),
+                       hs, wh_packed.data(), gates.data(), hw.data());
     kernels::LstmCellForward(level, m, hd, gates.data(), hw.data(), bias, cs,
                              hd, hs, hd, cs, hd, /*tanh_c=*/nullptr);
   };
@@ -593,15 +575,8 @@ std::vector<double> DeepArForecaster::SampleRoll(const ForecastInput* inputs,
     }
     lstm_step(rows, h_state.data(), c_state.data());
     std::fill(heads.begin(), heads.end(), 0.0);
-    if (int8) {
-      kernels::GemmQuant(level, rows, 1, hd, h_state.data(), hd, qmu.dtype,
-                         qmu.payload, heads.data(), 2);
-      kernels::GemmQuant(level, rows, 1, hd, h_state.data(), hd,
-                         qsigma.dtype, qsigma.payload, heads.data() + 1, 2);
-    } else {
-      kernels::Gemm(level, rows, 2, hd, h_state.data(), hd, head_w.data(), 2,
-                    heads.data(), 2);
-    }
+    kernels::Gemm(level, rows, 2, hd, h_state.data(), hd, head_w.data(), 2,
+                  heads.data(), 2);
     double* out = draws.data() + step * rows;
     for (size_t r = 0; r < requests; ++r) {
       for (size_t s = 0; s < num_samples; ++s) {

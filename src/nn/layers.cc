@@ -254,26 +254,15 @@ LstmCell::State LstmCell::Step(Tape* tape, Var x, const State& state) {
 
 LstmCell::RawState LstmCell::Step(const Matrix& x,
                                   const RawState& state) const {
+  RPAS_CHECK(!qwx_.valid())
+      << "LstmCell::Step: quantized weights are served only by DeepAR's "
+         "fused roll";
   const size_t h = hidden_dim_;
   const size_t batch = x.rows();
   Matrix gates(batch, 4 * h);
   Matrix t2(batch, 4 * h);
-  if (qwx_.valid()) {
-    // Quantized serving path: both recurrence GEMMs dequantize the stored
-    // payloads on the fly. gates/t2 are zero-initialized, so the
-    // accumulating GemmQuant computes exactly the products MatMulInto
-    // would.
-    RPAS_CHECK(x.cols() == in_dim_ && state.h.cols() == h);
-    const kernels::SimdLevel level = kernels::ActiveLevel();
-    kernels::GemmQuant(level, batch, 4 * h, in_dim_, x.data(), x.cols(),
-                       qwx_.dtype, qwx_.payload, gates.data(), 4 * h);
-    kernels::GemmQuant(level, batch, 4 * h, h, state.h.data(),
-                       state.h.cols(), qwh_.dtype, qwh_.payload, t2.data(),
-                       4 * h);
-  } else {
-    ops::MatMulInto(x, w_x_.value, &gates);
-    ops::MatMulInto(state.h, w_h_.value, &t2);
-  }
+  ops::MatMulInto(x, w_x_.value, &gates);
+  ops::MatMulInto(state.h, w_h_.value, &t2);
   RawState out;
   out.h = Matrix(batch, h);
   out.c = Matrix(batch, h);

@@ -56,7 +56,6 @@ class Dense final : public Module {
   /// forecaster holding its mapped checkpoint) must keep them alive for
   /// this layer's lifetime. InvalidArgument on a shape/payload mismatch.
   Status SetQuantizedWeights(const tensor::QTensorView& w);
-  bool has_quantized_weights() const { return qw_.valid(); }
 
   /// Read-only inference weights, for callers that run their own fused
   /// forward: the fp64 parameters, and the quantized view Apply()
@@ -102,8 +101,10 @@ class LstmCell final : public Module {
   /// One step of the recurrence on the tape (training). CHECK-fails on a
   /// cell serving quantized weights — quantized models are inference-only.
   State Step(Tape* tape, Var x, const State& state);
-  /// One step, tape-free (inference; used by the TFT and QB5000 encoders).
-  /// With quantized weights both recurrence GEMMs dequantize on the fly.
+  /// One step, tape-free (inference; used by the TFT and QB5000 encoders,
+  /// which never load quantized weights). CHECK-fails on a cell serving
+  /// quantized weights: only DeepAR sets them, and its fused sampling roll
+  /// reads them through quantized_w_x()/quantized_w_h().
   RawState Step(const Matrix& x, const RawState& state) const;
 
   /// Serving-only weight replacement for the two recurrence matrices
@@ -111,7 +112,6 @@ class LstmCell final : public Module {
   /// Dense::SetQuantizedWeights. The bias stays a fp64 parameter.
   Status SetQuantizedWeights(const tensor::QTensorView& wx,
                              const tensor::QTensorView& wh);
-  bool has_quantized_weights() const { return qwx_.valid(); }
 
   /// Read-only inference weights (same contract as Dense::weight()).
   const Matrix& w_x() const { return w_x_.value; }

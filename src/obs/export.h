@@ -13,8 +13,8 @@ namespace rpas::obs {
 
 /// One auto-scaling decision step, as recorded by a closed-loop run. The
 /// obs layer defines the record (it depends only on rpas_common); the
-/// core layer converts its OnlineLoopResult into these
-/// (core::CollectDecisions).
+/// core layer builds them from each step's simdb::StepStats
+/// (core::MakeScalingDecision).
 struct ScalingDecision {
   std::string run;  ///< label of the run/cell this step belongs to
   uint64_t step = 0;

@@ -451,17 +451,8 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
           for (size_t st = step; st < round_end; ++st) {
             const simdb::StepStats stats = sessions[t]->Step(st);
             if (options.collect_decisions) {
-              obs::ScalingDecision decision;
-              decision.run = StrFormat("tenant%zu", t);
-              decision.step = st;
-              decision.target_nodes = stats.target_nodes;
-              decision.active_nodes = stats.active_nodes;
-              decision.workload = stats.workload;
-              decision.utilization = stats.avg_utilization;
-              decision.under_provisioned = stats.under_provisioned;
-              decision.slo_violated = stats.slo_violated;
-              decision.faulted = sessions[t]->last_step_faulted();
-              round_decisions[t].push_back(std::move(decision));
+              round_decisions[t].push_back(core::MakeScalingDecision(
+                  stats, StrFormat("tenant%zu", t)));
             }
           }
         }

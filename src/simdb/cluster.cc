@@ -63,6 +63,7 @@ StepStats Cluster::Step(int target_nodes, double workload,
   stats.target_nodes = target_nodes;
   stats.workload = workload;
   stats.spike_multiplier = faults.workload_multiplier;
+  stats.faulted = faults.Any();
 
   const int current = static_cast<int>(nodes_.size());
   if (target_nodes > current) {

@@ -23,6 +23,9 @@ struct StepStats {
   double p_latency_ms = 0.0;     ///< queueing-model latency proxy
   bool under_provisioned = false;  ///< avg utilization above threshold
   bool slo_violated = false;       ///< latency proxy above SLO
+  /// An injected fault was active this step (StepFaults::Any()): the one
+  /// definition behind faulted_steps and ScalingDecision::faulted.
+  bool faulted = false;
   int nodes_added = 0;
   int nodes_removed = 0;
   int nodes_failed = 0;  ///< involuntary losses this step (crash injection)

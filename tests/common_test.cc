@@ -384,6 +384,33 @@ TEST_F(CsvTest, NumericColumn) {
   EXPECT_DOUBLE_EQ((*col)[1], 20.5);
 }
 
+TEST_F(CsvTest, NonFiniteCellNamesColumnRowAndText) {
+  for (const char* cell : {"nan", "inf", "-Infinity", "NaN"}) {
+    SCOPED_TRACE(cell);
+    CsvTable table;
+    table.header = {"a", "b"};
+    table.rows = {{"1", "10.5"}, {"2", cell}, {"3", "1"}};
+    auto col = CsvNumericColumn(table, "b");
+    ASSERT_EQ(col.status().code(), StatusCode::kInvalidArgument);
+    const std::string message = col.status().message();
+    EXPECT_NE(message.find("column 'b'"), std::string::npos) << message;
+    EXPECT_NE(message.find("data row 2"), std::string::npos) << message;
+    EXPECT_NE(message.find(std::string("'") + cell + "'"), std::string::npos)
+        << message;
+  }
+}
+
+TEST_F(CsvTest, MalformedCellNamesColumnRowAndText) {
+  CsvTable table;
+  table.header = {"a"};
+  table.rows = {{"1"}, {"2"}, {"1.2x"}};
+  auto col = CsvNumericColumn(table, "a");
+  ASSERT_EQ(col.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(col.status().message().find("column 'a', data row 3: '1.2x'"),
+            std::string::npos)
+      << col.status().message();
+}
+
 TEST_F(CsvTest, MissingColumnIsNotFound) {
   CsvTable table;
   table.header = {"a"};

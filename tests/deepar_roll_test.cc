@@ -3,9 +3,9 @@
 // an explicit (xWx + hWh) + b loop, kernels::EwSigmoid/EwTanh and the scalar
 // cell update, draws from the same seed-derived generators, and reduces
 // with dist::Empirical; every prediction path must match it bit for bit at
-// every SIMD level, at 1 and 4 threads, for fp64 and q8 weights (int8 GEMM
-// off and on), and for hidden sizes whose gate blocks fill the 4-wide
-// vectors exactly (32, 20) or leave a masked tail (18).
+// every SIMD level, at 1 and 4 threads, for fp64 and q8 weights, and for
+// hidden sizes whose gate blocks fill the 4-wide vectors exactly (32, 20)
+// or leave a masked tail (18).
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -73,47 +73,25 @@ DeepArForecaster::Options SmallOptions(size_t hidden) {
   return o;
 }
 
-/// One weight as the old layers multiplied it: the fp64 matrix (decoded
-/// from the checkpoint), and the q8 payload view that GemmQuant's int8 core
-/// used instead when the int8 switch was on.
-struct RefWeight {
-  Matrix m;
-  tensor::QTensorView view;
-};
-
-/// The model's tensors in Save() order: LSTM w_x, w_h, b, then
+/// The model's tensors in Save() order, decoded from the checkpoint to the
+/// fp64 weights the old layers multiplied by: LSTM w_x, w_h, b, then
 /// (weight, bias) for the mu and sigma heads.
 struct RefModel {
   DeepArForecaster::Options options;
-  RefWeight wx, wh, b, w_mu, b_mu, w_sigma, b_sigma;
-  bool int8 = false;
+  Matrix wx, wh, b, w_mu, b_mu, w_sigma, b_sigma;
 };
 
 RefModel FromCheckpoint(const DeepArForecaster::Options& options,
-                        const nn::QuantizedCheckpoint& ckpt, bool int8) {
+                        const nn::QuantizedCheckpoint& ckpt) {
   RefModel ref;
   ref.options = options;
-  ref.int8 = int8;
-  RefWeight* slots[] = {&ref.wx,  &ref.wh,      &ref.b,      &ref.w_mu,
-                        &ref.b_mu, &ref.w_sigma, &ref.b_sigma};
+  Matrix* slots[] = {&ref.wx,   &ref.wh,      &ref.b,      &ref.w_mu,
+                     &ref.b_mu, &ref.w_sigma, &ref.b_sigma};
   RPAS_CHECK(ckpt.num_tensors() == 7);
   for (size_t i = 0; i < 7; ++i) {
-    slots[i]->view = ckpt.tensor(i).view;
-    RPAS_CHECK(tensor::DequantizeToMatrix(slots[i]->view, &slots[i]->m).ok());
+    RPAS_CHECK(tensor::DequantizeToMatrix(ckpt.tensor(i).view, slots[i]).ok());
   }
   return ref;
-}
-
-/// x * W as the old Step/Apply computed it.
-Matrix Product(const Matrix& x, const RefWeight& w, bool int8) {
-  if (int8 && w.view.dtype == tensor::DType::kQ8) {
-    Matrix out(x.rows(), w.m.cols());
-    kernels::GemmQuant(kernels::ActiveLevel(), x.rows(), w.m.cols(),
-                       x.cols(), x.data(), x.cols(), w.view.dtype,
-                       w.view.payload, out.data(), out.cols());
-    return out;
-  }
-  return tensor::MatMul(x, w.m);
 }
 
 /// One LSTM step in the old shape: two GEMMs, the bias pass, then the
@@ -121,12 +99,12 @@ Matrix Product(const Matrix& x, const RefWeight& w, bool int8) {
 void RefStep(const RefModel& ref, const Matrix& x, Matrix* h, Matrix* c) {
   const size_t hd = ref.options.hidden_dim;
   const kernels::SimdLevel level = kernels::ActiveLevel();
-  const Matrix xw = Product(x, ref.wx, ref.int8);
-  const Matrix hw = Product(*h, ref.wh, ref.int8);
+  const Matrix xw = tensor::MatMul(x, ref.wx);
+  const Matrix hw = tensor::MatMul(*h, ref.wh);
   for (size_t r = 0; r < x.rows(); ++r) {
     std::vector<double> pre(4 * hd);
     for (size_t col = 0; col < 4 * hd; ++col) {
-      pre[col] = (xw(r, col) + hw(r, col)) + ref.b.m(0, col);
+      pre[col] = (xw(r, col) + hw(r, col)) + ref.b(0, col);
     }
     std::vector<double> i(hd), f(hd), g(hd), o(hd), cn(hd), tc(hd);
     kernels::EwSigmoid(level, hd, pre.data(), i.data());
@@ -194,14 +172,14 @@ std::vector<std::vector<double>> RefTrajectories(const RefModel& ref,
       }
     }
     RefStep(ref, x, &hs, &cs);
-    const Matrix mu = Product(hs, ref.w_mu, ref.int8);
-    const Matrix sigma_raw = Product(hs, ref.w_sigma, ref.int8);
+    const Matrix mu = tensor::MatMul(hs, ref.w_mu);
+    const Matrix sigma_raw = tensor::MatMul(hs, ref.w_sigma);
     for (size_t r = 0; r < samples; ++r) {
       double sp;
-      const double raw = sigma_raw(r, 0) + ref.b_sigma.m(0, 0);
+      const double raw = sigma_raw(r, 0) + ref.b_sigma(0, 0);
       kernels::EwSoftplus(kernels::SimdLevel::kScalar, 1, &raw, &sp);
       const double sigma = sp + o.min_sigma;
-      const double draw = (mu(r, 0) + ref.b_mu.m(0, 0)) +
+      const double draw = (mu(r, 0) + ref.b_mu(0, 0)) +
                           sigma * rng->StudentT(o.student_t_dof);
       out[r][step] = draw * scale;
       prev[r] = draw;
@@ -334,7 +312,7 @@ TEST_P(DeepArRollTest, EveryPathMatchesStepByStepReference) {
         nn::QuantizeCheckpointFile(saved, f64, tensor::DType::kF64).ok());
     auto ckpt = nn::QuantizedCheckpoint::Map(f64);
     ASSERT_TRUE(ckpt.ok());
-    const RefModel ref = FromCheckpoint(options, **ckpt, /*int8=*/false);
+    const RefModel ref = FromCheckpoint(options, **ckpt);
     CheckAllPaths(
         ref,
         [&] {
@@ -346,24 +324,20 @@ TEST_P(DeepArRollTest, EveryPathMatchesStepByStepReference) {
     std::remove(f64.c_str());
   }
 
-  // q8, served from the mapped checkpoint, with the int8 GEMM off and on.
+  // q8, served from the mapped checkpoint.
   const std::string q8 = base + ".q8.rpasq";
   ASSERT_TRUE(nn::QuantizeCheckpointFile(saved, q8, tensor::DType::kQ8).ok());
   auto ckpt = nn::QuantizedCheckpoint::Map(q8);
   ASSERT_TRUE(ckpt.ok());
-  for (bool int8 : {false, true}) {
-    kernels::ScopedGemmQuantInt8 scoped(int8);
-    const RefModel ref = FromCheckpoint(options, **ckpt, int8);
-    CheckAllPaths(
-        ref,
-        [&] {
-          auto m = std::make_unique<DeepArForecaster>(options);
-          RPAS_CHECK(m->LoadQuantizedCheckpoint(*ckpt).ok());
-          return m;
-        },
-        std::string(int8 ? "q8-int8" : "q8") +
-            " H=" + std::to_string(hidden));
-  }
+  const RefModel ref = FromCheckpoint(options, **ckpt);
+  CheckAllPaths(
+      ref,
+      [&] {
+        auto m = std::make_unique<DeepArForecaster>(options);
+        RPAS_CHECK(m->LoadQuantizedCheckpoint(*ckpt).ok());
+        return m;
+      },
+      "q8 H=" + std::to_string(hidden));
   std::remove(q8.c_str());
   std::remove(saved.c_str());
 }

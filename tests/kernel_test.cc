@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -244,172 +243,58 @@ TEST(GemmParityTest, RowResultsIndependentOfBatchSize) {
   }
 }
 
-// ------------------------------------------------------------- int8 GEMM ---
+// ------------------------------------------------------- quantized GEMM ---
 
-/// Encodes a k x n row-major weight matrix as a kQ8 payload.
-std::vector<uint8_t> EncodeQ8(const Matrix& w) {
-  std::vector<uint8_t> payload(PayloadBytes(DType::kQ8, w.size()));
-  EncodePayload(DType::kQ8, w.data(), w.size(), payload.data());
-  return payload;
-}
-
-/// The weights the dequant path actually multiplies by: the exact decode of
-/// the stored q8 blocks (NOT the original fp64 weights).
-Matrix DecodeQ8(const std::vector<uint8_t>& payload, size_t k, size_t n) {
-  Matrix w(k, n);
-  DecodePayload(DType::kQ8, payload.data(), w.size(), w.data());
-  return w;
-}
-
-// Shapes straddling the 64-wide int8 k-block: partial single block, exact
-// block, partial second block, multiple blocks.
-const GemmShape kInt8Shapes[] = {
-    {1, 1, 1},   {3, 13, 9},  {5, 63, 7},   {4, 64, 8},
-    {7, 65, 16}, {2, 100, 5}, {6, 200, 33},
+/// Restores the environment/hardware thread default on scope exit.
+class ThreadOverrideGuard {
+ public:
+  ~ThreadOverrideGuard() { SetRpasThreads(0); }
 };
 
-// The int8 fast path applies per-block scales in ascending k order for
-// every output element at every level, and the integer block dots are
-// exact (maddubs pair sums bounded below i16 saturation), so results are
-// bit-identical across scalar/SSE2/AVX2.
-TEST(GemmQuantInt8Test, BitIdenticalAcrossSimdLevels) {
-  ScopedGemmQuantInt8 int8_on(true);
-  Rng rng(0x18A7);
-  for (const GemmShape& s : kInt8Shapes) {
+// Shapes straddling the 64-value q8 block (partial single block, exact
+// block, partial second block, multiple blocks), plus one tall enough to
+// clear the GEMM parallel threshold so 4 threads really fan out.
+const GemmShape kQuantShapes[] = {
+    {1, 1, 1},   {3, 13, 9},  {5, 63, 7},   {4, 64, 8},
+    {7, 65, 16}, {2, 100, 5}, {6, 200, 33}, {40, 200, 33},
+};
+
+// GemmQuant is decode + Gemm: for every storage dtype, level and thread
+// count it must equal an explicit DecodePayload followed by Gemm at the
+// same level, bit for bit, accumulating into a prefilled C.
+TEST(GemmQuantTest, BitIdenticalToDecodePlusGemmAndAccumulates) {
+  ThreadOverrideGuard guard;
+  Rng rng(0x0FF);
+  for (const GemmShape& s : kQuantShapes) {
     Matrix a(s.m, s.k);
     Matrix w(s.k, s.n);
+    Matrix prefill(s.m, s.n);
     FillUniform(&a, &rng, -2.0, 2.0);
     FillUniform(&w, &rng, -2.0, 2.0);
-    const std::vector<uint8_t> payload = EncodeQ8(w);
-    Matrix ref(s.m, s.n);
-    GemmQuant(SimdLevel::kScalar, s.m, s.n, s.k, a.data(), s.k,
-              DType::kQ8, payload.data(), ref.data(), s.n);
-    for (SimdLevel level : SupportedLevels()) {
-      Matrix c(s.m, s.n);
-      GemmQuant(level, s.m, s.n, s.k, a.data(), s.k, DType::kQ8,
-                payload.data(), c.data(), s.n);
-      for (size_t i = 0; i < c.size(); ++i) {
-        EXPECT_EQ(ref[i], c[i])
-            << LevelName(level) << " int8 gemm " << s.m << "x" << s.k << "x"
-            << s.n << " flat index " << i;
-      }
-    }
-  }
-}
-
-// The int8 result tracks the dequant reference within the analytic
-// quantization-error bound: requantizing decoded weights and quantizing
-// activations each round to within half a step of their 64-wide block's
-// symmetric grid, so per term |Δ(a*w)| <= |a|*wstep/2 + |w|*astep/2 +
-// (astep/2)*(wstep/2) with step = blockmax/127.
-TEST(GemmQuantInt8Test, WithinQuantizationErrorBoundOfDequantPath) {
-  Rng rng(0xBEEF);
-  for (const GemmShape& s : kInt8Shapes) {
-    Matrix a(s.m, s.k);
-    Matrix w(s.k, s.n);
-    FillUniform(&a, &rng, -2.0, 2.0);
-    FillUniform(&w, &rng, -2.0, 2.0);
-    const std::vector<uint8_t> payload = EncodeQ8(w);
-    const Matrix w_dec = DecodeQ8(payload, s.k, s.n);
-
-    Matrix dequant(s.m, s.n);
-    {
-      ScopedGemmQuantInt8 int8_off(false);
-      GemmQuant(SimdLevel::kScalar, s.m, s.n, s.k, a.data(), s.k,
-                DType::kQ8, payload.data(), dequant.data(), s.n);
-    }
-    Matrix int8(s.m, s.n);
-    {
-      ScopedGemmQuantInt8 int8_on(true);
-      GemmQuant(SimdLevel::kScalar, s.m, s.n, s.k, a.data(), s.k,
-                DType::kQ8, payload.data(), int8.data(), s.n);
-    }
-
-    const size_t blocks = (s.k + 63) / 64;
-    for (size_t i = 0; i < s.m; ++i) {
-      for (size_t j = 0; j < s.n; ++j) {
-        double bound = 1e-9;
-        for (size_t t = 0; t < blocks; ++t) {
-          const size_t p0 = t * 64;
-          const size_t p1 = std::min(p0 + 64, s.k);
-          double amax = 0.0;
-          double wmax = 0.0;
-          for (size_t p = p0; p < p1; ++p) {
-            amax = std::max(amax, std::fabs(a(i, p)));
-            wmax = std::max(wmax, std::fabs(w_dec(p, j)));
-          }
-          const double astep2 = amax / 254.0;  // astep / 2
-          const double wstep2 = wmax / 254.0;
-          for (size_t p = p0; p < p1; ++p) {
-            bound += std::fabs(a(i, p)) * wstep2 +
-                     std::fabs(w_dec(p, j)) * astep2 + astep2 * wstep2;
+    FillUniform(&prefill, &rng, -1.0, 1.0);
+    for (DType dtype : {DType::kQ8, DType::kF16, DType::kF32}) {
+      std::vector<uint8_t> payload(PayloadBytes(dtype, w.size()));
+      EncodePayload(dtype, w.data(), w.size(), payload.data());
+      Matrix decoded(s.k, s.n);
+      DecodePayload(dtype, payload.data(), decoded.size(), decoded.data());
+      for (SimdLevel level : SupportedLevels()) {
+        for (int threads : {1, 4}) {
+          SetRpasThreads(threads);
+          Matrix expected = prefill;
+          Gemm(level, s.m, s.n, s.k, a.data(), s.k, decoded.data(), s.n,
+               expected.data(), s.n);
+          Matrix c = prefill;
+          GemmQuant(level, s.m, s.n, s.k, a.data(), s.k, dtype,
+                    payload.data(), c.data(), s.n);
+          for (size_t i = 0; i < c.size(); ++i) {
+            ASSERT_EQ(expected[i], c[i])
+                << DTypeName(dtype) << " " << LevelName(level) << " "
+                << threads << " threads " << s.m << "x" << s.k << "x" << s.n
+                << " flat index " << i;
           }
         }
-        EXPECT_LE(std::fabs(int8(i, j) - dequant(i, j)), bound)
-            << "int8 vs dequant " << s.m << "x" << s.k << "x" << s.n
-            << " at (" << i << "," << j << ")";
       }
     }
-  }
-}
-
-// Off-mode regression: with the flag off (the default), GemmQuant on q8
-// payloads is bit-identical to an explicit decode + Gemm — the fast path's
-// existence changes nothing for callers who did not opt in. Also checks
-// both paths accumulate (C +=) and that the scoped override nests.
-TEST(GemmQuantInt8Test, OffModeBitIdenticalToDecodePlusGemmAndAccumulates) {
-  Rng rng(0x0FF);
-  const size_t m = 5, k = 70, n = 9;
-  Matrix a(m, k);
-  Matrix w(k, n);
-  FillUniform(&a, &rng, -2.0, 2.0);
-  FillUniform(&w, &rng, -2.0, 2.0);
-  const std::vector<uint8_t> payload = EncodeQ8(w);
-  const Matrix w_dec = DecodeQ8(payload, k, n);
-
-  Matrix expected(m, n);
-  for (size_t i = 0; i < expected.size(); ++i) {
-    expected[i] = 0.25;
-  }
-  Gemm(SimdLevel::kScalar, m, n, k, a.data(), k, w_dec.data(), n,
-       expected.data(), n);
-
-  Matrix c(m, n);
-  for (size_t i = 0; i < c.size(); ++i) {
-    c[i] = 0.25;
-  }
-  {
-    // Pin the flag off so the regression holds even under RPAS_INT8_GEMM=1.
-    ScopedGemmQuantInt8 int8_off(false);
-    GemmQuant(SimdLevel::kScalar, m, n, k, a.data(), k, DType::kQ8,
-              payload.data(), c.data(), n);
-  }
-  for (size_t i = 0; i < c.size(); ++i) {
-    EXPECT_EQ(expected[i], c[i]) << "off-mode q8 flat index " << i;
-  }
-
-  // The int8 path accumulates too: running it on a prefilled C shifts the
-  // result by exactly the prefill.
-  Matrix z0(m, n);
-  Matrix z1(m, n);
-  for (size_t i = 0; i < z1.size(); ++i) {
-    z1[i] = 1.5;
-  }
-  {
-    ScopedGemmQuantInt8 int8_on(true);
-    EXPECT_TRUE(GemmQuantInt8Enabled());
-    {
-      ScopedGemmQuantInt8 int8_off(false);
-      EXPECT_FALSE(GemmQuantInt8Enabled());
-    }
-    EXPECT_TRUE(GemmQuantInt8Enabled());
-    GemmQuant(SimdLevel::kScalar, m, n, k, a.data(), k, DType::kQ8,
-              payload.data(), z0.data(), n);
-    GemmQuant(SimdLevel::kScalar, m, n, k, a.data(), k, DType::kQ8,
-              payload.data(), z1.data(), n);
-  }
-  for (size_t i = 0; i < z0.size(); ++i) {
-    EXPECT_EQ(z0[i] + 1.5, z1[i]) << "int8 accumulate flat index " << i;
   }
 }
 
@@ -979,12 +864,6 @@ TEST(TrainLoopParityTest, FinalLossAgreesAcrossLevelsAndArenaStaysFlat) {
 }
 
 // ---------------------------------------------------- parallel drivers ---
-
-/// Restores the environment/hardware thread default on scope exit.
-class ThreadOverrideGuard {
- public:
-  ~ThreadOverrideGuard() { SetRpasThreads(0); }
-};
 
 TEST(ParallelKernelTest, GrainCostModelIsShapeOnly) {
   ThreadOverrideGuard guard;

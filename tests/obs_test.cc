@@ -550,6 +550,9 @@ TEST(ObsOnlineLoopTest, CollectDecisionsFlattensStepsAndFaultFlags) {
     }
   }
   EXPECT_GT(faulted, 0u);
+  // One rule: a step is flagged iff a fault was active at it, which is
+  // exactly what faulted_steps counts.
+  EXPECT_EQ(faulted, run.result.faulted_steps);
   // Every logged fault event maps onto a flagged decision step.
   for (const simdb::FaultEvent& event : run.result.fault_events) {
     ASSERT_LT(event.step, decisions.size());

@@ -1215,8 +1215,8 @@ double RegistryWql(const std::string& mlp_path,
   return total / 2.0;
 }
 
-// The ISSUE's serving accuracy contract: quantizing the fleet's weights
-// must not move wQL by more than 0.5% (int8) / 0.05% (fp16) relative to
+// The serving accuracy contract: quantizing the fleet's weights must not
+// move wQL by more than 0.5% (q8) / 0.05% (fp16) relative to
 // the exact fp64 checkpoints.
 TEST(QuantizedServingTest, WqlDeltaWithinDtypeBounds) {
   const double base =

@@ -153,8 +153,7 @@ std::unique_ptr<core::RobustAutoScalingManager> Manager(
       model, std::make_unique<core::RobustQuantileAllocator>(kTau), config);
 }
 
-/// Every step's ScalingDecision fields except `faulted` (whose definition
-/// is still per driver), plus the round accounting.
+/// Every step's ScalingDecision fields, plus the round accounting.
 void ExpectSameDecisions(const serve::FleetResult& fleet,
                          const core::OnlineLoopResult& loop) {
   ASSERT_EQ(fleet.decisions.size(), loop.steps.size());
@@ -169,6 +168,7 @@ void ExpectSameDecisions(const serve::FleetResult& fleet,
     EXPECT_EQ(d.utilization, s.avg_utilization);
     EXPECT_EQ(d.under_provisioned, s.under_provisioned);
     EXPECT_EQ(d.slo_violated, s.slo_violated);
+    EXPECT_EQ(d.faulted, s.faulted);
   }
   ASSERT_EQ(fleet.tenants.size(), 1u);
   const serve::TenantSummary& tenant = fleet.tenants[0];

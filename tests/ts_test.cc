@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <string>
 
 #include "common/rng.h"
 #include "ts/metrics.h"
@@ -64,6 +67,27 @@ TEST(TimeSeriesTest, CsvRoundTrip) {
   ASSERT_TRUE(loaded.ok());
   ASSERT_EQ(loaded->size(), 3u);
   EXPECT_DOUBLE_EQ((*loaded)[1], 2.5);
+  std::remove(path.c_str());
+}
+
+// A workload file with one non-finite value cell is rejected where it is
+// read, naming the row, instead of reaching a scaler or a model as NaN/Inf.
+TEST(TimeSeriesTest, CsvNonFiniteValueRejected) {
+  const std::string path = "/tmp/rpas_ts_test_nonfinite.csv";
+  for (const char* cell : {"nan", "inf", "-Infinity", "NaN"}) {
+    SCOPED_TRACE(cell);
+    {
+      std::ofstream out(path);
+      out << "step,value\n0,1.5\n1,2.5\n2," << cell << "\n3,4.5\n";
+    }
+    auto loaded = LoadTimeSeriesCsv(path, "value", 10.0);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    const std::string message = loaded.status().message();
+    EXPECT_NE(message.find("column 'value', data row 3"), std::string::npos)
+        << message;
+    EXPECT_NE(message.find(cell), std::string::npos) << message;
+  }
   std::remove(path.c_str());
 }
 

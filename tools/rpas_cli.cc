@@ -26,14 +26,21 @@
 //       Rolling evaluation of the restored model on the series tail.
 //
 // Model architecture flags must match between `train` and the restoring
-// subcommands; the checkpoint signature enforces this.
+// subcommands; the checkpoint signature enforces this. A malformed or
+// out-of-range flag (a count below 1, --tau outside (0, 1), --theta not
+// finite and positive) exits 2 naming the flag, before any model is built
+// or file read.
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 
+#include "common/strings.h"
 #include "core/manager.h"
 #include "core/strategies.h"
 #include "forecast/deepar.h"
@@ -71,13 +78,40 @@ class Flags {
     auto it = values_.find(key);
     return it == values_.end() ? fallback : it->second;
   }
+  bool Has(const std::string& key) const { return values_.count(key) > 0; }
   double GetDouble(const std::string& key, double fallback) const {
     auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
+    if (it == values_.end()) {
+      return fallback;
+    }
+    Result<double> value = ParseDouble(it->second);
+    Check(value.ok(), key, "is not a number");
+    return *value;
   }
   int GetInt(const std::string& key, int fallback) const {
     auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atoi(it->second.c_str());
+    if (it == values_.end()) {
+      return fallback;
+    }
+    Result<int64_t> value = ParseInt64(it->second);
+    Check(value.ok() && *value >= std::numeric_limits<int>::min() &&
+              *value <= std::numeric_limits<int>::max(),
+          key, "is not an integer in int range");
+    return static_cast<int>(*value);
+  }
+  /// An integer flag that must be >= 1 (lengths, step and unit counts).
+  size_t GetCount(const std::string& key, int fallback) const {
+    const int value = GetInt(key, fallback);
+    Check(value >= 1, key, "must be >= 1");
+    return static_cast<size_t>(value);
+  }
+  /// Exits 2 naming --key and its value unless `ok`.
+  void Check(bool ok, const std::string& key, const char* rule) const {
+    if (!ok) {
+      std::fprintf(stderr, "invalid --%s=%s: %s\n", key.c_str(),
+                   Get(key, "").c_str(), rule);
+      std::exit(2);
+    }
   }
   std::string Require(const std::string& key) const {
     auto it = values_.find(key);
@@ -111,15 +145,17 @@ ts::TimeSeries LoadSeries(const Flags& flags) {
 /// be passed to train and to the restoring subcommands.
 std::unique_ptr<forecast::Forecaster> BuildModel(const Flags& flags) {
   const std::string kind = flags.Get("model", "tft");
-  const size_t context = static_cast<size_t>(flags.GetInt("context", 72));
-  const size_t horizon = static_cast<size_t>(flags.GetInt("horizon", 72));
-  const int steps = flags.GetInt("steps", 400);
+  const size_t context = flags.GetCount("context", 72);
+  const size_t horizon = flags.GetCount("horizon", 72);
+  const int steps = static_cast<int>(flags.GetCount("steps", 400));
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 23));
+  const size_t hidden = flags.GetCount("hidden", 32);
+  const size_t d_model = flags.GetCount("d-model", 16);
   if (kind == "tft") {
     forecast::TftForecaster::Options options;
     options.context_length = context;
     options.horizon = horizon;
-    options.d_model = static_cast<size_t>(flags.GetInt("d-model", 16));
+    options.d_model = d_model;
     options.batch_size = 3;
     options.train.steps = steps;
     options.levels = forecast::ScalingQuantileLevels();
@@ -130,7 +166,7 @@ std::unique_ptr<forecast::Forecaster> BuildModel(const Flags& flags) {
     forecast::DeepArForecaster::Options options;
     options.context_length = context;
     options.horizon = horizon;
-    options.hidden_dim = static_cast<size_t>(flags.GetInt("hidden", 32));
+    options.hidden_dim = hidden;
     options.train.steps = steps;
     options.levels = forecast::ScalingQuantileLevels();
     options.seed = seed;
@@ -140,7 +176,7 @@ std::unique_ptr<forecast::Forecaster> BuildModel(const Flags& flags) {
     forecast::MlpForecaster::Options options;
     options.context_length = context;
     options.horizon = horizon;
-    options.hidden_dim = static_cast<size_t>(flags.GetInt("hidden", 32));
+    options.hidden_dim = hidden;
     options.num_hidden_layers = 2;
     options.train.steps = steps;
     options.levels = forecast::ScalingQuantileLevels();
@@ -173,23 +209,22 @@ int CmdGenerate(const Flags& flags) {
   trace::TraceProfile profile = flags.Get("trace", "alibaba") == "google"
                                     ? trace::GoogleProfile()
                                     : trace::AlibabaProfile();
-  const int days = flags.GetInt("days", 21);
+  const size_t days = flags.GetCount("days", 21);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
   trace::SyntheticTraceGenerator generator(profile, seed);
-  ts::TimeSeries series =
-      generator.GenerateCpu(static_cast<size_t>(days) * 144);
+  ts::TimeSeries series = generator.GenerateCpu(days * 144);
   if (Status s = ts::SaveTimeSeriesCsv(out, series); !s.ok()) {
     Fail(s);
   }
-  std::printf("wrote %zu steps (%d days of %s) to %s\n", series.size(),
+  std::printf("wrote %zu steps (%zu days of %s) to %s\n", series.size(),
               days, profile.name.c_str(), out.c_str());
   return 0;
 }
 
 int CmdTrain(const Flags& flags) {
   const std::string ckpt = flags.Require("ckpt");
-  ts::TimeSeries series = LoadSeries(flags);
   std::unique_ptr<forecast::Forecaster> model = BuildModel(flags);
+  ts::TimeSeries series = LoadSeries(flags);
   std::printf("training %s on %zu points...\n", model->Name().c_str(),
               series.size());
   if (Status s = model->Fit(series); !s.ok()) {
@@ -204,8 +239,8 @@ int CmdTrain(const Flags& flags) {
 
 int CmdForecast(const Flags& flags) {
   const std::string ckpt = flags.Require("ckpt");
-  ts::TimeSeries series = LoadSeries(flags);
   std::unique_ptr<forecast::Forecaster> model = BuildModel(flags);
+  ts::TimeSeries series = LoadSeries(flags);
   if (Status s = model->LoadCheckpoint(ckpt); !s.ok()) {
     Fail(s);
   }
@@ -230,15 +265,23 @@ int CmdForecast(const Flags& flags) {
 
 int CmdPlan(const Flags& flags) {
   const std::string ckpt = flags.Require("ckpt");
-  ts::TimeSeries series = LoadSeries(flags);
+  const double tau = flags.GetDouble("tau", 0.9);
+  flags.Check(tau > 0.0 && tau < 1.0, "tau", "must be in (0, 1)");
+  std::optional<double> theta;
+  if (flags.Has("theta")) {
+    theta = flags.GetDouble("theta", 0.0);
+    flags.Check(std::isfinite(*theta) && *theta > 0.0, "theta",
+                "must be finite and > 0");
+  }
+  const int min_nodes = flags.GetInt("min-nodes", 1);
   std::unique_ptr<forecast::Forecaster> model = BuildModel(flags);
+  ts::TimeSeries series = LoadSeries(flags);
   if (Status s = model->LoadCheckpoint(ckpt); !s.ok()) {
     Fail(s);
   }
   core::ScalingConfig config;
-  config.theta = flags.GetDouble("theta", series.Mean() / 4.0);
-  config.min_nodes = flags.GetInt("min-nodes", 1);
-  const double tau = flags.GetDouble("tau", 0.9);
+  config.theta = theta.value_or(series.Mean() / 4.0);
+  config.min_nodes = min_nodes;
   core::RobustAutoScalingManager manager(
       model.get(), std::make_unique<core::RobustQuantileAllocator>(tau),
       config);
@@ -258,13 +301,12 @@ int CmdPlan(const Flags& flags) {
 
 int CmdEvaluate(const Flags& flags) {
   const std::string ckpt = flags.Require("ckpt");
-  ts::TimeSeries series = LoadSeries(flags);
+  const size_t test_steps = flags.GetCount("test-steps", 432);
   std::unique_ptr<forecast::Forecaster> model = BuildModel(flags);
+  ts::TimeSeries series = LoadSeries(flags);
   if (Status s = model->LoadCheckpoint(ckpt); !s.ok()) {
     Fail(s);
   }
-  const size_t test_steps =
-      static_cast<size_t>(flags.GetInt("test-steps", 432));
   if (series.size() <= test_steps + model->ContextLength()) {
     std::fprintf(stderr, "series too short for --test-steps=%zu\n",
                  test_steps);
