@@ -10,9 +10,10 @@ namespace rpas::serve {
 
 BatchEngine::BatchEngine(ModelRegistry* registry, Options options)
     : registry_(registry), options_(options) {
-  // Handles resolve once here; Execute() never does a name lookup. The
-  // instruments fire concurrently from every shard's engine in the fleet's
-  // parallel phase, so they are striped (merged exactly on read).
+  // Handles resolve once here; no serving call does a name lookup. The
+  // instruments fire concurrently from every shard's engine and every
+  // slice in the fleet's parallel phases, so they are striped (merged
+  // exactly on read).
   obs::MetricsRegistry* metrics = obs::ResolveRegistry(options_.metrics);
   requests_counter_ = metrics->GetStripedCounter("serve.engine.requests");
   batches_counter_ = metrics->GetStripedCounter("serve.engine.batches");
@@ -28,102 +29,128 @@ std::vector<ForecastResponse> BatchEngine::Execute(
   if (requests.empty()) {
     return responses;
   }
-  requests_counter_->Increment(static_cast<int64_t>(requests.size()));
-  if (options_.batch_across_tenants) {
-    ExecuteBatched(requests, &responses);
-  } else {
+  if (!options_.batch_across_tenants) {
     ExecuteUnbatched(requests, &responses);
+    return responses;
   }
-  for (const ForecastResponse& response : responses) {
-    if (!response.ok()) {
-      errors_counter_->Increment();
-    }
+  for (const Group& group : Prepare(requests)) {
+    RunSlice(group, requests, 0, group.indices.size(), &responses);
   }
   return responses;
 }
 
-void BatchEngine::ExecuteBatched(const std::vector<ForecastRequest>& requests,
-                                 std::vector<ForecastResponse>* responses) {
+std::vector<BatchEngine::Group> BatchEngine::Prepare(
+    const std::vector<ForecastRequest>& requests) {
+  std::vector<Group> groups;
+  if (requests.empty()) {
+    return groups;
+  }
+  requests_counter_->Increment(static_cast<int64_t>(requests.size()));
   // Stable grouping: requests keep their slate order inside each group, and
-  // groups are processed in first-appearance order, so execution order is a
-  // pure function of the slate.
-  std::vector<std::pair<ModelId, std::vector<size_t>>> groups;
+  // groups are acquired in first-appearance order, so the registry sees a
+  // sequence that is a pure function of the slate.
   std::map<ModelId, size_t> group_of;
   for (size_t i = 0; i < requests.size(); ++i) {
     auto [it, inserted] = group_of.emplace(requests[i].model, groups.size());
     if (inserted) {
-      groups.emplace_back(requests[i].model, std::vector<size_t>{});
+      groups.emplace_back();
+      groups.back().model = requests[i].model;
     }
-    groups[it->second].second.push_back(i);
+    groups[it->second].indices.push_back(i);
+  }
+  for (Group& group : groups) {
+    batches_counter_->Increment();
+    batch_size_hist_->Observe(static_cast<double>(group.indices.size()));
+    auto acquired = registry_->Acquire(group.model);
+    if (acquired.ok()) {
+      group.forecaster = std::move(acquired).value();
+    } else {
+      group.status = acquired.status();
+    }
+  }
+  return groups;
+}
+
+void BatchEngine::RunSlice(const Group& group,
+                           const std::vector<ForecastRequest>& requests,
+                           size_t begin, size_t end,
+                           std::vector<ForecastResponse>* responses) {
+  auto response = [&](size_t k) -> ForecastResponse& {
+    return (*responses)[group.indices[begin + k]];
+  };
+  const size_t n = end - begin;
+  if (!group.status.ok()) {
+    for (size_t k = 0; k < n; ++k) {
+      response(k).status = group.status;
+    }
+    errors_counter_->Increment(static_cast<int64_t>(n));
+    return;
+  }
+  const forecast::Forecaster& model = *group.forecaster;
+
+  std::vector<forecast::ForecastInput> inputs;
+  std::vector<uint64_t> seeds;
+  inputs.reserve(n);
+  seeds.reserve(n);
+  for (size_t k = begin; k < end; ++k) {
+    inputs.push_back(requests[group.indices[k]].input);
+    seeds.push_back(requests[group.indices[k]].seed);
   }
 
-  for (const auto& [model_id, indices] : groups) {
-    batches_counter_->Increment();
-    batch_size_hist_->Observe(static_cast<double>(indices.size()));
-
-    auto acquired = registry_->Acquire(model_id);
-    if (!acquired.ok()) {
-      for (size_t i : indices) {
-        (*responses)[i].status = acquired.status();
+  if (model.SupportsBatchedInference()) {
+    auto batch = model.PredictBatch(inputs, seeds);
+    if (batch.ok()) {
+      for (size_t k = 0; k < n; ++k) {
+        response(k).forecast = std::move((*batch)[k]);
       }
-      continue;
+      return;
     }
-    const std::shared_ptr<const forecast::Forecaster>& model = *acquired;
-
-    std::vector<forecast::ForecastInput> inputs;
-    std::vector<uint64_t> seeds;
-    inputs.reserve(indices.size());
-    seeds.reserve(indices.size());
-    for (size_t i : indices) {
-      inputs.push_back(requests[i].input);
-      seeds.push_back(requests[i].seed);
-    }
-
-    if (model->SupportsBatchedInference()) {
-      auto batch = model->PredictBatch(inputs, seeds);
-      if (batch.ok()) {
-        for (size_t k = 0; k < indices.size(); ++k) {
-          (*responses)[indices[k]].forecast = std::move((*batch)[k]);
-        }
-        continue;
+    // A whole-batch failure (e.g. one malformed context) falls through to
+    // per-request serving so only the offending requests error.
+  }
+  // Per-request path for models without a stacked forward (or after a
+  // batch failure). Responses are written to disjoint slots and
+  // PredictSeeded is thread-safe on a fitted model, so the fan-out keeps
+  // the determinism contract.
+  ParallelFor(0, n, 1, [&](size_t k0, size_t k1) {
+    for (size_t k = k0; k < k1; ++k) {
+      auto result = model.PredictSeeded(inputs[k], seeds[k]);
+      if (result.ok()) {
+        response(k).forecast = std::move(*result);
+      } else {
+        response(k).status = result.status();
       }
-      // A whole-batch failure (e.g. one malformed context) falls through to
-      // per-request serving so only the offending requests error.
     }
-    // Per-request path for models without a stacked forward (or after a
-    // batch failure). Responses are written to disjoint slots and
-    // PredictSeeded is thread-safe on a fitted model, so the fan-out keeps
-    // the determinism contract.
-    ParallelFor(0, indices.size(), 1, [&](size_t begin, size_t end) {
-      for (size_t k = begin; k < end; ++k) {
-        auto result = model->PredictSeeded(inputs[k], seeds[k]);
-        if (result.ok()) {
-          (*responses)[indices[k]].forecast = std::move(*result);
-        } else {
-          (*responses)[indices[k]].status = result.status();
-        }
-      }
-    });
+  });
+  for (size_t k = 0; k < n; ++k) {
+    if (!response(k).ok()) {
+      errors_counter_->Increment();
+    }
   }
 }
 
 void BatchEngine::ExecuteUnbatched(
     const std::vector<ForecastRequest>& requests,
     std::vector<ForecastResponse>* responses) {
+  requests_counter_->Increment(static_cast<int64_t>(requests.size()));
   for (size_t i = 0; i < requests.size(); ++i) {
     batches_counter_->Increment();
     batch_size_hist_->Observe(1.0);
+    ForecastResponse& response = (*responses)[i];
     auto acquired = registry_->Acquire(requests[i].model);
-    if (!acquired.ok()) {
-      (*responses)[i].status = acquired.status();
-      continue;
-    }
-    auto result = (*acquired)->PredictSeeded(requests[i].input,
-                                             requests[i].seed);
-    if (result.ok()) {
-      (*responses)[i].forecast = std::move(*result);
+    if (acquired.ok()) {
+      auto result = (*acquired)->PredictSeeded(requests[i].input,
+                                               requests[i].seed);
+      if (result.ok()) {
+        response.forecast = std::move(*result);
+      } else {
+        response.status = result.status();
+      }
     } else {
-      (*responses)[i].status = result.status();
+      response.status = acquired.status();
+    }
+    if (!response.ok()) {
+      errors_counter_->Increment();
     }
   }
 }

@@ -2,6 +2,7 @@
 #define RPAS_SERVE_BATCHING_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/result.h"
@@ -36,17 +37,22 @@ struct ForecastResponse {
 ///
 /// Execute() answers a slate of requests, one response per request in
 /// request order. In batched mode, requests naming the same model version
-/// are coalesced: the version is acquired from the registry once and all
-/// its requests run as one PredictBatch forward pass (tenants share the
+/// are coalesced: the version is acquired from the registry once and its
+/// requests run through PredictBatch forward passes (tenants share the
 /// pass — this is the cross-tenant batching of the serving tier). In
 /// unbatched mode every request is served independently in arrival order,
 /// acquiring its model each time — the baseline a multi-tenant serving
 /// tier without coalescing would run.
 ///
-/// Determinism contract: responses are bit-identical between the two modes
-/// and across thread counts, because PredictBatch guarantees element-wise
-/// bit-identity with PredictSeeded and request seeds are part of the
-/// request, not the execution schedule.
+/// Batched serving is two steps, so a caller can spread one slate over a
+/// thread pool: Prepare() groups the slate and acquires each group's model,
+/// then RunSlice() serves any range of a group. Execute() is Prepare()
+/// followed by one whole-group slice per group.
+///
+/// Determinism contract: responses are bit-identical between the two modes,
+/// across thread counts and across slice boundaries, because PredictBatch
+/// guarantees element-wise bit-identity with PredictSeeded and request
+/// seeds are part of the request, not the execution schedule.
 class BatchEngine {
  public:
   struct Options {
@@ -58,6 +64,19 @@ class BatchEngine {
     obs::MetricsRegistry* metrics = nullptr;
   };
 
+  /// One model version's share of a slate.
+  struct Group {
+    ModelId model;
+    /// Slate positions of the group's requests, in slate order.
+    std::vector<size_t> indices;
+    /// Why the version could not be acquired; every request of the group
+    /// fails with it. OK when `forecaster` is set.
+    Status status;
+    /// The acquired version. Holding it keeps the weights alive for every
+    /// slice even if the registry evicts the version meanwhile.
+    std::shared_ptr<const forecast::Forecaster> forecaster;
+  };
+
   /// `registry` must outlive the engine.
   BatchEngine(ModelRegistry* registry, Options options);
 
@@ -67,11 +86,23 @@ class BatchEngine {
   std::vector<ForecastResponse> Execute(
       const std::vector<ForecastRequest>& requests);
 
+  /// Batched step 1: groups `requests` by version in first-appearance
+  /// order, counts serve.engine.{requests,batches,batch_size} for the
+  /// slate, and acquires each group's model in group order.
+  std::vector<Group> Prepare(const std::vector<ForecastRequest>& requests);
+
+  /// Batched step 2: serves `group.indices[begin, end)` with one
+  /// PredictBatch (per-request PredictSeeded when the model has no stacked
+  /// forward or the batch fails), writes `(*responses)[group.indices[k]]`
+  /// and counts the failed ones in serve.engine.request_errors. Slices
+  /// write disjoint responses, so they may run concurrently.
+  void RunSlice(const Group& group,
+                const std::vector<ForecastRequest>& requests, size_t begin,
+                size_t end, std::vector<ForecastResponse>* responses);
+
   const Options& options() const { return options_; }
 
  private:
-  void ExecuteBatched(const std::vector<ForecastRequest>& requests,
-                      std::vector<ForecastResponse>* responses);
   void ExecuteUnbatched(const std::vector<ForecastRequest>& requests,
                         std::vector<ForecastResponse>* responses);
 

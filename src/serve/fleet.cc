@@ -1,7 +1,9 @@
 #include "serve/fleet.h"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "common/parallel.h"
@@ -10,6 +12,7 @@
 #include "core/scaling_config.h"
 #include "core/strategies.h"
 #include "core/tenant_session.h"
+#include "obs/span.h"
 #include "simdb/cluster.h"
 
 namespace rpas::serve {
@@ -24,15 +27,43 @@ constexpr uint64_t kRequestStream = 0x5EED;
 /// One serving shard: its own inference engine and admission controller,
 /// plus its own model registry when the fleet provides a factory. Tenant
 /// state itself is partitioned by the shard map, so everything a shard
-/// touches during a round is disjoint from every other shard — rounds fan
-/// shards across the thread pool with no locking beyond the metrics
-/// sink's atomics.
+/// touches while it prepares or simulates a round is disjoint from every
+/// other shard — those phases fan shards across the thread pool with no
+/// locking beyond the metrics sink's atomics.
 struct Shard {
   std::unique_ptr<ModelRegistry> owned_registry;  ///< null = shares main
   ModelRegistry* registry = nullptr;
   std::unique_ptr<AdmissionController> admission;
   std::unique_ptr<BatchEngine> engine;
 };
+
+/// One shard's serving slate for a round: the admitted requests in
+/// admitted order, the tenant each one serves, the engine's version
+/// groups (batched mode) and the responses, which work items fill in
+/// place.
+struct ShardSlate {
+  std::vector<ForecastRequest> requests;
+  std::vector<size_t> tenants;
+  std::vector<BatchEngine::Group> groups;
+  std::vector<ForecastResponse> responses;
+};
+
+/// One entry of a round's pool-wide work list: requests [begin, end) of
+/// one shard's slate. In batched mode the range indexes version group
+/// `group`'s requests; otherwise it indexes the slate itself. Items write
+/// disjoint responses and serve disjoint tenants.
+struct WorkItem {
+  size_t shard = 0;
+  size_t group = 0;
+  size_t begin = 0;
+  size_t end = 0;
+};
+
+/// Largest batched work item, in requests. A group of n requests becomes
+/// ceil(n / 8) near-equal items: the cut depends on n alone — never on the
+/// thread count — and bounds each PredictBatch call's working set (DeepAR
+/// keeps about 1.7 KB of roll state per sample row) to a few hundred KB.
+constexpr size_t kMaxItemRequests = 8;
 
 void AccumulateCacheStats(const ModelRegistry::CacheStats& from,
                           ModelRegistry::CacheStats* into) {
@@ -80,12 +111,29 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
   if (options.replan_every == 0) {
     return Status::InvalidArgument("replan_every must be at least 1");
   }
-  if (options.theta_divisor <= 0.0) {
-    return Status::InvalidArgument("theta_divisor must be positive");
+  // Numeric options are checked before any setup: past this point each
+  // would trip a component's RPAS_CHECK (allocator, tenant cluster,
+  // admission controller) and abort the process.
+  auto finite_positive = [](double v) { return std::isfinite(v) && v > 0.0; };
+  if (!(options.tau > 0.0 && options.tau < 1.0)) {
+    return Status::InvalidArgument("tau must be in (0, 1)");
+  }
+  if (!finite_positive(options.theta_divisor)) {
+    return Status::InvalidArgument(
+        "theta_divisor must be finite and positive");
+  }
+  if (!finite_positive(options.admission.bucket_capacity)) {
+    return Status::InvalidArgument(
+        "admission.bucket_capacity must be finite and positive");
+  }
+  if (!finite_positive(options.admission.cost_per_request)) {
+    return Status::InvalidArgument(
+        "admission.cost_per_request must be finite and positive");
   }
   const bool selecting = options.selection.enabled;
   const bool incremental =
       options.refresh_mode == core::RefreshMode::kIncremental;
+  const bool engine_batched = !incremental && options.batched;
   if (selecting && options.selection.ladder.empty()) {
     return Status::InvalidArgument(
         "fleet selection needs a non-empty model ladder");
@@ -94,6 +142,10 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
     return Status::InvalidArgument(
         "incremental refresh mode needs a refresh_model_factory");
   }
+
+  // Phase spans (fleet.setup, fleet.round and its phases, fleet.finish)
+  // are recorded on the calling thread into the global trace buffer.
+  std::optional<obs::Span> setup_span(std::in_place, "fleet.setup");
 
   // Warm-up pass: verify every referenced version loads and note its
   // context length (the request window size). One Acquire per listed
@@ -243,6 +295,7 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
       return std::move(status);
     }
   }
+  setup_span.reset();
 
   // A tenant's model is its current ladder tier under selection, else the
   // round-robin `models[t % models]` assignment.
@@ -262,7 +315,11 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
   for (size_t step = 0; step < options.num_steps;
        step += options.replan_every) {
     const size_t round = step / options.replan_every;
+    obs::Span round_span("fleet.round", static_cast<int64_t>(round));
+    // The round's phases; emplacing the next one ends the previous one.
+    std::optional<obs::Span> phase;
     ++result.rounds;
+    phase.emplace("fleet.open");
     for (Shard& shard : shards) {
       shard.admission->BeginRound();
     }
@@ -281,6 +338,7 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
 
     // The global requesting list, ascending by tenant id — the exact order
     // the unsharded fleet submits, which the deadline shed ranks against.
+    phase.emplace("fleet.admission");
     std::vector<uint64_t> requesting;
     for (size_t t = 0; t < num_tenants; ++t) {
       if (sessions[t]->awaiting_plan()) {
@@ -362,36 +420,27 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
       }
     }
 
-    // Phases 3+4, fused per shard and fanned across the pool. ParallelFor
-    // claims shard indices dynamically, so a thread that finishes a cheap
-    // shard steals the next unstarted one. Everything inside is disjoint
-    // per shard: requests, engine, sessions, decision buffers.
-    const size_t round_end =
-        std::min(step + options.replan_every, options.num_steps);
+    // Phase 3: serve the admitted requests. First, per shard: drain each
+    // tenant's stream and, in kIncremental mode, fold it into the tenant's
+    // private forecaster *before* serving, so admitted requests run
+    // against a model that has seen everything realized so far (a refresh
+    // error degrades the tenant's round, never the fleet). Then build the
+    // shard's slate in admitted order and, in batched mode, group it by
+    // version and acquire each version from the shard's registry. The
+    // groups hold their models until every work item has finished.
+    phase.emplace("fleet.prepare");
+    std::vector<ShardSlate> slates(num_shards);
     ParallelFor(0, num_shards, 1, [&](size_t s0, size_t s1) {
       for (size_t s = s0; s < s1; ++s) {
-        // Drain each tenant's stream and, in kIncremental mode, fold it
-        // into the tenant's private forecaster *before* serving, so
-        // admitted requests run against a model that has seen everything
-        // realized so far. A refresh error degrades the tenant's round —
-        // never the whole fleet.
         for (size_t t : shard_tenants[s]) {
           if (!sessions[t]->Refresh(step).ok() &&
               sessions[t]->awaiting_plan()) {
             sessions[t]->Degrade(core::DegradeCause::kRefreshError);
           }
         }
-
-        // Phase 3: serve the admitted requests — through the shard's
-        // engine in kBatch mode, or directly from each tenant's refreshed
-        // private forecaster in kIncremental mode (per-tenant state cannot
-        // be cross-tenant batched; the request seed derivation is byte-for
-        // -byte the same). Any per-request error degrades that tenant to
-        // the fallback — never the whole round.
-        std::vector<ForecastRequest> requests;
-        std::vector<size_t> request_tenant;
-        requests.reserve(shard_admitted[s].size());
-        request_tenant.reserve(shard_admitted[s].size());
+        ShardSlate& slate = slates[s];
+        slate.requests.reserve(shard_admitted[s].size());
+        slate.tenants.reserve(shard_admitted[s].size());
         for (size_t t : shard_admitted[s]) {
           if (!sessions[t]->awaiting_plan()) {
             continue;  // refresh error already degraded this round
@@ -408,45 +457,96 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
           request.input.step_minutes = series[t].step_minutes;
           request.seed =
               DeriveSeed(DeriveSeed(options.seed, kRequestStream + t), round);
-          requests.push_back(std::move(request));
-          request_tenant.push_back(t);
+          slate.requests.push_back(std::move(request));
+          slate.tenants.push_back(t);
         }
-        std::vector<ForecastResponse> responses;
-        if (incremental) {
-          responses.resize(requests.size());
-          for (size_t k = 0; k < requests.size(); ++k) {
-            const forecast::Forecaster& model =
-                *refresh_models[request_tenant[k]];
-            auto forecast_or =
-                model.PredictSeeded(requests[k].input, requests[k].seed);
-            if (forecast_or.ok()) {
-              responses[k].forecast = std::move(*forecast_or);
-            } else {
-              responses[k].status = forecast_or.status();
-            }
+        slate.responses.resize(slate.requests.size());
+        if (engine_batched) {
+          slate.groups = shards[s].engine->Prepare(slate.requests);
+        }
+      }
+    });
+
+    // Then one pool-wide work list over every shard's slate (see WorkItem),
+    // so the pool balances the round item by item instead of waiting on
+    // the slowest shard. Each item serves its requests — a slice through
+    // the shard's engine, or the tenant's refreshed private forecaster in
+    // kIncremental mode (same request seed) — then plans and installs its
+    // own tenants. Any per-request error degrades that tenant to the
+    // fallback, never the round.
+    phase.emplace("fleet.serve");
+    std::vector<WorkItem> items;
+    for (size_t s = 0; s < num_shards; ++s) {
+      const ShardSlate& slate = slates[s];
+      if (engine_batched) {
+        for (size_t g = 0; g < slate.groups.size(); ++g) {
+          const size_t n = slate.groups[g].indices.size();
+          const size_t pieces = (n + kMaxItemRequests - 1) / kMaxItemRequests;
+          for (size_t p = 0; p < pieces; ++p) {
+            items.push_back({s, g, n * p / pieces, n * (p + 1) / pieces});
+          }
+        }
+      } else if (incremental) {
+        for (size_t k = 0; k < slate.requests.size(); ++k) {
+          items.push_back({s, 0, k, k + 1});
+        }
+      } else if (!slate.requests.empty()) {
+        // Unbatched: the whole slate, so every request acquires its model
+        // in arrival order — the per-request baseline this mode measures.
+        items.push_back({s, 0, 0, slate.requests.size()});
+      }
+    }
+    ParallelFor(0, items.size(), 1, [&](size_t i0, size_t i1) {
+      for (size_t i = i0; i < i1; ++i) {
+        const WorkItem& item = items[i];
+        ShardSlate& slate = slates[item.shard];
+        if (engine_batched) {
+          shards[item.shard].engine->RunSlice(slate.groups[item.group],
+                                              slate.requests, item.begin,
+                                              item.end, &slate.responses);
+        } else if (incremental) {
+          const ForecastRequest& request = slate.requests[item.begin];
+          auto forecast_or =
+              refresh_models[slate.tenants[item.begin]]->PredictSeeded(
+                  request.input, request.seed);
+          if (forecast_or.ok()) {
+            slate.responses[item.begin].forecast = std::move(*forecast_or);
+          } else {
+            slate.responses[item.begin].status = forecast_or.status();
           }
         } else {
-          responses = shards[s].engine->Execute(requests);
+          slate.responses = shards[item.shard].engine->Execute(slate.requests);
         }
-        for (size_t k = 0; k < responses.size(); ++k) {
-          core::TenantSession& session = *sessions[request_tenant[k]];
-          Status installed = responses[k].status;
+        for (size_t j = item.begin; j < item.end; ++j) {
+          const size_t k =
+              engine_batched ? slate.groups[item.group].indices[j] : j;
+          core::TenantSession& session = *sessions[slate.tenants[k]];
+          ForecastResponse& response = slate.responses[k];
+          Status installed = response.status;
           if (installed.ok()) {
             Result<std::vector<int>> plan =
-                allocator.Allocate(responses[k].forecast, session.config());
+                allocator.Allocate(response.forecast, session.config());
             installed = plan.ok()
                             ? session.Install(std::move(plan).value(),
-                                              std::move(responses[k].forecast))
+                                              std::move(response.forecast))
                             : plan.status();
           }
           if (!installed.ok()) {
             session.Degrade(core::DegradeCause::kPlannerError);
           }
         }
+      }
+    });
+    slates.clear();  // every item is done: release the round's model holds
 
-        // Phase 4: drive the shard's clusters to the next planning round.
-        // Synchronized rounds: a plan shorter than the round holds its last
-        // value.
+    // Phase 4: drive each shard's clusters to the next planning round.
+    // Synchronized rounds: a plan shorter than the round holds its last
+    // value.
+    phase.emplace("fleet.simulate");
+    const size_t round_end =
+        std::min(step + options.replan_every, options.num_steps);
+    ParallelFor(0, num_shards, 1, [&](size_t s0, size_t s1) {
+      for (size_t s = s0; s < s1; ++s) {
         for (size_t t : shard_tenants[s]) {
           for (size_t st = step; st < round_end; ++st) {
             const simdb::StepStats stats = sessions[t]->Step(st);
@@ -473,6 +573,7 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
   }
 
   // Final accounting.
+  obs::Span finish_span("fleet.finish");
   for (size_t t = 0; t < num_tenants; ++t) {
     const core::TenantSession::Summary s = sessions[t]->Finish();
     auto by_cause = [&s](core::DegradeCause cause) {

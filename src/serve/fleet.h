@@ -142,14 +142,16 @@ struct FleetOptions {
   obs::MetricsRegistry* metrics = nullptr;
   /// Serving shards. Tenants are assigned to shards by a stable hash of
   /// their id; each shard owns a BatchEngine and an AdmissionController
-  /// (and a ModelRegistry when `shard_registry_factory` is set), and the
-  /// shards of a round execute in parallel on the RpasThreads() pool with
-  /// dynamic work-stealing (an idle thread claims the next unstarted
-  /// shard). 0 is treated as 1 (the unsharded single-tier fleet). The
-  /// FleetResult is bit-identical across every (num_shards, thread count)
-  /// combination — admission's deadline shed is computed globally over the
-  /// merged per-shard candidate lists and token buckets are per-tenant, so
-  /// sharding changes scheduling, never verdicts (see DESIGN.md).
+  /// (and a ModelRegistry when `shard_registry_factory` is set). Shards
+  /// prepare (group and acquire) and simulate a round in parallel on the
+  /// RpasThreads() pool; in between, every shard's requests are served
+  /// from one pool-wide work list of items of at most 8 requests, so a
+  /// round does not wait on its slowest shard. 0 is treated as 1 (the
+  /// unsharded single-tier fleet). The FleetResult is bit-identical across
+  /// every (num_shards, thread count) combination — admission's deadline
+  /// shed is computed globally over the merged per-shard candidate lists
+  /// and token buckets are per-tenant, so sharding changes scheduling,
+  /// never verdicts (see DESIGN.md §9).
   size_t num_shards = 1;
   /// Capacity (points) of each tenant's streaming ingest ring. Realized
   /// workload observations are pushed per step and drained once per
@@ -223,6 +225,12 @@ size_t ShardOfTenant(uint64_t tenant_id, size_t num_shards);
 /// Determinism: the result is a pure function of `options` and the
 /// registered model weights — independent of thread count and of
 /// `options.batched` (see BatchEngine's contract).
+///
+/// Tracing: the calling thread records `fleet.setup`, one `fleet.round`
+/// per round (tag = round index) around its phases `fleet.open`,
+/// `fleet.admission`, `fleet.prepare`, `fleet.serve` and `fleet.simulate`,
+/// and `fleet.finish` into obs::TraceBuffer::Global(); a disabled buffer
+/// costs one relaxed load per span.
 Result<FleetResult> RunFleet(ModelRegistry* registry,
                              const std::vector<ModelId>& models,
                              const FleetOptions& options);

@@ -79,6 +79,23 @@ ResourceTrace SyntheticTraceGenerator::Generate(size_t num_steps) const {
   Rng master(seed_);
   std::vector<double> cpu_total(num_steps, 0.0);
 
+  // Per-step terms every machine shares: elapsed days, the weekly factor
+  // and the trend. Fractional parts are taken as x - floor(x), which
+  // equals fmod(x, 1.0) exactly for the finite x >= 0 here.
+  struct StepTerms {
+    double days;
+    double week_factor;
+    double trend;
+  };
+  std::vector<StepTerms> terms(num_steps);
+  for (size_t t = 0; t < num_steps; ++t) {
+    const double days = static_cast<double>(t) / steps_per_day;
+    const double weeks = static_cast<double>(t) / steps_per_week;
+    const bool weekend = weeks - std::floor(weeks) >= 5.0 / 7.0;
+    terms[t] = {days, weekend ? p.weekend_factor : 1.0,
+                p.trend_per_day * days};
+  }
+
   for (size_t machine = 0; machine < p.num_machines; ++machine) {
     Rng rng = master.Fork(machine + 1);
     const double base =
@@ -91,18 +108,13 @@ ResourceTrace SyntheticTraceGenerator::Generate(size_t num_steps) const {
     double burst_height = 0.0;
 
     for (size_t t = 0; t < num_steps; ++t) {
-      const double day_pos =
-          std::fmod(static_cast<double>(t) / steps_per_day + phase, 1.0);
+      const double day = terms[t].days + phase;
+      const double day_pos = day - std::floor(day);
       // Peaky diurnal shape in [0, 1]: raised cosine sharpened by an
       // exponent, peaking mid-day.
       const double raised =
           0.5 * (1.0 - std::cos(2.0 * M_PI * day_pos));
       const double diurnal = std::pow(raised, p.diurnal_peakiness);
-
-      const double week_pos =
-          std::fmod(static_cast<double>(t) / steps_per_week, 1.0);
-      const bool weekend = week_pos >= 5.0 / 7.0;
-      const double week_factor = weekend ? p.weekend_factor : 1.0;
 
       ar_state = p.ar_coeff * ar_state +
                  rng.Normal(0.0, p.noise_stddev);
@@ -120,11 +132,8 @@ ResourceTrace SyntheticTraceGenerator::Generate(size_t num_steps) const {
         burst_remaining -= 1.0;
       }
 
-      const double trend = p.trend_per_day *
-                           (static_cast<double>(t) / steps_per_day);
-      double load =
-          week_factor * (base + amplitude * diurnal) + ar_state + burst +
-          trend;
+      double load = terms[t].week_factor * (base + amplitude * diurnal) +
+                    ar_state + burst + terms[t].trend;
       load = std::clamp(load, 0.0, p.machine_capacity);
       cpu_total[t] += load;
     }
@@ -146,8 +155,7 @@ ResourceTrace SyntheticTraceGenerator::Generate(size_t num_steps) const {
     for (size_t t = 0; t < num_steps; ++t) {
       // Heteroskedastic innovations: busy hours are noisier (volatility
       // scales with the diurnal cycle when cluster_noise_diurnal > 0).
-      const double day_pos =
-          std::fmod(static_cast<double>(t) / steps_per_day, 1.0);
+      const double day_pos = terms[t].days - std::floor(terms[t].days);
       const double diurnal =
           0.5 * (1.0 - std::cos(2.0 * M_PI * day_pos));
       const double noise_scale =

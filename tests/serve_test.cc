@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -18,6 +19,8 @@
 #include "forecast/mlp.h"
 #include "forecast/tft.h"
 #include "nn/qcheckpoint.h"
+#include "obs/export.h"
+#include "obs/span.h"
 #include "serve/admission.h"
 #include "serve/batching.h"
 #include "serve/fleet.h"
@@ -128,22 +131,29 @@ struct TestRegistry {
   std::unique_ptr<ModelRegistry> registry;
 };
 
-TestRegistry MakeRegistry(size_t cache_budget_bytes) {
-  TestRegistry r;
-  r.metrics = std::make_unique<obs::MetricsRegistry>(true);
+/// A registry with both versions registered, reporting to `metrics`.
+std::unique_ptr<ModelRegistry> NewRegistry(size_t cache_budget_bytes,
+                                           obs::MetricsRegistry* metrics) {
   ModelRegistry::Options options;
   options.cache_budget_bytes = cache_budget_bytes;
   options.mapped_byte_weight = 1.0;
-  options.metrics = r.metrics.get();
-  r.registry = std::make_unique<ModelRegistry>(options);
-  RPAS_CHECK(r.registry
+  options.metrics = metrics;
+  auto registry = std::make_unique<ModelRegistry>(options);
+  RPAS_CHECK(registry
                  ->RegisterVersion({"mlp", 1}, Checkpoints().mlp_path,
                                    MlpFactory())
                  .ok());
-  RPAS_CHECK(r.registry
+  RPAS_CHECK(registry
                  ->RegisterVersion({"deepar", 1}, Checkpoints().deepar_path,
                                    DeepArFactory())
                  .ok());
+  return registry;
+}
+
+TestRegistry MakeRegistry(size_t cache_budget_bytes) {
+  TestRegistry r;
+  r.metrics = std::make_unique<obs::MetricsRegistry>(true);
+  r.registry = NewRegistry(cache_budget_bytes, r.metrics.get());
   return r;
 }
 
@@ -578,8 +588,19 @@ TEST(FleetTest, ShardAssignmentIsStableAndSpreadsTenants) {
   }
 }
 
-void ExpectSameFleetResult(const FleetResult& a, const FleetResult& b) {
+/// `same_topology`: both runs used the same shard count and registry
+/// layout, so their registries saw the same Acquire sequence and the cache
+/// counts must match too.
+void ExpectSameFleetResult(const FleetResult& a, const FleetResult& b,
+                           bool same_topology = false) {
   ASSERT_EQ(a.rounds, b.rounds);
+  if (same_topology) {
+    EXPECT_EQ(a.cache.hits, b.cache.hits);
+    EXPECT_EQ(a.cache.misses, b.cache.misses);
+    EXPECT_EQ(a.cache.evictions, b.cache.evictions);
+    EXPECT_EQ(a.cache.loads, b.cache.loads);
+    EXPECT_EQ(a.cache.resident_bytes, b.cache.resident_bytes);
+  }
   EXPECT_EQ(a.requests_submitted, b.requests_submitted);
   EXPECT_EQ(a.requests_admitted, b.requests_admitted);
   EXPECT_EQ(a.requests_throttled, b.requests_throttled);
@@ -645,20 +666,7 @@ TEST(FleetTest, ResultIdenticalAcrossShardAndThreadCounts) {
     if (sharded_registries) {
       obs::MetricsRegistry* metrics = r.metrics.get();
       options.shard_registry_factory = [metrics] {
-        ModelRegistry::Options shard_options;
-        shard_options.cache_budget_bytes = 1 << 20;
-        shard_options.metrics = metrics;
-        auto shard = std::make_unique<ModelRegistry>(shard_options);
-        RPAS_CHECK(shard
-                       ->RegisterVersion({"mlp", 1}, Checkpoints().mlp_path,
-                                         MlpFactory())
-                       .ok());
-        RPAS_CHECK(shard
-                       ->RegisterVersion({"deepar", 1},
-                                         Checkpoints().deepar_path,
-                                         DeepArFactory())
-                       .ok());
-        return shard;
+        return NewRegistry(1 << 20, metrics);
       };
     }
     auto result = RunFleet(r.registry.get(),
@@ -684,6 +692,119 @@ TEST(FleetTest, ResultIdenticalAcrossShardAndThreadCounts) {
     ExpectSameFleetResult(baseline,
                           run(c.shards, c.threads, c.sharded_registries));
   }
+}
+
+TEST(FleetTest, WorkListIdenticalAcrossShardAndThreadCounts) {
+  // A round is served from one pool-wide list of work items of at most 8
+  // requests, so one version group becomes several items that run on
+  // different threads. 64 tenants on two versions make groups of up to 32
+  // requests; a finite round budget fires sheds; per-shard registries that
+  // hold one version at a time evict every round while the round's items
+  // hold both. None of it may change a result, and at a fixed topology
+  // not even a cache count.
+  size_t one_version = 0;
+  for (const ModelId& id : {ModelId{"mlp", 1}, ModelId{"deepar", 1}}) {
+    TestRegistry sized = MakeRegistry(1 << 20);
+    ASSERT_TRUE(sized.registry->Acquire(id).ok());
+    one_version = std::max(one_version,
+                           sized.registry->GetCacheStats().resident_bytes);
+  }
+  auto run = [one_version](size_t shards, int threads) {
+    SetRpasThreads(threads);
+    TestRegistry r = MakeRegistry(1 << 20);
+    FleetOptions options = SmallFleetOptions();
+    options.num_tenants = 64;
+    options.admission.round_budget = 48;  // 64 tenants want in: 16 shed
+    options.metrics = r.metrics.get();
+    options.num_shards = shards;
+    obs::MetricsRegistry* metrics = r.metrics.get();
+    options.shard_registry_factory = [metrics, one_version] {
+      return NewRegistry(one_version, metrics);
+    };
+    auto result = RunFleet(r.registry.get(),
+                           {{"mlp", 1}, {"deepar", 1}}, options);
+    SetRpasThreads(0);
+    RPAS_CHECK(result.ok());
+    return std::move(*result);
+  };
+  const FleetResult baseline = run(1, 1);
+  const FleetResult three_shards = run(3, 1);
+  EXPECT_GT(baseline.requests_shed, 0u);
+  // Cache counts taken when each shard served its round as one task: the
+  // round's model holds must not change a single eviction.
+  EXPECT_EQ(baseline.cache.hits, 3);
+  EXPECT_EQ(baseline.cache.misses, 7);
+  EXPECT_EQ(baseline.cache.evictions, 4);
+  EXPECT_EQ(three_shards.cache.hits, 0);
+  EXPECT_EQ(three_shards.cache.misses, 26);
+  EXPECT_EQ(three_shards.cache.evictions, 21);
+  ExpectSameFleetResult(baseline, three_shards);
+  for (size_t shards : {1u, 3u}) {
+    const FleetResult& same_topology = shards == 1 ? baseline : three_shards;
+    for (int threads : {2, 4, 7}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "shards=" << shards << " threads=" << threads);
+      const FleetResult result = run(shards, threads);
+      ExpectSameFleetResult(baseline, result);
+      ExpectSameFleetResult(same_topology, result, /*same_topology=*/true);
+    }
+  }
+}
+
+TEST(FleetTest, PhaseSpansDeterministicAcrossThreadCounts) {
+  // RunFleet records its phases into the global trace buffer. Reduced to
+  // (name, tag), the spans are part of the deterministic export, which
+  // must not depend on the thread count.
+  obs::TraceBuffer& trace = obs::TraceBuffer::Global();
+  const bool was_enabled = trace.enabled();
+  auto run = [&](int threads) {
+    TestRegistry r = MakeRegistry(1 << 20);  // trains before tracing starts
+    FleetOptions options = SmallFleetOptions();
+    options.num_shards = 2;
+    options.metrics = r.metrics.get();
+    SetRpasThreads(threads);
+    trace.Clear();
+    trace.SetEnabled(true);
+    auto result = RunFleet(r.registry.get(),
+                           {{"mlp", 1}, {"deepar", 1}}, options);
+    trace.SetEnabled(was_enabled);
+    SetRpasThreads(0);
+    RPAS_CHECK(result.ok());
+    obs::ExportOptions deterministic;
+    deterministic.deterministic = true;
+    const std::string jsonl =
+        obs::RunExport(r.metrics.get(), &trace, result->decisions,
+                       deterministic)
+            .ToJsonl();
+    trace.Clear();
+    return jsonl;
+  };
+  const std::string serial = run(1);
+  EXPECT_EQ(serial, run(4));
+
+  auto count = [&serial](const std::string& needle) {
+    size_t n = 0;
+    for (size_t at = serial.find(needle); at != std::string::npos;
+         at = serial.find(needle, at + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  const size_t rounds = SmallFleetOptions().num_steps /
+                        SmallFleetOptions().replan_every;
+  EXPECT_EQ(count("\"name\":\"fleet.round\""), rounds);
+  for (size_t round = 0; round < rounds; ++round) {
+    EXPECT_EQ(count(StrFormat("\"name\":\"fleet.round\",\"tag\":%zu}",
+                              round)),
+              1u)
+        << "round " << round;
+  }
+  for (const char* phase : {"fleet.open", "fleet.admission", "fleet.prepare",
+                            "fleet.serve", "fleet.simulate"}) {
+    EXPECT_EQ(count(StrFormat("\"name\":\"%s\"", phase)), rounds) << phase;
+  }
+  EXPECT_EQ(count("\"name\":\"fleet.setup\""), 1u);
+  EXPECT_EQ(count("\"name\":\"fleet.finish\""), 1u);
 }
 
 TEST(FleetTest, DeadlineShedTenantsFallBackAndAreCounted) {
@@ -795,8 +916,13 @@ TEST(FleetTest, CacheThrashUnderTightBudgetStillServes) {
   auto result = RunFleet(tight.registry.get(),
                          {{"mlp", 1}, {"deepar", 1}}, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_GT(result->cache.evictions, 0);
-  EXPECT_GT(result->cache.misses, result->cache.hits);
+  // The larger DeepAR version never fits, and loading it evicts the MLP,
+  // so the 2 warm-up and 16 serving Acquires all miss. Exact counts, taken
+  // before serving moved to a pool-wide work list: the list must not
+  // change what the cache does.
+  EXPECT_EQ(result->cache.hits, 0);
+  EXPECT_EQ(result->cache.misses, 18);
+  EXPECT_EQ(result->cache.evictions, 18);
   EXPECT_LE(result->cache.resident_bytes, one_model);
 }
 
@@ -825,6 +951,46 @@ TEST(FleetTest, InvalidOptionsRejected) {
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
+
+  // Numeric options that a component would RPAS_CHECK are rejected before
+  // any setup, naming the field.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct NumericCase {
+    std::string field;
+    std::function<void(FleetOptions*)> set;
+  };
+  const std::vector<NumericCase> cases = {
+      {"tau", [](FleetOptions* o) { o->tau = 1.5; }},
+      {"tau", [](FleetOptions* o) { o->tau = 1.0; }},
+      {"tau", [](FleetOptions* o) { o->tau = 0.0; }},
+      {"tau", [nan](FleetOptions* o) { o->tau = nan; }},
+      {"theta_divisor", [](FleetOptions* o) { o->theta_divisor = 0.0; }},
+      {"theta_divisor", [nan](FleetOptions* o) { o->theta_divisor = nan; }},
+      {"theta_divisor", [inf](FleetOptions* o) { o->theta_divisor = inf; }},
+      {"admission.bucket_capacity",
+       [](FleetOptions* o) { o->admission.bucket_capacity = 0.0; }},
+      {"admission.bucket_capacity",
+       [nan](FleetOptions* o) { o->admission.bucket_capacity = nan; }},
+      {"admission.cost_per_request",
+       [](FleetOptions* o) { o->admission.cost_per_request = -1.0; }},
+      {"admission.cost_per_request",
+       [nan](FleetOptions* o) { o->admission.cost_per_request = nan; }},
+  };
+  TestRegistry untouched = MakeRegistry(1 << 20);
+  for (const NumericCase& c : cases) {
+    FleetOptions bad = SmallFleetOptions();
+    bad.metrics = untouched.metrics.get();
+    c.set(&bad);
+    const Status status =
+        RunFleet(untouched.registry.get(), {{"mlp", 1}}, bad).status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << c.field;
+    EXPECT_NE(status.message().find(c.field), std::string::npos)
+        << c.field << ": " << status.ToString();
+  }
+  // Rejected before setup: not even the warm-up Acquire ran.
+  EXPECT_EQ(untouched.registry->GetCacheStats().misses, 0);
+  EXPECT_EQ(untouched.registry->GetCacheStats().hits, 0);
 }
 
 /// A served model whose upper quantile is NaN at one step: what a diverged
@@ -1101,7 +1267,7 @@ TEST(FleetRefreshTest, IncrementalModeIsDeterministicAcrossThreads) {
   };
   const FleetResult serial = run(1);
   const FleetResult parallel = run(8);
-  ExpectSameFleetResult(serial, parallel);
+  ExpectSameFleetResult(serial, parallel, /*same_topology=*/true);
   EXPECT_EQ(serial.refresh.refreshes, parallel.refresh.refreshes);
   EXPECT_EQ(serial.refresh.points_consumed, parallel.refresh.points_consumed);
 }

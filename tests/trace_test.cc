@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "trace/generator.h"
 
@@ -40,6 +42,42 @@ TEST(GeneratorTest, DeterministicForSameSeed) {
   ASSERT_EQ(ta.size(), tb.size());
   for (size_t i = 0; i < ta.size(); ++i) {
     EXPECT_DOUBLE_EQ(ta[i], tb[i]);
+  }
+}
+
+/// FNV-1a over the raw bytes of every value.
+uint64_t HashValues(const std::vector<double>& values) {
+  uint64_t hash = 0xcbf29ce484222325ull;
+  for (double v : values) {
+    unsigned char bytes[sizeof(double)];
+    std::memcpy(bytes, &v, sizeof(double));
+    for (unsigned char b : bytes) {
+      hash = (hash ^ b) * 0x100000001b3ull;
+    }
+  }
+  return hash;
+}
+
+TEST(GeneratorTest, OutputPinnedToParent) {
+  // Every fleet tenant, bench and test trace comes from this generator, so
+  // a rewrite of its loops must reproduce the exact bytes. 1200 steps span
+  // more than a week, crossing a weekend. The hashes were taken before the
+  // per-step terms were hoisted out of the machine loop.
+  struct Case {
+    bool google;
+    uint64_t seed;
+    uint64_t hash;
+  };
+  for (const Case& c : {Case{false, 7, 0xc623aeb837739a25ull},
+                        Case{false, 0x51AE, 0xc2752ee1a8f9f474ull},
+                        Case{false, 2024, 0x0d9853abad344dcfull},
+                        Case{true, 7, 0x5ab7d6a42dee274eull},
+                        Case{true, 0x51AE, 0xa1494c1c868a058aull},
+                        Case{true, 2024, 0x836d8d90df7c814full}}) {
+    SyntheticTraceGenerator gen(c.google ? GoogleProfile() : AlibabaProfile(),
+                                c.seed);
+    EXPECT_EQ(HashValues(gen.GenerateCpu(1200).values), c.hash)
+        << (c.google ? "google" : "alibaba") << " seed " << c.seed;
   }
 }
 
