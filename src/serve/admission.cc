@@ -1,6 +1,7 @@
 #include "serve/admission.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/logging.h"
 
@@ -23,16 +24,15 @@ AdmissionController::AdmissionController(Options options, size_t num_tenants)
   RPAS_CHECK(num_tenants > 0);
   RPAS_CHECK(options_.bucket_capacity > 0.0);
   RPAS_CHECK(options_.cost_per_request > 0.0);
+  RPAS_CHECK(std::isfinite(options_.refill_per_round) &&
+             options_.refill_per_round >= 0.0);
   // Buckets start full so the first round is never throttled.
   tokens_.assign(num_tenants, options_.bucket_capacity);
-  // Handles resolve once here (never on the admit path); striped because
-  // every shard's controller fires the same named instruments during the
-  // fleet's parallel phases.
+  // Handles resolve once here, never on the admit path.
   obs::MetricsRegistry* metrics = obs::ResolveRegistry(options_.metrics);
-  admitted_counter_ = metrics->GetStripedCounter("serve.admission.admitted");
-  throttled_counter_ =
-      metrics->GetStripedCounter("serve.admission.throttled");
-  shed_counter_ = metrics->GetStripedCounter("serve.admission.shed");
+  admitted_counter_ = metrics->GetCounter("serve.admission.admitted");
+  throttled_counter_ = metrics->GetCounter("serve.admission.throttled");
+  shed_counter_ = metrics->GetCounter("serve.admission.shed");
 }
 
 void AdmissionController::BeginRound() {
@@ -45,92 +45,56 @@ void AdmissionController::BeginRound() {
 
 std::vector<AdmissionVerdict> AdmissionController::AdmitRound(
     const std::vector<uint64_t>& tenants) {
-  std::vector<AdmissionVerdict> verdicts;
-  std::vector<size_t> candidates;
-  TokenScreen(tenants, &verdicts, &candidates);
-  SelectWithinBudget(round_, tokens_.size(), options_.round_budget, tenants,
-                     &candidates, &verdicts);
-  Commit(tenants, candidates, &verdicts);
-  return verdicts;
-}
-
-void AdmissionController::TokenScreen(
-    const std::vector<uint64_t>& tenants,
-    std::vector<AdmissionVerdict>* verdicts,
-    std::vector<size_t>* candidates) const {
   const size_t num_tenants = tokens_.size();
-  verdicts->assign(tenants.size(), AdmissionVerdict::kThrottled);
-  // A throttled tenant is out of the running before the deadline budget is
-  // allocated (its bucket is left untouched — it pays nothing for a round
-  // it did not get).
-  candidates->reserve(candidates->size() + tenants.size());
+  std::vector<AdmissionVerdict> verdicts(tenants.size(),
+                                         AdmissionVerdict::kThrottled);
+  // Token screen: a throttled tenant is out of the running before the
+  // deadline budget is allocated (its bucket is left untouched — it pays
+  // nothing for a round it did not get). Duplicate entries for one tenant
+  // accrue cost within the round.
+  std::vector<size_t> candidates;
+  candidates.reserve(tenants.size());
   std::vector<double> pending_cost(num_tenants, 0.0);
   for (size_t i = 0; i < tenants.size(); ++i) {
     RPAS_CHECK(tenants[i] < num_tenants) << "tenant id out of range";
     const size_t t = tenants[i];
     if (tokens_[t] - pending_cost[t] >= options_.cost_per_request) {
       pending_cost[t] += options_.cost_per_request;
-      candidates->push_back(i);
+      candidates.push_back(i);
     }
   }
-}
+  const size_t screened = candidates.size();
 
-void AdmissionController::SelectWithinBudget(
-    uint64_t round, size_t num_tenants, size_t round_budget,
-    const std::vector<uint64_t>& tenants, std::vector<size_t>* candidates,
-    std::vector<AdmissionVerdict>* verdicts) {
   // Deadline budget with rotated priority. offset advances one tenant per
   // round, so the shed set cycles instead of always hitting the same
   // tenants.
-  if (round_budget == 0 || candidates->size() <= round_budget) {
-    return;
+  const size_t budget = options_.round_budget;
+  if (budget != 0 && candidates.size() > budget) {
+    const uint64_t offset = round_ % num_tenants;
+    std::stable_sort(candidates.begin(), candidates.end(),
+                     [&](size_t a, size_t b) {
+                       const uint64_t pa =
+                           (tenants[a] + num_tenants - offset) % num_tenants;
+                       const uint64_t pb =
+                           (tenants[b] + num_tenants - offset) % num_tenants;
+                       return pa < pb;
+                     });
+    for (size_t k = budget; k < candidates.size(); ++k) {
+      verdicts[candidates[k]] = AdmissionVerdict::kDeadlineShed;
+    }
+    candidates.resize(budget);
   }
-  const uint64_t offset = round % num_tenants;
-  std::stable_sort(candidates->begin(), candidates->end(),
-                   [&](size_t a, size_t b) {
-                     const uint64_t pa =
-                         (tenants[a] + num_tenants - offset) % num_tenants;
-                     const uint64_t pb =
-                         (tenants[b] + num_tenants - offset) % num_tenants;
-                     return pa < pb;
-                   });
-  for (size_t k = round_budget; k < candidates->size(); ++k) {
-    (*verdicts)[(*candidates)[k]] = AdmissionVerdict::kDeadlineShed;
-  }
-  candidates->resize(round_budget);
-}
 
-void AdmissionController::Commit(const std::vector<uint64_t>& tenants,
-                                 const std::vector<size_t>& candidates,
-                                 std::vector<AdmissionVerdict>* verdicts) {
   for (size_t i : candidates) {
-    (*verdicts)[i] = AdmissionVerdict::kAdmitted;
+    verdicts[i] = AdmissionVerdict::kAdmitted;
     tokens_[tenants[i]] -= options_.cost_per_request;
   }
-  int64_t admitted = 0;
-  int64_t throttled = 0;
-  int64_t shed = 0;
-  for (AdmissionVerdict v : *verdicts) {
-    switch (v) {
-      case AdmissionVerdict::kAdmitted:
-        ++admitted;
-        break;
-      case AdmissionVerdict::kThrottled:
-        ++throttled;
-        break;
-      case AdmissionVerdict::kDeadlineShed:
-        ++shed;
-        break;
-    }
-  }
-  admitted_counter_->Increment(admitted);
-  throttled_counter_->Increment(throttled);
-  shed_counter_->Increment(shed);
-}
-
-double AdmissionController::TokensAvailable(uint64_t tenant_id) const {
-  RPAS_CHECK(tenant_id < tokens_.size());
-  return tokens_[tenant_id];
+  const size_t admitted = candidates.size();
+  admitted_counter_->Increment(static_cast<int64_t>(admitted));
+  throttled_counter_->Increment(
+      static_cast<int64_t>(tenants.size() - screened));
+  shed_counter_->Increment(static_cast<int64_t>(screened - admitted));
+  return verdicts;
 }
 
 }  // namespace rpas::serve

@@ -29,13 +29,15 @@ std::string_view AdmissionVerdictToString(AdmissionVerdict verdict);
 /// every tenant gets fresh forecasts at the same long-run rate instead of
 /// the highest-id tenants starving. Verdicts are a pure function of
 /// (options, admission history), independent of thread count — the fleet's
-/// determinism contract depends on this.
+/// determinism contract depends on this. A fleet runs one controller for
+/// all of its shards, once per round on the calling thread.
 class AdmissionController {
  public:
   struct Options {
     /// Token-bucket capacity per tenant (burst allowance).
     double bucket_capacity = 4.0;
-    /// Tokens refilled per round (steady-state fresh-forecast rate).
+    /// Tokens refilled per round (steady-state fresh-forecast rate);
+    /// finite and non-negative.
     double refill_per_round = 1.0;
     /// Tokens one admitted request costs.
     double cost_per_request = 1.0;
@@ -55,51 +57,8 @@ class AdmissionController {
   /// Decides admission for the tenants requesting a fresh forecast this
   /// round (ids must be < num_tenants, duplicates allowed — each entry is
   /// charged separately). Returns one verdict per entry, in input order.
-  /// Exactly TokenScreen + SelectWithinBudget + Commit below.
   std::vector<AdmissionVerdict> AdmitRound(
       const std::vector<uint64_t>& tenants);
-
-  // Two-phase admission for sharded serving (see fleet.cc). Token buckets
-  // are per-tenant, so each shard screens and charges its own tenants on
-  // its own controller; the deadline shed, however, ranks the round's
-  // candidates *globally*, so the sharded fleet merges the per-shard
-  // candidate lists and runs the (pure, static) selection once. Because
-  // the three phases compose to exactly AdmitRound, S-shard admission is
-  // bit-identical to the unsharded controller.
-
-  /// Phase 1 — token screen, no state change: resizes `verdicts` to
-  /// tenants.size() filled with kThrottled and appends to `candidates` the
-  /// indices of entries whose bucket covers the request (duplicate entries
-  /// for one tenant accrue cost within this call, exactly as AdmitRound
-  /// charges them).
-  void TokenScreen(const std::vector<uint64_t>& tenants,
-                   std::vector<AdmissionVerdict>* verdicts,
-                   std::vector<size_t>* candidates) const;
-
-  /// Phase 2 — deadline shed, pure function of its arguments: ranks
-  /// `candidates` (indices into `tenants`) by priority rotated one tenant
-  /// per round, marks the entries beyond `round_budget` kDeadlineShed in
-  /// `verdicts`, and truncates `candidates` to the budget. A budget of 0
-  /// is unbounded (no-op). `num_tenants` must be the fleet-wide tenant
-  /// count — the rotation period — not a shard's share.
-  static void SelectWithinBudget(uint64_t round, size_t num_tenants,
-                                 size_t round_budget,
-                                 const std::vector<uint64_t>& tenants,
-                                 std::vector<size_t>* candidates,
-                                 std::vector<AdmissionVerdict>* verdicts);
-
-  /// Phase 3 — commit: marks the surviving `candidates` kAdmitted, charges
-  /// their buckets, and records metrics for every verdict in `verdicts`.
-  void Commit(const std::vector<uint64_t>& tenants,
-              const std::vector<size_t>& candidates,
-              std::vector<AdmissionVerdict>* verdicts);
-
-  /// Rounds begun so far — the rotation clock SelectWithinBudget takes.
-  uint64_t round() const { return round_; }
-  size_t num_tenants() const { return tokens_.size(); }
-
-  /// Tokens currently available to a tenant (testing / introspection).
-  double TokensAvailable(uint64_t tenant_id) const;
 
   const Options& options() const { return options_; }
 

@@ -24,26 +24,23 @@ constexpr uint64_t kClusterStream = 0xC105;
 constexpr uint64_t kFaultStream = 0xFA17;
 constexpr uint64_t kRequestStream = 0x5EED;
 
-/// One serving shard: its own inference engine and admission controller,
-/// plus its own model registry when the fleet provides a factory. Tenant
-/// state itself is partitioned by the shard map, so everything a shard
-/// touches while it prepares or simulates a round is disjoint from every
-/// other shard — those phases fan shards across the thread pool with no
-/// locking beyond the metrics sink's atomics.
+/// One serving shard: its own inference engine, plus its own model
+/// registry when the fleet provides a factory. Tenant state itself is
+/// partitioned by the shard map, so everything a shard touches while it
+/// prepares or simulates a round is disjoint from every other shard —
+/// those phases fan shards across the thread pool with no locking beyond
+/// the metrics sink's atomics.
 struct Shard {
   std::unique_ptr<ModelRegistry> owned_registry;  ///< null = shares main
   ModelRegistry* registry = nullptr;
-  std::unique_ptr<AdmissionController> admission;
   std::unique_ptr<BatchEngine> engine;
 };
 
 /// One shard's serving slate for a round: the admitted requests in
-/// admitted order, the tenant each one serves, the engine's version
-/// groups (batched mode) and the responses, which work items fill in
-/// place.
+/// admitted order, the engine's version groups (batched mode) and the
+/// responses, which work items fill in place.
 struct ShardSlate {
   std::vector<ForecastRequest> requests;
-  std::vector<size_t> tenants;
   std::vector<BatchEngine::Group> groups;
   std::vector<ForecastResponse> responses;
 };
@@ -130,6 +127,11 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
     return Status::InvalidArgument(
         "admission.cost_per_request must be finite and positive");
   }
+  if (!(std::isfinite(options.admission.refill_per_round) &&
+        options.admission.refill_per_round >= 0.0)) {
+    return Status::InvalidArgument(
+        "admission.refill_per_round must be finite and non-negative");
+  }
   const bool selecting = options.selection.enabled;
   const bool incremental =
       options.refresh_mode == core::RefreshMode::kIncremental;
@@ -182,6 +184,7 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
 
   AdmissionController::Options admission_options = options.admission;
   admission_options.metrics = options.metrics;
+  AdmissionController admission(admission_options, options.num_tenants);
   BatchEngine::Options engine_options;
   engine_options.batch_across_tenants = options.batched;
   engine_options.metrics = options.metrics;
@@ -198,11 +201,6 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
     shard.registry =
         shard.owned_registry != nullptr ? shard.owned_registry.get()
                                         : registry;
-    // Every shard's controller is sized to the whole fleet: token buckets
-    // are indexed by global tenant id, and the deadline-shed rotation
-    // period must be the fleet-wide tenant count on every shard.
-    shard.admission = std::make_unique<AdmissionController>(
-        admission_options, options.num_tenants);
     shard.engine =
         std::make_unique<BatchEngine>(shard.registry, engine_options);
   }
@@ -320,9 +318,7 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
     std::optional<obs::Span> phase;
     ++result.rounds;
     phase.emplace("fleet.open");
-    for (Shard& shard : shards) {
-      shard.admission->BeginRound();
-    }
+    admission.BeginRound();
 
     // Phase 1: every session opens its round. Injected forecaster faults
     // settle first — a tenant whose forecaster is down does not compete
@@ -336,8 +332,8 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
       }
     });
 
-    // The global requesting list, ascending by tenant id — the exact order
-    // the unsharded fleet submits, which the deadline shed ranks against.
+    // Phase 2: admission, once for the whole fleet over the requesting
+    // tenants in ascending id order.
     phase.emplace("fleet.admission");
     std::vector<uint64_t> requesting;
     for (size_t t = 0; t < num_tenants; ++t) {
@@ -346,58 +342,8 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
       }
     }
     result.requests_submitted += requesting.size();
-
-    // Phase 2: admission. Token buckets are per-tenant, so each shard
-    // screens and charges its own tenants on its own controller; the
-    // deadline shed runs once, globally, over the merged candidate list —
-    // that split is what keeps S-shard verdicts bit-identical to one
-    // controller seeing the whole fleet.
-    std::vector<std::vector<uint64_t>> sub_tenants(num_shards);
-    std::vector<std::vector<size_t>> sub_to_global(num_shards);
-    std::vector<size_t> sub_index(requesting.size(), 0);
-    for (size_t i = 0; i < requesting.size(); ++i) {
-      const size_t s = shard_of[requesting[i]];
-      sub_index[i] = sub_tenants[s].size();
-      sub_tenants[s].push_back(requesting[i]);
-      sub_to_global[s].push_back(i);
-    }
-
-    std::vector<AdmissionVerdict> verdicts(requesting.size(),
-                                           AdmissionVerdict::kThrottled);
-    std::vector<std::vector<AdmissionVerdict>> sub_verdicts(num_shards);
-    std::vector<std::vector<size_t>> sub_candidates(num_shards);
-    std::vector<size_t> global_candidates;
-    for (size_t s = 0; s < num_shards; ++s) {
-      shards[s].admission->TokenScreen(sub_tenants[s], &sub_verdicts[s],
-                                       &sub_candidates[s]);
-      for (size_t c : sub_candidates[s]) {
-        global_candidates.push_back(sub_to_global[s][c]);
-      }
-    }
-    // Ascending entry order — what one controller screening the merged
-    // list would have produced.
-    std::sort(global_candidates.begin(), global_candidates.end());
-    AdmissionController::SelectWithinBudget(
-        shards[0].admission->round(), options.num_tenants,
-        admission_options.round_budget, requesting, &global_candidates,
-        &verdicts);
-    // Push the shed marks down to the shard-local verdict slates, commit
-    // each shard (charges buckets, counts metrics), and lift the admitted
-    // marks back up.
-    std::vector<std::vector<size_t>> sub_survivors(num_shards);
-    for (size_t i : global_candidates) {
-      sub_survivors[shard_of[requesting[i]]].push_back(sub_index[i]);
-    }
-    for (size_t i = 0; i < requesting.size(); ++i) {
-      sub_verdicts[shard_of[requesting[i]]][sub_index[i]] = verdicts[i];
-    }
-    for (size_t s = 0; s < num_shards; ++s) {
-      shards[s].admission->Commit(sub_tenants[s], sub_survivors[s],
-                                  &sub_verdicts[s]);
-    }
-    for (size_t i = 0; i < requesting.size(); ++i) {
-      verdicts[i] = sub_verdicts[shard_of[requesting[i]]][sub_index[i]];
-    }
+    const std::vector<AdmissionVerdict> verdicts =
+        admission.AdmitRound(requesting);
 
     // Throttled and shed tenants degrade to the reactive fallback — their
     // round is served, just not with a fresh forecast.
@@ -440,7 +386,6 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
         }
         ShardSlate& slate = slates[s];
         slate.requests.reserve(shard_admitted[s].size());
-        slate.tenants.reserve(shard_admitted[s].size());
         for (size_t t : shard_admitted[s]) {
           if (!sessions[t]->awaiting_plan()) {
             continue;  // refresh error already degraded this round
@@ -458,7 +403,6 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
           request.seed =
               DeriveSeed(DeriveSeed(options.seed, kRequestStream + t), round);
           slate.requests.push_back(std::move(request));
-          slate.tenants.push_back(t);
         }
         slate.responses.resize(slate.requests.size());
         if (engine_batched) {
@@ -507,7 +451,7 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
         } else if (incremental) {
           const ForecastRequest& request = slate.requests[item.begin];
           auto forecast_or =
-              refresh_models[slate.tenants[item.begin]]->PredictSeeded(
+              refresh_models[request.tenant_id]->PredictSeeded(
                   request.input, request.seed);
           if (forecast_or.ok()) {
             slate.responses[item.begin].forecast = std::move(*forecast_or);
@@ -520,7 +464,8 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
         for (size_t j = item.begin; j < item.end; ++j) {
           const size_t k =
               engine_batched ? slate.groups[item.group].indices[j] : j;
-          core::TenantSession& session = *sessions[slate.tenants[k]];
+          core::TenantSession& session =
+              *sessions[slate.requests[k].tenant_id];
           ForecastResponse& response = slate.responses[k];
           Status installed = response.status;
           if (installed.ok()) {

@@ -141,17 +141,16 @@ struct FleetOptions {
   /// (engine, admission, clusters); null routes to the global registry.
   obs::MetricsRegistry* metrics = nullptr;
   /// Serving shards. Tenants are assigned to shards by a stable hash of
-  /// their id; each shard owns a BatchEngine and an AdmissionController
-  /// (and a ModelRegistry when `shard_registry_factory` is set). Shards
-  /// prepare (group and acquire) and simulate a round in parallel on the
-  /// RpasThreads() pool; in between, every shard's requests are served
-  /// from one pool-wide work list of items of at most 8 requests, so a
-  /// round does not wait on its slowest shard. 0 is treated as 1 (the
-  /// unsharded single-tier fleet). The FleetResult is bit-identical across
-  /// every (num_shards, thread count) combination — admission's deadline
-  /// shed is computed globally over the merged per-shard candidate lists
-  /// and token buckets are per-tenant, so sharding changes scheduling,
-  /// never verdicts (see DESIGN.md §9).
+  /// their id; each shard owns a BatchEngine (and a ModelRegistry when
+  /// `shard_registry_factory` is set). Shards prepare (group and acquire)
+  /// and simulate a round in parallel on the RpasThreads() pool; in
+  /// between, every shard's requests are served from one pool-wide work
+  /// list of items of at most 8 requests, so a round does not wait on its
+  /// slowest shard. 0 is treated as 1 (the unsharded single-tier fleet).
+  /// Admission is not sharded: one AdmissionController decides every
+  /// round for the whole fleet, so the FleetResult is bit-identical across
+  /// every (num_shards, thread count) combination — sharding changes
+  /// scheduling, never verdicts (see DESIGN.md §9).
   size_t num_shards = 1;
   /// Capacity (points) of each tenant's streaming ingest ring. Realized
   /// workload observations are pushed per step and drained once per
@@ -197,10 +196,11 @@ struct FleetOptions {
   stream::RefresherOptions refresher;
   /// Builds one model registry per shard with every referenced version
   /// registered against the same checkpoints as the registry passed to
-  /// RunFleet. When null, all shards share that registry — correct, but
-  /// its internal mutex stays the cross-shard serialization point, which
-  /// defeats most of the sharding speedup. FleetResult::cache aggregates
-  /// over every registry the run touched.
+  /// RunFleet. When null, all shards share that registry: warm hits are
+  /// lock-free, and only cold-load commits and evictions take its mutex.
+  /// Per-shard registries each load their own copy of a version, so
+  /// loads and resident bytes grow with the shard count.
+  /// FleetResult::cache aggregates over every registry the run touched.
   std::function<std::unique_ptr<ModelRegistry>()> shard_registry_factory;
 };
 

@@ -68,12 +68,15 @@ TEST(ThreadConfigTest, ParseThreadCountAcceptsOnlyWholeValidTokens) {
 // ------------------------------------------------------------- ThreadPool ---
 
 TEST(ThreadPoolTest, SubmitRunsEveryTask) {
-  ThreadPool pool(3);
-  EXPECT_EQ(pool.num_threads(), 3);
   constexpr int kTasks = 64;
   std::atomic<int> done{0};
   std::mutex mu;
   std::condition_variable cv;
+  // Declared after what its tasks touch, so it joins its workers before
+  // the mutex and condition variable are destroyed: the last task may
+  // still be notifying when the wait below returns.
+  ThreadPool pool(3);
+  EXPECT_EQ(pool.num_threads(), 3);
   for (int i = 0; i < kTasks; ++i) {
     pool.Submit([&] {
       if (done.fetch_add(1) + 1 == kTasks) {

@@ -649,18 +649,21 @@ void ExpectSameFleetResult(const FleetResult& a, const FleetResult& b,
 }
 
 TEST(FleetTest, ResultIdenticalAcrossShardAndThreadCounts) {
-  // Sharding changes scheduling, never results: the deadline shed runs
-  // globally over the merged per-shard candidate lists and token buckets
-  // are per-tenant, so every (num_shards, threads, registry topology)
-  // combination must reproduce the unsharded serial run bit-for-bit. A
-  // finite round budget forces sheds every round so the cross-shard
-  // admission merge is actually exercised.
+  // Sharding changes scheduling, never results: one admission controller
+  // decides every round for the whole fleet, so every (num_shards,
+  // threads, registry topology) combination must reproduce the unsharded
+  // serial run bit-for-bit. A finite round budget sheds and small token
+  // buckets throttle, so both degrade paths run across shards.
   auto run = [](size_t shards, int threads, bool sharded_registries) {
     SetRpasThreads(threads);
     TestRegistry r = MakeRegistry(1 << 20);
     FleetOptions options = SmallFleetOptions();
     options.num_tenants = 6;
     options.admission.round_budget = 4;  // 6 tenants want in: 2 shed
+    // Buckets hold one token and refill half a token a round: a tenant
+    // admitted this round is throttled the next.
+    options.admission.bucket_capacity = 1.0;
+    options.admission.refill_per_round = 0.5;
     options.metrics = r.metrics.get();
     options.num_shards = shards;
     if (sharded_registries) {
@@ -673,10 +676,25 @@ TEST(FleetTest, ResultIdenticalAcrossShardAndThreadCounts) {
                            {{"mlp", 1}, {"deepar", 1}}, options);
     SetRpasThreads(0);
     RPAS_CHECK(result.ok());
+    // The exported admission counters and the tenants' throttled rounds
+    // agree with the fleet's request totals.
+    auto counter = [&r](const char* name) {
+      return static_cast<size_t>(r.metrics->GetCounter(name)->value());
+    };
+    EXPECT_EQ(counter("serve.admission.admitted"), result->requests_admitted);
+    EXPECT_EQ(counter("serve.admission.throttled"),
+              result->requests_throttled);
+    EXPECT_EQ(counter("serve.admission.shed"), result->requests_shed);
+    size_t throttled_rounds = 0;
+    for (const TenantSummary& tenant : result->tenants) {
+      throttled_rounds += tenant.throttled_rounds;
+    }
+    EXPECT_EQ(throttled_rounds, result->requests_throttled);
     return std::move(*result);
   };
   const FleetResult baseline = run(1, 1, false);
   EXPECT_GT(baseline.requests_shed, 0u);
+  EXPECT_GT(baseline.requests_throttled, 0u);
 
   struct Case {
     size_t shards;
@@ -976,6 +994,12 @@ TEST(FleetTest, InvalidOptionsRejected) {
        [](FleetOptions* o) { o->admission.cost_per_request = -1.0; }},
       {"admission.cost_per_request",
        [nan](FleetOptions* o) { o->admission.cost_per_request = nan; }},
+      {"admission.refill_per_round",
+       [nan](FleetOptions* o) { o->admission.refill_per_round = nan; }},
+      {"admission.refill_per_round",
+       [](FleetOptions* o) { o->admission.refill_per_round = -1.0; }},
+      {"admission.refill_per_round",
+       [inf](FleetOptions* o) { o->admission.refill_per_round = inf; }},
   };
   TestRegistry untouched = MakeRegistry(1 << 20);
   for (const NumericCase& c : cases) {
