@@ -1,7 +1,8 @@
 // Kernel-layer microbenchmarks: GEMM, vector primitives, elementwise
-// transcendentals, the fused LSTM cell step, and a DeepAR-shaped training
-// step on the tape and through DeepArForecaster::Fit's fused unroll, each
-// swept across every SIMD dispatch level this machine supports.
+// transcendentals, the fused LSTM step and cell backward, and a
+// DeepAR-shaped training step on the tape and through
+// DeepArForecaster::Fit's fused unroll, each swept across every SIMD
+// dispatch level this machine supports.
 //
 // Besides the human-readable table, the run is written as JSON (default
 // BENCH_kernels.json, override with --json-out=PATH) with one record per
@@ -169,39 +170,69 @@ void BenchVectorOps(bool quick, std::vector<Record>* out) {
   RPAS_CHECK(sink == sink);  // keep the reductions observable
 }
 
-// ---------------------------------------------------- fused LSTM cell ---
+// ---------------------------------------------------- fused LSTM step ---
 
-void BenchLstmCell(bool quick, std::vector<Record>* out) {
+/// DeepAR's input width: the scaled previous value plus calendar features.
+constexpr size_t kDeepArInput = 1 + forecast::kNumTimeFeatures;
+
+/// kernels::LstmStep at the sampling roll's two serving shapes, and the
+/// cell backward at the training shape.
+void BenchLstmStep(bool quick, std::vector<Record>* out) {
+  struct Shape {
+    size_t rows, hidden;
+  };
+  // The paper-shape loop (100 samples, H 32) and a fleet batch (8 requests
+  // x 16 samples, H 20).
+  for (const Shape& s : {Shape{100, 32}, Shape{128, 20}}) {
+    const size_t gw = 4 * s.hidden;
+    Matrix x(s.rows, kDeepArInput), h(s.rows, s.hidden), c(s.rows, s.hidden);
+    Matrix wx(kDeepArInput, gw), wh(s.hidden, gw), bias(1, gw);
+    Matrix gates(s.rows, gw);
+    Rng rng(3);
+    for (Matrix* m : {&x, &h, &c, &wx, &wh, &bias}) {
+      FillUniform(m, &rng);
+    }
+    std::vector<double> wx_packed(kernels::PackedSize(kDeepArInput, gw));
+    std::vector<double> wh_packed(kernels::PackedSize(s.hidden, gw));
+    kernels::PackB(kDeepArInput, gw, wx.data(), gw, wx_packed.data());
+    kernels::PackB(s.hidden, gw, wh.data(), gw, wh_packed.data());
+    const kernels::LstmStepWeights weights{kDeepArInput, s.hidden,
+                                           wx_packed.data(), wh_packed.data(),
+                                           bias.data()};
+    // Both gate products, plus nominal 8 gate-input adds, 4 activations
+    // and 4 mul/add per cell element.
+    const double flops =
+        static_cast<double>(s.rows) *
+        (2.0 * static_cast<double>(gw * (kDeepArInput + s.hidden)) +
+         16.0 * static_cast<double>(s.hidden));
+    for (SimdLevel level : SupportedLevels()) {
+      // The state is updated in place, as in the roll; it stays bounded.
+      const double ns = NsPerIter(quick, [&] {
+        kernels::LstmStep(level, s.rows, weights, x.data(), h.data(),
+                          c.data(), s.hidden, gates.data(), h.data(),
+                          s.hidden, c.data(), s.hidden, nullptr);
+      });
+      out->push_back({"lstm_step",
+                      StrFormat("rows=%zu in=%zu h=%zu", s.rows, kDeepArInput,
+                                s.hidden),
+                      kernels::LevelName(level), ns, flops / ns});
+    }
+  }
+
   const size_t batch = 8, hidden = 32;
-  Matrix gates(batch, 4 * hidden), act(batch, 4 * hidden);
-  Matrix hw(batch, 4 * hidden), bias(1, 4 * hidden);
-  Matrix cp(batch, hidden), h(batch, hidden), c(batch, hidden);
-  Matrix tc(batch, hidden), dh(batch, hidden), dc(batch, hidden);
+  Matrix act(batch, 4 * hidden), cp(batch, hidden), tc(batch, hidden);
+  Matrix dh(batch, hidden), dc(batch, hidden);
   Matrix dgates(batch, 4 * hidden), dcp(batch, hidden);
-  Rng rng(3);
-  FillUniform(&gates, &rng);
-  FillUniform(&cp, &rng);
-  FillUniform(&dh, &rng);
-  FillUniform(&dc, &rng);
-  FillUniform(&hw, &rng);
-  FillUniform(&bias, &rng);
-  const std::string shape = StrFormat("b=%zu h=%zu", batch, hidden);
-  // Nominal per-element flop counts: forward ~= 8 gate-input adds +
-  // 4 activations + 4 mul/add, backward ~= 23 mul/add/sub.
-  const double fwd_flops = 16.0 * static_cast<double>(batch * hidden);
+  Rng rng(4);
+  for (Matrix* m : {&act, &cp, &tc, &dh, &dc}) {
+    FillUniform(m, &rng);
+  }
+  // Nominal per-element flop count: ~23 mul/add/sub.
   const double bwd_flops = 23.0 * static_cast<double>(batch * hidden);
   for (SimdLevel level : SupportedLevels()) {
-    const char* name = kernels::LevelName(level);
-    out->push_back({"lstm_cell_fwd", shape, name, NsPerIter(quick, [&] {
-                      act = gates;
-                      kernels::LstmCellForward(
-                          level, batch, hidden, act.data(), hw.data(),
-                          bias.data(), cp.data(), hidden, h.data(), hidden,
-                          c.data(), hidden, tc.data());
-                    }),
-                    0.0});
-    out->back().gflops = fwd_flops / out->back().ns_per_iter;
-    out->push_back({"lstm_cell_bwd", shape, name, NsPerIter(quick, [&] {
+    out->push_back({"lstm_cell_bwd",
+                    StrFormat("b=%zu h=%zu", batch, hidden),
+                    kernels::LevelName(level), NsPerIter(quick, [&] {
                       kernels::LstmCellBackward(
                           level, batch, hidden, act.data(), cp.data(), hidden,
                           tc.data(), dh.data(), hidden, dc.data(), hidden,
@@ -213,9 +244,6 @@ void BenchLstmCell(bool quick, std::vector<Record>* out) {
 }
 
 // ------------------------------------------------- DeepAR train step ---
-
-/// DeepAR's input width: the scaled previous value plus calendar features.
-constexpr size_t kDeepArInput = 1 + forecast::kNumTimeFeatures;
 
 /// One optimizer step of a DeepAR-shaped model on the autodiff tape:
 /// LSTM(5->32), mu/sigma heads, 143 unroll steps, batch 8, Student-t NLL.
@@ -325,7 +353,7 @@ int Run(const BenchOptions& options, const std::string& json_out) {
   std::vector<Record> records;
   BenchGemm(options.quick, &records);
   BenchVectorOps(options.quick, &records);
-  BenchLstmCell(options.quick, &records);
+  BenchLstmStep(options.quick, &records);
   BenchTrainStep(options.quick, &records);
   BenchDeepArFit(options.quick, &records);
 

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/logging.h"
-#include "common/parallel.h"
 #include "common/strings.h"
 #include "dist/empirical.h"
 #include "nn/losses.h"
@@ -29,26 +28,6 @@ double SoftplusScalar(double x) {
 double SoftplusSlope(double x) {
   return x >= 0.0 ? 1.0 / (1.0 + std::exp(-x))
                   : std::exp(x) / (1.0 + std::exp(x));
-}
-
-/// Adds x·W_x into `gates` and h·W_h into `hw` over `m` rows (x is
-/// m x in_dim, h is m x hd, both outputs m x 4hd) through weights packed by
-/// kernels::PackB, on the shape-only GemmRowGrain partition that Gemm uses.
-void PackedGateProducts(kernels::SimdLevel level, size_t m, size_t in_dim,
-                        size_t hd, const double* x, const double* wx_packed,
-                        const double* h, const double* wh_packed,
-                        double* gates, double* hw) {
-  const size_t gw = 4 * hd;
-  ParallelFor(0, m, kernels::GemmRowGrain(m, gw, in_dim),
-              [&](size_t r0, size_t r1) {
-                kernels::GemmPackedRows(level, r0, r1, gw, in_dim, x, in_dim,
-                                        wx_packed, gates, gw);
-              });
-  ParallelFor(0, m, kernels::GemmRowGrain(m, gw, hd),
-              [&](size_t r0, size_t r1) {
-                kernels::GemmPackedRows(level, r0, r1, gw, hd, h, hd,
-                                        wh_packed, hw, gw);
-              });
 }
 
 /// Forward values of one (step, row) NLL term that its gradient reads.
@@ -240,7 +219,7 @@ nn::TrainSummary DeepArForecaster::RunTraining(
   std::vector<double> head_w(2 * hd);
   std::vector<double> x(unroll * batch * kInputDim);
   std::vector<double> h((unroll + 1) * bh), c((unroll + 1) * bh);
-  std::vector<double> act(unroll * bg), tanh_c(unroll * bh), hw(bg);
+  std::vector<double> act(unroll * bg), tanh_c(unroll * bh);
   std::vector<double> heads(unroll * batch * 2), nll(batch);
   std::vector<HeadTerm> terms(unroll * batch);
   std::vector<double> dh(bh), dh_next(bh), dc(bh), dc_next(bh), dgates(bg);
@@ -251,6 +230,8 @@ nn::TrainSummary DeepArForecaster::RunTraining(
   // the calendar features of s + 1, and the heads predict value s + 1. Every
   // product and rounding is the one the tape graph (LstmCell::Step, the
   // Dense heads, Softplus + min_sigma and the NLL composite) computed.
+  const kernels::LstmStepWeights step_weights{
+      kInputDim, hd, wx_packed.data(), wh_packed.data(), bias.value.data()};
   auto forward = [&]() {
     kernels::PackB(kInputDim, gw, wx.value.data(), gw, wx_packed.data());
     kernels::PackB(hd, gw, wh.value.data(), gw, wh_packed.data());
@@ -260,18 +241,11 @@ nn::TrainSummary DeepArForecaster::RunTraining(
     }
     double total_nll = 0.0;
     for (size_t s = 0; s < unroll; ++s) {
-      const double* xs = x.data() + s * batch * kInputDim;
-      const double* h_in = h.data() + s * bh;
       double* h_out = h.data() + (s + 1) * bh;
-      double* gates = act.data() + s * bg;
-      std::fill_n(gates, bg, 0.0);
-      std::fill(hw.begin(), hw.end(), 0.0);
-      PackedGateProducts(level, batch, kInputDim, hd, xs, wx_packed.data(),
-                         h_in, wh_packed.data(), gates, hw.data());
-      kernels::LstmCellForward(level, batch, hd, gates, hw.data(),
-                               bias.value.data(), c.data() + s * bh, hd,
-                               h_out, hd, c.data() + (s + 1) * bh, hd,
-                               tanh_c.data() + s * bh);
+      kernels::LstmStep(level, batch, step_weights,
+                        x.data() + s * batch * kInputDim, h.data() + s * bh,
+                        c.data() + s * bh, hd, act.data() + s * bg, h_out, hd,
+                        c.data() + (s + 1) * bh, hd, tanh_c.data() + s * bh);
       double* hs = heads.data() + s * batch * 2;
       std::fill_n(hs, batch * 2, 0.0);
       kernels::Gemm(level, batch, 2, hd, h_out, hd, head_w.data(), 2, hs, 2);
@@ -473,10 +447,7 @@ Status DeepArForecaster::CheckInput(const ForecastInput& input) const {
   if (!fitted_) {
     return Status::FailedPrecondition("DeepAR: Fit() not called");
   }
-  if (input.context.size() != options_.context_length) {
-    return Status::InvalidArgument("DeepAR: context length mismatch");
-  }
-  return Status::OK();
+  return CheckContext("DeepAR", input, options_.context_length);
 }
 
 Rng DeepArForecaster::SamplingRng(uint64_t seed) {
@@ -515,10 +486,12 @@ std::vector<double> DeepArForecaster::SampleRoll(const ForecastInput* inputs,
       }
     }
   }
-  const double* bias = lstm_->bias().data();
+  const kernels::LstmStepWeights step_weights{
+      kInputDim, hd, wx_packed.data(), wh_packed.data(),
+      lstm_->bias().data()};
   const double mu_bias = mu_head_->bias()(0, 0);
   const double sigma_bias = sigma_head_->bias()(0, 0);
-  std::vector<double> x(rows * kInputDim), gates(rows * gw), hw(rows * gw);
+  std::vector<double> x(rows * kInputDim), gates(rows * gw);
   std::vector<double> heads(rows * 2);
   std::vector<double> h_enc(requests * hd), c_enc(requests * hd);
   std::vector<double> h_state(rows * hd), c_state(rows * hd);
@@ -528,16 +501,10 @@ std::vector<double> DeepArForecaster::SampleRoll(const ForecastInput* inputs,
     scales[r] = WindowScale(inputs[r].context);
   }
 
-  // One LSTM step over the first m rows of x, updating (hs, cs) in place:
-  // both GEMMs on the shape-only GemmRowGrain partition, then the cell
-  // kernel adds x*W_x, h*W_h and the bias in registers.
+  // One LSTM step over the first m rows of x, updating (hs, cs) in place.
   auto lstm_step = [&](size_t m, double* hs, double* cs) {
-    std::fill_n(gates.data(), m * gw, 0.0);
-    std::fill_n(hw.data(), m * gw, 0.0);
-    PackedGateProducts(level, m, kInputDim, hd, x.data(), wx_packed.data(),
-                       hs, wh_packed.data(), gates.data(), hw.data());
-    kernels::LstmCellForward(level, m, hd, gates.data(), hw.data(), bias, cs,
-                             hd, hs, hd, cs, hd, /*tanh_c=*/nullptr);
+    kernels::LstmStep(level, m, step_weights, x.data(), hs, cs, hd,
+                      gates.data(), hs, hd, cs, hd, /*tanh_c=*/nullptr);
   };
 
   // Encode the observed contexts, one row per request. Rows of a step are

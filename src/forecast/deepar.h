@@ -127,8 +127,9 @@ class DeepArForecaster final : public Forecaster {
                                double step_minutes,
                                const nn::TrainConfig& config);
 
-  /// FailedPrecondition before Fit or a restore, InvalidArgument on a
-  /// context of the wrong length.
+  /// FailedPrecondition before Fit or a restore, else CheckContext: a
+  /// context of the wrong length or with a non-finite value is
+  /// InvalidArgument.
   Status CheckInput(const ForecastInput& input) const;
   /// The sampling roll behind every prediction path. Encodes the
   /// `requests` contexts in one roll (a row per request), copies each

@@ -1,8 +1,27 @@
 #include "forecast/forecaster.h"
 
+#include <cmath>
+
 #include "common/logging.h"
+#include "common/strings.h"
 
 namespace rpas::forecast {
+
+Status CheckContext(const char* model, const ForecastInput& input,
+                    size_t context_length) {
+  if (input.context.size() != context_length) {
+    return Status::InvalidArgument(
+        StrFormat("%s: context length mismatch", model));
+  }
+  for (size_t i = 0; i < input.context.size(); ++i) {
+    if (!std::isfinite(input.context[i])) {
+      return Status::InvalidArgument(
+          StrFormat("%s: context[%zu] is %g; contexts must be finite", model,
+                    i, input.context[i]));
+    }
+  }
+  return Status::OK();
+}
 
 Result<std::vector<double>> Forecaster::PredictPoint(
     const ForecastInput& input) const {

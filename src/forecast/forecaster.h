@@ -27,6 +27,13 @@ struct ForecastInput {
   size_t forecast_start() const { return start_index + context.size(); }
 };
 
+/// Validates a forecast input where it enters a model: `context` must hold
+/// exactly `context_length` finite values. A NaN or infinity is rejected
+/// with InvalidArgument naming `model` and the first bad index, since
+/// activations such as ReLU can swallow it and return a finite forecast.
+Status CheckContext(const char* model, const ForecastInput& input,
+                    size_t context_length);
+
 /// Probabilistic workload forecaster interface (paper §III-B). A forecaster
 /// is fitted once on a training series and then queried with context
 /// windows; it returns quantile forecasts over its configured horizon.

@@ -261,14 +261,16 @@ Result<Forecaster::IncrementalUpdateReport> MlpForecaster::IncrementalUpdate(
   return report;
 }
 
-Result<MlpForecaster::GaussianParams> MlpForecaster::PredictDistribution(
-    const ForecastInput& input) const {
+Status MlpForecaster::CheckInput(const ForecastInput& input) const {
   if (!fitted_) {
     return Status::FailedPrecondition("MLP: Fit() not called");
   }
-  if (input.context.size() != options_.context_length) {
-    return Status::InvalidArgument("MLP: context length mismatch");
-  }
+  return CheckContext("MLP", input, options_.context_length);
+}
+
+Result<MlpForecaster::GaussianParams> MlpForecaster::PredictDistribution(
+    const ForecastInput& input) const {
+  RPAS_RETURN_IF_ERROR(CheckInput(input));
   Matrix x = Matrix::RowVector(BuildFeatures(input));
   Matrix hidden = fc1_->Apply(x);
   if (fc2_) {
@@ -321,9 +323,7 @@ Result<std::vector<ts::QuantileForecast>> MlpForecaster::PredictBatch(
     return std::vector<ts::QuantileForecast>{};
   }
   for (const ForecastInput& input : inputs) {
-    if (input.context.size() != options_.context_length) {
-      return Status::InvalidArgument("MLP: context length mismatch");
-    }
+    RPAS_RETURN_IF_ERROR(CheckInput(input));
   }
   Matrix x(batch, InputDim());
   for (size_t r = 0; r < batch; ++r) {

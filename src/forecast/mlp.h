@@ -98,6 +98,8 @@ class MlpForecaster final : public Forecaster {
   Result<GaussianParams> PredictDistribution(const ForecastInput& input) const;
 
  private:
+  /// FailedPrecondition before Fit, else CheckContext.
+  Status CheckInput(const ForecastInput& input) const;
   void BuildModel();
   std::vector<autodiff::Parameter*> AllParams() const;
   std::string Signature() const;

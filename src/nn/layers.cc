@@ -1,6 +1,7 @@
 #include "nn/layers.h"
 
 #include <cmath>
+#include <vector>
 
 #include "nn/init.h"
 #include "tensor/kernels.h"
@@ -14,6 +15,17 @@ namespace ops = ::rpas::tensor;
 namespace kernels = ::rpas::tensor::kernels;
 
 namespace {
+
+/// Packs an LSTM's recurrence weights into the caller's buffers (sized by
+/// kernels::PackedSize) for kernels::LstmStep.
+kernels::LstmStepWeights PackStepWeights(const Matrix& w_x, const Matrix& w_h,
+                                         const Matrix& bias, double* wx_packed,
+                                         double* wh_packed) {
+  const size_t gw = w_x.cols();
+  kernels::PackB(w_x.rows(), gw, w_x.data(), gw, wx_packed);
+  kernels::PackB(w_h.rows(), gw, w_h.data(), gw, wh_packed);
+  return {w_x.rows(), w_h.rows(), wx_packed, wh_packed, bias.data()};
+}
 
 /// Shared validation for the serving-only quantized weight views.
 Status CheckQuantView(const tensor::QTensorView& v, size_t rows, size_t cols,
@@ -147,12 +159,12 @@ LstmCell::RawState LstmCell::ZeroRawState(size_t batch) const {
   return {Matrix(batch, hidden_dim_), Matrix(batch, hidden_dim_)};
 }
 
-// Fused step: one node carries [h | c] (batch x 2H). Two packed GEMMs give
-// x*Wx and h*Wh; kernels::LstmCellForward adds them and the bias and runs
-// the activation/cell update, and the backward replays the whole chain
-// through kernels::LstmCellBackward + GEMM kernels. At the scalar dispatch
-// level every intermediate rounding matches the old 14-node-per-step graph,
-// so parameter gradients are bit-identical to the unfused implementation.
+// Fused step: one node carries [h | c] (batch x 2H). kernels::LstmStep
+// forms x*Wx, h*Wh and the bias and runs the activation/cell update, and
+// the backward replays the whole chain through kernels::LstmCellBackward +
+// GEMM kernels. At the scalar dispatch level every intermediate rounding
+// matches the old 14-node-per-step graph, so parameter gradients are
+// bit-identical to the unfused implementation.
 Status LstmCell::SetQuantizedWeights(const tensor::QTensorView& wx,
                                      const tensor::QTensorView& wh) {
   RPAS_RETURN_IF_ERROR(
@@ -179,13 +191,15 @@ LstmCell::State LstmCell::Step(Tape* tape, Var x, const State& state) {
   Var wh = tape->Bind(&w_h_);
   Var b = tape->Bind(&b_);
 
-  // act starts as x*Wx; t2 holds h*Wh. The cell kernel forms
-  // (xWx + hWh) + b in that order, the roundings of the unfused graph.
+  // The step forms (xWx + hWh) + b in that order, the roundings of the
+  // unfused graph, and leaves the activated gates in `act` for the
+  // backward.
+  Matrix* wx_packed = tape->Scratch(1, kernels::PackedSize(in_dim_, 4 * h));
+  Matrix* wh_packed = tape->Scratch(1, kernels::PackedSize(h, 4 * h));
+  const kernels::LstmStepWeights weights =
+      PackStepWeights(w_x_.value, w_h_.value, b_.value, wx_packed->data(),
+                      wh_packed->data());
   Matrix* act = tape->Scratch(batch, 4 * h);
-  Matrix* t2 = tape->Scratch(batch, 4 * h);
-  ops::MatMulInto(xv, w_x_.value, act);
-  ops::MatMulInto(hv, w_h_.value, t2);
-
   Matrix* tanh_c = tape->Scratch(batch, h);
   const size_t xi = x.id();
   const size_t hi = state.h.id();
@@ -241,12 +255,10 @@ LstmCell::State LstmCell::Step(Tape* tape, Var x, const State& state) {
         }
       },
       &value);
-  // Activates `act` in place (saved for the backward) and writes h into
-  // columns [0, H), c into [H, 2H) of the fused value.
-  kernels::LstmCellForward(kernels::ActiveLevel(), batch, h, act->data(),
-                           t2->data(), b_.value.data(), cv.data(), h,
-                           value->data(), 2 * h, value->data() + h, 2 * h,
-                           tanh_c->data());
+  // Writes h into columns [0, H), c into [H, 2H) of the fused value.
+  kernels::LstmStep(kernels::ActiveLevel(), batch, weights, xv.data(),
+                    hv.data(), cv.data(), h, act->data(), value->data(), 2 * h,
+                    value->data() + h, 2 * h, tanh_c->data());
   Var new_h = tape->SliceCols(fused, 0, h);
   Var new_c = tape->SliceCols(fused, h, 2 * h);
   return {new_h, new_c};
@@ -259,17 +271,22 @@ LstmCell::RawState LstmCell::Step(const Matrix& x,
          "fused roll";
   const size_t h = hidden_dim_;
   const size_t batch = x.rows();
-  Matrix gates(batch, 4 * h);
-  Matrix t2(batch, 4 * h);
-  ops::MatMulInto(x, w_x_.value, &gates);
-  ops::MatMulInto(state.h, w_h_.value, &t2);
+  RPAS_CHECK(x.cols() == in_dim_ && state.h.cols() == h &&
+             state.c.cols() == h && state.h.rows() == batch &&
+             state.c.rows() == batch)
+      << "LstmCell::Step shape mismatch";
+  std::vector<double> wx_packed(kernels::PackedSize(in_dim_, 4 * h));
+  std::vector<double> wh_packed(kernels::PackedSize(h, 4 * h));
+  const kernels::LstmStepWeights weights =
+      PackStepWeights(w_x_.value, w_h_.value, b_.value, wx_packed.data(),
+                      wh_packed.data());
+  std::vector<double> gates(batch * 4 * h);
   RawState out;
   out.h = Matrix(batch, h);
   out.c = Matrix(batch, h);
-  kernels::LstmCellForward(kernels::ActiveLevel(), batch, h, gates.data(),
-                           t2.data(), b_.value.data(), state.c.data(), h,
-                           out.h.data(), h, out.c.data(), h,
-                           /*tanh_c=*/nullptr);
+  kernels::LstmStep(kernels::ActiveLevel(), batch, weights, x.data(),
+                    state.h.data(), state.c.data(), h, gates.data(),
+                    out.h.data(), h, out.c.data(), h, /*tanh_c=*/nullptr);
   return out;
 }
 

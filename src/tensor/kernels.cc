@@ -268,37 +268,73 @@ void GemmNTScalar(size_t m, size_t n, size_t k, const double* a, size_t lda,
   }
 }
 
-void LstmCellForwardScalar(size_t batch, size_t hidden, double* gates,
-                           const double* hw, const double* bias,
-                           const double* c_prev, size_t ldcp, double* h_out,
-                           size_t ldh, double* c_out, size_t ldc,
-                           double* tanh_c) {
-  for (size_t r = 0; r < batch; ++r) {
+// Sums a · panel over p < k into the eight columns of one packed panel,
+// continuing the mul-then-add chain each acc[j] holds.
+void PanelRowScalar(const double* a, size_t k, const double* panel,
+                    double* acc) {
+  for (size_t p = 0; p < k; ++p) {
+    const double a_p = a[p];
+    const double* b_row = panel + p * kPanelWidth;
+    for (size_t j = 0; j < kPanelWidth; ++j) {
+      acc[j] += a_p * b_row[j];
+    }
+  }
+}
+
+// LstmStep's gate pre-activations for rows [r0, r1): each product summed
+// from +0.0 over ascending p (GemmPackedRowsScalar's chain on a zero-filled
+// C), then (xW_x + hW_h) + b.
+void LstmGatesScalar(size_t r0, size_t r1, const LstmStepWeights& w,
+                     const double* x, const double* h, double* gates) {
+  const size_t n = 4 * w.hidden;
+  for (size_t j0 = 0; j0 < n; j0 += kPanelWidth) {
+    const size_t width = std::min(kPanelWidth, n - j0);
+    const size_t panel = j0 / kPanelWidth;
+    const double* px = w.wx_packed + panel * w.in_dim * kPanelWidth;
+    const double* ph = w.wh_packed + panel * w.hidden * kPanelWidth;
+    for (size_t i = r0; i < r1; ++i) {
+      double xw[kPanelWidth] = {};
+      double hw[kPanelWidth] = {};
+      PanelRowScalar(x + i * w.in_dim, w.in_dim, px, xw);
+      PanelRowScalar(h + i * w.hidden, w.hidden, ph, hw);
+      double* g = gates + i * n + j0;
+      for (size_t j = 0; j < width; ++j) {
+        g[j] = (xw[j] + hw[j]) + w.bias[j0 + j];
+      }
+    }
+  }
+}
+
+// The cell over rows [r0, r1) whose `gates` hold pre-activations, row by
+// row in two passes: the four activations and c, then tanh(c) and h.
+void LstmCellScalar(size_t r0, size_t r1, size_t hidden, double* gates,
+                    const double* c_prev, size_t ldcp, double* h_out,
+                    size_t ldh, double* c_out, size_t ldc, double* tanh_c) {
+  for (size_t r = r0; r < r1; ++r) {
     double* g_row = gates + r * 4 * hidden;
-    const double* hw_row = hw + r * 4 * hidden;
     const double* cp_row = c_prev + r * ldcp;
-    double* h_row = h_out + r * ldh;
     double* c_row = c_out + r * ldc;
-    double* tc_row = tanh_c != nullptr ? tanh_c + r * hidden : nullptr;
-    // Pre-activation of gate column c: (xW_x + hW_h) + b.
-    auto pre = [&](size_t c) { return (g_row[c] + hw_row[c]) + bias[c]; };
     for (size_t j = 0; j < hidden; ++j) {
-      const double i = ScalarSigmoid(pre(j));
-      const double f = ScalarSigmoid(pre(hidden + j));
-      const double g = std::tanh(pre(2 * hidden + j));
-      const double o = ScalarSigmoid(pre(3 * hidden + j));
+      const double i = ScalarSigmoid(g_row[j]);
+      const double f = ScalarSigmoid(g_row[hidden + j]);
+      const double g = std::tanh(g_row[2 * hidden + j]);
+      const double o = ScalarSigmoid(g_row[3 * hidden + j]);
       // Mul-then-add in the historical shapes (f*c + i*g; no FMA) so the
       // scalar level reproduces the old per-node graph bit-for-bit.
       const double t1 = f * cp_row[j];
       const double t2 = i * g;
-      const double cn = t1 + t2;
-      const double tc = std::tanh(cn);
       g_row[j] = i;
       g_row[hidden + j] = f;
       g_row[2 * hidden + j] = g;
       g_row[3 * hidden + j] = o;
-      c_row[j] = cn;
-      h_row[j] = o * tc;
+      c_row[j] = t1 + t2;
+    }
+    const double* o_row = g_row + 3 * hidden;
+    double* h_row = h_out + r * ldh;
+    double* tc_row = tanh_c != nullptr ? tanh_c + r * hidden : nullptr;
+    for (size_t j = 0; j < hidden; ++j) {
+      const double tc = std::tanh(c_row[j]);
+      h_row[j] = o_row[j] * tc;
       if (tc_row != nullptr) {
         tc_row[j] = tc;
       }
@@ -354,7 +390,9 @@ constexpr double kMinParallelFlops = 256.0 * 1024.0;
 // boundaries preserve the SIMD kernels' 2-row register tiling.
 constexpr size_t kGemmRowGrainRows = 16;
 // The fused cell step is transcendental-bound; one tanh/sigmoid costs tens
-// of flops, and each batch element evaluates 4*hidden of them.
+// of flops, and each batch element evaluates 4*hidden of them. Eight rows
+// are two of the AVX2 step's 4-row tiles, and a block of them keeps its
+// gate rows in L1 between the products and the cell.
 constexpr double kLstmFlopsPerGate = 16.0;
 constexpr size_t kLstmRowGrainRows = 8;
 
@@ -470,6 +508,76 @@ void GemmPackedRowsSse2(size_t r0, size_t r1, size_t n, size_t k,
   }
 }
 
+// R rows of a (leading dimension k) times one packed panel over p < k,
+// summed from +0.0 into four 2-wide accumulators per row.
+template <size_t R>
+void PanelSumSse2(const double* a, size_t k, const double* panel,
+                  __m128d (&acc)[R][4]) {
+  for (size_t t = 0; t < R; ++t) {
+    for (size_t v = 0; v < 4; ++v) {
+      acc[t][v] = _mm_setzero_pd();
+    }
+  }
+  for (size_t p = 0; p < k; ++p) {
+    const double* b_row = panel + p * kPanelWidth;
+    __m128d b[4];
+    for (size_t v = 0; v < 4; ++v) {
+      b[v] = _mm_loadu_pd(b_row + 2 * v);
+    }
+    for (size_t t = 0; t < R; ++t) {
+      const __m128d av = _mm_set1_pd(a[t * k + p]);
+      for (size_t v = 0; v < 4; ++v) {
+        acc[t][v] = _mm_add_pd(acc[t][v], _mm_mul_pd(av, b[v]));
+      }
+    }
+  }
+}
+
+// Pre-activations of rows [i, i + R) in the first `vecs` 2-wide column
+// pairs of one panel: x*W_x is parked in the output while h*W_h is summed in
+// registers, then (xW_x + hW_h) + b.
+template <size_t R>
+void GateTileSse2(size_t i, size_t vecs, const LstmStepWeights& w,
+                  const double* px, const double* ph, const double* x,
+                  const double* h, const double* b, double* g, size_t n) {
+  __m128d acc[R][4];
+  PanelSumSse2<R>(x + i * w.in_dim, w.in_dim, px, acc);
+  for (size_t t = 0; t < R; ++t) {
+    for (size_t v = 0; v < vecs; ++v) {
+      _mm_storeu_pd(g + (i + t) * n + 2 * v, acc[t][v]);
+    }
+  }
+  PanelSumSse2<R>(h + i * w.hidden, w.hidden, ph, acc);
+  for (size_t t = 0; t < R; ++t) {
+    double* g_row = g + (i + t) * n;
+    for (size_t v = 0; v < vecs; ++v) {
+      const __m128d xw = _mm_loadu_pd(g_row + 2 * v);
+      _mm_storeu_pd(g_row + 2 * v,
+                    _mm_add_pd(_mm_add_pd(xw, acc[t][v]),
+                               _mm_loadu_pd(b + 2 * v)));
+    }
+  }
+}
+
+void LstmGatesSse2(size_t r0, size_t r1, const LstmStepWeights& w,
+                   const double* x, const double* h, double* gates) {
+  const size_t n = 4 * w.hidden;
+  for (size_t j0 = 0; j0 < n; j0 += kPanelWidth) {
+    // n = 4H, so a panel holds 8 live columns or, last, 4.
+    const size_t vecs = std::min(kPanelWidth, n - j0) / 2;
+    const size_t panel = j0 / kPanelWidth;
+    const double* px = w.wx_packed + panel * w.in_dim * kPanelWidth;
+    const double* ph = w.wh_packed + panel * w.hidden * kPanelWidth;
+    size_t i = r0;
+    for (; i + 2 <= r1; i += 2) {
+      GateTileSse2<2>(i, vecs, w, px, ph, x, h, w.bias + j0, gates + j0, n);
+    }
+    for (; i < r1; ++i) {
+      GateTileSse2<1>(i, vecs, w, px, ph, x, h, w.bias + j0, gates + j0, n);
+    }
+  }
+}
+
 void AxpySse2(size_t n, double alpha, const double* x, double* y) {
   const __m128d av = _mm_set1_pd(alpha);
   size_t i = 0;
@@ -560,6 +668,18 @@ size_t GemmRowGrain(size_t m, size_t n, size_t k) {
   const double flops = 2.0 * static_cast<double>(m) *
                        static_cast<double>(n) * static_cast<double>(k);
   return flops < kMinParallelFlops ? m : kGemmRowGrainRows;
+}
+
+size_t LstmStepRowGrain(size_t batch, size_t in_dim, size_t hidden) {
+  if (batch == 0) {
+    return 1;
+  }
+  const double gate_columns = 4.0 * static_cast<double>(hidden);
+  const double flops =
+      static_cast<double>(batch) *
+      (2.0 * gate_columns * static_cast<double>(in_dim + hidden) +
+       kLstmFlopsPerGate * gate_columns);
+  return flops < kMinParallelFlops ? batch : kLstmRowGrainRows;
 }
 
 size_t LstmRowGrain(size_t batch, size_t hidden) {
@@ -758,36 +878,40 @@ void EwRelu(SimdLevel level, size_t n, const double* x, double* out) {
   }
 }
 
-void LstmCellForward(SimdLevel level, size_t batch, size_t hidden,
-                     double* gates, const double* hw, const double* bias,
-                     const double* c_prev, size_t ldcp, double* h_out,
-                     size_t ldh, double* c_out, size_t ldc, double* tanh_c) {
+void LstmStep(SimdLevel level, size_t batch, const LstmStepWeights& weights,
+              const double* x, const double* h_prev, const double* c_prev,
+              size_t ldcp, double* gates, double* h_out, size_t ldh,
+              double* c_out, size_t ldc, double* tanh_c) {
+  const size_t hidden = weights.hidden;
   if (batch == 0 || hidden == 0) {
     return;
   }
-  // Batch rows are independent; the explicit leading dimensions let each
-  // chunk address its row block with plain pointer offsets.
-  ParallelFor(0, batch, LstmRowGrain(batch, hidden),
+  // A chunk computes its rows' pre-activations and then runs the cell over
+  // them, reading only its own rows of h_prev and c_prev: in-place state
+  // needs no barrier between the products and the cell.
+  ParallelFor(0, batch, LstmStepRowGrain(batch, weights.in_dim, hidden),
               [&](size_t r0, size_t r1) {
-    const size_t rows = r1 - r0;
-    double* g = gates + r0 * 4 * hidden;
-    const double* hwp = hw + r0 * 4 * hidden;
-    const double* cp = c_prev + r0 * ldcp;
-    double* h = h_out + r0 * ldh;
-    double* co = c_out + r0 * ldc;
-    double* tc = tanh_c != nullptr ? tanh_c + r0 * hidden : nullptr;
 #if RPAS_KERNELS_HAVE_AVX2
     if (level == SimdLevel::kAvx2) {
-      avx2::LstmCellForward(rows, hidden, g, hwp, bias, cp, ldcp, h, ldh, co,
-                            ldc, tc);
+      avx2::LstmStepRows(r0, r1, weights, x, h_prev, c_prev, ldcp, gates,
+                         h_out, ldh, c_out, ldc, tanh_c);
       return;
     }
 #endif
-    // SSE2 routes here too: the step is transcendental-bound and the scalar
+#if RPAS_KERNELS_HAVE_SSE2
+    if (level >= SimdLevel::kSse2) {
+      LstmGatesSse2(r0, r1, weights, x, h_prev, gates);
+    } else {
+      LstmGatesScalar(r0, r1, weights, x, h_prev, gates);
+    }
+#else
+    LstmGatesScalar(r0, r1, weights, x, h_prev, gates);
+#endif
+    // SSE2 runs the scalar cell: it is transcendental-bound and the scalar
     // formulas are the bit-identity reference.
     (void)level;
-    LstmCellForwardScalar(rows, hidden, g, hwp, bias, cp, ldcp, h, ldh, co,
-                          ldc, tc);
+    LstmCellScalar(r0, r1, hidden, gates, c_prev, ldcp, h_out, ldh, c_out,
+                   ldc, tanh_c);
   });
 }
 

@@ -99,10 +99,14 @@ void GemmPackedRows(SimdLevel level, size_t r0, size_t r1, size_t n, size_t k,
 /// boundaries preserve the 2-row register tiling of the SIMD kernels.
 size_t GemmRowGrain(size_t m, size_t n, size_t k);
 
-/// Batch-row grain for the fused LSTM cell kernels. Same contract as
-/// GemmRowGrain; the per-element cost weight is much higher because the
-/// cell step is transcendental-bound, so smaller batches still fan out.
+/// Batch-row grain for LstmCellBackward. Same contract as GemmRowGrain;
+/// the per-element cost weight is much higher because the cell step is
+/// transcendental-bound, so smaller batches still fan out.
 size_t LstmRowGrain(size_t batch, size_t hidden);
+
+/// Batch-row grain for LstmStep: the same shape-only rule, costed as both
+/// gate products plus the cell, so one partition serves the whole step.
+size_t LstmStepRowGrain(size_t batch, size_t in_dim, size_t hidden);
 
 /// Full parallel GEMM driver: C (m x n, ldc) += A (m x k, lda) * B (k x n,
 /// ldb), all row-major. Packs B into column panels once (non-scalar levels
@@ -192,29 +196,44 @@ void EwSoftplus(SimdLevel level, size_t n, const double* x, double* out);
 void EwRelu(SimdLevel level, size_t n, const double* x, double* out);
 
 // ---------------------------------------------------------------------------
-// Fused LSTM cell step (batch-major, gate order i, f, g, o — matching
+// Fused LSTM step (batch-major, gate order i, f, g, o — matching
 // nn::LstmCell's fused 4H weight layout).
 // ---------------------------------------------------------------------------
 
-/// Forward: `gates` (batch x 4H, row-major, contiguous) holds x * W_x on
-/// entry and activated gates (sigmoid i/f/o, tanh g) on exit; `hw`
-/// (batch x 4H, contiguous) holds h_prev * W_h and `bias` (4H) the gate
-/// bias. For each row r, column j the pre-activation is formed in registers
-/// as (xW_x + hW_h) + b — two roundings, in that order at every level — and
-/// then
+/// One LSTM layer's weights as LstmStep reads them: W_x (in_dim x 4H) and
+/// W_h (H x 4H) packed by PackB, and the gate bias (4H).
+struct LstmStepWeights {
+  size_t in_dim = 0;
+  size_t hidden = 0;
+  const double* wx_packed = nullptr;  ///< PackedSize(in_dim, 4 * hidden)
+  const double* wh_packed = nullptr;  ///< PackedSize(hidden, 4 * hidden)
+  const double* bias = nullptr;       ///< 4 * hidden
+};
+
+/// One fused LSTM step over `batch` rows. `x` (batch x in_dim) and `h_prev`
+/// (batch x H) are contiguous. For each row and gate column the
+/// pre-activation is
+///   (x * W_x + h_prev * W_h) + b
+/// where each product is summed in registers from +0.0 over ascending p in
+/// the level's GEMM arithmetic (mul-then-add at scalar and SSE2, FMA at
+/// AVX2), exactly the sum GemmPackedRows forms in a zero-filled C. Then
 ///   c_out = f * c_prev + i * g
 ///   h_out = o * tanh(c_out)
-/// `tanh_c` (batch x hidden, contiguous) receives tanh(c_out) when non-null
-/// (the training path saves it for the backward); pass nullptr in inference.
-/// h_out/c_out/c_prev use explicit leading dimensions so the training path
-/// can write straight into a [h | c] node value; c_out may alias c_prev
-/// (same leading dimension) for an in-place state update.
-/// Parallel over the batch dimension (LstmRowGrain cost model): rows are
-/// fully independent, so the fan-out is bit-identical to the serial step.
-void LstmCellForward(SimdLevel level, size_t batch, size_t hidden,
-                     double* gates, const double* hw, const double* bias,
-                     const double* c_prev, size_t ldcp, double* h_out,
-                     size_t ldh, double* c_out, size_t ldc, double* tanh_c);
+/// with sigmoid i/f/o and tanh g. `gates` (batch x 4H, contiguous) needs no
+/// initialisation: the pre-activations are written to it once and then
+/// overwritten by the activated gates, which the training path keeps for
+/// the backward. `tanh_c` (batch x hidden, contiguous) receives tanh(c_out)
+/// when non-null; pass nullptr in inference. h_out/c_out/c_prev use
+/// explicit leading dimensions so the training path can write straight
+/// into a [h | c] node value. A row reads only its own rows of h_prev and
+/// c_prev, so the state may be updated in place: h_out may alias h_prev
+/// (ldh == hidden) and c_out may alias c_prev (same leading dimension).
+/// Parallel over the batch dimension (LstmStepRowGrain): rows are fully
+/// independent, so the fan-out is bit-identical to the serial step.
+void LstmStep(SimdLevel level, size_t batch, const LstmStepWeights& weights,
+              const double* x, const double* h_prev, const double* c_prev,
+              size_t ldcp, double* gates, double* h_out, size_t ldh,
+              double* c_out, size_t ldc, double* tanh_c);
 
 /// Backward through one cell step. Inputs: activated gates `act`
 /// (batch x 4H), previous cell state, saved tanh(c_new), and incoming
@@ -223,7 +242,7 @@ void LstmCellForward(SimdLevel level, size_t batch, size_t hidden,
 /// overwritten) and `dc_prev` (batch x hidden, overwritten).
 /// Uses plain mul/add in the exact expression shapes of the old per-node
 /// backward chain, so the SIMD levels agree with scalar bit-for-bit here.
-/// Parallel over the batch dimension like the forward.
+/// Parallel over the batch dimension (LstmRowGrain cost model).
 void LstmCellBackward(SimdLevel level, size_t batch, size_t hidden,
                       const double* act, const double* c_prev, size_t ldcp,
                       const double* tanh_c, const double* dh, size_t ldh,

@@ -126,14 +126,82 @@ RPAS_AVX2_FN inline __m256d LoadLive(const double* p, bool full, __m256i m) {
   return full ? _mm256_loadu_pd(p) : _mm256_maskload_pd(p, m);
 }
 
-// Gate pre-activation (xW_x + hW_h) + b: two plain adds in the scalar
-// kernel's order, so every lane rounds exactly like the scalar level.
-RPAS_AVX2_FN inline __m256d PreActivation(const double* xw, const double* hw,
-                                          const double* b, bool full,
-                                          __m256i m) {
-  return _mm256_add_pd(
-      _mm256_add_pd(LoadLive(xw, full, m), LoadLive(hw, full, m)),
-      LoadLive(b, full, m));
+// Stores the live lanes of v to p[0..4).
+RPAS_AVX2_FN inline void StoreLive(double* p, bool full, __m256i m,
+                                   __m256d v) {
+  if (full) {
+    _mm256_storeu_pd(p, v);
+  } else {
+    _mm256_maskstore_pd(p, m, v);
+  }
+}
+
+// R rows of a (leading dimension k) times the first 4V columns of one
+// packed panel over p < k, summed from +0.0 in registers.
+template <size_t R, size_t V>
+RPAS_AVX2_FN inline void PanelSum(const double* a, size_t k,
+                                  const double* panel, __m256d (&acc)[R][V]) {
+  for (size_t t = 0; t < R; ++t) {
+    for (size_t v = 0; v < V; ++v) {
+      acc[t][v] = _mm256_setzero_pd();
+    }
+  }
+  for (size_t p = 0; p < k; ++p) {
+    __m256d b[V];
+    for (size_t v = 0; v < V; ++v) {
+      b[v] = _mm256_loadu_pd(panel + p * kPanelWidth + 4 * v);
+    }
+    for (size_t t = 0; t < R; ++t) {
+      const __m256d av = _mm256_set1_pd(a[t * k + p]);
+      for (size_t v = 0; v < V; ++v) {
+        acc[t][v] = _mm256_fmadd_pd(av, b[v], acc[t][v]);
+      }
+    }
+  }
+}
+
+// Pre-activations of rows [i, i + R) over 4V columns of one panel: x*W_x
+// is parked in the output while h*W_h is summed in registers, then
+// (xW_x + hW_h) + b. Each sum starts at +0.0, as GemmPackedRows does on a
+// zero-filled C, so the result rounds like those two products added.
+template <size_t R, size_t V>
+RPAS_AVX2_FN inline void GateTile(size_t i, const LstmStepWeights& w,
+                                  const double* px, const double* ph,
+                                  const double* x, const double* h,
+                                  const double* b, double* g, size_t n) {
+  __m256d acc[R][V];
+  PanelSum<R, V>(x + i * w.in_dim, w.in_dim, px, acc);
+  for (size_t t = 0; t < R; ++t) {
+    for (size_t v = 0; v < V; ++v) {
+      _mm256_storeu_pd(g + (i + t) * n + 4 * v, acc[t][v]);
+    }
+  }
+  PanelSum<R, V>(h + i * w.hidden, w.hidden, ph, acc);
+  for (size_t t = 0; t < R; ++t) {
+    double* g_row = g + (i + t) * n;
+    for (size_t v = 0; v < V; ++v) {
+      const __m256d xw = _mm256_loadu_pd(g_row + 4 * v);
+      _mm256_storeu_pd(g_row + 4 * v,
+                       _mm256_add_pd(_mm256_add_pd(xw, acc[t][v]),
+                                     _mm256_loadu_pd(b + 4 * v)));
+    }
+  }
+}
+
+// Gate pre-activations of rows [r0, r1), panel by panel: 4-row tiles, then
+// single rows with the same per-element sequence.
+template <size_t V>
+RPAS_AVX2_FN void GatePanel(size_t r0, size_t r1, const LstmStepWeights& w,
+                            const double* px, const double* ph,
+                            const double* x, const double* h,
+                            const double* b, double* g, size_t n) {
+  size_t i = r0;
+  for (; i + 4 <= r1; i += 4) {
+    GateTile<4, V>(i, w, px, ph, x, h, b, g, n);
+  }
+  for (; i < r1; ++i) {
+    GateTile<1, V>(i, w, px, ph, x, h, b, g, n);
+  }
 }
 
 // 4-row x 8-column register tile over one full packed panel.
@@ -477,64 +545,62 @@ RPAS_AVX2_FN void EwSigmoid(size_t n, const double* x, double* out) {
   }
 }
 
-RPAS_AVX2_FN void LstmCellForward(size_t batch, size_t hidden, double* gates,
-                                  const double* hw, const double* bias,
-                                  const double* c_prev, size_t ldcp,
-                                  double* h_out, size_t ldh, double* c_out,
-                                  size_t ldc, double* tanh_c) {
-  for (size_t r = 0; r < batch; ++r) {
-    double* g_row = gates + r * 4 * hidden;
-    const double* hw_row = hw + r * 4 * hidden;
+RPAS_AVX2_FN void LstmStepRows(size_t r0, size_t r1, const LstmStepWeights& w,
+                               const double* x, const double* h_prev,
+                               const double* c_prev, size_t ldcp,
+                               double* gates, double* h_out, size_t ldh,
+                               double* c_out, size_t ldc, double* tanh_c) {
+  const size_t hidden = w.hidden;
+  const size_t n = 4 * hidden;
+  // n = 4H, so a panel holds 8 live columns or, last, 4.
+  for (size_t j0 = 0; j0 < n; j0 += kPanelWidth) {
+    const size_t panel = j0 / kPanelWidth;
+    const double* px = w.wx_packed + panel * w.in_dim * kPanelWidth;
+    const double* ph = w.wh_packed + panel * hidden * kPanelWidth;
+    if (n - j0 >= kPanelWidth) {
+      GatePanel<2>(r0, r1, w, px, ph, x, h_prev, w.bias + j0, gates + j0, n);
+    } else {
+      GatePanel<1>(r0, r1, w, px, ph, x, h_prev, w.bias + j0, gates + j0, n);
+    }
+  }
+  // The cell, row by row in two passes: the four activations and c, then
+  // tanh(c) and h. A lane's operations are those of the one-pass form;
+  // splitting them lets the divisions of neighbouring groups overlap.
+  for (size_t r = r0; r < r1; ++r) {
+    double* g_row = gates + r * n;
     const double* cp_row = c_prev + r * ldcp;
-    double* h_row = h_out + r * ldh;
     double* c_row = c_out + r * ldc;
+    for (size_t j = 0; j < hidden; j += 4) {
+      const size_t live = std::min<size_t>(4, hidden - j);
+      const bool full = live == 4;
+      const __m256i m = TailMask(live);
+      const __m256d iv = Sigmoid4(LoadLive(g_row + j, full, m));
+      const __m256d fv = Sigmoid4(LoadLive(g_row + hidden + j, full, m));
+      const __m256d gv = Tanh4(LoadLive(g_row + 2 * hidden + j, full, m));
+      const __m256d ov = Sigmoid4(LoadLive(g_row + 3 * hidden + j, full, m));
+      // f*c + i*g in the scalar shapes (mul, mul, add — no FMA) so the
+      // level's parity error stays confined to the transcendentals.
+      const __m256d cn =
+          _mm256_add_pd(_mm256_mul_pd(fv, LoadLive(cp_row + j, full, m)),
+                        _mm256_mul_pd(iv, gv));
+      StoreLive(g_row + j, full, m, iv);
+      StoreLive(g_row + hidden + j, full, m, fv);
+      StoreLive(g_row + 2 * hidden + j, full, m, gv);
+      StoreLive(g_row + 3 * hidden + j, full, m, ov);
+      StoreLive(c_row + j, full, m, cn);
+    }
+    const double* o_row = g_row + 3 * hidden;
+    double* h_row = h_out + r * ldh;
     double* tc_row = tanh_c != nullptr ? tanh_c + r * hidden : nullptr;
     for (size_t j = 0; j < hidden; j += 4) {
       const size_t live = std::min<size_t>(4, hidden - j);
       const bool full = live == 4;
       const __m256i m = TailMask(live);
-      const __m256d gi =
-          PreActivation(g_row + j, hw_row + j, bias + j, full, m);
-      const __m256d gf = PreActivation(g_row + hidden + j,
-                                       hw_row + hidden + j,
-                                       bias + hidden + j, full, m);
-      const __m256d gg = PreActivation(g_row + 2 * hidden + j,
-                                       hw_row + 2 * hidden + j,
-                                       bias + 2 * hidden + j, full, m);
-      const __m256d go = PreActivation(g_row + 3 * hidden + j,
-                                       hw_row + 3 * hidden + j,
-                                       bias + 3 * hidden + j, full, m);
-      const __m256d cp = LoadLive(cp_row + j, full, m);
-      const __m256d iv = Sigmoid4(gi);
-      const __m256d fv = Sigmoid4(gf);
-      const __m256d gv = Tanh4(gg);
-      const __m256d ov = Sigmoid4(go);
-      // f*c + i*g in the scalar shapes (mul, mul, add — no FMA) so the
-      // level's parity error stays confined to the transcendentals.
-      const __m256d cn =
-          _mm256_add_pd(_mm256_mul_pd(fv, cp), _mm256_mul_pd(iv, gv));
-      const __m256d tc = Tanh4(cn);
-      const __m256d hv = _mm256_mul_pd(ov, tc);
-      if (full) {
-        _mm256_storeu_pd(g_row + j, iv);
-        _mm256_storeu_pd(g_row + hidden + j, fv);
-        _mm256_storeu_pd(g_row + 2 * hidden + j, gv);
-        _mm256_storeu_pd(g_row + 3 * hidden + j, ov);
-        _mm256_storeu_pd(c_row + j, cn);
-        _mm256_storeu_pd(h_row + j, hv);
-        if (tc_row != nullptr) {
-          _mm256_storeu_pd(tc_row + j, tc);
-        }
-      } else {
-        _mm256_maskstore_pd(g_row + j, m, iv);
-        _mm256_maskstore_pd(g_row + hidden + j, m, fv);
-        _mm256_maskstore_pd(g_row + 2 * hidden + j, m, gv);
-        _mm256_maskstore_pd(g_row + 3 * hidden + j, m, ov);
-        _mm256_maskstore_pd(c_row + j, m, cn);
-        _mm256_maskstore_pd(h_row + j, m, hv);
-        if (tc_row != nullptr) {
-          _mm256_maskstore_pd(tc_row + j, m, tc);
-        }
+      const __m256d tc = Tanh4(LoadLive(c_row + j, full, m));
+      StoreLive(h_row + j, full, m,
+                _mm256_mul_pd(LoadLive(o_row + j, full, m), tc));
+      if (tc_row != nullptr) {
+        StoreLive(tc_row + j, full, m, tc);
       }
     }
   }

@@ -7,6 +7,8 @@
 
 #include <cstddef>
 
+#include "tensor/kernels.h"
+
 // The AVX2 translation unit uses GCC/Clang `__attribute__((target))` function
 // multiversioning so the rest of the build keeps the portable baseline flags.
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -36,10 +38,11 @@ double Dot(size_t n, const double* x, const double* y);
 double Sum(size_t n, const double* x);
 void EwTanh(size_t n, const double* x, double* out);
 void EwSigmoid(size_t n, const double* x, double* out);
-void LstmCellForward(size_t batch, size_t hidden, double* gates,
-                     const double* hw, const double* bias,
-                     const double* c_prev, size_t ldcp, double* h_out,
-                     size_t ldh, double* c_out, size_t ldc, double* tanh_c);
+// LstmStep over rows [r0, r1); pointers address row 0, as in kernels.h.
+void LstmStepRows(size_t r0, size_t r1, const LstmStepWeights& w,
+                  const double* x, const double* h_prev, const double* c_prev,
+                  size_t ldcp, double* gates, double* h_out, size_t ldh,
+                  double* c_out, size_t ldc, double* tanh_c);
 void LstmCellBackward(size_t batch, size_t hidden, const double* act,
                       const double* c_prev, size_t ldcp, const double* tanh_c,
                       const double* dh, size_t ldh, const double* dc,

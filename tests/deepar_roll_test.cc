@@ -5,7 +5,8 @@
 // with dist::Empirical; every prediction path must match it bit for bit at
 // every SIMD level, at 1 and 4 threads, for fp64 and q8 weights, and for
 // hidden sizes whose gate blocks fill the 4-wide vectors exactly (32, 20)
-// or leave a masked tail (18).
+// or leave a masked tail (18, 7). At H = 7 the 4H = 28 gate columns also
+// end in a 4-wide GEMM panel.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -35,8 +36,8 @@ using tensor::Matrix;
 
 constexpr size_t kContext = 10;
 constexpr size_t kHorizon = 6;
-// 3 x 80 stacked rows clear the parallel thresholds of both GEMMs and the
-// cell kernel at every hidden size below, so 4 threads really fan out.
+// 3 x 80 stacked rows clear the LSTM step's parallel threshold at every
+// hidden size below, so 4 threads really fan out.
 constexpr size_t kSamples = 80;
 constexpr uint64_t kSamplingSalt = 0xD1CEu;
 
@@ -343,7 +344,7 @@ TEST_P(DeepArRollTest, EveryPathMatchesStepByStepReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(HiddenSizes, DeepArRollTest,
-                         ::testing::Values(32u, 20u, 18u));
+                         ::testing::Values(32u, 20u, 18u, 7u));
 
 }  // namespace
 }  // namespace rpas::forecast

@@ -4,12 +4,14 @@
 // nn::TrainLoop's tape form on a twin model. Per-step loss and gradient
 // norm, clip events, steps_run and every parameter must match bit for bit:
 // for the Student-t and Gaussian heads; for hidden sizes whose gate blocks
-// fill the 4-wide vectors (32, 20) or leave a masked tail (18); for
-// minibatches of 8 rows and of 96 (wide enough that the GEMMs fan out at 4
-// threads) over at least 8 windows, then for a fine-tune over fewer windows
-// than batch_size (the IncrementalUpdate case); at every SIMD level and at
-// 1 and 4 threads. The public Fit and IncrementalUpdate must land on the
-// same weights, and a gradient step after the first must allocate nothing.
+// fill the 4-wide vectors (32, 20) or leave a masked tail (18, 7; at 7 the
+// 28 gate columns also end in a 4-wide GEMM panel); for minibatches of 8
+// rows and of 96 (wide enough that the LSTM step, and at H >= 20 the GEMMs,
+// fan out at 4 threads) over at least 8 windows, then for a fine-tune over
+// fewer windows than batch_size (the IncrementalUpdate case); at every SIMD
+// level and at 1 and 4 threads. The public Fit and IncrementalUpdate must
+// land on the same weights, and a gradient step after the first must
+// allocate nothing.
 
 #include <gtest/gtest.h>
 
@@ -344,7 +346,8 @@ INSTANTIATE_TEST_SUITE_P(
     HeadsHiddenSizesBatches, DeepArTrainTest,
     ::testing::Combine(::testing::Values(DeepArForecaster::Head::kStudentT,
                                          DeepArForecaster::Head::kGaussian),
-                       ::testing::Values(size_t{32}, size_t{20}, size_t{18}),
+                       ::testing::Values(size_t{32}, size_t{20}, size_t{18},
+                                         size_t{7}),
                        ::testing::Values(size_t{8}, size_t{96})),
     CaseName);
 

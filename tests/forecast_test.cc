@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -42,6 +44,33 @@ ForecastInput InputFromTail(const ts::TimeSeries& s, size_t context) {
   input.context.assign(s.values.end() - static_cast<long>(context),
                        s.values.end());
   return input;
+}
+
+/// One NaN, +Inf or -Inf in an otherwise valid context must be rejected as
+/// InvalidArgument naming its index by Predict, PredictSeeded and
+/// PredictBatch (whose other request is valid), not forecast.
+void ExpectNonFiniteContextRejected(const Forecaster& model,
+                                    const ForecastInput& good) {
+  ASSERT_TRUE(model.Predict(good).ok());
+  const size_t bad_index = good.context.size() / 2;
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    ForecastInput input = good;
+    input.context[bad_index] = bad;
+    const std::string what = model.Name() + " context value " +
+                             std::to_string(bad);
+    const std::string index = "context[" + std::to_string(bad_index) + "]";
+    const Status statuses[] = {
+        model.Predict(input).status(),
+        model.PredictSeeded(input, 5).status(),
+        model.PredictBatch({good, input}, {1, 2}).status()};
+    for (const Status& status : statuses) {
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << what;
+      EXPECT_NE(status.message().find(index), std::string::npos)
+          << what << ": " << status.ToString();
+    }
+  }
 }
 
 void ExpectQuantilesMonotone(const ts::QuantileForecast& fc) {
@@ -353,6 +382,14 @@ TEST_F(MlpFixture, PredictRejectsWrongContextLength) {
             StatusCode::kInvalidArgument);
 }
 
+TEST_F(MlpFixture, NonFiniteContextRejectedOnEveryPath) {
+  ExpectNonFiniteContextRejected(*model_, InputFromTail(train_, kContext));
+  ForecastInput input = InputFromTail(train_, kContext);
+  input.context[0] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(model_->PredictDistribution(input).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST_F(MlpFixture, DistributionSigmaPositive) {
   auto dist = model_->PredictDistribution(InputFromTail(train_, kContext));
   ASSERT_TRUE(dist.ok());
@@ -423,6 +460,14 @@ TEST_F(DeepArFixture, SamplingSpreadGrowsWithHorizon) {
   const double last =
       fc->Value(kHorizon - 1, 0.9) - fc->Value(kHorizon - 1, 0.1);
   EXPECT_GT(last, 0.3 * first);  // must not collapse
+}
+
+TEST_F(DeepArFixture, NonFiniteContextRejectedOnEveryPath) {
+  ExpectNonFiniteContextRejected(*model_, InputFromTail(train_, kContext));
+  ForecastInput input = InputFromTail(train_, kContext);
+  input.context[0] = -std::numeric_limits<double>::infinity();
+  EXPECT_EQ(model_->SampleTrajectories(input, 3).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST_F(DeepArFixture, RequiresFitBeforePredict) {

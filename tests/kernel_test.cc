@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "autodiff/tape.h"
@@ -449,99 +451,110 @@ TEST(ElementwiseTest, ResultsIndependentOfBufferSplit) {
   }
 }
 
-// ------------------------------------------------------ fused LSTM cell ---
+// ------------------------------------------------------ fused LSTM step ---
 
+/// One LSTM step's inputs: x (batch x in_dim), h_prev and c_prev
+/// (batch x H), W_x (in_dim x 4H), W_h (H x 4H) and the bias (1 x 4H).
 struct LstmFixture {
   size_t batch;
+  size_t in_dim;
   size_t hidden;
-  Matrix gates;   // batch x 4H, x * W_x
-  Matrix c_prev;  // batch x H
-  Matrix hw;      // batch x 4H, h * W_h
-  Matrix bias;    // 1 x 4H
+  Matrix x, h, c_prev, wx, wh, bias;
 };
 
-LstmFixture MakeLstmFixture(size_t batch, size_t hidden, uint64_t seed) {
+LstmFixture MakeLstmFixture(size_t batch, size_t in_dim, size_t hidden,
+                            uint64_t seed) {
+  const size_t gw = 4 * hidden;
   LstmFixture f{batch,
+                in_dim,
                 hidden,
-                Matrix(batch, 4 * hidden),
+                Matrix(batch, in_dim),
                 Matrix(batch, hidden),
-                Matrix(batch, 4 * hidden),
-                Matrix(1, 4 * hidden)};
+                Matrix(batch, hidden),
+                Matrix(in_dim, gw),
+                Matrix(hidden, gw),
+                Matrix(1, gw)};
   Rng rng(seed);
-  FillUniform(&f.gates, &rng, -3.0, 3.0);
+  FillUniform(&f.x, &rng, -1.0, 1.0);
+  FillUniform(&f.h, &rng, -1.0, 1.0);
   FillUniform(&f.c_prev, &rng, -1.5, 1.5);
-  FillUniform(&f.hw, &rng, -1.0, 1.0);
+  FillUniform(&f.wx, &rng, -1.0, 1.0);
+  FillUniform(&f.wh, &rng, -0.5, 0.5);
   FillUniform(&f.bias, &rng, -0.5, 0.5);
   return f;
 }
 
-TEST(LstmKernelTest, ForwardMatchesScalarWithinBound) {
-  for (size_t hidden : {1u, 3u, 4u, 6u, 11u}) {
-    LstmFixture f = MakeLstmFixture(5, hidden, 0x77 + hidden);
-    Matrix act_ref = f.gates;
-    Matrix h_ref(f.batch, hidden), c_ref(f.batch, hidden);
-    Matrix tc_ref(f.batch, hidden);
-    LstmCellForward(SimdLevel::kScalar, f.batch, hidden, act_ref.data(),
-                    f.hw.data(), f.bias.data(), f.c_prev.data(), hidden,
-                    h_ref.data(), hidden, c_ref.data(), hidden,
-                    tc_ref.data());
-    for (SimdLevel level : SupportedLevels()) {
-      Matrix act = f.gates;
-      Matrix h(f.batch, hidden), c(f.batch, hidden), tc(f.batch, hidden);
-      LstmCellForward(level, f.batch, hidden, act.data(), f.hw.data(),
-                      f.bias.data(), f.c_prev.data(), hidden, h.data(),
-                      hidden, c.data(), hidden, tc.data());
-      for (size_t i = 0; i < act.size(); ++i) {
-        EXPECT_LE(UlpDistance(act_ref[i], act[i]), 4u)
-            << LevelName(level) << " activated gate " << i;
-      }
-      // c and h combine few-ULP-different gate values with plain mul/add;
-      // a loose relative envelope keeps the bound condition-aware without
-      // re-deriving per-element error terms.
-      for (size_t i = 0; i < c.size(); ++i) {
-        EXPECT_NEAR(c_ref[i], c[i], 1e-12 * (1.0 + std::fabs(c_ref[i])))
-            << LevelName(level) << " c[" << i << "]";
-        EXPECT_NEAR(h_ref[i], h[i], 1e-12 * (1.0 + std::fabs(h_ref[i])))
-            << LevelName(level) << " h[" << i << "]";
-        EXPECT_NEAR(tc_ref[i], tc[i], 1e-12)
-            << LevelName(level) << " tanh_c[" << i << "]";
-      }
-    }
+/// W_x and W_h packed by PackB, as LstmStep reads them.
+struct PackedLstm {
+  explicit PackedLstm(const LstmFixture& f)
+      : wx(PackedSize(f.in_dim, 4 * f.hidden)),
+        wh(PackedSize(f.hidden, 4 * f.hidden)) {
+    const size_t gw = 4 * f.hidden;
+    PackB(f.in_dim, gw, f.wx.data(), gw, wx.data());
+    PackB(f.hidden, gw, f.wh.data(), gw, wh.data());
+    weights = {f.in_dim, f.hidden, wx.data(), wh.data(), f.bias.data()};
   }
+  PackedLstm(const PackedLstm&) = delete;
+  PackedLstm& operator=(const PackedLstm&) = delete;
+
+  std::vector<double> wx, wh;
+  LstmStepWeights weights;
+};
+
+/// A step's outputs: activated gates, h, c and tanh(c).
+struct LstmOut {
+  Matrix act, h, c, tanh_c;
+};
+
+/// LstmStep at `level` into outputs pre-filled with NaN, so every value
+/// reported was written by the step: it needs no zero-filled gates.
+LstmOut RunStep(SimdLevel level, const LstmFixture& f) {
+  const PackedLstm packed(f);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  LstmOut out{Matrix(f.batch, 4 * f.hidden, nan),
+              Matrix(f.batch, f.hidden, nan), Matrix(f.batch, f.hidden, nan),
+              Matrix(f.batch, f.hidden, nan)};
+  LstmStep(level, f.batch, packed.weights, f.x.data(), f.h.data(),
+           f.c_prev.data(), f.hidden, out.act.data(), out.h.data(), f.hidden,
+           out.c.data(), f.hidden, out.tanh_c.data());
+  return out;
 }
 
-TEST(LstmKernelTest, ForwardRowsIndependentOfBatchSize) {
-  const size_t hidden = 7;
-  LstmFixture f = MakeLstmFixture(4, hidden, 0x31337);
-  for (SimdLevel level : SupportedLevels()) {
-    Matrix act_full = f.gates;
-    Matrix h_full(f.batch, hidden), c_full(f.batch, hidden);
-    LstmCellForward(level, f.batch, hidden, act_full.data(), f.hw.data(),
-                    f.bias.data(), f.c_prev.data(), hidden, h_full.data(),
-                    hidden, c_full.data(), hidden, nullptr);
-    for (size_t r = 0; r < f.batch; ++r) {
-      Matrix act_row(1, 4 * hidden);
-      Matrix hw_row(1, 4 * hidden);
-      Matrix cp_row(1, hidden);
-      for (size_t j = 0; j < 4 * hidden; ++j) {
-        act_row(0, j) = f.gates(r, j);
-        hw_row(0, j) = f.hw(r, j);
-      }
-      for (size_t j = 0; j < hidden; ++j) {
-        cp_row(0, j) = f.c_prev(r, j);
-      }
-      Matrix h_row(1, hidden), c_row(1, hidden);
-      LstmCellForward(level, 1, hidden, act_row.data(), hw_row.data(),
-                      f.bias.data(), cp_row.data(), hidden, h_row.data(),
-                      hidden, c_row.data(), hidden, nullptr);
-      for (size_t j = 0; j < hidden; ++j) {
-        EXPECT_EQ(h_full(r, j), h_row(0, j))
-            << LevelName(level) << " h row " << r;
-        EXPECT_EQ(c_full(r, j), c_row(0, j))
-            << LevelName(level) << " c row " << r;
-      }
+/// The arithmetic LstmStep replaced: each product by GemmPackedRows into a
+/// zero-filled buffer, (x*W_x + h*W_h) + b, EwSigmoid/EwTanh at `level`,
+/// then the scalar cell update.
+LstmOut ComposedStep(SimdLevel level, const LstmFixture& f) {
+  const size_t hd = f.hidden;
+  const size_t gw = 4 * hd;
+  const PackedLstm packed(f);
+  std::vector<double> xw(f.batch * gw, 0.0), hw(f.batch * gw, 0.0);
+  GemmPackedRows(level, 0, f.batch, gw, f.in_dim, f.x.data(), f.in_dim,
+                 packed.wx.data(), xw.data(), gw);
+  GemmPackedRows(level, 0, f.batch, gw, hd, f.h.data(), hd, packed.wh.data(),
+                 hw.data(), gw);
+  LstmOut out{Matrix(f.batch, gw), Matrix(f.batch, hd), Matrix(f.batch, hd),
+              Matrix(f.batch, hd)};
+  std::vector<double> pre(gw);
+  for (size_t r = 0; r < f.batch; ++r) {
+    for (size_t col = 0; col < gw; ++col) {
+      pre[col] = (xw[r * gw + col] + hw[r * gw + col]) + f.bias(0, col);
+    }
+    double* a = &out.act(r, 0);
+    EwSigmoid(level, hd, pre.data(), a);
+    EwSigmoid(level, hd, pre.data() + hd, a + hd);
+    EwTanh(level, hd, pre.data() + 2 * hd, a + 2 * hd);
+    EwSigmoid(level, hd, pre.data() + 3 * hd, a + 3 * hd);
+    for (size_t j = 0; j < hd; ++j) {
+      const double t1 = a[hd + j] * f.c_prev(r, j);
+      const double t2 = a[j] * a[2 * hd + j];
+      out.c(r, j) = t1 + t2;
+    }
+    EwTanh(level, hd, &out.c(r, 0), &out.tanh_c(r, 0));
+    for (size_t j = 0; j < hd; ++j) {
+      out.h(r, j) = a[3 * hd + j] * out.tanh_c(r, j);
     }
   }
+  return out;
 }
 
 /// Equal bit patterns, or NaN on both sides (a NaN's payload is not part
@@ -553,135 +566,252 @@ bool SameValue(double a, double b) {
   return std::memcmp(&a, &b, sizeof(a)) == 0;
 }
 
+void ExpectSameStep(const LstmOut& want, const LstmOut& got,
+                    const std::string& what) {
+  const std::pair<const char*, const Matrix LstmOut::*> parts[] = {
+      {"gate", &LstmOut::act},
+      {"h", &LstmOut::h},
+      {"c", &LstmOut::c},
+      {"tanh_c", &LstmOut::tanh_c}};
+  for (const auto& [name, member] : parts) {
+    const Matrix& w = want.*member;
+    const Matrix& g = got.*member;
+    for (size_t i = 0; i < w.size(); ++i) {
+      EXPECT_TRUE(SameValue(w[i], g[i]))
+          << what << " " << name << "[" << i << "]: " << w[i] << " vs "
+          << g[i];
+    }
+  }
+}
+
+/// Rounds every entry to a multiple of 1/scale.
+void Dyadic(Matrix* m, double scale) {
+  for (size_t i = 0; i < m->size(); ++i) {
+    (*m)[i] = std::round((*m)[i] * scale) / scale;
+  }
+}
+
+TEST(LstmKernelTest, ForwardMatchesScalarWithinBound) {
+  for (size_t hidden : {1u, 3u, 4u, 6u, 11u}) {
+    LstmFixture f = MakeLstmFixture(5, 5, hidden, 0x77 + hidden);
+    // Dyadic inputs make every product and partial sum exact, so FMA and
+    // mul-then-add agree and each level feeds the cell the same
+    // pre-activations: the bound below is the transcendentals' alone.
+    for (Matrix* m : {&f.x, &f.h, &f.c_prev, &f.bias}) {
+      Dyadic(m, 64.0);
+    }
+    Dyadic(&f.wx, 256.0);
+    Dyadic(&f.wh, 256.0);
+    const LstmOut ref = RunStep(SimdLevel::kScalar, f);
+    for (SimdLevel level : SupportedLevels()) {
+      const LstmOut got = RunStep(level, f);
+      for (size_t i = 0; i < got.act.size(); ++i) {
+        EXPECT_LE(UlpDistance(ref.act[i], got.act[i]), 4u)
+            << LevelName(level) << " activated gate " << i;
+      }
+      // c and h combine few-ULP-different gate values with plain mul/add;
+      // a loose relative envelope keeps the bound condition-aware without
+      // re-deriving per-element error terms.
+      for (size_t i = 0; i < got.c.size(); ++i) {
+        EXPECT_NEAR(ref.c[i], got.c[i], 1e-12 * (1.0 + std::fabs(ref.c[i])))
+            << LevelName(level) << " c[" << i << "]";
+        EXPECT_NEAR(ref.h[i], got.h[i], 1e-12 * (1.0 + std::fabs(ref.h[i])))
+            << LevelName(level) << " h[" << i << "]";
+        EXPECT_NEAR(ref.tanh_c[i], got.tanh_c[i], 1e-12)
+            << LevelName(level) << " tanh_c[" << i << "]";
+      }
+    }
+  }
+}
+
+TEST(LstmKernelTest, ForwardRowsIndependentOfBatchSize) {
+  // Nine rows: two 4-row tiles and a tail row at AVX2; 4H = 28 ends in a
+  // 4-column panel and H = 7 in a 3-lane cell group.
+  const size_t batch = 9, in_dim = 5, hidden = 7;
+  const LstmFixture f = MakeLstmFixture(batch, in_dim, hidden, 0x31337);
+  for (SimdLevel level : SupportedLevels()) {
+    const LstmOut full = RunStep(level, f);
+    for (size_t r = 0; r < batch; ++r) {
+      LstmFixture row = f;
+      row.batch = 1;
+      row.x = Matrix(1, in_dim);
+      row.h = Matrix(1, hidden);
+      row.c_prev = Matrix(1, hidden);
+      for (size_t j = 0; j < in_dim; ++j) {
+        row.x(0, j) = f.x(r, j);
+      }
+      for (size_t j = 0; j < hidden; ++j) {
+        row.h(0, j) = f.h(r, j);
+        row.c_prev(0, j) = f.c_prev(r, j);
+      }
+      const LstmOut one = RunStep(level, row);
+      for (size_t j = 0; j < 4 * hidden; ++j) {
+        EXPECT_EQ(full.act(r, j), one.act(0, j))
+            << LevelName(level) << " gate row " << r;
+      }
+      for (size_t j = 0; j < hidden; ++j) {
+        EXPECT_EQ(full.h(r, j), one.h(0, j))
+            << LevelName(level) << " h row " << r;
+        EXPECT_EQ(full.c(r, j), one.c(0, j))
+            << LevelName(level) << " c row " << r;
+      }
+    }
+  }
+}
+
 TEST(LstmKernelTest, FusedBiasAddEqualsAddThenKernel) {
-  // The kernel forms (xW_x + hW_h) + b in registers. Feeding it the
-  // pre-added gates with hW_h = b = -0.0 runs the same activation code on
-  // exactly the pre-activations (v + -0.0 == v for every v, signed zeros,
-  // infinities and NaN included), i.e. "add, then the old kernel".
+  // The step forms (xW_x + hW_h) + b in registers; it must equal the
+  // products summed into zero-filled memory, added, then activated, with
+  // special values included. Row 1 reads W_x and W_h's first rows exactly
+  // (x = 1, h = e_0), which carry a NaN, both infinities, Inf - Inf and an
+  // overflow to Inf on the four gate blocks. Row 2's inputs are all -0.0,
+  // so its products are signed zeros; in the last g column every weight
+  // is positive, so every product there is -0.0 and only a sum started at
+  // +0.0, not at the first product, gives +0.0.
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double big = std::numeric_limits<double>::max();
   for (size_t hidden : {1u, 3u, 4u, 5u, 18u, 32u}) {
-    const size_t batch = 3;
-    LstmFixture f = MakeLstmFixture(batch, hidden, 0x5EED + hidden);
-    // Specials on every gate block of row 1: a NaN from each operand, both
-    // infinities, Inf + -Inf, overflow to Inf, and signed zeros.
-    const size_t gw = 4 * hidden;
-    const size_t cols[] = {0, hidden, 2 * hidden, 3 * hidden};
-    for (size_t k = 0; k < 4; ++k) {
-      const size_t c = cols[k];
-      switch (k) {
-        case 0:
-          f.gates(1, c) = nan;
-          break;
-        case 1:
-          f.hw(1, c) = inf;
-          break;
-        case 2:
-          f.gates(1, c) = inf;
-          f.hw(1, c) = -inf;
-          break;
-        case 3:
-          f.gates(1, c) = std::numeric_limits<double>::max();
-          f.hw(1, c) = std::numeric_limits<double>::max();
-          break;
+    const size_t batch = 3, in_dim = 1;
+    LstmFixture f = MakeLstmFixture(batch, in_dim, hidden, 0x5EED + hidden);
+    f.x(1, 0) = 1.0;
+    f.x(2, 0) = -0.0;
+    for (size_t j = 0; j < hidden; ++j) {
+      f.h(1, j) = j == 0 ? 1.0 : 0.0;
+      f.h(2, j) = -0.0;
+    }
+    f.wx(0, 0) = nan;
+    f.wh(0, hidden) = inf;
+    f.wx(0, 2 * hidden) = inf;
+    f.wh(0, 2 * hidden) = -inf;
+    f.wx(0, 3 * hidden) = big;
+    f.wh(0, 3 * hidden) = big;
+    if (hidden > 1) {  // at H = 1 the last g column is the Inf - Inf one
+      f.bias(0, 3 * hidden - 1) = -0.0;
+      f.wx(0, 3 * hidden - 1) = std::fabs(f.wx(0, 3 * hidden - 1));
+      for (size_t p = 0; p < hidden; ++p) {
+        f.wh(p, 3 * hidden - 1) = std::fabs(f.wh(p, 3 * hidden - 1));
       }
     }
-    f.gates(2, gw - 1) = -0.0;
-    f.hw(2, gw - 1) = -0.0;
-    f.bias(0, gw - 1) = -0.0;
-    f.bias(0, 0) = -inf;
     f.c_prev(0, hidden - 1) = nan;
-    Matrix pre(batch, gw);
-    for (size_t r = 0; r < batch; ++r) {
-      for (size_t c = 0; c < gw; ++c) {
-        pre(r, c) = (f.gates(r, c) + f.hw(r, c)) + f.bias(0, c);
+    for (SimdLevel level : SupportedLevels()) {
+      const std::string what =
+          std::string(LevelName(level)) + " H=" + std::to_string(hidden);
+      const LstmOut got = RunStep(level, f);
+      ExpectSameStep(ComposedStep(level, f), got, what);
+      // The specials propagate: a NaN weight poisons its column even
+      // through a zero input, +Inf saturates the forget gate, Inf - Inf
+      // gives a NaN cell input, overflow saturates the output gate, and
+      // the NaN cell state poisons its own column only.
+      for (size_t r = 0; r < batch; ++r) {
+        EXPECT_TRUE(std::isnan(got.act(r, 0))) << what << " row " << r;
+      }
+      EXPECT_EQ(1.0, got.act(1, hidden)) << what;
+      EXPECT_TRUE(std::isnan(got.act(1, 2 * hidden))) << what;
+      EXPECT_EQ(1.0, got.act(1, 3 * hidden)) << what;
+      EXPECT_TRUE(std::isnan(got.c(0, hidden - 1))) << what;
+      if (hidden > 2) {
+        EXPECT_FALSE(std::isnan(got.c(0, 1))) << what;
+      }
+      if (hidden > 1) {
+        // Row 2's last g pre-activation is (0.0 + 0.0) + -0.0 = +0.0. The
+        // scalar tanh keeps the sign of a zero; AVX2's gives +0.0 for both.
+        const double g2 = got.act(2, 3 * hidden - 1);
+        EXPECT_TRUE(g2 == 0.0 && !std::signbit(g2)) << what << " g = " << g2;
       }
     }
-    const std::vector<double> neg_zero(batch * gw, -0.0);
-    for (SimdLevel level : SupportedLevels()) {
-      Matrix act = f.gates;
-      Matrix h(batch, hidden), c(batch, hidden), tc(batch, hidden);
-      LstmCellForward(level, batch, hidden, act.data(), f.hw.data(),
-                      f.bias.data(), f.c_prev.data(), hidden, h.data(),
-                      hidden, c.data(), hidden, tc.data());
-      Matrix act_ref = pre;
-      Matrix h_ref(batch, hidden), c_ref(batch, hidden);
-      Matrix tc_ref(batch, hidden);
-      LstmCellForward(level, batch, hidden, act_ref.data(), neg_zero.data(),
-                      neg_zero.data(), f.c_prev.data(), hidden,
-                      h_ref.data(), hidden, c_ref.data(), hidden,
-                      tc_ref.data());
-      for (size_t i = 0; i < act.size(); ++i) {
-        EXPECT_TRUE(SameValue(act_ref[i], act[i]))
-            << LevelName(level) << " H=" << hidden << " gate " << i << ": "
-            << act_ref[i] << " vs " << act[i];
+  }
+}
+
+TEST(LstmKernelTest, StepEqualsZeroFilledComposition) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (size_t rows : {1u, 3u, 4u, 5u, 9u}) {
+    for (size_t hidden : {1u, 3u, 7u, 18u, 32u}) {
+      const size_t in_dim = 5;
+      const uint64_t seed = 0xC0DE + 64 * rows + hidden;
+      // Finite inputs with an all-zero last row: -0.0 inputs, so the
+      // products in the first g column, whose weights are all positive,
+      // are all -0.0, and a -0.0 bias there, where the scalar tanh shows
+      // the sign of the zero pre-activation.
+      LstmFixture finite = MakeLstmFixture(rows, in_dim, hidden, seed);
+      for (size_t j = 0; j < in_dim; ++j) {
+        finite.x(rows - 1, j) = -0.0;
+        finite.wx(j, 2 * hidden) = std::fabs(finite.wx(j, 2 * hidden));
       }
-      for (size_t i = 0; i < h.size(); ++i) {
-        EXPECT_TRUE(SameValue(h_ref[i], h[i]))
-            << LevelName(level) << " H=" << hidden << " h " << i;
-        EXPECT_TRUE(SameValue(c_ref[i], c[i]))
-            << LevelName(level) << " H=" << hidden << " c " << i;
-        EXPECT_TRUE(SameValue(tc_ref[i], tc[i]))
-            << LevelName(level) << " H=" << hidden << " tanh_c " << i;
+      for (size_t j = 0; j < hidden; ++j) {
+        finite.h(rows - 1, j) = -0.0;
+        finite.wh(j, 2 * hidden) = std::fabs(finite.wh(j, 2 * hidden));
       }
-      // The specials propagate: NaN and Inf - Inf give a NaN input gate,
-      // +Inf saturates the forget gate, and the NaN cell state poisons
-      // its own column only.
-      EXPECT_TRUE(std::isnan(act(1, 0))) << LevelName(level);
-      EXPECT_EQ(1.0, act(1, hidden)) << LevelName(level);
-      EXPECT_TRUE(std::isnan(act(1, 2 * hidden))) << LevelName(level);
-      EXPECT_TRUE(std::isnan(c(0, hidden - 1))) << LevelName(level);
+      finite.bias(0, 2 * hidden) = -0.0;
+      // NaN and infinities in x and h of the first row, and in the last.
+      LstmFixture inputs = finite;
+      inputs.x(0, 0) = inf;
+      inputs.h(0, hidden - 1) = -inf;
+      inputs.x(rows - 1, in_dim - 1) = nan;
+      // NaN and infinities in the weights and the bias.
+      LstmFixture weights = finite;
+      weights.wx(in_dim - 1, 0) = nan;
+      weights.wh(0, 4 * hidden - 1) = inf;
+      weights.wh(hidden - 1, hidden) = -inf;
+      weights.bias(0, 2 * hidden) = inf;
+      const std::pair<const char*, const LstmFixture*> cases[] = {
+          {"finite", &finite}, {"specials in x and h", &inputs},
+          {"specials in weights", &weights}};
+      for (SimdLevel level : SupportedLevels()) {
+        for (const auto& [name, fixture] : cases) {
+          ExpectSameStep(ComposedStep(level, *fixture),
+                         RunStep(level, *fixture),
+                         std::string(LevelName(level)) + " rows=" +
+                             std::to_string(rows) +
+                             " H=" + std::to_string(hidden) + " " + name);
+        }
+      }
     }
   }
 }
 
 TEST(LstmKernelTest, ForwardUpdatesCellStateInPlace) {
-  const size_t batch = 5, hidden = 18;
-  LstmFixture f = MakeLstmFixture(batch, hidden, 0x1D);
+  const size_t batch = 5, in_dim = 5, hidden = 18;
+  const LstmFixture f = MakeLstmFixture(batch, in_dim, hidden, 0x1D);
+  const PackedLstm packed(f);
   for (SimdLevel level : SupportedLevels()) {
-    Matrix act = f.gates;
-    Matrix h(batch, hidden), c(batch, hidden);
-    LstmCellForward(level, batch, hidden, act.data(), f.hw.data(),
-                    f.bias.data(), f.c_prev.data(), hidden, h.data(), hidden,
-                    c.data(), hidden, nullptr);
-    Matrix act_in_place = f.gates;
-    Matrix h_in_place(batch, hidden);
-    Matrix c_in_place = f.c_prev;
-    LstmCellForward(level, batch, hidden, act_in_place.data(), f.hw.data(),
-                    f.bias.data(), c_in_place.data(), hidden,
-                    h_in_place.data(), hidden, c_in_place.data(), hidden,
-                    nullptr);
+    const LstmOut separate = RunStep(level, f);
+    // h and c updated in place, as the sampling roll does.
+    std::vector<double> gates(batch * 4 * hidden);
+    Matrix h = f.h;
+    Matrix c = f.c_prev;
+    LstmStep(level, batch, packed.weights, f.x.data(), h.data(), c.data(),
+             hidden, gates.data(), h.data(), hidden, c.data(), hidden,
+             nullptr);
     for (size_t i = 0; i < c.size(); ++i) {
-      EXPECT_EQ(c[i], c_in_place[i]) << LevelName(level) << " c " << i;
-      EXPECT_EQ(h[i], h_in_place[i]) << LevelName(level) << " h " << i;
+      EXPECT_EQ(separate.c[i], c[i]) << LevelName(level) << " c " << i;
+      EXPECT_EQ(separate.h[i], h[i]) << LevelName(level) << " h " << i;
     }
   }
 }
 
 TEST(LstmKernelTest, BackwardBitIdenticalAcrossLevels) {
   const size_t batch = 4, hidden = 6;
-  LstmFixture f = MakeLstmFixture(batch, hidden, 0xABCD);
-  // Activate the gates once at the scalar level so every backward call sees
+  const LstmFixture f = MakeLstmFixture(batch, 5, hidden, 0xABCD);
+  // Run the step once at the scalar level so every backward call sees
   // identical inputs.
-  Matrix act = f.gates;
-  Matrix h(batch, hidden), c(batch, hidden), tc(batch, hidden);
-  LstmCellForward(SimdLevel::kScalar, batch, hidden, act.data(),
-                  f.hw.data(), f.bias.data(), f.c_prev.data(), hidden,
-                  h.data(), hidden, c.data(), hidden, tc.data());
+  const LstmOut fwd = RunStep(SimdLevel::kScalar, f);
   Rng rng(0xEF);
   Matrix dh(batch, hidden), dc(batch, hidden);
   FillUniform(&dh, &rng, -1.0, 1.0);
   FillUniform(&dc, &rng, -1.0, 1.0);
 
   Matrix dgates_ref(batch, 4 * hidden), dcp_ref(batch, hidden);
-  LstmCellBackward(SimdLevel::kScalar, batch, hidden, act.data(),
-                   f.c_prev.data(), hidden, tc.data(), dh.data(), hidden,
-                   dc.data(), hidden, dgates_ref.data(), dcp_ref.data());
+  LstmCellBackward(SimdLevel::kScalar, batch, hidden, fwd.act.data(),
+                   f.c_prev.data(), hidden, fwd.tanh_c.data(), dh.data(),
+                   hidden, dc.data(), hidden, dgates_ref.data(),
+                   dcp_ref.data());
   for (SimdLevel level : SupportedLevels()) {
     Matrix dgates(batch, 4 * hidden), dcp(batch, hidden);
-    LstmCellBackward(level, batch, hidden, act.data(), f.c_prev.data(),
-                     hidden, tc.data(), dh.data(), hidden, dc.data(), hidden,
-                     dgates.data(), dcp.data());
+    LstmCellBackward(level, batch, hidden, fwd.act.data(), f.c_prev.data(),
+                     hidden, fwd.tanh_c.data(), dh.data(), hidden, dc.data(),
+                     hidden, dgates.data(), dcp.data());
     for (size_t i = 0; i < dgates.size(); ++i) {
       EXPECT_EQ(dgates_ref[i], dgates[i])
           << LevelName(level) << " dgates[" << i << "]";
@@ -872,14 +1002,18 @@ TEST(ParallelKernelTest, GrainCostModelIsShapeOnly) {
   EXPECT_EQ(8u, GemmRowGrain(8, 8, 8));
   EXPECT_EQ(1u, GemmRowGrain(1, 1, 1));
   EXPECT_EQ(4u, LstmRowGrain(4, 8));
+  EXPECT_EQ(8u, LstmStepRowGrain(8, 5, 20));
   // Above it: the fixed row grain, never derived from the thread count.
   EXPECT_EQ(16u, GemmRowGrain(512, 64, 64));
   EXPECT_EQ(8u, LstmRowGrain(512, 64));
+  EXPECT_EQ(8u, LstmStepRowGrain(128, 5, 20));
   for (int threads : {1, 2, 8}) {
     SetRpasThreads(threads);
     EXPECT_EQ(16u, GemmRowGrain(512, 64, 64)) << threads << " threads";
     EXPECT_EQ(8u, GemmRowGrain(8, 8, 8)) << threads << " threads";
     EXPECT_EQ(8u, LstmRowGrain(512, 64)) << threads << " threads";
+    EXPECT_EQ(8u, LstmStepRowGrain(128, 5, 20)) << threads << " threads";
+    EXPECT_EQ(8u, LstmStepRowGrain(8, 5, 20)) << threads << " threads";
   }
 }
 
@@ -1084,53 +1218,47 @@ TEST(ParallelKernelTest, GemmNTBitIdenticalToOneColumnReference) {
 
 TEST(ParallelKernelTest, LstmCellBitIdenticalAcrossThreadCounts) {
   ThreadOverrideGuard guard;
-  Rng rng(0x1234);
-  const size_t batch = 96, hidden = 64;
+  const size_t batch = 96, in_dim = 5, hidden = 64;
+  ASSERT_EQ(8u, LstmStepRowGrain(batch, in_dim, hidden));
   ASSERT_EQ(8u, LstmRowGrain(batch, hidden));
-  std::vector<double> gates0(batch * 4 * hidden);
-  std::vector<double> c_prev(batch * hidden);
+  const LstmFixture f = MakeLstmFixture(batch, in_dim, hidden, 0x1234);
+  Rng rng(0x4321);
   std::vector<double> dh(batch * hidden), dc(batch * hidden);
-  std::vector<double> hw(batch * 4 * hidden), bias(4 * hidden);
-  for (double& v : gates0) v = rng.Uniform(-2.0, 2.0);
-  for (double& v : c_prev) v = rng.Uniform(-1.0, 1.0);
   for (double& v : dh) v = rng.Uniform(-1.0, 1.0);
   for (double& v : dc) v = rng.Uniform(-1.0, 1.0);
-  for (double& v : hw) v = rng.Uniform(-1.0, 1.0);
-  for (double& v : bias) v = rng.Uniform(-0.5, 0.5);
   for (SimdLevel level : SupportedLevels()) {
     ScopedSimdLevel scoped(level);
     struct Run {
-      std::vector<double> act, h, c, tanh_c, dgates, dc_prev;
+      LstmOut step;
+      std::vector<double> dgates, dc_prev;
     };
     auto run_at = [&](int threads) {
       SetRpasThreads(threads);
-      Run r;
-      r.act = gates0;
-      r.h.assign(batch * hidden, 0.0);
-      r.c.assign(batch * hidden, 0.0);
-      r.tanh_c.assign(batch * hidden, 0.0);
+      Run r{RunStep(ActiveLevel(), f), {}, {}};
       r.dgates.assign(batch * 4 * hidden, 0.0);
       r.dc_prev.assign(batch * hidden, 0.0);
-      LstmCellForward(ActiveLevel(), batch, hidden, r.act.data(), hw.data(),
-                      bias.data(), c_prev.data(), hidden, r.h.data(), hidden,
-                      r.c.data(), hidden, r.tanh_c.data());
-      LstmCellBackward(ActiveLevel(), batch, hidden, r.act.data(),
-                       c_prev.data(), hidden, r.tanh_c.data(), dh.data(),
-                       hidden, dc.data(), hidden, r.dgates.data(),
+      LstmCellBackward(ActiveLevel(), batch, hidden, r.step.act.data(),
+                       f.c_prev.data(), hidden, r.step.tanh_c.data(),
+                       dh.data(), hidden, dc.data(), hidden, r.dgates.data(),
                        r.dc_prev.data());
       return r;
     };
     const Run ref = run_at(1);
     for (int threads : {2, 8}) {
       const Run got = run_at(threads);
-      for (size_t i = 0; i < ref.h.size(); ++i) {
-        ASSERT_EQ(ref.h[i], got.h[i]) << LevelName(level) << " h @ " << i;
-        ASSERT_EQ(ref.c[i], got.c[i]) << LevelName(level) << " c @ " << i;
+      for (size_t i = 0; i < ref.step.h.size(); ++i) {
+        ASSERT_EQ(ref.step.h[i], got.step.h[i])
+            << LevelName(level) << " h @ " << i;
+        ASSERT_EQ(ref.step.c[i], got.step.c[i])
+            << LevelName(level) << " c @ " << i;
+        ASSERT_EQ(ref.step.tanh_c[i], got.step.tanh_c[i])
+            << LevelName(level) << " tanh_c @ " << i;
         ASSERT_EQ(ref.dc_prev[i], got.dc_prev[i])
             << LevelName(level) << " dc_prev @ " << i;
       }
       for (size_t i = 0; i < ref.dgates.size(); ++i) {
-        ASSERT_EQ(ref.act[i], got.act[i]) << LevelName(level) << " act @ " << i;
+        ASSERT_EQ(ref.step.act[i], got.step.act[i])
+            << LevelName(level) << " act @ " << i;
         ASSERT_EQ(ref.dgates[i], got.dgates[i])
             << LevelName(level) << " dgates @ " << i;
       }
