@@ -47,10 +47,8 @@ struct Record {
 
 std::vector<SimdLevel> SupportedLevels() {
   std::vector<SimdLevel> levels = {SimdLevel::kScalar};
-  for (SimdLevel l : {SimdLevel::kSse2, SimdLevel::kAvx2}) {
-    if (kernels::LevelSupported(l)) {
-      levels.push_back(l);
-    }
+  if (kernels::LevelSupported(SimdLevel::kAvx2)) {
+    levels.push_back(SimdLevel::kAvx2);
   }
   return levels;
 }

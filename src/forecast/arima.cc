@@ -220,6 +220,7 @@ Result<ts::QuantileForecast> ArimaForecaster::Predict(
   if (!fitted_) {
     return Status::FailedPrecondition("ARIMA: Fit() not called");
   }
+  RPAS_RETURN_IF_ERROR(CheckContextFinite("ARIMA", input));
   const size_t p = phi_.size();
   const size_t q = theta_.size();
   const size_t h = options_.horizon;

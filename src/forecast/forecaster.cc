@@ -13,6 +13,10 @@ Status CheckContext(const char* model, const ForecastInput& input,
     return Status::InvalidArgument(
         StrFormat("%s: context length mismatch", model));
   }
+  return CheckContextFinite(model, input);
+}
+
+Status CheckContextFinite(const char* model, const ForecastInput& input) {
   for (size_t i = 0; i < input.context.size(); ++i) {
     if (!std::isfinite(input.context[i])) {
       return Status::InvalidArgument(

@@ -34,6 +34,11 @@ struct ForecastInput {
 Status CheckContext(const char* model, const ForecastInput& input,
                     size_t context_length);
 
+/// CheckContext's finiteness rule alone, for models that set their own
+/// length rule (ARIMA, Holt-Winters and SeasonalNaive accept any context
+/// long enough for their differencing or seasons).
+Status CheckContextFinite(const char* model, const ForecastInput& input);
+
 /// Probabilistic workload forecaster interface (paper §III-B). A forecaster
 /// is fitted once on a training series and then queried with context
 /// windows; it returns quantile forecasts over its configured horizon.

@@ -105,6 +105,7 @@ Result<ts::QuantileForecast> HoltWintersForecaster::Predict(
     return Status::InvalidArgument(
         "HoltWinters: context must cover at least two seasons");
   }
+  RPAS_RETURN_IF_ERROR(CheckContextFinite("HoltWinters", input));
   double level = 0.0;
   double trend = 0.0;
   std::vector<double> seasonal;

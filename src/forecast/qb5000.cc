@@ -237,9 +237,8 @@ Result<std::vector<double>> Qb5000Forecaster::PredictKernel(
 
 Result<std::vector<double>> Qb5000Forecaster::PredictPoint(
     const ForecastInput& input) const {
-  if (input.context.size() != options_.context_length) {
-    return Status::InvalidArgument("QB5000: context length mismatch");
-  }
+  RPAS_RETURN_IF_ERROR(
+      CheckContext("QB5000", input, options_.context_length));
   RPAS_ASSIGN_OR_RETURN(std::vector<double> lr, PredictLinear(input));
   RPAS_ASSIGN_OR_RETURN(std::vector<double> lstm, PredictLstm(input));
   RPAS_ASSIGN_OR_RETURN(std::vector<double> kernel, PredictKernel(input));

@@ -74,6 +74,7 @@ Result<ts::QuantileForecast> SeasonalNaiveForecaster::Predict(
   if (input.context.empty()) {
     return Status::InvalidArgument("SeasonalNaive: empty context");
   }
+  RPAS_RETURN_IF_ERROR(CheckContextFinite("SeasonalNaive", input));
   const size_t n = input.context.size();
   std::vector<std::vector<double>> values(options_.horizon);
   for (size_t step = 0; step < options_.horizon; ++step) {

@@ -249,9 +249,8 @@ Result<ts::QuantileForecast> TftForecaster::Predict(
   if (!fitted_) {
     return Status::FailedPrecondition("TFT: Fit() not called");
   }
-  if (input.context.size() != options_.context_length) {
-    return Status::InvalidArgument("TFT: context length mismatch");
-  }
+  RPAS_RETURN_IF_ERROR(
+      CheckContext("TFT", input, options_.context_length));
   const double scale = WindowScale(input.context);
   std::vector<double> scaled_context(input.context.size());
   for (size_t t = 0; t < input.context.size(); ++t) {

@@ -11,10 +11,6 @@
 #include "common/parallel.h"
 #include "tensor/kernels_internal.h"
 
-#if RPAS_KERNELS_HAVE_SSE2
-#include <emmintrin.h>
-#endif
-
 namespace rpas::tensor::kernels {
 
 // ------------------------------------------------------------- dispatch ---
@@ -28,12 +24,6 @@ bool CpuSupports(SimdLevel level) {
   switch (level) {
     case SimdLevel::kScalar:
       return true;
-    case SimdLevel::kSse2:
-#if RPAS_KERNELS_HAVE_SSE2
-      return true;  // SSE2 is part of the x86-64 baseline.
-#else
-      return false;
-#endif
     case SimdLevel::kAvx2:
 #if RPAS_KERNELS_HAVE_AVX2
       return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
@@ -48,19 +38,12 @@ SimdLevel BestSupported() {
   if (CpuSupports(SimdLevel::kAvx2)) {
     return SimdLevel::kAvx2;
   }
-  if (CpuSupports(SimdLevel::kSse2)) {
-    return SimdLevel::kSse2;
-  }
   return SimdLevel::kScalar;
 }
 
 bool ParseLevelName(const char* name, SimdLevel* out) {
   if (std::strcmp(name, "scalar") == 0) {
     *out = SimdLevel::kScalar;
-    return true;
-  }
-  if (std::strcmp(name, "sse2") == 0) {
-    *out = SimdLevel::kSse2;
     return true;
   }
   if (std::strcmp(name, "avx2") == 0) {
@@ -78,7 +61,7 @@ SimdLevel ResolveDefaultLevel() {
     if (!ParseLevelName(env, &requested)) {
       std::fprintf(stderr,
                    "rpas: ignoring unknown RPAS_SIMD=%s "
-                   "(expected scalar|sse2|avx2)\n",
+                   "(expected scalar|avx2)\n",
                    env);
     } else if (requested > level) {
       std::fprintf(stderr,
@@ -107,8 +90,6 @@ const char* LevelName(SimdLevel level) {
   switch (level) {
     case SimdLevel::kScalar:
       return "scalar";
-    case SimdLevel::kSse2:
-      return "sse2";
     case SimdLevel::kAvx2:
       return "avx2";
   }
@@ -119,8 +100,6 @@ bool LevelCompiled(SimdLevel level) {
   switch (level) {
     case SimdLevel::kScalar:
       return true;
-    case SimdLevel::kSse2:
-      return RPAS_KERNELS_HAVE_SSE2 != 0;
     case SimdLevel::kAvx2:
       return RPAS_KERNELS_HAVE_AVX2 != 0;
   }
@@ -132,10 +111,7 @@ bool LevelSupported(SimdLevel level) {
 }
 
 ScopedSimdLevel::ScopedSimdLevel(SimdLevel level) : previous_(ActiveLevel()) {
-  SimdLevel clamped = level;
-  while (clamped > SimdLevel::kScalar && !LevelSupported(clamped)) {
-    clamped = static_cast<SimdLevel>(static_cast<int>(clamped) - 1);
-  }
+  const SimdLevel clamped = LevelSupported(level) ? level : SimdLevel::kScalar;
   g_forced_level.store(static_cast<int>(clamped), std::memory_order_relaxed);
 }
 
@@ -396,203 +372,6 @@ constexpr size_t kGemmRowGrainRows = 16;
 constexpr double kLstmFlopsPerGate = 16.0;
 constexpr size_t kLstmRowGrainRows = 8;
 
-#if RPAS_KERNELS_HAVE_SSE2
-
-// SSE2 GEMM: 2-wide mul-then-add in the same per-element accumulation order
-// as the scalar reference — bit-identical by construction, just wider.
-
-void GemmPanelSse2(size_t r0, size_t r1, size_t w, size_t k, const double* a,
-                   size_t lda, const double* panel, double* c, size_t ldc) {
-  if (w == kPanelWidth) {
-    size_t i = r0;
-    for (; i + 2 <= r1; i += 2) {
-      double* c0 = c + i * ldc;
-      double* c1 = c + (i + 1) * ldc;
-      __m128d acc00 = _mm_loadu_pd(c0);
-      __m128d acc01 = _mm_loadu_pd(c0 + 2);
-      __m128d acc02 = _mm_loadu_pd(c0 + 4);
-      __m128d acc03 = _mm_loadu_pd(c0 + 6);
-      __m128d acc10 = _mm_loadu_pd(c1);
-      __m128d acc11 = _mm_loadu_pd(c1 + 2);
-      __m128d acc12 = _mm_loadu_pd(c1 + 4);
-      __m128d acc13 = _mm_loadu_pd(c1 + 6);
-      const double* a0 = a + i * lda;
-      const double* a1 = a + (i + 1) * lda;
-      for (size_t p = 0; p < k; ++p) {
-        const double* b_row = panel + p * kPanelWidth;
-        const __m128d b0 = _mm_loadu_pd(b_row);
-        const __m128d b1 = _mm_loadu_pd(b_row + 2);
-        const __m128d b2 = _mm_loadu_pd(b_row + 4);
-        const __m128d b3 = _mm_loadu_pd(b_row + 6);
-        const __m128d av0 = _mm_set1_pd(a0[p]);
-        acc00 = _mm_add_pd(acc00, _mm_mul_pd(av0, b0));
-        acc01 = _mm_add_pd(acc01, _mm_mul_pd(av0, b1));
-        acc02 = _mm_add_pd(acc02, _mm_mul_pd(av0, b2));
-        acc03 = _mm_add_pd(acc03, _mm_mul_pd(av0, b3));
-        const __m128d av1 = _mm_set1_pd(a1[p]);
-        acc10 = _mm_add_pd(acc10, _mm_mul_pd(av1, b0));
-        acc11 = _mm_add_pd(acc11, _mm_mul_pd(av1, b1));
-        acc12 = _mm_add_pd(acc12, _mm_mul_pd(av1, b2));
-        acc13 = _mm_add_pd(acc13, _mm_mul_pd(av1, b3));
-      }
-      _mm_storeu_pd(c0, acc00);
-      _mm_storeu_pd(c0 + 2, acc01);
-      _mm_storeu_pd(c0 + 4, acc02);
-      _mm_storeu_pd(c0 + 6, acc03);
-      _mm_storeu_pd(c1, acc10);
-      _mm_storeu_pd(c1 + 2, acc11);
-      _mm_storeu_pd(c1 + 4, acc12);
-      _mm_storeu_pd(c1 + 6, acc13);
-    }
-    for (; i < r1; ++i) {
-      double* c0 = c + i * ldc;
-      __m128d acc0 = _mm_loadu_pd(c0);
-      __m128d acc1 = _mm_loadu_pd(c0 + 2);
-      __m128d acc2 = _mm_loadu_pd(c0 + 4);
-      __m128d acc3 = _mm_loadu_pd(c0 + 6);
-      const double* a0 = a + i * lda;
-      for (size_t p = 0; p < k; ++p) {
-        const double* b_row = panel + p * kPanelWidth;
-        const __m128d av = _mm_set1_pd(a0[p]);
-        acc0 = _mm_add_pd(acc0, _mm_mul_pd(av, _mm_loadu_pd(b_row)));
-        acc1 = _mm_add_pd(acc1, _mm_mul_pd(av, _mm_loadu_pd(b_row + 2)));
-        acc2 = _mm_add_pd(acc2, _mm_mul_pd(av, _mm_loadu_pd(b_row + 4)));
-        acc3 = _mm_add_pd(acc3, _mm_mul_pd(av, _mm_loadu_pd(b_row + 6)));
-      }
-      _mm_storeu_pd(c0, acc0);
-      _mm_storeu_pd(c0 + 2, acc1);
-      _mm_storeu_pd(c0 + 4, acc2);
-      _mm_storeu_pd(c0 + 6, acc3);
-    }
-    return;
-  }
-  // Column-tail panel: stage the row segment in a zero-padded buffer, run the
-  // full-width kernel arithmetic, and copy back only the live columns. The
-  // per-live-element operation sequence is identical to the full-panel case.
-  for (size_t i = r0; i < r1; ++i) {
-    double tmp[kPanelWidth] = {0, 0, 0, 0, 0, 0, 0, 0};
-    double* c0 = c + i * ldc;
-    for (size_t j = 0; j < w; ++j) {
-      tmp[j] = c0[j];
-    }
-    __m128d acc0 = _mm_loadu_pd(tmp);
-    __m128d acc1 = _mm_loadu_pd(tmp + 2);
-    __m128d acc2 = _mm_loadu_pd(tmp + 4);
-    __m128d acc3 = _mm_loadu_pd(tmp + 6);
-    const double* a0 = a + i * lda;
-    for (size_t p = 0; p < k; ++p) {
-      const double* b_row = panel + p * kPanelWidth;
-      const __m128d av = _mm_set1_pd(a0[p]);
-      acc0 = _mm_add_pd(acc0, _mm_mul_pd(av, _mm_loadu_pd(b_row)));
-      acc1 = _mm_add_pd(acc1, _mm_mul_pd(av, _mm_loadu_pd(b_row + 2)));
-      acc2 = _mm_add_pd(acc2, _mm_mul_pd(av, _mm_loadu_pd(b_row + 4)));
-      acc3 = _mm_add_pd(acc3, _mm_mul_pd(av, _mm_loadu_pd(b_row + 6)));
-    }
-    _mm_storeu_pd(tmp, acc0);
-    _mm_storeu_pd(tmp + 2, acc1);
-    _mm_storeu_pd(tmp + 4, acc2);
-    _mm_storeu_pd(tmp + 6, acc3);
-    for (size_t j = 0; j < w; ++j) {
-      c0[j] = tmp[j];
-    }
-  }
-}
-
-void GemmPackedRowsSse2(size_t r0, size_t r1, size_t n, size_t k,
-                        const double* a, size_t lda, const double* packed,
-                        double* c, size_t ldc) {
-  for (size_t j0 = 0; j0 < n; j0 += kPanelWidth) {
-    const size_t w = std::min(kPanelWidth, n - j0);
-    const double* panel = packed + (j0 / kPanelWidth) * k * kPanelWidth;
-    GemmPanelSse2(r0, r1, w, k, a, lda, panel, c + j0, ldc);
-  }
-}
-
-// R rows of a (leading dimension k) times one packed panel over p < k,
-// summed from +0.0 into four 2-wide accumulators per row.
-template <size_t R>
-void PanelSumSse2(const double* a, size_t k, const double* panel,
-                  __m128d (&acc)[R][4]) {
-  for (size_t t = 0; t < R; ++t) {
-    for (size_t v = 0; v < 4; ++v) {
-      acc[t][v] = _mm_setzero_pd();
-    }
-  }
-  for (size_t p = 0; p < k; ++p) {
-    const double* b_row = panel + p * kPanelWidth;
-    __m128d b[4];
-    for (size_t v = 0; v < 4; ++v) {
-      b[v] = _mm_loadu_pd(b_row + 2 * v);
-    }
-    for (size_t t = 0; t < R; ++t) {
-      const __m128d av = _mm_set1_pd(a[t * k + p]);
-      for (size_t v = 0; v < 4; ++v) {
-        acc[t][v] = _mm_add_pd(acc[t][v], _mm_mul_pd(av, b[v]));
-      }
-    }
-  }
-}
-
-// Pre-activations of rows [i, i + R) in the first `vecs` 2-wide column
-// pairs of one panel: x*W_x is parked in the output while h*W_h is summed in
-// registers, then (xW_x + hW_h) + b.
-template <size_t R>
-void GateTileSse2(size_t i, size_t vecs, const LstmStepWeights& w,
-                  const double* px, const double* ph, const double* x,
-                  const double* h, const double* b, double* g, size_t n) {
-  __m128d acc[R][4];
-  PanelSumSse2<R>(x + i * w.in_dim, w.in_dim, px, acc);
-  for (size_t t = 0; t < R; ++t) {
-    for (size_t v = 0; v < vecs; ++v) {
-      _mm_storeu_pd(g + (i + t) * n + 2 * v, acc[t][v]);
-    }
-  }
-  PanelSumSse2<R>(h + i * w.hidden, w.hidden, ph, acc);
-  for (size_t t = 0; t < R; ++t) {
-    double* g_row = g + (i + t) * n;
-    for (size_t v = 0; v < vecs; ++v) {
-      const __m128d xw = _mm_loadu_pd(g_row + 2 * v);
-      _mm_storeu_pd(g_row + 2 * v,
-                    _mm_add_pd(_mm_add_pd(xw, acc[t][v]),
-                               _mm_loadu_pd(b + 2 * v)));
-    }
-  }
-}
-
-void LstmGatesSse2(size_t r0, size_t r1, const LstmStepWeights& w,
-                   const double* x, const double* h, double* gates) {
-  const size_t n = 4 * w.hidden;
-  for (size_t j0 = 0; j0 < n; j0 += kPanelWidth) {
-    // n = 4H, so a panel holds 8 live columns or, last, 4.
-    const size_t vecs = std::min(kPanelWidth, n - j0) / 2;
-    const size_t panel = j0 / kPanelWidth;
-    const double* px = w.wx_packed + panel * w.in_dim * kPanelWidth;
-    const double* ph = w.wh_packed + panel * w.hidden * kPanelWidth;
-    size_t i = r0;
-    for (; i + 2 <= r1; i += 2) {
-      GateTileSse2<2>(i, vecs, w, px, ph, x, h, w.bias + j0, gates + j0, n);
-    }
-    for (; i < r1; ++i) {
-      GateTileSse2<1>(i, vecs, w, px, ph, x, h, w.bias + j0, gates + j0, n);
-    }
-  }
-}
-
-void AxpySse2(size_t n, double alpha, const double* x, double* y) {
-  const __m128d av = _mm_set1_pd(alpha);
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    _mm_storeu_pd(
-        y + i, _mm_add_pd(_mm_loadu_pd(y + i),
-                          _mm_mul_pd(av, _mm_loadu_pd(x + i))));
-  }
-  for (; i < n; ++i) {
-    y[i] += alpha * x[i];
-  }
-}
-
-#endif  // RPAS_KERNELS_HAVE_SSE2
-
 }  // namespace
 
 // ------------------------------------------------------------ entry points ---
@@ -626,12 +405,6 @@ void GemmPackedRows(SimdLevel level, size_t r0, size_t r1, size_t n, size_t k,
 #if RPAS_KERNELS_HAVE_AVX2
   if (level == SimdLevel::kAvx2) {
     avx2::GemmPackedRows(r0, r1, n, k, a, lda, packed, c, ldc);
-    return;
-  }
-#endif
-#if RPAS_KERNELS_HAVE_SSE2
-  if (level >= SimdLevel::kSse2) {
-    GemmPackedRowsSse2(r0, r1, n, k, a, lda, packed, c, ldc);
     return;
   }
 #endif
@@ -795,12 +568,6 @@ void Axpy(SimdLevel level, size_t n, double alpha, const double* x,
     return;
   }
 #endif
-#if RPAS_KERNELS_HAVE_SSE2
-  if (level >= SimdLevel::kSse2) {
-    AxpySse2(n, alpha, x, y);
-    return;
-  }
-#endif
   (void)level;
   for (size_t i = 0; i < n; ++i) {
     y[i] += alpha * x[i];
@@ -813,7 +580,6 @@ double Dot(SimdLevel level, size_t n, const double* x, const double* y) {
     return avx2::Dot(n, x, y);
   }
 #endif
-  // SSE2 keeps the scalar reduction order (bit-identity contract).
   (void)level;
   double s = 0.0;
   for (size_t i = 0; i < n; ++i) {
@@ -898,18 +664,8 @@ void LstmStep(SimdLevel level, size_t batch, const LstmStepWeights& weights,
       return;
     }
 #endif
-#if RPAS_KERNELS_HAVE_SSE2
-    if (level >= SimdLevel::kSse2) {
-      LstmGatesSse2(r0, r1, weights, x, h_prev, gates);
-    } else {
-      LstmGatesScalar(r0, r1, weights, x, h_prev, gates);
-    }
-#else
-    LstmGatesScalar(r0, r1, weights, x, h_prev, gates);
-#endif
-    // SSE2 runs the scalar cell: it is transcendental-bound and the scalar
-    // formulas are the bit-identity reference.
     (void)level;
+    LstmGatesScalar(r0, r1, weights, x, h_prev, gates);
     LstmCellScalar(r0, r1, hidden, gates, c_prev, ldcp, h_out, ldh, c_out,
                    ldc, tanh_c);
   });

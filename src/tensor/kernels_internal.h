@@ -1,7 +1,7 @@
 #ifndef RPAS_TENSOR_KERNELS_INTERNAL_H_
 #define RPAS_TENSOR_KERNELS_INTERNAL_H_
 
-// Internal contract between kernels.cc (dispatch + scalar + SSE2) and
+// Internal contract between kernels.cc (dispatch + scalar reference) and
 // kernels_avx2.cc (AVX2+FMA bodies compiled via function target attributes).
 // Not installed / not for use outside src/tensor.
 
@@ -15,12 +15,6 @@
 #define RPAS_KERNELS_HAVE_AVX2 1
 #else
 #define RPAS_KERNELS_HAVE_AVX2 0
-#endif
-
-#if defined(__x86_64__)
-#define RPAS_KERNELS_HAVE_SSE2 1
-#else
-#define RPAS_KERNELS_HAVE_SSE2 0
 #endif
 
 #if RPAS_KERNELS_HAVE_AVX2

@@ -1,5 +1,5 @@
 # Runs one command and checks its exit status and stderr, for the rpas CLI
-# tests in tests/CMakeLists.txt:
+# and RPAS_SIMD tests in tests/CMakeLists.txt:
 #   cmake -DSTATUS=<code> -DSTDERR=<regex> -P cli_expect.cmake -- <cmd> [args]
 set(cmd)
 set(after_dashes FALSE)

@@ -226,11 +226,8 @@ class ThreadOverrideGuard {
 
 std::vector<kernels::SimdLevel> SupportedLevels() {
   std::vector<kernels::SimdLevel> levels = {kernels::SimdLevel::kScalar};
-  for (kernels::SimdLevel l :
-       {kernels::SimdLevel::kSse2, kernels::SimdLevel::kAvx2}) {
-    if (kernels::LevelSupported(l)) {
-      levels.push_back(l);
-    }
+  if (kernels::LevelSupported(kernels::SimdLevel::kAvx2)) {
+    levels.push_back(kernels::SimdLevel::kAvx2);
   }
   return levels;
 }

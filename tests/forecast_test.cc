@@ -10,6 +10,7 @@
 #include "forecast/arima.h"
 #include "forecast/deepar.h"
 #include "forecast/forecaster.h"
+#include "forecast/holt_winters.h"
 #include "forecast/mlp.h"
 #include "forecast/qb5000.h"
 #include "forecast/seasonal_naive.h"
@@ -47,8 +48,8 @@ ForecastInput InputFromTail(const ts::TimeSeries& s, size_t context) {
 }
 
 /// One NaN, +Inf or -Inf in an otherwise valid context must be rejected as
-/// InvalidArgument naming its index by Predict, PredictSeeded and
-/// PredictBatch (whose other request is valid), not forecast.
+/// InvalidArgument naming its index by Predict, PredictSeeded, PredictBatch
+/// (whose other request is valid) and PredictPoint, not forecast.
 void ExpectNonFiniteContextRejected(const Forecaster& model,
                                     const ForecastInput& good) {
   ASSERT_TRUE(model.Predict(good).ok());
@@ -64,7 +65,8 @@ void ExpectNonFiniteContextRejected(const Forecaster& model,
     const Status statuses[] = {
         model.Predict(input).status(),
         model.PredictSeeded(input, 5).status(),
-        model.PredictBatch({good, input}, {1, 2}).status()};
+        model.PredictBatch({good, input}, {1, 2}).status(),
+        model.PredictPoint(input).status()};
     for (const Status& status : statuses) {
       EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << what;
       EXPECT_NE(status.message().find(index), std::string::npos)
@@ -161,6 +163,32 @@ TEST(SeasonalNaiveTest, NoisierSeriesWiderIntervals) {
   EXPECT_GT(fit_width(2.0), fit_width(0.2));
 }
 
+TEST(SeasonalNaiveTest, NonFiniteContextRejectedOnEveryPath) {
+  const ts::TimeSeries s = SineSeries(5 * kDay, /*noise=*/0.3, 13);
+  SeasonalNaiveForecaster::Options options;
+  options.context_length = kDay;
+  options.horizon = 12;
+  options.season = kDay;
+  SeasonalNaiveForecaster model(options);
+  ASSERT_TRUE(model.Fit(s).ok());
+  // The 12-step forecast reads only context[0..11] and the last value, so
+  // only the entry check can see the bad value at context[72].
+  ExpectNonFiniteContextRejected(model, InputFromTail(s, kDay));
+}
+
+// ------------------------------------------------------------ HoltWinters ---
+
+TEST(HoltWintersTest, NonFiniteContextRejectedOnEveryPath) {
+  const ts::TimeSeries s = SineSeries(6 * kDay, /*noise=*/0.1, 14);
+  HoltWintersForecaster::Options options;
+  options.context_length = 2 * kDay;
+  options.horizon = 12;
+  options.season = kDay;
+  HoltWintersForecaster model(options);
+  ASSERT_TRUE(model.Fit(s).ok());
+  ExpectNonFiniteContextRejected(model, InputFromTail(s, 2 * kDay));
+}
+
 // ------------------------------------------------------------------ ARIMA ---
 
 TEST(ArimaTest, RecoversAr2Coefficients) {
@@ -231,6 +259,14 @@ TEST(ArimaTest, RequiresFitBeforePredict) {
   input.context.assign(72, 1.0);
   EXPECT_EQ(model.Predict(input).status().code(),
             StatusCode::kFailedPrecondition);
+}
+
+TEST(ArimaTest, NonFiniteContextRejectedOnEveryPath) {
+  const ts::TimeSeries s = SineSeries(4 * kDay, /*noise=*/0.3, 12);
+  ArimaForecaster model({});
+  ASSERT_TRUE(model.Fit(s).ok());
+  ExpectNonFiniteContextRejected(model,
+                                 InputFromTail(s, model.ContextLength()));
 }
 
 TEST(ArimaTest, RejectsTooShortTrainingSeries) {
@@ -538,6 +574,10 @@ TEST_F(TftFixture, UpperQuantileAboveLower) {
   EXPECT_GT(spread / static_cast<double>(n), 0.05);
 }
 
+TEST_F(TftFixture, NonFiniteContextRejectedOnEveryPath) {
+  ExpectNonFiniteContextRejected(*model_, InputFromTail(train_, kContext));
+}
+
 TEST(TftPointTest, SingleLevelActsAsPointForecaster) {
   ts::TimeSeries series = SineSeries(3 * kDay, 0.3, 10);
   TftForecaster::Options options;
@@ -615,6 +655,11 @@ TEST_F(Qb5000Fixture, PredictExposesSingleLevel) {
   auto fc = model_->Predict(InputFromTail(train_, kContext));
   ASSERT_TRUE(fc.ok());
   EXPECT_EQ(fc->Levels(), (std::vector<double>{0.5}));
+}
+
+// QB5000 overrides PredictPoint, which the helper calls too.
+TEST_F(Qb5000Fixture, NonFiniteContextRejectedOnEveryPath) {
+  ExpectNonFiniteContextRejected(*model_, InputFromTail(train_, kContext));
 }
 
 TEST_F(Qb5000Fixture, KernelComponentInterpolatesTrainingData) {

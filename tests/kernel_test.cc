@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -50,10 +51,8 @@ uint64_t UlpDistance(double a, double b) {
 /// Every level that can actually execute on this machine, scalar first.
 std::vector<SimdLevel> SupportedLevels() {
   std::vector<SimdLevel> levels = {SimdLevel::kScalar};
-  for (SimdLevel l : {SimdLevel::kSse2, SimdLevel::kAvx2}) {
-    if (LevelSupported(l)) {
-      levels.push_back(l);
-    }
+  if (LevelSupported(SimdLevel::kAvx2)) {
+    levels.push_back(SimdLevel::kAvx2);
   }
   return levels;
 }
@@ -92,8 +91,20 @@ TEST(KernelDispatchTest, ScalarLevelAlwaysAvailable) {
 
 TEST(KernelDispatchTest, LevelNames) {
   EXPECT_STREQ("scalar", LevelName(SimdLevel::kScalar));
-  EXPECT_STREQ("sse2", LevelName(SimdLevel::kSse2));
   EXPECT_STREQ("avx2", LevelName(SimdLevel::kAvx2));
+}
+
+// The default level comes from this process's RPAS_SIMD: "scalar" pins the
+// reference, and unset, "avx2" or any other value gives the best supported
+// level. ctest also runs this under RPAS_SIMD=sse2, which names no level and
+// must be ignored with a warning.
+TEST(KernelDispatchTest, ActiveLevelFollowsRpasSimd) {
+  const char* env = std::getenv("RPAS_SIMD");
+  const SimdLevel best = LevelSupported(SimdLevel::kAvx2) ? SimdLevel::kAvx2
+                                                          : SimdLevel::kScalar;
+  const bool scalar = env != nullptr && std::strcmp(env, "scalar") == 0;
+  EXPECT_EQ(scalar ? SimdLevel::kScalar : best, ActiveLevel())
+      << "RPAS_SIMD=" << (env != nullptr ? env : "(unset)");
 }
 
 TEST(KernelDispatchTest, ScopedOverrideRestoresPreviousLevel) {
@@ -138,27 +149,6 @@ TEST(GemmParityTest, RaggedShapesWithinConditionBound) {
               << s.n << " at (" << i << "," << j << ")";
         }
       }
-    }
-  }
-}
-
-TEST(GemmParityTest, Sse2BitIdenticalToScalar) {
-  if (!LevelSupported(SimdLevel::kSse2)) {
-    GTEST_SKIP() << "SSE2 not supported on this machine";
-  }
-  Rng rng(0xB0B);
-  for (const GemmShape& s : kGemmShapes) {
-    Matrix a(s.m, s.k);
-    Matrix b(s.k, s.n);
-    FillUniform(&a, &rng, -3.0, 3.0);
-    FillUniform(&b, &rng, -3.0, 3.0);
-    const Matrix ref = GemmScalarRef(a, b);
-    ScopedSimdLevel scoped(SimdLevel::kSse2);
-    Matrix c(s.m, s.n);
-    MatMulInto(a, b, &c);
-    for (size_t i = 0; i < c.size(); ++i) {
-      EXPECT_EQ(ref[i], c[i]) << "sse2 gemm diverged at flat index " << i
-                              << " for " << s.m << "x" << s.k << "x" << s.n;
     }
   }
 }
@@ -323,9 +313,6 @@ TEST(VectorOpsTest, AxpyWithinFmaBoundOfScalar) {
             2.0 * kEps * (std::fabs(alpha * x[i]) + std::fabs(y0[i]));
         EXPECT_LE(std::fabs(y[i] - ref[i]), tol)
             << LevelName(level) << " axpy n=" << n << " i=" << i;
-        if (level == SimdLevel::kSse2) {
-          EXPECT_EQ(ref[i], y[i]) << "sse2 axpy must be bit-identical";
-        }
       }
     }
   }
@@ -352,11 +339,6 @@ TEST(VectorOpsTest, ReductionsWithinConditionBoundOfScalar) {
           << LevelName(level) << " dot n=" << n;
       EXPECT_LE(std::fabs(Sum(level, n, x.data()) - ref_sum), tol_sum)
           << LevelName(level) << " sum n=" << n;
-      if (level == SimdLevel::kSse2) {
-        // SSE2 keeps the scalar reduction order.
-        EXPECT_EQ(ref_dot, Dot(level, n, x.data(), y.data()));
-        EXPECT_EQ(ref_sum, Sum(level, n, x.data()));
-      }
     }
   }
 }
@@ -392,14 +374,6 @@ TEST(ElementwiseTest, TranscendentalsWithinFourUlpOfScalar) {
       EXPECT_LE(UlpDistance(ref[i], out[i]), 4u)
           << LevelName(level) << " sigmoid(" << xs[i] << ") = " << out[i]
           << " vs " << ref[i];
-    }
-    if (level == SimdLevel::kSse2) {
-      // SSE2 routes transcendentals to the scalar formulas.
-      EwTanh(level, n, xs.data(), out.data());
-      EwTanh(SimdLevel::kScalar, n, xs.data(), ref.data());
-      for (size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(ref[i], out[i]);
-      }
     }
   }
 }
