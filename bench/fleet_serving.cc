@@ -13,8 +13,7 @@
 // (BatchEngine's determinism contract); the bench asserts this.
 //
 // A contended all-warm section times hit-only serving with one registry
-// shared across shards (the snapshot registry's lock-free Acquire path)
-// and reports the registry lock-probe delta alongside throughput.
+// shared across shards, every Acquire taking the registry's one mutex.
 // --json=PATH writes a machine-readable summary for the CI smoke step.
 
 #include <algorithm>
@@ -163,7 +162,6 @@ struct JsonRow {
   uint64_t misses = 0;
   uint64_t loads = 0;
   double speedup = 0.0;
-  uint64_t mutex_locks = 0;
 };
 
 void WriteJson(const std::string& path, const std::vector<JsonRow>& rows,
@@ -182,13 +180,12 @@ void WriteJson(const std::string& path, const std::vector<JsonRow>& rows,
                "\"threads\":%d,\"mode\":\"%s\",\"ms\":%.4f,"
                "\"req_per_s\":%.2f,\"cache_hits\":%llu,"
                "\"cache_misses\":%llu,\"ckpt_loads\":%llu,"
-               "\"speedup\":%.4f,\"mutex_locks\":%llu}",
+               "\"speedup\":%.4f}",
                r.section.c_str(), r.tenants, r.shards, r.threads,
                r.mode.c_str(), r.millis, r.req_per_s,
                static_cast<unsigned long long>(r.hits),
                static_cast<unsigned long long>(r.misses),
-               static_cast<unsigned long long>(r.loads), r.speedup,
-               static_cast<unsigned long long>(r.mutex_locks));
+               static_cast<unsigned long long>(r.loads), r.speedup);
   }
   out << StrFormat("],\"identical\":%s}\n", identical ? "true" : "false");
 }
@@ -245,12 +242,9 @@ CellResult RunCell(const VersionSet& set, size_t tenants, int threads,
 /// All-warm, hit-only contended cell: ONE registry shared by every shard,
 /// warmed by acquiring each version once before timing, so the timed runs
 /// never miss — every shard's Acquire() is a concurrent warm hit on the
-/// same snapshot. `lock_delta` returns the registry lock-probe delta
-/// across the timed runs: warm hits take no mutex, so the residue is the
-/// per-run CacheStats snapshot, not the serving path.
+/// same registry mutex.
 CellResult RunWarmCell(const VersionSet& set, size_t tenants, int threads,
-                       size_t shards, bool batched, size_t rounds,
-                       uint64_t* lock_delta) {
+                       size_t shards, bool batched, size_t rounds) {
   constexpr int kTimingReps = 3;
   SetRpasThreads(threads);
   serve::FleetOptions fleet_options;
@@ -268,7 +262,6 @@ CellResult RunWarmCell(const VersionSet& set, size_t tenants, int threads,
     RPAS_CHECK(model.ok()) << model.status().ToString();
   }
   CellResult cell;
-  const uint64_t locks_before = registry->MutexAcquisitions();
   for (int rep = 0; rep < kTimingReps; ++rep) {
     const double millis = TimedMillis("fleet.serve_warm", 1, [&] {
       auto result = serve::RunFleet(registry.get(), set.models, fleet_options);
@@ -277,7 +270,6 @@ CellResult RunWarmCell(const VersionSet& set, size_t tenants, int threads,
     });
     cell.millis = rep == 0 ? millis : std::min(cell.millis, millis);
   }
-  *lock_delta = registry->MutexAcquisitions() - locks_before;
   SetRpasThreads(0);
   return cell;
 }
@@ -318,8 +310,7 @@ void RunFleetServing(const BenchOptions& options, size_t only_tenants,
   std::vector<JsonRow> json_rows;
   auto record_json = [&](const std::string& section, size_t tenants,
                          size_t shards, int threads, const std::string& mode,
-                         const CellResult& cell, double speedup,
-                         uint64_t mutex_locks) {
+                         const CellResult& cell, double speedup) {
     JsonRow row;
     row.section = section;
     row.tenants = tenants;
@@ -332,7 +323,6 @@ void RunFleetServing(const BenchOptions& options, size_t only_tenants,
     row.misses = static_cast<uint64_t>(cell.fleet.cache.misses);
     row.loads = static_cast<uint64_t>(cell.fleet.cache.loads);
     row.speedup = speedup;
-    row.mutex_locks = mutex_locks;
     json_rows.push_back(std::move(row));
   };
   for (size_t tenants : tenant_counts) {
@@ -361,7 +351,7 @@ void RunFleetServing(const BenchOptions& options, size_t only_tenants,
                       StrFormat("%lld", static_cast<long long>(cell.fleet.cache.misses)),
                       StrFormat("%lld", static_cast<long long>(cell.fleet.cache.loads)),
                       speedup > 0.0 ? Num(speedup) : std::string("-")});
-        record_json("grid", tenants, 1, threads, mode, cell, speedup, 0);
+        record_json("grid", tenants, 1, threads, mode, cell, speedup);
       };
       add_row("unbatched", unbatched, 0.0);
       add_row("batched", batched,
@@ -390,7 +380,7 @@ void RunFleetServing(const BenchOptions& options, size_t only_tenants,
                     StrFormat("%lld", static_cast<long long>(cell.fleet.cache.loads)),
                     speedup > 0.0 ? Num(speedup) : std::string("-")});
       record_json("all_warm", tenants, 1, 1, StrFormat("%s/all-warm", mode),
-                  cell, speedup, 0);
+                  cell, speedup);
     };
     add_row("unbatched", unbatched, 0.0);
     add_row("batched", batched,
@@ -407,11 +397,7 @@ void RunFleetServing(const BenchOptions& options, size_t only_tenants,
 
   // Contended hit path: one registry shared by every shard, every version
   // warm before timing, so the serving loop is 100% warm hits racing on
-  // the same snapshot — the configuration the lock-free Acquire() exists
-  // for (pre-snapshot, these cells serialized on the registry mutex). The
-  // mutex_locks column is the registry lock-probe delta across the timed
-  // runs: it stays flat in the shard count because warm hits take no lock
-  // (the residue is the per-run CacheStats snapshot).
+  // the registry's one mutex.
   {
     const size_t tenants = tenant_counts.back();
     std::vector<size_t> contended_shards{1, 2, 4};
@@ -420,14 +406,12 @@ void RunFleetServing(const BenchOptions& options, size_t only_tenants,
     }
     TablePrinter contended({"tenants", "shards", "threads", "mode", "ms/run",
                             "req/s", "cache_hits", "cache_misses",
-                            "mutex_locks", "speedup_vs_serial"});
+                            "speedup_vs_serial"});
     CellResult serial;
     for (size_t shards : contended_shards) {
       const int threads = static_cast<int>(shards);
-      uint64_t lock_delta = 0;
       const CellResult cell = RunWarmCell(set, tenants, threads, shards,
-                                          /*batched=*/true, rounds,
-                                          &lock_delta);
+                                          /*batched=*/true, rounds);
       if (shards == contended_shards.front()) {
         serial = cell;
       }
@@ -444,10 +428,9 @@ void RunFleetServing(const BenchOptions& options, size_t only_tenants,
            Num(ReqPerSec(cell)),
            StrFormat("%lld", static_cast<long long>(cell.fleet.cache.hits)),
            StrFormat("%lld", static_cast<long long>(cell.fleet.cache.misses)),
-           StrFormat("%llu", static_cast<unsigned long long>(lock_delta)),
            Num(speedup)});
       record_json("all_warm_contended", tenants, shards, threads,
-                  "batched/all-warm", cell, speedup, lock_delta);
+                  "batched/all-warm", cell, speedup);
     }
     contended.Print(StrFormat(
         "Contended all-warm hit path (shared registry, %zu rounds)",
@@ -501,8 +484,7 @@ void RunFleetServing(const BenchOptions& options, size_t only_tenants,
                                : std::string("-")});
         record_json("shard_scaling", tenants, shards, threads, "batched",
                     cell,
-                    cell.millis > 0.0 ? serial.millis / cell.millis : 0.0,
-                    0);
+                    cell.millis > 0.0 ? serial.millis / cell.millis : 0.0);
       }
     }
     scaling.Print(StrFormat(

@@ -185,37 +185,17 @@ Result<OnlineLoopResult> RunOnlineLoop(const RobustAutoScalingManager& manager,
                 {"online.degraded_steps", result.degraded_steps},
                 {"online.fault_events", result.fault_events.size()}});
   if (streaming) {
-    const stream::RefreshStats& refresh = result.refresh;
     obs::IncrementCounters(
-        metrics,
-        {{"stream.ingested", result.points_ingested},
-         {"stream.dropped", result.points_dropped},
-         {"stream.pending", result.points_pending},
-         {"stream.refresh.recursive_updates", refresh.recursive_updates},
-         {"stream.refresh.fine_tunes", refresh.fine_tunes},
-         {"stream.refresh.gradient_steps", refresh.gradient_steps},
-         {"stream.refresh.resyncs", refresh.resyncs},
-         {"stream.refresh.fallback_retrains", refresh.full_retrains},
-         {"online.ingest_stall_steps", result.ingest_stall_steps},
-         {"online.ingest_bursts", result.ingest_bursts}});
+        metrics, {{"stream.ingested", result.points_ingested},
+                  {"stream.dropped", result.points_dropped},
+                  {"stream.pending", result.points_pending},
+                  {"online.ingest_stall_steps", result.ingest_stall_steps},
+                  {"online.ingest_bursts", result.ingest_bursts}});
   }
-  if (selecting) {
-    const select::SelectorStats& sel = result.selection.selector;
-    const select::PreScalerStats& pre = result.selection.prescaler;
-    obs::IncrementCounters(
-        metrics,
-        {{"select.rounds", sel.rounds},
-         {"select.switches", sel.switches},
-         {"select.promotions", sel.promotions},
-         {"select.probe_demotions", sel.probe_demotions},
-         {"select.fault_demotions", sel.fault_demotions},
-         {"select.drift_demotions", sel.drift_demotions},
-         {"select.prescale.spikes_detected", pre.spikes_detected},
-         {"select.prescale.activations", pre.activations},
-         {"select.prescale.rollbacks", pre.rollbacks},
-         {"select.prescale.timeout_rollbacks", pre.timeout_rollbacks},
-         {"select.prescale.floor_raised_steps", pre.floor_raised_steps}});
-  }
+  IncrementControlCounters(
+      metrics, streaming ? &result.refresh : nullptr,
+      selecting ? &result.selection.selector : nullptr,
+      selecting ? &result.selection.prescaler : nullptr);
   return result;
 }
 

@@ -371,4 +371,41 @@ obs::ScalingDecision MakeScalingDecision(const simdb::StepStats& stats,
   return d;
 }
 
+void IncrementControlCounters(obs::MetricsRegistry* metrics,
+                              const stream::RefreshStats* refresh,
+                              const select::SelectorStats* selector,
+                              const select::PreScalerStats* prescaler) {
+  if (refresh != nullptr) {
+    obs::IncrementCounters(
+        metrics,
+        {{"stream.refresh.refreshes", refresh->refreshes},
+         {"stream.refresh.points_consumed", refresh->points_consumed},
+         {"stream.refresh.recursive_updates", refresh->recursive_updates},
+         {"stream.refresh.fine_tunes", refresh->fine_tunes},
+         {"stream.refresh.gradient_steps", refresh->gradient_steps},
+         {"stream.refresh.resyncs", refresh->resyncs},
+         {"stream.refresh.full_retrains", refresh->full_retrains}});
+  }
+  if (selector != nullptr) {
+    obs::IncrementCounters(
+        metrics, {{"select.rounds", selector->rounds},
+                  {"select.switches", selector->switches},
+                  {"select.promotions", selector->promotions},
+                  {"select.probe_demotions", selector->probe_demotions},
+                  {"select.fault_demotions", selector->fault_demotions},
+                  {"select.drift_demotions", selector->drift_demotions}});
+  }
+  if (prescaler != nullptr) {
+    obs::IncrementCounters(
+        metrics,
+        {{"select.prescale.plans_observed", prescaler->plans_observed},
+         {"select.prescale.spikes_detected", prescaler->spikes_detected},
+         {"select.prescale.activations", prescaler->activations},
+         {"select.prescale.rollbacks", prescaler->rollbacks},
+         {"select.prescale.timeout_rollbacks", prescaler->timeout_rollbacks},
+         {"select.prescale.floor_raised_steps",
+          prescaler->floor_raised_steps}});
+  }
+}
+
 }  // namespace rpas::core

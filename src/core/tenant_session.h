@@ -262,6 +262,17 @@ class TenantSession {
 obs::ScalingDecision MakeScalingDecision(const simdb::StepStats& stats,
                                          std::string run);
 
+/// Adds a driver's refresh and selection totals to their deterministic
+/// counters on `metrics`, each row named after its stats field:
+/// `stream.refresh.*` from `refresh`, `select.*` from `selector` and
+/// `select.prescale.*` from `prescaler`; a null pointer adds no rows. The
+/// loop and the fleet both mirror through here, so one quantity has one
+/// name whichever driver ran it.
+void IncrementControlCounters(obs::MetricsRegistry* metrics,
+                              const stream::RefreshStats* refresh,
+                              const select::SelectorStats* selector,
+                              const select::PreScalerStats* prescaler);
+
 }  // namespace rpas::core
 
 #endif  // RPAS_CORE_TENANT_SESSION_H_

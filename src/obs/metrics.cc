@@ -65,34 +65,23 @@ void Gauge::Max(double value) {
 }
 
 Histogram::Histogram(const std::atomic<bool>* enabled,
-                     std::vector<double> bounds, bool deterministic,
-                     bool striped)
+                     std::vector<double> bounds, bool deterministic)
     : bounds_(std::move(bounds)),
-      counts_(new std::atomic<uint64_t>[bounds_.size() + 1]),
-      min_(std::numeric_limits<double>::infinity()),
-      max_(-std::numeric_limits<double>::infinity()),
+      // Pad each stripe's bucket block to a whole number of cache lines
+      // (8 x 8-byte atomics) so stripes never share a line.
+      stride_((bounds_.size() + 1 + 7) / 8 * 8),
+      counts_(new std::atomic<uint64_t>[stride_ * internal::kMetricStripes]),
+      stripes_(new internal::HistogramStripe[internal::kMetricStripes]),
       enabled_(enabled),
       deterministic_(deterministic) {
-  for (size_t i = 0; i <= bounds_.size(); ++i) {
+  for (size_t i = 0; i < stride_ * internal::kMetricStripes; ++i) {
     counts_[i].store(0, std::memory_order_relaxed);
   }
-  if (striped) {
-    // Pad each stripe's bucket block to a whole number of cache lines
-    // (8 x 8-byte atomics) so stripes never share a line.
-    stripe_stride_ = (NumBuckets() + 7) / 8 * 8;
-    stripe_counts_.reset(
-        new std::atomic<uint64_t>[stripe_stride_ * internal::kMetricStripes]);
-    for (size_t i = 0; i < stripe_stride_ * internal::kMetricStripes; ++i) {
-      stripe_counts_[i].store(0, std::memory_order_relaxed);
-    }
-    stripe_scalars_.reset(
-        new internal::HistogramStripe[internal::kMetricStripes]);
-    for (size_t i = 0; i < internal::kMetricStripes; ++i) {
-      stripe_scalars_[i].min.store(std::numeric_limits<double>::infinity(),
-                                   std::memory_order_relaxed);
-      stripe_scalars_[i].max.store(-std::numeric_limits<double>::infinity(),
-                                   std::memory_order_relaxed);
-    }
+  for (size_t i = 0; i < internal::kMetricStripes; ++i) {
+    stripes_[i].min.store(std::numeric_limits<double>::infinity(),
+                          std::memory_order_relaxed);
+    stripes_[i].max.store(-std::numeric_limits<double>::infinity(),
+                          std::memory_order_relaxed);
   }
 }
 
@@ -103,76 +92,54 @@ void Histogram::Observe(double value) {
   const size_t bucket = static_cast<size_t>(
       std::upper_bound(bounds_.begin(), bounds_.end(), value) -
       bounds_.begin());
-  if (stripe_scalars_ != nullptr) {
-    const size_t slot = internal::ThisThreadStripe();
-    stripe_counts_[slot * stripe_stride_ + bucket].fetch_add(
-        1, std::memory_order_relaxed);
-    internal::HistogramStripe& stripe = stripe_scalars_[slot];
-    stripe.count.fetch_add(1, std::memory_order_relaxed);
-    AtomicAdd(&stripe.sum, value);
-    AtomicMin(&stripe.min, value);
-    AtomicMax(&stripe.max, value);
-    return;
-  }
-  counts_[bucket].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  AtomicAdd(&sum_, value);
-  AtomicMin(&min_, value);
-  AtomicMax(&max_, value);
+  const size_t slot = internal::ThisThreadStripe();
+  counts_[slot * stride_ + bucket].fetch_add(1, std::memory_order_relaxed);
+  internal::HistogramStripe& stripe = stripes_[slot];
+  stripe.count.fetch_add(1, std::memory_order_relaxed);
+  AtomicAdd(&stripe.sum, value);
+  AtomicMin(&stripe.min, value);
+  AtomicMax(&stripe.max, value);
 }
 
 uint64_t Histogram::count() const {
-  uint64_t total = count_.load(std::memory_order_relaxed);
-  if (stripe_scalars_ != nullptr) {
-    for (size_t i = 0; i < internal::kMetricStripes; ++i) {
-      total += stripe_scalars_[i].count.load(std::memory_order_relaxed);
-    }
+  uint64_t total = 0;
+  for (size_t i = 0; i < internal::kMetricStripes; ++i) {
+    total += stripes_[i].count.load(std::memory_order_relaxed);
   }
   return total;
 }
 
 double Histogram::sum() const {
-  double total = sum_.load(std::memory_order_relaxed);
-  if (stripe_scalars_ != nullptr) {
-    // Fixed stripe order: deterministic given the per-stripe sums (which
-    // are themselves scheduling-dependent — `sum` stays excluded from
-    // deterministic exports either way).
-    for (size_t i = 0; i < internal::kMetricStripes; ++i) {
-      total += stripe_scalars_[i].sum.load(std::memory_order_relaxed);
-    }
+  // Fixed stripe order: deterministic given the per-stripe sums (which are
+  // themselves scheduling-dependent — `sum` stays excluded from
+  // deterministic exports either way).
+  double total = 0.0;
+  for (size_t i = 0; i < internal::kMetricStripes; ++i) {
+    total += stripes_[i].sum.load(std::memory_order_relaxed);
   }
   return total;
 }
 
 uint64_t Histogram::BucketCount(size_t i) const {
-  uint64_t total = counts_[i].load(std::memory_order_relaxed);
-  if (stripe_scalars_ != nullptr) {
-    for (size_t s = 0; s < internal::kMetricStripes; ++s) {
-      total += stripe_counts_[s * stripe_stride_ + i].load(
-          std::memory_order_relaxed);
-    }
+  uint64_t total = 0;
+  for (size_t s = 0; s < internal::kMetricStripes; ++s) {
+    total += counts_[s * stride_ + i].load(std::memory_order_relaxed);
   }
   return total;
 }
 
 double Histogram::min() const {
-  double result = min_.load(std::memory_order_relaxed);
-  if (stripe_scalars_ != nullptr) {
-    for (size_t i = 0; i < internal::kMetricStripes; ++i) {
-      result = std::min(
-          result, stripe_scalars_[i].min.load(std::memory_order_relaxed));
-    }
+  double result = std::numeric_limits<double>::infinity();
+  for (size_t i = 0; i < internal::kMetricStripes; ++i) {
+    result = std::min(result, stripes_[i].min.load(std::memory_order_relaxed));
   }
   return result;
 }
 
 double Histogram::max() const {
-  double result = max_.load(std::memory_order_relaxed);
-  if (stripe_scalars_ != nullptr) {
-    for (size_t i = 0; i < internal::kMetricStripes; ++i) {
-      result = std::max(
-          result, stripe_scalars_[i].max.load(std::memory_order_relaxed));
-    }
+  double result = -std::numeric_limits<double>::infinity();
+  for (size_t i = 0; i < internal::kMetricStripes; ++i) {
+    result = std::max(result, stripes_[i].max.load(std::memory_order_relaxed));
   }
   return result;
 }
@@ -223,22 +190,12 @@ std::vector<double> DefaultHistogramBounds() {
 
 Counter* MetricsRegistry::GetCounter(const std::string& name,
                                      bool deterministic) {
-  return GetCounterImpl(name, deterministic, /*striped=*/false);
-}
-
-Counter* MetricsRegistry::GetStripedCounter(const std::string& name,
-                                            bool deterministic) {
-  return GetCounterImpl(name, deterministic, /*striped=*/true);
-}
-
-Counter* MetricsRegistry::GetCounterImpl(const std::string& name,
-                                         bool deterministic, bool striped) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = counters_.find(name);
   if (it == counters_.end()) {
     it = counters_
-             .emplace(name, std::unique_ptr<Counter>(new Counter(
-                                &enabled_, deterministic, striped)))
+             .emplace(name, std::unique_ptr<Counter>(
+                                new Counter(&enabled_, deterministic)))
              .first;
   }
   return it->second.get();
@@ -260,21 +217,6 @@ Gauge* MetricsRegistry::GetGauge(const std::string& name,
 Histogram* MetricsRegistry::GetHistogram(const std::string& name,
                                          std::vector<double> bounds,
                                          bool deterministic) {
-  return GetHistogramImpl(name, std::move(bounds), deterministic,
-                          /*striped=*/false);
-}
-
-Histogram* MetricsRegistry::GetStripedHistogram(const std::string& name,
-                                                std::vector<double> bounds,
-                                                bool deterministic) {
-  return GetHistogramImpl(name, std::move(bounds), deterministic,
-                          /*striped=*/true);
-}
-
-Histogram* MetricsRegistry::GetHistogramImpl(const std::string& name,
-                                             std::vector<double> bounds,
-                                             bool deterministic,
-                                             bool striped) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
@@ -282,10 +224,8 @@ Histogram* MetricsRegistry::GetHistogramImpl(const std::string& name,
       bounds = DefaultHistogramBounds();
     }
     it = histograms_
-             .emplace(name,
-                      std::unique_ptr<Histogram>(new Histogram(
-                          &enabled_, std::move(bounds), deterministic,
-                          striped)))
+             .emplace(name, std::unique_ptr<Histogram>(new Histogram(
+                                &enabled_, std::move(bounds), deterministic)))
              .first;
   }
   return it->second.get();

@@ -15,7 +15,7 @@ namespace rpas::obs {
 
 namespace internal {
 
-/// Number of per-thread stripes for striped instruments (power of two).
+/// Stripes per counter and histogram (a power of two).
 /// Threads hash onto stripes by a stable per-thread slot id, so with up to
 /// kMetricStripes concurrent threads every writer owns a private cache
 /// line; beyond that, slots are shared but remain correct (atomics).
@@ -32,8 +32,8 @@ struct alignas(64) CounterStripe {
   std::atomic<int64_t> value{0};
 };
 
-/// Per-stripe scalar state for striped histograms (bucket counts are laid
-/// out separately, cache-line padded per stripe).
+/// Per-stripe scalar state of a histogram (bucket counts are laid out
+/// separately, cache-line padded per stripe).
 struct alignas(64) HistogramStripe {
   std::atomic<uint64_t> count{0};
   std::atomic<double> sum{0.0};
@@ -49,6 +49,12 @@ struct alignas(64) HistogramStripe {
 /// handful of relaxed atomic ops when they are on. Handles are stable for
 /// the registry's lifetime and safe to cache and to use concurrently.
 ///
+/// Counters and histograms are striped: a write lands on the calling
+/// thread's stripe (its own cache line while at most kMetricStripes threads
+/// write), and reads merge the stripes. Instruments mutated inside parallel
+/// phases therefore never contend on one line; a single writer pays one
+/// thread-local slot lookup on top of the relaxed atomic op.
+///
 /// Determinism: a metric is *deterministic* when its exported value is a
 /// pure function of the workload's seeds — independent of thread count,
 /// scheduling, and wall-clock. Counters and histograms over deterministic
@@ -58,43 +64,32 @@ struct alignas(64) HistogramStripe {
 /// it (see export.h).
 class Counter {
  public:
-  /// Adds `n` (no-op while the registry is disabled). Striped counters
-  /// add to the calling thread's stripe instead of the shared word, so
-  /// concurrent increments from different threads touch disjoint cache
-  /// lines; `value()` merges stripes on read (exact — integer addition
-  /// commutes).
+  /// Adds `n` to the calling thread's stripe (no-op while the registry is
+  /// disabled).
   void Increment(int64_t n = 1) {
     if (!enabled_->load(std::memory_order_relaxed)) {
       return;
     }
-    if (stripes_ != nullptr) {
-      stripes_[internal::ThisThreadStripe()].value.fetch_add(
-          n, std::memory_order_relaxed);
-    } else {
-      value_.fetch_add(n, std::memory_order_relaxed);
-    }
+    stripes_[internal::ThisThreadStripe()].value.fetch_add(
+        n, std::memory_order_relaxed);
   }
+  /// Sum over the stripes (exact — integer addition commutes).
   int64_t value() const {
-    int64_t total = value_.load(std::memory_order_relaxed);
-    if (stripes_ != nullptr) {
-      for (size_t i = 0; i < internal::kMetricStripes; ++i) {
-        total += stripes_[i].value.load(std::memory_order_relaxed);
-      }
+    int64_t total = 0;
+    for (size_t i = 0; i < internal::kMetricStripes; ++i) {
+      total += stripes_[i].value.load(std::memory_order_relaxed);
     }
     return total;
   }
-  bool striped() const { return stripes_ != nullptr; }
   bool deterministic() const { return deterministic_; }
 
  private:
   friend class MetricsRegistry;
-  Counter(const std::atomic<bool>* enabled, bool deterministic, bool striped)
-      : stripes_(striped ? new internal::CounterStripe[internal::kMetricStripes]
-                         : nullptr),
+  Counter(const std::atomic<bool>* enabled, bool deterministic)
+      : stripes_(new internal::CounterStripe[internal::kMetricStripes]),
         enabled_(enabled),
         deterministic_(deterministic) {}
 
-  std::atomic<int64_t> value_{0};
   const std::unique_ptr<internal::CounterStripe[]> stripes_;
   const std::atomic<bool>* enabled_;
   const bool deterministic_;
@@ -126,17 +121,13 @@ class Gauge {
 };
 
 /// Fixed-bucket histogram with quantile readout. Bucket upper bounds are
-/// set at registration and never change; Observe() is an atomic add on one
-/// bucket plus CAS updates of min/max/sum. Bucket counts, total count, min
-/// and max are order-independent; the floating-point `sum` is not (parallel
-/// observation order changes rounding), so deterministic exports include
+/// set at registration and never change; Observe() adds one to a bucket
+/// and folds count, sum, min and max on the calling thread's stripe, and
+/// reads merge the stripes. Bucket counts, total count, min and max merge
+/// exactly (integer sums and order-independent folds), so they are
+/// identical at any thread count; the floating-point `sum` is not
+/// (observation order changes rounding), so deterministic exports include
 /// everything except `sum`.
-/// Striped histograms (GetStripedHistogram) keep per-thread-slot bucket
-/// counts and scalar state and merge on read: bucket counts, total count,
-/// min and max merge exactly (integer sums and order-independent folds), so
-/// a striped histogram's deterministic export is byte-identical to the
-/// unstriped one at any thread count; `sum` remains order-dependent float
-/// accumulation and stays excluded from deterministic exports.
 class Histogram {
  public:
   void Observe(double value);
@@ -154,30 +145,23 @@ class Histogram {
 
   const std::vector<double>& bounds() const { return bounds_; }
   /// Count in bucket `i` (bucket i covers (bounds[i-1], bounds[i]];
-  /// bucket bounds.size() is the overflow bucket). Merges stripes when
-  /// striped.
+  /// bucket bounds.size() is the overflow bucket), summed over stripes.
   uint64_t BucketCount(size_t i) const;
   size_t NumBuckets() const { return bounds_.size() + 1; }
-  bool striped() const { return stripe_scalars_ != nullptr; }
   bool deterministic() const { return deterministic_; }
 
  private:
   friend class MetricsRegistry;
   Histogram(const std::atomic<bool>* enabled, std::vector<double> bounds,
-            bool deterministic, bool striped);
+            bool deterministic);
 
   const std::vector<double> bounds_;  // sorted upper bounds
-  std::unique_ptr<std::atomic<uint64_t>[]> counts_;  // bounds_.size() + 1
-  std::atomic<uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
-  std::atomic<double> min_;
-  std::atomic<double> max_;
-  // Striped state (null when unstriped). Bucket counts are one flat array
-  // of kMetricStripes blocks, each padded to a multiple of 8 atomics so
-  // every stripe starts on its own cache line.
-  size_t stripe_stride_ = 0;
-  std::unique_ptr<std::atomic<uint64_t>[]> stripe_counts_;
-  std::unique_ptr<internal::HistogramStripe[]> stripe_scalars_;
+  // Bucket counts are one flat array of kMetricStripes blocks, each padded
+  // to a multiple of 8 atomics so every stripe starts on its own cache
+  // line.
+  const size_t stride_;
+  const std::unique_ptr<std::atomic<uint64_t>[]> counts_;
+  const std::unique_ptr<internal::HistogramStripe[]> stripes_;
   const std::atomic<bool>* enabled_;
   const bool deterministic_;
 };
@@ -213,17 +197,6 @@ class MetricsRegistry {
                           std::vector<double> bounds = {},
                           bool deterministic = true);
 
-  /// Striped variants for instruments mutated inside parallel hot paths:
-  /// writes land on per-thread-slot cache lines and reads merge stripes.
-  /// Same namespace as the unstriped getters — the first registration
-  /// fixes stripedness (a later plain Get* returns the striped instrument
-  /// unchanged, and vice versa). Exported values are identical either way.
-  Counter* GetStripedCounter(const std::string& name,
-                             bool deterministic = true);
-  Histogram* GetStripedHistogram(const std::string& name,
-                                 std::vector<double> bounds = {},
-                                 bool deterministic = true);
-
   /// Name-sorted views for exporters (names are copied; instrument
   /// pointers stay valid and live).
   std::vector<std::pair<std::string, const Counter*>> Counters() const;
@@ -237,12 +210,6 @@ class MetricsRegistry {
   static MetricsRegistry& Global();
 
  private:
-  Counter* GetCounterImpl(const std::string& name, bool deterministic,
-                          bool striped);
-  Histogram* GetHistogramImpl(const std::string& name,
-                              std::vector<double> bounds, bool deterministic,
-                              bool striped);
-
   std::atomic<bool> enabled_;
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;

@@ -10,17 +10,12 @@ namespace rpas::serve {
 
 BatchEngine::BatchEngine(ModelRegistry* registry, Options options)
     : registry_(registry), options_(options) {
-  // Handles resolve once here; no serving call does a name lookup. The
-  // instruments fire concurrently from every shard's engine and every
-  // slice in the fleet's parallel phases, so they are striped (merged
-  // exactly on read).
+  // Handles resolve once here; no serving call does a name lookup.
   obs::MetricsRegistry* metrics = obs::ResolveRegistry(options_.metrics);
-  requests_counter_ = metrics->GetStripedCounter("serve.engine.requests");
-  batches_counter_ = metrics->GetStripedCounter("serve.engine.batches");
-  errors_counter_ =
-      metrics->GetStripedCounter("serve.engine.request_errors");
-  batch_size_hist_ =
-      metrics->GetStripedHistogram("serve.engine.batch_size");
+  requests_counter_ = metrics->GetCounter("serve.engine.requests");
+  batches_counter_ = metrics->GetCounter("serve.engine.batches");
+  errors_counter_ = metrics->GetCounter("serve.engine.request_errors");
+  batch_size_hist_ = metrics->GetHistogram("serve.engine.batch_size");
 }
 
 std::vector<ForecastResponse> BatchEngine::Execute(

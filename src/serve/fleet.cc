@@ -223,12 +223,9 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
   // name-lookup mutex seven times — a cross-tenant serialization point.
   const simdb::Cluster::MetricHandles cluster_handles =
       simdb::Cluster::MetricHandles::Resolve(metrics);
-  // Observed once per tenant-step inside the parallel shard phase —
-  // striped, so concurrent shards write per-thread-slot cache lines
-  // instead of CAS-contending on one histogram (deterministic export is
-  // unchanged: integer bucket counts merge exactly).
+  // Observed once per tenant-step inside the parallel shard phase.
   obs::Histogram* staleness_hist =
-      metrics->GetStripedHistogram("serve.stream.staleness_steps");
+      metrics->GetHistogram("serve.stream.staleness_steps");
   ParallelFor(0, num_tenants, 1, [&](size_t t0, size_t t1) {
     for (size_t t = t0; t < t1; ++t) {
       trace::SyntheticTraceGenerator generator(
@@ -519,6 +516,8 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
 
   // Final accounting.
   obs::Span finish_span("fleet.finish");
+  select::SelectorStats selector;
+  select::PreScalerStats prescaler;
   for (size_t t = 0; t < num_tenants; ++t) {
     const core::TenantSession::Summary s = sessions[t]->Finish();
     auto by_cause = [&s](core::DegradeCause cause) {
@@ -552,14 +551,18 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
       tenant.pattern = s.pattern;
       tenant.selector = s.selector;
       tenant.prescale = s.prescaler;
-      result.tier_switches += s.selector.switches;
-      result.tier_promotions += s.selector.promotions;
-      result.tier_demotions += s.selector.probe_demotions +
-                               s.selector.fault_demotions +
-                               s.selector.drift_demotions;
-      result.prescale_activations += s.prescaler.activations;
-      result.prescale_rollbacks += s.prescaler.rollbacks;
-      result.prescale_floor_raised_steps += s.prescaler.floor_raised_steps;
+      selector.rounds += s.selector.rounds;
+      selector.switches += s.selector.switches;
+      selector.promotions += s.selector.promotions;
+      selector.probe_demotions += s.selector.probe_demotions;
+      selector.fault_demotions += s.selector.fault_demotions;
+      selector.drift_demotions += s.selector.drift_demotions;
+      prescaler.plans_observed += s.prescaler.plans_observed;
+      prescaler.spikes_detected += s.prescaler.spikes_detected;
+      prescaler.activations += s.prescaler.activations;
+      prescaler.rollbacks += s.prescaler.rollbacks;
+      prescaler.timeout_rollbacks += s.prescaler.timeout_rollbacks;
+      prescaler.floor_raised_steps += s.prescaler.floor_raised_steps;
     }
     result.refresh.refreshes += s.refresh.refreshes;
     result.refresh.points_consumed += s.refresh.points_consumed;
@@ -588,27 +591,19 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
   result.mean_slo_violation_rate /= n;
   result.mean_staleness_steps /= n;
   result.mean_model_staleness_steps /= n;
-  // The serve.* counters mirror the finished result, so registry values
-  // agree exactly with the result fields.
-  if (selecting) {
-    obs::IncrementCounters(
-        metrics,
-        {{"serve.select.switches", result.tier_switches},
-         {"serve.select.promotions", result.tier_promotions},
-         {"serve.select.demotions", result.tier_demotions},
-         {"serve.select.prescale.activations", result.prescale_activations},
-         {"serve.select.prescale.rollbacks", result.prescale_rollbacks},
-         {"serve.select.prescale.floor_raised_steps",
-          result.prescale_floor_raised_steps}});
-  }
-  if (incremental) {
-    obs::IncrementCounters(
-        metrics,
-        {{"serve.refresh.rounds", result.refresh.refreshes},
-         {"serve.refresh.points_consumed", result.refresh.points_consumed},
-         {"serve.refresh.resyncs", result.refresh.resyncs},
-         {"serve.refresh.full_retrains", result.refresh.full_retrains}});
-  }
+  result.tier_switches = selector.switches;
+  result.tier_promotions = selector.promotions;
+  result.tier_demotions = selector.probe_demotions +
+                          selector.fault_demotions + selector.drift_demotions;
+  result.prescale_activations = prescaler.activations;
+  result.prescale_rollbacks = prescaler.rollbacks;
+  result.prescale_floor_raised_steps = prescaler.floor_raised_steps;
+  // The counters mirror the finished totals, so registry values agree
+  // exactly with the result fields.
+  core::IncrementControlCounters(metrics,
+                                 incremental ? &result.refresh : nullptr,
+                                 selecting ? &selector : nullptr,
+                                 selecting ? &prescaler : nullptr);
   result.cache = registry->GetCacheStats();
   for (const Shard& shard : shards) {
     if (shard.owned_registry != nullptr) {

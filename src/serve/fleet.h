@@ -91,7 +91,8 @@ struct FleetResult {
   uint64_t max_model_staleness_steps = 0;
   stream::RefreshStats refresh;
   /// Fleet-wide adaptive-selection totals (sums over tenants; zeros when
-  /// selection is disabled), mirrored into the serve.select.* counters.
+  /// selection is disabled); the full sums are mirrored into the select.*
+  /// counters (core::IncrementControlCounters).
   uint64_t tier_switches = 0;
   uint64_t tier_promotions = 0;
   uint64_t tier_demotions = 0;
@@ -196,10 +197,11 @@ struct FleetOptions {
   stream::RefresherOptions refresher;
   /// Builds one model registry per shard with every referenced version
   /// registered against the same checkpoints as the registry passed to
-  /// RunFleet. When null, all shards share that registry: warm hits are
-  /// lock-free, and only cold-load commits and evictions take its mutex.
-  /// Per-shard registries each load their own copy of a version, so
-  /// loads and resident bytes grow with the shard count.
+  /// RunFleet. When null, all shards share that registry, whose one mutex
+  /// every Acquire takes, cold loads included — so cold loads of different
+  /// versions serialize across shards. Per-shard registries each load
+  /// their own copy of a version, so loads and resident bytes grow with
+  /// the shard count.
   /// FleetResult::cache aggregates over every registry the run touched.
   std::function<std::unique_ptr<ModelRegistry>()> shard_registry_factory;
 };

@@ -1,8 +1,6 @@
 #ifndef RPAS_SERVE_REGISTRY_H_
 #define RPAS_SERVE_REGISTRY_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -53,20 +51,17 @@ using ForecasterFactory =
 /// reference — callers holding a shared_ptr keep serving the evicted
 /// model; it is freed when the last request finishes.
 ///
-/// Concurrency (DESIGN.md §15): readers resolve against an immutable
-/// snapshot published through an atomic shared_ptr, so a warm-cache
-/// Acquire() — the fleet hot path — performs ZERO mutex acquisitions
-/// (snapshot load, map lookup, one relaxed LRU-tick store, striped
-/// counter increment). Cache misses take a per-version load latch: the
-/// first thread to find a version cold loads the checkpoint outside every
-/// lock while later callers of the *same* version wait on that version's
-/// latch (and count as hits when the load lands, exactly as they would
-/// have under the old serialized mutex); callers of *other* versions —
-/// warm or cold — are never blocked. All bookkeeping (byte accounting,
-/// LRU eviction, snapshot rebuild) happens on the mutator path under a
-/// single registry mutex that the hot path never touches. The
-/// MutexAcquisitions() probe counts every internal mutex acquisition so
-/// tests can assert the warm path stays lock-free.
+/// Concurrency (DESIGN.md §15): one mutex guards the entry table, the
+/// byte accounting and the hit/miss ledger. Acquire() holds it across the
+/// lookup, a cold load, the commit and eviction, so concurrent Acquires of
+/// one cold version load it once and the rest count as hits (loads ==
+/// misses always holds). Cold loads of *different* versions on one shared
+/// registry serialize too; no in-tree workload does that — per-shard
+/// registries each serve only their own shard, and a shared registry is
+/// pre-warmed — so give each concurrent loader its own registry
+/// (FleetOptions::shard_registry_factory) rather than sharing a cold one.
+/// A ForecasterFactory runs under the mutex and must not call back into
+/// the registry.
 class ModelRegistry {
  public:
   struct Options {
@@ -78,9 +73,10 @@ class ModelRegistry {
     /// rpasq.v1 weights live in the page cache — shareable across
     /// processes and reclaimable by the kernel under pressure — so a
     /// mapped byte costs the serving host less than a private heap byte.
-    /// An entry's budget charge is heap + round(mapped * weight), clamped
-    /// to [0, 1]; 1.0 restores the old bytes-are-bytes accounting and 0.0
-    /// makes mapped models free. Eviction satisfies
+    /// An entry's budget charge is heap + round(mapped * weight), with the
+    /// weight clamped to [0, 1] (±Inf clamp; NaN is a programming error and
+    /// aborts the constructor); 1.0 restores the old bytes-are-bytes
+    /// accounting and 0.0 makes mapped models free. Eviction satisfies
     /// charged_bytes <= cache_budget_bytes (resident_bytes may exceed the
     /// budget when mapped models are discounted — by design).
     double mapped_byte_weight = 0.25;
@@ -114,10 +110,7 @@ class ModelRegistry {
     /// shared_ptr — warm entries with outstanding references plus evicted
     /// entries whose last holder has not finished. Eviction cannot free
     /// these, so real memory use is resident_bytes + the bytes of evicted
-    /// pinned models, not resident_bytes alone. Under concurrent readers
-    /// this is conservative (a reader holding a just-superseded snapshot
-    /// can make a model look pinned for the instant of the overlap);
-    /// quiesced, it is exact.
+    /// pinned models, not resident_bytes alone.
     size_t pinned_models = 0;
     size_t pinned_bytes = 0;  ///< summed checkpoint bytes of pinned models
   };
@@ -155,67 +148,26 @@ class ModelRegistry {
 
   /// Returns a ready-to-serve model for the version, loading and caching
   /// it if cold. NotFound for unregistered ids; load errors propagate.
-  /// Warm hits are lock-free (see the class comment).
   Result<std::shared_ptr<const forecast::Forecaster>> Acquire(
       const ModelId& id);
 
   /// Highest registered version for `name`; NotFound when absent.
-  /// Lock-free (reads the current snapshot).
   Result<ModelId> Latest(const std::string& name) const;
 
   size_t NumRegistered() const;
   CacheStats GetCacheStats() const;
   const Options& options() const { return options_; }
 
-  /// Test probe: total internal mutex acquisitions (registry mutex plus
-  /// every per-version load latch) since construction. A warm-hit
-  /// Acquire() leaves this unchanged — the lock-free hot-path guarantee
-  /// is asserted against this counter, not inferred from code review.
-  uint64_t MutexAcquisitions() const {
-    return mutex_acquisitions_.load(std::memory_order_relaxed);
-  }
-
  private:
-  /// Registration-time identity shared between the master table and every
-  /// snapshot generation. Immutable except for the atomics and the
-  /// latch-guarded load flag; outlives any snapshot that references it.
-  struct VersionInfo {
+  /// One registered version: its registration, LRU tick and residency.
+  struct Entry {
     std::string path;
     ForecasterFactory factory;
     /// Checkpoint file size recorded at registration, refreshed from the
     /// actually-loaded file on a successful load (the two can differ when
-    /// the checkpoint was replaced on disk in between). Atomic because
-    /// the cold-load path reads it outside the registry mutex.
-    std::atomic<size_t> registered_bytes{0};
-    /// Logical LRU clock, touched with a relaxed store on every Acquire —
-    /// shared across snapshot generations so hits never take a lock.
-    std::atomic<uint64_t> last_used{0};
-    /// Per-version load latch: serializes cold loads of THIS version only.
-    /// `loading` is guarded by `load_mu`; waiters block on `load_cv` and
-    /// re-check the published snapshot on wake.
-    std::mutex load_mu;
-    std::condition_variable load_cv;
-    bool loading = false;
-  };
-
-  /// One reader-visible version entry: identity plus the strong resident
-  /// reference (null = cold in this snapshot).
-  struct SnapshotEntry {
-    std::shared_ptr<VersionInfo> info;
-    std::shared_ptr<const forecast::Forecaster> resident;
-  };
-
-  /// Immutable generation of the registry, swapped atomically on every
-  /// mutation (registration, load commit, eviction). Readers resolve
-  /// wholly against one snapshot; old generations die when the last
-  /// in-flight reader drops them.
-  struct Snapshot {
-    std::map<ModelId, SnapshotEntry> entries;
-  };
-
-  /// Mutator-side (mu_-guarded) state for one version.
-  struct Entry {
-    std::shared_ptr<VersionInfo> info;
+    /// the checkpoint was replaced on disk in between).
+    size_t registered_bytes = 0;
+    uint64_t last_used = 0;  ///< logical LRU clock of the last Acquire
     size_t bytes = 0;    ///< accounting size while resident
     size_t mapped = 0;   ///< mmap-backed share of `bytes` while resident
     size_t heap = 0;     ///< heap-backed share of `bytes` while resident
@@ -225,48 +177,22 @@ class ModelRegistry {
     /// shared_ptr the weights stay in memory even though `resident` is
     /// null, and this entry counts toward pinned_bytes until it expires.
     std::weak_ptr<const forecast::Forecaster> alive;
-    /// True when the current snapshot carries a strong reference to
-    /// `resident` (set by RebuildSnapshotLocked) — the pinned-ness
-    /// use_count threshold must discount that internal reference.
-    bool in_snapshot = false;
 
     /// True when callers outside the registry keep the weights alive.
-    /// Internal references: the master `resident` plus (when published)
-    /// the current snapshot's copy. Call with mu_ held.
-    bool PinnedLocked() const {
-      if (resident != nullptr) {
-        const long internal = in_snapshot ? 2 : 1;
-        return resident.use_count() > internal;
-      }
-      return !alive.expired();
+    /// `resident` is the registry's only reference, so any other owner is
+    /// a caller.
+    bool Pinned() const {
+      return resident != nullptr ? resident.use_count() > 1
+                                 : !alive.expired();
     }
   };
-
-  /// Locks the registry mutex, counting the acquisition for the probe.
-  std::unique_lock<std::mutex> LockRegistry() const {
-    mutex_acquisitions_.fetch_add(1, std::memory_order_relaxed);
-    return std::unique_lock<std::mutex>(mu_);
-  }
-  /// Locks a version's load latch, counting the acquisition.
-  std::unique_lock<std::mutex> LockLatch(VersionInfo* info) const {
-    mutex_acquisitions_.fetch_add(1, std::memory_order_relaxed);
-    return std::unique_lock<std::mutex>(info->load_mu);
-  }
-
-  /// Miss path: waits on / claims the per-version latch, loads the
-  /// checkpoint outside all locks, commits under mu_ and republishes the
-  /// snapshot. `info` pins the version identity across the load.
-  Result<std::shared_ptr<const forecast::Forecaster>> AcquireCold(
-      const ModelId& id, std::shared_ptr<VersionInfo> info);
 
   /// Builds the fully-loaded model (mapped or heap, by the model's
   /// capability) into the out-params without touching registry state —
   /// any failure returns a typed Status with the registry bit-for-bit
   /// unchanged, so a checkpoint deleted or corrupted between registration
   /// and first Acquire() is an error on that call, not a poisoned cache.
-  /// Runs outside every lock (the caller holds only the per-version
-  /// `loading` claim).
-  Status LoadVersion(const ModelId& id, VersionInfo* info,
+  Status LoadVersion(const ModelId& id, const Entry& entry,
                      std::shared_ptr<const forecast::Forecaster>* out,
                      size_t* bytes_out, size_t* mapped_out,
                      size_t* heap_out) const;
@@ -274,35 +200,24 @@ class ModelRegistry {
   /// Drops least-recently-used warm models until the budget holds,
   /// preferring unpinned victims (evicting a pinned model cannot free its
   /// bytes until the last in-flight request drops the shared_ptr).
-  /// Call with mu_ held; callers must RebuildSnapshotLocked() after.
+  /// Call with mu_ held.
   void EvictToBudgetLocked();
 
   /// Fills `pinned_models` / `pinned_bytes` on `stats` from the current
   /// entry table. Call with mu_ held.
   void FillPinnedLocked(CacheStats* stats) const;
 
-  /// Publishes a fresh immutable snapshot built from entries_ and marks
-  /// which entries the new generation pins. Call with mu_ held.
-  void RebuildSnapshotLocked();
-
-  /// Publishes resident/mapped/heap/pinned byte totals to the gauges.
-  /// Call with mu_ held.
+  /// Publishes resident/mapped/heap/charged/pinned byte totals to the
+  /// gauges. Call with mu_ held.
   void PublishBytesLocked();
 
   Options options_;
-  mutable std::mutex mu_;
-  std::atomic<std::shared_ptr<const Snapshot>> snapshot_;
+  mutable std::mutex mu_;  ///< guards entries_, tick_ and stats_
   std::map<ModelId, Entry> entries_;
-  size_t resident_bytes_ = 0;
-  size_t mapped_bytes_ = 0;
-  size_t heap_bytes_ = 0;
-  size_t charged_bytes_ = 0;
-  std::atomic<uint64_t> tick_{0};
-  std::atomic<int64_t> stat_hits_{0};
-  std::atomic<int64_t> stat_misses_{0};
-  std::atomic<int64_t> stat_evictions_{0};
-  std::atomic<int64_t> stat_loads_{0};
-  mutable std::atomic<uint64_t> mutex_acquisitions_{0};
+  uint64_t tick_ = 0;
+  /// The ledger and the byte totals; resident_models and the pinned
+  /// fields are filled on read.
+  CacheStats stats_;
   obs::Counter* hits_ = nullptr;
   obs::Counter* misses_ = nullptr;
   obs::Counter* evictions_ = nullptr;

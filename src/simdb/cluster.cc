@@ -20,9 +20,7 @@ Cluster::Cluster(Options options)
   // Handles are cached once; Step() touches only the cached pointers. A
   // caller constructing many clusters (the fleet's parallel per-tenant
   // setup) passes a pre-resolved bundle so the registry's lookup mutex is
-  // taken once per fleet, not seven times per tenant. Counter values are
-  // pure functions of the inputs either way (striped counters merge
-  // exactly on read).
+  // taken once per fleet, not seven times per tenant.
   if (options_.handles != nullptr) {
     handles_ = *options_.handles;
   } else {
@@ -34,14 +32,12 @@ Cluster::Cluster(Options options)
 Cluster::MetricHandles Cluster::MetricHandles::Resolve(
     obs::MetricsRegistry* metrics) {
   MetricHandles handles;
-  handles.steps = metrics->GetStripedCounter("simdb.steps");
-  handles.nodes_added = metrics->GetStripedCounter("simdb.nodes_added");
-  handles.nodes_removed = metrics->GetStripedCounter("simdb.nodes_removed");
-  handles.nodes_failed = metrics->GetStripedCounter("simdb.nodes_failed");
-  handles.slo_violations =
-      metrics->GetStripedCounter("simdb.slo_violations");
-  handles.under_provisioned =
-      metrics->GetStripedCounter("simdb.under_provisioned");
+  handles.steps = metrics->GetCounter("simdb.steps");
+  handles.nodes_added = metrics->GetCounter("simdb.nodes_added");
+  handles.nodes_removed = metrics->GetCounter("simdb.nodes_removed");
+  handles.nodes_failed = metrics->GetCounter("simdb.nodes_failed");
+  handles.slo_violations = metrics->GetCounter("simdb.slo_violations");
+  handles.under_provisioned = metrics->GetCounter("simdb.under_provisioned");
   handles.nodes = metrics->GetGauge("simdb.nodes");
   return handles;
 }

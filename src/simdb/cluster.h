@@ -46,10 +46,7 @@ class Cluster {
   /// MetricsRegistry name-lookup mutex; a fleet constructing thousands of
   /// per-tenant clusters inside a parallel setup phase resolves ONCE and
   /// shares the bundle via Options::handles instead of paying (and
-  /// contending on) seven lookups per cluster. The per-step counters fire
-  /// inside the fleet's parallel shard phase, so they resolve striped
-  /// (per-thread-slot, merged exactly on read — exported values are
-  /// identical to unstriped counters).
+  /// contending on) seven lookups per cluster.
   struct MetricHandles {
     obs::Counter* steps = nullptr;
     obs::Counter* nodes_added = nullptr;

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "core/online_loop.h"
 #include "core/strategies.h"
 #include "forecast/mlp.h"
+#include "obs/metrics.h"
 #include "serve/fleet.h"
 #include "serve/registry.h"
 #include "trace/generator.h"
@@ -96,8 +98,11 @@ serve::FleetOptions FleetOptions() {
   return options;
 }
 
-/// Runs the fleet with and without cross-tenant batching.
-std::vector<serve::FleetResult> RunFleets(const serve::FleetOptions& base) {
+/// Runs the fleet with and without cross-tenant batching. With `metrics`,
+/// each run reports to its own registry, appended there.
+std::vector<serve::FleetResult> RunFleets(
+    const serve::FleetOptions& base,
+    std::vector<std::unique_ptr<obs::MetricsRegistry>>* metrics = nullptr) {
   serve::ModelRegistry registry(serve::ModelRegistry::Options{});
   for (size_t v = 1; v <= 2; ++v) {
     RPAS_CHECK(registry
@@ -112,6 +117,10 @@ std::vector<serve::FleetResult> RunFleets(const serve::FleetOptions& base) {
   for (bool batched : {true, false}) {
     serve::FleetOptions options = base;
     options.batched = batched;
+    if (metrics != nullptr) {
+      metrics->push_back(std::make_unique<obs::MetricsRegistry>());
+      options.metrics = metrics->back().get();
+    }
     auto result = serve::RunFleet(&registry, {{"mlp", 1}}, options);
     RPAS_CHECK(result.ok()) << result.status().ToString();
     results.push_back(std::move(result).value());
@@ -180,6 +189,20 @@ void ExpectSameDecisions(const serve::FleetResult& fleet,
   EXPECT_EQ(tenant.over_provision_rate, loop.over_provision_rate);
   EXPECT_EQ(tenant.mean_utilization, loop.mean_utilization);
   EXPECT_EQ(tenant.mean_staleness_steps, loop.mean_staleness_points);
+}
+
+/// The select.* and stream.refresh.* counters on `metrics`, by name: the
+/// namespace both drivers mirror their refresh and selection totals into.
+std::map<std::string, int64_t> ControlCounters(
+    const obs::MetricsRegistry& metrics) {
+  std::map<std::string, int64_t> counters;
+  for (const auto& [name, counter] : metrics.Counters()) {
+    if (name.rfind("select.", 0) == 0 ||
+        name.rfind("stream.refresh.", 0) == 0) {
+      counters[name] = counter->value();
+    }
+  }
+  return counters;
 }
 
 /// Batch refresh, selection off: one restored MLP plans every fresh round.
@@ -253,13 +276,23 @@ TEST(TenantSessionDifferentialTest, IncrementalRefresh) {
   options.streaming.refresh_mode = core::RefreshMode::kIncremental;
   options.streaming.refresh_target = &model;
   options.streaming.ring_capacity = 2 * kReplanEvery;  // the fleet default
+  obs::MetricsRegistry loop_metrics;
+  options.metrics = &loop_metrics;
   auto loop = core::RunOnlineLoop(*manager, tenant.series, kHistory, kSteps,
                                   options);
   ASSERT_TRUE(loop.ok()) << loop.status().ToString();
   EXPECT_GT(loop->refresh.fine_tunes, 0u);
-  for (const serve::FleetResult& result : RunFleets(fleet)) {
-    ExpectSameDecisions(result, *loop);
-    EXPECT_EQ(result.refresh.fine_tunes, loop->refresh.fine_tunes);
+  const std::map<std::string, int64_t> loop_counters =
+      ControlCounters(loop_metrics);
+  EXPECT_EQ(loop_counters.at("stream.refresh.fine_tunes"),
+            static_cast<int64_t>(loop->refresh.fine_tunes));
+  std::vector<std::unique_ptr<obs::MetricsRegistry>> fleet_metrics;
+  const std::vector<serve::FleetResult> results =
+      RunFleets(fleet, &fleet_metrics);
+  for (size_t i = 0; i < results.size(); ++i) {
+    ExpectSameDecisions(results[i], *loop);
+    EXPECT_EQ(results[i].refresh.fine_tunes, loop->refresh.fine_tunes);
+    EXPECT_EQ(ControlCounters(*fleet_metrics[i]), loop_counters);
   }
 }
 
@@ -287,12 +320,25 @@ TEST(TenantSessionDifferentialTest, AdaptiveSelectionWithPrescaling) {
   options.selection.selector = fleet.selection.selector;
   options.selection.prescale = fleet.selection.prescale;
   options.selection.prescaler = fleet.selection.prescaler;
+  obs::MetricsRegistry loop_metrics;
+  options.metrics = &loop_metrics;
   auto loop = core::RunOnlineLoop(*manager_v1, tenant.series, kHistory,
                                   kSteps, options);
   ASSERT_TRUE(loop.ok()) << loop.status().ToString();
   EXPECT_GT(loop->selection.selector.switches, 0u);
   EXPECT_GT(loop->selection.prescaler.activations, 0u);
-  for (const serve::FleetResult& result : RunFleets(fleet)) {
+  const std::map<std::string, int64_t> loop_counters =
+      ControlCounters(loop_metrics);
+  EXPECT_EQ(loop_counters.at("select.switches"),
+            static_cast<int64_t>(loop->selection.selector.switches));
+  EXPECT_EQ(loop_counters.at("select.prescale.activations"),
+            static_cast<int64_t>(loop->selection.prescaler.activations));
+  std::vector<std::unique_ptr<obs::MetricsRegistry>> fleet_metrics;
+  const std::vector<serve::FleetResult> results =
+      RunFleets(fleet, &fleet_metrics);
+  for (size_t i = 0; i < results.size(); ++i) {
+    const serve::FleetResult& result = results[i];
+    EXPECT_EQ(ControlCounters(*fleet_metrics[i]), loop_counters);
     ExpectSameDecisions(result, *loop);
     const serve::TenantSummary& t = result.tenants[0];
     EXPECT_EQ(t.final_tier, loop->selection.final_tier);
