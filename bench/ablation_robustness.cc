@@ -43,12 +43,15 @@ std::unique_ptr<forecast::DeepArForecaster> MakeHeadModel(
   return std::make_unique<forecast::DeepArForecaster>(options);
 }
 
-void RunAblation(const BenchOptions& options) {
+void RunAblation(const BenchOptions& options, Report* report) {
   Dataset dataset = MakeDataset(trace::GoogleProfile(), options.seed + 1);
   const std::vector<double> levels = AccuracyLevels();
 
   // --- Ablation 1: observation head. ---
-  TablePrinter heads({"Head", "mean_wQL", "wQL[0.9]", "Cov[0.9]", "MSE"});
+  Table& heads = report->AddTable(
+      "heads",
+      "Ablation 1: DeepAR observation head on the bursty Google-like trace",
+      {"Head", "mean_wQL", "wQL[0.9]", "Cov[0.9]", "MSE"});
   for (auto [name, head] :
        {std::pair{"Student-t", forecast::DeepArForecaster::Head::kStudentT},
         std::pair{"Gaussian", forecast::DeepArForecaster::Head::kGaussian}}) {
@@ -57,19 +60,14 @@ void RunAblation(const BenchOptions& options) {
     auto rolled = forecast::RollForecasts(*model, dataset.train,
                                           dataset.test, kHorizon);
     RPAS_CHECK(rolled.ok());
-    auto report =
+    auto accuracy =
         ts::EvaluateForecasts(rolled->forecasts, rolled->actuals, levels);
-    heads.AddRow({name, Num(report.mean_wql), Num(report.wql.at(0.9)),
-                  Num(report.coverage.at(0.9), 3), Num(report.mse)});
+    heads.AddRow({name, Real(accuracy.mean_wql), Real(accuracy.wql.at(0.9)),
+                  Real(accuracy.coverage.at(0.9), 3), Real(accuracy.mse)});
     std::printf("[ablation] head %s done\n", name);
     std::fflush(stdout);
   }
-  heads.Print(
-      "Ablation 1: DeepAR observation head on the bursty Google-like "
-      "trace");
-  if (options.csv) {
-    heads.PrintCsv();
-  }
+  heads.Print();
 
   // --- Ablation 2: quantile recalibration. ---
   const core::ScalingConfig config = MakeScalingConfig(dataset);
@@ -78,23 +76,27 @@ void RunAblation(const BenchOptions& options) {
   const std::vector<double> realized(
       dataset.full.values.begin() + static_cast<long>(eval_start),
       dataset.full.values.end());
-  TablePrinter recal({"Model", "Cov[0.9]", "under_rate@0.9-strategy",
-                      "over_rate@0.9-strategy"});
+  Table& recal = report->AddTable(
+      "recalibration",
+      "Ablation 2: recalibration effect on coverage and the tau=0.9 robust "
+      "strategy",
+      {"Model", "Cov[0.9]", "under_rate@0.9-strategy",
+       "over_rate@0.9-strategy"});
   auto evaluate = [&](const std::string& name,
                       const forecast::Forecaster& model) {
     auto rolled = forecast::RollForecasts(model, dataset.train, dataset.test,
                                           kHorizon);
     RPAS_CHECK(rolled.ok());
-    auto report =
+    auto accuracy =
         ts::EvaluateForecasts(rolled->forecasts, rolled->actuals, {0.9});
     core::RobustQuantileAllocator robust(0.9);
     auto alloc = core::RunPredictiveStrategy(model, robust, dataset.full,
                                              eval_start, eval_steps, config);
     RPAS_CHECK(alloc.ok());
     auto prov = core::EvaluateAllocation(realized, *alloc, config);
-    recal.AddRow({name, Num(report.coverage.at(0.9), 3),
-                  Num(prov.under_provision_rate, 3),
-                  Num(prov.over_provision_rate, 3)});
+    recal.AddRow({name, Real(accuracy.coverage.at(0.9), 3),
+                  Real(prov.under_provision_rate, 3),
+                  Real(prov.over_provision_rate, 3)});
     std::printf("[ablation] %s done\n", name.c_str());
     std::fflush(stdout);
   };
@@ -116,12 +118,7 @@ void RunAblation(const BenchOptions& options) {
     RPAS_CHECK(wrapped.Fit(dataset.train).ok());
     evaluate("DeepAR (recalibrated)", wrapped);
   }
-  recal.Print(
-      "Ablation 2: recalibration effect on coverage and the tau=0.9 "
-      "robust strategy");
-  if (options.csv) {
-    recal.PrintCsv();
-  }
+  recal.Print();
   std::printf(
       "\nExpected shape: the Student-t head is better calibrated in the\n"
       "upper tail (Cov[0.9] closer to 0.9, lower wQL[0.9]) on the bursty\n"
@@ -134,6 +131,9 @@ void RunAblation(const BenchOptions& options) {
 }  // namespace rpas::bench
 
 int main(int argc, char** argv) {
-  rpas::bench::RunAblation(rpas::bench::ParseArgs(argc, argv, "Robust-allocation ablation under workload perturbations"));
-  return 0;
+  const rpas::bench::BenchOptions options = rpas::bench::ParseArgs(
+      argc, argv, "Robust-allocation ablation under workload perturbations");
+  rpas::bench::Report report("ablation_robustness", options);
+  rpas::bench::RunAblation(options, &report);
+  return report.Finish();
 }

@@ -34,18 +34,19 @@
 // round, a static $-cost proxy (per-round tier cost units), overall and
 // spike-window SLO violations, and the selector/pre-scaler accounting.
 //
-// Asserted invariants (exit 1 on violation):
+// Named checks (exit 1 on violation):
 //   - fleet-mean adaptive in-force wQL <= 1.02 x all-DeepAR's;
 //   - fleet-mean all-DeepAR planning us/round >= 3 x adaptive us/round;
 //   - adaptive spike-window SLO violations <= adaptive-noprescale;
-//   - every pre-scaler activation rolled back (activations == rollbacks).
-//
-// --json=PATH writes a machine-readable summary for the CI smoke step.
+//   - every pre-scaler activation rolled back (activations == rollbacks),
+//     and the pre-scaler activated at least once;
+//   - each class's derived wql_bound is positive over all four tiers, and
+//     every tenant ran all four strategies.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -162,11 +163,8 @@ struct CellResult {
   size_t final_tier = 0;
   std::string pattern = "-";
   uint64_t switches = 0;
-  uint64_t promotions = 0;
-  uint64_t demotions = 0;
   uint64_t prescale_activations = 0;
   uint64_t prescale_rollbacks = 0;
-  uint64_t floor_raised_steps = 0;
   bool rollback_ok = true;
 };
 
@@ -366,13 +364,8 @@ CellResult RunCell(const ProfileClass& cls, size_t tenant,
     cell.final_tier = sel.final_tier;
     cell.pattern = std::string(WorkloadPatternToString(sel.pattern));
     cell.switches = sel.selector.switches;
-    cell.promotions = sel.selector.promotions;
-    cell.demotions = sel.selector.probe_demotions +
-                     sel.selector.fault_demotions +
-                     sel.selector.drift_demotions;
     cell.prescale_activations = sel.prescaler.activations;
     cell.prescale_rollbacks = sel.prescaler.rollbacks;
-    cell.floor_raised_steps = sel.prescaler.floor_raised_steps;
     cell.rollback_ok = sel.prescaler.activations == sel.prescaler.rollbacks;
     for (size_t tier : tier_by_round) {
       cell.cost_units += kTierCostUnits[tier];
@@ -399,99 +392,10 @@ struct Aggregate {
   double mean_wql = 0.0;
   double mean_us_per_round = 0.0;
   double cost_units = 0.0;
-  size_t spike_steps = 0;
   size_t spike_violations = 0;
-  double mean_slo_violation_rate = 0.0;
 };
 
-/// Per-class tier accuracy on the representative tenant: the calibration
-/// window feeds DeriveWqlBound; the eval window shows where each tier lands
-/// on the scored period.
-struct ClassBaselines {
-  std::string name;
-  double wql_bound = 0.0;
-  std::vector<ServedScore> calib;
-  std::vector<ServedScore> eval;
-};
-
-void WriteJson(const std::string& path, const BenchOptions& options,
-               const std::vector<ClassBaselines>& baselines,
-               const std::vector<CellResult>& cells,
-               const std::vector<Aggregate>& aggregates, double speedup,
-               bool wql_ok, bool speedup_ok, bool prescale_ok,
-               bool rollback_ok, bool bounds_ok) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out.is_open()) {
-    std::fprintf(stderr, "adaptive_selection: cannot write %s\n",
-                 path.c_str());
-    return;
-  }
-  out << StrFormat(
-      "{\"bench\":\"adaptive_selection\",\"quick\":%s,\"baselines\":[",
-      options.quick ? "true" : "false");
-  for (size_t i = 0; i < baselines.size(); ++i) {
-    const ClassBaselines& b = baselines[i];
-    out << (i > 0 ? "," : "")
-        << StrFormat("{\"class\":\"%s\",\"wql_bound\":%.6f,\"tiers\":[",
-                     b.name.c_str(), b.wql_bound);
-    for (size_t t = 0; t < b.calib.size(); ++t) {
-      out << (t > 0 ? "," : "")
-          << StrFormat(
-                 "{\"tier\":%zu,\"model\":\"%s\",\"calib_wql\":%.6f,"
-                 "\"calib_prefix_wql\":%.6f,\"eval_wql\":%.6f,"
-                 "\"eval_prefix_wql\":%.6f}",
-                 t, kTierNames[t], b.calib[t].wql, b.calib[t].prefix_wql,
-                 b.eval[t].wql, b.eval[t].prefix_wql);
-    }
-    out << "]}";
-  }
-  out << "],\"rows\":[";
-  for (size_t i = 0; i < cells.size(); ++i) {
-    const CellResult& c = cells[i];
-    out << (i > 0 ? "," : "")
-        << StrFormat(
-               "{\"class\":\"%s\",\"tenant\":%zu,\"strategy\":\"%s\","
-               "\"wql\":%.6f,\"horizon_wql\":%.6f,"
-               "\"us_per_round\":%.2f,\"cost_units\":%.1f,"
-               "\"slo_violation_rate\":%.5f,\"spike_steps\":%zu,"
-               "\"spike_violations\":%zu,\"rounds\":%zu,\"final_tier\":%zu,"
-               "\"pattern\":\"%s\",\"switches\":%llu,"
-               "\"prescale_activations\":%llu,\"prescale_rollbacks\":%llu,"
-               "\"floor_raised_steps\":%llu,\"rollback_ok\":%s}",
-               c.cls.c_str(), c.tenant, StrategyName(c.strategy), c.wql,
-               c.horizon_wql, c.us_per_round, c.cost_units,
-               c.slo_violation_rate,
-               c.spike_steps, c.spike_violations, c.rounds, c.final_tier,
-               c.pattern.c_str(),
-               static_cast<unsigned long long>(c.switches),
-               static_cast<unsigned long long>(c.prescale_activations),
-               static_cast<unsigned long long>(c.prescale_rollbacks),
-               static_cast<unsigned long long>(c.floor_raised_steps),
-               c.rollback_ok ? "true" : "false");
-  }
-  out << "],\"aggregates\":[";
-  for (size_t i = 0; i < aggregates.size(); ++i) {
-    const Aggregate& a = aggregates[i];
-    out << (i > 0 ? "," : "")
-        << StrFormat(
-               "{\"strategy\":\"%s\",\"mean_wql\":%.6f,"
-               "\"mean_us_per_round\":%.2f,\"cost_units\":%.1f,"
-               "\"spike_steps\":%zu,\"spike_violations\":%zu,"
-               "\"mean_slo_violation_rate\":%.5f}",
-               StrategyName(a.strategy), a.mean_wql, a.mean_us_per_round,
-               a.cost_units, a.spike_steps, a.spike_violations,
-               a.mean_slo_violation_rate);
-  }
-  out << StrFormat(
-      "],\"speedup\":%.2f,\"wql_ok\":%s,\"speedup_ok\":%s,"
-      "\"prescale_ok\":%s,\"rollback_ok\":%s,\"bounds_ok\":%s}\n",
-      speedup, wql_ok ? "true" : "false", speedup_ok ? "true" : "false",
-      prescale_ok ? "true" : "false", rollback_ok ? "true" : "false",
-      bounds_ok ? "true" : "false");
-}
-
-int RunAdaptiveSelection(const BenchOptions& options,
-                         const std::string& json_path) {
+void RunAdaptiveSelection(const BenchOptions& options, Report* report) {
   std::vector<ProfileClass> classes;
   classes.push_back(MakeProfileClass(trace::AlibabaProfile(), options));
   classes.push_back(MakeProfileClass(trace::GoogleProfile(), options));
@@ -512,9 +416,10 @@ int RunAdaptiveSelection(const BenchOptions& options,
   const size_t eval_rounds = num_steps / kReplanEvery;
   const size_t calib_rounds =
       (eval_start - kSelHorizon - kContext) / kReplanEvery + 1;
-  std::vector<ClassBaselines> baselines;
-  TablePrinter tiers_table({"class", "tier", "model", "calib_wQL",
-                            "calib_prefix", "eval_wQL", "eval_prefix"});
+  Table& tiers_table = report->AddTable(
+      "tiers", "Tier baselines (calibration window derives the SLO)",
+      {"class", "tier", "model", "calib_wQL", "calib_prefix", "eval_wQL",
+       "eval_prefix"});
   for (size_t c = 0; c < classes.size(); ++c) {
     ProfileClass& cls = classes[c];
     const size_t first_tenant = c == 0 ? 0 : easy_tenants;
@@ -522,25 +427,25 @@ int RunAdaptiveSelection(const BenchOptions& options,
         cls.profile, options.seed + 7919 * (first_tenant + 1));
     const ts::TimeSeries series = gen.GenerateCpu(
         (history_days + eval_days) * kStepsPerDay + kSelHorizon);
-    ClassBaselines b;
-    b.name = cls.name;
-    b.calib = MeasureTierBaselines(cls, series, kContext, calib_rounds,
-                                   /*warmup_rounds=*/0);
-    b.eval = MeasureTierBaselines(cls, series, eval_start, eval_rounds,
-                                  2 * eval_rounds / 5);
-    cls.wql_bound = DeriveWqlBound(b.calib);
-    b.wql_bound = cls.wql_bound;
-    for (size_t t = 0; t < b.calib.size(); ++t) {
-      tiers_table.AddRow({cls.name, StrFormat("%zu", t), kTierNames[t],
-                          Num(b.calib[t].wql, 5), Num(b.calib[t].prefix_wql, 5),
-                          Num(b.eval[t].wql, 5), Num(b.eval[t].prefix_wql, 5)});
+    const std::vector<ServedScore> calib = MeasureTierBaselines(
+        cls, series, kContext, calib_rounds, /*warmup_rounds=*/0);
+    const std::vector<ServedScore> eval = MeasureTierBaselines(
+        cls, series, eval_start, eval_rounds, 2 * eval_rounds / 5);
+    cls.wql_bound = DeriveWqlBound(calib);
+    for (size_t t = 0; t < calib.size(); ++t) {
+      tiers_table.AddRow({cls.name, Int(t), kTierNames[t],
+                          Real(calib[t].wql, 5), Real(calib[t].prefix_wql, 5),
+                          Real(eval[t].wql, 5), Real(eval[t].prefix_wql, 5)});
     }
-    baselines.push_back(std::move(b));
+    report->Check(cls.name + "_wql_bound",
+                  cls.wql_bound > 0.0 && calib.size() == std::size(kTierNames),
+                  StrFormat("derived from %zu tiers: %.5f > 0", calib.size(),
+                            cls.wql_bound));
   }
-  tiers_table.Print("Tier baselines (calibration window derives the SLO)");
-  for (const ClassBaselines& b : baselines) {
-    std::printf("%s: derived selector wql_bound = %.5f\n", b.name.c_str(),
-                b.wql_bound);
+  tiers_table.Print();
+  for (const ProfileClass& cls : classes) {
+    std::printf("%s: derived selector wql_bound = %.5f\n", cls.name.c_str(),
+                cls.wql_bound);
   }
   std::fflush(stdout);
 
@@ -571,10 +476,10 @@ int RunAdaptiveSelection(const BenchOptions& options,
     }
   });
 
-  TablePrinter table({"class", "tenant", "strategy", "wQL", "hzn_wQL",
-                      "us/round", "$cost", "slo_viol", "spike_viol", "tier",
-                      "pattern", "switches", "prescale"});
-  std::vector<CellResult> cells;
+  Table& table = report->AddTable(
+      "grid", "Adaptive selection: strategy x tenant-mix grid",
+      {"class", "tenant", "strategy", "wQL", "hzn_wQL", "us/round", "$cost",
+       "slo_viol", "spike_viol", "tier", "pattern", "switches", "prescale"});
   std::vector<Aggregate> aggregates;
   for (Strategy strategy : kStrategies) {
     Aggregate agg;
@@ -582,36 +487,37 @@ int RunAdaptiveSelection(const BenchOptions& options,
     aggregates.push_back(agg);
   }
   bool rollback_ok = true;
+  bool all_strategies = true;
+  uint64_t adaptive_activations = 0;
   for (const auto& tenant_cells : per_tenant) {
+    all_strategies =
+        all_strategies && tenant_cells.size() == std::size(kStrategies);
     for (const CellResult& c : tenant_cells) {
       table.AddRow(
-          {c.cls, StrFormat("%zu", c.tenant), StrategyName(c.strategy),
-           Num(c.wql, 5), Num(c.horizon_wql, 5), Num(c.us_per_round),
-           Num(c.cost_units),
-           Num(c.slo_violation_rate),
+          {c.cls, Int(c.tenant), StrategyName(c.strategy), Real(c.wql, 5),
+           Real(c.horizon_wql, 5), Real(c.us_per_round), Real(c.cost_units),
+           Real(c.slo_violation_rate),
            StrFormat("%zu/%zu", c.spike_violations, c.spike_steps),
-           StrFormat("%zu", c.final_tier), c.pattern,
-           StrFormat("%llu", static_cast<unsigned long long>(c.switches)),
+           Int(c.final_tier), c.pattern, Int(c.switches),
            StrFormat("%llu/%llu",
                      static_cast<unsigned long long>(c.prescale_rollbacks),
                      static_cast<unsigned long long>(
                          c.prescale_activations))});
+      if (c.strategy == Strategy::kAdaptive) {
+        adaptive_activations += c.prescale_activations;
+      }
       Aggregate& agg = aggregates[static_cast<size_t>(c.strategy)];
       agg.mean_wql += c.wql;
       agg.mean_us_per_round += c.us_per_round;
       agg.cost_units += c.cost_units;
-      agg.spike_steps += c.spike_steps;
       agg.spike_violations += c.spike_violations;
-      agg.mean_slo_violation_rate += c.slo_violation_rate;
       rollback_ok = rollback_ok && c.rollback_ok;
-      cells.push_back(c);
     }
   }
   const double n = static_cast<double>(tenants.size());
   for (Aggregate& agg : aggregates) {
     agg.mean_wql /= n;
     agg.mean_us_per_round /= n;
-    agg.mean_slo_violation_rate /= n;
   }
 
   const Aggregate& deepar =
@@ -624,16 +530,7 @@ int RunAdaptiveSelection(const BenchOptions& options,
       adaptive.mean_us_per_round > 0.0
           ? deepar.mean_us_per_round / adaptive.mean_us_per_round
           : 0.0;
-  const bool wql_ok = adaptive.mean_wql <= 1.02 * deepar.mean_wql;
-  const bool speedup_ok = speedup >= 3.0;
-  const bool prescale_ok =
-      adaptive.spike_violations <= noprescale.spike_violations;
-  const bool bounds_ok = wql_ok && speedup_ok && prescale_ok && rollback_ok;
-
-  table.Print("Adaptive selection: strategy x tenant-mix grid");
-  if (options.csv) {
-    table.PrintCsv();
-  }
+  table.Print();
   std::printf(
       "\nfleet means: adaptive in-force wQL %.5f vs all-deepar %.5f "
       "(%.1f%%), "
@@ -646,48 +543,38 @@ int RunAdaptiveSelection(const BenchOptions& options,
       adaptive.mean_us_per_round, deepar.mean_us_per_round, speedup,
       adaptive.cost_units, deepar.cost_units, adaptive.spike_violations,
       noprescale.spike_violations);
-  if (!wql_ok) {
-    std::fprintf(stderr,
-                 "BOUND VIOLATION: adaptive in-force wQL %.5f > 1.02 x "
-                 "all-deepar %.5f\n",
-                 adaptive.mean_wql, deepar.mean_wql);
-  }
-  if (!speedup_ok) {
-    std::fprintf(stderr,
-                 "BOUND VIOLATION: planning speedup %.2fx < 3x\n", speedup);
-  }
-  if (!prescale_ok) {
-    std::fprintf(stderr,
-                 "BOUND VIOLATION: prescale spike violations %zu > "
-                 "noprescale %zu\n",
-                 adaptive.spike_violations, noprescale.spike_violations);
-  }
-  if (!rollback_ok) {
-    std::fprintf(stderr, "BOUND VIOLATION: unbalanced floor rollbacks\n");
-  }
-  if (!json_path.empty()) {
-    WriteJson(json_path, options, baselines, cells, aggregates, speedup,
-              wql_ok, speedup_ok, prescale_ok, rollback_ok, bounds_ok);
-  }
-  WriteRunArtifacts(options);
-  if (!bounds_ok) {
-    std::fprintf(stderr, "adaptive_selection: bounds violated\n");
-    return 1;
-  }
-  return 0;
+  report->Check("wql_within_1.02x_deepar",
+                adaptive.mean_wql <= 1.02 * deepar.mean_wql,
+                StrFormat("adaptive in-force wQL %.5f <= 1.02 x all-deepar "
+                          "%.5f",
+                          adaptive.mean_wql, deepar.mean_wql));
+  report->Check("planning_speedup_3x", speedup >= 3.0,
+                StrFormat("all-deepar / adaptive us/round %.2fx >= 3x",
+                          speedup));
+  report->Check("prescale_spike_violations",
+                adaptive.spike_violations <= noprescale.spike_violations,
+                StrFormat("prescale %zu <= noprescale %zu",
+                          adaptive.spike_violations,
+                          noprescale.spike_violations));
+  report->Check("floor_rollbacks", rollback_ok,
+                "activations == rollbacks in every row");
+  report->Check("prescaler_activated", adaptive_activations > 0,
+                StrFormat("%llu adaptive pre-scale activations > 0",
+                          static_cast<unsigned long long>(
+                              adaptive_activations)));
+  report->Check("strategies_ran", all_strategies,
+                "every tenant ran all four strategies");
 }
 
 }  // namespace
 }  // namespace rpas::bench
 
 int main(int argc, char** argv) {
-  std::string json_path;
   const rpas::bench::BenchOptions options = rpas::bench::ParseArgs(
       argc, argv,
       "Adaptive selection: per-tenant classifier + forecaster ladder + TRUE "
-      "pre-scaling vs fixed all-seasonal / all-DeepAR strategies",
-      {{"--json=", "write a machine-readable summary to PATH",
-        [&json_path](const std::string& value) { json_path = value; }}});
-  rpas::bench::EnableMetricsIfRequested(options);
-  return rpas::bench::RunAdaptiveSelection(options, json_path);
+      "pre-scaling vs fixed all-seasonal / all-DeepAR strategies");
+  rpas::bench::Report report("adaptive_selection", options);
+  rpas::bench::RunAdaptiveSelection(options, &report);
+  return report.Finish();
 }

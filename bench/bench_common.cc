@@ -1,16 +1,23 @@
 #include "bench/bench_common.h"
 
+#include <benchmark/benchmark.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <limits>
+#include <thread>
 #include <utility>
 
+#include "common/logging.h"
 #include "common/parallel.h"
 #include "common/stopwatch.h"
 #include "common/strings.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
+#include "tensor/kernels.h"
 
 namespace rpas::bench {
 
@@ -26,30 +33,44 @@ namespace {
 
 void PrintUsage(std::FILE* out, const char* program,
                 const std::string& description,
-                const std::vector<BenchFlagSpec>& extra) {
+                const std::vector<IntFlag>& extra) {
   std::fprintf(out, "usage: %s [flags]\n", program);
   if (!description.empty()) {
     std::fprintf(out, "%s\n", description.c_str());
   }
   std::fprintf(out, "\nflags:\n");
   std::fprintf(out, "  --quick             shrink training budgets (smoke run)\n");
-  std::fprintf(out, "  --csv               emit machine-readable rows after the table\n");
   std::fprintf(out, "  --seed=N            base seed for traces and models (default 2024)\n");
+  std::fprintf(out, "  --json=PATH         write the run report (rpas_bench.v1 JSON)\n");
   std::fprintf(out, "  --metrics-out=PATH  write a structured JSONL+CSV run export\n");
-  for (const BenchFlagSpec& spec : extra) {
-    std::fprintf(out, "  %-18s  %s\n",
-                 (spec.flag.back() == '=' ? spec.flag + "V" : spec.flag)
-                     .c_str(),
+  for (const IntFlag& spec : extra) {
+    std::fprintf(out, "  %-18s  %s\n", (spec.flag + "N").c_str(),
                  spec.help.c_str());
   }
   std::fprintf(out, "  --help, -h          print this message and exit\n");
 }
 
+/// Parses `text` as a whole base-10 integer in [min, max].
+bool ParseIntInRange(const char* text, int64_t min, int64_t max,
+                     int64_t* out) {
+  const Result<int64_t> parsed = ParseInt64(text);
+  if (!parsed.ok() || *parsed < min || *parsed > max) {
+    return false;
+  }
+  *out = *parsed;
+  return true;
+}
+
 }  // namespace
 
 BenchOptions ParseArgs(int argc, char** argv, const std::string& description,
-                       const std::vector<BenchFlagSpec>& extra) {
+                       const std::vector<IntFlag>& extra) {
   BenchOptions options;
+  auto usage_error = [&](const char* arg, const std::string& what) {
+    std::fprintf(stderr, "%s: %s '%s'\n\n", argv[0], what.c_str(), arg);
+    PrintUsage(stderr, argv[0], description, extra);
+    std::exit(2);
+  };
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
@@ -60,13 +81,17 @@ BenchOptions ParseArgs(int argc, char** argv, const std::string& description,
       options.quick = true;
       continue;
     }
-    if (std::strcmp(arg, "--csv") == 0) {
-      options.csv = true;
+    if (StartsWith(arg, "--seed=")) {
+      int64_t seed = 0;
+      if (!ParseIntInRange(arg + 7, 0, std::numeric_limits<int64_t>::max(),
+                           &seed)) {
+        usage_error(arg, "want an integer >= 0, got");
+      }
+      options.seed = static_cast<uint64_t>(seed);
       continue;
     }
-    if (StartsWith(arg, "--seed=")) {
-      options.seed =
-          static_cast<uint64_t>(std::strtoull(arg + 7, nullptr, 10));
+    if (StartsWith(arg, "--json=")) {
+      options.json = arg + 7;
       continue;
     }
     if (StartsWith(arg, "--metrics-out=")) {
@@ -78,62 +103,25 @@ BenchOptions ParseArgs(int argc, char** argv, const std::string& description,
     if (StartsWith(arg, "--benchmark_")) {
       continue;
     }
-    bool matched = false;
-    for (const BenchFlagSpec& spec : extra) {
-      if (spec.flag.back() == '=') {
-        if (StartsWith(arg, spec.flag.c_str())) {
-          spec.handler(arg + spec.flag.size());
-          matched = true;
-          break;
-        }
-      } else if (spec.flag == arg) {
-        spec.handler("");
-        matched = true;
-        break;
-      }
+    const auto spec =
+        std::find_if(extra.begin(), extra.end(), [arg](const IntFlag& f) {
+          return StartsWith(arg, f.flag);
+        });
+    if (spec == extra.end()) {
+      usage_error(arg, "unknown flag");
     }
-    if (!matched) {
-      std::fprintf(stderr, "%s: unknown flag '%s'\n\n", argv[0], arg);
-      PrintUsage(stderr, argv[0], description, extra);
-      std::exit(2);
+    if (!ParseIntInRange(arg + spec->flag.size(), spec->min, spec->max,
+                         spec->value)) {
+      usage_error(arg, StrFormat("want an integer in [%lld, %lld], got",
+                                 static_cast<long long>(spec->min),
+                                 static_cast<long long>(spec->max)));
     }
+  }
+  if (!options.metrics_out.empty()) {
+    obs::MetricsRegistry::Global().SetEnabled(true);
+    obs::TraceBuffer::Global().SetEnabled(true);
   }
   return options;
-}
-
-void EnableMetricsIfRequested(const BenchOptions& options) {
-  if (options.metrics_out.empty()) {
-    return;
-  }
-  obs::MetricsRegistry::Global().SetEnabled(true);
-  obs::TraceBuffer::Global().SetEnabled(true);
-}
-
-void WriteRunArtifacts(const BenchOptions& options,
-                       std::vector<obs::ScalingDecision> decisions) {
-  if (options.metrics_out.empty()) {
-    return;
-  }
-  obs::RunExport run_export(&obs::MetricsRegistry::Global(),
-                            &obs::TraceBuffer::Global(),
-                            std::move(decisions));
-  std::string csv_path = options.metrics_out;
-  const size_t dot = csv_path.find_last_of('.');
-  const size_t slash = csv_path.find_last_of('/');
-  if (dot != std::string::npos &&
-      (slash == std::string::npos || dot > slash)) {
-    csv_path.resize(dot);
-  }
-  csv_path += ".csv";
-  const Status jsonl = run_export.WriteJsonl(options.metrics_out);
-  const Status csv = run_export.WriteCsv(csv_path);
-  if (!jsonl.ok() || !csv.ok()) {
-    std::fprintf(stderr, "metrics export failed: %s\n",
-                 (!jsonl.ok() ? jsonl : csv).ToString().c_str());
-    return;
-  }
-  std::printf("metrics export: %s (+ %s)\n", options.metrics_out.c_str(),
-              csv_path.c_str());
 }
 
 double TimedMillis(const char* span_name, int reps,
@@ -263,57 +251,234 @@ void RunScenarios(size_t count, const std::function<void(size_t)>& fn) {
   });
 }
 
-TablePrinter::TablePrinter(std::vector<std::string> header)
-    : header_(std::move(header)) {}
+namespace {
 
-void TablePrinter::AddRow(std::vector<std::string> row) {
+void AppendJsonString(std::string* out, const std::string& s) {
+  *out += '"';
+  *out += obs::JsonEscape(s);
+  *out += '"';
+}
+
+/// Writes one output file. A run's outputs never change its exit code, so
+/// a failure is logged and reported as false.
+bool WriteOutput(const std::string& path, const std::string& text) {
+  std::ofstream out(path, std::ios::trunc);
+  out << text;
+  out.flush();
+  if (!out) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+  }
+  return static_cast<bool>(out);
+}
+
+Cell MakeCell(std::string text, std::string json) {
+  Cell cell;
+  cell.text = std::move(text);
+  cell.json = std::move(json);
+  return cell;
+}
+
+}  // namespace
+
+Cell::Cell(const std::string& s) : text(s), json() { AppendJsonString(&json, s); }
+
+Cell Int(int64_t value) {
+  const std::string text = StrFormat("%lld", static_cast<long long>(value));
+  return MakeCell(text, text);
+}
+
+Cell Real(double value, int precision) {
+  return MakeCell(Num(value, precision), obs::FormatDouble(value));
+}
+
+Cell Bool(bool value) {
+  return MakeCell(value ? "yes" : "no", value ? "true" : "false");
+}
+
+void Table::AddRow(std::vector<Cell> row) {
+  RPAS_CHECK(row.size() == columns_.size())
+      << name_ << ": row of " << row.size() << " cells, " << columns_.size()
+      << " columns";
   rows_.push_back(std::move(row));
 }
 
-void TablePrinter::Print(const std::string& title) const {
-  std::vector<size_t> widths(header_.size(), 0);
-  for (size_t c = 0; c < header_.size(); ++c) {
-    widths[c] = header_[c].size();
-  }
-  for (const auto& row : rows_) {
-    for (size_t c = 0; c < row.size() && c < widths.size(); ++c) {
-      widths[c] = std::max(widths[c], row[c].size());
+void Table::Print() const {
+  std::vector<size_t> widths(columns_.size(), 0);
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    widths[c] = columns_[c].size();
+    for (const auto& row : rows_) {
+      widths[c] = std::max(widths[c], row[c].text.size());
     }
   }
-  std::printf("\n=== %s ===\n", title.c_str());
-  auto print_row = [&](const std::vector<std::string>& row) {
-    for (size_t c = 0; c < row.size(); ++c) {
-      std::printf("%-*s  ", static_cast<int>(widths[c]), row[c].c_str());
-    }
-    std::printf("\n");
-  };
-  print_row(header_);
+  std::printf("\n=== %s ===\n", title_.c_str());
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    std::printf("%-*s  ", static_cast<int>(widths[c]), columns_[c].c_str());
+  }
   size_t total = 0;
   for (size_t w : widths) {
     total += w + 2;
   }
-  for (size_t i = 0; i < total; ++i) {
-    std::printf("-");
-  }
-  std::printf("\n");
+  std::printf("\n%s\n", std::string(total, '-').c_str());
   for (const auto& row : rows_) {
-    print_row(row);
+    for (size_t c = 0; c < row.size(); ++c) {
+      std::printf("%-*s  ", static_cast<int>(widths[c]), row[c].text.c_str());
+    }
+    std::printf("\n");
   }
   std::fflush(stdout);
 }
 
-void TablePrinter::PrintCsv() const {
-  auto print_row = [](const std::vector<std::string>& row) {
-    for (size_t c = 0; c < row.size(); ++c) {
-      std::printf("%s%s", c > 0 ? "," : "", row[c].c_str());
+Report::Report(std::string bench, BenchOptions options)
+    : bench_(std::move(bench)), options_(std::move(options)) {}
+
+Table& Report::AddTable(std::string name, std::string title,
+                        std::vector<std::string> columns) {
+  tables_.push_back(
+      Table(std::move(name), std::move(title), std::move(columns)));
+  return tables_.back();
+}
+
+bool Report::Check(std::string name, bool ok, std::string detail) {
+  checks_.push_back({std::move(name), ok, std::move(detail)});
+  return ok;
+}
+
+std::string Report::ToJson() const {
+#if defined(__clang__)
+  const std::string compiler = "clang " __clang_version__;
+#else
+  const std::string compiler = "gcc " __VERSION__;
+#endif
+  std::string out = "{\"schema\":\"rpas_bench.v1\",\"bench\":";
+  AppendJsonString(&out, bench_);
+  out += StrFormat(
+      ",\n\"provenance\":{\"rpas_threads\":%d,\"hardware_threads\":%u,"
+      "\"simd\":\"%s\",\"compiler\":",
+      RpasThreads(), std::thread::hardware_concurrency(),
+      tensor::kernels::LevelName(tensor::kernels::ActiveLevel()));
+  AppendJsonString(&out, compiler);
+  out += ",\"build_type\":";
+  AppendJsonString(&out, RPAS_BUILD_TYPE);
+  out += StrFormat(",\"quick\":%s,\"seed\":%llu},\n\"tables\":[",
+                   options_.quick ? "true" : "false",
+                   static_cast<unsigned long long>(options_.seed));
+  for (size_t t = 0; t < tables_.size(); ++t) {
+    const Table& table = tables_[t];
+    out += t > 0 ? ",\n{\"name\":" : "\n{\"name\":";
+    AppendJsonString(&out, table.name_);
+    out += ",\"title\":";
+    AppendJsonString(&out, table.title_);
+    out += ",\"columns\":[";
+    for (size_t c = 0; c < table.columns_.size(); ++c) {
+      out += c > 0 ? "," : "";
+      AppendJsonString(&out, table.columns_[c]);
     }
-    std::printf("\n");
-  };
-  print_row(header_);
-  for (const auto& row : rows_) {
-    print_row(row);
+    out += "],\"rows\":[";
+    for (size_t r = 0; r < table.rows_.size(); ++r) {
+      out += r > 0 ? ",\n{" : "\n{";
+      for (size_t c = 0; c < table.columns_.size(); ++c) {
+        out += c > 0 ? "," : "";
+        AppendJsonString(&out, table.columns_[c]);
+        out += ":";
+        out += table.rows_[r][c].json;
+      }
+      out += "}";
+    }
+    out += "]}";
+  }
+  out += "],\n\"checks\":[";
+  bool ok = true;
+  for (size_t i = 0; i < checks_.size(); ++i) {
+    const CheckResult& check = checks_[i];
+    out += i > 0 ? ",\n{\"name\":" : "\n{\"name\":";
+    AppendJsonString(&out, check.name);
+    out += check.ok ? ",\"ok\":true,\"detail\":" : ",\"ok\":false,\"detail\":";
+    AppendJsonString(&out, check.detail);
+    out += "}";
+    ok = ok && check.ok;
+  }
+  out += StrFormat("],\n\"ok\":%s}\n", ok ? "true" : "false");
+  return out;
+}
+
+int Report::Finish(std::vector<obs::ScalingDecision> decisions) {
+  bool ok = true;
+  for (const CheckResult& check : checks_) {
+    std::printf("check %s: %s  %s\n", check.name.c_str(),
+                check.ok ? "ok" : "FAILED", check.detail.c_str());
+    if (!check.ok) {
+      std::fprintf(stderr, "%s: check %s failed: %s\n", bench_.c_str(),
+                   check.name.c_str(), check.detail.c_str());
+    }
+    ok = ok && check.ok;
+  }
+  if (!options_.json.empty() && WriteOutput(options_.json, ToJson())) {
+    std::printf("report: %s\n", options_.json.c_str());
+  }
+  if (!options_.metrics_out.empty()) {
+    const obs::RunExport run_export(&obs::MetricsRegistry::Global(),
+                                    &obs::TraceBuffer::Global(),
+                                    std::move(decisions));
+    std::string csv_path = options_.metrics_out;
+    const size_t dot = csv_path.find_last_of('.');
+    const size_t slash = csv_path.find_last_of('/');
+    if (dot != std::string::npos &&
+        (slash == std::string::npos || dot > slash)) {
+      csv_path.resize(dot);
+    }
+    csv_path += ".csv";
+    if (WriteOutput(options_.metrics_out, run_export.ToJsonl()) &&
+        WriteOutput(csv_path, run_export.ToCsv())) {
+      std::printf("metrics export: %s (+ %s)\n",
+                  options_.metrics_out.c_str(), csv_path.c_str());
+    }
   }
   std::fflush(stdout);
+  return ok ? 0 : 1;
+}
+
+namespace {
+
+/// Forwards every call to the default console reporter and adds each
+/// iteration run to a report table.
+class RecordingReporter : public benchmark::BenchmarkReporter {
+ public:
+  explicit RecordingReporter(Table* table)
+      : display_(benchmark::CreateDefaultDisplayReporter()), table_(table) {}
+
+  bool ReportContext(const Context& context) override {
+    return display_->ReportContext(context);
+  }
+  void ReportRuns(const std::vector<Run>& runs) override {
+    display_->ReportRuns(runs);
+    for (const Run& run : runs) {
+      if (run.run_type != Run::RT_Iteration) {
+        continue;
+      }
+      const double to_ms =
+          1e3 / benchmark::GetTimeUnitMultiplier(run.time_unit);
+      table_->AddRow({run.benchmark_name(),
+                      Real(run.GetAdjustedRealTime() * to_ms),
+                      Real(run.GetAdjustedCPUTime() * to_ms),
+                      Int(static_cast<int64_t>(run.iterations))});
+    }
+  }
+  void Finalize() override { display_->Finalize(); }
+
+ private:
+  std::unique_ptr<benchmark::BenchmarkReporter> display_;
+  Table* table_;
+};
+
+}  // namespace
+
+void RunGoogleBenchmarks(Report* report, std::string name,
+                         std::string title) {
+  Table& table = report->AddTable(
+      std::move(name), std::move(title),
+      {"benchmark", "real_ms", "cpu_ms", "iterations"});
+  RecordingReporter reporter(&table);
+  benchmark::RunSpecifiedBenchmarks(&reporter);
 }
 
 std::string Num(double value, int precision) {

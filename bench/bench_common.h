@@ -1,9 +1,13 @@
 #ifndef RPAS_BENCH_BENCH_COMMON_H_
 #define RPAS_BENCH_BENCH_COMMON_H_
 
+#include <cstdint>
+#include <deque>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/scaling_config.h"
@@ -31,48 +35,41 @@ std::vector<double> AccuracyLevels();
 std::vector<double> ScalingLevels();
 
 /// Run-mode knobs shared by every bench binary. `--quick` shrinks training
-/// budgets for smoke runs; `--csv` emits machine-readable rows after the
-/// human-readable table; `--metrics-out=PATH` enables the global metrics
-/// registry + trace buffer for the run and writes a structured JSONL
-/// export to PATH (plus a flat CSV next to it) at exit.
+/// budgets for smoke runs; `--json=PATH` writes the run's report (schema
+/// rpas_bench.v1, see Report); `--metrics-out=PATH` enables the global
+/// metrics registry and trace buffer for the run and writes a structured
+/// JSONL export to PATH (plus a flat CSV next to it) at exit.
 struct BenchOptions {
   bool quick = false;
-  bool csv = false;
   uint64_t seed = 2024;
+  std::string json;
   std::string metrics_out;
 };
 
-/// A bench-specific flag understood by ParseArgs in addition to the shared
-/// set. A `flag` ending in '=' takes a value (the handler receives the text
-/// after '='); otherwise it is boolean (the handler receives "").
-struct BenchFlagSpec {
-  std::string flag;  ///< e.g. "--tenants=" (value) or "--all-warm" (bool)
+/// A bench-specific integer flag `--name=N` understood by ParseArgs beside
+/// the shared set. N must be a whole integer in [min, max]; `*value` is
+/// left as it was when the flag is absent.
+struct IntFlag {
+  std::string flag;  ///< e.g. "--tenants="
   std::string help;  ///< one-line description for --help
-  std::function<void(const std::string& value)> handler;
+  int64_t min = 1;
+  int64_t max = std::numeric_limits<int64_t>::max();
+  int64_t* value = nullptr;
 };
 
-/// Parses the shared flags (--quick, --csv, --seed=N, --metrics-out=PATH)
-/// plus any `extra` bench-specific flags. `--help`/`-h` prints a usage
-/// summary built from `description` and the flag table, then exits 0. Any
-/// other unknown argument is an error: usage goes to stderr and the
-/// process exits 2 — a typoed flag must never silently run the default
-/// configuration. `--benchmark_*` flags are passed through untouched for
-/// binaries that hand argv to Google Benchmark afterwards.
+/// Parses the shared flags (--quick, --seed=N, --json=PATH,
+/// --metrics-out=PATH) plus any `extra` bench-specific flags, and turns on
+/// the global obs::MetricsRegistry and obs::TraceBuffer when --metrics-out
+/// was given. `--help`/`-h` prints a usage summary built from
+/// `description` and the flag table, then exits 0. An unknown argument, or
+/// a malformed or out-of-range number, is an error: usage goes to stderr
+/// naming the flag and the process exits 2 — a typoed flag must never
+/// silently run the default configuration. `--benchmark_*` flags are
+/// passed through untouched for binaries that hand argv to Google
+/// Benchmark afterwards.
 BenchOptions ParseArgs(int argc, char** argv,
                        const std::string& description = "",
-                       const std::vector<BenchFlagSpec>& extra = {});
-
-/// Turns on the global obs::MetricsRegistry and obs::TraceBuffer when
-/// `--metrics-out` was given (equivalent to running with RPAS_METRICS=1).
-/// Call once, before any instrumented work.
-void EnableMetricsIfRequested(const BenchOptions& options);
-
-/// Writes the run export (global registry + trace snapshot + `decisions`)
-/// as JSONL to `options.metrics_out` and as CSV to the same path with a
-/// ".csv" extension. No-op when `--metrics-out` was not given. Logs and
-/// continues on I/O failure — telemetry must never fail a bench.
-void WriteRunArtifacts(const BenchOptions& options,
-                       std::vector<obs::ScalingDecision> decisions = {});
+                       const std::vector<IntFlag>& extra = {});
 
 /// Times `reps` invocations of `fn` under an obs::Span named `span_name`
 /// and returns the mean wall-clock milliseconds per invocation. The single
@@ -124,23 +121,97 @@ core::ScalingConfig MakeScalingConfig(const Dataset& dataset);
 void RunScenarios(size_t count, const std::function<void(size_t)>& fn);
 
 // ---------------------------------------------------------------------------
-// Minimal aligned-text table printer (every bench prints the same rows the
-// paper's tables/figures report).
+// Run report: the tables a bench prints, its named checks, and its
+// --json / --metrics-out outputs.
 // ---------------------------------------------------------------------------
-class TablePrinter {
- public:
-  explicit TablePrinter(std::vector<std::string> header);
 
-  void AddRow(std::vector<std::string> row);
-  /// Prints the aligned table to stdout.
-  void Print(const std::string& title) const;
-  /// Prints rows as CSV (after the table) when enabled.
-  void PrintCsv() const;
+/// One table cell: text, an integer, a real or a flag, made by the string
+/// constructor or Int/Real/Bool. It holds its printed form and its JSON
+/// value. A default cell is "not applicable": printed "-", written null.
+struct Cell {
+  Cell() = default;
+  Cell(const std::string& s);  // NOLINT(runtime/explicit)
+  Cell(const char* s) : Cell(std::string(s)) {}  // NOLINT
+
+  std::string text = "-";
+  std::string json = "null";
+};
+
+Cell Int(int64_t value);
+/// Printed %.*g at `precision` (as Num); written at full precision.
+Cell Real(double value, int precision = 4);
+/// Printed "yes"/"no"; written true/false.
+Cell Bool(bool value);
+
+/// An aligned-text table owned by a Report. Every row has one cell per
+/// column, so every row of the JSON table has the same keys.
+class Table {
+ public:
+  void AddRow(std::vector<Cell> row);
+  /// Prints the title and the aligned table to stdout.
+  void Print() const;
 
  private:
-  std::vector<std::string> header_;
-  std::vector<std::vector<std::string>> rows_;
+  friend class Report;
+  Table(std::string name, std::string title, std::vector<std::string> columns)
+      : name_(std::move(name)),
+        title_(std::move(title)),
+        columns_(std::move(columns)) {}
+
+  std::string name_;
+  std::string title_;
+  std::vector<std::string> columns_;
+  std::vector<std::vector<Cell>> rows_;
 };
+
+/// One bench run's report. A bench adds its tables and named checks, then
+/// returns Finish() from main. The --json file (schema `rpas_bench.v1`)
+/// holds `bench`, a `provenance` block (RpasThreads(), hardware threads,
+/// SIMD level, compiler, build type, quick, seed), `tables` (name, title,
+/// columns, rows keyed by column), `checks` (name, ok, detail) and `ok`,
+/// the conjunction of the checks. Each bound a bench enforces is one named
+/// check, so it is written once and reported by every run.
+class Report {
+ public:
+  Report(std::string bench, BenchOptions options);
+
+  /// Adds a table keyed `name` in the JSON that prints under `title`. The
+  /// reference stays valid for the report's lifetime.
+  Table& AddTable(std::string name, std::string title,
+                  std::vector<std::string> columns);
+
+  /// Records a named check with a human-readable account of the values it
+  /// compared. Returns `ok`.
+  bool Check(std::string name, bool ok, std::string detail = "");
+
+  /// Prints every check (failures also to stderr), writes the --json
+  /// report and the --metrics-out export (global registry, trace buffer
+  /// and `decisions`), and returns the exit code: 0 when every check
+  /// passed, 1 otherwise. An output that cannot be written is logged and
+  /// does not change the exit code.
+  int Finish(std::vector<obs::ScalingDecision> decisions = {});
+
+ private:
+  struct CheckResult {
+    std::string name;
+    bool ok = true;
+    std::string detail;
+  };
+
+  std::string ToJson() const;
+
+  std::string bench_;
+  BenchOptions options_;
+  std::deque<Table> tables_;
+  std::vector<CheckResult> checks_;
+};
+
+/// Runs the registered Google Benchmarks with the default console output
+/// and adds one row per benchmark (real and CPU ms per iteration,
+/// iterations) to a new report table. For binaries that called
+/// benchmark::Initialize.
+void RunGoogleBenchmarks(Report* report, std::string name,
+                         std::string title);
 
 /// Formats a double with %.4g-style compactness.
 std::string Num(double value, int precision = 4);

@@ -51,7 +51,8 @@ std::vector<StrategyCell> MakeStrategies(double adaptive_rho) {
   return cells;
 }
 
-void RunFaultRobustness(const BenchOptions& options) {
+std::vector<obs::ScalingDecision> RunFaultRobustness(
+    const BenchOptions& options, Report* report) {
   Dataset dataset = MakeDataset(trace::AlibabaProfile(), options.seed);
   const size_t eval_start = dataset.train.size();
   const size_t eval_steps =
@@ -115,25 +116,23 @@ void RunFaultRobustness(const BenchOptions& options) {
     std::fflush(stdout);
   });
 
-  TablePrinter table({"Strategy", "fault_rate", "slo_rate", "under_rate",
-                      "fallbacks", "retries", "stale", "faulted_steps",
-                      "node_steps"});
-  for (const CellResult& r : results) {
-    table.AddRow({r.strategy, Num(r.fault_rate, 3),
-                  Num(r.loop.slo_violation_rate, 3),
-                  Num(r.loop.under_provision_rate, 3),
-                  Num(static_cast<double>(r.loop.fallback_plans)),
-                  Num(static_cast<double>(r.loop.retried_plans)),
-                  Num(static_cast<double>(r.loop.stale_plans)),
-                  Num(static_cast<double>(r.loop.faulted_steps)),
-                  Num(static_cast<double>(r.loop.total_node_steps))});
-  }
-  table.Print(
+  Table& table = report->AddTable(
+      "grid",
       "Fault robustness: graceful degradation of the online scaling loop "
-      "(fault rate x strategy, identical fault seed per row)");
-  if (options.csv) {
-    table.PrintCsv();
+      "(fault rate x strategy, identical fault seed per row)",
+      {"Strategy", "fault_rate", "slo_rate", "under_rate", "fallbacks",
+       "retries", "stale", "faulted_steps", "node_steps"});
+  for (const CellResult& r : results) {
+    table.AddRow({r.strategy, Real(r.fault_rate, 3),
+                  Real(r.loop.slo_violation_rate, 3),
+                  Real(r.loop.under_provision_rate, 3),
+                  Real(static_cast<double>(r.loop.fallback_plans)),
+                  Real(static_cast<double>(r.loop.retried_plans)),
+                  Real(static_cast<double>(r.loop.stale_plans)),
+                  Real(static_cast<double>(r.loop.faulted_steps)),
+                  Real(static_cast<double>(r.loop.total_node_steps))});
   }
+  table.Print();
   std::printf(
       "\nExpected shape: slo_rate and under_rate grow with the fault rate\n"
       "for every strategy, but the loop never aborts — forecaster faults\n"
@@ -142,9 +141,10 @@ void RunFaultRobustness(const BenchOptions& options) {
       "fault rate because their head-room also absorbs actuation delays and\n"
       "crash-induced capacity dips.\n");
 
+  // Per-step decision records for the --metrics-out export, one labeled
+  // run per grid cell.
+  std::vector<obs::ScalingDecision> decisions;
   if (!options.metrics_out.empty()) {
-    // Per-step decision records, one labeled run per grid cell.
-    std::vector<obs::ScalingDecision> decisions;
     for (const CellResult& r : results) {
       const std::string label =
           StrFormat("%s@%s", r.strategy.c_str(), Num(r.fault_rate, 3).c_str());
@@ -155,16 +155,16 @@ void RunFaultRobustness(const BenchOptions& options) {
                        std::make_move_iterator(cell.end()));
     }
     obs::RecordPoolStats();
-    WriteRunArtifacts(options, std::move(decisions));
   }
+  return decisions;
 }
 
 }  // namespace
 }  // namespace rpas::bench
 
 int main(int argc, char** argv) {
-  rpas::bench::BenchOptions options = rpas::bench::ParseArgs(argc, argv, "Online-loop robustness under injected fault schedules");
-  rpas::bench::EnableMetricsIfRequested(options);
-  rpas::bench::RunFaultRobustness(options);
-  return 0;
+  const rpas::bench::BenchOptions options = rpas::bench::ParseArgs(
+      argc, argv, "Online-loop robustness under injected fault schedules");
+  rpas::bench::Report report("fault_robustness", options);
+  return report.Finish(rpas::bench::RunFaultRobustness(options, &report));
 }

@@ -16,7 +16,7 @@
 namespace rpas::bench {
 namespace {
 
-void RunFig10(const BenchOptions& options) {
+void RunFig10(const BenchOptions& options, Report* report) {
   Dataset dataset = MakeDataset(trace::AlibabaProfile(), options.seed);
   const core::ScalingConfig config = MakeScalingConfig(dataset);
   const size_t eval_start = dataset.train.size();
@@ -39,24 +39,25 @@ void RunFig10(const BenchOptions& options) {
                                     0.8,  0.85, 0.9,  0.95, 0.99};
   for (Entry& entry : entries) {
     RPAS_CHECK(entry.model->Fit(dataset.train).ok());
-    TablePrinter table({"tau", "under_provision_rate",
-                        "over_provision_rate", "mean_nodes"});
+    Table& table = report->AddTable(
+        "sweep_" + entry.name,
+        "Fig. 10 (" + entry.name + ", " + dataset.name +
+            "): provisioning rates vs quantile level",
+        {"tau", "under_provision_rate", "over_provision_rate",
+         "mean_nodes"});
     for (double tau : taus) {
       core::RobustQuantileAllocator allocator(tau);
       auto alloc = core::RunPredictiveStrategy(*entry.model, allocator,
                                                dataset.full, eval_start,
                                                eval_steps, config);
       RPAS_CHECK(alloc.ok()) << alloc.status().ToString();
-      const auto report = core::EvaluateAllocation(realized, *alloc, config);
-      table.AddRow({Num(tau, 3), Num(report.under_provision_rate, 3),
-                    Num(report.over_provision_rate, 3),
-                    Num(report.mean_allocated_nodes, 3)});
+      const auto provision =
+          core::EvaluateAllocation(realized, *alloc, config);
+      table.AddRow({Real(tau, 3), Real(provision.under_provision_rate, 3),
+                    Real(provision.over_provision_rate, 3),
+                    Real(provision.mean_allocated_nodes, 3)});
     }
-    table.Print("Fig. 10 (" + entry.name + ", " + dataset.name +
-                "): provisioning rates vs quantile level");
-    if (options.csv) {
-      table.PrintCsv();
-    }
+    table.Print();
   }
 }
 
@@ -64,6 +65,9 @@ void RunFig10(const BenchOptions& options) {
 }  // namespace rpas::bench
 
 int main(int argc, char** argv) {
-  rpas::bench::RunFig10(rpas::bench::ParseArgs(argc, argv, "Fig. 10: provisioning trade-offs across the quantile grid"));
-  return 0;
+  const rpas::bench::BenchOptions options = rpas::bench::ParseArgs(
+      argc, argv, "Fig. 10: provisioning trade-offs across the quantile grid");
+  rpas::bench::Report report("fig10_quantile_sweep", options);
+  rpas::bench::RunFig10(options, &report);
+  return report.Finish();
 }

@@ -43,7 +43,7 @@ double CalibrateRho(const forecast::Forecaster& model,
   return all_u[all_u.size() / 2];
 }
 
-void RunFig11(const BenchOptions& options) {
+void RunFig11(const BenchOptions& options, Report* report) {
   Dataset dataset = MakeDataset(trace::AlibabaProfile(), options.seed);
   const core::ScalingConfig config = MakeScalingConfig(dataset);
   const size_t eval_start = dataset.train.size();
@@ -69,16 +69,27 @@ void RunFig11(const BenchOptions& options) {
     std::printf("[fig11] %s calibrated rho = %s\n", entry.name.c_str(),
                 Num(rho).c_str());
 
-    TablePrinter under({"tau1\\tau2", "0.5", "0.6", "0.7", "0.8", "0.9",
-                        "0.95", "0.99"});
-    TablePrinter over = under;
+    const std::vector<std::string> columns = {
+        "tau1\\tau2", "0.5", "0.6", "0.7", "0.8", "0.9", "0.95", "0.99"};
+    Table& under = report->AddTable(
+        "under_" + entry.name,
+        "Fig. 11 (" + entry.name +
+            "): UNDER-provisioning rate per (tau1, tau2); diagonal = fixed "
+            "quantile",
+        columns);
+    Table& over = report->AddTable(
+        "over_" + entry.name,
+        "Fig. 11 (" + entry.name +
+            "): OVER-provisioning rate per (tau1, tau2); diagonal = fixed "
+            "quantile",
+        columns);
     for (double tau1 : levels) {
-      std::vector<std::string> under_row = {Num(tau1, 3)};
-      std::vector<std::string> over_row = {Num(tau1, 3)};
+      std::vector<Cell> under_row = {Real(tau1, 3)};
+      std::vector<Cell> over_row = {Real(tau1, 3)};
       for (double tau2 : levels) {
         if (tau2 < tau1) {
-          under_row.push_back("-");
-          over_row.push_back("-");
+          under_row.emplace_back();
+          over_row.emplace_back();
           continue;
         }
         Result<std::vector<int>> alloc = [&]() {
@@ -94,24 +105,16 @@ void RunFig11(const BenchOptions& options) {
                                              eval_steps, config);
         }();
         RPAS_CHECK(alloc.ok()) << alloc.status().ToString();
-        const auto report =
+        const auto provision =
             core::EvaluateAllocation(realized, *alloc, config);
-        under_row.push_back(Num(report.under_provision_rate, 3));
-        over_row.push_back(Num(report.over_provision_rate, 3));
+        under_row.push_back(Real(provision.under_provision_rate, 3));
+        over_row.push_back(Real(provision.over_provision_rate, 3));
       }
       under.AddRow(std::move(under_row));
       over.AddRow(std::move(over_row));
     }
-    under.Print("Fig. 11 (" + entry.name +
-                "): UNDER-provisioning rate per (tau1, tau2); diagonal = "
-                "fixed quantile");
-    over.Print("Fig. 11 (" + entry.name +
-               "): OVER-provisioning rate per (tau1, tau2); diagonal = "
-               "fixed quantile");
-    if (options.csv) {
-      under.PrintCsv();
-      over.PrintCsv();
-    }
+    under.Print();
+    over.Print();
   }
 }
 
@@ -119,6 +122,9 @@ void RunFig11(const BenchOptions& options) {
 }  // namespace rpas::bench
 
 int main(int argc, char** argv) {
-  rpas::bench::RunFig11(rpas::bench::ParseArgs(argc, argv, "Fig. 11: adaptive allocator level/threshold heatmap"));
-  return 0;
+  const rpas::bench::BenchOptions options = rpas::bench::ParseArgs(
+      argc, argv, "Fig. 11: adaptive allocator level/threshold heatmap");
+  rpas::bench::Report report("fig11_adaptive_heatmap", options);
+  rpas::bench::RunFig11(options, &report);
+  return report.Finish();
 }

@@ -20,7 +20,7 @@
 namespace rpas::bench {
 namespace {
 
-void RunFig12(const BenchOptions& options) {
+void RunFig12(const BenchOptions& options, Report* report) {
   Dataset dataset = MakeDataset(trace::GoogleProfile(), options.seed + 1);
   const core::ScalingConfig config = MakeScalingConfig(dataset);
   const size_t eval_start = dataset.train.size();
@@ -56,8 +56,12 @@ void RunFig12(const BenchOptions& options) {
   const std::vector<std::pair<double, double>> combos = {
       {0.6, 0.9}, {0.7, 0.95}, {0.8, 0.99}};
   for (const auto& [tau1, tau2] : combos) {
-    TablePrinter table({"rho (U-percentile)", "rho", "under_provision_rate",
-                        "over_provision_rate", "mean_nodes"});
+    Table& table = report->AddTable(
+        "rho_sweep_" + Num(tau1, 3) + "_" + Num(tau2, 3),
+        "Fig. 12 (TFT, " + dataset.name + "): sensitivity to rho, tau1=" +
+            Num(tau1, 3) + " tau2=" + Num(tau2, 3),
+        {"rho (U-percentile)", "rho", "under_provision_rate",
+         "over_provision_rate", "mean_nodes"});
     for (double p : {0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0}) {
       // Sweep slightly past both ends so the all-conservative and
       // all-optimistic extremes are included.
@@ -69,16 +73,14 @@ void RunFig12(const BenchOptions& options) {
                                                dataset.full, eval_start,
                                                eval_steps, config);
       RPAS_CHECK(alloc.ok()) << alloc.status().ToString();
-      const auto report = core::EvaluateAllocation(realized, *alloc, config);
-      table.AddRow({Num(p, 3), Num(rho), Num(report.under_provision_rate, 3),
-                    Num(report.over_provision_rate, 3),
-                    Num(report.mean_allocated_nodes, 3)});
+      const auto provision =
+          core::EvaluateAllocation(realized, *alloc, config);
+      table.AddRow({Real(p, 3), Real(rho),
+                    Real(provision.under_provision_rate, 3),
+                    Real(provision.over_provision_rate, 3),
+                    Real(provision.mean_allocated_nodes, 3)});
     }
-    table.Print("Fig. 12 (TFT, " + dataset.name + "): sensitivity to rho, "
-                "tau1=" + Num(tau1, 3) + " tau2=" + Num(tau2, 3));
-    if (options.csv) {
-      table.PrintCsv();
-    }
+    table.Print();
   }
 }
 
@@ -86,6 +88,10 @@ void RunFig12(const BenchOptions& options) {
 }  // namespace rpas::bench
 
 int main(int argc, char** argv) {
-  rpas::bench::RunFig12(rpas::bench::ParseArgs(argc, argv, "Fig. 12: utilization-threshold sensitivity of the scaling loop"));
-  return 0;
+  const rpas::bench::BenchOptions options = rpas::bench::ParseArgs(
+      argc, argv,
+      "Fig. 12: utilization-threshold sensitivity of the scaling loop");
+  rpas::bench::Report report("fig12_threshold_sensitivity", options);
+  rpas::bench::RunFig12(options, &report);
+  return report.Finish();
 }

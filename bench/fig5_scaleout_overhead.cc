@@ -16,15 +16,17 @@
 namespace rpas::bench {
 namespace {
 
-void RunFig5(const BenchOptions& options) {
+void RunFig5(const BenchOptions& options, Report* report) {
   simdb::WarmupModel model;
   model.base_latency_seconds = 1.2;
   model.replay_gbps = 2.0;
   model.jitter_fraction = 0.10;
 
   const int trials = options.quick ? 200 : 2000;
-  TablePrinter table({"checkpoint_gb", "warmup_p50_s", "warmup_p95_s",
-                      "warmup_max_s", "pct_of_10min_step"});
+  Table& table = report->AddTable(
+      "warmup", "Fig. 5: scale-out warm-up vs checkpoint size",
+      {"checkpoint_gb", "warmup_p50_s", "warmup_p95_s", "warmup_max_s",
+       "pct_of_10min_step"});
   Rng rng(options.seed);
   for (double gb : {0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0}) {
     std::vector<double> samples;
@@ -36,13 +38,10 @@ void RunFig5(const BenchOptions& options) {
     const double p50 = samples[samples.size() / 2];
     const double p95 = samples[samples.size() * 95 / 100];
     const double mx = samples.back();
-    table.AddRow({Num(gb), Num(p50, 3), Num(p95, 3), Num(mx, 3),
-                  Num(100.0 * p50 / 600.0, 2)});
+    table.AddRow({Real(gb), Real(p50, 3), Real(p95, 3), Real(mx, 3),
+                  Real(100.0 * p50 / 600.0, 2)});
   }
-  table.Print("Fig. 5: scale-out warm-up vs checkpoint size");
-  if (options.csv) {
-    table.PrintCsv();
-  }
+  table.Print();
   std::printf(
       "\nObservation: warm-up stays in the seconds range — negligible\n"
       "against the 10-minute scaling interval, matching the paper's\n"
@@ -53,6 +52,9 @@ void RunFig5(const BenchOptions& options) {
 }  // namespace rpas::bench
 
 int main(int argc, char** argv) {
-  rpas::bench::RunFig5(rpas::bench::ParseArgs(argc, argv, "Fig. 5: scale-out warm-up overhead in the cluster simulator"));
-  return 0;
+  const rpas::bench::BenchOptions options = rpas::bench::ParseArgs(
+      argc, argv, "Fig. 5: scale-out warm-up overhead in the cluster simulator");
+  rpas::bench::Report report("fig5_scaleout_overhead", options);
+  rpas::bench::RunFig5(options, &report);
+  return report.Finish();
 }

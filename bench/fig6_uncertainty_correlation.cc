@@ -24,7 +24,7 @@
 namespace rpas::bench {
 namespace {
 
-void RunFig6(const BenchOptions& options) {
+void RunFig6(const BenchOptions& options, Report* report) {
   // TFT on the Google-like trace: quantile grids with meaningful spread on
   // a heteroskedastic workload.
   Dataset dataset = MakeDataset(trace::GoogleProfile(), options.seed + 1);
@@ -65,17 +65,16 @@ void RunFig6(const BenchOptions& options) {
   }
 
   // --- View 1: sampled per-position series (the figure's x-axis). ---
-  TablePrinter series({"step", "mean_U", "mean_sq_error", "mean_qloss"});
-  for (size_t h = 0; h < kHorizon; h += options.quick ? 12 : 6) {
-    series.AddRow({Num(static_cast<double>(h), 3), Num(pos_u[h]),
-                   Num(pos_se[h]), Num(pos_ql[h])});
-  }
-  series.Print(
+  Table& series = report->AddTable(
+      "by_position",
       "Fig. 6: per-horizon-position uncertainty vs accuracy (mean over " +
-      Num(static_cast<double>(windows), 3) + " windows)");
-  if (options.csv) {
-    series.PrintCsv();
+          Num(static_cast<double>(windows), 3) + " windows)",
+      {"step", "mean_U", "mean_sq_error", "mean_qloss"});
+  for (size_t h = 0; h < kHorizon; h += options.quick ? 12 : 6) {
+    series.AddRow({Real(static_cast<double>(h), 3), Real(pos_u[h]),
+                   Real(pos_se[h]), Real(pos_ql[h])});
   }
+  series.Print();
 
   // --- View 2: error by uncertainty decile. ---
   std::vector<size_t> order(all_u.size());
@@ -84,7 +83,9 @@ void RunFig6(const BenchOptions& options) {
   }
   std::sort(order.begin(), order.end(),
             [&](size_t a, size_t b) { return all_u[a] < all_u[b]; });
-  TablePrinter bins({"U_decile", "mean_U", "mean_sq_error", "mean_qloss"});
+  Table& bins = report->AddTable(
+      "by_decile", "Fig. 6: accuracy by uncertainty decile",
+      {"U_decile", "mean_U", "mean_sq_error", "mean_qloss"});
   const size_t per_bin = order.size() / 10;
   for (int d = 0; d < 10; ++d) {
     double bu = 0.0;
@@ -97,13 +98,10 @@ void RunFig6(const BenchOptions& options) {
       bql += all_ql[order[i]];
     }
     const double inv = 1.0 / static_cast<double>(per_bin);
-    bins.AddRow({Num(static_cast<double>(d + 1), 2), Num(bu * inv),
-                 Num(bse * inv), Num(bql * inv)});
+    bins.AddRow({Real(static_cast<double>(d + 1), 2), Real(bu * inv),
+                 Real(bse * inv), Real(bql * inv)});
   }
-  bins.Print("Fig. 6: accuracy by uncertainty decile");
-  if (options.csv) {
-    bins.PrintCsv();
-  }
+  bins.Print();
 
   std::printf("\nPearson correlations:\n");
   std::printf("  per-step      corr(U, sq_error) = %6.3f   corr(U, qloss) = %6.3f\n",
@@ -121,6 +119,9 @@ void RunFig6(const BenchOptions& options) {
 }  // namespace rpas::bench
 
 int main(int argc, char** argv) {
-  rpas::bench::RunFig6(rpas::bench::ParseArgs(argc, argv, "Fig. 6: forecast uncertainty vs realized error correlation"));
-  return 0;
+  const rpas::bench::BenchOptions options = rpas::bench::ParseArgs(
+      argc, argv, "Fig. 6: forecast uncertainty vs realized error correlation");
+  rpas::bench::Report report("fig6_uncertainty_correlation", options);
+  rpas::bench::RunFig6(options, &report);
+  return report.Finish();
 }

@@ -37,7 +37,7 @@ IntervalSummary Summarize(const ts::QuantileForecast& fc,
   return s;
 }
 
-void RunFig7(const BenchOptions& options) {
+void RunFig7(const BenchOptions& options, Report* report) {
   Dataset dataset = MakeDataset(trace::AlibabaProfile(), options.seed);
 
   struct Entry {
@@ -61,29 +61,30 @@ void RunFig7(const BenchOptions& options) {
   std::vector<double> actual(dataset.test.values.begin(),
                              dataset.test.values.begin() + kHorizon);
 
-  TablePrinter summary({"Model", "coverage80", "mean_width80"});
+  Table& summary = report->AddTable(
+      "summary", "Fig. 7 summary: 80% interval coverage and width",
+      {"Model", "coverage80", "mean_width80"});
   for (Entry& entry : entries) {
     RPAS_CHECK(entry.model->Fit(dataset.train).ok());
     auto fc = entry.model->Predict(input);
     RPAS_CHECK(fc.ok()) << fc.status().ToString();
 
-    TablePrinter series({"step", "actual", "mean", "q0.1", "q0.35", "q0.65",
-                         "q0.9"});
+    Table& series = report->AddTable(
+        "horizon_" + entry.name,
+        "Fig. 7 (" + entry.name +
+            "): sampled 72-step horizon with prediction intervals",
+        {"step", "actual", "mean", "q0.1", "q0.35", "q0.65", "q0.9"});
     for (size_t h = 0; h < kHorizon; h += options.quick ? 12 : 6) {
-      series.AddRow({Num(static_cast<double>(h), 3), Num(actual[h]),
-                     Num(fc->Value(h, 0.5)), Num(fc->Value(h, 0.1)),
-                     Num(fc->Value(h, 0.35)), Num(fc->Value(h, 0.65)),
-                     Num(fc->Value(h, 0.9))});
+      series.AddRow({Real(static_cast<double>(h), 3), Real(actual[h]),
+                     Real(fc->Value(h, 0.5)), Real(fc->Value(h, 0.1)),
+                     Real(fc->Value(h, 0.35)), Real(fc->Value(h, 0.65)),
+                     Real(fc->Value(h, 0.9))});
     }
-    series.Print("Fig. 7 (" + entry.name +
-                 "): sampled 72-step horizon with prediction intervals");
-    if (options.csv) {
-      series.PrintCsv();
-    }
+    series.Print();
     const IntervalSummary s = Summarize(*fc, actual);
-    summary.AddRow({entry.name, Num(s.coverage80, 3), Num(s.mean_width80)});
+    summary.AddRow({entry.name, Real(s.coverage80, 3), Real(s.mean_width80)});
   }
-  summary.Print("Fig. 7 summary: 80% interval coverage and width");
+  summary.Print();
   std::printf(
       "\nExpected shape (paper): DeepAR and TFT maintain high coverage\n"
       "within much narrower intervals than MLP.\n");
@@ -93,6 +94,9 @@ void RunFig7(const BenchOptions& options) {
 }  // namespace rpas::bench
 
 int main(int argc, char** argv) {
-  rpas::bench::RunFig7(rpas::bench::ParseArgs(argc, argv, "Fig. 7: prediction-interval visualization data"));
-  return 0;
+  const rpas::bench::BenchOptions options = rpas::bench::ParseArgs(
+      argc, argv, "Fig. 7: prediction-interval visualization data");
+  rpas::bench::Report report("fig7_prediction_intervals", options);
+  rpas::bench::RunFig7(options, &report);
+  return report.Finish();
 }

@@ -16,7 +16,7 @@
 namespace rpas::bench {
 namespace {
 
-void RunFig8(const BenchOptions& options) {
+void RunFig8(const BenchOptions& options, Report* report) {
   const std::vector<size_t> horizons = {1, 6, 12, 36, 72};
   const std::vector<std::string> models = {"ARIMA", "MLP", "DeepAR", "TFT"};
   const std::vector<double> levels = AccuracyLevels();
@@ -45,33 +45,35 @@ void RunFig8(const BenchOptions& options) {
     auto rolled = forecast::RollForecasts(*model, dataset.train,
                                           dataset.test, stride);
     RPAS_CHECK(rolled.ok()) << rolled.status().ToString();
-    auto report =
-        ts::EvaluateForecasts(rolled->forecasts, rolled->actuals, levels);
-    wql[i] = report.mean_wql;
+    wql[i] = ts::EvaluateForecasts(rolled->forecasts, rolled->actuals,
+                                   levels)
+                 .mean_wql;
     std::printf("[fig8] horizon %zu / %s done\n", horizon,
                 models[model_index].c_str());
     std::fflush(stdout);
   });
 
-  TablePrinter table({"horizon_steps", "ARIMA", "MLP", "DeepAR", "TFT"});
+  Table& table = report->AddTable(
+      "wql_by_horizon",
+      "Fig. 8: mean_wQL vs prediction horizon (context 72 steps)",
+      {"horizon_steps", "ARIMA", "MLP", "DeepAR", "TFT"});
   for (size_t h = 0; h < horizons.size(); ++h) {
-    std::vector<std::string> row = {
-        Num(static_cast<double>(horizons[h]), 3)};
+    std::vector<Cell> row = {Real(static_cast<double>(horizons[h]), 3)};
     for (size_t m = 0; m < models.size(); ++m) {
-      row.push_back(Num(wql[h * models.size() + m]));
+      row.push_back(Real(wql[h * models.size() + m]));
     }
     table.AddRow(std::move(row));
   }
-  table.Print("Fig. 8: mean_wQL vs prediction horizon (context 72 steps)");
-  if (options.csv) {
-    table.PrintCsv();
-  }
+  table.Print();
 }
 
 }  // namespace
 }  // namespace rpas::bench
 
 int main(int argc, char** argv) {
-  rpas::bench::RunFig8(rpas::bench::ParseArgs(argc, argv, "Fig. 8: accuracy degradation across forecast horizons"));
-  return 0;
+  const rpas::bench::BenchOptions options = rpas::bench::ParseArgs(
+      argc, argv, "Fig. 8: accuracy degradation across forecast horizons");
+  rpas::bench::Report report("fig8_horizons", options);
+  rpas::bench::RunFig8(options, &report);
+  return report.Finish();
 }

@@ -19,7 +19,7 @@
 namespace rpas::bench {
 namespace {
 
-void RunFig9(const BenchOptions& options) {
+void RunFig9(const BenchOptions& options, Report* report) {
   for (const Dataset& dataset : MakeBothDatasets(options.seed)) {
     const core::ScalingConfig config = MakeScalingConfig(dataset);
     const size_t eval_start = dataset.train.size();
@@ -28,17 +28,19 @@ void RunFig9(const BenchOptions& options) {
         dataset.full.values.begin() + static_cast<long>(eval_start),
         dataset.full.values.end());
 
-    TablePrinter table(
+    Table& table = report->AddTable(
+        "provisioning_" + dataset.name,
+        "Fig. 9 (" + dataset.name + "): under-/over-provisioning per strategy",
         {"Strategy", "under_provision_rate", "over_provision_rate",
          "mean_nodes"});
     auto add = [&](const std::string& name,
                    const Result<std::vector<int>>& alloc) {
       RPAS_CHECK(alloc.ok()) << name << ": " << alloc.status().ToString();
-      const auto report =
+      const auto provision =
           core::EvaluateAllocation(realized, alloc.value(), config);
-      table.AddRow({name, Num(report.under_provision_rate, 3),
-                    Num(report.over_provision_rate, 3),
-                    Num(report.mean_allocated_nodes, 3)});
+      table.AddRow({name, Real(provision.under_provision_rate, 3),
+                    Real(provision.over_provision_rate, 3),
+                    Real(provision.mean_allocated_nodes, 3)});
       std::printf("[fig9] %s / %s done\n", dataset.name.c_str(),
                   name.c_str());
       std::fflush(stdout);
@@ -99,11 +101,7 @@ void RunFig9(const BenchOptions& options) {
                                       eval_steps, config));
     }
 
-    table.Print("Fig. 9 (" + dataset.name +
-                "): under-/over-provisioning per strategy");
-    if (options.csv) {
-      table.PrintCsv();
-    }
+    table.Print();
   }
 }
 
@@ -111,6 +109,9 @@ void RunFig9(const BenchOptions& options) {
 }  // namespace rpas::bench
 
 int main(int argc, char** argv) {
-  rpas::bench::RunFig9(rpas::bench::ParseArgs(argc, argv, "Fig. 9: under-provisioning rate vs allocation strategy"));
-  return 0;
+  const rpas::bench::BenchOptions options = rpas::bench::ParseArgs(
+      argc, argv, "Fig. 9: under-provisioning rate vs allocation strategy");
+  rpas::bench::Report report("fig9_underprovisioning", options);
+  rpas::bench::RunFig9(options, &report);
+  return report.Finish();
 }

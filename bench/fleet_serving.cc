@@ -14,12 +14,12 @@
 //
 // A contended all-warm section times hit-only serving with one registry
 // shared across shards, every Acquire taking the registry's one mutex.
-// --json=PATH writes a machine-readable summary for the CI smoke step.
+// Named checks: results identical across modes, shards and threads; every
+// section ran; every row timed (ms and req/s > 0); contended rows hit.
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -147,49 +147,6 @@ struct CellResult {
   serve::FleetResult fleet;
 };
 
-/// Machine-readable rows for --json (the CI perf-smoke artifact). Each row
-/// carries its section so downstream tooling can filter the grid, the
-/// all-warm controls, and the shard-scaling sweep out of one file.
-struct JsonRow {
-  std::string section;
-  size_t tenants = 0;
-  size_t shards = 1;
-  int threads = 1;
-  std::string mode;
-  double millis = 0.0;
-  double req_per_s = 0.0;
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t loads = 0;
-  double speedup = 0.0;
-};
-
-void WriteJson(const std::string& path, const std::vector<JsonRow>& rows,
-               bool identical) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out.is_open()) {
-    std::fprintf(stderr, "fleet_serving: cannot write %s\n", path.c_str());
-    return;
-  }
-  out << "{\"bench\":\"fleet_serving\",\"rows\":[";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const JsonRow& r = rows[i];
-    out << (i > 0 ? "," : "")
-        << StrFormat(
-               "{\"section\":\"%s\",\"tenants\":%zu,\"shards\":%zu,"
-               "\"threads\":%d,\"mode\":\"%s\",\"ms\":%.4f,"
-               "\"req_per_s\":%.2f,\"cache_hits\":%llu,"
-               "\"cache_misses\":%llu,\"ckpt_loads\":%llu,"
-               "\"speedup\":%.4f}",
-               r.section.c_str(), r.tenants, r.shards, r.threads,
-               r.mode.c_str(), r.millis, r.req_per_s,
-               static_cast<unsigned long long>(r.hits),
-               static_cast<unsigned long long>(r.misses),
-               static_cast<unsigned long long>(r.loads), r.speedup);
-  }
-  out << StrFormat("],\"identical\":%s}\n", identical ? "true" : "false");
-}
-
 double ReqPerSec(const CellResult& cell) {
   const double seconds = cell.millis / 1000.0;
   return seconds > 0.0
@@ -274,10 +231,10 @@ CellResult RunWarmCell(const VersionSet& set, size_t tenants, int threads,
   return cell;
 }
 
-void RunFleetServing(const BenchOptions& options, size_t only_tenants,
-                     int only_threads, size_t rounds_flag,
-                     size_t num_versions, size_t only_shards,
-                     const std::string& json_path) {
+std::vector<obs::ScalingDecision> RunFleetServing(
+    const BenchOptions& options, size_t only_tenants, int only_threads,
+    size_t rounds_flag, size_t num_versions, size_t only_shards,
+    Report* report) {
   const size_t rounds = rounds_flag > 0 ? rounds_flag
                         : options.quick ? 3
                                         : 6;
@@ -303,27 +260,27 @@ void RunFleetServing(const BenchOptions& options, size_t only_tenants,
   const size_t tight_budget = static_cast<size_t>(
       mapped_weight * static_cast<double>(set.total_bytes) / 2.0);
 
-  TablePrinter table({"tenants", "threads", "mode", "ms/run", "req/s",
-                      "cache_hits", "cache_misses", "ckpt_loads",
-                      "speedup"});
+  Table& table = report->AddTable(
+      "grid",
+      StrFormat("Fleet serving throughput (%zu versions, %zu rounds, warm "
+                "cache budget %zu KiB charged of %zu KiB on disk at mapped "
+                "weight %.2f)",
+                set.models.size(), rounds, tight_budget >> 10,
+                set.total_bytes >> 10, mapped_weight),
+      {"tenants", "threads", "mode", "ms/run", "req/s", "cache_hits",
+       "cache_misses", "ckpt_loads", "speedup"});
   bool all_identical = true;
-  std::vector<JsonRow> json_rows;
-  auto record_json = [&](const std::string& section, size_t tenants,
-                         size_t shards, int threads, const std::string& mode,
-                         const CellResult& cell, double speedup) {
-    JsonRow row;
-    row.section = section;
-    row.tenants = tenants;
-    row.shards = shards;
-    row.threads = threads;
-    row.mode = mode;
-    row.millis = cell.millis;
-    row.req_per_s = ReqPerSec(cell);
-    row.hits = static_cast<uint64_t>(cell.fleet.cache.hits);
-    row.misses = static_cast<uint64_t>(cell.fleet.cache.misses);
-    row.loads = static_cast<uint64_t>(cell.fleet.cache.loads);
-    row.speedup = speedup;
-    json_rows.push_back(std::move(row));
+  bool timed = true;
+  size_t all_warm_rows = 0;
+  size_t contended_rows = 0;
+  size_t scaling_rows = 0;
+  auto add_row = [&](size_t tenants, int threads, const std::string& mode,
+                     const CellResult& cell, double speedup) {
+    table.AddRow({Int(tenants), Int(threads), mode, Real(cell.millis),
+                  Real(ReqPerSec(cell)), Int(cell.fleet.cache.hits),
+                  Int(cell.fleet.cache.misses), Int(cell.fleet.cache.loads),
+                  speedup > 0.0 ? Real(speedup) : Cell()});
+    timed = timed && cell.millis > 0.0 && ReqPerSec(cell) > 0.0;
   };
   for (size_t tenants : tenant_counts) {
     for (int threads : thread_counts) {
@@ -338,23 +295,8 @@ void RunFleetServing(const BenchOptions& options, size_t only_tenants,
           batched.fleet.mean_under_provision_rate ==
               unbatched.fleet.mean_under_provision_rate &&
           batched.fleet.mean_utilization == unbatched.fleet.mean_utilization;
-      auto add_row = [&](const char* mode, const CellResult& cell,
-                         double speedup) {
-        const double seconds = cell.millis / 1000.0;
-        const double rate =
-            seconds > 0.0
-                ? static_cast<double>(cell.fleet.requests_admitted) / seconds
-                : 0.0;
-        table.AddRow({StrFormat("%zu", tenants), StrFormat("%d", threads),
-                      mode, Num(cell.millis), Num(rate),
-                      StrFormat("%lld", static_cast<long long>(cell.fleet.cache.hits)),
-                      StrFormat("%lld", static_cast<long long>(cell.fleet.cache.misses)),
-                      StrFormat("%lld", static_cast<long long>(cell.fleet.cache.loads)),
-                      speedup > 0.0 ? Num(speedup) : std::string("-")});
-        record_json("grid", tenants, 1, threads, mode, cell, speedup);
-      };
-      add_row("unbatched", unbatched, 0.0);
-      add_row("batched", batched,
+      add_row(tenants, threads, "unbatched", unbatched, 0.0);
+      add_row(tenants, threads, "batched", batched,
               batched.millis > 0.0 ? unbatched.millis / batched.millis : 0.0);
     }
   }
@@ -366,34 +308,12 @@ void RunFleetServing(const BenchOptions& options, size_t only_tenants,
                                          set.total_bytes, rounds);
     const CellResult batched = RunCell(set, tenants, 1, /*batched=*/true,
                                        set.total_bytes, rounds);
-    auto add_row = [&](const char* mode, const CellResult& cell,
-                       double speedup) {
-      const double seconds = cell.millis / 1000.0;
-      const double rate =
-          seconds > 0.0
-              ? static_cast<double>(cell.fleet.requests_admitted) / seconds
-              : 0.0;
-      table.AddRow({StrFormat("%zu", tenants), "1",
-                    StrFormat("%s/all-warm", mode), Num(cell.millis),
-                    Num(rate), StrFormat("%lld", static_cast<long long>(cell.fleet.cache.hits)),
-                    StrFormat("%lld", static_cast<long long>(cell.fleet.cache.misses)),
-                    StrFormat("%lld", static_cast<long long>(cell.fleet.cache.loads)),
-                    speedup > 0.0 ? Num(speedup) : std::string("-")});
-      record_json("all_warm", tenants, 1, 1, StrFormat("%s/all-warm", mode),
-                  cell, speedup);
-    };
-    add_row("unbatched", unbatched, 0.0);
-    add_row("batched", batched,
+    add_row(tenants, 1, "unbatched/all-warm", unbatched, 0.0);
+    add_row(tenants, 1, "batched/all-warm", batched,
             batched.millis > 0.0 ? unbatched.millis / batched.millis : 0.0);
+    all_warm_rows += 2;
   }
-  table.Print(StrFormat(
-      "Fleet serving throughput (%zu versions, %zu rounds, warm cache "
-      "budget %zu KiB charged of %zu KiB on disk at mapped weight %.2f)",
-      set.models.size(), rounds, tight_budget >> 10,
-      set.total_bytes >> 10, mapped_weight));
-  if (options.csv) {
-    table.PrintCsv();
-  }
+  table.Print();
 
   // Contended hit path: one registry shared by every shard, every version
   // warm before timing, so the serving loop is 100% warm hits racing on
@@ -404,9 +324,13 @@ void RunFleetServing(const BenchOptions& options, size_t only_tenants,
     if (only_shards > 0) {
       contended_shards = {only_shards};
     }
-    TablePrinter contended({"tenants", "shards", "threads", "mode", "ms/run",
-                            "req/s", "cache_hits", "cache_misses",
-                            "speedup_vs_serial"});
+    Table& contended = report->AddTable(
+        "all_warm_contended",
+        StrFormat("Contended all-warm hit path (shared registry, %zu rounds)",
+                  rounds),
+        {"tenants", "shards", "threads", "mode", "ms/run", "req/s",
+         "cache_hits", "cache_misses", "speedup_vs_serial"});
+    bool warm_hits = true;
     CellResult serial;
     for (size_t shards : contended_shards) {
       const int threads = static_cast<int>(shards);
@@ -422,22 +346,18 @@ void RunFleetServing(const BenchOptions& options, size_t only_tenants,
           cell.fleet.mean_utilization == serial.fleet.mean_utilization;
       const double speedup =
           cell.millis > 0.0 ? serial.millis / cell.millis : 0.0;
-      contended.AddRow(
-          {StrFormat("%zu", tenants), StrFormat("%zu", shards),
-           StrFormat("%d", threads), "batched/all-warm", Num(cell.millis),
-           Num(ReqPerSec(cell)),
-           StrFormat("%lld", static_cast<long long>(cell.fleet.cache.hits)),
-           StrFormat("%lld", static_cast<long long>(cell.fleet.cache.misses)),
-           Num(speedup)});
-      record_json("all_warm_contended", tenants, shards, threads,
-                  "batched/all-warm", cell, speedup);
+      contended.AddRow({Int(tenants), Int(shards), Int(threads),
+                        "batched/all-warm", Real(cell.millis),
+                        Real(ReqPerSec(cell)), Int(cell.fleet.cache.hits),
+                        Int(cell.fleet.cache.misses), Real(speedup)});
+      timed = timed && cell.millis > 0.0 && ReqPerSec(cell) > 0.0;
+      // Hit-only traffic: misses stop at the warm-up loads.
+      warm_hits = warm_hits && cell.fleet.cache.hits > 0;
+      ++contended_rows;
     }
-    contended.Print(StrFormat(
-        "Contended all-warm hit path (shared registry, %zu rounds)",
-        rounds));
-    if (options.csv) {
-      contended.PrintCsv();
-    }
+    contended.Print();
+    report->Check("contended_warm_hits", warm_hits,
+                  "cache_hits > 0 in every contended all-warm row");
   }
 
   // Shard scaling: batched serving at the largest tenant count with one
@@ -456,8 +376,13 @@ void RunFleetServing(const BenchOptions& options, size_t only_tenants,
     const CellResult serial =
         RunCell(set, tenants, /*threads=*/1, /*batched=*/true, tight_budget,
                 rounds, /*shards=*/1);
-    TablePrinter scaling({"tenants", "shards", "threads", "ms/run", "req/s",
-                          "speedup_vs_serial"});
+    Table& scaling = report->AddTable(
+        "shard_scaling",
+        StrFormat("Sharded fleet scaling (batched, per-shard registries, %zu "
+                  "rounds)",
+                  rounds),
+        {"tenants", "shards", "threads", "ms/run", "req/s",
+         "speedup_vs_serial"});
     for (size_t shards : shard_counts) {
       for (int threads : scale_threads) {
         const CellResult cell =
@@ -472,36 +397,30 @@ void RunFleetServing(const BenchOptions& options, size_t only_tenants,
                 serial.fleet.mean_under_provision_rate &&
             cell.fleet.mean_utilization == serial.fleet.mean_utilization &&
             cell.fleet.requests_admitted == serial.fleet.requests_admitted;
-        const double seconds = cell.millis / 1000.0;
-        const double rate =
-            seconds > 0.0
-                ? static_cast<double>(cell.fleet.requests_admitted) / seconds
-                : 0.0;
-        scaling.AddRow(
-            {StrFormat("%zu", tenants), StrFormat("%zu", shards),
-             StrFormat("%d", threads), Num(cell.millis), Num(rate),
-             cell.millis > 0.0 ? Num(serial.millis / cell.millis)
-                               : std::string("-")});
-        record_json("shard_scaling", tenants, shards, threads, "batched",
-                    cell,
-                    cell.millis > 0.0 ? serial.millis / cell.millis : 0.0);
+        scaling.AddRow({Int(tenants), Int(shards), Int(threads),
+                        Real(cell.millis), Real(ReqPerSec(cell)),
+                        cell.millis > 0.0 ? Real(serial.millis / cell.millis)
+                                          : Cell()});
+        timed = timed && cell.millis > 0.0 && ReqPerSec(cell) > 0.0;
+        ++scaling_rows;
       }
     }
-    scaling.Print(StrFormat(
-        "Sharded fleet scaling (batched, per-shard registries, %zu rounds)",
-        rounds));
-    if (options.csv) {
-      scaling.PrintCsv();
-    }
+    scaling.Print();
   }
   std::printf("sharded == batched == unbatched results: %s\n",
               all_identical ? "identical" : "MISMATCH");
-  if (!json_path.empty()) {
-    WriteJson(json_path, json_rows, all_identical);
-  }
+  report->Check("results_identical", all_identical,
+                "sharded == batched == unbatched fleet results");
+  report->Check("timings_positive", timed, "ms/run and req/s > 0 in every row");
+  report->Check("sections_ran",
+                all_warm_rows == 2 && contended_rows > 0 && scaling_rows > 0,
+                StrFormat("%zu all-warm, %zu contended and %zu shard-scaling "
+                          "rows beside the grid",
+                          all_warm_rows, contended_rows, scaling_rows));
 
   // Export one instrumented run for the artifact pipeline (metrics are
   // global; the timed grid above ran with the same registry sinks).
+  std::vector<obs::ScalingDecision> decisions;
   if (!options.metrics_out.empty()) {
     serve::FleetOptions fleet_options;
     fleet_options.num_tenants = tenant_counts.front();
@@ -514,58 +433,39 @@ void RunFleetServing(const BenchOptions& options, size_t only_tenants,
         MakeRegistry(set, tight_budget);
     auto result = serve::RunFleet(registry.get(), set.models, fleet_options);
     RPAS_CHECK(result.ok()) << result.status().ToString();
-    WriteRunArtifacts(options, std::move(result->decisions));
+    decisions = std::move(result->decisions);
   }
-  if (!all_identical) {
-    std::exit(1);
-  }
+  return decisions;
 }
 
 }  // namespace
 }  // namespace rpas::bench
 
 int main(int argc, char** argv) {
-  size_t only_tenants = 0;
-  int only_threads = 0;
-  size_t rounds = 0;
-  size_t versions = 12;
-  size_t only_shards = 0;
-  std::string json_path;
-  const std::vector<rpas::bench::BenchFlagSpec> extra{
-      {"--tenants=", "run only this tenant count (default grid 8,16,64)",
-       [&](const std::string& v) {
-         only_tenants = static_cast<size_t>(std::strtoull(v.c_str(),
-                                                          nullptr, 10));
-       }},
-      {"--threads=", "run only this thread count (default grid 1,2)",
-       [&](const std::string& v) {
-         only_threads = static_cast<int>(std::strtol(v.c_str(), nullptr, 10));
-       }},
-      {"--rounds=", "planning rounds per run (default 6; 3 with --quick)",
-       [&](const std::string& v) {
-         rounds = static_cast<size_t>(std::strtoull(v.c_str(), nullptr, 10));
-       }},
-      {"--versions=", "registered model versions (default 12)",
-       [&](const std::string& v) {
-         versions = static_cast<size_t>(std::strtoull(v.c_str(), nullptr,
-                                                      10));
-       }},
-      {"--shards=",
-       "run only this shard count in the scaling section (default grid "
-       "1,2,4)",
-       [&](const std::string& v) {
-         only_shards = static_cast<size_t>(std::strtoull(v.c_str(), nullptr,
-                                                         10));
-       }},
-      {"--json=", "write a machine-readable summary to this path",
-       [&](const std::string& v) { json_path = v; }},
-  };
+  int64_t only_tenants = 0;
+  int64_t only_threads = 0;
+  int64_t rounds = 0;
+  int64_t versions = 12;
+  int64_t only_shards = 0;
   const rpas::bench::BenchOptions options = rpas::bench::ParseArgs(
       argc, argv,
       "Multi-tenant forecast-serving throughput: batched vs unbatched",
-      extra);
-  rpas::bench::EnableMetricsIfRequested(options);
-  rpas::bench::RunFleetServing(options, only_tenants, only_threads, rounds,
-                               versions, only_shards, json_path);
-  return 0;
+      {{"--tenants=", "run only this tenant count (default grid 8,16,64)", 1,
+        100000, &only_tenants},
+       {"--threads=", "run only this thread count (default grid 1,2)", 1,
+        rpas::kMaxRpasThreads, &only_threads},
+       {"--rounds=", "planning rounds per run (default 6; 3 with --quick)", 1,
+        100000, &rounds},
+       {"--versions=", "registered model versions (default 12)", 1, 10000,
+        &versions},
+       {"--shards=",
+        "run only this shard count in the scaling section (default grid "
+        "1,2,4)",
+        1, rpas::kMaxRpasThreads, &only_shards}});
+  rpas::bench::Report report("fleet_serving", options);
+  return report.Finish(rpas::bench::RunFleetServing(
+      options, static_cast<size_t>(only_tenants),
+      static_cast<int>(only_threads), static_cast<size_t>(rounds),
+      static_cast<size_t>(versions), static_cast<size_t>(only_shards),
+      &report));
 }

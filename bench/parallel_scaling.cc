@@ -43,12 +43,13 @@ bool BitIdentical(const tensor::Matrix& a, const tensor::Matrix& b) {
   return true;
 }
 
-void RunParallelScaling(const BenchOptions& options) {
+void RunParallelScaling(const BenchOptions& options, Report* report) {
   std::printf("hardware threads available: %d (RPAS_NUM_THREADS default)\n",
               RpasThreads());
 
-  TablePrinter table({"workload", "serial_ms", "parallel_ms@4", "speedup",
-                      "bit_identical"});
+  Table& table = report->AddTable(
+      "scaling", "Parallel execution layer: serial vs 4-thread timings",
+      {"workload", "serial_ms", "parallel_ms@4", "speedup", "bit_identical"});
 
   // --- GEMM 512 x 512 -----------------------------------------------------
   {
@@ -69,9 +70,11 @@ void RunParallelScaling(const BenchOptions& options) {
         "bench.gemm.parallel", reps, [&] { parallel = MatMul(a, b); });
     SetRpasThreads(0);
 
-    table.AddRow({"gemm 512x512", Num(serial_ms), Num(parallel_ms),
-                  Num(serial_ms / parallel_ms, 3),
-                  BitIdentical(serial, parallel) ? "yes" : "NO"});
+    const bool identical = report->Check(
+        "gemm_bit_identical", BitIdentical(serial, parallel),
+        "512x512 MatMul at 1 and 4 threads");
+    table.AddRow({"gemm 512x512", Real(serial_ms), Real(parallel_ms),
+                  Real(serial_ms / parallel_ms, 3), Bool(identical)});
   }
 
   // --- Rolling-origin backtest -------------------------------------------
@@ -116,26 +119,26 @@ void RunParallelScaling(const BenchOptions& options) {
     SetRpasThreads(0);
     RPAS_CHECK(parallel.ok()) << parallel.status().ToString();
 
-    const bool identical =
+    const bool identical = report->Check(
+        "backtest_bit_identical",
         serial->mean_wql.mean == parallel->mean_wql.mean &&
-        serial->mean_wql.stddev == parallel->mean_wql.stddev &&
-        serial->mse.mean == parallel->mse.mean &&
-        serial->mae.mean == parallel->mae.mean;
-    table.AddRow({"backtest 4 folds", Num(serial_ms), Num(parallel_ms),
-                  Num(serial_ms / parallel_ms, 3),
-                  identical ? "yes" : "NO"});
+            serial->mean_wql.stddev == parallel->mean_wql.stddev &&
+            serial->mse.mean == parallel->mse.mean &&
+            serial->mae.mean == parallel->mae.mean,
+        "4-fold backtest wQL, MSE and MAE, serial vs parallel");
+    table.AddRow({"backtest 4 folds", Real(serial_ms), Real(parallel_ms),
+                  Real(serial_ms / parallel_ms, 3), Bool(identical)});
   }
-
-  table.Print("Parallel execution layer: serial vs 4-thread timings");
-  if (options.csv) {
-    table.PrintCsv();
-  }
+  table.Print();
 }
 
 }  // namespace
 }  // namespace rpas::bench
 
 int main(int argc, char** argv) {
-  rpas::bench::RunParallelScaling(rpas::bench::ParseArgs(argc, argv, "Thread-pool scaling of training and planning kernels"));
-  return 0;
+  const rpas::bench::BenchOptions options = rpas::bench::ParseArgs(
+      argc, argv, "Thread-pool scaling of training and planning kernels");
+  rpas::bench::Report report("parallel_scaling", options);
+  rpas::bench::RunParallelScaling(options, &report);
+  return report.Finish();
 }

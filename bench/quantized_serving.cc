@@ -8,19 +8,16 @@
 // against the exact f64 row on a held-out window set with fixed sampling
 // seeds.
 //
-// Asserted invariants (exit 1 on violation):
+// Named checks (exit 1 on violation):
 //   - batched PredictBatch is bit-identical to unbatched PredictSeeded
 //     within every dtype (the kernel dequant path preserves the serving
 //     determinism contract);
+//   - every tenant count has an f64, f32, f16 and q8 row;
 //   - q8 wQL delta <= 0.5% and f16 wQL delta <= 0.05% vs fp64;
 //   - q8 warm-cache bytes/tenant is >= 4x smaller than the f64 row.
-//
-// --json=PATH writes a machine-readable summary for the CI smoke step.
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -222,33 +219,8 @@ RowResult RunRow(const BenchOptions& options, const DtypeSpec& spec,
   return row;
 }
 
-void WriteJson(const std::string& path, const std::vector<RowResult>& rows,
-               bool identical, bool bounds_ok) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out.is_open()) {
-    std::fprintf(stderr, "quantized_serving: cannot write %s\n",
-                 path.c_str());
-    return;
-  }
-  out << "{\"bench\":\"quantized_serving\",\"rows\":[";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const RowResult& r = rows[i];
-    out << (i > 0 ? "," : "")
-        << StrFormat("{\"dtype\":\"%s\",\"tenants\":%zu,"
-                     "\"bytes_per_tenant\":%.1f,\"mapped_bytes\":%zu,"
-                     "\"heap_bytes\":%zu,\"cold_ms\":%.4f,\"wql\":%.6f,"
-                     "\"wql_delta_pct\":%.4f}",
-                     r.label.c_str(), r.tenants, r.bytes_per_tenant,
-                     r.mapped_bytes, r.heap_bytes, r.cold_ms, r.wql,
-                     r.wql_delta_pct);
-  }
-  out << StrFormat("],\"batched_identical\":%s,\"bounds_ok\":%s}\n",
-                   identical ? "true" : "false",
-                   bounds_ok ? "true" : "false");
-}
-
 void RunQuantizedServing(const BenchOptions& options, size_t only_tenants,
-                         const std::string& json_path) {
+                         Report* report) {
   std::vector<size_t> tenant_counts{8, 16};
   if (options.quick && only_tenants == 0) {
     tenant_counts = {8};
@@ -285,8 +257,12 @@ void RunQuantizedServing(const BenchOptions& options, size_t only_tenants,
       {"q8", tensor::DType::kQ8},
   };
 
-  TablePrinter table({"dtype", "tenants", "bytes/tenant", "mapped_KiB",
-                      "heap_KiB", "cold_ms", "wQL", "wQL_delta_%"});
+  Table& table = report->AddTable(
+      "dtypes",
+      "Quantized checkpoint serving (per-tenant versions, warm cache fits "
+      "all)",
+      {"dtype", "tenants", "bytes/tenant", "mapped_KiB", "heap_KiB",
+       "cold_ms", "wQL", "wQL_delta_%"});
   std::vector<RowResult> rows;
   bool identical = true;
   for (size_t tenants : tenant_counts) {
@@ -301,56 +277,46 @@ void RunQuantizedServing(const BenchOptions& options, size_t only_tenants,
           baseline_wql > 0.0
               ? 100.0 * std::fabs(row.wql - baseline_wql) / baseline_wql
               : 0.0;
-      table.AddRow({row.label, StrFormat("%zu", row.tenants),
-                    Num(row.bytes_per_tenant), Num(row.mapped_bytes / 1024.0),
-                    Num(row.heap_bytes / 1024.0), Num(row.cold_ms),
-                    Num(row.wql, 6), Num(row.wql_delta_pct)});
+      table.AddRow({row.label, Int(row.tenants), Real(row.bytes_per_tenant),
+                    Real(row.mapped_bytes / 1024.0),
+                    Real(row.heap_bytes / 1024.0), Real(row.cold_ms),
+                    Real(row.wql, 6), Real(row.wql_delta_pct)});
       rows.push_back(row);
     }
   }
-  table.Print("Quantized checkpoint serving (per-tenant versions, warm "
-              "cache fits all)");
-  if (options.csv) {
-    table.PrintCsv();
-  }
+  table.Print();
 
   // Acceptance bounds: wQL deltas and the q8 compression ratio, both
   // against the f64 row of the same tenant count.
-  bool bounds_ok = true;
+  report->Check("batched_identical", identical,
+                "batched == unbatched within every dtype");
   for (size_t base = 0; base < rows.size(); base += specs.size()) {
-    const RowResult& f64 = rows[base];
-    for (size_t i = 0; i < specs.size(); ++i) {
-      const RowResult& row = rows[base + i];
-      if (row.label == "q8") {
-        if (row.wql_delta_pct > 0.5) {
-          bounds_ok = false;
-          std::fprintf(stderr, "BOUND VIOLATION: q8 wQL delta %.4f%% > 0.5%%\n",
-                       row.wql_delta_pct);
-        }
-        const double ratio = f64.bytes_per_tenant / row.bytes_per_tenant;
-        if (ratio < 4.0) {
-          bounds_ok = false;
-          std::fprintf(stderr,
-                       "BOUND VIOLATION: q8 compression %.2fx < 4x vs f64\n",
-                       ratio);
+    const size_t tenants = rows[base].tenants;
+    auto find = [&](const char* label) {
+      for (size_t i = base; i < base + specs.size(); ++i) {
+        if (rows[i].label == label) {
+          return rows[i];
         }
       }
-      if (row.label == "f16" && row.wql_delta_pct > 0.05) {
-        bounds_ok = false;
-        std::fprintf(stderr, "BOUND VIOLATION: f16 wQL delta %.4f%% > 0.05%%\n",
-                     row.wql_delta_pct);
-      }
-    }
-  }
-  std::printf("batched == unbatched within every dtype: %s\n",
-              identical ? "identical" : "MISMATCH");
-  std::printf("wQL / compression bounds: %s\n", bounds_ok ? "ok" : "VIOLATED");
-
-  if (!json_path.empty()) {
-    WriteJson(json_path, rows, identical, bounds_ok);
-  }
-  if (!identical || !bounds_ok) {
-    std::exit(1);
+      return RowResult{};
+    };
+    const RowResult f64 = find("f64");
+    const RowResult f16 = find("f16");
+    const RowResult q8 = find("q8");
+    report->Check(StrFormat("dtype_rows_%zu_tenants", tenants),
+                  !f64.label.empty() && !find("f32").label.empty() &&
+                      !f16.label.empty() && !q8.label.empty(),
+                  "an f64, f32, f16 and q8 row");
+    const double ratio = f64.bytes_per_tenant / q8.bytes_per_tenant;
+    report->Check(StrFormat("q8_bytes_reduction_%zu_tenants", tenants),
+                  ratio >= 4.0,
+                  StrFormat("f64/q8 bytes per tenant %.2fx >= 4x", ratio));
+    report->Check(StrFormat("q8_wql_delta_%zu_tenants", tenants),
+                  q8.wql_delta_pct <= 0.5,
+                  StrFormat("%.4f%% <= 0.5%%", q8.wql_delta_pct));
+    report->Check(StrFormat("f16_wql_delta_%zu_tenants", tenants),
+                  f16.wql_delta_pct <= 0.05,
+                  StrFormat("%.4f%% <= 0.05%%", f16.wql_delta_pct));
   }
 }
 
@@ -358,23 +324,15 @@ void RunQuantizedServing(const BenchOptions& options, size_t only_tenants,
 }  // namespace rpas::bench
 
 int main(int argc, char** argv) {
-  size_t only_tenants = 0;
-  std::string json_path;
-  const std::vector<rpas::bench::BenchFlagSpec> extra{
-      {"--tenants=", "run only this tenant count (default grid 8,16)",
-       [&](const std::string& v) {
-         only_tenants = static_cast<size_t>(std::strtoull(v.c_str(),
-                                                          nullptr, 10));
-       }},
-      {"--json=", "write a machine-readable summary to this path",
-       [&](const std::string& v) { json_path = v; }},
-  };
+  int64_t only_tenants = 0;
   const rpas::bench::BenchOptions options = rpas::bench::ParseArgs(
       argc, argv,
       "Quantized checkpoint serving: dtype x tenants grid "
       "(bytes/tenant, cold-start ms, wQL delta)",
-      extra);
-  rpas::bench::EnableMetricsIfRequested(options);
-  rpas::bench::RunQuantizedServing(options, only_tenants, json_path);
-  return 0;
+      {{"--tenants=", "run only this tenant count (default grid 8,16)", 1,
+        100000, &only_tenants}});
+  rpas::bench::Report report("quantized_serving", options);
+  rpas::bench::RunQuantizedServing(
+      options, static_cast<size_t>(only_tenants), &report);
+  return report.Finish();
 }

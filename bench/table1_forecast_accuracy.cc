@@ -34,7 +34,7 @@ struct GridCell {
   int run = 0;
 };
 
-void RunTable1(const BenchOptions& options) {
+void RunTable1(const BenchOptions& options, Report* report) {
   const int runs = options.quick ? 1 : 3;
   const std::vector<double> levels = AccuracyLevels();
   const std::vector<double> report_levels = {0.7, 0.8, 0.9};
@@ -85,9 +85,12 @@ void RunTable1(const BenchOptions& options) {
     std::fflush(stdout);
   });
 
-  TablePrinter table({"Dataset", "Model", "mean_wQL", "wQL[0.7]", "wQL[0.8]",
-                      "wQL[0.9]", "Cov[0.7]", "Cov[0.8]", "Cov[0.9]",
-                      "MSE"});
+  Table& table = report->AddTable(
+      "accuracy",
+      "Table I: forecasting accuracy, context 72 / horizon 72"
+      " (averaged over runs)",
+      {"Dataset", "Model", "mean_wQL", "wQL[0.7]", "wQL[0.8]", "wQL[0.9]",
+       "Cov[0.7]", "Cov[0.8]", "Cov[0.9]", "MSE"});
 
   size_t cell_index = 0;
   for (const Dataset& dataset : datasets) {
@@ -98,35 +101,33 @@ void RunTable1(const BenchOptions& options) {
       std::map<double, double> cov = wql;
       double mse = 0.0;
       for (int run = 0; run < model_runs; ++run) {
-        const ts::AccuracyReport& report = reports[cell_index++];
-        mean_wql += report.mean_wql;
+        const ts::AccuracyReport& accuracy = reports[cell_index++];
+        mean_wql += accuracy.mean_wql;
         for (double tau : report_levels) {
-          wql.at(tau) += report.wql.at(tau);
-          cov.at(tau) += report.coverage.at(tau);
+          wql.at(tau) += accuracy.wql.at(tau);
+          cov.at(tau) += accuracy.coverage.at(tau);
         }
-        mse += report.mse;
+        mse += accuracy.mse;
       }
       const double inv = 1.0 / static_cast<double>(model_runs);
-      table.AddRow({dataset.name, spec.name, Num(mean_wql * inv),
-                    Num(wql[0.7] * inv), Num(wql[0.8] * inv),
-                    Num(wql[0.9] * inv), Num(cov[0.7] * inv, 3),
-                    Num(cov[0.8] * inv, 3), Num(cov[0.9] * inv, 3),
-                    Num(mse * inv)});
+      table.AddRow({dataset.name, spec.name, Real(mean_wql * inv),
+                    Real(wql[0.7] * inv), Real(wql[0.8] * inv),
+                    Real(wql[0.9] * inv), Real(cov[0.7] * inv, 3),
+                    Real(cov[0.8] * inv, 3), Real(cov[0.9] * inv, 3),
+                    Real(mse * inv)});
     }
   }
-
-  table.Print(
-      "Table I: forecasting accuracy, context 72 / horizon 72"
-      " (averaged over runs)");
-  if (options.csv) {
-    table.PrintCsv();
-  }
+  table.Print();
 }
 
 }  // namespace
 }  // namespace rpas::bench
 
 int main(int argc, char** argv) {
-  rpas::bench::RunTable1(rpas::bench::ParseArgs(argc, argv, "Table I: probabilistic forecast accuracy across models and traces"));
-  return 0;
+  const rpas::bench::BenchOptions options = rpas::bench::ParseArgs(
+      argc, argv,
+      "Table I: probabilistic forecast accuracy across models and traces");
+  rpas::bench::Report report("table1_forecast_accuracy", options);
+  rpas::bench::RunTable1(options, &report);
+  return report.Finish();
 }

@@ -120,16 +120,20 @@ BENCHMARK(BM_Tft)->Name("TFT")->Unit(benchmark::kMillisecond);
 }  // namespace rpas::bench
 
 int main(int argc, char** argv) {
-  rpas::bench::BenchOptions options = rpas::bench::ParseArgs(argc, argv, "Table II: planning-path overhead microbenchmarks (Google Benchmark)");
-  rpas::bench::EnableMetricsIfRequested(options);
+  const rpas::bench::BenchOptions options = rpas::bench::ParseArgs(
+      argc, argv,
+      "Table II: planning-path overhead microbenchmarks (Google Benchmark)");
+  rpas::bench::Report report("table2_overhead", options);
   rpas::bench::BuildSetup(options);
   ::benchmark::Initialize(&argc, argv);
   std::printf(
       "Table II: end-to-end execution time of one auto-scaling decision\n"
       "round per method (real_time column).\n");
-  ::benchmark::RunSpecifiedBenchmarks();
+  rpas::bench::RunGoogleBenchmarks(
+      &report, "decision_round",
+      "Table II: end-to-end execution time of one auto-scaling decision "
+      "round per method");
   ::benchmark::Shutdown();
   rpas::obs::RecordPoolStats();
-  rpas::bench::WriteRunArtifacts(options);
-  return 0;
+  return report.Finish();
 }

@@ -130,13 +130,18 @@ BENCHMARK(BM_UncertaintyMetric)->Name("Optimize/UncertaintyMetric")
 }  // namespace rpas::bench
 
 int main(int argc, char** argv) {
-  rpas::bench::BenchOptions options = rpas::bench::ParseArgs(argc, argv, "Table III: per-stage latency breakdown (Google Benchmark)");
+  const rpas::bench::BenchOptions options = rpas::bench::ParseArgs(
+      argc, argv, "Table III: per-stage latency breakdown (Google Benchmark)");
+  rpas::bench::Report report("table3_breakdown", options);
   rpas::bench::BuildSetup(options);
   ::benchmark::Initialize(&argc, argv);
   std::printf(
       "Table III: computation overhead breakdown — forecasting vs\n"
       "auto-scaling optimization (real_time column).\n");
-  ::benchmark::RunSpecifiedBenchmarks();
+  rpas::bench::RunGoogleBenchmarks(
+      &report, "breakdown",
+      "Table III: computation overhead breakdown, forecasting vs "
+      "auto-scaling optimization");
   ::benchmark::Shutdown();
-  return 0;
+  return report.Finish();
 }

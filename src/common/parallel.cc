@@ -71,7 +71,7 @@ int RpasThreads() {
 }
 
 void SetRpasThreads(int num_threads) {
-  g_thread_override.store(std::max(num_threads, 0),
+  g_thread_override.store(std::clamp(num_threads, 0, kMaxRpasThreads),
                           std::memory_order_relaxed);
 }
 

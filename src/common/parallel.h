@@ -21,7 +21,8 @@ namespace rpas {
 /// parallel construct down its serial path.
 int RpasThreads();
 
-/// Largest thread count RPAS_NUM_THREADS / ParseThreadCount will yield.
+/// Largest thread count RPAS_NUM_THREADS, ParseThreadCount and
+/// SetRpasThreads will yield.
 /// Oversubscription beyond this is never useful and huge values would
 /// make the shared pool spawn unbounded workers.
 inline constexpr int kMaxRpasThreads = 256;
@@ -36,7 +37,8 @@ int ParseThreadCount(const char* text, int fallback);
 
 /// Process-wide thread-count override for tests and benchmarks that
 /// compare serial and parallel execution in one process. Pass 0 to restore
-/// the environment/hardware default. Values < 0 are treated as 0.
+/// the environment/hardware default. Values < 0 are treated as 0; values
+/// above kMaxRpasThreads are clamped to it.
 void SetRpasThreads(int num_threads);
 
 /// Work-queue thread pool. Workers are started in the constructor and

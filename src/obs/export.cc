@@ -1,6 +1,7 @@
 #include "obs/export.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -8,8 +9,6 @@
 #include "common/strings.h"
 
 namespace rpas::obs {
-
-namespace {
 
 /// Minimal JSON string escaper (names and run labels are plain ASCII in
 /// practice; quotes, backslashes and control bytes are escaped anyway).
@@ -40,6 +39,8 @@ std::string JsonEscape(const std::string& s) {
   }
   return out;
 }
+
+namespace {
 
 std::string CsvEscape(const std::string& s) {
   if (s.find_first_of(",\"\n") == std::string::npos) {
@@ -86,6 +87,9 @@ std::vector<TraceEvent> SortedSpans(const TraceBuffer* trace) {
 }  // namespace
 
 std::string FormatDouble(double value) {
+  if (!std::isfinite(value)) {
+    return "null";
+  }
   // Shortest decimal form that round-trips: try increasing precision.
   for (int precision = 15; precision <= 17; ++precision) {
     std::string candidate = StrFormat("%.*g", precision, value);

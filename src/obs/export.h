@@ -71,7 +71,12 @@ class RunExport {
 
 /// Formats a double exactly (shortest round-trip form via %.17g with
 /// trailing-zero trimming); shared by both writers so JSONL and CSV agree.
+/// NaN and ±Inf have no JSON spelling and are written `null`.
 std::string FormatDouble(double value);
+
+/// Escapes `s` for use inside a JSON string literal: quotes, backslashes
+/// and control bytes.
+std::string JsonEscape(const std::string& s);
 
 }  // namespace rpas::obs
 

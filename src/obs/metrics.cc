@@ -67,16 +67,13 @@ void Gauge::Max(double value) {
 Histogram::Histogram(const std::atomic<bool>* enabled,
                      std::vector<double> bounds, bool deterministic)
     : bounds_(std::move(bounds)),
-      // Pad each stripe's bucket block to a whole number of cache lines
-      // (8 x 8-byte atomics) so stripes never share a line.
-      stride_((bounds_.size() + 1 + 7) / 8 * 8),
-      counts_(new std::atomic<uint64_t>[stride_ * internal::kMetricStripes]),
+      lines_per_stripe_((bounds_.size() + internal::BucketLine::kCounts) /
+                        internal::BucketLine::kCounts),
+      counts_(new internal::BucketLine[lines_per_stripe_ *
+                                       internal::kMetricStripes]),
       stripes_(new internal::HistogramStripe[internal::kMetricStripes]),
       enabled_(enabled),
       deterministic_(deterministic) {
-  for (size_t i = 0; i < stride_ * internal::kMetricStripes; ++i) {
-    counts_[i].store(0, std::memory_order_relaxed);
-  }
   for (size_t i = 0; i < internal::kMetricStripes; ++i) {
     stripes_[i].min.store(std::numeric_limits<double>::infinity(),
                           std::memory_order_relaxed);
@@ -93,7 +90,7 @@ void Histogram::Observe(double value) {
       std::upper_bound(bounds_.begin(), bounds_.end(), value) -
       bounds_.begin());
   const size_t slot = internal::ThisThreadStripe();
-  counts_[slot * stride_ + bucket].fetch_add(1, std::memory_order_relaxed);
+  BucketAt(slot, bucket).fetch_add(1, std::memory_order_relaxed);
   internal::HistogramStripe& stripe = stripes_[slot];
   stripe.count.fetch_add(1, std::memory_order_relaxed);
   AtomicAdd(&stripe.sum, value);
@@ -123,7 +120,7 @@ double Histogram::sum() const {
 uint64_t Histogram::BucketCount(size_t i) const {
   uint64_t total = 0;
   for (size_t s = 0; s < internal::kMetricStripes; ++s) {
-    total += counts_[s * stride_ + i].load(std::memory_order_relaxed);
+    total += BucketAt(s, i).load(std::memory_order_relaxed);
   }
   return total;
 }

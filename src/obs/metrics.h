@@ -32,6 +32,16 @@ struct alignas(64) CounterStripe {
   std::atomic<int64_t> value{0};
 };
 
+/// One cache line of histogram bucket counts. Allocated as whole lines of
+/// this type, each stripe's block starts on its own cache line, which an
+/// array of `std::atomic<uint64_t>` (16-byte aligned by new) does not
+/// guarantee.
+struct alignas(64) BucketLine {
+  static constexpr size_t kCounts = 8;
+  std::atomic<uint64_t> counts[kCounts] = {};
+};
+static_assert(sizeof(BucketLine) == 64 && alignof(BucketLine) == 64);
+
 /// Per-stripe scalar state of a histogram (bucket counts are laid out
 /// separately, cache-line padded per stripe).
 struct alignas(64) HistogramStripe {
@@ -156,11 +166,15 @@ class Histogram {
             bool deterministic);
 
   const std::vector<double> bounds_;  // sorted upper bounds
-  // Bucket counts are one flat array of kMetricStripes blocks, each padded
-  // to a multiple of 8 atomics so every stripe starts on its own cache
-  // line.
-  const size_t stride_;
-  const std::unique_ptr<std::atomic<uint64_t>[]> counts_;
+  // Bucket counts are one flat array of kMetricStripes blocks of
+  // `lines_per_stripe_` cache lines each, so stripes never share a line.
+  std::atomic<uint64_t>& BucketAt(size_t stripe, size_t bucket) const {
+    return counts_[stripe * lines_per_stripe_ +
+                   bucket / internal::BucketLine::kCounts]
+        .counts[bucket % internal::BucketLine::kCounts];
+  }
+  const size_t lines_per_stripe_;
+  const std::unique_ptr<internal::BucketLine[]> counts_;
   const std::unique_ptr<internal::HistogramStripe[]> stripes_;
   const std::atomic<bool>* enabled_;
   const bool deterministic_;

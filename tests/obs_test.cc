@@ -5,6 +5,7 @@
 // for the same seeds at RPAS_NUM_THREADS=1 vs 4, and exact agreement
 // between OnlineLoopResult fault counters and the registry.
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -302,6 +303,38 @@ TEST(ExportTest, FormatDoubleRoundTrips) {
     const std::string s = FormatDouble(v);
     EXPECT_EQ(std::stod(s), v) << s;
   }
+}
+
+TEST(ExportTest, NonFiniteValuesAreWrittenAsJsonNull) {
+  // A diverged training run observes NaN losses into deterministic
+  // histograms; the export must stay parseable JSON.
+  const double inf = std::numeric_limits<double>::infinity();
+  MetricsRegistry registry;
+  registry.GetGauge("g.bad", /*deterministic=*/true)
+      ->Set(std::numeric_limits<double>::quiet_NaN());
+  Histogram* hist = registry.GetHistogram("h.bad");
+  hist->Observe(std::numeric_limits<double>::quiet_NaN());
+  hist->Observe(inf);
+  hist->Observe(-inf);
+  for (bool deterministic : {false, true}) {
+    const std::string jsonl =
+        RunExport(&registry, nullptr, {}, ExportOptions{deterministic})
+            .ToJsonl();
+    EXPECT_NE(jsonl.find("{\"type\":\"gauge\",\"name\":\"g.bad\","
+                         "\"value\":null}"),
+              std::string::npos)
+        << jsonl;
+    EXPECT_NE(jsonl.find("\"min\":null,\"max\":null"), std::string::npos)
+        << jsonl;
+    EXPECT_NE(jsonl.find("\"p50\":null"), std::string::npos) << jsonl;
+    // No bare number token is non-finite (the overflow bucket's bound is
+    // the JSON string "inf").
+    for (const char* token : {":nan", ":-nan", ":inf", ":-inf"}) {
+      EXPECT_EQ(jsonl.find(token), std::string::npos) << token << jsonl;
+    }
+  }
+  EXPECT_EQ(FormatDouble(-inf), "null");
+  EXPECT_EQ(FormatDouble(std::numeric_limits<double>::quiet_NaN()), "null");
 }
 
 TEST(ExportTest, JsonlStructureAndIdempotence) {

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <condition_variable>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -63,6 +64,18 @@ TEST(ThreadConfigTest, ParseThreadCountAcceptsOnlyWholeValidTokens) {
   EXPECT_EQ(kMaxRpasThreads, ParseThreadCount("2147483647", -1));
   // The fallback is caller-chosen.
   EXPECT_EQ(7, ParseThreadCount("garbage", 7));
+}
+
+TEST(ThreadConfigTest, SetRpasThreadsClampsToMax) {
+  // Only RpasThreads() is read while the override is set: any parallel
+  // construct would grow the shared pool to kMaxRpasThreads - 1 workers.
+  ThreadOverrideGuard guard;
+  SetRpasThreads(kMaxRpasThreads + 1);
+  EXPECT_EQ(kMaxRpasThreads, RpasThreads());
+  SetRpasThreads(std::numeric_limits<int>::max());
+  EXPECT_EQ(kMaxRpasThreads, RpasThreads());
+  SetRpasThreads(3);
+  EXPECT_EQ(3, RpasThreads());
 }
 
 // ------------------------------------------------------------- ThreadPool ---
