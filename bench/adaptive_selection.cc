@@ -12,8 +12,12 @@
 //   - adaptive-noprescale: the same ladder with the pre-scaler disabled
 //                         (isolates the floor-raise contribution).
 // The ladder is fitted ONCE per profile class and shared by that class's
-// tenants; runs inject actuation-delay faults so scale-out lag (the
-// situation pre-scaling exists for) is realistic.
+// tenants, except that each run restores its own DeepAR from the class's
+// fitted checkpoint: DeepAR's Predict advances the model's sampling stream,
+// so one instance shared by concurrently running tenants would race and
+// make the forecasts depend on thread timing. Runs inject actuation-delay
+// faults so scale-out lag (the situation pre-scaling exists for) is
+// realistic.
 //
 // Each class's selector accuracy SLO (wql_bound) is derived from tier
 // baselines measured on the class's pre-eval calibration window, the way
@@ -42,6 +46,8 @@
 //     and the pre-scaler activated at least once;
 //   - each class's derived wql_bound is positive over all four tiers, and
 //     every tenant ran all four strategies.
+
+#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
@@ -113,7 +119,12 @@ struct ProfileClass {
   trace::TraceProfile profile;
   core::ScalingConfig config;
   std::vector<std::unique_ptr<forecast::Forecaster>> models;
+  /// Managers of the shared, deterministic tiers (all but DeepAR).
   std::vector<std::unique_ptr<core::RobustAutoScalingManager>> managers;
+  /// The fitted DeepAR tier's checkpoint, and the bench mode its options
+  /// were made for: every run restores a DeepAR of its own from it.
+  std::string deepar_checkpoint;
+  bool quick = false;
   /// Accuracy SLO the selector is run with, derived per class from the
   /// calibration-window tier baselines (see DeriveWqlBound).
   double wql_bound = 0.15;
@@ -141,10 +152,17 @@ ProfileClass MakeProfileClass(const trace::TraceProfile& profile,
       MakeDeepAr(kSelHorizon, ScalingLevels(), options.quick, /*run=*/0));
   for (auto& model : cls.models) {
     RPAS_CHECK(model->Fit(dataset.train).ok()) << cls.name;
-    cls.managers.push_back(std::make_unique<core::RobustAutoScalingManager>(
-        model.get(),
-        std::make_unique<core::RobustQuantileAllocator>(0.95), cls.config));
+    if (model != cls.models.back()) {
+      cls.managers.push_back(std::make_unique<core::RobustAutoScalingManager>(
+          model.get(),
+          std::make_unique<core::RobustQuantileAllocator>(0.95), cls.config));
+    }
   }
+  cls.quick = options.quick;
+  cls.deepar_checkpoint =
+      StrFormat("/tmp/rpas_adaptive_%s_%d_deepar.ckpt", cls.name.c_str(),
+                static_cast<int>(getpid()));
+  RPAS_CHECK(cls.models.back()->SaveCheckpoint(cls.deepar_checkpoint).ok());
   return cls;
 }
 
@@ -168,13 +186,12 @@ struct CellResult {
   bool rollback_ok = true;
 };
 
-core::SelectionOptions MakeSelection(const ProfileClass& cls,
-                                     bool prescale) {
+core::SelectionOptions MakeSelection(
+    const ProfileClass& cls,
+    std::vector<const core::RobustAutoScalingManager*> ladder, bool prescale) {
   core::SelectionOptions selection;
   selection.mode = core::SelectionMode::kAdaptive;
-  for (const auto& manager : cls.managers) {
-    selection.ladder.push_back(manager.get());
-  }
+  selection.ladder = std::move(ladder);
   selection.classifier.season = kStepsPerDay;
   selection.selector.wql_window = 6;
   selection.selector.min_dwell = 2;
@@ -309,24 +326,39 @@ CellResult RunCell(const ProfileClass& cls, size_t tenant,
   loop.faults.actuation_delay_steps = 2;
   loop.faults.seed = 77 + tenant;
 
-  const core::RobustAutoScalingManager* base = cls.managers[0].get();
+  // This run's ladder: the class's shared deterministic tiers, then a
+  // DeepAR restored from the class checkpoint, which starts from the
+  // model's seeded sampling stream whatever ran before or beside it.
+  std::unique_ptr<forecast::Forecaster> deepar =
+      MakeDeepAr(kSelHorizon, ScalingLevels(), cls.quick, /*run=*/0);
+  RPAS_CHECK(deepar->LoadCheckpoint(cls.deepar_checkpoint).ok()) << cls.name;
+  const core::RobustAutoScalingManager deepar_manager(
+      deepar.get(), std::make_unique<core::RobustQuantileAllocator>(0.95),
+      cls.config);
+  std::vector<const core::RobustAutoScalingManager*> ladder;
+  for (const auto& manager : cls.managers) {
+    ladder.push_back(manager.get());
+  }
+  ladder.push_back(&deepar_manager);
+
   size_t fixed_tier = 0;
   switch (strategy) {
     case Strategy::kAllSeasonal:
       fixed_tier = 0;
       break;
     case Strategy::kAllDeepar:
-      fixed_tier = cls.managers.size() - 1;
+      fixed_tier = ladder.size() - 1;
       break;
     case Strategy::kAdaptive:
-      loop.selection = MakeSelection(cls, /*prescale=*/true);
+      loop.selection = MakeSelection(cls, ladder, /*prescale=*/true);
       break;
     case Strategy::kAdaptiveNoPrescale:
-      loop.selection = MakeSelection(cls, /*prescale=*/false);
+      loop.selection = MakeSelection(cls, ladder, /*prescale=*/false);
       break;
   }
   const bool adaptive = loop.selection.mode == core::SelectionMode::kAdaptive;
-  base = adaptive ? cls.managers[0].get() : cls.managers[fixed_tier].get();
+  const core::RobustAutoScalingManager* base =
+      adaptive ? ladder[0] : ladder[fixed_tier];
 
   // A private registry times the planning rounds: the loop observes each
   // round's planning wall time into "online.plan_ms".
@@ -564,6 +596,9 @@ void RunAdaptiveSelection(const BenchOptions& options, Report* report) {
                               adaptive_activations)));
   report->Check("strategies_ran", all_strategies,
                 "every tenant ran all four strategies");
+  for (const ProfileClass& cls : classes) {
+    std::remove(cls.deepar_checkpoint.c_str());
+  }
 }
 
 }  // namespace

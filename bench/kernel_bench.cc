@@ -128,6 +128,41 @@ void BenchGemm(bool quick, std::vector<Record>* out) {
     out->push_back({"gemm_tn", "64x128x96", kernels::LevelName(level), ns,
                     flops_tn / ns});
   }
+  // The DeepAR training unroll's per-step backward products, added into C
+  // as the unroll calls them (no fill): dW_h and dW_x by GemmTN over the
+  // batch, dh_prev by GemmNT over the gates. Batch 8 at H 32 (the loop)
+  // and H 20 (the fleet); shapes read m x k x n.
+  struct Backward {
+    bool tn;  // GemmTN, else GemmNT
+    size_t m, k, n;
+  };
+  for (const Backward& s :
+       {Backward{true, 32, 8, 128}, Backward{true, 5, 8, 128},
+        Backward{false, 8, 128, 32}, Backward{true, 20, 8, 80},
+        Backward{true, 5, 8, 80}, Backward{false, 8, 80, 20}}) {
+    // GemmTN reads A as (k x m) and B as (k x n); GemmNT reads B as (n x k).
+    Matrix a(s.tn ? s.k : s.m, s.tn ? s.m : s.k);
+    Matrix b(s.tn ? s.k : s.n, s.tn ? s.n : s.k);
+    Matrix c(s.m, s.n);
+    FillUniform(&a, &rng);
+    FillUniform(&b, &rng);
+    const double flops = 2.0 * static_cast<double>(s.m) *
+                         static_cast<double>(s.k) * static_cast<double>(s.n);
+    for (SimdLevel level : SupportedLevels()) {
+      const double ns = NsPerIter(quick, [&] {
+        if (s.tn) {
+          kernels::GemmTN(level, s.m, s.n, s.k, a.data(), s.m, b.data(), s.n,
+                          c.data(), s.n);
+        } else {
+          kernels::GemmNT(level, s.m, s.n, s.k, a.data(), s.k, b.data(), s.k,
+                          c.data(), s.n);
+        }
+      });
+      out->push_back({s.tn ? "gemm_tn_acc" : "gemm_nt_acc",
+                      StrFormat("%zux%zux%zu", s.m, s.k, s.n),
+                      kernels::LevelName(level), ns, flops / ns});
+    }
+  }
 }
 
 // -------------------------------------------- vector + elementwise ops ---

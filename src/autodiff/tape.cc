@@ -20,10 +20,13 @@ namespace kernels = ::rpas::tensor::kernels;
 //    expression (g[i]*b[i], g[i]/b[i], scatter copies, ...) accumulate
 //    directly into the parent's grad: the old code computed the identical
 //    value into a temp and then Axpy'd it, which rounds the same way.
-//  * Contributions that are themselves accumulations (GEMM backward,
-//    column sums) or that the old code staged through a zero temp whose
-//    zero elements were still added (Max, elementwise activations) go
-//    through a zeroed Scratch() and AccumulateGrad(), preserving the old
+//  * GEMM backward products add straight into the parent's grad: GemmTN
+//    and GemmNT sum each product from +0.0 and add it to C once, the
+//    rounding of the old zeroed temp followed by an Axpy.
+//  * Other contributions that are themselves accumulations (column sums)
+//    or that the old code staged through a zero temp whose zero elements
+//    were still added (Max, elementwise activations) go through a zeroed
+//    Scratch() and AccumulateGrad(), preserving the old
 //    temp-from-zero-then-add rounding and signed-zero behavior.
 //  * Backward lambdas capture at most two words so std::function stays in
 //    its small-buffer slot — no per-node heap traffic on the hot path.
@@ -145,17 +148,11 @@ Var Tape::MatMul(Var a, Var b) {
   size_t id = NewArenaNode(a.rows(), b.value().cols(), rg,
                            [ai, bi](const Matrix& g, Tape* t) {
                              // dA = g * B^T ; dB = A^T * g
-                             if (t->nodes_[ai].requires_grad) {
-                               const Matrix& bv = t->ValueOf(bi);
-                               Matrix* s = t->Scratch(g.rows(), bv.rows());
-                               ops::MatMulNTInto(g, bv, s);
-                               t->AccumulateGrad(ai, *s);
+                             if (Matrix* ga = t->GradFor(ai)) {
+                               ops::MatMulNTInto(g, t->ValueOf(bi), ga);
                              }
-                             if (t->nodes_[bi].requires_grad) {
-                               const Matrix& av = t->ValueOf(ai);
-                               Matrix* s = t->Scratch(av.cols(), g.cols());
-                               ops::MatMulTNInto(av, g, s);
-                               t->AccumulateGrad(bi, *s);
+                             if (Matrix* gb = t->GradFor(bi)) {
+                               ops::MatMulTNInto(t->ValueOf(ai), g, gb);
                              }
                            });
   ops::MatMulInto(a.value(), b.value(), nodes_[id].value);

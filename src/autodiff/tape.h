@@ -197,6 +197,12 @@ class Tape {
   /// Adds `g` into node `id`'s gradient (for custom ops).
   void AccumulateGrad(size_t id, const Matrix& g);
 
+  /// Node `id`'s gradient, for fused ops that add into it in place (the
+  /// GemmTN/GemmNT accumulate contract); nullptr when grads don't flow.
+  Matrix* GradFor(size_t id) {
+    return nodes_[id].requires_grad ? nodes_[id].grad : nullptr;
+  }
+
   /// Number of nodes currently on the tape.
   size_t NumNodes() const { return num_nodes_; }
 
@@ -222,10 +228,6 @@ class Tape {
   /// NewNode + arena value and grad of the given shape.
   size_t NewArenaNode(size_t rows, size_t cols, bool requires_grad,
                       std::function<void(const Matrix&, Tape*)> backward);
-  /// Node grad for in-place accumulation; nullptr when grads don't flow.
-  Matrix* GradFor(size_t id) {
-    return nodes_[id].requires_grad ? nodes_[id].grad : nullptr;
-  }
 
   std::vector<Node> nodes_;
   size_t num_nodes_ = 0;  // live prefix of nodes_; slots recycle on Reset()

@@ -223,8 +223,7 @@ nn::TrainSummary DeepArForecaster::RunTraining(
   std::vector<double> heads(unroll * batch * 2), nll(batch);
   std::vector<HeadTerm> terms(unroll * batch);
   std::vector<double> dh(bh), dh_next(bh), dc(bh), dc_next(bh), dgates(bg);
-  std::vector<double> dheads(batch * 2), head_grad(hd * 2), gate_sums(gw);
-  std::vector<double> w_grad(std::max(kInputDim, hd) * gw);
+  std::vector<double> dheads(batch * 2), gate_sums(gw);
 
   // Teacher-forced forward: at step s the input is the observed value s plus
   // the calendar features of s + 1, and the heads predict value s + 1. Every
@@ -274,9 +273,10 @@ nn::TrainSummary DeepArForecaster::RunTraining(
   };
 
   // Reverse pass in the tape's node order: steps from last to first, within
-  // a step the NLL, the sigma head, the mu head, then the cell. Each step's
-  // parameter products are summed from zero and then added to the gradients,
-  // as the tape's AccumulateGrad did (DESIGN.md §10).
+  // a step the NLL, the sigma head, the mu head, then the cell. GemmTN sums
+  // each step's parameter products from +0.0 and adds them to the
+  // gradients, as the tape's zeroed temp and AccumulateGrad did
+  // (DESIGN.md §10).
   auto backward = [&]() {
     std::fill(dh_next.begin(), dh_next.end(), 0.0);
     std::fill(dc_next.begin(), dc_next.end(), 0.0);
@@ -303,15 +303,11 @@ nn::TrainSummary DeepArForecaster::RunTraining(
       }
       b_sigma.grad[0] += db_sigma;
       b_mu.grad[0] += db_mu;
-      // Both heads' weight gradients in one 2-column product; its columns
-      // never mix, so each equals the tape's 1-column h^T g.
-      std::fill(head_grad.begin(), head_grad.end(), 0.0);
-      kernels::GemmTN(level, hd, 2, batch, h_out, hd, dheads.data(), 2,
-                      head_grad.data(), 2);
-      for (size_t p = 0; p < hd; ++p) {
-        w_mu.grad[p] += head_grad[2 * p];
-        w_sigma.grad[p] += head_grad[2 * p + 1];
-      }
+      // Each head's h^T g reads its column of dheads.
+      kernels::GemmTN(level, hd, 1, batch, h_out, hd, dheads.data(), 2,
+                      w_mu.grad.data(), 1);
+      kernels::GemmTN(level, hd, 1, batch, h_out, hd, dheads.data() + 1, 2,
+                      w_sigma.grad.data(), 1);
       // d loss / d h_{s+1}: the next step's dh_prev, then the sigma head's
       // and the mu head's 1-term products, in that order.
       for (size_t r = 0; r < batch; ++r) {
@@ -338,16 +334,11 @@ nn::TrainSummary DeepArForecaster::RunTraining(
         kernels::GemmNT(level, batch, hd, gw, dgates.data(), gw,
                         wh.value.data(), gw, dh_next.data(), hd);
       }
-      std::fill_n(w_grad.data(), hd * gw, 0.0);
       kernels::GemmTN(level, hd, gw, batch, h_in, hd, dgates.data(), gw,
-                      w_grad.data(), gw);
-      kernels::Axpy(level, hd * gw, 1.0, w_grad.data(), wh.grad.data());
-      std::fill_n(w_grad.data(), kInputDim * gw, 0.0);
+                      wh.grad.data(), gw);
       kernels::GemmTN(level, kInputDim, gw, batch,
                       x.data() + s * batch * kInputDim, kInputDim,
-                      dgates.data(), gw, w_grad.data(), gw);
-      kernels::Axpy(level, kInputDim * gw, 1.0, w_grad.data(),
-                    wx.grad.data());
+                      dgates.data(), gw, wx.grad.data(), gw);
     }
   };
 

@@ -50,6 +50,11 @@ class Forecaster {
   virtual Status Fit(const ts::TimeSeries& train) = 0;
 
   /// Quantile forecast for the configured horizon at the configured levels.
+  /// A sampling model's Predict draws from, and advances, its own sampling
+  /// stream (DeepAR's), so despite `const` it is not safe to call
+  /// concurrently on one instance, and each call's draws depend on the
+  /// calls before it. Concurrent callers use PredictSeeded, or an instance
+  /// each.
   virtual Result<ts::QuantileForecast> Predict(
       const ForecastInput& input) const = 0;
 

@@ -231,27 +231,19 @@ LstmCell::State LstmCell::Step(Tape* tape, Var x, const State& state) {
           }
         }
         t->AccumulateGrad(bi, *db);
-        const Matrix& whv = t->ValueOf(whi);
-        if (t->RequiresGrad(Var(t, hi))) {
-          Matrix* s = t->Scratch(batch2, h2);
-          ops::MatMulNTInto(*dgates, whv, s);  // dh_prev = dgates * Wh^T
-          t->AccumulateGrad(hi, *s);
+        // The four products add straight into the gradients (the GemmNT /
+        // GemmTN accumulate contract).
+        if (Matrix* gh = t->GradFor(hi)) {
+          ops::MatMulNTInto(*dgates, t->ValueOf(whi), gh);  // dgates * Wh^T
         }
-        {
-          Matrix* s = t->Scratch(h2, 4 * h2);
-          ops::MatMulTNInto(t->ValueOf(hi), *dgates, s);  // dWh = h^T dgates
-          t->AccumulateGrad(whi, *s);
+        if (Matrix* gwh = t->GradFor(whi)) {
+          ops::MatMulTNInto(t->ValueOf(hi), *dgates, gwh);  // h^T dgates
         }
-        const Matrix& wxv = t->ValueOf(wxi);
-        if (t->RequiresGrad(Var(t, xi))) {
-          Matrix* s = t->Scratch(batch2, wxv.rows());
-          ops::MatMulNTInto(*dgates, wxv, s);  // dx = dgates * Wx^T
-          t->AccumulateGrad(xi, *s);
+        if (Matrix* gx = t->GradFor(xi)) {
+          ops::MatMulNTInto(*dgates, t->ValueOf(wxi), gx);  // dgates * Wx^T
         }
-        {
-          Matrix* s = t->Scratch(wxv.rows(), 4 * h2);
-          ops::MatMulTNInto(t->ValueOf(xi), *dgates, s);  // dWx = x^T dgates
-          t->AccumulateGrad(wxi, *s);
+        if (Matrix* gwx = t->GradFor(wxi)) {
+          ops::MatMulTNInto(t->ValueOf(xi), *dgates, gwx);  // x^T dgates
         }
       },
       &value);

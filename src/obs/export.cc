@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 
 #include "common/strings.h"
@@ -55,19 +54,6 @@ std::string CsvEscape(const std::string& s) {
   }
   out += '"';
   return out;
-}
-
-Status WriteFile(const std::string& path, const std::string& content) {
-  std::ofstream out(path);
-  if (!out) {
-    return Status::IoError("cannot open '" + path + "' for writing");
-  }
-  out << content;
-  out.flush();
-  if (!out) {
-    return Status::IoError("write to '" + path + "' failed");
-  }
-  return Status::OK();
 }
 
 /// Deterministic span sort key: (name, tag); full-mode exports keep buffer
@@ -137,6 +123,9 @@ std::string RunExport::ToJsonl() const {
       }
       out << "{\"type\":\"histogram\",\"name\":\"" << JsonEscape(name)
           << "\",\"count\":" << hist->count();
+      if (const uint64_t nans = hist->nan_count(); nans > 0) {
+        out << ",\"nan\":" << nans;
+      }
       if (hist->count() > 0) {
         out << ",\"min\":" << FormatDouble(hist->min())
             << ",\"max\":" << FormatDouble(hist->max());
@@ -269,14 +258,6 @@ std::string RunExport::ToCsv() const {
         << (d.slo_violated ? 1 : 0) << "," << (d.faulted ? 1 : 0) << "\n";
   }
   return out.str();
-}
-
-Status RunExport::WriteJsonl(const std::string& path) const {
-  return WriteFile(path, ToJsonl());
-}
-
-Status RunExport::WriteCsv(const std::string& path) const {
-  return WriteFile(path, ToCsv());
 }
 
 }  // namespace rpas::obs

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "common/result.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 
@@ -58,9 +57,6 @@ class RunExport {
   /// Renders the export as one flat CSV: a fixed union-of-fields header,
   /// one row per record, empty cells where a field does not apply.
   std::string ToCsv() const;
-
-  Status WriteJsonl(const std::string& path) const;
-  Status WriteCsv(const std::string& path) const;
 
  private:
   const MetricsRegistry* metrics_;  // may be null

@@ -86,10 +86,14 @@ void Histogram::Observe(double value) {
   if (!enabled_->load(std::memory_order_relaxed)) {
     return;
   }
+  const size_t slot = internal::ThisThreadStripe();
+  if (std::isnan(value)) {
+    stripes_[slot].nan_count.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
   const size_t bucket = static_cast<size_t>(
       std::upper_bound(bounds_.begin(), bounds_.end(), value) -
       bounds_.begin());
-  const size_t slot = internal::ThisThreadStripe();
   BucketAt(slot, bucket).fetch_add(1, std::memory_order_relaxed);
   internal::HistogramStripe& stripe = stripes_[slot];
   stripe.count.fetch_add(1, std::memory_order_relaxed);
@@ -102,6 +106,14 @@ uint64_t Histogram::count() const {
   uint64_t total = 0;
   for (size_t i = 0; i < internal::kMetricStripes; ++i) {
     total += stripes_[i].count.load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+uint64_t Histogram::nan_count() const {
+  uint64_t total = 0;
+  for (size_t i = 0; i < internal::kMetricStripes; ++i) {
+    total += stripes_[i].nan_count.load(std::memory_order_relaxed);
   }
   return total;
 }

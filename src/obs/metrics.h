@@ -49,6 +49,7 @@ struct alignas(64) HistogramStripe {
   std::atomic<double> sum{0.0};
   std::atomic<double> min;
   std::atomic<double> max;
+  std::atomic<uint64_t> nan_count{0};
 };
 
 }  // namespace internal
@@ -140,9 +141,15 @@ class Gauge {
 /// everything except `sum`.
 class Histogram {
  public:
+  /// Files `value` in its bucket. A NaN is only counted (nan_count()): it
+  /// has no bucket and would poison sum, min and max. ±Inf keep their
+  /// buckets.
   void Observe(double value);
 
+  /// Non-NaN observations; buckets, sum, min and max cover exactly these.
   uint64_t count() const;
+  /// NaN observations, kept out of every other statistic.
+  uint64_t nan_count() const;
   double sum() const;
   double min() const;  ///< +inf when empty
   double max() const;  ///< -inf when empty

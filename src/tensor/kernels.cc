@@ -211,36 +211,97 @@ constexpr GemmRowsNarrowFn kGemmRowsNarrow[kPanelWidth] = {
     GemmRowsNarrow<3>, GemmRowsNarrow<4>, GemmRowsNarrow<5>,
     GemmRowsNarrow<6>, GemmRowsNarrow<7>};
 
-void GemmTNScalar(size_t m, size_t n, size_t k, const double* a, size_t lda,
+// GemmTN over rows [i, i + R) and columns [0, W) of the b and c pointers:
+// each element's a[p][i] * b[p][j] summed from +0.0 over ascending p in
+// registers, then added to C once.
+template <size_t R, size_t W>
+void TnTileScalar(size_t i, size_t k, const double* a, size_t lda,
                   const double* b, size_t ldb, double* c, size_t ldc) {
-  // c[i][j] += sum_p a[p][i] * b[p][j], ascending p: the exact accumulation
-  // order of Transpose(a) followed by the reference GEMM.
+  double acc[R][W] = {};
   for (size_t p = 0; p < k; ++p) {
-    const double* a_row = a + p * lda;
+    const double* a_row = a + p * lda + i;
     const double* b_row = b + p * ldb;
-    for (size_t i = 0; i < m; ++i) {
-      const double a_pi = a_row[i];
-      double* c_row = c + i * ldc;
-      for (size_t j = 0; j < n; ++j) {
-        c_row[j] += a_pi * b_row[j];
+    for (size_t t = 0; t < R; ++t) {
+      const double a_pi = a_row[t];
+      for (size_t j = 0; j < W; ++j) {
+        acc[t][j] += a_pi * b_row[j];
       }
     }
+  }
+  for (size_t t = 0; t < R; ++t) {
+    for (size_t j = 0; j < W; ++j) {
+      c[(i + t) * ldc + j] += acc[t][j];
+    }
+  }
+}
+
+template <size_t W>
+void TnColumnsScalar(size_t m, size_t k, const double* a, size_t lda,
+                     const double* b, size_t ldb, double* c, size_t ldc) {
+  size_t i = 0;
+  for (; i + 4 <= m; i += 4) {
+    TnTileScalar<4, W>(i, k, a, lda, b, ldb, c, ldc);
+  }
+  for (; i < m; ++i) {
+    TnTileScalar<1, W>(i, k, a, lda, b, ldb, c, ldc);
+  }
+}
+
+void GemmTNScalar(size_t m, size_t n, size_t k, const double* a, size_t lda,
+                  const double* b, size_t ldb, double* c, size_t ldc) {
+  // 4 x 8 tiles, then the n % 8 tail a column at a time. Every element's
+  // sum is the one a zero-filled C gave Transpose(a) and the reference
+  // GEMM: mul-then-add over ascending p from +0.0.
+  size_t j = 0;
+  for (; j + kPanelWidth <= n; j += kPanelWidth) {
+    TnColumnsScalar<kPanelWidth>(m, k, a, lda, b + j, ldb, c + j, ldc);
+  }
+  for (; j < n; ++j) {
+    TnColumnsScalar<1>(m, k, a, lda, b + j, ldb, c + j, ldc);
+  }
+}
+
+// GemmNT over rows [i, i + R) and columns [j, j + Q): R x Q dot products,
+// each summed from +0.0 over ascending p and then added to C once.
+template <size_t R, size_t Q>
+void NtTileScalar(size_t i, size_t j, size_t k, const double* a, size_t lda,
+                  const double* b, size_t ldb, double* c, size_t ldc) {
+  double acc[R][Q] = {};
+  for (size_t p = 0; p < k; ++p) {
+    for (size_t r = 0; r < R; ++r) {
+      const double a_ip = a[(i + r) * lda + p];
+      for (size_t q = 0; q < Q; ++q) {
+        acc[r][q] += a_ip * b[(j + q) * ldb + p];
+      }
+    }
+  }
+  for (size_t r = 0; r < R; ++r) {
+    for (size_t q = 0; q < Q; ++q) {
+      c[(i + r) * ldc + j + q] += acc[r][q];
+    }
+  }
+}
+
+template <size_t R>
+void NtRowsScalar(size_t i, size_t n, size_t k, const double* a, size_t lda,
+                  const double* b, size_t ldb, double* c, size_t ldc) {
+  size_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    NtTileScalar<R, 4>(i, j, k, a, lda, b, ldb, c, ldc);
+  }
+  for (; j < n; ++j) {
+    NtTileScalar<R, 1>(i, j, k, a, lda, b, ldb, c, ldc);
   }
 }
 
 void GemmNTScalar(size_t m, size_t n, size_t k, const double* a, size_t lda,
                   const double* b, size_t ldb, double* c, size_t ldc) {
-  for (size_t i = 0; i < m; ++i) {
-    const double* a_row = a + i * lda;
-    double* c_row = c + i * ldc;
-    for (size_t j = 0; j < n; ++j) {
-      const double* b_row = b + j * ldb;
-      double s = c_row[j];
-      for (size_t p = 0; p < k; ++p) {
-        s += a_row[p] * b_row[p];
-      }
-      c_row[j] = s;
-    }
+  size_t i = 0;
+  for (; i + 2 <= m; i += 2) {
+    NtRowsScalar<2>(i, n, k, a, lda, b, ldb, c, ldc);
+  }
+  for (; i < m; ++i) {
+    NtRowsScalar<1>(i, n, k, a, lda, b, ldb, c, ldc);
   }
 }
 

@@ -125,19 +125,27 @@ void GemmRowsScalar(size_t r0, size_t r1, size_t n, size_t k, const double* a,
                     size_t ldc);
 
 /// C (m x n) += A^T * B where A is (k x m) and B is (k x n), both row-major.
-/// Accumulation order over p matches materializing A^T and running the
-/// reference GEMM, so the scalar level is bit-identical to the old
-/// Transpose+MatMul composition. Used by SolveLeastSquares (A^T A without the
-/// O(n^2) transposed copy) and the autodiff MatMul backward (dB = A^T g).
-/// Parallel over m (GemmRowGrain cost model); each output row keeps its
-/// ascending-p accumulation, so results match the serial kernel bit-for-bit.
+/// Accumulate contract: each element's product is summed from +0.0 over
+/// ascending p (mul-then-add at scalar, FMA at AVX2) and then added to C
+/// once, C + (A^T B). That is bit for bit a zero-filled temp followed by
+/// Axpy(1.0) into C, because a sum started from +0.0 is never -0.0, so
+/// 0 + P == P; on a zeroed C the scalar level equals Transpose(A) and the
+/// reference GEMM. Used by the autodiff MatMul and LSTM backwards and
+/// DeepAR's training unroll to add weight gradients (dB = A^T g) straight
+/// into their gradient buffers. Parallel over m (GemmRowGrain cost model);
+/// an element's sequence never depends on the partition or tile, so
+/// results match the serial kernel bit-for-bit.
 void GemmTN(SimdLevel level, size_t m, size_t n, size_t k, const double* a,
             size_t lda, const double* b, size_t ldb, double* c, size_t ldc);
 
-/// C (m x n) += A * B^T where A is (m x k) and B is (n x k), both row-major.
-/// Used by the autodiff MatMul backward (dA = g B^T) without materializing
-/// the transpose. Parallel over m (GemmRowGrain cost model); rows are
-/// independent dot products, so results match the serial kernel bit-for-bit.
+/// C (m x n) += A * B^T where A is (m x k) and B is (n x k), both row-major,
+/// with GemmTN's accumulate contract: each dot product is formed from +0.0
+/// (ascending p at scalar; at AVX2 one 4-lane FMA accumulator over the full
+/// 4-chunks of k, a fixed horizontal sum, then a scalar fma tail) and added
+/// to C once. Used by the autodiff MatMul backward (dA = g B^T) and the
+/// LSTM backwards (dh_prev = dgates W_h^T) without materializing the
+/// transpose. Parallel over m (GemmRowGrain cost model); rows are
+/// independent, so results match the serial kernel bit-for-bit.
 void GemmNT(SimdLevel level, size_t m, size_t n, size_t k, const double* a,
             size_t lda, const double* b, size_t ldb, double* c, size_t ldc);
 

@@ -313,161 +313,153 @@ RPAS_AVX2_FN void GemmPackedRows(size_t r0, size_t r1, size_t n, size_t k,
   }
 }
 
+namespace {
+
+// GemmTN over rows [i, i + R) and the w (<= 8) columns at b and c: each
+// element's a[p][i] * b[p][j] summed in registers from +0.0 over ascending
+// p by FMA, then added to C once. Off the full path, lanes at or past w
+// load zeros and store nothing.
+template <size_t R, bool kFull>
+RPAS_AVX2_FN inline void TnTile(size_t i, size_t w, size_t k, const double* a,
+                                size_t lda, const double* b, size_t ldb,
+                                double* c, size_t ldc) {
+  const bool wide = kFull || w > 4;
+  const __m256i m0 = TailMask(std::min<size_t>(w, 4));
+  const __m256i m1 = TailMask(wide ? w - 4 : 0);
+  __m256d acc[R][2];
+  for (size_t t = 0; t < R; ++t) {
+    acc[t][0] = _mm256_setzero_pd();
+    acc[t][1] = _mm256_setzero_pd();
+  }
+  for (size_t p = 0; p < k; ++p) {
+    const double* b_row = b + p * ldb;
+    const __m256d b0 = LoadLive(b_row, kFull, m0);
+    const __m256d b1 =
+        wide ? LoadLive(b_row + 4, kFull, m1) : _mm256_setzero_pd();
+    const double* a_row = a + p * lda + i;
+    for (size_t t = 0; t < R; ++t) {
+      const __m256d av = _mm256_set1_pd(a_row[t]);
+      acc[t][0] = _mm256_fmadd_pd(av, b0, acc[t][0]);
+      acc[t][1] = _mm256_fmadd_pd(av, b1, acc[t][1]);
+    }
+  }
+  for (size_t t = 0; t < R; ++t) {
+    double* c_row = c + (i + t) * ldc;
+    StoreLive(c_row, kFull, m0,
+              _mm256_add_pd(LoadLive(c_row, kFull, m0), acc[t][0]));
+    if (wide) {
+      StoreLive(c_row + 4, kFull, m1,
+                _mm256_add_pd(LoadLive(c_row + 4, kFull, m1), acc[t][1]));
+    }
+  }
+}
+
+template <bool kFull>
+RPAS_AVX2_FN void TnColumns(size_t m, size_t w, size_t k, const double* a,
+                            size_t lda, const double* b, size_t ldb, double* c,
+                            size_t ldc) {
+  size_t i = 0;
+  for (; i + 4 <= m; i += 4) {
+    TnTile<4, kFull>(i, w, k, a, lda, b, ldb, c, ldc);
+  }
+  for (; i < m; ++i) {
+    TnTile<1, kFull>(i, w, k, a, lda, b, ldb, c, ldc);
+  }
+}
+
+// GemmNT over rows [i, i + R) and columns [j, j + Q). Each element: one
+// 4-lane FMA accumulator from +0.0 over the full 4-chunks of k, the fixed
+// HSum, a scalar fma tail, then one add into C. That sequence depends only
+// on k, so a tile's shape never changes an element; the R rows share each
+// B load and the Q columns each A load.
+// Forced inline: as its own function GCC zero-fills and spills the
+// accumulators through the stack on every tile.
+template <size_t R, size_t Q>
+RPAS_AVX2_FN inline __attribute__((always_inline)) void NtTile(
+    size_t i, size_t j, size_t k, const double* a, size_t lda,
+    const double* b, size_t ldb, double* c, size_t ldc) {
+  __m256d acc[R][Q];
+  for (size_t r = 0; r < R; ++r) {
+    for (size_t q = 0; q < Q; ++q) {
+      acc[r][q] = _mm256_setzero_pd();
+    }
+  }
+  size_t p = 0;
+  for (; p + 4 <= k; p += 4) {
+    __m256d av[R];
+    for (size_t r = 0; r < R; ++r) {
+      av[r] = _mm256_loadu_pd(a + (i + r) * lda + p);
+    }
+    for (size_t q = 0; q < Q; ++q) {
+      const __m256d bv = _mm256_loadu_pd(b + (j + q) * ldb + p);
+      for (size_t r = 0; r < R; ++r) {
+        acc[r][q] = _mm256_fmadd_pd(av[r], bv, acc[r][q]);
+      }
+    }
+  }
+  double s[R][Q];
+  for (size_t r = 0; r < R; ++r) {
+    for (size_t q = 0; q < Q; ++q) {
+      s[r][q] = HSum(acc[r][q]);
+    }
+  }
+  for (; p < k; ++p) {
+    for (size_t r = 0; r < R; ++r) {
+      for (size_t q = 0; q < Q; ++q) {
+        s[r][q] =
+            std::fma(a[(i + r) * lda + p], b[(j + q) * ldb + p], s[r][q]);
+      }
+    }
+  }
+  for (size_t r = 0; r < R; ++r) {
+    for (size_t q = 0; q < Q; ++q) {
+      c[(i + r) * ldc + j + q] += s[r][q];
+    }
+  }
+}
+
+template <size_t R>
+RPAS_AVX2_FN void NtRows(size_t i, size_t n, size_t k, const double* a,
+                         size_t lda, const double* b, size_t ldb, double* c,
+                         size_t ldc) {
+  size_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    NtTile<R, 4>(i, j, k, a, lda, b, ldb, c, ldc);
+  }
+  for (; j < n; ++j) {
+    NtTile<R, 1>(i, j, k, a, lda, b, ldb, c, ldc);
+  }
+}
+
+}  // namespace
+
 RPAS_AVX2_FN void GemmTN(size_t m, size_t n, size_t k, const double* a,
                          size_t lda, const double* b, size_t ldb, double* c,
                          size_t ldc) {
-  // c[i][j] += sum_p a[p][i] * b[p][j], ascending p — register-tiled 2x8
-  // with masked edges; B rows are streamed, A is read column-wise.
-  for (size_t j0 = 0; j0 < n; j0 += 8) {
-    const size_t w = std::min<size_t>(8, n - j0);
-    const __m256i m0 = TailMask(std::min<size_t>(w, 4));
-    const __m256i m1 = TailMask(w > 4 ? w - 4 : 0);
-    const bool full = w == 8;
-    size_t i = 0;
-    for (; i + 2 <= m; i += 2) {
-      double* c0 = c + i * ldc + j0;
-      double* c1 = c + (i + 1) * ldc + j0;
-      __m256d acc00, acc01, acc10, acc11;
-      if (full) {
-        acc00 = _mm256_loadu_pd(c0);
-        acc01 = _mm256_loadu_pd(c0 + 4);
-        acc10 = _mm256_loadu_pd(c1);
-        acc11 = _mm256_loadu_pd(c1 + 4);
-      } else {
-        acc00 = _mm256_maskload_pd(c0, m0);
-        acc01 = w > 4 ? _mm256_maskload_pd(c0 + 4, m1) : _mm256_setzero_pd();
-        acc10 = _mm256_maskload_pd(c1, m0);
-        acc11 = w > 4 ? _mm256_maskload_pd(c1 + 4, m1) : _mm256_setzero_pd();
-      }
-      for (size_t p = 0; p < k; ++p) {
-        const double* b_row = b + p * ldb + j0;
-        __m256d b0, b1;
-        if (full) {
-          b0 = _mm256_loadu_pd(b_row);
-          b1 = _mm256_loadu_pd(b_row + 4);
-        } else {
-          b0 = _mm256_maskload_pd(b_row, m0);
-          b1 = w > 4 ? _mm256_maskload_pd(b_row + 4, m1)
-                     : _mm256_setzero_pd();
-        }
-        const double* a_row = a + p * lda;
-        __m256d av = _mm256_set1_pd(a_row[i]);
-        acc00 = _mm256_fmadd_pd(av, b0, acc00);
-        acc01 = _mm256_fmadd_pd(av, b1, acc01);
-        av = _mm256_set1_pd(a_row[i + 1]);
-        acc10 = _mm256_fmadd_pd(av, b0, acc10);
-        acc11 = _mm256_fmadd_pd(av, b1, acc11);
-      }
-      if (full) {
-        _mm256_storeu_pd(c0, acc00);
-        _mm256_storeu_pd(c0 + 4, acc01);
-        _mm256_storeu_pd(c1, acc10);
-        _mm256_storeu_pd(c1 + 4, acc11);
-      } else {
-        _mm256_maskstore_pd(c0, m0, acc00);
-        _mm256_maskstore_pd(c1, m0, acc10);
-        if (w > 4) {
-          _mm256_maskstore_pd(c0 + 4, m1, acc01);
-          _mm256_maskstore_pd(c1 + 4, m1, acc11);
-        }
-      }
-    }
-    for (; i < m; ++i) {
-      double* c0 = c + i * ldc + j0;
-      __m256d acc0, acc1;
-      if (full) {
-        acc0 = _mm256_loadu_pd(c0);
-        acc1 = _mm256_loadu_pd(c0 + 4);
-      } else {
-        acc0 = _mm256_maskload_pd(c0, m0);
-        acc1 = w > 4 ? _mm256_maskload_pd(c0 + 4, m1) : _mm256_setzero_pd();
-      }
-      for (size_t p = 0; p < k; ++p) {
-        const double* b_row = b + p * ldb + j0;
-        const __m256d av = _mm256_set1_pd(a[p * lda + i]);
-        if (full) {
-          acc0 = _mm256_fmadd_pd(av, _mm256_loadu_pd(b_row), acc0);
-          acc1 = _mm256_fmadd_pd(av, _mm256_loadu_pd(b_row + 4), acc1);
-        } else {
-          acc0 = _mm256_fmadd_pd(av, _mm256_maskload_pd(b_row, m0), acc0);
-          if (w > 4) {
-            acc1 = _mm256_fmadd_pd(av, _mm256_maskload_pd(b_row + 4, m1),
-                                   acc1);
-          }
-        }
-      }
-      if (full) {
-        _mm256_storeu_pd(c0, acc0);
-        _mm256_storeu_pd(c0 + 4, acc1);
-      } else {
-        _mm256_maskstore_pd(c0, m0, acc0);
-        if (w > 4) {
-          _mm256_maskstore_pd(c0 + 4, m1, acc1);
-        }
-      }
-    }
+  // 4 x 8 register tiles (eight FMA chains) over full column panels, then
+  // one masked panel for the n % 8 tail. B rows are streamed, A is read
+  // column-wise.
+  size_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    TnColumns<true>(m, 8, k, a, lda, b + j, ldb, c + j, ldc);
+  }
+  if (j < n) {
+    TnColumns<false>(m, n - j, k, a, lda, b + j, ldb, c + j, ldc);
   }
 }
 
 RPAS_AVX2_FN void GemmNT(size_t m, size_t n, size_t k, const double* a,
                          size_t lda, const double* b, size_t ldb, double* c,
                          size_t ldc) {
-  // c[i][j] += dot(a_row_i, b_row_j): both operands contiguous over k. Each
-  // element reduces with one 4-lane FMA accumulator over the full k-chunks,
-  // the fixed HSum, then a scalar fma tail. That order depends only on k, so
-  // results are row-count independent. Four output columns share each A
-  // load but keep independent accumulators, so their FMA chains overlap
-  // while every element's sequence stays the single-column one.
-  for (size_t i = 0; i < m; ++i) {
-    const double* a_row = a + i * lda;
-    double* c_row = c + i * ldc;
-    size_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-      const double* b0 = b + j * ldb;
-      const double* b1 = b0 + ldb;
-      const double* b2 = b1 + ldb;
-      const double* b3 = b2 + ldb;
-      __m256d acc0 = _mm256_setzero_pd();
-      __m256d acc1 = _mm256_setzero_pd();
-      __m256d acc2 = _mm256_setzero_pd();
-      __m256d acc3 = _mm256_setzero_pd();
-      size_t p = 0;
-      for (; p + 4 <= k; p += 4) {
-        const __m256d av = _mm256_loadu_pd(a_row + p);
-        acc0 = _mm256_fmadd_pd(av, _mm256_loadu_pd(b0 + p), acc0);
-        acc1 = _mm256_fmadd_pd(av, _mm256_loadu_pd(b1 + p), acc1);
-        acc2 = _mm256_fmadd_pd(av, _mm256_loadu_pd(b2 + p), acc2);
-        acc3 = _mm256_fmadd_pd(av, _mm256_loadu_pd(b3 + p), acc3);
-      }
-      double s0 = HSum(acc0);
-      double s1 = HSum(acc1);
-      double s2 = HSum(acc2);
-      double s3 = HSum(acc3);
-      for (; p < k; ++p) {
-        s0 = std::fma(a_row[p], b0[p], s0);
-        s1 = std::fma(a_row[p], b1[p], s1);
-        s2 = std::fma(a_row[p], b2[p], s2);
-        s3 = std::fma(a_row[p], b3[p], s3);
-      }
-      c_row[j] += s0;
-      c_row[j + 1] += s1;
-      c_row[j + 2] += s2;
-      c_row[j + 3] += s3;
-    }
-    for (; j < n; ++j) {
-      const double* b_row = b + j * ldb;
-      __m256d acc = _mm256_setzero_pd();
-      size_t p = 0;
-      for (; p + 4 <= k; p += 4) {
-        acc = _mm256_fmadd_pd(_mm256_loadu_pd(a_row + p),
-                              _mm256_loadu_pd(b_row + p), acc);
-      }
-      double s = HSum(acc);
-      for (; p < k; ++p) {
-        s = std::fma(a_row[p], b_row[p], s);
-      }
-      c_row[j] += s;
-    }
+  // c[i][j] += dot(a_row_i, b_row_j), both operands contiguous over k: two
+  // rows by four columns per pass (eight accumulators), then the row and
+  // column tails with the same per-element sequence.
+  size_t i = 0;
+  for (; i + 2 <= m; i += 2) {
+    NtRows<2>(i, n, k, a, lda, b, ldb, c, ldc);
+  }
+  for (; i < m; ++i) {
+    NtRows<1>(i, n, k, a, lda, b, ldb, c, ldc);
   }
 }
 

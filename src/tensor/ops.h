@@ -18,13 +18,16 @@ void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out);
 
 /// a^T * b without materializing the transpose. Requires a.rows() ==
 /// b.rows(); result is a.cols x b.cols. At the scalar level this is
-/// bit-identical to MatMul(Transpose(a), b).
+/// bit-identical to MatMul(Transpose(a), b). The Into form adds the product,
+/// summed from +0.0, to `*out` (kernels::GemmTN's accumulate contract), so
+/// a backward adds a gradient straight into its gradient buffer.
 Matrix MatMulTN(const Matrix& a, const Matrix& b);
 void MatMulTNInto(const Matrix& a, const Matrix& b, Matrix* out);
 
 /// a * b^T without materializing the transpose. Requires a.cols() ==
 /// b.cols(); result is a.rows x b.rows. At the scalar level this is
-/// bit-identical to MatMul(a, Transpose(b)).
+/// bit-identical to MatMul(a, Transpose(b)). The Into form adds to `*out`
+/// as MatMulTNInto does.
 Matrix MatMulNT(const Matrix& a, const Matrix& b);
 void MatMulNTInto(const Matrix& a, const Matrix& b, Matrix* out);
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -1123,26 +1124,28 @@ __attribute__((target("avx2,fma"))) void GemmNTOneColumnAvx2(
 }
 #endif
 
-/// GemmNT's scalar level: one dot product per element, ascending p.
+/// GemmNT's scalar level: one dot product per element, summed from +0.0
+/// over ascending p, then added to C.
 void GemmNTOneColumnScalar(size_t m, size_t n, size_t k, const double* a,
                            size_t lda, const double* b, size_t ldb, double* c,
                            size_t ldc) {
   for (size_t i = 0; i < m; ++i) {
     for (size_t j = 0; j < n; ++j) {
-      double s = c[i * ldc + j];
+      double s = 0.0;
       for (size_t p = 0; p < k; ++p) {
         s += a[i * lda + p] * b[j * ldb + p];
       }
-      c[i * ldc + j] = s;
+      c[i * ldc + j] += s;
     }
   }
 }
 
 TEST(ParallelKernelTest, GemmNTBitIdenticalToOneColumnReference) {
-  // GemmNT computes four output columns per pass; each element must still
-  // follow the single-column sequence bit for bit. Random small shapes
-  // cover every n % 4 and k % 4 tail, plus rows wide enough to clear the
-  // parallel threshold; operands are strided and C accumulates.
+  // GemmNT computes two rows by four output columns per pass; each element
+  // must still follow the single-column sequence bit for bit. Random small
+  // shapes cover every m % 2, n % 4 and k % 4 tail, plus rows wide enough
+  // to clear the parallel threshold; operands are strided and C
+  // accumulates.
   ThreadOverrideGuard guard;
   Rng rng(0x47E3);
   struct Shape {
@@ -1184,6 +1187,128 @@ TEST(ParallelKernelTest, GemmNTBitIdenticalToOneColumnReference) {
           ASSERT_EQ(want[i], got[i])
               << LevelName(level) << " " << s.m << "x" << s.n << "x" << s.k
               << " at " << i << " with " << threads << " threads";
+        }
+      }
+    }
+  }
+}
+
+/// GemmTN's per-element reference at `level`: the product summed from +0.0
+/// over ascending p (mul-then-add at scalar, fma at AVX2), then added to C.
+void GemmTNOneElementReference(SimdLevel level, size_t m, size_t n, size_t k,
+                               const double* a, size_t lda, const double* b,
+                               size_t ldb, double* c, size_t ldc) {
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      double s = 0.0;
+      for (size_t p = 0; p < k; ++p) {
+        s = level == SimdLevel::kScalar
+                ? s + a[p * lda + i] * b[p * ldb + j]
+                : std::fma(a[p * lda + i], b[p * ldb + j], s);
+      }
+      c[i * ldc + j] += s;
+    }
+  }
+}
+
+TEST(ParallelKernelTest, GemmTNBitIdenticalToOneElementReference) {
+  // GemmTN sums each element in a 4 x 8 register tile from +0.0 and adds it
+  // to a prefilled C once. Random shapes cover every m % 4 and n % 8 tail
+  // and k = 1; two shapes clear the parallel threshold. Operands and C are
+  // strided.
+  ThreadOverrideGuard guard;
+  Rng rng(0x7E57);
+  struct Shape {
+    size_t m, n, k;
+  };
+  std::vector<Shape> shapes = {{1, 1, 1}, {4, 8, 1}, {7, 13, 1}};
+  for (int i = 0; i < 200; ++i) {
+    shapes.push_back({1 + rng.UniformInt(13), 1 + rng.UniformInt(37),
+                      1 + rng.UniformInt(20)});
+  }
+  shapes.push_back({64, 37, 130});
+  shapes.push_back({97, 128, 8});
+  for (const Shape& s : shapes) {
+    const size_t lda = s.m + 3, ldb = s.n + 5, ldc = s.n + 2;
+    std::vector<double> a(s.k * lda), b(s.k * ldb), c0(s.m * ldc);
+    for (double& v : a) v = rng.Uniform(-2.0, 2.0);
+    for (double& v : b) v = rng.Uniform(-2.0, 2.0);
+    for (double& v : c0) v = rng.Uniform(-2.0, 2.0);
+    for (SimdLevel level : SupportedLevels()) {
+      std::vector<double> want = c0;
+      GemmTNOneElementReference(level, s.m, s.n, s.k, a.data(), lda,
+                                b.data(), ldb, want.data(), ldc);
+      for (int threads : {1, 4}) {
+        SetRpasThreads(threads);
+        std::vector<double> got = c0;
+        GemmTN(level, s.m, s.n, s.k, a.data(), lda, b.data(), ldb, got.data(),
+               ldc);
+        for (size_t i = 0; i < got.size(); ++i) {
+          ASSERT_EQ(want[i], got[i])
+              << LevelName(level) << " " << s.m << "x" << s.n << "x" << s.k
+              << " at " << i << " with " << threads << " threads";
+        }
+      }
+    }
+  }
+}
+
+TEST(ParallelKernelTest, TransposedGemmsAddLikeZeroTempThenAxpy) {
+  // The accumulate contract every backward relies on: adding straight into
+  // C is bit for bit a zero-filled temp, the same product into it, then
+  // Axpy(1.0) into C. Operands and C mix finite values with NaN, +-Inf and
+  // -0.0; shapes cover the row and column tails and k = 1, strided, at 1
+  // and 4 threads.
+  ThreadOverrideGuard guard;
+  Rng rng(0xACC0);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double specials[] = {std::numeric_limits<double>::quiet_NaN(), inf,
+                             -inf, -0.0, 0.0};
+  auto draw = [&]() {
+    return rng.Uniform() < 0.1 ? specials[rng.UniformInt(5)]
+                               : rng.Uniform(-2.0, 2.0);
+  };
+  struct Shape {
+    size_t m, n, k;
+  };
+  const Shape shapes[] = {{1, 1, 1},  {5, 9, 1},   {6, 13, 3},
+                          {9, 17, 7}, {3, 4, 130}, {70, 37, 130}};
+  for (const Shape& s : shapes) {
+    // GemmTN reads A as (k x m) and B as (k x n); GemmNT reads A as
+    // (m x k) and B as (n x k). One buffer per operand serves both.
+    const size_t ld = std::max({s.m, s.n, s.k}) + 3, ldc = s.n + 2;
+    std::vector<double> a(std::max(s.k, s.m) * ld), b(std::max(s.k, s.n) * ld);
+    std::vector<double> c0(s.m * ldc);
+    for (double& v : a) v = draw();
+    for (double& v : b) v = draw();
+    for (double& v : c0) v = draw();
+    for (SimdLevel level : SupportedLevels()) {
+      for (int transposed_b : {0, 1}) {  // 0: GemmTN, 1: GemmNT
+        auto product = [&](double* c) {
+          if (transposed_b == 0) {
+            GemmTN(level, s.m, s.n, s.k, a.data(), ld, b.data(), ld, c, ldc);
+          } else {
+            GemmNT(level, s.m, s.n, s.k, a.data(), ld, b.data(), ld, c, ldc);
+          }
+        };
+        SetRpasThreads(1);
+        std::vector<double> temp(c0.size(), 0.0);
+        product(temp.data());
+        std::vector<double> want = c0;
+        for (size_t i = 0; i < s.m; ++i) {  // the padding columns stay as is
+          Axpy(level, s.n, 1.0, temp.data() + i * ldc, want.data() + i * ldc);
+        }
+        for (int threads : {1, 4}) {
+          SetRpasThreads(threads);
+          std::vector<double> got = c0;
+          product(got.data());
+          for (size_t i = 0; i < got.size(); ++i) {
+            ASSERT_TRUE(SameValue(want[i], got[i]))
+                << LevelName(level) << (transposed_b ? " GemmNT " : " GemmTN ")
+                << s.m << "x" << s.n << "x" << s.k << " at " << i << ": "
+                << want[i] << " vs " << got[i] << " with " << threads
+                << " threads";
+          }
         }
       }
     }

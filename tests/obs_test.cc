@@ -211,6 +211,45 @@ TEST(HistogramTest, OverflowBucketFallsBackToMax) {
   EXPECT_NEAR(hist->Quantile(0.99), 59.9, 1e-9);
 }
 
+TEST(HistogramTest, NanIsCountedApartFromEveryStatistic) {
+  // A diverged training step observes NaN: it must not land in a bucket or
+  // reach count, sum, min and max, while ±Inf keep their buckets.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  MetricsRegistry registry;
+  Histogram* hist = registry.GetHistogram("n", {1.0, 2.0});
+  hist->Observe(nan);
+  hist->Observe(0.5);
+  hist->Observe(nan);
+  hist->Observe(1.5);
+  EXPECT_EQ(hist->nan_count(), 2u);
+  EXPECT_EQ(hist->count(), 2u);
+  EXPECT_DOUBLE_EQ(hist->sum(), 2.0);
+  EXPECT_DOUBLE_EQ(hist->min(), 0.5);
+  EXPECT_DOUBLE_EQ(hist->max(), 1.5);
+  EXPECT_EQ(hist->BucketCount(0), 1u);
+  EXPECT_EQ(hist->BucketCount(1), 1u);
+  EXPECT_EQ(hist->BucketCount(2), 0u);  // no NaN in the overflow bucket
+  EXPECT_DOUBLE_EQ(hist->Quantile(1.0), 1.5);
+
+  hist->Observe(inf);
+  hist->Observe(-inf);
+  EXPECT_EQ(hist->count(), 4u);
+  EXPECT_EQ(hist->BucketCount(0), 2u);
+  EXPECT_EQ(hist->BucketCount(2), 1u);
+
+  // The JSONL record carries "nan" only when a NaN was observed, so a
+  // NaN-free export is unchanged.
+  registry.GetHistogram("clean")->Observe(3.0);
+  const std::string jsonl = RunExport(&registry, nullptr).ToJsonl();
+  EXPECT_NE(jsonl.find("\"name\":\"n\",\"count\":4,\"nan\":2,"),
+            std::string::npos)
+      << jsonl;
+  EXPECT_NE(jsonl.find("\"name\":\"clean\",\"count\":1,\"min\":3,"),
+            std::string::npos)
+      << jsonl;
+}
+
 TEST(HistogramTest, EmptyHistogramQuantileIsZero) {
   MetricsRegistry registry;
   Histogram* hist = registry.GetHistogram("e");
