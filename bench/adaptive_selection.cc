@@ -232,12 +232,8 @@ ServedScore ScoreServedWql(const ProfileClass& cls,
     }
     const forecast::Forecaster* model =
         cls.models[tier_by_round.empty() ? 0 : tier_by_round[r]].get();
-    forecast::ForecastInput input;
-    input.start_index = at - kContext;
-    input.step_minutes = series.step_minutes;
-    input.context.assign(
-        series.values.begin() + static_cast<long>(at - kContext),
-        series.values.begin() + static_cast<long>(at));
+    const forecast::ForecastInput input =
+        forecast::ForecastInput::Window(series, at, kContext);
     auto forecast = model->PredictSeeded(input, kEvalSeedBase + r);
     RPAS_CHECK(forecast.ok()) << forecast.status().ToString();
     std::vector<double> prefix(

@@ -1,7 +1,5 @@
 #include "bench/bench_common.h"
 
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -98,11 +96,6 @@ BenchOptions ParseArgs(int argc, char** argv, const std::string& description,
       options.metrics_out = arg + std::strlen("--metrics-out=");
       continue;
     }
-    // Google Benchmark flags are parsed later by benchmark::Initialize in
-    // the binaries that use it.
-    if (StartsWith(arg, "--benchmark_")) {
-      continue;
-    }
     const auto spec =
         std::find_if(extra.begin(), extra.end(), [arg](const IntFlag& f) {
           return StartsWith(arg, f.flag);
@@ -124,17 +117,44 @@ BenchOptions ParseArgs(int argc, char** argv, const std::string& description,
   return options;
 }
 
-double TimedMillis(const char* span_name, int reps,
+namespace {
+
+/// Wall-clock milliseconds of `calls` back-to-back calls of `fn`, under one
+/// span tagged with the call count.
+double BlockMillis(const char* span_name, int64_t calls,
                    const std::function<void()>& fn) {
-  if (reps <= 0) {
-    return 0.0;
-  }
-  obs::Span span(span_name, reps);
+  obs::Span span(span_name, calls);
   Stopwatch watch;
-  for (int r = 0; r < reps; ++r) {
+  for (int64_t i = 0; i < calls; ++i) {
     fn();
   }
-  return watch.ElapsedMillis() / static_cast<double>(reps);
+  return watch.ElapsedMillis();
+}
+
+}  // namespace
+
+double TimedMillis(const char* span_name, const std::function<void()>& fn) {
+  return BlockMillis(span_name, 1, fn);
+}
+
+Timing TimedRepeats(const char* span_name, bool quick,
+                    const std::function<void()>& fn) {
+  fn();  // untimed warm-up
+  const double target_ms = quick ? 15.0 : 80.0;
+  int64_t calls = 1;
+  for (;;) {
+    const double ms = BlockMillis(span_name, calls, fn);
+    if (ms >= target_ms || calls >= (int64_t{1} << 24)) {
+      return {ms / static_cast<double>(calls), calls};
+    }
+    // A block far below the target grows 16x; one near it is sized to
+    // overshoot the target by a fifth.
+    calls = ms < target_ms / 16.0
+                ? calls * 16
+                : static_cast<int64_t>(static_cast<double>(calls) *
+                                       (1.2 * target_ms / ms)) +
+                      1;
+  }
 }
 
 Dataset MakeDataset(const trace::TraceProfile& profile, uint64_t seed) {
@@ -437,48 +457,19 @@ int Report::Finish(std::vector<obs::ScalingDecision> decisions) {
   return ok ? 0 : 1;
 }
 
-namespace {
-
-/// Forwards every call to the default console reporter and adds each
-/// iteration run to a report table.
-class RecordingReporter : public benchmark::BenchmarkReporter {
- public:
-  explicit RecordingReporter(Table* table)
-      : display_(benchmark::CreateDefaultDisplayReporter()), table_(table) {}
-
-  bool ReportContext(const Context& context) override {
-    return display_->ReportContext(context);
+void TimeCalls(Report* report, bool quick, std::string name,
+               std::string title, const std::vector<TimedCall>& calls) {
+  Table& table = report->AddTable(std::move(name), std::move(title),
+                                  {"benchmark", "real_ms", "iterations"});
+  bool timed = true;
+  for (const TimedCall& call : calls) {
+    const Timing timing = TimedRepeats(call.name, quick, call.call);
+    table.AddRow({call.name, Real(timing.ms), Int(timing.iterations)});
+    timed = timed && timing.ms > 0.0;
   }
-  void ReportRuns(const std::vector<Run>& runs) override {
-    display_->ReportRuns(runs);
-    for (const Run& run : runs) {
-      if (run.run_type != Run::RT_Iteration) {
-        continue;
-      }
-      const double to_ms =
-          1e3 / benchmark::GetTimeUnitMultiplier(run.time_unit);
-      table_->AddRow({run.benchmark_name(),
-                      Real(run.GetAdjustedRealTime() * to_ms),
-                      Real(run.GetAdjustedCPUTime() * to_ms),
-                      Int(static_cast<int64_t>(run.iterations))});
-    }
-  }
-  void Finalize() override { display_->Finalize(); }
-
- private:
-  std::unique_ptr<benchmark::BenchmarkReporter> display_;
-  Table* table_;
-};
-
-}  // namespace
-
-void RunGoogleBenchmarks(Report* report, std::string name,
-                         std::string title) {
-  Table& table = report->AddTable(
-      std::move(name), std::move(title),
-      {"benchmark", "real_ms", "cpu_ms", "iterations"});
-  RecordingReporter reporter(&table);
-  benchmark::RunSpecifiedBenchmarks(&reporter);
+  table.Print();
+  report->Check("timings_positive", timed,
+                StrFormat("real_ms > 0 for all %zu rows", calls.size()));
 }
 
 std::string Num(double value, int precision) {

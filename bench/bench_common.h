@@ -64,19 +64,41 @@ struct IntFlag {
 /// `description` and the flag table, then exits 0. An unknown argument, or
 /// a malformed or out-of-range number, is an error: usage goes to stderr
 /// naming the flag and the process exits 2 — a typoed flag must never
-/// silently run the default configuration. `--benchmark_*` flags are
-/// passed through untouched for binaries that hand argv to Google
-/// Benchmark afterwards.
+/// silently run the default configuration.
 BenchOptions ParseArgs(int argc, char** argv,
                        const std::string& description = "",
                        const std::vector<IntFlag>& extra = {});
 
-/// Times `reps` invocations of `fn` under an obs::Span named `span_name`
-/// and returns the mean wall-clock milliseconds per invocation. The single
-/// timing idiom for the bench binaries (common::Stopwatch underneath), so
-/// hand-rolled Stopwatch loops and span instrumentation cannot drift apart.
-double TimedMillis(const char* span_name, int reps,
-                   const std::function<void()>& fn);
+// The bench binaries' two timers (common::Stopwatch underneath). Each timed
+// block runs under one obs::Span named `span_name` (a string literal), so
+// hand-rolled Stopwatch loops and span instrumentation cannot drift apart.
+
+/// Times one call of `fn` and returns its wall-clock milliseconds: for
+/// stateful calls that must not repeat, such as a fleet run, a cold
+/// acquire or a refresh.
+double TimedMillis(const char* span_name, const std::function<void()>& fn);
+
+/// A repeat timer's result: the mean over the final timed block.
+struct Timing {
+  double ms = 0.0;         ///< mean wall-clock milliseconds per call
+  int64_t iterations = 0;  ///< calls in the final timed block
+};
+
+/// Times repeated calls of `fn`: one untimed warm-up call (first touch,
+/// lazy allocations), then timed blocks whose call count grows until a
+/// block lasts at least 15 ms (`quick`) or 80 ms, long enough for the
+/// clock's resolution to be noise. Each block's span is tagged with its
+/// call count.
+Timing TimedRepeats(const char* span_name, bool quick,
+                    const std::function<void()>& fn);
+
+/// Makes `value` observable to the compiler, so that a timed call whose
+/// result is otherwise unused cannot be optimized away: an empty asm
+/// statement that may read it through its address.
+template <typename T>
+inline void KeepObservable(const T& value) {
+  asm volatile("" : : "g"(&value) : "memory");
+}
 
 /// One benchmark dataset: the full trace plus its train/test split
 /// (test = last `test_days` days).
@@ -206,12 +228,19 @@ class Report {
   std::vector<CheckResult> checks_;
 };
 
-/// Runs the registered Google Benchmarks with the default console output
-/// and adds one row per benchmark (real and CPU ms per iteration,
-/// iterations) to a new report table. For binaries that called
-/// benchmark::Initialize.
-void RunGoogleBenchmarks(Report* report, std::string name,
-                         std::string title);
+/// One call that TimeCalls times. `name` labels its row and its span (a
+/// string literal).
+struct TimedCall {
+  const char* name;
+  std::function<void()> call;
+};
+
+/// Times each call with TimedRepeats, in order, into a new report table
+/// with the columns `benchmark`, `real_ms` (mean per call) and
+/// `iterations`, prints the table and records the check
+/// `timings_positive`. Tables II and III are made this way.
+void TimeCalls(Report* report, bool quick, std::string name,
+               std::string title, const std::vector<TimedCall>& calls);
 
 /// Formats a double with %.4g-style compactness.
 std::string Num(double value, int precision = 4);

@@ -53,11 +53,8 @@ void RunFig7(const BenchOptions& options, Report* report) {
       {"TFT", MakeTft(kHorizon, AccuracyLevels(), options.quick, 0)});
 
   // One sampled horizon: the first test window.
-  forecast::ForecastInput input;
-  input.start_index = dataset.train.size() - kContext;
-  input.step_minutes = dataset.full.step_minutes;
-  input.context.assign(dataset.train.values.end() - kContext,
-                       dataset.train.values.end());
+  const forecast::ForecastInput input = forecast::ForecastInput::Window(
+      dataset.train, dataset.train.size(), kContext);
   std::vector<double> actual(dataset.test.values.begin(),
                              dataset.test.values.begin() + kHorizon);
 

@@ -185,7 +185,7 @@ CellResult RunCell(const VersionSet& set, size_t tenants, int threads,
   for (int rep = 0; rep < kTimingReps; ++rep) {
     std::unique_ptr<serve::ModelRegistry> registry =
         MakeRegistry(set, budget_bytes);
-    const double millis = TimedMillis("fleet.serve", 1, [&] {
+    const double millis = TimedMillis("fleet.serve", [&] {
       auto result = serve::RunFleet(registry.get(), set.models, fleet_options);
       RPAS_CHECK(result.ok()) << result.status().ToString();
       cell.fleet = std::move(*result);
@@ -220,7 +220,7 @@ CellResult RunWarmCell(const VersionSet& set, size_t tenants, int threads,
   }
   CellResult cell;
   for (int rep = 0; rep < kTimingReps; ++rep) {
-    const double millis = TimedMillis("fleet.serve_warm", 1, [&] {
+    const double millis = TimedMillis("fleet.serve_warm", [&] {
       auto result = serve::RunFleet(registry.get(), set.models, fleet_options);
       RPAS_CHECK(result.ok()) << result.status().ToString();
       cell.fleet = std::move(*result);

@@ -19,7 +19,6 @@
 #include "bench/bench_common.h"
 #include "common/logging.h"
 #include "common/rng.h"
-#include "common/stopwatch.h"
 #include "common/strings.h"
 #include "forecast/deepar.h"
 #include "forecast/time_features.h"
@@ -53,28 +52,9 @@ std::vector<SimdLevel> SupportedLevels() {
   return levels;
 }
 
-/// Mean ns per invocation of `fn`, with automatic rep calibration: repeats
-/// until the timed block is long enough for the Stopwatch resolution to be
-/// noise (quick mode accepts a shorter block).
+/// Mean ns per call of `fn`, timed by TimedRepeats.
 double NsPerIter(bool quick, const std::function<void()>& fn) {
-  fn();  // warmup (first-touch, lazy allocations)
-  const double target_ms = quick ? 15.0 : 80.0;
-  long reps = 1;
-  for (;;) {
-    Stopwatch w;
-    for (long i = 0; i < reps; ++i) {
-      fn();
-    }
-    const double ms = w.ElapsedMillis();
-    if (ms >= target_ms || reps >= (1l << 24)) {
-      return ms * 1e6 / static_cast<double>(reps);
-    }
-    reps = ms < target_ms / 16.0
-               ? reps * 16
-               : static_cast<long>(static_cast<double>(reps) *
-                                   (1.2 * target_ms / ms)) +
-                     1;
-  }
+  return TimedRepeats("bench.kernel", quick, fn).ms * 1e6;
 }
 
 void FillUniform(Matrix* m, Rng* rng) {
@@ -176,7 +156,6 @@ void BenchVectorOps(bool quick, std::vector<Record>* out) {
     ys[i] = rng.Uniform(-3.0, 3.0);
   }
   const std::string shape = StrFormat("n=%zu", n);
-  double sink = 0.0;
   for (SimdLevel level : SupportedLevels()) {
     const char* name = kernels::LevelName(level);
     out->push_back({"axpy", shape, name, NsPerIter(quick, [&] {
@@ -185,7 +164,8 @@ void BenchVectorOps(bool quick, std::vector<Record>* out) {
                     0.0});
     out->back().gflops = 2.0 * static_cast<double>(n) / out->back().ns_per_iter;
     out->push_back({"dot", shape, name, NsPerIter(quick, [&] {
-                      sink += kernels::Dot(level, n, xs.data(), ys.data());
+                      KeepObservable(
+                          kernels::Dot(level, n, xs.data(), ys.data()));
                     }),
                     0.0});
     out->back().gflops = 2.0 * static_cast<double>(n) / out->back().ns_per_iter;
@@ -200,7 +180,6 @@ void BenchVectorOps(bool quick, std::vector<Record>* out) {
                     0.0});
     out->back().gflops = static_cast<double>(n) / out->back().ns_per_iter;
   }
-  RPAS_CHECK(sink == sink);  // keep the reductions observable
 }
 
 // ---------------------------------------------------- fused LSTM step ---
@@ -318,13 +297,14 @@ void BenchTrainStep(bool quick, std::vector<Record>* out) {
     nn::TrainLoop(config, params, loss_fn);  // warmup
     const int steps = quick ? 5 : 20;
     config.steps = steps;
-    Stopwatch w;
-    const nn::TrainSummary summary = nn::TrainLoop(config, params, loss_fn);
-    const double ns = w.ElapsedMillis() * 1e6 / steps;
+    nn::TrainSummary summary;
+    const double ms = TimedMillis("bench.kernel.train", [&] {
+      summary = nn::TrainLoop(config, params, loss_fn);
+    });
     RPAS_CHECK(summary.arena_allocs_after_warmup == summary.arena_allocs_final)
         << "train step is expected to be allocation-free in steady state";
     out->push_back({"deepar_train_step", "tape lstm5->32 b=8 u=143",
-                    kernels::LevelName(level), ns, 0.0});
+                    kernels::LevelName(level), ms * 1e6 / steps, 0.0});
   }
 }
 
@@ -351,11 +331,10 @@ void BenchDeepArFit(bool quick, std::vector<Record>* out) {
     const int steps = quick ? 5 : 20;
     options.train.steps = steps;
     forecast::DeepArForecaster model(options);
-    Stopwatch w;
-    RPAS_CHECK(model.Fit(series).ok());
-    const double ns = w.ElapsedMillis() * 1e6 / steps;
+    const double ms = TimedMillis(
+        "bench.kernel.fit", [&] { RPAS_CHECK(model.Fit(series).ok()); });
     out->push_back({"deepar_fit_step", "fused lstm5->32 b=8 u=143",
-                    kernels::LevelName(level), ns, 0.0});
+                    kernels::LevelName(level), ms * 1e6 / steps, 0.0});
   }
 }
 

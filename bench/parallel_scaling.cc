@@ -57,17 +57,21 @@ void RunParallelScaling(const BenchOptions& options, Report* report) {
     const size_t n = 512;
     const tensor::Matrix a = RandomMatrix(n, n, &rng);
     const tensor::Matrix b = RandomMatrix(n, n, &rng);
-    const int reps = options.quick ? 3 : 10;
 
     SetRpasThreads(1);
-    tensor::Matrix serial = MatMul(a, b);  // warm-up + reference
+    tensor::Matrix serial;
     const double serial_ms =
-        TimedMillis("bench.gemm.serial", reps, [&] { serial = MatMul(a, b); });
+        TimedRepeats("bench.gemm.serial", options.quick, [&] {
+          serial = MatMul(a, b);
+        }).ms;
 
+    // TimedRepeats' warm-up call spawns the pool.
     SetRpasThreads(kParallelThreads);
-    tensor::Matrix parallel = MatMul(a, b);  // warm-up (spawns the pool)
-    const double parallel_ms = TimedMillis(
-        "bench.gemm.parallel", reps, [&] { parallel = MatMul(a, b); });
+    tensor::Matrix parallel;
+    const double parallel_ms =
+        TimedRepeats("bench.gemm.parallel", options.quick, [&] {
+          parallel = MatMul(a, b);
+        }).ms;
     SetRpasThreads(0);
 
     const bool identical = report->Check(
@@ -105,16 +109,16 @@ void RunParallelScaling(const BenchOptions& options, Report* report) {
     SetRpasThreads(1);
     bt.parallel = false;
     Result<forecast::BacktestResult> serial = Status::Internal("unset");
-    const double serial_ms =
-        TimedMillis("bench.backtest.serial", 1,
-                    [&] { serial = forecast::Backtest(factory, series, bt); });
+    const double serial_ms = TimedMillis(
+        "bench.backtest.serial",
+        [&] { serial = forecast::Backtest(factory, series, bt); });
     RPAS_CHECK(serial.ok()) << serial.status().ToString();
 
     SetRpasThreads(kParallelThreads);
     bt.parallel = true;
     Result<forecast::BacktestResult> parallel = Status::Internal("unset");
     const double parallel_ms = TimedMillis(
-        "bench.backtest.parallel", 1,
+        "bench.backtest.parallel",
         [&] { parallel = forecast::Backtest(factory, series, bt); });
     SetRpasThreads(0);
     RPAS_CHECK(parallel.ok()) << parallel.status().ToString();

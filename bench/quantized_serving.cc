@@ -75,13 +75,8 @@ EvalSet BuildEvalSet(const ts::TimeSeries& series, size_t eval_steps) {
   const size_t first = series.size() - eval_steps;
   for (size_t target = first; target + kServeHorizon <= series.size();
        target += kServeHorizon) {
-    forecast::ForecastInput input;
-    input.start_index = target - kServeContext;
-    input.step_minutes = series.step_minutes;
-    input.context.assign(
-        series.values.begin() + static_cast<long>(target - kServeContext),
-        series.values.begin() + static_cast<long>(target));
-    set.inputs.push_back(std::move(input));
+    set.inputs.push_back(
+        forecast::ForecastInput::Window(series, target, kServeContext));
     set.actuals.emplace_back(
         series.values.begin() + static_cast<long>(target),
         series.values.begin() + static_cast<long>(target + kServeHorizon));
@@ -187,7 +182,7 @@ RowResult RunRow(const BenchOptions& options, const DtypeSpec& spec,
   std::unique_ptr<serve::ModelRegistry> registry;
   for (int rep = 0; rep < kTimingReps; ++rep) {
     registry = make_registry();
-    const double millis = TimedMillis("quantized.cold_acquire", 1, [&] {
+    const double millis = TimedMillis("quantized.cold_acquire", [&] {
       for (const serve::ModelId& id : models) {
         auto model = registry->Acquire(id);
         RPAS_CHECK(model.ok()) << model.status().ToString();

@@ -188,7 +188,7 @@ CellResult RunCell(const ModelSpec& spec, Mode mode, size_t rate,
     consumed += rate;
     const ts::TimeSeries history = series.Slice(0, train_end + consumed);
 
-    cell.total_refresh_ms += TimedMillis("stream.refresh", 1, [&] {
+    cell.total_refresh_ms += TimedMillis("stream.refresh", [&] {
       if (mode == Mode::kIncremental) {
         auto outcome = refresher.Refresh(history, batch.count, batch.missed);
         RPAS_CHECK(outcome.ok()) << outcome.status().ToString();
@@ -205,12 +205,8 @@ CellResult RunCell(const ModelSpec& spec, Mode mode, size_t rate,
     const size_t at = train_end + consumed;
     if (round % forecast_stride == 0 &&
         at + kStreamHorizon <= series.size()) {
-      forecast::ForecastInput input;
-      input.start_index = at;
-      input.step_minutes = series.step_minutes;
-      input.context.assign(
-          series.values.begin() + static_cast<long>(at - spec.context),
-          series.values.begin() + static_cast<long>(at));
+      const forecast::ForecastInput input =
+          forecast::ForecastInput::Window(series, at, spec.context);
       auto forecast =
           model->PredictSeeded(input, kEvalSeedBase + forecasts.size());
       RPAS_CHECK(forecast.ok()) << forecast.status().ToString();

@@ -4,20 +4,18 @@
 // Reactive-Max, Reactive-Avg, Hybrid (QB5000), DeepAR, TFT.
 //
 // Expected shape (paper): every method is far below the 10-minute decision
-// interval; DeepAR is the most expensive (hundreds of ms — ancestral
-// sampling of 100 trajectories), TFT tens of ms (direct quantile heads),
-// the hybrid in between, reactive scalers the cheapest.
+// interval; DeepAR is the most expensive (ancestral sampling of 100
+// trajectories), TFT much cheaper (direct quantile heads), reactive
+// scalers the cheapest.
 //
-// Implemented with google-benchmark; the reported real_time per iteration
-// is the Table II row. Training uses the --quick budget by default here:
-// trained-weight values do not affect inference cost.
-#include <benchmark/benchmark.h>
-
+// Each row is timed with bench::TimeCalls; real_ms is the mean per
+// decision round over the final timed block. Training uses the --quick
+// budget in both modes: trained-weight values do not affect inference
+// cost.
 #include <memory>
 
 #include "bench/bench_common.h"
 #include "common/logging.h"
-#include "core/evaluator.h"
 #include "core/strategies.h"
 #include "obs/metrics.h"
 
@@ -34,106 +32,69 @@ struct Setup {
   std::unique_ptr<forecast::Forecaster> tft;
 };
 
-Setup* g_setup = nullptr;
-
-void BuildSetup(const BenchOptions& options) {
-  auto* s = new Setup{MakeDataset(trace::AlibabaProfile(), options.seed),
-                      {},
-                      {},
-                      {},
-                      nullptr,
-                      nullptr,
-                      nullptr};
-  s->config = MakeScalingConfig(s->dataset);
-  s->recent.assign(s->dataset.train.values.end() - 6,
-                   s->dataset.train.values.end());
-  s->input.start_index = s->dataset.train.size() - kContext;
-  s->input.step_minutes = s->dataset.full.step_minutes;
-  s->input.context.assign(s->dataset.train.values.end() - kContext,
-                          s->dataset.train.values.end());
-  s->qb5000 = MakeQb5000(kHorizon, /*quick=*/true, 0);
-  RPAS_CHECK(s->qb5000->Fit(s->dataset.train).ok());
-  s->deepar = MakeDeepAr(kHorizon, ScalingLevels(), /*quick=*/true, 0);
-  RPAS_CHECK(s->deepar->Fit(s->dataset.train).ok());
-  s->tft = MakeTft(kHorizon, ScalingLevels(), /*quick=*/true, 0);
-  RPAS_CHECK(s->tft->Fit(s->dataset.train).ok());
-  g_setup = s;
+Setup BuildSetup(const BenchOptions& options) {
+  Setup s;
+  s.dataset = MakeDataset(trace::AlibabaProfile(), options.seed);
+  s.config = MakeScalingConfig(s.dataset);
+  s.recent.assign(s.dataset.train.values.end() - 6,
+                  s.dataset.train.values.end());
+  s.input = forecast::ForecastInput::Window(s.dataset.train,
+                                            s.dataset.train.size(), kContext);
+  s.qb5000 = MakeQb5000(kHorizon, /*quick=*/true, 0);
+  RPAS_CHECK(s.qb5000->Fit(s.dataset.train).ok());
+  s.deepar = MakeDeepAr(kHorizon, ScalingLevels(), /*quick=*/true, 0);
+  RPAS_CHECK(s.deepar->Fit(s.dataset.train).ok());
+  s.tft = MakeTft(kHorizon, ScalingLevels(), /*quick=*/true, 0);
+  RPAS_CHECK(s.tft->Fit(s.dataset.train).ok());
+  return s;
 }
 
-void BM_ReactiveMax(benchmark::State& state) {
-  core::ReactiveMaxStrategy strategy(6);
-  for (auto _ : state) {
-    // One decision per horizon step (reactive methods re-decide each step).
-    int total = 0;
-    for (size_t i = 0; i < kHorizon; ++i) {
-      total += strategy.Decide(g_setup->recent, g_setup->config);
-    }
-    benchmark::DoNotOptimize(total);
+/// One reactive decision per horizon step (reactive methods re-decide
+/// each step).
+void ReactiveRound(const core::ReactiveStrategy& strategy, const Setup& s) {
+  int total = 0;
+  for (size_t i = 0; i < kHorizon; ++i) {
+    total += strategy.Decide(s.recent, s.config);
   }
+  KeepObservable(total);
 }
-BENCHMARK(BM_ReactiveMax)->Name("Reactive-Max")->Unit(benchmark::kMillisecond);
 
-void BM_ReactiveAvg(benchmark::State& state) {
-  core::ReactiveAvgStrategy strategy(6, 6.0);
-  for (auto _ : state) {
-    int total = 0;
-    for (size_t i = 0; i < kHorizon; ++i) {
-      total += strategy.Decide(g_setup->recent, g_setup->config);
-    }
-    benchmark::DoNotOptimize(total);
-  }
-}
-BENCHMARK(BM_ReactiveAvg)->Name("Reactive-Average")
-    ->Unit(benchmark::kMillisecond);
-
+/// One forecast for the horizon, then its allocation.
 void PredictiveRound(const forecast::Forecaster& model,
                      const core::QuantileAllocator& allocator,
-                     benchmark::State& state) {
-  for (auto _ : state) {
-    auto fc = model.Predict(g_setup->input);
-    RPAS_CHECK(fc.ok());
-    auto alloc = allocator.Allocate(*fc, g_setup->config);
-    RPAS_CHECK(alloc.ok());
-    benchmark::DoNotOptimize(alloc.value().data());
-  }
+                     const Setup& s) {
+  auto fc = model.Predict(s.input);
+  RPAS_CHECK(fc.ok());
+  auto alloc = allocator.Allocate(*fc, s.config);
+  RPAS_CHECK(alloc.ok());
+  KeepObservable(*alloc);
 }
 
-void BM_Qb5000(benchmark::State& state) {
-  core::PointForecastAllocator allocator;
-  PredictiveRound(*g_setup->qb5000, allocator, state);
-}
-BENCHMARK(BM_Qb5000)->Name("Hybrid(QB5000)")->Unit(benchmark::kMillisecond);
+void Run(const BenchOptions& options, Report* report) {
+  const Setup s = BuildSetup(options);
+  const core::ReactiveMaxStrategy reactive_max(6);
+  const core::ReactiveAvgStrategy reactive_avg(6, 6.0);
+  const core::PointForecastAllocator point;
+  const core::RobustQuantileAllocator robust(0.9);
 
-void BM_DeepAr(benchmark::State& state) {
-  core::RobustQuantileAllocator allocator(0.9);
-  PredictiveRound(*g_setup->deepar, allocator, state);
+  TimeCalls(report, options.quick, "decision_round",
+            "Table II: end-to-end execution time of one auto-scaling "
+            "decision round per method",
+            {{"Reactive-Max", [&] { ReactiveRound(reactive_max, s); }},
+             {"Reactive-Average", [&] { ReactiveRound(reactive_avg, s); }},
+             {"Hybrid(QB5000)", [&] { PredictiveRound(*s.qb5000, point, s); }},
+             {"DeepAR", [&] { PredictiveRound(*s.deepar, robust, s); }},
+             {"TFT", [&] { PredictiveRound(*s.tft, robust, s); }}});
 }
-BENCHMARK(BM_DeepAr)->Name("DeepAR")->Unit(benchmark::kMillisecond);
-
-void BM_Tft(benchmark::State& state) {
-  core::RobustQuantileAllocator allocator(0.9);
-  PredictiveRound(*g_setup->tft, allocator, state);
-}
-BENCHMARK(BM_Tft)->Name("TFT")->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace rpas::bench
 
 int main(int argc, char** argv) {
   const rpas::bench::BenchOptions options = rpas::bench::ParseArgs(
-      argc, argv,
-      "Table II: planning-path overhead microbenchmarks (Google Benchmark)");
+      argc, argv, "Table II: one decision round's latency per method");
   rpas::bench::Report report("table2_overhead", options);
-  rpas::bench::BuildSetup(options);
-  ::benchmark::Initialize(&argc, argv);
-  std::printf(
-      "Table II: end-to-end execution time of one auto-scaling decision\n"
-      "round per method (real_time column).\n");
-  rpas::bench::RunGoogleBenchmarks(
-      &report, "decision_round",
-      "Table II: end-to-end execution time of one auto-scaling decision "
-      "round per method");
-  ::benchmark::Shutdown();
+  rpas::bench::Run(options, &report);
   rpas::obs::RecordPoolStats();
   return report.Finish();
 }

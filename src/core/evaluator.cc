@@ -88,13 +88,9 @@ Result<std::vector<int>> RunPredictiveStrategy(
   allocation.reserve(num_steps);
   for (size_t planned = 0; planned < num_steps; planned += horizon) {
     const size_t t = eval_start + planned;
-    forecast::ForecastInput input;
-    input.start_index = t - context;
-    input.step_minutes = series.step_minutes;
-    input.context.assign(
-        series.values.begin() + static_cast<long>(t - context),
-        series.values.begin() + static_cast<long>(t));
-    RPAS_ASSIGN_OR_RETURN(ts::QuantileForecast fc, model.Predict(input));
+    RPAS_ASSIGN_OR_RETURN(
+        ts::QuantileForecast fc,
+        model.Predict(forecast::ForecastInput::Window(series, t, context)));
     RPAS_ASSIGN_OR_RETURN(std::vector<int> plan,
                           allocator.Allocate(fc, config));
     const size_t take = std::min(horizon, num_steps - planned);
@@ -120,12 +116,8 @@ Result<std::vector<int>> RunPaddedPointStrategy(
   allocation.reserve(num_steps);
   for (size_t planned = 0; planned < num_steps; planned += horizon) {
     const size_t t = eval_start + planned;
-    forecast::ForecastInput input;
-    input.start_index = t - context;
-    input.step_minutes = series.step_minutes;
-    input.context.assign(
-        series.values.begin() + static_cast<long>(t - context),
-        series.values.begin() + static_cast<long>(t));
+    const forecast::ForecastInput input =
+        forecast::ForecastInput::Window(series, t, context);
     RPAS_ASSIGN_OR_RETURN(std::vector<double> point,
                           model.PredictPoint(input));
     const std::vector<double> padded = padding->Pad(point);

@@ -78,12 +78,8 @@ Result<RobustAutoScalingManager::Plan> RobustAutoScalingManager::PlanNext(
     return Status::InvalidArgument(
         "history shorter than the forecaster's context length");
   }
-  forecast::ForecastInput input;
-  input.start_index = history.size() - context;
-  input.step_minutes = history.step_minutes;
-  input.context.assign(
-      history.values.end() - static_cast<long>(context),
-      history.values.end());
+  const forecast::ForecastInput input =
+      forecast::ForecastInput::Window(history, history.size(), context);
 
   obs::MetricsRegistry* metrics = obs::ResolveRegistry(metrics_);
   obs::TraceBuffer* trace = obs::ResolveTrace(trace_);

@@ -7,6 +7,19 @@
 
 namespace rpas::forecast {
 
+ForecastInput ForecastInput::Window(const ts::TimeSeries& series,
+                                   size_t end, size_t context) {
+  RPAS_CHECK(context <= end && end <= series.size())
+      << "forecast window of " << context << " points ending at " << end
+      << " outside a series of " << series.size() << " points";
+  ForecastInput input;
+  input.context.assign(series.values.begin() + static_cast<long>(end - context),
+                       series.values.begin() + static_cast<long>(end));
+  input.start_index = end - context;
+  input.step_minutes = series.step_minutes;
+  return input;
+}
+
 Status CheckContext(const char* model, const ForecastInput& input,
                     size_t context_length) {
   if (input.context.size() != context_length) {
@@ -111,13 +124,9 @@ Result<RollingForecasts> RollForecasts(const Forecaster& model,
   const size_t first_target = history.size();
   for (size_t target = first_target; target + horizon <= joined.size();
        target += stride) {
-    ForecastInput input;
-    input.start_index = target - context;
-    input.step_minutes = joined.step_minutes;
-    input.context.assign(
-        joined.values.begin() + static_cast<long>(target - context),
-        joined.values.begin() + static_cast<long>(target));
-    RPAS_ASSIGN_OR_RETURN(ts::QuantileForecast fc, model.Predict(input));
+    RPAS_ASSIGN_OR_RETURN(
+        ts::QuantileForecast fc,
+        model.Predict(ForecastInput::Window(joined, target, context)));
     if (fc.Horizon() != horizon) {
       return Status::Internal("forecaster returned unexpected horizon");
     }

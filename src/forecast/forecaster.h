@@ -25,6 +25,13 @@ struct ForecastInput {
 
   /// Absolute index of the first forecast step (one past the context).
   size_t forecast_start() const { return start_index + context.size(); }
+
+  /// The `context` values of `series` that end just before index `end`:
+  /// values [end - context, end), start_index end - context, and the
+  /// series' step. The one rule for cutting a forecast window from a
+  /// series. Requires context <= end <= series.size() (checked).
+  static ForecastInput Window(const ts::TimeSeries& series, size_t end,
+                              size_t context);
 };
 
 /// Validates a forecast input where it enters a model: `context` must hold

@@ -392,11 +392,8 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
           ForecastRequest request;
           request.tenant_id = t;
           request.model = served[model_index(t)];
-          request.input.context.assign(
-              series[t].values.begin() + static_cast<long>(end - context),
-              series[t].values.begin() + static_cast<long>(end));
-          request.input.start_index = end - context;
-          request.input.step_minutes = series[t].step_minutes;
+          request.input =
+              forecast::ForecastInput::Window(series[t], end, context);
           request.seed =
               DeriveSeed(DeriveSeed(options.seed, kRequestStream + t), round);
           slate.requests.push_back(std::move(request));

@@ -42,13 +42,6 @@ Cluster::MetricHandles Cluster::MetricHandles::Resolve(
   return handles;
 }
 
-void Cluster::InjectNodeFailures(int count) {
-  while (count-- > 0 && nodes_.size() > 1) {
-    nodes_.pop_back();
-    ++total_failures_;
-  }
-}
-
 StepStats Cluster::Step(int target_nodes, double workload,
                         const StepFaults& faults) {
   target_nodes =
@@ -106,22 +99,6 @@ StepStats Cluster::Step(int target_nodes, double workload,
     nodes_.pop_back();
     ++stats.nodes_failed;
     ++total_failures_;
-  }
-
-  // Failure injection: each node may crash this step, losing its capacity;
-  // the next decision re-provisions (the node count snaps back to target).
-  if (options_.failure_rate > 0.0) {
-    size_t write = 0;
-    for (size_t read = 0; read < nodes_.size(); ++read) {
-      if (nodes_.size() - (read - write) > 1 &&
-          rng_.Bernoulli(options_.failure_rate)) {
-        ++stats.nodes_failed;
-        ++total_failures_;
-        continue;  // drop this node
-      }
-      nodes_[write++] = nodes_[read];
-    }
-    nodes_.resize(write);
   }
 
   // Effective capacity: a node warming for w seconds of an s-second step

@@ -71,11 +71,6 @@ class Cluster {
     int initial_nodes = 1;
     int min_nodes = 1;
     int max_nodes = 1 << 20;
-    /// Per-node per-step crash probability (failure injection). A crashed
-    /// node disappears mid-step (its capacity is lost for that step); the
-    /// next scaling decision replaces it with a fresh, warming node —
-    /// stateless compute over shared storage recovers exactly this way.
-    double failure_rate = 0.0;
     uint64_t seed = 1234;
     /// Metrics sink for per-step counters (simdb.steps, simdb.nodes_added,
     /// ...); null routes to obs::MetricsRegistry::Global(). Must outlive
@@ -100,7 +95,10 @@ class Cluster {
   /// Step with injected faults: `faults` may defer or partially grant the
   /// scale-out actuation, crash running nodes, or multiply the realized
   /// workload. A default-constructed StepFaults makes this identical to the
-  /// two-argument overload (same RNG consumption, same observation).
+  /// two-argument overload (same RNG consumption, same observation). A
+  /// crashed node disappears mid-step (its capacity is lost for that step);
+  /// the next scaling decision replaces it with a fresh, warming node, as
+  /// stateless compute over shared storage recovers.
   StepStats Step(int target_nodes, double workload,
                  const StepFaults& faults);
 
@@ -108,11 +106,6 @@ class Cluster {
   int NumNodes() const { return static_cast<int>(nodes_.size()); }
   size_t CurrentStep() const { return step_; }
   const Options& options() const { return options_; }
-
-  /// Crashes `count` nodes immediately (manual failure injection); they
-  /// vanish before the next Step() and are replaced by the following
-  /// scaling decision. Never drops below one node.
-  void InjectNodeFailures(int count);
 
   /// Cumulative counters.
   int64_t total_node_steps() const { return total_node_steps_; }

@@ -62,8 +62,8 @@ struct FaultPlan {
   double partial_fraction = 0.5;
 
   /// Transient crash of up to `crash_nodes` running nodes (never below one
-  /// surviving node). Generalizes Cluster::Options::failure_rate with a
-  /// schedule that is independent of the cluster's own RNG stream.
+  /// surviving node), on a schedule independent of the cluster's own RNG
+  /// stream. The cluster's only node-failure model.
   double crash_rate = 0.0;
   int crash_nodes = 1;
 

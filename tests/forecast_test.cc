@@ -84,6 +84,29 @@ void ExpectQuantilesMonotone(const ts::QuantileForecast& fc) {
   }
 }
 
+// ----------------------------------------------------------- ForecastInput ---
+
+TEST(ForecastInputTest, WindowHoldsTheContextValuesBeforeEnd) {
+  ts::TimeSeries s;
+  s.values = {1.0, 2.0, 3.0, 4.0, 5.0, 6.0};
+  s.step_minutes = 5.0;
+  const ForecastInput input = ForecastInput::Window(s, 5, 3);
+  EXPECT_EQ(input.context, (std::vector<double>{3.0, 4.0, 5.0}));
+  EXPECT_EQ(input.start_index, 2u);
+  EXPECT_EQ(input.forecast_start(), 5u);
+  EXPECT_EQ(input.step_minutes, 5.0);
+  EXPECT_EQ(ForecastInput::Window(s, 6, 6).context, s.values);
+  EXPECT_TRUE(ForecastInput::Window(s, 0, 0).context.empty());
+}
+
+TEST(ForecastInputDeathTest, WindowOutsideTheSeriesAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ts::TimeSeries s;
+  s.values = {1.0, 2.0, 3.0};
+  EXPECT_DEATH(ForecastInput::Window(s, 4, 2), "outside a series of 3");
+  EXPECT_DEATH(ForecastInput::Window(s, 1, 2), "outside a series of 3");
+}
+
 // ------------------------------------------------------------ TimeFeatures ---
 
 TEST(TimeFeaturesTest, UnitCircle) {

@@ -251,10 +251,18 @@ TEST(ClusterTest, NodeStepsAccumulate) {
 
 // --------------------------------------------------------- Failure inject ---
 
+/// A step's faults with only `count` crashed nodes.
+StepFaults Crash(int count) {
+  StepFaults faults;
+  faults.crash_nodes = count;
+  return faults;
+}
+
 TEST(FailureTest, ManualInjectionRemovesNodes) {
   Cluster cluster(FastOptions());
   cluster.Step(5, 1.0);
-  cluster.InjectNodeFailures(2);
+  const StepStats stats = cluster.Step(5, 1.0, Crash(2));
+  EXPECT_EQ(stats.nodes_failed, 2);
   EXPECT_EQ(cluster.NumNodes(), 3);
   EXPECT_EQ(cluster.total_failures(), 2);
 }
@@ -262,32 +270,21 @@ TEST(FailureTest, ManualInjectionRemovesNodes) {
 TEST(FailureTest, InjectionNeverDropsBelowOneNode) {
   Cluster cluster(FastOptions());
   cluster.Step(3, 1.0);
-  cluster.InjectNodeFailures(100);
+  cluster.Step(3, 1.0, Crash(100));
   EXPECT_EQ(cluster.NumNodes(), 1);
+  EXPECT_EQ(cluster.total_failures(), 2);
 }
 
 TEST(FailureTest, NextDecisionReplacesFailedNodesWithWarmups) {
   Cluster cluster(FastOptions());
   cluster.Step(4, 1.0);
   cluster.Step(4, 1.0);  // all warm
-  cluster.InjectNodeFailures(2);
+  cluster.Step(4, 1.0, Crash(2));
   StepStats stats = cluster.Step(4, 1.0);
   EXPECT_EQ(stats.nodes_added, 2);  // autoscaler re-provisions
   // Replacement nodes spend a warm-up inside this step.
   EXPECT_LT(stats.effective_nodes, 4.0);
   EXPECT_GT(stats.effective_nodes, 3.9);
-}
-
-TEST(FailureTest, RandomFailuresReduceCapacity) {
-  Cluster::Options options = FastOptions();
-  options.failure_rate = 0.5;
-  options.initial_nodes = 8;
-  options.seed = 99;
-  Cluster cluster(options);
-  StepStats stats = cluster.Step(8, 1.0);
-  EXPECT_GT(stats.nodes_failed, 0);
-  EXPECT_LT(cluster.NumNodes(), 8);
-  EXPECT_EQ(cluster.total_failures(), stats.nodes_failed);
 }
 
 TEST(FailureTest, ZeroRateNeverFails) {
@@ -301,11 +298,12 @@ TEST(FailureTest, ZeroRateNeverFails) {
 
 TEST(FailureTest, AlwaysKeepsAtLeastOneNodeUnderExtremeRate) {
   Cluster::Options options = FastOptions();
-  options.failure_rate = 1.0;
   options.initial_nodes = 4;
   Cluster cluster(options);
   for (int i = 0; i < 10; ++i) {
-    cluster.Step(4, 1.0);
+    // Every node but one crashes at every step.
+    const StepStats stats = cluster.Step(4, 1.0, Crash(4));
+    EXPECT_EQ(stats.nodes_failed, 3);
     EXPECT_GE(cluster.NumNodes(), 1);
   }
 }

@@ -194,12 +194,7 @@ forecast::ForecastInput TailInput(const ts::TimeSeries& series,
                  series.size(), context);
     std::exit(1);
   }
-  forecast::ForecastInput input;
-  input.start_index = series.size() - context;
-  input.step_minutes = series.step_minutes;
-  input.context.assign(series.values.end() - static_cast<long>(context),
-                       series.values.end());
-  return input;
+  return forecast::ForecastInput::Window(series, series.size(), context);
 }
 
 // ------------------------------------------------------------ subcommands ---
