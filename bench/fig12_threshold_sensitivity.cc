@@ -90,7 +90,7 @@ void RunFig12(const BenchOptions& options, Report* report) {
 int main(int argc, char** argv) {
   const rpas::bench::BenchOptions options = rpas::bench::ParseArgs(
       argc, argv,
-      "Fig. 12: utilization-threshold sensitivity of the scaling loop");
+      "Fig. 12: uncertainty-threshold sensitivity of the scaling loop");
   rpas::bench::Report report("fig12_threshold_sensitivity", options);
   rpas::bench::RunFig12(options, &report);
   return report.Finish();

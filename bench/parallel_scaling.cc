@@ -107,7 +107,6 @@ void RunParallelScaling(const BenchOptions& options, Report* report) {
         };
 
     SetRpasThreads(1);
-    bt.parallel = false;
     Result<forecast::BacktestResult> serial = Status::Internal("unset");
     const double serial_ms = TimedMillis(
         "bench.backtest.serial",
@@ -115,7 +114,6 @@ void RunParallelScaling(const BenchOptions& options, Report* report) {
     RPAS_CHECK(serial.ok()) << serial.status().ToString();
 
     SetRpasThreads(kParallelThreads);
-    bt.parallel = true;
     Result<forecast::BacktestResult> parallel = Status::Internal("unset");
     const double parallel_ms = TimedMillis(
         "bench.backtest.parallel",

@@ -159,7 +159,6 @@ int main(int argc, char** argv) {
     }
     core::OnlineLoopOptions loop;
     loop.cluster.node_capacity = config.theta;
-    loop.cluster.utilization_threshold = 1.0;
     loop.cluster.initial_nodes = 4;
     auto result =
         core::RunOnlineLoop(manager, series, eval_start, eval_steps, loop);
@@ -242,7 +241,6 @@ int main(int argc, char** argv) {
   eval_series.step_minutes = series.step_minutes;
   simdb::Cluster::Options cluster;
   cluster.node_capacity = config.theta;
-  cluster.utilization_threshold = 1.0;
   cluster.initial_nodes = plan.front();
   auto replay = simdb::ReplayAllocation(eval_series, plan, cluster);
   if (!replay.ok()) {

@@ -76,8 +76,7 @@ struct SelectionOptions {
 struct OnlineLoopOptions {
   /// Steps between re-planning events; 0 = the forecaster's full horizon.
   size_t replan_every = 0;
-  /// Cluster simulator configuration (node capacity should equal the
-  /// scaling config's theta so the simulator's threshold semantics match).
+  /// Cluster simulator configuration; `node_capacity` is Eq. 3's theta.
   simdb::Cluster::Options cluster;
   /// Deterministic fault schedule. The default (all-zero) plan is inert:
   /// the loop byte-for-byte reproduces its fault-free behavior.

@@ -103,17 +103,11 @@ Result<BacktestResult> Backtest(const SeededForecasterFactory& factory,
     fold_ms->Observe(watch.ElapsedMillis());
   };
 
-  if (options.parallel) {
-    ParallelFor(0, options.folds, 1, [&](size_t begin, size_t end) {
-      for (size_t fold = begin; fold < end; ++fold) {
-        run_fold(fold);
-      }
-    });
-  } else {
-    for (size_t fold = 0; fold < options.folds; ++fold) {
+  ParallelFor(0, options.folds, 1, [&](size_t begin, size_t end) {
+    for (size_t fold = begin; fold < end; ++fold) {
       run_fold(fold);
     }
-  }
+  });
 
   for (size_t fold = 0; fold < options.folds; ++fold) {
     if (!statuses[fold].ok()) {

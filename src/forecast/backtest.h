@@ -24,11 +24,6 @@ struct BacktestOptions {
   size_t stride = 0;
   /// Quantile levels to score; empty = the model's own levels.
   std::vector<double> levels;
-  /// Evaluate the folds concurrently on the RPAS thread pool
-  /// (RPAS_NUM_THREADS workers). Results are bit-identical to the serial
-  /// path: every fold derives its model seed from `base_seed` and its fold
-  /// index via DeriveSeed, and aggregation always runs in fold order.
-  bool parallel = false;
   /// Base seed handed to the seeded factory (per fold, after SplitMix
   /// derivation). Ignored by the unseeded factory overload.
   uint64_t base_seed = 2024;
@@ -67,8 +62,12 @@ using SeededForecasterFactory =
 /// origin, and scored on the fold's evaluation window. Reports cross-fold
 /// mean +/- stddev so model comparisons account for fit variance — the
 /// multi-run averaging of the paper's Table I, systematized.
-/// With `options.parallel` the independent folds are evaluated concurrently
-/// and the result is bit-identical to the serial schedule.
+/// The independent folds run concurrently on the RPAS thread pool
+/// (RPAS_NUM_THREADS workers; in fold order on the calling thread at one).
+/// The result is bit-identical at any thread count: every fold derives its
+/// model seed from `base_seed` and its fold index via DeriveSeed, and
+/// aggregation always runs in fold order. `factory` may be called from
+/// several threads at once.
 Result<BacktestResult> Backtest(const SeededForecasterFactory& factory,
                                 const ts::TimeSeries& series,
                                 const BacktestOptions& options);

@@ -11,8 +11,6 @@ Cluster::Cluster(Options options)
     : options_(std::move(options)), rng_(options_.seed) {
   RPAS_CHECK(options_.step_seconds > 0.0);
   RPAS_CHECK(options_.node_capacity > 0.0);
-  RPAS_CHECK(options_.utilization_threshold > 0.0 &&
-             options_.utilization_threshold <= 1.0);
   RPAS_CHECK(options_.initial_nodes >= options_.min_nodes);
   RPAS_CHECK(options_.min_nodes >= 1);
   nodes_.assign(static_cast<size_t>(options_.initial_nodes), Node{});
@@ -120,10 +118,10 @@ StepStats Cluster::Step(int target_nodes, double workload,
 
   stats.active_nodes = active;
   stats.effective_nodes = effective;
-  stats.avg_utilization =
-      workload / (effective * options_.node_capacity);
+  stats.avg_utilization = workload * kTargetUtilization /
+                          (effective * options_.node_capacity);
   stats.under_provisioned =
-      stats.avg_utilization > options_.utilization_threshold + 1e-12;
+      workload / options_.node_capacity - 1e-9 > effective;
 
   // Latency proxy: M/M/1-style blow-up as utilization approaches 1.
   const double rho = std::min(stats.avg_utilization, 0.999);

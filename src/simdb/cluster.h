@@ -19,9 +19,14 @@ struct StepStats {
   int active_nodes = 0;      ///< nodes counted at full capacity
   double effective_nodes = 0.0;  ///< active + fractional warming capacity
   double workload = 0.0;
-  double avg_utilization = 0.0;  ///< workload / (effective * per-node cap.)
+  /// Physical utilization, workload * Cluster::kTargetUtilization /
+  /// (effective * node_capacity): a node loaded to theta runs at 0.7.
+  double avg_utilization = 0.0;
   double p_latency_ms = 0.0;     ///< queueing-model latency proxy
-  bool under_provisioned = false;  ///< avg utilization above threshold
+  /// Eq. 3 on the capacity standing this step: workload / node_capacity
+  /// exceeds effective_nodes (RequiredNodes' comparison and 1e-9 slack).
+  /// On a warm, fault-free step it equals allocation < RequiredNodes(w).
+  bool under_provisioned = false;
   bool slo_violated = false;       ///< latency proxy above SLO
   /// An injected fault was active this step (StepFaults::Any()): the one
   /// definition behind faulted_steps and ScalingDecision::faulted.
@@ -59,11 +64,16 @@ class Cluster {
     static MetricHandles Resolve(obs::MetricsRegistry* metrics);
   };
 
+  /// Utilization of a node carrying exactly node_capacity: the latency
+  /// model's operating point, not a knob. The SLO breaks at 0.9, so a
+  /// breach needs the workload to exceed the Eq. 3 plan by 29%.
+  static constexpr double kTargetUtilization = 0.7;
+
   struct Options {
     double step_seconds = 600.0;       ///< decision interval (10 minutes)
-    double node_capacity = 1.0;        ///< workload units a node absorbs at
-                                       ///< 100% utilization
-    double utilization_threshold = 0.7;  ///< theta: target max avg load
+    /// Eq. 3's theta: the workload one node carries at kTargetUtilization.
+    /// Closed-loop callers pass their ScalingConfig::theta unchanged.
+    double node_capacity = 1.0;
     double checkpoint_gb = 4.0;        ///< in-memory state per node
     WarmupModel warmup;
     double service_time_ms = 2.0;      ///< nominal per-query service time

@@ -1,9 +1,5 @@
 #include "simdb/replay.h"
 
-#include <cmath>
-
-#include "common/logging.h"
-
 namespace rpas::simdb {
 
 Result<ReplayReport> ReplayAllocation(const ts::TimeSeries& workload,
@@ -21,23 +17,13 @@ Result<ReplayReport> ReplayAllocation(const ts::TimeSeries& workload,
   ReplayReport report;
   report.steps.reserve(workload.size());
   size_t under = 0;
-  size_t over = 0;
   size_t slo = 0;
   double util_sum = 0.0;
-  const double per_node =
-      options.node_capacity * options.utilization_threshold;
   for (size_t t = 0; t < workload.size(); ++t) {
     StepStats stats = cluster.Step(allocation[t], workload.values[t]);
     util_sum += stats.avg_utilization;
     if (stats.under_provisioned) {
       ++under;
-    }
-    // Minimal nodes that would have met the threshold for this workload.
-    const int minimal = std::max(
-        options.min_nodes,
-        static_cast<int>(std::ceil(workload.values[t] / per_node - 1e-9)));
-    if (allocation[t] > minimal) {
-      ++over;
     }
     if (stats.slo_violated) {
       ++slo;
@@ -46,7 +32,6 @@ Result<ReplayReport> ReplayAllocation(const ts::TimeSeries& workload,
   }
   const double n = static_cast<double>(workload.size());
   report.under_provision_rate = static_cast<double>(under) / n;
-  report.over_provision_rate = static_cast<double>(over) / n;
   report.slo_violation_rate = static_cast<double>(slo) / n;
   report.mean_utilization = util_sum / n;
   report.total_node_steps = cluster.total_node_steps();

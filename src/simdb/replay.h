@@ -10,15 +10,14 @@
 namespace rpas::simdb {
 
 /// Aggregate outcome of replaying an allocation plan against a realized
-/// workload on the cluster simulator.
+/// workload on the cluster simulator: what only the simulator knows. The
+/// plan's Eq. 3 under/over-provisioning rates are core::EvaluateAllocation's.
 struct ReplayReport {
   std::vector<StepStats> steps;
-  /// Fraction of steps whose average utilization exceeded the threshold
-  /// (the realized analogue of the paper's Under-Provisioning Rate).
+  /// Fraction of steps under-provisioned on the capacity actually standing
+  /// (StepStats::under_provisioned): Eq. 3's rate plus the warm-up losses
+  /// of scale-out steps.
   double under_provision_rate = 0.0;
-  /// Fraction of steps allocated strictly more nodes than the minimum that
-  /// would have satisfied the threshold (paper's Over-Provisioning Rate).
-  double over_provision_rate = 0.0;
   /// Fraction of steps whose latency proxy violated the SLO.
   double slo_violation_rate = 0.0;
   double mean_utilization = 0.0;

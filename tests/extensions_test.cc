@@ -596,7 +596,6 @@ class OnlineLoopFixture : public ::testing::Test {
   core::OnlineLoopOptions LoopOptions() const {
     core::OnlineLoopOptions options;
     options.cluster.node_capacity = config_.theta;
-    options.cluster.utilization_threshold = 1.0;
     options.cluster.initial_nodes = 5;
     return options;
   }
@@ -633,6 +632,37 @@ TEST_F(OnlineLoopFixture, RobustLoopMostlyAvoidsUnderProvisioning) {
   EXPECT_LT(result->under_provision_rate, 0.15);
   EXPECT_GT(result->mean_utilization, 0.0);
   EXPECT_GT(result->total_node_steps, 0);
+}
+
+// The simulator and Eq. 3 agree on "enough nodes": on every step whose
+// nodes are all warm, the exported decision is under-provisioned exactly
+// when the applied target is below RequiredNodes of the realized workload.
+TEST_F(OnlineLoopFixture, ExportedUnderProvisionFlagIsEq3OnWarmSteps) {
+  manager_ = std::make_unique<core::RobustAutoScalingManager>(
+      model_.get(), std::make_unique<core::PointForecastAllocator>(),
+      config_);
+  auto result = core::RunOnlineLoop(*manager_, series_, 6 * kDay, 2 * kDay,
+                                    LoopOptions());
+  ASSERT_TRUE(result.ok());
+  const std::vector<obs::ScalingDecision> decisions =
+      core::CollectDecisions(*result, "eq3");
+  ASSERT_EQ(decisions.size(), 2 * kDay);
+  size_t warm = 0;
+  size_t under = 0;
+  for (const obs::ScalingDecision& d : decisions) {
+    if (d.active_nodes != d.target_nodes) {
+      continue;
+    }
+    ++warm;
+    const bool eq3 =
+        d.target_nodes < core::RequiredNodes(d.workload, config_);
+    EXPECT_EQ(d.under_provisioned, eq3) << "step " << d.step;
+    under += eq3 ? 1 : 0;
+  }
+  // Both verdicts occur on warm steps.
+  EXPECT_GT(warm, decisions.size() / 2);
+  EXPECT_GT(under, 0u);
+  EXPECT_LT(under, warm);
 }
 
 // Allocator stub that violates the planner contract by returning no steps.

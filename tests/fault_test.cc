@@ -119,7 +119,6 @@ simdb::Cluster::Options ClusterOptions() {
   simdb::Cluster::Options options;
   options.step_seconds = 600.0;
   options.node_capacity = 1.0;
-  options.utilization_threshold = 0.7;
   options.checkpoint_gb = 4.0;
   options.initial_nodes = 1;
   return options;
@@ -178,13 +177,14 @@ TEST(ClusterFaultTest, CrashDropsNodesButNeverBelowOne) {
 
 TEST(ClusterFaultTest, SpikeMultipliesRealizedWorkload) {
   simdb::Cluster cluster(ClusterOptions());
-  cluster.Step(2, 0.5);
+  cluster.Step(2, 0.8);
   simdb::StepFaults spike;
   spike.workload_multiplier = 3.0;
-  simdb::StepStats stats = cluster.Step(2, 0.5, spike);
-  EXPECT_DOUBLE_EQ(stats.workload, 1.5);
+  // 2.4 on two nodes of theta 1: over Eq. 3's plan, utilization 0.84.
+  simdb::StepStats stats = cluster.Step(2, 0.8, spike);
+  EXPECT_DOUBLE_EQ(stats.workload, 2.4);
   EXPECT_DOUBLE_EQ(stats.spike_multiplier, 3.0);
-  EXPECT_NEAR(stats.avg_utilization, 0.75, 1e-9);
+  EXPECT_NEAR(stats.avg_utilization, 0.84, 1e-9);
   EXPECT_TRUE(stats.under_provisioned);
 }
 
@@ -226,7 +226,6 @@ class FaultLoopFixture : public ::testing::Test {
   core::OnlineLoopOptions LoopOptions() const {
     core::OnlineLoopOptions options;
     options.cluster.node_capacity = config_.theta;
-    options.cluster.utilization_threshold = 1.0;
     options.cluster.initial_nodes = 5;
     return options;
   }

@@ -463,7 +463,6 @@ std::string BacktestExport(int num_threads, uint64_t seed) {
   options.folds = 3;
   options.fold_steps = 72;
   options.base_seed = seed;
-  options.parallel = true;
   options.metrics = &registry;
   options.trace = &buffer;
   const forecast::SeededForecasterFactory factory = [&](size_t,

@@ -258,12 +258,10 @@ TEST(DeterminismTest, BacktestSerialEqualsParallelBitwise) {
   options.base_seed = 2024;
 
   SetRpasThreads(1);
-  options.parallel = false;
   auto serial = forecast::Backtest(SmallMlpFactory(), series, options);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
 
   SetRpasThreads(4);
-  options.parallel = true;
   auto parallel = forecast::Backtest(SmallMlpFactory(), series, options);
   ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
 
@@ -309,7 +307,6 @@ TEST(DeterminismTest, FaultedOnlineLoopBitIdenticalAcrossThreadCounts) {
 
   core::OnlineLoopOptions loop;
   loop.cluster.node_capacity = config.theta;
-  loop.cluster.utilization_threshold = 1.0;
   loop.cluster.initial_nodes = 5;
   loop.faults = simdb::FaultPlan::Uniform(0.15, 2024);
 

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/rng.h"
+#include "core/scaling_config.h"
 #include "simdb/cluster.h"
 #include "simdb/replay.h"
 #include "simdb/warmup.h"
@@ -14,7 +15,6 @@ Cluster::Options FastOptions() {
   Cluster::Options options;
   options.step_seconds = 600.0;
   options.node_capacity = 1.0;
-  options.utilization_threshold = 0.7;
   options.checkpoint_gb = 4.0;
   options.initial_nodes = 1;
   return options;
@@ -201,24 +201,27 @@ TEST(ClusterTest, ScaleInImmediate) {
 
 TEST(ClusterTest, UnderProvisionWhenOverloaded) {
   Cluster cluster(FastOptions());
-  // 1 node, threshold 0.7, workload 0.9 => utilization 0.9 > 0.7.
-  StepStats stats = cluster.Step(1, 0.9);
+  // 1 node, theta 1, workload 1.3 => Eq. 3 needs 2 nodes; utilization
+  // 1.3 * 0.7 = 0.91.
+  StepStats stats = cluster.Step(1, 1.3);
   EXPECT_TRUE(stats.under_provisioned);
-  EXPECT_NEAR(stats.avg_utilization, 0.9, 1e-9);
+  EXPECT_NEAR(stats.avg_utilization, 0.91, 1e-9);
 }
 
 TEST(ClusterTest, NotUnderProvisionedAtThreshold) {
   Cluster cluster(FastOptions());
   cluster.Step(2, 0.0);
-  StepStats stats = cluster.Step(2, 1.4);  // 0.7 exactly
+  StepStats stats = cluster.Step(2, 2.0);  // theta per node exactly
   EXPECT_FALSE(stats.under_provisioned);
+  EXPECT_NEAR(stats.avg_utilization, Cluster::kTargetUtilization, 1e-12);
 }
 
 TEST(ClusterTest, LatencyBlowsUpNearSaturation) {
   Cluster cluster(FastOptions());
   cluster.Step(1, 0.0);
-  StepStats low = cluster.Step(1, 0.3);
-  StepStats high = cluster.Step(1, 0.97);
+  // Utilizations 0.3 and 0.97 on one node of capacity theta = 1.
+  StepStats low = cluster.Step(1, 0.3 / Cluster::kTargetUtilization);
+  StepStats high = cluster.Step(1, 0.97 / Cluster::kTargetUtilization);
   EXPECT_GT(high.p_latency_ms, 5.0 * low.p_latency_ms);
   EXPECT_TRUE(high.slo_violated);
 }
@@ -230,6 +233,60 @@ TEST(ClusterTest, MinNodesRespected) {
   Cluster cluster(options);
   cluster.Step(1, 0.1);  // request below floor
   EXPECT_EQ(cluster.NumNodes(), 2);
+}
+
+// Node capacity is Eq. 3's theta: on a warm, fault-free cluster the Eq. 3
+// plan RequiredNodes(w) is neither under-provisioned nor in SLO violation,
+// one node fewer is flagged, and every step's flag is exactly
+// allocation < RequiredNodes(w), slack included.
+TEST(ClusterCapacityPropertyTest, WarmStepsAgreeWithRequiredNodes) {
+  Rng rng(26);
+  for (int trial = 0; trial < 3000; ++trial) {
+    core::ScalingConfig config;
+    config.theta = std::exp(rng.Uniform(std::log(1e-3), std::log(1e3)));
+    double ratio = rng.Uniform(0.0, 40.0);  // w / theta
+    if (trial % 4 == 1) {  // at an integer
+      ratio = std::ceil(ratio);
+    } else if (trial % 4 == 2) {  // 1e-12 to 1e-6 off an integer
+      const double offset = std::pow(10.0, rng.Uniform(-12.0, -6.0));
+      ratio = std::ceil(ratio) + (rng.Bernoulli(0.5) ? offset : -offset);
+    } else if (trial % 4 == 3) {  // w / theta - 1e-9 is the integer itself
+      config.theta = 1.0;
+      ratio = std::ceil(ratio) + 1e-9;
+    }
+    double workload = ratio * config.theta;
+    if (trial == 0) {  // a tight 17-node plan
+      config.theta = 1.0;
+      workload = 16.5;
+    }
+    const int required = core::RequiredNodes(workload, config);
+
+    Cluster::Options options = FastOptions();
+    options.node_capacity = config.theta;
+    options.checkpoint_gb = 0.0;  // nodes arrive warm
+    options.warmup.base_latency_seconds = 0.0;
+    options.warmup.jitter_fraction = 0.0;
+    options.initial_nodes = required;
+    Cluster cluster(options);
+    const StepStats planned = cluster.Step(required, workload);
+    ASSERT_EQ(planned.active_nodes, required);
+    EXPECT_FALSE(planned.under_provisioned)
+        << "w " << workload << " theta " << config.theta;
+    EXPECT_FALSE(planned.slo_violated)
+        << "w " << workload << " theta " << config.theta << " latency "
+        << planned.p_latency_ms;
+    if (required - 1 >= options.min_nodes) {
+      EXPECT_TRUE(cluster.Step(required - 1, workload).under_provisioned)
+          << "w " << workload << " theta " << config.theta;
+    }
+    const int allocation = 1 + static_cast<int>(rng.UniformInt(
+                                   static_cast<uint64_t>(required) + 3));
+    const StepStats any = cluster.Step(allocation, workload);
+    ASSERT_EQ(any.active_nodes, allocation);
+    EXPECT_EQ(any.under_provisioned, allocation < required)
+        << "w " << workload << " theta " << config.theta << " nodes "
+        << allocation;
+  }
 }
 
 TEST(ClusterTest, CountsScaleEventsAndDirectionChanges) {
@@ -314,12 +371,11 @@ TEST(ReplayTest, PerfectAllocationHasNoUnderProvisioning) {
   ts::TimeSeries workload;
   workload.values = {0.5, 1.2, 2.6, 0.3};
   Cluster::Options options = FastOptions();
-  // Required nodes at theta 0.7: ceil(w / 0.7) = 1, 2, 4, 1.
+  // Required nodes at theta 1: ceil(w / 1) = 1, 2, 3, 1.
   auto report =
-      ReplayAllocation(workload, {1, 2, 4, 1}, options);
+      ReplayAllocation(workload, {1, 2, 3, 1}, options);
   ASSERT_TRUE(report.ok());
   EXPECT_DOUBLE_EQ(report->under_provision_rate, 0.0);
-  EXPECT_DOUBLE_EQ(report->over_provision_rate, 0.0);
 }
 
 TEST(ReplayTest, UnderAllocationDetected) {
@@ -328,14 +384,6 @@ TEST(ReplayTest, UnderAllocationDetected) {
   auto report = ReplayAllocation(workload, {1, 3}, FastOptions());
   ASSERT_TRUE(report.ok());
   EXPECT_DOUBLE_EQ(report->under_provision_rate, 0.5);
-}
-
-TEST(ReplayTest, OverAllocationDetected) {
-  ts::TimeSeries workload;
-  workload.values = {0.5, 0.5};
-  auto report = ReplayAllocation(workload, {5, 1}, FastOptions());
-  ASSERT_TRUE(report.ok());
-  EXPECT_DOUBLE_EQ(report->over_provision_rate, 0.5);
 }
 
 TEST(ReplayTest, LengthMismatchRejected) {
@@ -365,7 +413,8 @@ TEST(ReplayTest, MeanUtilizationComputed) {
   options.initial_nodes = 1;
   auto report = ReplayAllocation(workload, {1, 1}, options);
   ASSERT_TRUE(report.ok());
-  EXPECT_NEAR(report->mean_utilization, 0.5, 1e-9);
+  EXPECT_NEAR(report->mean_utilization, 0.5 * Cluster::kTargetUtilization,
+              1e-9);
 }
 
 }  // namespace

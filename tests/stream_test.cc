@@ -655,7 +655,6 @@ class StreamingLoopFixture : public ::testing::Test {
     core::OnlineLoopOptions options;
     options.replan_every = 12;
     options.cluster.node_capacity = config_.theta;
-    options.cluster.utilization_threshold = 1.0;
     options.cluster.initial_nodes = 5;
     return options;
   }
