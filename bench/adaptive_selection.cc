@@ -40,7 +40,7 @@
 //
 // Named checks (exit 1 on violation):
 //   - fleet-mean adaptive in-force wQL <= 1.02 x all-DeepAR's;
-//   - fleet-mean all-DeepAR planning us/round >= 3 x adaptive us/round;
+//   - all-DeepAR planning $-cost >= 3 x adaptive's (tier cost units);
 //   - adaptive spike-window SLO violations <= adaptive-noprescale;
 //   - every pre-scaler activation rolled back (activations == rollbacks),
 //     and the pre-scaler activated at least once;
@@ -576,9 +576,19 @@ void RunAdaptiveSelection(const BenchOptions& options, Report* report) {
                 StrFormat("adaptive in-force wQL %.5f <= 1.02 x all-deepar "
                           "%.5f",
                           adaptive.mean_wql, deepar.mean_wql));
-  report->Check("planning_speedup_3x", speedup >= 3.0,
-                StrFormat("all-deepar / adaptive us/round %.2fx >= 3x",
-                          speedup));
+  // The bound reads the deterministic tier cost units the strategies
+  // served, not us/round: the tenants run concurrently, so a round's wall
+  // time also counts whatever shares its core, and identical full runs
+  // read 3.3x to 8.9x. The units price a DeepAR round at 100
+  // seasonal-naive rounds, below the 120-240 it measures, so the unit
+  // ratio understates the time ratio.
+  const double cost_ratio = adaptive.cost_units > 0.0
+                                ? deepar.cost_units / adaptive.cost_units
+                                : 0.0;
+  report->Check("planning_speedup_3x", cost_ratio >= 3.0,
+                StrFormat("all-deepar / adaptive $cost %.2fx >= 3x "
+                          "(us/round %.2fx)",
+                          cost_ratio, speedup));
   report->Check("prescale_spike_violations",
                 adaptive.spike_violations <= noprescale.spike_violations,
                 StrFormat("prescale %zu <= noprescale %zu",

@@ -44,14 +44,6 @@ struct Record {
   double gflops;  // 0 when a flop rate is not meaningful for the op
 };
 
-std::vector<SimdLevel> SupportedLevels() {
-  std::vector<SimdLevel> levels = {SimdLevel::kScalar};
-  if (kernels::LevelSupported(SimdLevel::kAvx2)) {
-    levels.push_back(SimdLevel::kAvx2);
-  }
-  return levels;
-}
-
 /// Mean ns per call of `fn`, timed by TimedRepeats.
 double NsPerIter(bool quick, const std::function<void()>& fn) {
   return TimedRepeats("bench.kernel", quick, fn).ms * 1e6;
@@ -83,7 +75,7 @@ void BenchGemm(bool quick, std::vector<Record>* out) {
     FillUniform(&b, &rng);
     const double flops = 2.0 * static_cast<double>(s.m) *
                          static_cast<double>(s.k) * static_cast<double>(s.n);
-    for (SimdLevel level : SupportedLevels()) {
+    for (SimdLevel level : kernels::SupportedLevels()) {
       kernels::ScopedSimdLevel scoped(level);
       const double ns = NsPerIter(quick, [&] {
         c.Fill(0.0);
@@ -99,7 +91,7 @@ void BenchGemm(bool quick, std::vector<Record>* out) {
   FillUniform(&x, &rng);
   FillUniform(&g, &rng);
   const double flops_tn = 2.0 * 64 * 128 * 96;
-  for (SimdLevel level : SupportedLevels()) {
+  for (SimdLevel level : kernels::SupportedLevels()) {
     kernels::ScopedSimdLevel scoped(level);
     const double ns = NsPerIter(quick, [&] {
       dw.Fill(0.0);
@@ -128,7 +120,7 @@ void BenchGemm(bool quick, std::vector<Record>* out) {
     FillUniform(&b, &rng);
     const double flops = 2.0 * static_cast<double>(s.m) *
                          static_cast<double>(s.k) * static_cast<double>(s.n);
-    for (SimdLevel level : SupportedLevels()) {
+    for (SimdLevel level : kernels::SupportedLevels()) {
       const double ns = NsPerIter(quick, [&] {
         if (s.tn) {
           kernels::GemmTN(level, s.m, s.n, s.k, a.data(), s.m, b.data(), s.n,
@@ -156,7 +148,7 @@ void BenchVectorOps(bool quick, std::vector<Record>* out) {
     ys[i] = rng.Uniform(-3.0, 3.0);
   }
   const std::string shape = StrFormat("n=%zu", n);
-  for (SimdLevel level : SupportedLevels()) {
+  for (SimdLevel level : kernels::SupportedLevels()) {
     const char* name = kernels::LevelName(level);
     out->push_back({"axpy", shape, name, NsPerIter(quick, [&] {
                       kernels::Axpy(level, n, 1e-9, xs.data(), ys.data());
@@ -187,15 +179,17 @@ void BenchVectorOps(bool quick, std::vector<Record>* out) {
 /// DeepAR's input width: the scaled previous value plus calendar features.
 constexpr size_t kDeepArInput = 1 + forecast::kNumTimeFeatures;
 
-/// kernels::LstmStep at the sampling roll's two serving shapes, and the
-/// cell backward at the training shape.
+/// kernels::LstmStep at the sampling roll's two serving shapes and the
+/// training unroll's shapes, and the cell backward at the training shape.
 void BenchLstmStep(bool quick, std::vector<Record>* out) {
   struct Shape {
     size_t rows, hidden;
   };
-  // The paper-shape loop (100 samples, H 32) and a fleet batch (8 requests
-  // x 16 samples, H 20).
-  for (const Shape& s : {Shape{100, 32}, Shape{128, 20}}) {
+  // The paper-shape loop (100 samples, H 32), a fleet batch (8 requests
+  // x 16 samples, H 20), and the loop's training unroll: Fit's minibatch
+  // of 8 windows and a six-point fine-tune's 6.
+  for (const Shape& s :
+       {Shape{100, 32}, Shape{128, 20}, Shape{8, 32}, Shape{6, 32}}) {
     const size_t gw = 4 * s.hidden;
     Matrix x(s.rows, kDeepArInput), h(s.rows, s.hidden), c(s.rows, s.hidden);
     Matrix wx(kDeepArInput, gw), wh(s.hidden, gw), bias(1, gw);
@@ -217,7 +211,7 @@ void BenchLstmStep(bool quick, std::vector<Record>* out) {
         static_cast<double>(s.rows) *
         (2.0 * static_cast<double>(gw * (kDeepArInput + s.hidden)) +
          16.0 * static_cast<double>(s.hidden));
-    for (SimdLevel level : SupportedLevels()) {
+    for (SimdLevel level : kernels::SupportedLevels()) {
       // The state is updated in place, as in the roll; it stays bounded.
       const double ns = NsPerIter(quick, [&] {
         kernels::LstmStep(level, s.rows, weights, x.data(), h.data(),
@@ -241,7 +235,7 @@ void BenchLstmStep(bool quick, std::vector<Record>* out) {
   }
   // Nominal per-element flop count: ~23 mul/add/sub.
   const double bwd_flops = 23.0 * static_cast<double>(batch * hidden);
-  for (SimdLevel level : SupportedLevels()) {
+  for (SimdLevel level : kernels::SupportedLevels()) {
     out->push_back({"lstm_cell_bwd",
                     StrFormat("b=%zu h=%zu", batch, hidden),
                     kernels::LevelName(level), NsPerIter(quick, [&] {
@@ -262,7 +256,7 @@ void BenchLstmStep(bool quick, std::vector<Record>* out) {
 /// The tape is how TFT, MLP and QB5000 train; for DeepAR it is the
 /// reference its fused unroll (deepar_fit_step below) must match.
 void BenchTrainStep(bool quick, std::vector<Record>* out) {
-  for (SimdLevel level : SupportedLevels()) {
+  for (SimdLevel level : kernels::SupportedLevels()) {
     kernels::ScopedSimdLevel scoped(level);
     Rng init(7);
     nn::LstmCell lstm(kDeepArInput, 32, &init);
@@ -324,7 +318,7 @@ void BenchDeepArFit(bool quick, std::vector<Record>* out) {
   options.batch_size = 8;
   options.num_samples = 20;
   options.student_t_dof = 3.0;
-  for (SimdLevel level : SupportedLevels()) {
+  for (SimdLevel level : kernels::SupportedLevels()) {
     kernels::ScopedSimdLevel scoped(level);
     options.train.steps = quick ? 1 : 3;
     RPAS_CHECK(forecast::DeepArForecaster(options).Fit(series).ok());  // warmup

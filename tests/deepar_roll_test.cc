@@ -4,9 +4,9 @@
 // cell update, draws from the same seed-derived generators, and reduces
 // with dist::Empirical; every prediction path must match it bit for bit at
 // every SIMD level, at 1 and 4 threads, for fp64 and q8 weights, and for
-// hidden sizes whose gate blocks fill the 4-wide vectors exactly (32, 20)
-// or leave a masked tail (18, 7). At H = 7 the 4H = 28 gate columns also
-// end in a 4-wide GEMM panel.
+// hidden sizes whose gate blocks fill the 4-wide AVX2 vectors exactly (32,
+// 20) or leave a masked tail (18, 7); only 32 fills avx512's 8-wide ones.
+// At H = 7 the 4H = 28 gate columns also end in a 4-wide GEMM panel.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -224,14 +224,6 @@ class ThreadOverrideGuard {
   ~ThreadOverrideGuard() { SetRpasThreads(0); }
 };
 
-std::vector<kernels::SimdLevel> SupportedLevels() {
-  std::vector<kernels::SimdLevel> levels = {kernels::SimdLevel::kScalar};
-  if (kernels::LevelSupported(kernels::SimdLevel::kAvx2)) {
-    levels.push_back(kernels::SimdLevel::kAvx2);
-  }
-  return levels;
-}
-
 /// Runs every prediction path of a freshly loaded model against the
 /// reference at every level and thread count. `make_model` returns a model
 /// whose Predict stream is at its start.
@@ -244,7 +236,7 @@ void CheckAllPaths(
   const ForecastInput b = InputEndingAt(s, 233);
   const ForecastInput c = InputEndingAt(s, 301);
   ThreadOverrideGuard guard;
-  for (kernels::SimdLevel level : SupportedLevels()) {
+  for (kernels::SimdLevel level : kernels::SupportedLevels()) {
     kernels::ScopedSimdLevel scoped(level);
     for (int threads : {1, 4}) {
       SetRpasThreads(threads);

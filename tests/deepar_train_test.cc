@@ -4,21 +4,27 @@
 // nn::TrainLoop's tape form on a twin model. Per-step loss and gradient
 // norm, clip events, steps_run and every parameter must match bit for bit:
 // for the Student-t and Gaussian heads; for hidden sizes whose gate blocks
-// fill the 4-wide vectors (32, 20) or leave a masked tail (18, 7; at 7 the
-// 28 gate columns also end in a 4-wide GEMM panel); for minibatches of 8
-// rows and of 96 (wide enough that the LSTM step, and at H >= 20 the GEMMs,
-// fan out at 4 threads) over at least 8 windows, then for a fine-tune over
-// fewer windows than batch_size (the IncrementalUpdate case); at every SIMD
-// level and at 1 and 4 threads. The public Fit and IncrementalUpdate must
-// land on the same weights, and a gradient step after the first must
-// allocate nothing.
+// fill the 4-wide AVX2 vectors (32, 20) or leave a masked tail (18, 7; at 7
+// the 28 gate columns also end in a 4-wide GEMM panel), of which only 32
+// fills avx512's 8-wide ones; for minibatches of 8 rows and of 96 (wide
+// enough that the LSTM step, and at H >= 20 the GEMMs, fan out at 4
+// threads) over at least 8 windows, then for a fine-tune over fewer windows
+// than batch_size (the IncrementalUpdate case); at every SIMD level and at
+// 1 and 4 threads. The public Fit and IncrementalUpdate must land on the
+// same weights, and a gradient step after the first must allocate nothing.
+// At the loop and fleet shapes, avx512 must save avx2's checkpoint bytes.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <new>
 #include <string>
 #include <tuple>
@@ -26,6 +32,7 @@
 
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "common/strings.h"
 #include "forecast/deepar.h"
 #include "forecast/time_features.h"
 #include "nn/losses.h"
@@ -256,14 +263,6 @@ class ThreadOverrideGuard {
   ~ThreadOverrideGuard() { SetRpasThreads(0); }
 };
 
-std::vector<kernels::SimdLevel> SupportedLevels() {
-  std::vector<kernels::SimdLevel> levels = {kernels::SimdLevel::kScalar};
-  if (kernels::LevelSupported(kernels::SimdLevel::kAvx2)) {
-    levels.push_back(kernels::SimdLevel::kAvx2);
-  }
-  return levels;
-}
-
 using Case = std::tuple<DeepArForecaster::Head, size_t, size_t>;
 
 std::string CaseName(const ::testing::TestParamInfo<Case>& info) {
@@ -289,7 +288,7 @@ TEST_P(DeepArTrainTest, FusedUnrollMatchesTapeStepByStep) {
   int clip_events = 0;
   int unclipped_steps = 0;
   ThreadOverrideGuard guard;
-  for (kernels::SimdLevel level : SupportedLevels()) {
+  for (kernels::SimdLevel level : kernels::SupportedLevels()) {
     kernels::ScopedSimdLevel scoped(level);
     for (int threads : {1, 4}) {
       SetRpasThreads(threads);
@@ -347,6 +346,82 @@ INSTANTIATE_TEST_SUITE_P(
                                          size_t{7}),
                        ::testing::Values(size_t{8}, size_t{96})),
     CaseName);
+
+/// Saves `model`'s checkpoint to `path` and returns the file's bytes.
+std::string CheckpointBytes(const DeepArForecaster& model,
+                            const std::string& path) {
+  EXPECT_TRUE(model.SaveCheckpoint(path).ok()) << path;
+  std::ifstream in(path, std::ios::binary);
+  std::string bytes{std::istreambuf_iterator<char>(in),
+                    std::istreambuf_iterator<char>()};
+  std::remove(path.c_str());
+  return bytes;
+}
+
+struct CheckpointShape {
+  size_t hidden, context, horizon;
+};
+
+std::string ShapeName(const ::testing::TestParamInfo<CheckpointShape>& info) {
+  return StrFormat("H%zu_Context%zu_Horizon%zu", info.param.hidden,
+                   info.param.context, info.param.horizon);
+}
+
+class DeepArLevelCheckpointTest
+    : public ::testing::TestWithParam<CheckpointShape> {};
+
+// The avx512 level is a speed level: a model trained at it saves the same
+// checkpoint bytes as at avx2, after Fit and after 30 six-point fine-tunes.
+TEST_P(DeepArLevelCheckpointTest, Avx512CheckpointsEqualAvx2) {
+  if (!kernels::LevelSupported(kernels::SimdLevel::kAvx512)) {
+    GTEST_SKIP() << "no AVX-512F on this CPU or build";
+  }
+  const CheckpointShape shape = GetParam();
+  DeepArForecaster::Options options;
+  options.context_length = shape.context;
+  options.horizon = shape.horizon;
+  options.hidden_dim = shape.hidden;
+  options.batch_size = 8;
+  options.num_samples = 20;
+  options.train.steps = 20;
+  options.fine_tune_steps = 2;
+  constexpr size_t kFineTunes = 30;
+  constexpr size_t kPoints = 6;
+  const size_t fit_length = 3 * (shape.context + shape.horizon);
+  const ts::TimeSeries series = Series(fit_length + kFineTunes * kPoints, 21);
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("rpas_deepar_level_" + std::to_string(::getpid()) + ".rpasq"))
+          .string();
+  auto checkpoints = [&](kernels::SimdLevel level) {
+    kernels::ScopedSimdLevel scoped(level);
+    DeepArForecaster model(options);
+    EXPECT_TRUE(model.Fit(series.Slice(0, fit_length)).ok());
+    std::vector<std::string> saved = {CheckpointBytes(model, path)};
+    for (size_t i = 1; i <= kFineTunes; ++i) {
+      EXPECT_TRUE(model
+                      .IncrementalUpdate(
+                          series.Slice(0, fit_length + i * kPoints), kPoints)
+                      .ok());
+    }
+    saved.push_back(CheckpointBytes(model, path));
+    return saved;
+  };
+  const std::vector<std::string> want = checkpoints(kernels::SimdLevel::kAvx2);
+  const std::vector<std::string> got = checkpoints(kernels::SimdLevel::kAvx512);
+  const char* stages[] = {"after Fit", "after the fine-tunes"};
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_FALSE(want[i].empty()) << stages[i];
+    EXPECT_TRUE(want[i] == got[i])
+        << stages[i] << ": the avx512 checkpoint differs from avx2's";
+  }
+}
+
+// The loop_deepar shape and the fleet's DeepAR shape.
+INSTANTIATE_TEST_SUITE_P(LoopAndFleetShapes, DeepArLevelCheckpointTest,
+                         ::testing::Values(CheckpointShape{32, 72, 72},
+                                           CheckpointShape{20, 24, 12}),
+                         ShapeName);
 
 /// Heap allocations made by `fn`.
 template <typename Fn>
