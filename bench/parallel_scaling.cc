@@ -1,21 +1,17 @@
-// Parallel execution layer scaling check: times the blocked GEMM
-// (512 x 512) and the rolling-origin backtest serial (RPAS_NUM_THREADS=1)
-// vs parallel (4 threads), reports the speedup, and verifies the results
-// are bit-identical — the determinism guarantee every later scaling PR
-// relies on. On a >= 4-core machine the parallel column should be >= 2x
-// faster; on fewer cores the speedup degrades toward 1x but the
-// bit-identical column must stay "yes" everywhere.
-#include <cmath>
+// Thread-pool scaling check: times the rolling-origin backtest, whose
+// folds are independent pool tasks, serial (RPAS_NUM_THREADS=1) vs
+// parallel (4 threads), reports the speedup, and verifies the results are
+// bit-identical. Kernels run on their calling thread, so the folds are the
+// only parallel level here. On a >= 4-core machine the speedup should
+// approach the fold count (4); on fewer cores it degrades toward 1x, but
+// the bit-identical column must stay "yes" everywhere.
 #include <cstdio>
 
 #include "bench/bench_common.h"
 #include "common/logging.h"
 #include "common/parallel.h"
-#include "common/rng.h"
 #include "forecast/backtest.h"
 #include "forecast/mlp.h"
-#include "tensor/matrix.h"
-#include "tensor/ops.h"
 #include "trace/generator.h"
 
 namespace rpas::bench {
@@ -23,114 +19,60 @@ namespace {
 
 constexpr int kParallelThreads = 4;
 
-tensor::Matrix RandomMatrix(size_t rows, size_t cols, Rng* rng) {
-  tensor::Matrix m(rows, cols);
-  for (size_t i = 0; i < m.size(); ++i) {
-    m[i] = rng->Normal();
-  }
-  return m;
-}
-
-bool BitIdentical(const tensor::Matrix& a, const tensor::Matrix& b) {
-  if (!a.SameShape(b)) {
-    return false;
-  }
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i] != b[i]) {
-      return false;
-    }
-  }
-  return true;
-}
-
 void RunParallelScaling(const BenchOptions& options, Report* report) {
   std::printf("hardware threads available: %d (RPAS_NUM_THREADS default)\n",
               RpasThreads());
 
   Table& table = report->AddTable(
-      "scaling", "Parallel execution layer: serial vs 4-thread timings",
+      "scaling", "Thread pool: serial vs 4-thread timings",
       {"workload", "serial_ms", "parallel_ms@4", "speedup", "bit_identical"});
 
-  // --- GEMM 512 x 512 -----------------------------------------------------
-  {
-    Rng rng(options.seed);
-    const size_t n = 512;
-    const tensor::Matrix a = RandomMatrix(n, n, &rng);
-    const tensor::Matrix b = RandomMatrix(n, n, &rng);
+  trace::SyntheticTraceGenerator gen(trace::AlibabaProfile(), options.seed);
+  const ts::TimeSeries series = gen.GenerateCpu(12 * kStepsPerDay);
 
-    SetRpasThreads(1);
-    tensor::Matrix serial;
-    const double serial_ms =
-        TimedRepeats("bench.gemm.serial", options.quick, [&] {
-          serial = MatMul(a, b);
-        }).ms;
+  forecast::BacktestOptions bt;
+  bt.folds = 4;
+  bt.fold_steps = kStepsPerDay;
+  bt.base_seed = options.seed;
+  const forecast::SeededForecasterFactory factory =
+      [&](size_t, uint64_t seed) {
+        forecast::MlpForecaster::Options mlp;
+        mlp.context_length = 36;
+        mlp.horizon = 12;
+        mlp.hidden_dim = 16;
+        mlp.num_hidden_layers = 1;
+        mlp.batch_size = 16;
+        mlp.train.steps = options.quick ? 40 : 120;
+        mlp.train.lr = 1e-3;
+        mlp.use_time_features = false;
+        mlp.seed = seed;
+        return std::make_unique<forecast::MlpForecaster>(mlp);
+      };
 
-    // TimedRepeats' warm-up call spawns the pool.
-    SetRpasThreads(kParallelThreads);
-    tensor::Matrix parallel;
-    const double parallel_ms =
-        TimedRepeats("bench.gemm.parallel", options.quick, [&] {
-          parallel = MatMul(a, b);
-        }).ms;
-    SetRpasThreads(0);
+  SetRpasThreads(1);
+  Result<forecast::BacktestResult> serial = Status::Internal("unset");
+  const double serial_ms = TimedMillis(
+      "bench.backtest.serial",
+      [&] { serial = forecast::Backtest(factory, series, bt); });
+  RPAS_CHECK(serial.ok()) << serial.status().ToString();
 
-    const bool identical = report->Check(
-        "gemm_bit_identical", BitIdentical(serial, parallel),
-        "512x512 MatMul at 1 and 4 threads");
-    table.AddRow({"gemm 512x512", Real(serial_ms), Real(parallel_ms),
-                  Real(serial_ms / parallel_ms, 3), Bool(identical)});
-  }
+  SetRpasThreads(kParallelThreads);
+  Result<forecast::BacktestResult> parallel = Status::Internal("unset");
+  const double parallel_ms = TimedMillis(
+      "bench.backtest.parallel",
+      [&] { parallel = forecast::Backtest(factory, series, bt); });
+  SetRpasThreads(0);
+  RPAS_CHECK(parallel.ok()) << parallel.status().ToString();
 
-  // --- Rolling-origin backtest -------------------------------------------
-  {
-    trace::SyntheticTraceGenerator gen(trace::AlibabaProfile(),
-                                       options.seed);
-    const ts::TimeSeries series = gen.GenerateCpu(12 * kStepsPerDay);
-
-    forecast::BacktestOptions bt;
-    bt.folds = 4;
-    bt.fold_steps = kStepsPerDay;
-    bt.base_seed = options.seed;
-    const forecast::SeededForecasterFactory factory =
-        [&](size_t, uint64_t seed) {
-          forecast::MlpForecaster::Options mlp;
-          mlp.context_length = 36;
-          mlp.horizon = 12;
-          mlp.hidden_dim = 16;
-          mlp.num_hidden_layers = 1;
-          mlp.batch_size = 16;
-          mlp.train.steps = options.quick ? 40 : 120;
-          mlp.train.lr = 1e-3;
-          mlp.use_time_features = false;
-          mlp.seed = seed;
-          return std::make_unique<forecast::MlpForecaster>(mlp);
-        };
-
-    SetRpasThreads(1);
-    Result<forecast::BacktestResult> serial = Status::Internal("unset");
-    const double serial_ms = TimedMillis(
-        "bench.backtest.serial",
-        [&] { serial = forecast::Backtest(factory, series, bt); });
-    RPAS_CHECK(serial.ok()) << serial.status().ToString();
-
-    SetRpasThreads(kParallelThreads);
-    Result<forecast::BacktestResult> parallel = Status::Internal("unset");
-    const double parallel_ms = TimedMillis(
-        "bench.backtest.parallel",
-        [&] { parallel = forecast::Backtest(factory, series, bt); });
-    SetRpasThreads(0);
-    RPAS_CHECK(parallel.ok()) << parallel.status().ToString();
-
-    const bool identical = report->Check(
-        "backtest_bit_identical",
-        serial->mean_wql.mean == parallel->mean_wql.mean &&
-            serial->mean_wql.stddev == parallel->mean_wql.stddev &&
-            serial->mse.mean == parallel->mse.mean &&
-            serial->mae.mean == parallel->mae.mean,
-        "4-fold backtest wQL, MSE and MAE, serial vs parallel");
-    table.AddRow({"backtest 4 folds", Real(serial_ms), Real(parallel_ms),
-                  Real(serial_ms / parallel_ms, 3), Bool(identical)});
-  }
+  const bool identical = report->Check(
+      "backtest_bit_identical",
+      serial->mean_wql.mean == parallel->mean_wql.mean &&
+          serial->mean_wql.stddev == parallel->mean_wql.stddev &&
+          serial->mse.mean == parallel->mse.mean &&
+          serial->mae.mean == parallel->mae.mean,
+      "4-fold backtest wQL, MSE and MAE, serial vs parallel");
+  table.AddRow({"backtest 4 folds", Real(serial_ms), Real(parallel_ms),
+                Real(serial_ms / parallel_ms, 3), Bool(identical)});
   table.Print();
 }
 
@@ -139,7 +81,7 @@ void RunParallelScaling(const BenchOptions& options, Report* report) {
 
 int main(int argc, char** argv) {
   const rpas::bench::BenchOptions options = rpas::bench::ParseArgs(
-      argc, argv, "Thread-pool scaling of training and planning kernels");
+      argc, argv, "Thread-pool scaling of the rolling-origin backtest");
   rpas::bench::Report report("parallel_scaling", options);
   rpas::bench::RunParallelScaling(options, &report);
   return report.Finish();

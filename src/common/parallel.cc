@@ -13,10 +13,11 @@ namespace rpas {
 
 namespace {
 
-// Set while a thread is executing inside ThreadPool::WorkerLoop. Nested
-// ParallelFor calls detect it and run serially instead of blocking a pool
-// worker on work that needs pool workers to make progress.
-thread_local bool tls_in_pool_worker = false;
+// Set on pool workers for their lifetime, and on a ParallelFor's calling
+// thread while it runs chunks beside the call's helpers. A ParallelFor on
+// a marked thread runs serially: parallelism has one level, and a pool
+// worker never blocks on work that needs pool workers to make progress.
+thread_local bool tls_in_parallel_region = false;
 
 std::atomic<int> g_thread_override{0};
 
@@ -124,7 +125,7 @@ ThreadPool& ThreadPool::Shared() {
 }
 
 void ThreadPool::WorkerLoop() {
-  tls_in_pool_worker = true;
+  tls_in_parallel_region = true;
   for (;;) {
     std::function<void()> task;
     {
@@ -174,7 +175,7 @@ struct ParallelForState {
   size_t begin = 0;
   size_t end = 0;
   size_t grain = 1;
-  const ChunkFnRef* fn = nullptr;
+  const std::function<void(size_t, size_t)>* fn = nullptr;
 
   std::atomic<size_t> next_chunk{0};
   size_t num_chunks = 0;
@@ -236,7 +237,8 @@ struct ParallelForState {
 
 }  // namespace
 
-void ParallelFor(size_t begin, size_t end, size_t grain, ChunkFnRef fn) {
+void ParallelFor(size_t begin, size_t end, size_t grain,
+                 const std::function<void(size_t, size_t)>& fn) {
   if (begin >= end) {
     return;
   }
@@ -248,7 +250,7 @@ void ParallelFor(size_t begin, size_t end, size_t grain, ChunkFnRef fn) {
   const size_t threads = std::min(
       static_cast<size_t>(RpasThreads()), num_chunks);
 
-  if (threads <= 1 || tls_in_pool_worker) {
+  if (threads <= 1 || tls_in_parallel_region) {
     // Serial path: same chunking as the parallel path so `fn` observes
     // identical subranges regardless of the thread count.
     for (size_t chunk = 0; chunk < num_chunks; ++chunk) {
@@ -270,7 +272,11 @@ void ParallelFor(size_t begin, size_t end, size_t grain, ChunkFnRef fn) {
   for (size_t i = 0; i + 1 < threads; ++i) {
     pool.Submit([state] { state->RunWorker(); });
   }
-  state->RunWorker();  // the caller participates and claims chunks itself
+  // The caller participates and claims chunks itself; RunWorker catches
+  // what fn throws, so the mark is always cleared.
+  tls_in_parallel_region = true;
+  state->RunWorker();
+  tls_in_parallel_region = false;
 
   std::unique_lock<std::mutex> lock(state->mu);
   state->done_cv.wait(lock, [&] { return state->Done(); });

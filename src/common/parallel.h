@@ -7,18 +7,16 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 namespace rpas {
 
-/// Number of worker threads RPAS parallel kernels may use. Resolution
-/// order: SetRpasThreads() override > RPAS_NUM_THREADS environment
-/// variable > hardware concurrency. Always >= 1; a value of 1 forces every
-/// parallel construct down its serial path.
+/// Number of threads a ParallelFor may use, the calling thread included.
+/// Resolution order: SetRpasThreads() override > RPAS_NUM_THREADS
+/// environment variable > hardware concurrency. Always >= 1; a value of 1
+/// forces every parallel construct down its serial path.
 int RpasThreads();
 
 /// Largest thread count RPAS_NUM_THREADS, ParseThreadCount and
@@ -92,38 +90,13 @@ class ThreadPool {
   size_t max_queue_depth_ = 0;  // guarded by mu_
 };
 
-/// Non-owning reference to a `void(size_t, size_t)` chunk body. Unlike
-/// std::function it never allocates, so a kernel's ParallelFor call costs
-/// no heap traffic. It only borrows the callable, which must outlive every
-/// call through it; ParallelFor blocks until all chunks have run, so a
-/// lambda written at the call site always does.
-class ChunkFnRef {
- public:
-  template <typename F, typename = std::enable_if_t<
-                            !std::is_same_v<std::decay_t<F>, ChunkFnRef>>>
-  ChunkFnRef(F&& fn)  // implicit: call sites pass lambdas directly
-      : callable_(static_cast<const void*>(std::addressof(fn))),
-        invoke_([](const void* callable, size_t begin, size_t end) {
-          (*static_cast<const std::remove_reference_t<F>*>(callable))(begin,
-                                                                      end);
-        }) {}
-
-  void operator()(size_t begin, size_t end) const {
-    invoke_(callable_, begin, end);
-  }
-
- private:
-  const void* callable_;
-  void (*invoke_)(const void*, size_t, size_t);
-};
-
 /// Splits [begin, end) into consecutive chunks of at most `grain`
 /// iterations and runs `fn(chunk_begin, chunk_end)` for every chunk,
 /// fanning chunks across the shared thread pool. Blocks until all chunks
 /// have finished.
 ///
 /// Determinism contract: the partition depends only on (begin, end,
-/// grain) — never on the thread count — so any kernel whose chunks write
+/// grain) — never on the thread count — so a loop whose chunks write
 /// disjoint outputs produces bit-identical results for every value of
 /// RPAS_NUM_THREADS. Chunks are claimed dynamically, so `fn` must not
 /// depend on which thread runs a chunk or in which order chunks run.
@@ -132,9 +105,11 @@ class ChunkFnRef {
 /// after all in-flight chunks have completed (remaining chunks are
 /// abandoned). An empty range returns immediately without invoking `fn`;
 /// `grain` >= the range size yields a single chunk. `grain` 0 is treated
-/// as 1. Nested calls (from inside a pool worker) and calls with
-/// RpasThreads() == 1 run serially on the calling thread.
-void ParallelFor(size_t begin, size_t end, size_t grain, ChunkFnRef fn);
+/// as 1. Parallelism has one level: a call on a pool worker, or on a thread
+/// that is running chunks of its own fanned-out call, runs serially on the
+/// calling thread, as does every call at RpasThreads() == 1.
+void ParallelFor(size_t begin, size_t end, size_t grain,
+                 const std::function<void(size_t, size_t)>& fn);
 
 }  // namespace rpas
 

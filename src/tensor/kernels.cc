@@ -8,7 +8,6 @@
 #include <cstring>
 #include <vector>
 
-#include "common/parallel.h"
 #include "tensor/kernels_internal.h"
 
 namespace rpas::tensor::kernels {
@@ -438,22 +437,21 @@ void LstmCellBackwardScalar(size_t batch, size_t hidden, const double* act,
   }
 }
 
-// Cost model for the parallel drivers. Forking the shared pool costs on the
-// order of microseconds, so products below the flop threshold run as one
-// chunk on the calling thread (ParallelFor's serial path) — the tiny GEMMs
-// of a single decision round never pay scheduling overhead. Thresholds and
-// grains depend only on operand shapes, never the thread count, keeping the
-// partition (and the result) reproducible across RPAS_NUM_THREADS values.
-constexpr double kMinParallelFlops = 256.0 * 1024.0;
-// Rows per chunk once a product clears the threshold. Even, so chunk
-// boundaries preserve the SIMD kernels' 2-row register tiling.
-constexpr size_t kGemmRowGrainRows = 16;
-// The fused cell step is transcendental-bound; one tanh/sigmoid costs tens
-// of flops, and each batch element evaluates 4*hidden of them. Eight rows
-// are two of the AVX2 step's 4-row tiles, and a block of them keeps its
-// gate rows in L1 between the products and the cell.
-constexpr double kLstmFlopsPerGate = 16.0;
-constexpr size_t kLstmRowGrainRows = 8;
+// Rows per block in the row-walking drivers. Each block runs on the calling
+// thread, and rows never mix, so the block size changes no result. Even, so
+// block boundaries preserve the SIMD kernels' 2-row register tiling.
+constexpr size_t kGemmBlockRows = 16;
+// Eight rows are two of the AVX2 step's 4-row tiles, and a block of them
+// keeps its gate rows in L1 between the products and the cell.
+constexpr size_t kLstmBlockRows = 8;
+
+// Runs fn(r0, r1) over [0, rows) in consecutive blocks of `block` rows.
+template <typename Fn>
+void ForEachRowBlock(size_t rows, size_t block, Fn&& fn) {
+  for (size_t r0 = 0; r0 < rows; r0 += block) {
+    fn(r0, std::min(r0 + block, rows));
+  }
+}
 
 }  // namespace
 
@@ -517,68 +515,36 @@ void GemmRowsScalar(size_t r0, size_t r1, size_t n, size_t k, const double* a,
   }
 }
 
-size_t GemmRowGrain(size_t m, size_t n, size_t k) {
-  if (m == 0) {
-    return 1;
-  }
-  const double flops = 2.0 * static_cast<double>(m) *
-                       static_cast<double>(n) * static_cast<double>(k);
-  return flops < kMinParallelFlops ? m : kGemmRowGrainRows;
-}
-
-size_t LstmStepRowGrain(size_t batch, size_t in_dim, size_t hidden) {
-  if (batch == 0) {
-    return 1;
-  }
-  const double gate_columns = 4.0 * static_cast<double>(hidden);
-  const double flops =
-      static_cast<double>(batch) *
-      (2.0 * gate_columns * static_cast<double>(in_dim + hidden) +
-       kLstmFlopsPerGate * gate_columns);
-  return flops < kMinParallelFlops ? batch : kLstmRowGrainRows;
-}
-
-size_t LstmRowGrain(size_t batch, size_t hidden) {
-  if (batch == 0) {
-    return 1;
-  }
-  const double flops = kLstmFlopsPerGate * 4.0 *
-                       static_cast<double>(batch) *
-                       static_cast<double>(hidden);
-  return flops < kMinParallelFlops ? batch : kLstmRowGrainRows;
-}
-
 void Gemm(SimdLevel level, size_t m, size_t n, size_t k, const double* a,
           size_t lda, const double* b, size_t ldb, double* c, size_t ldc) {
   if (m == 0 || n == 0) {
     return;
   }
-  const size_t grain = GemmRowGrain(m, n, k);
   if (n < kPanelWidth) {
     // Skinny outputs such as head projections, where packing overhead
     // dominates. The cutoff depends only on the operand shapes, never on
     // the batch row count, preserving batched-vs-unbatched bit-identity.
     const GemmRowsNarrowFn narrow = kGemmRowsNarrow[n];
-    ParallelFor(0, m, grain, [&](size_t r0, size_t r1) {
+    ForEachRowBlock(m, kGemmBlockRows, [&](size_t r0, size_t r1) {
       narrow(r0, r1, k, a, lda, b, ldb, c, ldc);
     });
     return;
   }
   if (level == SimdLevel::kScalar) {
-    ParallelFor(0, m, grain, [&](size_t r0, size_t r1) {
+    ForEachRowBlock(m, kGemmBlockRows, [&](size_t r0, size_t r1) {
       GemmRowsScalar(r0, r1, n, k, a, lda, b, ldb, c, ldc);
     });
     return;
   }
-  // Pack B once into zero-padded column panels; every worker reads the same
-  // packed image. The buffer is thread_local to the *calling* thread so
-  // concurrent GEMMs (serve batching, parallel backtest folds, fleet
-  // shards) never contend, and its capacity is recycled across calls.
+  // Pack B once into zero-padded column panels that every row block reads.
+  // The buffer is thread_local so concurrent GEMMs (serve batching,
+  // parallel backtest folds, fleet shards) never contend, and its capacity
+  // is recycled across calls.
   thread_local std::vector<double> pack_buffer;
   pack_buffer.resize(PackedSize(k, n));
   PackB(k, n, b, ldb, pack_buffer.data());
   const double* packed = pack_buffer.data();
-  ParallelFor(0, m, grain, [&](size_t r0, size_t r1) {
+  ForEachRowBlock(m, kGemmBlockRows, [&](size_t r0, size_t r1) {
     GemmPackedRows(level, r0, r1, n, k, a, lda, packed, c, ldc);
   });
 }
@@ -607,10 +573,10 @@ void GemmTN(SimdLevel level, size_t m, size_t n, size_t k, const double* a,
   if (m == 0 || n == 0) {
     return;
   }
-  // Partition over output rows (columns of A). Within a chunk the p loop
-  // still visits every k index in ascending order per element, so the
-  // split changes nothing about any element's accumulation sequence.
-  ParallelFor(0, m, GemmRowGrain(m, n, k), [&](size_t i0, size_t i1) {
+  // Blocks of output rows (columns of A). Within a block the p loop still
+  // visits every k index in ascending order per element, so the split
+  // changes nothing about any element's accumulation sequence.
+  ForEachRowBlock(m, kGemmBlockRows, [&](size_t i0, size_t i1) {
     const size_t rows = i1 - i0;
 #if RPAS_KERNELS_HAVE_AVX2
     if (level >= SimdLevel::kAvx2) {
@@ -630,7 +596,7 @@ void GemmNT(SimdLevel level, size_t m, size_t n, size_t k, const double* a,
   }
   // Rows of C are independent dot products — trivially bit-stable under
   // any row partition.
-  ParallelFor(0, m, GemmRowGrain(m, n, k), [&](size_t i0, size_t i1) {
+  ForEachRowBlock(m, kGemmBlockRows, [&](size_t i0, size_t i1) {
     const size_t rows = i1 - i0;
 #if RPAS_KERNELS_HAVE_AVX2
     if (level >= SimdLevel::kAvx2) {
@@ -735,11 +701,10 @@ void LstmStep(SimdLevel level, size_t batch, const LstmStepWeights& weights,
   if (batch == 0 || hidden == 0) {
     return;
   }
-  // A chunk computes its rows' pre-activations and then runs the cell over
+  // A block computes its rows' pre-activations and then runs the cell over
   // them, reading only its own rows of h_prev and c_prev: in-place state
   // needs no barrier between the products and the cell.
-  ParallelFor(0, batch, LstmStepRowGrain(batch, weights.in_dim, hidden),
-              [&](size_t r0, size_t r1) {
+  ForEachRowBlock(batch, kLstmBlockRows, [&](size_t r0, size_t r1) {
 #if RPAS_KERNELS_HAVE_AVX512
     if (level == SimdLevel::kAvx512) {
       avx512::LstmStepRows(r0, r1, weights, x, h_prev, c_prev, ldcp, gates,
@@ -769,8 +734,7 @@ void LstmCellBackward(SimdLevel level, size_t batch, size_t hidden,
   if (batch == 0 || hidden == 0) {
     return;
   }
-  ParallelFor(0, batch, LstmRowGrain(batch, hidden),
-              [&](size_t r0, size_t r1) {
+  ForEachRowBlock(batch, kLstmBlockRows, [&](size_t r0, size_t r1) {
     const size_t rows = r1 - r0;
     const double* a = act + r0 * 4 * hidden;
     const double* cp = c_prev + r0 * ldcp;

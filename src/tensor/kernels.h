@@ -86,47 +86,34 @@ size_t PackedSize(size_t k, size_t n);
 inline constexpr size_t kPanelWidth = 8;
 
 /// Packs row-major B (k x n, leading dimension ldb) into panel-major layout:
-/// panel j0 holds columns [j0, j0+8) contiguously per p. Shared read-only by
-/// all worker threads of one GEMM call.
+/// panel j0 holds columns [j0, j0+8) contiguously per p. Read-only for
+/// every row block of one GEMM call.
 void PackB(size_t k, size_t n, const double* b, size_t ldb, double* packed);
 
-/// C rows [r0, r1) += A * B using a packed B. Serial — callers parallelize
-/// over row ranges. Every level keeps each element's ascending-p chain, and
-/// the scalar level's plain mul-then-add equals GemmRowsScalar bit for bit,
-/// so a caller that packs B once can serve every level through this call.
+/// C rows [r0, r1) += A * B using a packed B. Every level keeps each
+/// element's ascending-p chain, and the scalar level's plain mul-then-add
+/// equals GemmRowsScalar bit for bit, so a caller that packs B once can
+/// serve every level through this call.
 void GemmPackedRows(SimdLevel level, size_t r0, size_t r1, size_t n, size_t k,
                     const double* a, size_t lda, const double* packed,
                     double* c, size_t ldc);
 
-/// Row grain the parallel GEMM drivers hand to ParallelFor: the whole row
-/// range (one chunk -> ParallelFor's serial path) when the product's
-/// 2*m*n*k flop count is below the parallelization threshold, a fixed
-/// 16-row grain otherwise. Depends only on the operand shape — never the
-/// thread count — so the partition, and with it the result, is identical
-/// for every RPAS_NUM_THREADS value. The fixed grain is even, so chunk
-/// boundaries preserve the 2-row register tiling of the SIMD kernels.
-size_t GemmRowGrain(size_t m, size_t n, size_t k);
+// Threading: every driver below runs on its calling thread and walks its
+// rows in fixed blocks (16 rows for the GEMMs, 8 for the LSTM kernels).
+// Rows never mix, so a row's result does not depend on its block, on the
+// batch size or on RPAS_NUM_THREADS. Parallelism lives one level up, over
+// independent work (tenants, folds, scenario cells; DESIGN.md §7).
 
-/// Batch-row grain for LstmCellBackward. Same contract as GemmRowGrain;
-/// the per-element cost weight is much higher because the cell step is
-/// transcendental-bound, so smaller batches still fan out.
-size_t LstmRowGrain(size_t batch, size_t hidden);
-
-/// Batch-row grain for LstmStep: the same shape-only rule, costed as both
-/// gate products plus the cell, so one partition serves the whole step.
-size_t LstmStepRowGrain(size_t batch, size_t in_dim, size_t hidden);
-
-/// Full parallel GEMM driver: C (m x n, ldc) += A (m x k, lda) * B (k x n,
-/// ldb), all row-major. Packs B into column panels once (the AVX2 level
-/// with n >= kPanelWidth; the scalar level uses the unpacked reference
-/// rows) and fans GemmRowGrain()-sized row chunks across the shared thread
-/// pool. Skinny outputs (n < kPanelWidth, such as 1- or 2-column head
-/// projections) take a fixed-width path at every level that keeps each
-/// row's n running sums in registers over the ascending-p mul-then-add
-/// chain — bit-identical to GemmRowsScalar. Each output row is written by
-/// exactly one chunk with its k-accumulation in ascending order, so the
-/// result is bit-identical to the serial row kernels at any thread count
-/// and any dispatch level. Small products run on the calling thread.
+/// Full GEMM driver: C (m x n, ldc) += A (m x k, lda) * B (k x n, ldb), all
+/// row-major. Packs B into column panels once (the AVX2 level with
+/// n >= kPanelWidth; the scalar level uses the unpacked reference rows)
+/// and runs the row kernels over 16-row blocks. Skinny outputs
+/// (n < kPanelWidth, such as 1- or 2-column head projections) take a
+/// fixed-width path at every level that keeps each row's n running sums in
+/// registers over the ascending-p mul-then-add chain — bit-identical to
+/// GemmRowsScalar. Each output row is written once with its
+/// k-accumulation in ascending order, so the result equals the row kernels
+/// over the whole range bit for bit at any dispatch level.
 void Gemm(SimdLevel level, size_t m, size_t n, size_t k, const double* a,
           size_t lda, const double* b, size_t ldb, double* c, size_t ldc);
 
@@ -144,9 +131,8 @@ void GemmRowsScalar(size_t r0, size_t r1, size_t n, size_t k, const double* a,
 /// 0 + P == P; on a zeroed C the scalar level equals Transpose(A) and the
 /// reference GEMM. Used by the autodiff MatMul and LSTM backwards and
 /// DeepAR's training unroll to add weight gradients (dB = A^T g) straight
-/// into their gradient buffers. Parallel over m (GemmRowGrain cost model);
-/// an element's sequence never depends on the partition or tile, so
-/// results match the serial kernel bit-for-bit.
+/// into their gradient buffers. An element's sequence never depends on the
+/// row block or tile.
 void GemmTN(SimdLevel level, size_t m, size_t n, size_t k, const double* a,
             size_t lda, const double* b, size_t ldb, double* c, size_t ldc);
 
@@ -156,8 +142,7 @@ void GemmTN(SimdLevel level, size_t m, size_t n, size_t k, const double* a,
 /// 4-chunks of k, a fixed horizontal sum, then a scalar fma tail) and added
 /// to C once. Used by the autodiff MatMul backward (dA = g B^T) and the
 /// LSTM backwards (dh_prev = dgates W_h^T) without materializing the
-/// transpose. Parallel over m (GemmRowGrain cost model); rows are
-/// independent, so results match the serial kernel bit-for-bit.
+/// transpose. Rows are independent dot products.
 void GemmNT(SimdLevel level, size_t m, size_t n, size_t k, const double* a,
             size_t lda, const double* b, size_t ldb, double* c, size_t ldc);
 
@@ -172,10 +157,10 @@ void GemmNT(SimdLevel level, size_t m, size_t n, size_t k, const double* a,
 /// convert-and-pack, q8 block dequant-on-the-fly — and then routed through
 /// Gemm(), so every Gemm() guarantee carries over unchanged: each output
 /// row depends only on its own A row and the (identical) decoded weights,
-/// making batched and unbatched forwards bit-identical at any thread count
-/// *within* a dtype. Decoded values are exact functions of the stored
-/// bytes, so results are also identical across hosts and SIMD levels
-/// modulo the documented Gemm() level contract. Decoding to fp64 is the
+/// making batched and unbatched forwards bit-identical *within* a dtype.
+/// Decoded values are exact functions of the stored bytes, so results are
+/// also identical across hosts and SIMD levels modulo the documented
+/// Gemm() level contract. Decoding to fp64 is the
 /// only way a quantized weight reaches a GEMM: here, or once per call in a
 /// fused forward that decodes with DecodePayload (DeepAR's sampling roll).
 void GemmQuant(SimdLevel level, size_t m, size_t n, size_t k, const double* a,
@@ -244,8 +229,7 @@ struct LstmStepWeights {
 /// into a [h | c] node value. A row reads only its own rows of h_prev and
 /// c_prev, so the state may be updated in place: h_out may alias h_prev
 /// (ldh == hidden) and c_out may alias c_prev (same leading dimension).
-/// Parallel over the batch dimension (LstmStepRowGrain): rows are fully
-/// independent, so the fan-out is bit-identical to the serial step.
+/// Rows are fully independent and run in 8-row blocks.
 void LstmStep(SimdLevel level, size_t batch, const LstmStepWeights& weights,
               const double* x, const double* h_prev, const double* c_prev,
               size_t ldcp, double* gates, double* h_out, size_t ldh,
@@ -258,7 +242,7 @@ void LstmStep(SimdLevel level, size_t batch, const LstmStepWeights& weights,
 /// overwritten) and `dc_prev` (batch x hidden, overwritten).
 /// Uses plain mul/add in the exact expression shapes of the old per-node
 /// backward chain, so the SIMD levels agree with scalar bit-for-bit here.
-/// Parallel over the batch dimension (LstmRowGrain cost model).
+/// Rows are independent and run in 8-row blocks.
 void LstmCellBackward(SimdLevel level, size_t batch, size_t hidden,
                       const double* act, const double* c_prev, size_t ldcp,
                       const double* tanh_c, const double* dh, size_t ldh,

@@ -15,12 +15,10 @@ void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out) {
   RPAS_CHECK(out != nullptr && out->rows() == a.rows() &&
              out->cols() == b.cols())
       << "matmul output shape mismatch";
-  // The kernels::Gemm driver packs B and row-panel-parallelizes with a
-  // shape-only cost model. Each output row is written by exactly one chunk
-  // and its k-accumulation runs in ascending order at every level, so
-  // results are bit-identical to the serial path and independent of the
-  // row count. No data-dependent skips: 0 * NaN must stay NaN (IEEE-754
-  // propagation).
+  // The kernels::Gemm driver packs B and walks 16-row blocks on the calling
+  // thread. Each output row's k-accumulation runs in ascending order at
+  // every level, so a row's result is independent of the row count. No
+  // data-dependent skips: 0 * NaN must stay NaN (IEEE-754 propagation).
   kernels::Gemm(kernels::ActiveLevel(), a.rows(), b.cols(), a.cols(),
                 a.data(), a.cols(), b.data(), b.cols(), out->data(),
                 out->cols());

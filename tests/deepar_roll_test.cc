@@ -36,8 +36,7 @@ using tensor::Matrix;
 
 constexpr size_t kContext = 10;
 constexpr size_t kHorizon = 6;
-// 3 x 80 stacked rows clear the LSTM step's parallel threshold at every
-// hidden size below, so 4 threads really fan out.
+// 3 x 80 stacked rows: thirty 8-row blocks of the LSTM step.
 constexpr size_t kSamples = 80;
 constexpr uint64_t kSamplingSalt = 0xD1CEu;
 

@@ -6,12 +6,12 @@
 // for the Student-t and Gaussian heads; for hidden sizes whose gate blocks
 // fill the 4-wide AVX2 vectors (32, 20) or leave a masked tail (18, 7; at 7
 // the 28 gate columns also end in a 4-wide GEMM panel), of which only 32
-// fills avx512's 8-wide ones; for minibatches of 8 rows and of 96 (wide
-// enough that the LSTM step, and at H >= 20 the GEMMs, fan out at 4
-// threads) over at least 8 windows, then for a fine-tune over fewer windows
-// than batch_size (the IncrementalUpdate case); at every SIMD level and at
-// 1 and 4 threads. The public Fit and IncrementalUpdate must land on the
-// same weights, and a gradient step after the first must allocate nothing.
+// fills avx512's 8-wide ones; for minibatches of 8 rows and of 96 (twelve
+// 8-row LSTM blocks, six 16-row GEMM blocks) over at least 8 windows,
+// then for a fine-tune over fewer windows than batch_size (the
+// IncrementalUpdate case); at every SIMD level and at 1 and 4 threads.
+// The public Fit and IncrementalUpdate must land on the same weights, and
+// a gradient step after the first must allocate nothing.
 // At the loop and fleet shapes, avx512 must save avx2's checkpoint bytes.
 
 #include <gtest/gtest.h>

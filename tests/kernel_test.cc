@@ -220,9 +220,10 @@ TEST(GemmParityTest, TransposedVariantsWithinConditionBoundAtAllLevels) {
 
 // The serve layer's batched-vs-unbatched bit-identity reduces to this
 // kernel-level property: each output row depends only on that row of A.
+// 37 rows are two 16-row blocks and a 5-row tail.
 TEST(GemmParityTest, RowResultsIndependentOfBatchSize) {
   Rng rng(0xFEED);
-  const size_t m = 6, k = 13, n = 9;
+  const size_t m = 37, k = 13, n = 9;
   Matrix a(m, k);
   Matrix b(k, n);
   FillUniform(&a, &rng, -2.0, 2.0);
@@ -248,25 +249,18 @@ TEST(GemmParityTest, RowResultsIndependentOfBatchSize) {
 
 // ------------------------------------------------------- quantized GEMM ---
 
-/// Restores the environment/hardware thread default on scope exit.
-class ThreadOverrideGuard {
- public:
-  ~ThreadOverrideGuard() { SetRpasThreads(0); }
-};
-
 // Shapes straddling the 64-value q8 block (partial single block, exact
-// block, partial second block, multiple blocks), plus one tall enough to
-// clear the GEMM parallel threshold so 4 threads really fan out.
+// block, partial second block, multiple blocks), plus one taller than a
+// 16-row GEMM block.
 const GemmShape kQuantShapes[] = {
     {1, 1, 1},   {3, 13, 9},  {5, 63, 7},   {4, 64, 8},
     {7, 65, 16}, {2, 100, 5}, {6, 200, 33}, {40, 200, 33},
 };
 
-// GemmQuant is decode + Gemm: for every storage dtype, level and thread
-// count it must equal an explicit DecodePayload followed by Gemm at the
-// same level, bit for bit, accumulating into a prefilled C.
+// GemmQuant is decode + Gemm: for every storage dtype and level it must
+// equal an explicit DecodePayload followed by Gemm at the same level, bit
+// for bit, accumulating into a prefilled C.
 TEST(GemmQuantTest, BitIdenticalToDecodePlusGemmAndAccumulates) {
-  ThreadOverrideGuard guard;
   Rng rng(0x0FF);
   for (const GemmShape& s : kQuantShapes) {
     Matrix a(s.m, s.k);
@@ -281,20 +275,16 @@ TEST(GemmQuantTest, BitIdenticalToDecodePlusGemmAndAccumulates) {
       Matrix decoded(s.k, s.n);
       DecodePayload(dtype, payload.data(), decoded.size(), decoded.data());
       for (SimdLevel level : SupportedLevels()) {
-        for (int threads : {1, 4}) {
-          SetRpasThreads(threads);
-          Matrix expected = prefill;
-          Gemm(level, s.m, s.n, s.k, a.data(), s.k, decoded.data(), s.n,
-               expected.data(), s.n);
-          Matrix c = prefill;
-          GemmQuant(level, s.m, s.n, s.k, a.data(), s.k, dtype,
-                    payload.data(), c.data(), s.n);
-          for (size_t i = 0; i < c.size(); ++i) {
-            ASSERT_EQ(expected[i], c[i])
-                << DTypeName(dtype) << " " << LevelName(level) << " "
-                << threads << " threads " << s.m << "x" << s.k << "x" << s.n
-                << " flat index " << i;
-          }
+        Matrix expected = prefill;
+        Gemm(level, s.m, s.n, s.k, a.data(), s.k, decoded.data(), s.n,
+             expected.data(), s.n);
+        Matrix c = prefill;
+        GemmQuant(level, s.m, s.n, s.k, a.data(), s.k, dtype, payload.data(),
+                  c.data(), s.n);
+        for (size_t i = 0; i < c.size(); ++i) {
+          ASSERT_EQ(expected[i], c[i])
+              << DTypeName(dtype) << " " << LevelName(level) << " " << s.m
+              << "x" << s.k << "x" << s.n << " flat index " << i;
         }
       }
     }
@@ -828,72 +818,65 @@ double FromBits(uint64_t bits) {
   return v;
 }
 
-// The avx512 level is a speed level: its LstmStep must equal avx2's byte
-// for byte. Hidden sizes give full 8-lane cell groups (32), masked tails
-// (20, 18, 7, 1) and the 4-wide last panel of an odd H (7, 1); row counts
-// give 4-row tiles, tail rows and the parallel fan-out (100, 128). Each
-// case chains three steps, with and without tanh_c, out of place and with
-// h and c updated in place, at 1 and 4 threads. Then the cell's sigmoid
-// and tanh run on chosen values: with W_x and W_h zero every
-// pre-activation is (+0.0 + +0.0) + b, the bias itself (a -0.0 bias
-// arrives as +0.0), so a step runs sigmoid on the i, f and o columns and
-// tanh on the g column of exactly its bias. The bias slides H values per
-// step over the probe, so each value passes through all four gates. The
-// probe covers infinities, NaNs of both signs with payloads (quiet and
-// signalling), subnormals, the small/large tanh branch point 0.625, exp's
-// clamps and the inputs whose doubled magnitude reaches them, a million
-// uniform values where the polynomials are used, and a million random bit
-// patterns.
+// The avx512 level is a speed level: its LstmStep must equal avx2's byte for
+// byte. Hidden sizes give full 8-lane cell groups (32), masked tails (20,
+// 18, 7, 1) and the 4-wide last panel of an odd H (7, 1); row counts give
+// 4-row tiles, tail rows and several 8-row blocks (13, 100, 128). Each case
+// chains three steps, with and without tanh_c, out of place and with h and c
+// updated in place. Then the cell's sigmoid and tanh run on chosen values:
+// with W_x and W_h zero every pre-activation is (+0.0 + +0.0) + b, the bias
+// itself (a -0.0 bias arrives as +0.0), so a step runs sigmoid on the i, f
+// and o columns and tanh on the g column of exactly its bias. The bias
+// slides H values per step over the probe, so each value passes through all
+// four gates. The probe covers infinities, NaNs of both signs with payloads
+// (quiet and signalling), subnormals, the small/large tanh branch point
+// 0.625, exp's clamps and the inputs whose doubled magnitude reaches them, a
+// million uniform values where the polynomials are used, and a million
+// random bit patterns.
 TEST(LstmKernelTest, Avx512StepBitIdenticalToAvx2) {
   if (!LevelSupported(SimdLevel::kAvx512)) {
     GTEST_SKIP() << "no AVX-512F on this CPU or build";
   }
-  ThreadOverrideGuard guard;
   constexpr int kSteps = 3;
   for (size_t hidden : {1u, 7u, 18u, 20u, 32u}) {
     for (size_t rows : {1u, 3u, 6u, 8u, 13u, 100u, 128u}) {
       const LstmFixture f = MakeLstmFixture(rows, 5, hidden,
                                             0xA512 + 64 * rows + hidden);
       const PackedLstm packed(f);
-      for (int threads : {1, 4}) {
-        SetRpasThreads(threads);
-        for (bool in_place : {false, true}) {
-          for (bool with_tanh_c : {false, true}) {
-            auto run = [&](SimdLevel level) {
-              LstmOut out{Matrix(rows, 4 * hidden), f.h, f.c_prev,
-                          Matrix(rows, hidden)};
-              Matrix h_next(rows, hidden), c_next(rows, hidden);
-              for (int step = 0; step < kSteps; ++step) {
-                double* h_out = in_place ? out.h.data() : h_next.data();
-                double* c_out = in_place ? out.c.data() : c_next.data();
-                LstmStep(level, rows, packed.weights, f.x.data(),
-                         out.h.data(), out.c.data(), hidden, out.act.data(),
-                         h_out, hidden, c_out, hidden,
-                         with_tanh_c ? out.tanh_c.data() : nullptr);
-                if (!in_place) {
-                  std::swap(out.h, h_next);
-                  std::swap(out.c, c_next);
-                }
+      for (bool in_place : {false, true}) {
+        for (bool with_tanh_c : {false, true}) {
+          auto run = [&](SimdLevel level) {
+            LstmOut out{Matrix(rows, 4 * hidden), f.h, f.c_prev,
+                        Matrix(rows, hidden)};
+            Matrix h_next(rows, hidden), c_next(rows, hidden);
+            for (int step = 0; step < kSteps; ++step) {
+              double* h_out = in_place ? out.h.data() : h_next.data();
+              double* c_out = in_place ? out.c.data() : c_next.data();
+              LstmStep(level, rows, packed.weights, f.x.data(), out.h.data(),
+                       out.c.data(), hidden, out.act.data(), h_out, hidden,
+                       c_out, hidden,
+                       with_tanh_c ? out.tanh_c.data() : nullptr);
+              if (!in_place) {
+                std::swap(out.h, h_next);
+                std::swap(out.c, c_next);
               }
-              return out;
-            };
-            const LstmOut want = run(SimdLevel::kAvx2);
-            const LstmOut got = run(SimdLevel::kAvx512);
-            const std::string what =
-                "H=" + std::to_string(hidden) +
-                " rows=" + std::to_string(rows) + " " +
-                std::to_string(threads) + " threads" +
-                (in_place ? " in place" : "") +
-                (with_tanh_c ? " with tanh_c" : "");
-            ASSERT_TRUE(SameBytes(want.act.data(), got.act.data(),
-                                  want.act.size(), what + " gates"));
-            ASSERT_TRUE(SameBytes(want.h.data(), got.h.data(), want.h.size(),
-                                  what + " h"));
-            ASSERT_TRUE(SameBytes(want.c.data(), got.c.data(), want.c.size(),
-                                  what + " c"));
-            ASSERT_TRUE(SameBytes(want.tanh_c.data(), got.tanh_c.data(),
-                                  want.tanh_c.size(), what + " tanh_c"));
-          }
+            }
+            return out;
+          };
+          const LstmOut want = run(SimdLevel::kAvx2);
+          const LstmOut got = run(SimdLevel::kAvx512);
+          const std::string what = "H=" + std::to_string(hidden) +
+                                   " rows=" + std::to_string(rows) +
+                                   (in_place ? " in place" : "") +
+                                   (with_tanh_c ? " with tanh_c" : "");
+          ASSERT_TRUE(SameBytes(want.act.data(), got.act.data(),
+                                want.act.size(), what + " gates"));
+          ASSERT_TRUE(SameBytes(want.h.data(), got.h.data(), want.h.size(),
+                                what + " h"));
+          ASSERT_TRUE(SameBytes(want.c.data(), got.c.data(), want.c.size(),
+                                what + " c"));
+          ASSERT_TRUE(SameBytes(want.tanh_c.data(), got.tanh_c.data(),
+                                want.tanh_c.size(), what + " tanh_c"));
         }
       }
     }
@@ -943,7 +926,6 @@ TEST(LstmKernelTest, Avx512StepBitIdenticalToAvx2) {
   f.wh = Matrix(hidden, 4 * hidden);
   const PackedLstm packed(f);
   LstmStepWeights weights = packed.weights;
-  SetRpasThreads(1);
   auto run = [&](SimdLevel level) {
     LstmOut out{Matrix(1, 4 * hidden), Matrix(1, hidden), Matrix(1, hidden),
                 Matrix(1, hidden)};
@@ -1138,64 +1120,53 @@ TEST(TrainLoopParityTest, FinalLossAgreesAcrossLevelsAndArenaStaysFlat) {
   }
 }
 
-// ---------------------------------------------------- parallel drivers ---
+// --------------------------------------------------------- row drivers ---
 
-TEST(ParallelKernelTest, GrainCostModelIsShapeOnly) {
-  ThreadOverrideGuard guard;
-  // Below the flop threshold: one chunk covering the whole range, which
-  // ParallelFor runs serially on the calling thread.
-  EXPECT_EQ(8u, GemmRowGrain(8, 8, 8));
-  EXPECT_EQ(1u, GemmRowGrain(1, 1, 1));
-  EXPECT_EQ(4u, LstmRowGrain(4, 8));
-  EXPECT_EQ(8u, LstmStepRowGrain(8, 5, 20));
-  // Above it: the fixed row grain, never derived from the thread count.
-  EXPECT_EQ(16u, GemmRowGrain(512, 64, 64));
-  EXPECT_EQ(8u, LstmRowGrain(512, 64));
-  EXPECT_EQ(8u, LstmStepRowGrain(128, 5, 20));
-  for (int threads : {1, 2, 8}) {
-    SetRpasThreads(threads);
-    EXPECT_EQ(16u, GemmRowGrain(512, 64, 64)) << threads << " threads";
-    EXPECT_EQ(8u, GemmRowGrain(8, 8, 8)) << threads << " threads";
-    EXPECT_EQ(8u, LstmRowGrain(512, 64)) << threads << " threads";
-    EXPECT_EQ(8u, LstmStepRowGrain(128, 5, 20)) << threads << " threads";
-    EXPECT_EQ(8u, LstmStepRowGrain(8, 5, 20)) << threads << " threads";
-  }
-}
+/// Restores the environment/hardware thread default on scope exit.
+class ThreadOverrideGuard {
+ public:
+  ~ThreadOverrideGuard() { SetRpasThreads(0); }
+};
 
-TEST(ParallelKernelTest, GemmBitIdenticalAcrossThreadCountsAtEveryLevel) {
+// The drivers run on their calling thread: at four pool threads, a
+// 512 x 512 product, its narrow (n < 8) and transposed forms, DeepAR's
+// sampling-roll step (128 rows, H 20) and a 96-row cell backward at H 64
+// submit no pool task.
+TEST(ParallelKernelTest, KernelsSubmitNoPoolTaskAtFourThreads) {
   ThreadOverrideGuard guard;
-  Rng rng(0xFEED);
-  // Big enough that 2*m*n*k clears the cost-model threshold, so the
-  // parallel row-panel path genuinely engages; ragged in every dimension.
-  Matrix a(130, 70);
-  Matrix b(70, 91);
-  FillUniform(&a, &rng, -2.0, 2.0);
-  FillUniform(&b, &rng, -2.0, 2.0);
-  ASSERT_EQ(16u, GemmRowGrain(a.rows(), b.cols(), a.cols()));
+  SetRpasThreads(4);
+  Rng rng(0x512);
+  Matrix a(512, 512), b(512, 512), narrow_b(512, 2), small(128, 128);
+  FillUniform(&a, &rng, -1.0, 1.0);
+  FillUniform(&b, &rng, -1.0, 1.0);
+  FillUniform(&narrow_b, &rng, -1.0, 1.0);
+  FillUniform(&small, &rng, -1.0, 1.0);
+  const LstmFixture step = MakeLstmFixture(128, 5, 20, 0x128);
+  const LstmFixture cell = MakeLstmFixture(96, 5, 64, 0x96);
+  std::vector<double> dh(96 * 64, 0.5), dc(96 * 64, -0.25);
+  std::vector<double> dgates(96 * 4 * 64), dc_prev(96 * 64);
   for (SimdLevel level : SupportedLevels()) {
     ScopedSimdLevel scoped(level);
-    SetRpasThreads(1);
-    Matrix ref(a.rows(), b.cols());
-    MatMulInto(a, b, &ref);
-    for (int threads : {2, 8}) {
-      SetRpasThreads(threads);
-      Matrix c(a.rows(), b.cols());
-      MatMulInto(a, b, &c);
-      for (size_t i = 0; i < c.size(); ++i) {
-        ASSERT_EQ(ref[i], c[i])
-            << LevelName(level) << " gemm diverged at flat index " << i
-            << " with " << threads << " threads";
-      }
-    }
+    const uint64_t before = ThreadPool::Shared().GetStats().tasks_submitted;
+    MatMul(a, b);
+    MatMul(a, narrow_b);
+    MatMulTN(small, small);
+    MatMulNT(small, small);
+    RunStep(level, step);
+    const LstmOut out = RunStep(level, cell);
+    LstmCellBackward(level, 96, 64, out.act.data(), cell.c_prev.data(), 64,
+                     out.tanh_c.data(), dh.data(), 64, dc.data(), 64,
+                     dgates.data(), dc_prev.data());
+    EXPECT_EQ(before, ThreadPool::Shared().GetStats().tasks_submitted)
+        << LevelName(level);
   }
 }
 
 TEST(ParallelKernelTest, NarrowGemmBitIdenticalToScalarRowsAtEveryLevel) {
   // Gemm's fixed n < 8 path keeps each row's running sums in registers; it
   // must equal the memory-accumulating GemmRowsScalar bit for bit, across
-  // the kBlockK = 64 boundary, with strided operands, accumulating into a
-  // non-zero C, at every level and thread count.
-  ThreadOverrideGuard guard;
+  // the kBlockK = 64 boundary and 16-row blocks, with strided operands,
+  // accumulating into a non-zero C, at every level.
   Rng rng(0xA11);
   const size_t m = 1501;  // tiles of four plus a tail row
   for (size_t n : {1u, 2u, 7u}) {
@@ -1209,56 +1180,12 @@ TEST(ParallelKernelTest, NarrowGemmBitIdenticalToScalarRowsAtEveryLevel) {
       GemmRowsScalar(0, m, n, k, a.data(), lda, b.data(), ldb, ref.data(),
                      ldc);
       for (SimdLevel level : SupportedLevels()) {
-        for (int threads : {1, 4}) {
-          SetRpasThreads(threads);
-          std::vector<double> c = c0;
-          Gemm(level, m, n, k, a.data(), lda, b.data(), ldb, c.data(), ldc);
-          for (size_t i = 0; i < c.size(); ++i) {
-            ASSERT_EQ(ref[i], c[i])
-                << LevelName(level) << " n=" << n << " k=" << k << " @ " << i
-                << " with " << threads << " threads";
-          }
+        std::vector<double> c = c0;
+        Gemm(level, m, n, k, a.data(), lda, b.data(), ldb, c.data(), ldc);
+        for (size_t i = 0; i < c.size(); ++i) {
+          ASSERT_EQ(ref[i], c[i])
+              << LevelName(level) << " n=" << n << " k=" << k << " @ " << i;
         }
-      }
-    }
-  }
-}
-
-TEST(ParallelKernelTest, TransposedGemmsBitIdenticalAcrossThreadCounts) {
-  ThreadOverrideGuard guard;
-  Rng rng(0xD1CE);
-  const size_t m = 128, n = 66, k = 97;
-  Matrix a_tn(k, m);  // GemmTN reads A as (k x m)
-  Matrix a_nt(m, k);
-  Matrix b_tn(k, n);
-  Matrix b_nt(n, k);  // GemmNT reads B as (n x k)
-  FillUniform(&a_tn, &rng, -2.0, 2.0);
-  FillUniform(&a_nt, &rng, -2.0, 2.0);
-  FillUniform(&b_tn, &rng, -2.0, 2.0);
-  FillUniform(&b_nt, &rng, -2.0, 2.0);
-  ASSERT_EQ(16u, GemmRowGrain(m, n, k));
-  for (SimdLevel level : SupportedLevels()) {
-    ScopedSimdLevel scoped(level);
-    SetRpasThreads(1);
-    Matrix tn_ref(m, n), nt_ref(m, n);
-    GemmTN(ActiveLevel(), m, n, k, a_tn.data(), m, b_tn.data(), n,
-           tn_ref.data(), n);
-    GemmNT(ActiveLevel(), m, n, k, a_nt.data(), k, b_nt.data(), k,
-           nt_ref.data(), n);
-    for (int threads : {2, 8}) {
-      SetRpasThreads(threads);
-      Matrix tn(m, n), nt(m, n);
-      GemmTN(ActiveLevel(), m, n, k, a_tn.data(), m, b_tn.data(), n,
-             tn.data(), n);
-      GemmNT(ActiveLevel(), m, n, k, a_nt.data(), k, b_nt.data(), k,
-             nt.data(), n);
-      for (size_t i = 0; i < tn.size(); ++i) {
-        ASSERT_EQ(tn_ref[i], tn[i])
-            << LevelName(level) << " GemmTN diverged at " << i << " with "
-            << threads << " threads";
-        ASSERT_EQ(nt_ref[i], nt[i])
-            << LevelName(level) << " GemmNT diverged at " << i << " with "
-            << threads << " threads";
       }
     }
   }
@@ -1313,10 +1240,8 @@ void GemmNTOneColumnScalar(size_t m, size_t n, size_t k, const double* a,
 TEST(ParallelKernelTest, GemmNTBitIdenticalToOneColumnReference) {
   // GemmNT computes two rows by four output columns per pass; each element
   // must still follow the single-column sequence bit for bit. Random small
-  // shapes cover every m % 2, n % 4 and k % 4 tail, plus rows wide enough
-  // to clear the parallel threshold; operands are strided and C
-  // accumulates.
-  ThreadOverrideGuard guard;
+  // shapes cover every m % 2, n % 4 and k % 4 tail, plus two shapes that
+  // span several 16-row blocks; operands are strided and C accumulates.
   Rng rng(0x47E3);
   struct Shape {
     size_t m, n, k;
@@ -1348,16 +1273,12 @@ TEST(ParallelKernelTest, GemmNTBitIdenticalToOneColumnReference) {
       GemmNTOneColumnScalar(s.m, s.n, s.k, a.data(), lda, b.data(), ldb,
                             want.data(), ldc);
 #endif
-      for (int threads : {1, 4}) {
-        SetRpasThreads(threads);
-        std::vector<double> got = c0;
-        GemmNT(level, s.m, s.n, s.k, a.data(), lda, b.data(), ldb, got.data(),
-               ldc);
-        for (size_t i = 0; i < got.size(); ++i) {
-          ASSERT_EQ(want[i], got[i])
-              << LevelName(level) << " " << s.m << "x" << s.n << "x" << s.k
-              << " at " << i << " with " << threads << " threads";
-        }
+      std::vector<double> got = c0;
+      GemmNT(level, s.m, s.n, s.k, a.data(), lda, b.data(), ldb, got.data(),
+             ldc);
+      for (size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(want[i], got[i]) << LevelName(level) << " " << s.m << "x"
+                                   << s.n << "x" << s.k << " at " << i;
       }
     }
   }
@@ -1384,9 +1305,8 @@ void GemmTNOneElementReference(SimdLevel level, size_t m, size_t n, size_t k,
 TEST(ParallelKernelTest, GemmTNBitIdenticalToOneElementReference) {
   // GemmTN sums each element in a 4 x 8 register tile from +0.0 and adds it
   // to a prefilled C once. Random shapes cover every m % 4 and n % 8 tail
-  // and k = 1; two shapes clear the parallel threshold. Operands and C are
+  // and k = 1; two shapes span several 16-row blocks. Operands and C are
   // strided.
-  ThreadOverrideGuard guard;
   Rng rng(0x7E57);
   struct Shape {
     size_t m, n, k;
@@ -1408,16 +1328,12 @@ TEST(ParallelKernelTest, GemmTNBitIdenticalToOneElementReference) {
       std::vector<double> want = c0;
       GemmTNOneElementReference(level, s.m, s.n, s.k, a.data(), lda,
                                 b.data(), ldb, want.data(), ldc);
-      for (int threads : {1, 4}) {
-        SetRpasThreads(threads);
-        std::vector<double> got = c0;
-        GemmTN(level, s.m, s.n, s.k, a.data(), lda, b.data(), ldb, got.data(),
-               ldc);
-        for (size_t i = 0; i < got.size(); ++i) {
-          ASSERT_EQ(want[i], got[i])
-              << LevelName(level) << " " << s.m << "x" << s.n << "x" << s.k
-              << " at " << i << " with " << threads << " threads";
-        }
+      std::vector<double> got = c0;
+      GemmTN(level, s.m, s.n, s.k, a.data(), lda, b.data(), ldb, got.data(),
+             ldc);
+      for (size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(want[i], got[i]) << LevelName(level) << " " << s.m << "x"
+                                   << s.n << "x" << s.k << " at " << i;
       }
     }
   }
@@ -1427,9 +1343,8 @@ TEST(ParallelKernelTest, TransposedGemmsAddLikeZeroTempThenAxpy) {
   // The accumulate contract every backward relies on: adding straight into
   // C is bit for bit a zero-filled temp, the same product into it, then
   // Axpy(1.0) into C. Operands and C mix finite values with NaN, +-Inf and
-  // -0.0; shapes cover the row and column tails and k = 1, strided, at 1
-  // and 4 threads.
-  ThreadOverrideGuard guard;
+  // -0.0; shapes cover the row and column tails, 16-row blocks and k = 1,
+  // strided.
   Rng rng(0xACC0);
   const double inf = std::numeric_limits<double>::infinity();
   const double specials[] = {std::numeric_limits<double>::quiet_NaN(), inf,
@@ -1461,75 +1376,20 @@ TEST(ParallelKernelTest, TransposedGemmsAddLikeZeroTempThenAxpy) {
             GemmNT(level, s.m, s.n, s.k, a.data(), ld, b.data(), ld, c, ldc);
           }
         };
-        SetRpasThreads(1);
         std::vector<double> temp(c0.size(), 0.0);
         product(temp.data());
         std::vector<double> want = c0;
         for (size_t i = 0; i < s.m; ++i) {  // the padding columns stay as is
           Axpy(level, s.n, 1.0, temp.data() + i * ldc, want.data() + i * ldc);
         }
-        for (int threads : {1, 4}) {
-          SetRpasThreads(threads);
-          std::vector<double> got = c0;
-          product(got.data());
-          for (size_t i = 0; i < got.size(); ++i) {
-            ASSERT_TRUE(SameValue(want[i], got[i]))
-                << LevelName(level) << (transposed_b ? " GemmNT " : " GemmTN ")
-                << s.m << "x" << s.n << "x" << s.k << " at " << i << ": "
-                << want[i] << " vs " << got[i] << " with " << threads
-                << " threads";
-          }
+        std::vector<double> got = c0;
+        product(got.data());
+        for (size_t i = 0; i < got.size(); ++i) {
+          ASSERT_TRUE(SameValue(want[i], got[i]))
+              << LevelName(level) << (transposed_b ? " GemmNT " : " GemmTN ")
+              << s.m << "x" << s.n << "x" << s.k << " at " << i << ": "
+              << want[i] << " vs " << got[i];
         }
-      }
-    }
-  }
-}
-
-TEST(ParallelKernelTest, LstmCellBitIdenticalAcrossThreadCounts) {
-  ThreadOverrideGuard guard;
-  const size_t batch = 96, in_dim = 5, hidden = 64;
-  ASSERT_EQ(8u, LstmStepRowGrain(batch, in_dim, hidden));
-  ASSERT_EQ(8u, LstmRowGrain(batch, hidden));
-  const LstmFixture f = MakeLstmFixture(batch, in_dim, hidden, 0x1234);
-  Rng rng(0x4321);
-  std::vector<double> dh(batch * hidden), dc(batch * hidden);
-  for (double& v : dh) v = rng.Uniform(-1.0, 1.0);
-  for (double& v : dc) v = rng.Uniform(-1.0, 1.0);
-  for (SimdLevel level : SupportedLevels()) {
-    ScopedSimdLevel scoped(level);
-    struct Run {
-      LstmOut step;
-      std::vector<double> dgates, dc_prev;
-    };
-    auto run_at = [&](int threads) {
-      SetRpasThreads(threads);
-      Run r{RunStep(ActiveLevel(), f), {}, {}};
-      r.dgates.assign(batch * 4 * hidden, 0.0);
-      r.dc_prev.assign(batch * hidden, 0.0);
-      LstmCellBackward(ActiveLevel(), batch, hidden, r.step.act.data(),
-                       f.c_prev.data(), hidden, r.step.tanh_c.data(),
-                       dh.data(), hidden, dc.data(), hidden, r.dgates.data(),
-                       r.dc_prev.data());
-      return r;
-    };
-    const Run ref = run_at(1);
-    for (int threads : {2, 8}) {
-      const Run got = run_at(threads);
-      for (size_t i = 0; i < ref.step.h.size(); ++i) {
-        ASSERT_EQ(ref.step.h[i], got.step.h[i])
-            << LevelName(level) << " h @ " << i;
-        ASSERT_EQ(ref.step.c[i], got.step.c[i])
-            << LevelName(level) << " c @ " << i;
-        ASSERT_EQ(ref.step.tanh_c[i], got.step.tanh_c[i])
-            << LevelName(level) << " tanh_c @ " << i;
-        ASSERT_EQ(ref.dc_prev[i], got.dc_prev[i])
-            << LevelName(level) << " dc_prev @ " << i;
-      }
-      for (size_t i = 0; i < ref.dgates.size(); ++i) {
-        ASSERT_EQ(ref.step.act[i], got.step.act[i])
-            << LevelName(level) << " act @ " << i;
-        ASSERT_EQ(ref.dgates[i], got.dgates[i])
-            << LevelName(level) << " dgates @ " << i;
       }
     }
   }
