@@ -179,17 +179,19 @@ void BenchVectorOps(bool quick, std::vector<Record>* out) {
 /// DeepAR's input width: the scaled previous value plus calendar features.
 constexpr size_t kDeepArInput = 1 + forecast::kNumTimeFeatures;
 
-/// kernels::LstmStep at the sampling roll's two serving shapes and the
-/// training unroll's shapes, and the cell backward at the training shape.
+/// kernels::LstmStep at the sampling roll's serving shapes, the fleet's
+/// encode shape and the training unroll's shapes, and the cell backward at
+/// the training shape.
 void BenchLstmStep(bool quick, std::vector<Record>* out) {
   struct Shape {
     size_t rows, hidden;
   };
   // The paper-shape loop (100 samples, H 32), a fleet batch (8 requests
-  // x 16 samples, H 20), and the loop's training unroll: Fit's minibatch
-  // of 8 windows and a six-point fine-tune's 6.
-  for (const Shape& s :
-       {Shape{100, 32}, Shape{128, 20}, Shape{8, 32}, Shape{6, 32}}) {
+  // x 16 samples, H 20) and its context encode (one row per request), and
+  // the loop's training unroll: Fit's minibatch of 8 windows and a
+  // six-point fine-tune's 6.
+  for (const Shape& s : {Shape{100, 32}, Shape{128, 20}, Shape{8, 20},
+                         Shape{8, 32}, Shape{6, 32}}) {
     const size_t gw = 4 * s.hidden;
     Matrix x(s.rows, kDeepArInput), h(s.rows, s.hidden), c(s.rows, s.hidden);
     Matrix wx(kDeepArInput, gw), wh(s.hidden, gw), bias(1, gw);

@@ -15,8 +15,6 @@ uint64_t SplitMix64(uint64_t* state) {
   return z ^ (z >> 31);
 }
 
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 uint64_t DeriveSeed(uint64_t base, uint64_t stream) {
@@ -30,23 +28,6 @@ Rng::Rng(uint64_t seed) : seed_(seed) {
   for (auto& s : state_) {
     s = SplitMix64(&sm);
   }
-}
-
-uint64_t Rng::NextUint64() {
-  const uint64_t result = Rotl(state_[0] + state_[3], 23) + state_[0];
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
-}
-
-double Rng::Uniform() {
-  // 53 high bits -> double in [0, 1).
-  return static_cast<double>(NextUint64() >> 11) * 0x1.0p-53;
 }
 
 double Rng::Uniform(double lo, double hi) {
@@ -64,21 +45,6 @@ uint64_t Rng::UniformInt(uint64_t n) {
       return r % n;
     }
   }
-}
-
-double Rng::Normal() {
-  if (has_cached_normal_) {
-    has_cached_normal_ = false;
-    return cached_normal_;
-  }
-  // Box–Muller. Uniform() can return 0; shift into (0, 1].
-  double u1 = 1.0 - Uniform();
-  double u2 = Uniform();
-  double radius = std::sqrt(-2.0 * std::log(u1));
-  double theta = 2.0 * M_PI * u2;
-  cached_normal_ = radius * std::sin(theta);
-  has_cached_normal_ = true;
-  return radius * std::cos(theta);
 }
 
 double Rng::Normal(double mean, double stddev) {
@@ -102,8 +68,13 @@ double Rng::Gamma(double shape, double scale) {
     }
     return Gamma(shape + 1.0, scale) * std::pow(u, 1.0 / shape);
   }
-  const double d = shape - 1.0 / 3.0;
-  const double c = 1.0 / std::sqrt(9.0 * d);
+  if (shape != gamma_shape_) {
+    gamma_shape_ = shape;
+    gamma_d_ = shape - 1.0 / 3.0;
+    gamma_c_ = 1.0 / std::sqrt(9.0 * gamma_d_);
+  }
+  const double d = gamma_d_;
+  const double c = gamma_c_;
   for (;;) {
     double x = Normal();
     double v = 1.0 + c * x;

@@ -483,7 +483,7 @@ std::vector<double> DeepArForecaster::SampleRoll(const ForecastInput* inputs,
   const double mu_bias = mu_head_->bias()(0, 0);
   const double sigma_bias = sigma_head_->bias()(0, 0);
   std::vector<double> x(rows * kInputDim), gates(rows * gw);
-  std::vector<double> heads(rows * 2);
+  std::vector<double> heads(rows * 2), heads_enc(requests * 2);
   std::vector<double> h_enc(requests * hd), c_enc(requests * hd);
   std::vector<double> h_state(rows * hd), c_state(rows * hd);
   std::vector<double> draws(options_.horizon * rows);
@@ -513,28 +513,9 @@ std::vector<double> DeepArForecaster::SampleRoll(const ForecastInput* inputs,
 
   // Ancestral sampling: request r owns rows [r*S, (r+1)*S), each starting
   // from the request's encoded state and its last observed value. Each
-  // sampled value is fed back as the row's next input.
-  for (size_t r = 0; r < requests; ++r) {
-    for (size_t s = 0; s < num_samples; ++s) {
-      const size_t row = r * num_samples + s;
-      std::copy_n(h_enc.data() + r * hd, hd, h_state.data() + row * hd);
-      std::copy_n(c_enc.data() + r * hd, hd, c_state.data() + row * hd);
-      x[row * kInputDim] = inputs[r].context.back() / scales[r];
-    }
-  }
-  for (size_t step = 0; step < options_.horizon; ++step) {
-    for (size_t r = 0; r < requests; ++r) {
-      const auto tf = TimeFeatures(inputs[r].forecast_start() + step,
-                                   inputs[r].step_minutes);
-      for (size_t s = 0; s < num_samples; ++s) {
-        std::copy(tf.begin(), tf.end(),
-                  x.data() + (r * num_samples + s) * kInputDim + 1);
-      }
-    }
-    lstm_step(rows, h_state.data(), c_state.data());
-    std::fill(heads.begin(), heads.end(), 0.0);
-    kernels::Gemm(level, rows, 2, hd, h_state.data(), hd, head_w.data(), 2,
-                  heads.data(), 2);
+  // sampled value is fed back as the row's next input. A step's draws come
+  // from the rows' head outputs, request by request in sample order.
+  auto draw_step = [&](size_t step) {
     double* out = draws.data() + step * rows;
     for (size_t r = 0; r < requests; ++r) {
       for (size_t s = 0; s < num_samples; ++s) {
@@ -553,6 +534,46 @@ std::vector<double> DeepArForecaster::SampleRoll(const ForecastInput* inputs,
         x[row * kInputDim] = draw;
       }
     }
+  };
+
+  // Step 0: a request's rows all start from the same state and input, so
+  // the step and the head run on one row per request (rows never mix, so
+  // that row equals each of its copies), and the state and head outputs
+  // are copied to the request's rows before the draws.
+  for (size_t r = 0; r < requests; ++r) {
+    double* xr = x.data() + r * kInputDim;
+    xr[0] = inputs[r].context.back() / scales[r];
+    const auto tf =
+        TimeFeatures(inputs[r].forecast_start(), inputs[r].step_minutes);
+    std::copy(tf.begin(), tf.end(), xr + 1);
+  }
+  lstm_step(requests, h_enc.data(), c_enc.data());
+  kernels::Gemm(level, requests, 2, hd, h_enc.data(), hd, head_w.data(), 2,
+                heads_enc.data(), 2);
+  for (size_t r = 0; r < requests; ++r) {
+    for (size_t s = 0; s < num_samples; ++s) {
+      const size_t row = r * num_samples + s;
+      std::copy_n(h_enc.data() + r * hd, hd, h_state.data() + row * hd);
+      std::copy_n(c_enc.data() + r * hd, hd, c_state.data() + row * hd);
+      std::copy_n(heads_enc.data() + 2 * r, 2, heads.data() + 2 * row);
+    }
+  }
+  draw_step(0);
+
+  for (size_t step = 1; step < options_.horizon; ++step) {
+    for (size_t r = 0; r < requests; ++r) {
+      const auto tf = TimeFeatures(inputs[r].forecast_start() + step,
+                                   inputs[r].step_minutes);
+      for (size_t s = 0; s < num_samples; ++s) {
+        std::copy(tf.begin(), tf.end(),
+                  x.data() + (r * num_samples + s) * kInputDim + 1);
+      }
+    }
+    lstm_step(rows, h_state.data(), c_state.data());
+    std::fill(heads.begin(), heads.end(), 0.0);
+    kernels::Gemm(level, rows, 2, hd, h_state.data(), hd, head_w.data(), 2,
+                  heads.data(), 2);
+    draw_step(step);
   }
   return draws;
 }

@@ -70,7 +70,8 @@ class DeepArForecaster final : public Forecaster {
                                              uint64_t seed) const override;
 
   /// Row-stacked batched inference: all requests share one context-encoding
-  /// roll (R rows) and one ancestral-sampling roll (R * num_samples rows).
+  /// roll (R rows, through the first horizon step) and one
+  /// ancestral-sampling roll (R * num_samples rows).
   /// Each request draws from its own seed-derived generator, so element i
   /// is bit-identical to PredictSeeded(inputs[i], seeds[i]) for every batch
   /// composition and thread count (MatMul row-independence contract).
@@ -132,9 +133,10 @@ class DeepArForecaster final : public Forecaster {
   /// InvalidArgument.
   Status CheckInput(const ForecastInput& input) const;
   /// The sampling roll behind every prediction path. Encodes the
-  /// `requests` contexts in one roll (a row per request), copies each
-  /// encoded state to `num_samples` rows and rolls all paths forward;
-  /// request r draws from rngs[r], its rows in sample order per step.
+  /// `requests` contexts in one roll (a row per request), runs the first
+  /// horizon step on that row too, copies each request's state and head
+  /// outputs to `num_samples` rows and rolls all paths forward; request r
+  /// draws from rngs[r], its rows in sample order per step.
   /// Returns the rescaled draws step-major:
   /// draws[step * rows + r * num_samples + s], rows = requests *
   /// num_samples. Inputs must pass CheckInput.

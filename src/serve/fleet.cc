@@ -476,7 +476,13 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
         }
       }
     });
-    slates.clear();  // every item is done: release the round's model holds
+    // Every item is done: release the round's model holds, shard by shard
+    // on the pool (dropping the last hold on an evicted model unmaps it).
+    ParallelFor(0, num_shards, 1, [&](size_t s0, size_t s1) {
+      for (size_t s = s0; s < s1; ++s) {
+        slates[s] = ShardSlate();
+      }
+    });
 
     // Phase 4: drive each shard's clusters to the next planning round.
     // Synchronized rounds: a plan shorter than the round holds its last
@@ -511,12 +517,19 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
     }
   }
 
-  // Final accounting.
+  // Final accounting: the sessions finish on the pool, then their
+  // summaries are summed in tenant order.
   obs::Span finish_span("fleet.finish");
+  std::vector<core::TenantSession::Summary> summaries(num_tenants);
+  ParallelFor(0, num_tenants, 1, [&](size_t t0, size_t t1) {
+    for (size_t t = t0; t < t1; ++t) {
+      summaries[t] = sessions[t]->Finish();
+    }
+  });
   select::SelectorStats selector;
   select::PreScalerStats prescaler;
   for (size_t t = 0; t < num_tenants; ++t) {
-    const core::TenantSession::Summary s = sessions[t]->Finish();
+    const core::TenantSession::Summary& s = summaries[t];
     auto by_cause = [&s](core::DegradeCause cause) {
       return s.fallbacks_by_cause[static_cast<size_t>(cause)];
     };

@@ -20,19 +20,11 @@
 #include <cmath>
 
 #include "tensor/kernels.h"
-
-#define RPAS_AVX2_FN __attribute__((target("avx2,fma")))
+#include "tensor/kernels_avx2_math.h"
 
 namespace rpas::tensor::kernels::avx2 {
 
 namespace {
-
-// Mask with the first `live` (0..4) 64-bit lanes enabled.
-RPAS_AVX2_FN inline __m256i TailMask(size_t live) {
-  const __m256i idx = _mm256_setr_epi64x(0, 1, 2, 3);
-  return _mm256_cmpgt_epi64(_mm256_set1_epi64x(static_cast<long long>(live)),
-                            idx);
-}
 
 // Fixed-order horizontal reduction: (v0 + v2) + (v1 + v3).
 RPAS_AVX2_FN inline double HSum(__m256d v) {
@@ -40,100 +32,6 @@ RPAS_AVX2_FN inline double HSum(__m256d v) {
   const __m128d hi = _mm256_extractf128_pd(v, 1);
   const __m128d s = _mm_add_pd(lo, hi);
   return _mm_cvtsd_f64(_mm_add_sd(s, _mm_unpackhi_pd(s, s)));
-}
-
-// Cephes-style vector exp: Cody–Waite 2-part ln2 reduction + rational
-// r*P(r^2) / (Q(r^2) - r*P(r^2)) approximation, 2^n rebuilt via integer ops.
-// Inputs are clamped to the finite range; NaN lanes are the caller's job
-// (max/min eat NaN), which Tanh4/Sigmoid4 handle with an unordered blend.
-RPAS_AVX2_FN inline __m256d Exp4(__m256d x) {
-  const __m256d one = _mm256_set1_pd(1.0);
-  __m256d xc = _mm256_max_pd(x, _mm256_set1_pd(-708.396418532264106224));
-  xc = _mm256_min_pd(xc, _mm256_set1_pd(709.782712893383996843));
-  const __m256d n = _mm256_floor_pd(_mm256_fmadd_pd(
-      _mm256_set1_pd(1.4426950408889634073599), xc, _mm256_set1_pd(0.5)));
-  __m256d r = _mm256_fnmadd_pd(n, _mm256_set1_pd(6.93145751953125e-1), xc);
-  r = _mm256_fnmadd_pd(n, _mm256_set1_pd(1.42860682030941723212e-6), r);
-  const __m256d z = _mm256_mul_pd(r, r);
-  __m256d p = _mm256_set1_pd(1.26177193074810590878e-4);
-  p = _mm256_fmadd_pd(p, z, _mm256_set1_pd(3.02994407707441961300e-2));
-  p = _mm256_fmadd_pd(p, z, _mm256_set1_pd(9.99999999999999999910e-1));
-  p = _mm256_mul_pd(p, r);
-  __m256d q = _mm256_set1_pd(3.00198505138664455042e-6);
-  q = _mm256_fmadd_pd(q, z, _mm256_set1_pd(2.52448340349684104192e-3));
-  q = _mm256_fmadd_pd(q, z, _mm256_set1_pd(2.27265548208155028766e-1));
-  q = _mm256_fmadd_pd(q, z, _mm256_set1_pd(2.00000000000000000005e0));
-  __m256d e = _mm256_div_pd(p, _mm256_sub_pd(q, p));
-  e = _mm256_fmadd_pd(_mm256_set1_pd(2.0), e, one);
-  const __m128i ni = _mm256_cvtpd_epi32(n);
-  const __m256i bits = _mm256_slli_epi64(
-      _mm256_add_epi64(_mm256_cvtepi32_epi64(ni), _mm256_set1_epi64x(1023)),
-      52);
-  return _mm256_mul_pd(e, _mm256_castsi256_pd(bits));
-}
-
-// Both branches below end in a division. Each lane selects its branch's
-// numerator and denominator first and the vector divides once, so a lane
-// performs exactly the division its branch defines, at half the divider
-// cost of dividing both ways and blending the quotients.
-
-RPAS_AVX2_FN inline __m256d Tanh4(__m256d x) {
-  const __m256d sign_bit = _mm256_set1_pd(-0.0);
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d ax = _mm256_andnot_pd(sign_bit, x);
-  // |x| >= 0.625: 1 - 2/(exp(2|x|) + 1), with the input's sign restored.
-  const __m256d e2 = Exp4(_mm256_add_pd(ax, ax));
-  // |x| < 0.625: x + x*z*P(z)/Q1(z), z = x^2 (Cephes tanh rational).
-  const __m256d z = _mm256_mul_pd(x, x);
-  __m256d p = _mm256_set1_pd(-9.64399179425052238628e-1);
-  p = _mm256_fmadd_pd(p, z, _mm256_set1_pd(-9.92877231001918586564e1));
-  p = _mm256_fmadd_pd(p, z, _mm256_set1_pd(-1.61468768441708447952e3));
-  __m256d q = _mm256_add_pd(z, _mm256_set1_pd(1.12811678491632931402e2));
-  q = _mm256_fmadd_pd(q, z, _mm256_set1_pd(2.23548839060100448583e3));
-  q = _mm256_fmadd_pd(q, z, _mm256_set1_pd(4.84406305325125486048e3));
-  // NaN compares unordered/false, so NaN lanes take the `small` path and
-  // propagate through z = x*x.
-  const __m256d use_big =
-      _mm256_cmp_pd(ax, _mm256_set1_pd(0.625), _CMP_GE_OQ);
-  const __m256d quotient = _mm256_div_pd(
-      _mm256_blendv_pd(_mm256_mul_pd(_mm256_mul_pd(x, z), p),
-                       _mm256_set1_pd(2.0), use_big),
-      _mm256_blendv_pd(q, _mm256_add_pd(e2, one), use_big));
-  const __m256d big = _mm256_or_pd(_mm256_sub_pd(one, quotient),
-                                   _mm256_and_pd(sign_bit, x));
-  const __m256d small = _mm256_add_pd(x, quotient);
-  return _mm256_blendv_pd(small, big, use_big);
-}
-
-// Same sign-split form as the scalar reference: e = exp(-|x|), then
-// 1/(1+e) for x >= 0 and e/(1+e) otherwise.
-RPAS_AVX2_FN inline __m256d Sigmoid4(__m256d x) {
-  const __m256d sign_bit = _mm256_set1_pd(-0.0);
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d ax = _mm256_andnot_pd(sign_bit, x);
-  const __m256d e = Exp4(_mm256_or_pd(ax, sign_bit));
-  const __m256d nonneg =
-      _mm256_cmp_pd(x, _mm256_setzero_pd(), _CMP_GE_OQ);
-  const __m256d res = _mm256_div_pd(_mm256_blendv_pd(e, one, nonneg),
-                                    _mm256_add_pd(one, e));
-  // Exp4's range clamp eats NaN; restore propagation.
-  const __m256d unord = _mm256_cmp_pd(x, x, _CMP_UNORD_Q);
-  return _mm256_blendv_pd(res, x, unord);
-}
-
-// Live lanes of p[0..4): a full load, or a masked one on the column tail.
-RPAS_AVX2_FN inline __m256d LoadLive(const double* p, bool full, __m256i m) {
-  return full ? _mm256_loadu_pd(p) : _mm256_maskload_pd(p, m);
-}
-
-// Stores the live lanes of v to p[0..4).
-RPAS_AVX2_FN inline void StoreLive(double* p, bool full, __m256i m,
-                                   __m256d v) {
-  if (full) {
-    _mm256_storeu_pd(p, v);
-  } else {
-    _mm256_maskstore_pd(p, m, v);
-  }
 }
 
 // R rows of a (leading dimension k) times the first 4V columns of one
@@ -162,8 +60,9 @@ RPAS_AVX2_FN inline void PanelSum(const double* a, size_t k,
 
 // Pre-activations of rows [i, i + R) over 4V columns of one panel: x*W_x
 // is parked in the output while h*W_h is summed in registers, then
-// (xW_x + hW_h) + b. Each sum starts at +0.0, as GemmPackedRows does on a
-// zero-filled C, so the result rounds like those two products added.
+// (hW_h + xW_x) + b, operands in that order (AddInOrder). Each sum starts
+// at +0.0, as GemmPackedRows does on a zero-filled C, so the result rounds
+// like those two products added.
 template <size_t R, size_t V>
 RPAS_AVX2_FN inline void GateTile(size_t i, const LstmStepWeights& w,
                                   const double* px, const double* ph,
@@ -182,8 +81,8 @@ RPAS_AVX2_FN inline void GateTile(size_t i, const LstmStepWeights& w,
     for (size_t v = 0; v < V; ++v) {
       const __m256d xw = _mm256_loadu_pd(g_row + 4 * v);
       _mm256_storeu_pd(g_row + 4 * v,
-                       _mm256_add_pd(_mm256_add_pd(xw, acc[t][v]),
-                                     _mm256_loadu_pd(b + 4 * v)));
+                       AddInOrder(AddInOrder(acc[t][v], xw),
+                                  _mm256_loadu_pd(b + 4 * v)));
     }
   }
 }
@@ -560,40 +459,15 @@ RPAS_AVX2_FN void LstmStepRows(size_t r0, size_t r1, const LstmStepWeights& w,
   // splitting them lets the divisions of neighbouring groups overlap.
   for (size_t r = r0; r < r1; ++r) {
     double* g_row = gates + r * n;
-    const double* cp_row = c_prev + r * ldcp;
     double* c_row = c_out + r * ldc;
     for (size_t j = 0; j < hidden; j += 4) {
-      const size_t live = std::min<size_t>(4, hidden - j);
-      const bool full = live == 4;
-      const __m256i m = TailMask(live);
-      const __m256d iv = Sigmoid4(LoadLive(g_row + j, full, m));
-      const __m256d fv = Sigmoid4(LoadLive(g_row + hidden + j, full, m));
-      const __m256d gv = Tanh4(LoadLive(g_row + 2 * hidden + j, full, m));
-      const __m256d ov = Sigmoid4(LoadLive(g_row + 3 * hidden + j, full, m));
-      // f*c + i*g in the scalar shapes (mul, mul, add — no FMA) so the
-      // level's parity error stays confined to the transcendentals.
-      const __m256d cn =
-          _mm256_add_pd(_mm256_mul_pd(fv, LoadLive(cp_row + j, full, m)),
-                        _mm256_mul_pd(iv, gv));
-      StoreLive(g_row + j, full, m, iv);
-      StoreLive(g_row + hidden + j, full, m, fv);
-      StoreLive(g_row + 2 * hidden + j, full, m, gv);
-      StoreLive(g_row + 3 * hidden + j, full, m, ov);
-      StoreLive(c_row + j, full, m, cn);
+      CellColumns4(g_row, hidden, c_prev + r * ldcp, c_row, j,
+                   std::min<size_t>(4, hidden - j));
     }
-    const double* o_row = g_row + 3 * hidden;
-    double* h_row = h_out + r * ldh;
     double* tc_row = tanh_c != nullptr ? tanh_c + r * hidden : nullptr;
     for (size_t j = 0; j < hidden; j += 4) {
-      const size_t live = std::min<size_t>(4, hidden - j);
-      const bool full = live == 4;
-      const __m256i m = TailMask(live);
-      const __m256d tc = Tanh4(LoadLive(c_row + j, full, m));
-      StoreLive(h_row + j, full, m,
-                _mm256_mul_pd(LoadLive(o_row + j, full, m), tc));
-      if (tc_row != nullptr) {
-        StoreLive(tc_row + j, full, m, tc);
-      }
+      HiddenColumns4(g_row + 3 * hidden, c_row, h_out + r * ldh, tc_row, j,
+                     std::min<size_t>(4, hidden - j));
     }
   }
 }

@@ -8,9 +8,12 @@
 // byte. Each lane runs the AVX2 body's operation sequence: Exp8, Sigmoid8
 // and Tanh8 are Exp4, Sigmoid4 and Tanh4 eight lanes wide; the gate
 // products sum each element by FMA from +0.0 over ascending p and form
-// (xW_x + hW_h) + b; the cell keeps its mul/add shapes. The bitwise
-// and/or/andnot run in the integer domain, so the level needs AVX-512F
-// alone.
+// (hW_h + xW_x) + b; the cell keeps its mul/add shapes; and each add or
+// product that can meet two NaNs pins its operand order as the AVX2 body
+// does. The bitwise and/or/andnot run in the integer domain. A row's last
+// 1-4 hidden columns run through the AVX2 body's own cell functions on ymm
+// (kernels_avx2_math.h), so the function target adds avx2,fma to avx512f;
+// dispatch already requires both.
 
 #include "tensor/kernels_internal.h"
 
@@ -27,8 +30,9 @@
 #include <algorithm>
 
 #include "tensor/kernels.h"
+#include "tensor/kernels_avx2_math.h"
 
-#define RPAS_AVX512_FN __attribute__((target("avx512f")))
+#define RPAS_AVX512_FN __attribute__((target("avx512f,avx2,fma")))
 
 namespace rpas::tensor::kernels::avx512 {
 
@@ -55,7 +59,7 @@ RPAS_AVX512_FN inline __m512d Or(__m512d a, __m512d b) {
       _mm512_or_si512(_mm512_castpd_si512(a), _mm512_castpd_si512(b)));
 }
 
-// Exp4 (kernels_avx2.cc) on eight lanes: the same clamp, Cody–Waite
+// Exp4 (kernels_avx2_math.h) on eight lanes: the same clamp, Cody–Waite
 // reduction, rational approximation and integer-built 2^n.
 RPAS_AVX512_FN inline __m512d Exp8(__m512d x) {
   const __m512d one = _mm512_set1_pd(1.0);
@@ -112,6 +116,19 @@ RPAS_AVX512_FN inline __m512d Tanh8(__m512d x) {
   return _mm512_mask_blend_pd(use_big, small, big);
 }
 
+// MulInOrder and AddInOrder (kernels_avx2_math.h) on eight lanes.
+RPAS_AVX512_FN inline __m512d MulInOrder8(__m512d a, __m512d b) {
+  __m512d r;
+  asm("vmulpd %2, %1, %0" : "=v"(r) : "v"(a), "vm"(b));
+  return r;
+}
+
+RPAS_AVX512_FN inline __m512d AddInOrder8(__m512d a, __m512d b) {
+  __m512d r;
+  asm("vaddpd %2, %1, %0" : "=v"(r) : "v"(a), "vm"(b));
+  return r;
+}
+
 // Sigmoid4 on eight lanes: e = exp(-|x|), then 1/(1+e) for x >= 0 and
 // e/(1+e) otherwise, with NaN lanes passed through.
 RPAS_AVX512_FN inline __m512d Sigmoid8(__m512d x) {
@@ -158,36 +175,28 @@ RPAS_AVX512_FN inline __attribute__((always_inline)) void PanelSum(
   }
 }
 
-// Pre-activations of rows [i, i + R) over V panels: x*W_x is parked in
-// the output while h*W_h is summed in registers, then (xW_x + hW_h) + b.
-// `last` masks the live columns of the final panel (4 of 8 when it is the
-// half-width last panel of an odd H).
+// Pre-activations of rows [i, i + R) over V panels: x*W_x and h*W_h are
+// each summed in registers, then (hW_h + xW_x) + b in the AVX2 body's
+// operand order. `last` masks the live columns of the final panel (4 of 8
+// when it is the half-width last panel of an odd H).
 template <size_t R, size_t V>
 RPAS_AVX512_FN inline __attribute__((always_inline)) void GateTile(
     size_t i, const LstmStepWeights& w, const double* px, const double* ph,
     const double* x, const double* h, const double* b, double* g, size_t n,
     __mmask8 last) {
-  __m512d acc[R][V];
-  PanelSum<R, V>(x + i * w.in_dim, w.in_dim, px, acc);
-#pragma GCC unroll 8
-  for (size_t t = 0; t < R; ++t) {
-#pragma GCC unroll 2
-    for (size_t v = 0; v < V; ++v) {
-      const __mmask8 m = v + 1 == V ? last : __mmask8{0xFF};
-      _mm512_mask_storeu_pd(g + (i + t) * n + kPanelWidth * v, m, acc[t][v]);
-    }
-  }
-  PanelSum<R, V>(h + i * w.hidden, w.hidden, ph, acc);
+  __m512d xw[R][V], hw[R][V];
+  PanelSum<R, V>(x + i * w.in_dim, w.in_dim, px, xw);
+  PanelSum<R, V>(h + i * w.hidden, w.hidden, ph, hw);
 #pragma GCC unroll 8
   for (size_t t = 0; t < R; ++t) {
     double* g_row = g + (i + t) * n;
 #pragma GCC unroll 2
     for (size_t v = 0; v < V; ++v) {
       const __mmask8 m = v + 1 == V ? last : __mmask8{0xFF};
-      const __m512d xw = _mm512_maskz_loadu_pd(m, g_row + kPanelWidth * v);
       const __m512d bias = _mm512_maskz_loadu_pd(m, b + kPanelWidth * v);
-      _mm512_mask_storeu_pd(g_row + kPanelWidth * v, m,
-                            _mm512_add_pd(_mm512_add_pd(xw, acc[t][v]), bias));
+      _mm512_mask_storeu_pd(
+          g_row + kPanelWidth * v, m,
+          AddInOrder8(AddInOrder8(hw[t][v], xw[t][v]), bias));
     }
   }
 }
@@ -236,12 +245,14 @@ RPAS_AVX512_FN void LstmStepRows(size_t r0, size_t r1,
     GatePanels<1>(r0, r1, j0, w, x, h_prev, gates, n, last);
   }
   // The cell, row by row in the AVX2 body's two passes: the four
-  // activations and c, then tanh(c) and h, eight lanes per group.
+  // activations and c, then tanh(c) and h, eight lanes per group while
+  // more than four columns remain; the last 1-4 run the AVX2 columns.
   for (size_t r = r0; r < r1; ++r) {
     double* g_row = gates + r * n;
     const double* cp_row = c_prev + r * ldcp;
     double* c_row = c_out + r * ldc;
-    for (size_t j = 0; j < hidden; j += 8) {
+    size_t j = 0;
+    for (; j + 4 < hidden; j += 8) {
       const __mmask8 m = LiveMask(std::min<size_t>(8, hidden - j));
       const __m512d iv = Sigmoid8(_mm512_maskz_loadu_pd(m, g_row + j));
       const __m512d fv =
@@ -251,27 +262,33 @@ RPAS_AVX512_FN void LstmStepRows(size_t r0, size_t r1,
       const __m512d ov =
           Sigmoid8(_mm512_maskz_loadu_pd(m, g_row + 3 * hidden + j));
       // f*c + i*g as mul, mul, add — no FMA, as at AVX2.
-      const __m512d cn = _mm512_add_pd(
-          _mm512_mul_pd(fv, _mm512_maskz_loadu_pd(m, cp_row + j)),
-          _mm512_mul_pd(iv, gv));
+      const __m512d cn = AddInOrder8(
+          MulInOrder8(fv, _mm512_maskz_loadu_pd(m, cp_row + j)),
+          MulInOrder8(iv, gv));
       _mm512_mask_storeu_pd(g_row + j, m, iv);
       _mm512_mask_storeu_pd(g_row + hidden + j, m, fv);
       _mm512_mask_storeu_pd(g_row + 2 * hidden + j, m, gv);
       _mm512_mask_storeu_pd(g_row + 3 * hidden + j, m, ov);
       _mm512_mask_storeu_pd(c_row + j, m, cn);
     }
+    if (j < hidden) {
+      avx2::CellColumns4(g_row, hidden, cp_row, c_row, j, hidden - j);
+    }
     const double* o_row = g_row + 3 * hidden;
     double* h_row = h_out + r * ldh;
     double* tc_row = tanh_c != nullptr ? tanh_c + r * hidden : nullptr;
-    for (size_t j = 0; j < hidden; j += 8) {
+    for (j = 0; j + 4 < hidden; j += 8) {
       const __mmask8 m = LiveMask(std::min<size_t>(8, hidden - j));
       const __m512d tc = Tanh8(_mm512_maskz_loadu_pd(m, c_row + j));
       _mm512_mask_storeu_pd(
           h_row + j, m,
-          _mm512_mul_pd(_mm512_maskz_loadu_pd(m, o_row + j), tc));
+          MulInOrder8(_mm512_maskz_loadu_pd(m, o_row + j), tc));
       if (tc_row != nullptr) {
         _mm512_mask_storeu_pd(tc_row + j, m, tc);
       }
+    }
+    if (j < hidden) {
+      avx2::HiddenColumns4(o_row, c_row, h_row, tc_row, j, hidden - j);
     }
   }
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/rng.h"
@@ -71,7 +72,7 @@ SyntheticTraceGenerator::SyntheticTraceGenerator(TraceProfile profile,
   RPAS_CHECK(profile_.step_minutes > 0.0);
 }
 
-ResourceTrace SyntheticTraceGenerator::Generate(size_t num_steps) const {
+ts::TimeSeries SyntheticTraceGenerator::GenerateCpu(size_t num_steps) const {
   const TraceProfile& p = profile_;
   const double steps_per_day = 24.0 * 60.0 / p.step_minutes;
   const double steps_per_week = 7.0 * steps_per_day;
@@ -181,14 +182,24 @@ ResourceTrace SyntheticTraceGenerator::Generate(size_t num_steps) const {
     }
   }
 
+  ts::TimeSeries cpu;
+  cpu.values = std::move(cpu_total);
+  cpu.step_minutes = p.step_minutes;
+  cpu.name = p.name + "-cpu";
+  return cpu;
+}
+
+ResourceTrace SyntheticTraceGenerator::Generate(size_t num_steps) const {
+  const TraceProfile& p = profile_;
   ResourceTrace trace;
-  trace.cpu.values = cpu_total;
-  trace.cpu.step_minutes = p.step_minutes;
-  trace.cpu.name = p.name + "-cpu";
+  trace.cpu = GenerateCpu(num_steps);
+  const std::vector<double>& cpu_total = trace.cpu.values;
 
   // Memory tracks CPU with a smoother response (leaky integrator) and a
   // higher floor; disk activity is spikier (CPU changes plus extra noise).
-  Rng aux = master.Fork(0x517eull);
+  // Both draw from their own forked stream, which depends on the seed
+  // alone, so GenerateCpu skips them without changing the CPU values.
+  Rng aux = Rng(seed_).Fork(0x517eull);
   trace.memory.values.resize(num_steps);
   trace.disk.values.resize(num_steps);
   double mem_state =
@@ -208,10 +219,6 @@ ResourceTrace SyntheticTraceGenerator::Generate(size_t num_steps) const {
   trace.disk.step_minutes = p.step_minutes;
   trace.disk.name = p.name + "-disk";
   return trace;
-}
-
-ts::TimeSeries SyntheticTraceGenerator::GenerateCpu(size_t num_steps) const {
-  return Generate(num_steps).cpu;
 }
 
 }  // namespace rpas::trace

@@ -80,8 +80,9 @@ class SyntheticTraceGenerator {
   /// Generates `num_steps` aggregated steps.
   ResourceTrace Generate(size_t num_steps) const;
 
-  /// Convenience: only the CPU series (the scaling metric used throughout
-  /// the paper's evaluation).
+  /// Only the CPU series (the scaling metric used throughout the paper's
+  /// evaluation), equal to Generate(num_steps).cpu without the memory and
+  /// disk series' work.
   ts::TimeSeries GenerateCpu(size_t num_steps) const;
 
   const TraceProfile& profile() const { return profile_; }

@@ -2,7 +2,9 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <functional>
 #include <string>
 
 #include "common/csv.h"
@@ -344,6 +346,68 @@ TEST(RngTest, BernoulliProbability) {
     }
   }
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
+}
+
+/// FNV-1a over the bytes of draws i = 0..4999 from Rng(2024).
+uint64_t HashDraws(const std::function<double(Rng&, int)>& draw) {
+  Rng rng(2024);
+  uint64_t hash = 0xcbf29ce484222325ull;
+  for (int i = 0; i < 5000; ++i) {
+    const double v = draw(rng, i);
+    unsigned char bytes[sizeof(double)];
+    std::memcpy(bytes, &v, sizeof(double));
+    for (unsigned char b : bytes) {
+      hash = (hash ^ b) * 0x100000001b3ull;
+    }
+  }
+  return hash;
+}
+
+TEST(RngTest, StreamsPinnedBitForBit) {
+  // Traces, fault schedules and DeepAR's draws all read these streams, so
+  // a rewrite of the generator or of a distribution must reproduce the
+  // exact bytes. The hashes were taken before NextUint64, Uniform and
+  // Normal moved into the header and before Gamma kept its Marsaglia–Tsang
+  // constants while the shape repeats; the alternating shapes check that
+  // a new shape recomputes them.
+  struct Case {
+    const char* name;
+    std::function<double(Rng&, int)> draw;
+    uint64_t hash;
+  };
+  const Case cases[] = {
+      {"Normal", [](Rng& r, int) { return r.Normal(); },
+       0xc76bdb736ef6a9a5ull},
+      {"Uniform", [](Rng& r, int) { return r.Uniform(); },
+       0x53607faeed34fd9eull},
+      {"Exponential(1.5)", [](Rng& r, int) { return r.Exponential(1.5); },
+       0x8ceb61f5048dad8bull},
+      {"Pareto(2, 1.5)", [](Rng& r, int) { return r.Pareto(2.0, 1.5); },
+       0x32aae491e645b758ull},
+      {"Gamma(0.5, 2)", [](Rng& r, int) { return r.Gamma(0.5, 2.0); },
+       0x8242ab4ff6664993ull},
+      {"Gamma(1.5, 2)", [](Rng& r, int) { return r.Gamma(1.5, 2.0); },
+       0xc2a435f4c9729e66ull},
+      {"Gamma(4, 0.5)", [](Rng& r, int) { return r.Gamma(4.0, 0.5); },
+       0x1561a22811d9c02bull},
+      {"StudentT(3)", [](Rng& r, int) { return r.StudentT(3.0); },
+       0xc6ae71baf2dabbfeull},
+      {"Gamma shapes 1.5, 4, 0.5 in turn",
+       [](Rng& r, int i) {
+         const double shapes[] = {1.5, 4.0, 0.5};
+         return r.Gamma(shapes[i % 3], 1.0);
+       },
+       0x4f969da37665acdfull},
+      {"Normal then Uniform",
+       [](Rng& r, int) {
+         const double z = r.Normal();
+         return z + r.Uniform();
+       },
+       0xfea77e448e36ec2aull},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(HashDraws(c.draw), c.hash) << c.name;
+  }
 }
 
 // ------------------------------------------------------------------- CSV ---

@@ -224,16 +224,19 @@ class ThreadOverrideGuard {
 };
 
 /// Runs every prediction path of a freshly loaded model against the
-/// reference at every level and thread count. `make_model` returns a model
-/// whose Predict stream is at its start.
+/// reference at every level and thread count: `trajectories` sampled
+/// paths, then Predict, PredictSeeded and a 3-request PredictBatch at the
+/// model's num_samples. `make_model` returns a model whose Predict stream
+/// is at its start.
 void CheckAllPaths(
     const RefModel& ref,
     const std::function<std::unique_ptr<DeepArForecaster>()>& make_model,
-    const std::string& tag) {
+    const std::string& tag, size_t trajectories) {
   const ts::TimeSeries s = Series(400, 17);
   const ForecastInput a = InputEndingAt(s, 150);
   const ForecastInput b = InputEndingAt(s, 233);
   const ForecastInput c = InputEndingAt(s, 301);
+  const size_t samples = ref.options.num_samples;
   ThreadOverrideGuard guard;
   for (kernels::SimdLevel level : kernels::SupportedLevels()) {
     kernels::ScopedSimdLevel scoped(level);
@@ -245,9 +248,9 @@ void CheckAllPaths(
 
       // SampleTrajectories, then Predict, on the model's own stream.
       Rng stream(ref.options.seed ^ kSamplingSalt);
-      auto paths = model->SampleTrajectories(a, 7);
+      auto paths = model->SampleTrajectories(a, trajectories);
       ASSERT_TRUE(paths.ok()) << what;
-      const auto want_paths = RefTrajectories(ref, a, 7, &stream);
+      const auto want_paths = RefTrajectories(ref, a, trajectories, &stream);
       for (size_t p = 0; p < want_paths.size(); ++p) {
         for (size_t h = 0; h < kHorizon; ++h) {
           ASSERT_EQ(want_paths[p][h], (*paths)[p][h])
@@ -257,7 +260,7 @@ void CheckAllPaths(
       auto predicted = model->Predict(b);
       ASSERT_TRUE(predicted.ok()) << what;
       ExpectSameForecast(
-          RefQuantiles(ref, RefTrajectories(ref, b, kSamples, &stream)),
+          RefQuantiles(ref, RefTrajectories(ref, b, samples, &stream)),
           *predicted, what + " Predict");
 
       // PredictSeeded, and a mixed batch whose rows must not interact.
@@ -265,7 +268,7 @@ void CheckAllPaths(
       ASSERT_TRUE(seeded.ok()) << what;
       Rng seeded_rng(DeriveSeed(77, kSamplingSalt));
       ExpectSameForecast(
-          RefQuantiles(ref, RefTrajectories(ref, c, kSamples, &seeded_rng)),
+          RefQuantiles(ref, RefTrajectories(ref, c, samples, &seeded_rng)),
           *seeded, what + " PredictSeeded");
       const std::vector<ForecastInput> inputs = {b, c, a};
       const std::vector<uint64_t> seeds = {3, 77, 1234};
@@ -274,11 +277,32 @@ void CheckAllPaths(
       for (size_t i = 0; i < inputs.size(); ++i) {
         Rng rng(DeriveSeed(seeds[i], kSamplingSalt));
         ExpectSameForecast(
-            RefQuantiles(ref, RefTrajectories(ref, inputs[i], kSamples, &rng)),
+            RefQuantiles(ref, RefTrajectories(ref, inputs[i], samples, &rng)),
             (*batch)[i], what + " PredictBatch[" + std::to_string(i) + "]");
       }
     }
   }
+}
+
+/// Checks every path of the fp64 restore of the checkpoint at `saved`
+/// against the trained parameters, read back exactly through an f64 rpasq.
+void CheckFp64Restore(const DeepArForecaster::Options& options,
+                      const std::string& saved, const std::string& base,
+                      const std::string& tag, size_t trajectories) {
+  const std::string f64 = base + ".f64.rpasq";
+  ASSERT_TRUE(nn::QuantizeCheckpointFile(saved, f64, tensor::DType::kF64).ok());
+  auto ckpt = nn::QuantizedCheckpoint::Map(f64);
+  ASSERT_TRUE(ckpt.ok());
+  const RefModel ref = FromCheckpoint(options, **ckpt);
+  CheckAllPaths(
+      ref,
+      [&] {
+        auto m = std::make_unique<DeepArForecaster>(options);
+        RPAS_CHECK(m->LoadCheckpoint(saved).ok());
+        return m;
+      },
+      "fp64 " + tag, trajectories);
+  std::remove(f64.c_str());
 }
 
 class DeepArRollTest : public ::testing::TestWithParam<size_t> {};
@@ -294,24 +318,7 @@ TEST_P(DeepArRollTest, EveryPathMatchesStepByStepReference) {
   const std::string saved = base + ".ckpt";
   ASSERT_TRUE(trained.SaveCheckpoint(saved).ok());
 
-  // fp64: the trained parameters, read back exactly through an f64 rpasq.
-  {
-    const std::string f64 = base + ".f64.rpasq";
-    ASSERT_TRUE(
-        nn::QuantizeCheckpointFile(saved, f64, tensor::DType::kF64).ok());
-    auto ckpt = nn::QuantizedCheckpoint::Map(f64);
-    ASSERT_TRUE(ckpt.ok());
-    const RefModel ref = FromCheckpoint(options, **ckpt);
-    CheckAllPaths(
-        ref,
-        [&] {
-          auto m = std::make_unique<DeepArForecaster>(options);
-          RPAS_CHECK(m->LoadCheckpoint(saved).ok());
-          return m;
-        },
-        "fp64 H=" + std::to_string(hidden));
-    std::remove(f64.c_str());
-  }
+  CheckFp64Restore(options, saved, base, "H=" + std::to_string(hidden), 7);
 
   // q8, served from the mapped checkpoint.
   const std::string q8 = base + ".q8.rpasq";
@@ -326,13 +333,39 @@ TEST_P(DeepArRollTest, EveryPathMatchesStepByStepReference) {
         RPAS_CHECK(m->LoadQuantizedCheckpoint(*ckpt).ok());
         return m;
       },
-      "q8 H=" + std::to_string(hidden));
+      "q8 H=" + std::to_string(hidden), 7);
   std::remove(q8.c_str());
   std::remove(saved.c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(HiddenSizes, DeepArRollTest,
                          ::testing::Values(32u, 20u, 18u, 7u));
+
+// The roll runs horizon step 0 on one row per request and copies it to the
+// request's sample rows. A single sampled trajectory (one request, one
+// row) and three requests of 16 samples (the fleet's per-request count)
+// pin that copy to the reference at the serving model's H 20 and at H 12,
+// whose last four cell columns run on ymm at avx512.
+class DeepArRollSamplesTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(DeepArRollSamplesTest, FirstStepOncePerRequestMatchesReference) {
+  const size_t hidden = GetParam();
+  DeepArForecaster::Options options = SmallOptions(hidden);
+  options.num_samples = 16;
+  DeepArForecaster trained(options);
+  ASSERT_TRUE(trained.Fit(Series(300, 3)).ok());
+  const std::string base = "/tmp/rpas_deepar_roll_test_" +
+                           std::to_string(static_cast<long>(getpid())) +
+                           "_s16_h" + std::to_string(hidden);
+  const std::string saved = base + ".ckpt";
+  ASSERT_TRUE(trained.SaveCheckpoint(saved).ok());
+  CheckFp64Restore(options, saved, base,
+                   "H=" + std::to_string(hidden) + " 16 samples", 1);
+  std::remove(saved.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(ServingShapes, DeepArRollSamplesTest,
+                         ::testing::Values(20u, 12u));
 
 }  // namespace
 }  // namespace rpas::forecast

@@ -819,11 +819,14 @@ double FromBits(uint64_t bits) {
 }
 
 // The avx512 level is a speed level: its LstmStep must equal avx2's byte for
-// byte. Hidden sizes give full 8-lane cell groups (32), masked tails (20,
-// 18, 7, 1) and the 4-wide last panel of an odd H (7, 1); row counts give
-// 4-row tiles, tail rows and several 8-row blocks (13, 100, 128). Each case
-// chains three steps, with and without tanh_c, out of place and with h and c
-// updated in place. Then the cell's sigmoid and tanh run on chosen values:
+// byte. Hidden sizes give full 8-lane cell groups (32), a masked 7-lane
+// group (7), a row's last 1-4 columns on ymm, masked (1, 18) or four full
+// lanes (4, 12, 20, 28, 36), and the 4-wide last panel of an odd H (7, 1);
+// row counts give 4-row tiles, tail rows (3, 13, 17, 33) and several 8-row
+// blocks. Each case chains three steps, with and without tanh_c, out of
+// place and with h and c updated in place. A step from states holding NaNs
+// follows. Then, at H 31, 20 and 27, the cell's sigmoid and tanh run on
+// chosen values:
 // with W_x and W_h zero every pre-activation is (+0.0 + +0.0) + b, the bias
 // itself (a -0.0 bias arrives as +0.0), so a step runs sigmoid on the i, f
 // and o columns and tanh on the g column of exactly its bias. The bias
@@ -838,8 +841,8 @@ TEST(LstmKernelTest, Avx512StepBitIdenticalToAvx2) {
     GTEST_SKIP() << "no AVX-512F on this CPU or build";
   }
   constexpr int kSteps = 3;
-  for (size_t hidden : {1u, 7u, 18u, 20u, 32u}) {
-    for (size_t rows : {1u, 3u, 6u, 8u, 13u, 100u, 128u}) {
+  for (size_t hidden : {1u, 4u, 7u, 12u, 18u, 20u, 28u, 32u, 36u}) {
+    for (size_t rows : {1u, 3u, 6u, 8u, 13u, 17u, 33u, 100u, 128u}) {
       const LstmFixture f = MakeLstmFixture(rows, 5, hidden,
                                             0xA512 + 64 * rows + hidden);
       const PackedLstm packed(f);
@@ -882,6 +885,35 @@ TEST(LstmKernelTest, Avx512StepBitIdenticalToAvx2) {
     }
   }
 
+  // NaN states: one NaN of random sign and payload in each row's x, h and
+  // c_prev, so the gate sums and the cell's products and adds meet two
+  // NaNs; each lane must keep the same one at both levels.
+  for (size_t hidden : {7u, 20u, 32u}) {
+    const size_t rows = 13;
+    LstmFixture f = MakeLstmFixture(rows, 5, hidden, 0x4A4E + hidden);
+    Rng rng(hidden);
+    auto nan = [&rng] {
+      const uint64_t sign = rng.Bernoulli(0.5) ? 0x8000000000000000ull : 0;
+      return FromBits(sign | 0x7FF8000000000000ull | rng.NextUint64() >> 14);
+    };
+    for (size_t r = 0; r < rows; ++r) {
+      f.x(r, rng.UniformInt(5)) = nan();
+      f.h(r, rng.UniformInt(hidden)) = nan();
+      f.c_prev(r, rng.UniformInt(hidden)) = nan();
+    }
+    const LstmOut want = RunStep(SimdLevel::kAvx2, f);
+    const LstmOut got = RunStep(SimdLevel::kAvx512, f);
+    const std::string what = "NaN state H=" + std::to_string(hidden);
+    ASSERT_TRUE(SameBytes(want.act.data(), got.act.data(), want.act.size(),
+                          what + " gates"));
+    ASSERT_TRUE(
+        SameBytes(want.h.data(), got.h.data(), want.h.size(), what + " h"));
+    ASSERT_TRUE(
+        SameBytes(want.c.data(), got.c.data(), want.c.size(), what + " c"));
+    ASSERT_TRUE(SameBytes(want.tanh_c.data(), got.tanh_c.data(),
+                          want.tanh_c.size(), what + " tanh_c"));
+  }
+
   const double inf = std::numeric_limits<double>::infinity();
   const double denorm = std::numeric_limits<double>::denorm_min();
   const double tiny = std::numeric_limits<double>::min();
@@ -915,38 +947,41 @@ TEST(LstmKernelTest, Avx512StepBitIdenticalToAvx2) {
     probe.push_back(rng.Uniform(-40.0, 40.0));
     probe.push_back(FromBits(rng.NextUint64()));
   }
-  // H = 31: 7-lane cell tails and the 4-wide last panel. The bias window
-  // starts 3H zeros before the probe and ends 3H after it.
-  const size_t hidden = 31;
-  std::vector<double> window(3 * hidden, 0.0);
-  window.insert(window.end(), probe.begin(), probe.end());
-  window.resize((window.size() / hidden + 4) * hidden, 0.0);
-  LstmFixture f = MakeLstmFixture(1, 1, hidden, 0xA512);
-  f.wx = Matrix(1, 4 * hidden);
-  f.wh = Matrix(hidden, 4 * hidden);
-  const PackedLstm packed(f);
-  LstmStepWeights weights = packed.weights;
-  auto run = [&](SimdLevel level) {
-    LstmOut out{Matrix(1, 4 * hidden), Matrix(1, hidden), Matrix(1, hidden),
-                Matrix(1, hidden)};
-    LstmStep(level, 1, weights, f.x.data(), f.h.data(), f.c_prev.data(),
-             hidden, out.act.data(), out.h.data(), hidden, out.c.data(),
-             hidden, out.tanh_c.data());
-    return out;
-  };
-  for (size_t at = 0; at + 4 * hidden <= window.size(); at += hidden) {
-    weights.bias = window.data() + at;
-    const LstmOut want = run(SimdLevel::kAvx2);
-    const LstmOut got = run(SimdLevel::kAvx512);
-    const std::string what = "probe bias at " + std::to_string(at);
-    ASSERT_TRUE(SameBytes(want.act.data(), got.act.data(), want.act.size(),
-                          what + " gates"));
-    ASSERT_TRUE(
-        SameBytes(want.h.data(), got.h.data(), want.h.size(), what + " h"));
-    ASSERT_TRUE(
-        SameBytes(want.c.data(), got.c.data(), want.c.size(), what + " c"));
-    ASSERT_TRUE(SameBytes(want.tanh_c.data(), got.tanh_c.data(),
-                          want.tanh_c.size(), what + " tanh_c"));
+  // H = 31: 7-lane cell tails and the 4-wide last panel; H = 20: 4-lane
+  // tails on ymm; H = 27: a 3-lane ymm tail and the 4-wide last panel. The
+  // bias window starts 3H zeros before the probe and ends 3H after it.
+  for (size_t hidden : {31u, 20u, 27u}) {
+    std::vector<double> window(3 * hidden, 0.0);
+    window.insert(window.end(), probe.begin(), probe.end());
+    window.resize((window.size() / hidden + 4) * hidden, 0.0);
+    LstmFixture f = MakeLstmFixture(1, 1, hidden, 0xA512);
+    f.wx = Matrix(1, 4 * hidden);
+    f.wh = Matrix(hidden, 4 * hidden);
+    const PackedLstm packed(f);
+    LstmStepWeights weights = packed.weights;
+    auto run = [&](SimdLevel level) {
+      LstmOut out{Matrix(1, 4 * hidden), Matrix(1, hidden), Matrix(1, hidden),
+                  Matrix(1, hidden)};
+      LstmStep(level, 1, weights, f.x.data(), f.h.data(), f.c_prev.data(),
+               hidden, out.act.data(), out.h.data(), hidden, out.c.data(),
+               hidden, out.tanh_c.data());
+      return out;
+    };
+    for (size_t at = 0; at + 4 * hidden <= window.size(); at += hidden) {
+      weights.bias = window.data() + at;
+      const LstmOut want = run(SimdLevel::kAvx2);
+      const LstmOut got = run(SimdLevel::kAvx512);
+      const std::string what = "H=" + std::to_string(hidden) +
+                               " probe bias at " + std::to_string(at);
+      ASSERT_TRUE(SameBytes(want.act.data(), got.act.data(), want.act.size(),
+                            what + " gates"));
+      ASSERT_TRUE(
+          SameBytes(want.h.data(), got.h.data(), want.h.size(), what + " h"));
+      ASSERT_TRUE(
+          SameBytes(want.c.data(), got.c.data(), want.c.size(), what + " c"));
+      ASSERT_TRUE(SameBytes(want.tanh_c.data(), got.tanh_c.data(),
+                            want.tanh_c.size(), what + " tanh_c"));
+    }
   }
 }
 
