@@ -143,7 +143,9 @@ class DeepArForecaster final : public Forecaster {
   std::vector<double> SampleRoll(const ForecastInput* inputs, Rng* rngs,
                                  size_t requests, size_t num_samples) const;
   /// Per-step quantiles at the configured levels of one request's
-  /// `samples` draws, read from draws[step * stride + s].
+  /// `samples` draws, read from draws[step * stride + s] and sorted by
+  /// kernels::SortAscending: on NaN-free draws the quantiles' bits equal
+  /// dist::Empirical's.
   ts::QuantileForecast ReduceToQuantiles(const double* draws, size_t stride,
                                          size_t samples) const;
   /// The seed-derived generator used by PredictSeeded / PredictBatch.

@@ -476,13 +476,7 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
         }
       }
     });
-    // Every item is done: release the round's model holds, shard by shard
-    // on the pool (dropping the last hold on an evicted model unmaps it).
-    ParallelFor(0, num_shards, 1, [&](size_t s0, size_t s1) {
-      for (size_t s = s0; s < s1; ++s) {
-        slates[s] = ShardSlate();
-      }
-    });
+    slates.clear();  // every item is done: release the round's model holds
 
     // Phase 4: drive each shard's clusters to the next planning round.
     // Synchronized rounds: a plan shorter than the round holds its last
@@ -517,19 +511,12 @@ Result<FleetResult> RunFleet(ModelRegistry* registry,
     }
   }
 
-  // Final accounting: the sessions finish on the pool, then their
-  // summaries are summed in tenant order.
+  // Final accounting.
   obs::Span finish_span("fleet.finish");
-  std::vector<core::TenantSession::Summary> summaries(num_tenants);
-  ParallelFor(0, num_tenants, 1, [&](size_t t0, size_t t1) {
-    for (size_t t = t0; t < t1; ++t) {
-      summaries[t] = sessions[t]->Finish();
-    }
-  });
   select::SelectorStats selector;
   select::PreScalerStats prescaler;
   for (size_t t = 0; t < num_tenants; ++t) {
-    const core::TenantSession::Summary& s = summaries[t];
+    const core::TenantSession::Summary s = sessions[t]->Finish();
     auto by_cause = [&s](core::DegradeCause cause) {
       return s.fallbacks_by_cause[static_cast<size_t>(cause)];
     };

@@ -17,7 +17,9 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "tensor/kernels.h"
 #include "tensor/kernels_avx2_math.h"
@@ -544,6 +546,114 @@ RPAS_AVX2_FN void LstmCellBackward(size_t batch, size_t hidden,
         _mm256_maskstore_pd(dcp_row + j, m, dcp);
       }
     }
+  }
+}
+
+namespace {
+
+// totalOrder keys of four doubles' bits (SortAscending): a negative value's
+// magnitude bits flipped. The map is its own inverse.
+RPAS_AVX2_FN inline __m256i TotalOrderKeys(__m256i bits) {
+  const __m256i negative = _mm256_cmpgt_epi64(_mm256_setzero_si256(), bits);
+  return _mm256_xor_si256(bits, _mm256_srli_epi64(negative, 1));
+}
+
+RPAS_AVX2_FN inline __m256i LoadKeys(const int64_t* k) {
+  return _mm256_load_si256(reinterpret_cast<const __m256i*>(k));
+}
+
+RPAS_AVX2_FN inline void StoreKeys(int64_t* k, __m256i v) {
+  _mm256_store_si256(reinterpret_cast<__m256i*>(k), v);
+}
+
+// v with w in the lanes set in `take`, by xor and and (a blendv is two or
+// three uops on recent Intel cores).
+RPAS_AVX2_FN inline __m256i Select(__m256i v, __m256i w, __m256i take) {
+  return _mm256_xor_si256(v, _mm256_and_si256(_mm256_xor_si256(v, w), take));
+}
+
+// One network stage inside a vector: each lane meets the lane that kPerm
+// moves onto it, and the lanes set in `upper` keep the larger key.
+template <int kPerm>
+RPAS_AVX2_FN inline __m256i ExchangeLanes(__m256i v, __m256i upper) {
+  const __m256i w = _mm256_permute4x64_epi64(v, kPerm);
+  return Select(v, w, _mm256_xor_si256(_mm256_cmpgt_epi64(v, w), upper));
+}
+
+// One network stage between vectors: k[a] keeps the smaller key of each
+// lane pair and k[b] the larger.
+RPAS_AVX2_FN inline void ExchangeVectors(int64_t* a, int64_t* b, __m256i x,
+                                         __m256i y) {
+  const __m256i swap =
+      _mm256_and_si256(_mm256_xor_si256(x, y), _mm256_cmpgt_epi64(x, y));
+  StoreKeys(a, _mm256_xor_si256(x, swap));
+  StoreKeys(b, _mm256_xor_si256(y, swap));
+}
+
+// Bitonic sort of p keys (a power of two, 4 <= p <= kSortNetworkMax) in
+// the form whose every stage puts the smaller key first: a merge of two
+// sorted runs compares each key of the first with its mirror in the
+// second, then halves the distance down to neighbours.
+RPAS_AVX2_FN void SortKeys(int64_t* k, size_t p) {
+  constexpr int kSwap1 = _MM_SHUFFLE(2, 3, 0, 1);
+  constexpr int kSwap2 = _MM_SHUFFLE(1, 0, 3, 2);
+  constexpr int kReverse = _MM_SHUFFLE(0, 1, 2, 3);
+  const __m256i odd = _mm256_setr_epi64x(0, -1, 0, -1);
+  const __m256i high = _mm256_setr_epi64x(0, 0, -1, -1);
+  for (size_t i = 0; i < p; i += 4) {
+    __m256i v = ExchangeLanes<kSwap1>(LoadKeys(k + i), odd);
+    v = ExchangeLanes<kReverse>(v, high);
+    StoreKeys(k + i, ExchangeLanes<kSwap1>(v, odd));
+  }
+  for (size_t run = 8; run <= p; run *= 2) {
+    for (size_t b = 0; b < p; b += run) {
+      for (size_t t = 0; t < run / 2; t += 4) {
+        int64_t* lo = k + b + t;
+        int64_t* hi = k + b + run - 4 - t;
+        const __m256i x = LoadKeys(lo);
+        const __m256i y = _mm256_permute4x64_epi64(LoadKeys(hi), kReverse);
+        const __m256i swap = _mm256_and_si256(_mm256_xor_si256(x, y),
+                                              _mm256_cmpgt_epi64(x, y));
+        StoreKeys(lo, _mm256_xor_si256(x, swap));
+        StoreKeys(hi, _mm256_permute4x64_epi64(_mm256_xor_si256(y, swap),
+                                               kReverse));
+      }
+    }
+    for (size_t j = run / 4; j >= 4; j /= 2) {
+      for (size_t i = 0; i < p; i += 2 * j) {
+        for (size_t t = i; t < i + j; t += 4) {
+          ExchangeVectors(k + t, k + t + j, LoadKeys(k + t),
+                          LoadKeys(k + t + j));
+        }
+      }
+    }
+    for (size_t i = 0; i < p; i += 4) {
+      const __m256i v = ExchangeLanes<kSwap2>(LoadKeys(k + i), high);
+      StoreKeys(k + i, ExchangeLanes<kSwap1>(v, odd));
+    }
+  }
+}
+
+}  // namespace
+
+RPAS_AVX2_FN void SortAscending(size_t n, double* data) {
+  alignas(32) int64_t keys[kSortNetworkMax];
+  const size_t p = std::bit_ceil(std::max<size_t>(n, 4));
+  const __m256i pad = _mm256_set1_epi64x(INT64_MAX);
+  for (size_t i = 0; i < p; i += 4) {
+    __m256i v = pad;
+    if (i < n) {
+      const __m256i m = TailMask(n - i);
+      const __m256i bits =
+          _mm256_castpd_si256(LoadLive(data + i, n - i >= 4, m));
+      v = _mm256_blendv_epi8(pad, TotalOrderKeys(bits), m);
+    }
+    StoreKeys(keys + i, v);
+  }
+  SortKeys(keys, p);
+  for (size_t i = 0; i < n; i += 4) {
+    StoreLive(data + i, n - i >= 4, TailMask(n - i),
+              _mm256_castsi256_pd(TotalOrderKeys(LoadKeys(keys + i))));
   }
 }
 

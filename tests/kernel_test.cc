@@ -1430,5 +1430,120 @@ TEST(ParallelKernelTest, TransposedGemmsAddLikeZeroTempThenAxpy) {
   }
 }
 
+// ------------------------------------------------------------------ sort ---
+
+/// The reference SortAscending must reproduce: std::sort over the
+/// totalOrder keys bits ^ ((bits >> 63) & INT64_MAX), mapped back.
+std::vector<double> TotalOrderSorted(std::vector<double> v) {
+  std::vector<int64_t> keys(v.size());
+  for (size_t i = 0; i < v.size(); ++i) {
+    int64_t bits;
+    std::memcpy(&bits, &v[i], sizeof(bits));
+    keys[i] = bits ^ ((bits >> 63) & std::numeric_limits<int64_t>::max());
+  }
+  std::sort(keys.begin(), keys.end());
+  for (size_t i = 0; i < v.size(); ++i) {
+    const int64_t bits =
+        keys[i] ^ ((keys[i] >> 63) & std::numeric_limits<int64_t>::max());
+    std::memcpy(&v[i], &bits, sizeof(bits));
+  }
+  return v;
+}
+
+/// n values mixing the cases a sort can get wrong: repeated values, zeros
+/// of both signs, infinities, subnormals, NaNs of both signs with payloads
+/// (quiet and signalling), random bit patterns and ordinary doubles. Each
+/// array takes one of three shapes: random order, descending, or a few
+/// distinct values repeated.
+std::vector<double> SortProbe(size_t n, int shape, Rng* rng) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  const double specials[] = {0.0,
+                             -0.0,
+                             inf,
+                             -inf,
+                             denorm,
+                             -denorm,
+                             std::numeric_limits<double>::min(),
+                             -std::numeric_limits<double>::max(),
+                             FromBits(0x7FF8000000000000ull),
+                             FromBits(0xFFF8000000000000ull),
+                             FromBits(0x7FF80000DEADBEEFull),
+                             FromBits(0xFFFC000000012345ull),
+                             FromBits(0x7FF0000000000001ull),
+                             FromBits(0xFFF4000000000ABCull),
+                             FromBits(0x7FFFFFFFFFFFFFFFull)};
+  const size_t num_specials = sizeof(specials) / sizeof(specials[0]);
+  std::vector<double> v;
+  for (size_t i = 0; i < n; ++i) {
+    switch (rng->UniformInt(shape == 2 ? 2 : 5)) {
+      case 0:
+        v.push_back(specials[rng->UniformInt(num_specials)]);
+        break;
+      case 1:
+        v.push_back(v.empty() ? 1.0 : v[rng->UniformInt(v.size())]);
+        break;
+      case 2:
+        v.push_back(FromBits(rng->NextUint64()));
+        break;
+      default:
+        v.push_back(std::round(rng->Normal() * 8.0) / 4.0);
+        break;
+    }
+  }
+  if (shape == 1) {
+    v = TotalOrderSorted(v);
+    std::reverse(v.begin(), v.end());
+  }
+  return v;
+}
+
+// Every level must write the reference's bytes for every n from 0 past the
+// network's cap of 128, including n = 100 (padded to 128) and the sizes on
+// each side of every power of two.
+TEST(SortKernelTest, EveryLevelWritesTotalOrderBytes) {
+  Rng rng(0x5027);
+  for (size_t n = 0; n <= 300; ++n) {
+    for (int shape = 0; shape < 3; ++shape) {
+      const std::vector<double> input = SortProbe(n, shape, &rng);
+      const std::vector<double> want = TotalOrderSorted(input);
+      for (SimdLevel level : SupportedLevels()) {
+        std::vector<double> got = input;
+        SortAscending(level, n, got.data());
+        ASSERT_TRUE(SameBytes(want.data(), got.data(), n,
+                              std::string(LevelName(level)) + " n=" +
+                                  std::to_string(n) + " shape " +
+                                  std::to_string(shape)));
+      }
+    }
+  }
+}
+
+// Without NaN and -0.0 no two distinct bit patterns compare equal under
+// `<`, so std::sort's output is unique, and every level must write it.
+TEST(SortKernelTest, MatchesLessThanSortWithoutNaNOrNegativeZero) {
+  Rng rng(0x5028);
+  for (size_t n = 0; n <= 300; ++n) {
+    for (int shape = 0; shape < 3; ++shape) {
+      std::vector<double> input = SortProbe(n, shape, &rng);
+      for (double& v : input) {
+        if (std::isnan(v) || (v == 0.0 && std::signbit(v))) {
+          v = rng.Normal();
+        }
+      }
+      std::vector<double> want = input;
+      std::sort(want.begin(), want.end());
+      for (SimdLevel level : SupportedLevels()) {
+        std::vector<double> got = input;
+        SortAscending(level, n, got.data());
+        ASSERT_TRUE(SameBytes(want.data(), got.data(), n,
+                              std::string(LevelName(level)) + " n=" +
+                                  std::to_string(n) + " shape " +
+                                  std::to_string(shape)));
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace rpas::tensor::kernels
