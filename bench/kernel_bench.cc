@@ -1,8 +1,8 @@
 // Kernel-layer microbenchmarks: GEMM, vector primitives, elementwise
-// transcendentals, the fused LSTM step and cell backward, the sort, and a
+// transcendentals, the fused LSTM step and cell backward, the sort, a
 // DeepAR-shaped training step on the tape and through
-// DeepArForecaster::Fit's fused unroll, each swept across every SIMD
-// dispatch level this machine supports.
+// DeepArForecaster::Fit's fused unroll, and a six-point DeepAR fine-tune,
+// each swept across every SIMD dispatch level this machine supports.
 //
 // One table row per (op, shape, dispatch level); --json=PATH writes it in
 // the shared report, whose provenance names the active level. CI uploads
@@ -104,7 +104,9 @@ void BenchGemm(bool quick, std::vector<Record>* out) {
   // The DeepAR training unroll's per-step backward products, added into C
   // as the unroll calls them (no fill): dW_h and dW_x by GemmTN over the
   // batch, dh_prev by GemmNT over the gates. Batch 8 at H 32 (the loop)
-  // and H 20 (the fleet); shapes read m x k x n.
+  // and H 20 (the fleet), then loop_stream's six-point fine-tune (batch 6
+  // at H 32), whose GemmTN rows add a head's weight row and the bias row;
+  // shapes read m x k x n.
   struct Backward {
     bool tn;  // GemmTN, else GemmNT
     size_t m, k, n;
@@ -112,7 +114,10 @@ void BenchGemm(bool quick, std::vector<Record>* out) {
   for (const Backward& s :
        {Backward{true, 32, 8, 128}, Backward{true, 5, 8, 128},
         Backward{false, 8, 128, 32}, Backward{true, 20, 8, 80},
-        Backward{true, 5, 8, 80}, Backward{false, 8, 80, 20}}) {
+        Backward{true, 5, 8, 80}, Backward{false, 8, 80, 20},
+        Backward{true, 32, 6, 128}, Backward{true, 5, 6, 128},
+        Backward{true, 1, 6, 32}, Backward{true, 1, 6, 128},
+        Backward{false, 6, 128, 32}}) {
     // GemmTN reads A as (k x m) and B as (k x n); GemmNT reads B as (n x k).
     Matrix a(s.tn ? s.k : s.m, s.tn ? s.m : s.k);
     Matrix b(s.tn ? s.k : s.n, s.tn ? s.n : s.k);
@@ -339,7 +344,8 @@ void BenchTrainStep(bool quick, std::vector<Record>* out) {
 
 /// DeepArForecaster::Fit per gradient step at the paper shape (context and
 /// horizon 72, H 32, batch 8): the fused, tape-free unroll at the same
-/// shape as the tape row above.
+/// shape as the tape row above. Then one six-point IncrementalUpdate of two
+/// gradient steps (batch 6), the refresh loop_stream runs every round.
 void BenchDeepArFit(bool quick, std::vector<Record>* out) {
   ts::TimeSeries series;
   series.step_minutes = 10.0;
@@ -353,6 +359,7 @@ void BenchDeepArFit(bool quick, std::vector<Record>* out) {
   options.batch_size = 8;
   options.num_samples = 20;
   options.student_t_dof = 3.0;
+  options.fine_tune_steps = 2;
   for (SimdLevel level : kernels::SupportedLevels()) {
     kernels::ScopedSimdLevel scoped(level);
     options.train.steps = quick ? 1 : 3;
@@ -364,6 +371,12 @@ void BenchDeepArFit(bool quick, std::vector<Record>* out) {
         "bench.kernel.fit", [&] { RPAS_CHECK(model.Fit(series).ok()); });
     out->push_back({"deepar_fit_step", "fused lstm5->32 b=8 u=143",
                     kernels::LevelName(level), ms * 1e6 / steps, 0.0});
+    // Each call fine-tunes on the same six windows; the weights move on.
+    out->push_back({"deepar_finetune", "6 points, 2 steps b=6 u=143",
+                    kernels::LevelName(level), NsPerIter(quick, [&] {
+                      RPAS_CHECK(model.IncrementalUpdate(series, 6).ok());
+                    }),
+                    0.0});
   }
 }
 

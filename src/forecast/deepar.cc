@@ -223,7 +223,8 @@ nn::TrainSummary DeepArForecaster::RunTraining(
   std::vector<double> heads(unroll * batch * 2), nll(batch);
   std::vector<HeadTerm> terms(unroll * batch);
   std::vector<double> dh(bh), dh_next(bh), dc(bh), dc_next(bh), dgates(bg);
-  std::vector<double> dheads(batch * 2), gate_sums(gw);
+  // The bias gradient is ones^T dgates: GemmTN's column sums over rows.
+  std::vector<double> dheads(batch * 2), ones(batch, 1.0);
 
   // Teacher-forced forward: at step s the input is the observed value s plus
   // the calendar features of s + 1, and the heads predict value s + 1. Every
@@ -303,18 +304,23 @@ nn::TrainSummary DeepArForecaster::RunTraining(
       }
       b_sigma.grad[0] += db_sigma;
       b_mu.grad[0] += db_mu;
-      // Each head's h^T g reads its column of dheads.
-      kernels::GemmTN(level, hd, 1, batch, h_out, hd, dheads.data(), 2,
-                      w_mu.grad.data(), 1);
-      kernels::GemmTN(level, hd, 1, batch, h_out, hd, dheads.data() + 1, 2,
-                      w_sigma.grad.data(), 1);
+      // Each head's weight gradient h^T g, g its column of dheads, as the
+      // one-row product g^T h, whose hd columns fill the SIMD lanes.
+      kernels::GemmTN(level, 1, hd, batch, dheads.data(), 2, h_out, hd,
+                      w_mu.grad.data(), hd);
+      kernels::GemmTN(level, 1, hd, batch, dheads.data() + 1, 2, h_out, hd,
+                      w_sigma.grad.data(), hd);
       // d loss / d h_{s+1}: the next step's dh_prev, then the sigma head's
       // and the mu head's 1-term products, in that order.
+      const double* __restrict dn = dh_next.data();
+      const double* __restrict ws = w_sigma.value.data();
+      const double* __restrict wm = w_mu.value.data();
+      double* __restrict d = dh.data();
       for (size_t r = 0; r < batch; ++r) {
+        const double g_mu = dheads[2 * r];
+        const double g_sigma = dheads[2 * r + 1];
         for (size_t j = 0; j < hd; ++j) {
-          dh[r * hd + j] = (dh_next[r * hd + j] +
-                            dheads[2 * r + 1] * w_sigma.value[j]) +
-                           dheads[2 * r] * w_mu.value[j];
+          d[r * hd + j] = (dn[r * hd + j] + g_sigma * ws[j]) + g_mu * wm[j];
         }
       }
       kernels::LstmCellBackward(level, batch, hd, act.data() + s * bg,
@@ -322,13 +328,8 @@ nn::TrainSummary DeepArForecaster::RunTraining(
                                 dh.data(), hd, dc_next.data(), hd,
                                 dgates.data(), dc.data());
       std::swap(dc, dc_next);
-      std::fill(gate_sums.begin(), gate_sums.end(), 0.0);
-      for (size_t r = 0; r < batch; ++r) {
-        for (size_t col = 0; col < gw; ++col) {
-          gate_sums[col] += dgates[r * gw + col];
-        }
-      }
-      kernels::Axpy(level, gw, 1.0, gate_sums.data(), bias.grad.data());
+      kernels::GemmTN(level, 1, gw, batch, ones.data(), 1, dgates.data(), gw,
+                      bias.grad.data(), gw);
       if (s > 0) {  // h_0 is the zero state: no gradient flows into it
         std::fill(dh_next.begin(), dh_next.end(), 0.0);
         kernels::GemmNT(level, batch, hd, gw, dgates.data(), gw,

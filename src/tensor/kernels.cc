@@ -580,6 +580,12 @@ void GemmTN(SimdLevel level, size_t m, size_t n, size_t k, const double* a,
   // changes nothing about any element's accumulation sequence.
   ForEachRowBlock(m, kGemmBlockRows, [&](size_t i0, size_t i1) {
     const size_t rows = i1 - i0;
+#if RPAS_KERNELS_HAVE_AVX512
+    if (level == SimdLevel::kAvx512) {
+      avx512::GemmTN(rows, n, k, a + i0, lda, b, ldb, c + i0 * ldc, ldc);
+      return;
+    }
+#endif
 #if RPAS_KERNELS_HAVE_AVX2
     if (level >= SimdLevel::kAvx2) {
       avx2::GemmTN(rows, n, k, a + i0, lda, b, ldb, c + i0 * ldc, ldc);
@@ -600,6 +606,13 @@ void GemmNT(SimdLevel level, size_t m, size_t n, size_t k, const double* a,
   // any row partition.
   ForEachRowBlock(m, kGemmBlockRows, [&](size_t i0, size_t i1) {
     const size_t rows = i1 - i0;
+#if RPAS_KERNELS_HAVE_AVX512
+    if (level == SimdLevel::kAvx512) {
+      avx512::GemmNT(rows, n, k, a + i0 * lda, lda, b, ldb, c + i0 * ldc,
+                     ldc);
+      return;
+    }
+#endif
 #if RPAS_KERNELS_HAVE_AVX2
     if (level >= SimdLevel::kAvx2) {
       avx2::GemmNT(rows, n, k, a + i0 * lda, lda, b, ldb, c + i0 * ldc, ldc);

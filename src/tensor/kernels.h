@@ -24,8 +24,9 @@ namespace rpas::tensor::kernels {
 ///    of the batch row count, preserving the serve layer's
 ///    batched-vs-unbatched bit-identity.
 ///  * kAvx512 is a speed level: every output is byte-identical to kAvx2's.
-///    LstmStep runs an 8-lane AVX-512F body that keeps the AVX2 per-lane
-///    results; every other kernel runs its AVX2 body.
+///    LstmStep, GemmTN and GemmNT run AVX-512F bodies that keep the AVX2
+///    per-element results, NaN payloads included; every other kernel runs
+///    its AVX2 body.
 enum class SimdLevel : int {
   kScalar = 0,
   kAvx2 = 1,
@@ -125,24 +126,24 @@ void GemmRowsScalar(size_t r0, size_t r1, size_t n, size_t k, const double* a,
 
 /// C (m x n) += A^T * B where A is (k x m) and B is (k x n), both row-major.
 /// Accumulate contract: each element's product is summed from +0.0 over
-/// ascending p (mul-then-add at scalar, FMA at AVX2) and then added to C
-/// once, C + (A^T B). That is bit for bit a zero-filled temp followed by
-/// Axpy(1.0) into C, because a sum started from +0.0 is never -0.0, so
-/// 0 + P == P; on a zeroed C the scalar level equals Transpose(A) and the
-/// reference GEMM. Used by the autodiff MatMul and LSTM backwards and
-/// DeepAR's training unroll to add weight gradients (dB = A^T g) straight
-/// into their gradient buffers. An element's sequence never depends on the
-/// row block or tile.
+/// ascending p (mul-then-add at scalar; FMA at AVX2 and AVX-512, as
+/// a[p][i] * b[p][j] + sum) and then added to C once, C + (A^T B). That is
+/// bit for bit a zero-filled temp followed by Axpy(1.0) into C, because a
+/// sum started from +0.0 is never -0.0, so 0 + P == P; on a zeroed C the
+/// scalar level equals Transpose(A) and the reference GEMM. Used by the
+/// autodiff MatMul and LSTM backwards and DeepAR's training unroll to add
+/// weight gradients (dB = A^T g) straight into their gradient buffers. An
+/// element's sequence never depends on the row block or tile.
 void GemmTN(SimdLevel level, size_t m, size_t n, size_t k, const double* a,
             size_t lda, const double* b, size_t ldb, double* c, size_t ldc);
 
 /// C (m x n) += A * B^T where A is (m x k) and B is (n x k), both row-major,
 /// with GemmTN's accumulate contract: each dot product is formed from +0.0
-/// (ascending p at scalar; at AVX2 one 4-lane FMA accumulator over the full
-/// 4-chunks of k, a fixed horizontal sum, then a scalar fma tail) and added
-/// to C once. Used by the autodiff MatMul backward (dA = g B^T) and the
-/// LSTM backwards (dh_prev = dgates W_h^T) without materializing the
-/// transpose. Rows are independent dot products.
+/// (ascending p at scalar; at AVX2 and AVX-512 one 4-lane FMA accumulator
+/// over the full 4-chunks of k, a fixed horizontal sum, then a scalar fma
+/// tail) and added to C once. Used by the autodiff MatMul backward
+/// (dA = g B^T) and the LSTM backwards (dh_prev = dgates W_h^T) without
+/// materializing the transpose. Rows are independent dot products.
 void GemmNT(SimdLevel level, size_t m, size_t n, size_t k, const double* a,
             size_t lda, const double* b, size_t ldb, double* c, size_t ldc);
 

@@ -28,14 +28,6 @@ namespace rpas::tensor::kernels::avx2 {
 
 namespace {
 
-// Fixed-order horizontal reduction: (v0 + v2) + (v1 + v3).
-RPAS_AVX2_FN inline double HSum(__m256d v) {
-  const __m128d lo = _mm256_castpd256_pd128(v);
-  const __m128d hi = _mm256_extractf128_pd(v, 1);
-  const __m128d s = _mm_add_pd(lo, hi);
-  return _mm_cvtsd_f64(_mm_add_sd(s, _mm_unpackhi_pd(s, s)));
-}
-
 // R rows of a (leading dimension k) times the first 4V columns of one
 // packed panel over p < k, summed from +0.0 in registers.
 template <size_t R, size_t V>
@@ -218,8 +210,9 @@ namespace {
 
 // GemmTN over rows [i, i + R) and the w (<= 8) columns at b and c: each
 // element's a[p][i] * b[p][j] summed in registers from +0.0 over ascending
-// p by FMA, then added to C once. Off the full path, lanes at or past w
-// load zeros and store nothing.
+// p by FmaInOrder(a, b, sum), then added to C once as C + sum
+// (AddInOrder). Off the full path, lanes at or past w load zeros and store
+// nothing.
 template <size_t R, bool kFull>
 RPAS_AVX2_FN inline void TnTile(size_t i, size_t w, size_t k, const double* a,
                                 size_t lda, const double* b, size_t ldb,
@@ -240,17 +233,17 @@ RPAS_AVX2_FN inline void TnTile(size_t i, size_t w, size_t k, const double* a,
     const double* a_row = a + p * lda + i;
     for (size_t t = 0; t < R; ++t) {
       const __m256d av = _mm256_set1_pd(a_row[t]);
-      acc[t][0] = _mm256_fmadd_pd(av, b0, acc[t][0]);
-      acc[t][1] = _mm256_fmadd_pd(av, b1, acc[t][1]);
+      acc[t][0] = FmaInOrder(av, b0, acc[t][0]);
+      acc[t][1] = FmaInOrder(av, b1, acc[t][1]);
     }
   }
   for (size_t t = 0; t < R; ++t) {
     double* c_row = c + (i + t) * ldc;
     StoreLive(c_row, kFull, m0,
-              _mm256_add_pd(LoadLive(c_row, kFull, m0), acc[t][0]));
+              AddInOrder(LoadLive(c_row, kFull, m0), acc[t][0]));
     if (wide) {
       StoreLive(c_row + 4, kFull, m1,
-                _mm256_add_pd(LoadLive(c_row + 4, kFull, m1), acc[t][1]));
+                AddInOrder(LoadLive(c_row + 4, kFull, m1), acc[t][1]));
     }
   }
 }
@@ -269,10 +262,11 @@ RPAS_AVX2_FN void TnColumns(size_t m, size_t w, size_t k, const double* a,
 }
 
 // GemmNT over rows [i, i + R) and columns [j, j + Q). Each element: one
-// 4-lane FMA accumulator from +0.0 over the full 4-chunks of k, the fixed
-// HSum, a scalar fma tail, then one add into C. That sequence depends only
-// on k, so a tile's shape never changes an element; the R rows share each
-// B load and the Q columns each A load.
+// 4-lane accumulator from +0.0 over the full 4-chunks of k by
+// FmaInOrder(a, b, acc), the fixed HSum, a scalar FmaInOrder tail, then
+// C + sum (AddInOrder). That sequence depends only on k, so a tile's shape
+// never changes an element; the R rows share each B load and the Q
+// columns each A load.
 // Forced inline: as its own function GCC zero-fills and spills the
 // accumulators through the stack on every tile.
 template <size_t R, size_t Q>
@@ -294,7 +288,7 @@ RPAS_AVX2_FN inline __attribute__((always_inline)) void NtTile(
     for (size_t q = 0; q < Q; ++q) {
       const __m256d bv = _mm256_loadu_pd(b + (j + q) * ldb + p);
       for (size_t r = 0; r < R; ++r) {
-        acc[r][q] = _mm256_fmadd_pd(av[r], bv, acc[r][q]);
+        acc[r][q] = FmaInOrder(av[r], bv, acc[r][q]);
       }
     }
   }
@@ -308,13 +302,14 @@ RPAS_AVX2_FN inline __attribute__((always_inline)) void NtTile(
     for (size_t r = 0; r < R; ++r) {
       for (size_t q = 0; q < Q; ++q) {
         s[r][q] =
-            std::fma(a[(i + r) * lda + p], b[(j + q) * ldb + p], s[r][q]);
+            FmaInOrder(a[(i + r) * lda + p], b[(j + q) * ldb + p], s[r][q]);
       }
     }
   }
   for (size_t r = 0; r < R; ++r) {
     for (size_t q = 0; q < Q; ++q) {
-      c[(i + r) * ldc + j + q] += s[r][q];
+      double& c_rq = c[(i + r) * ldc + j + q];
+      c_rq = AddInOrder(c_rq, s[r][q]);
     }
   }
 }

@@ -1,11 +1,12 @@
 #ifndef RPAS_TENSOR_KERNELS_AVX2_MATH_H_
 #define RPAS_TENSOR_KERNELS_AVX2_MATH_H_
 
-// The AVX2+FMA vector math and LSTM cell columns, shared by kernels_avx2.cc
-// and by kernels_avx512.cc, whose step runs a row's last 1-4 hidden columns
-// through these same functions on ymm. Every function carries the avx2,fma
-// target, so a caller's target must include both. Not for use outside
-// src/tensor.
+// The AVX2+FMA vector math, LSTM cell columns and pinned arithmetic,
+// shared by kernels_avx2.cc and by kernels_avx512.cc, whose step runs a
+// row's last 1-4 hidden columns through these same functions on ymm and
+// whose GemmNT reduces each half of a zmm with HSum. Every function
+// carries the avx2,fma target, so a caller's target must include both.
+// Not for use outside src/tensor.
 
 #include "tensor/kernels_internal.h"
 
@@ -122,8 +123,9 @@ RPAS_AVX2_FN inline void StoreLive(double* p, bool full, __m256i m,
 
 // a * b and a + b with a as the instruction's first source. Where both
 // operands are NaN, x86 returns the first source's NaN; the compiler may
-// commute a written product or sum, so the cell pins the order and a lane
-// keeps the same NaN in the AVX2 and AVX-512 bodies.
+// commute a written product or sum, so the cell, HSum and the transposed
+// GEMMs' adds into C pin the order and a lane keeps the same NaN in the
+// AVX2 and AVX-512 bodies.
 RPAS_AVX2_FN inline __m256d MulInOrder(__m256d a, __m256d b) {
   __m256d r;
   asm("vmulpd %2, %1, %0" : "=v"(r) : "v"(a), "vm"(b));
@@ -134,6 +136,41 @@ RPAS_AVX2_FN inline __m256d AddInOrder(__m256d a, __m256d b) {
   __m256d r;
   asm("vaddpd %2, %1, %0" : "=v"(r) : "v"(a), "vm"(b));
   return r;
+}
+
+RPAS_AVX2_FN inline __m128d AddInOrder(__m128d a, __m128d b) {
+  __m128d r;
+  asm("vaddpd %2, %1, %0" : "=x"(r) : "x"(a), "xm"(b));
+  return r;
+}
+
+RPAS_AVX2_FN inline double AddInOrder(double a, double b) {
+  double r;
+  asm("vaddsd %2, %1, %0" : "=x"(r) : "x"(a), "xm"(b));
+  return r;
+}
+
+// a * b + c in one rounding, as vfmadd231 with c in the destination. Where
+// several operands are NaN, x86 returns the first NaN of a, b, c in that
+// order, and the compiler may swap the factors or pick another vfmadd
+// form, so the transposed GEMMs pin it and a lane keeps the same NaN in
+// the AVX2 and AVX-512 bodies.
+RPAS_AVX2_FN inline __m256d FmaInOrder(__m256d a, __m256d b, __m256d c) {
+  asm("vfmadd231pd %2, %1, %0" : "+v"(c) : "v"(a), "vm"(b));
+  return c;
+}
+
+RPAS_AVX2_FN inline double FmaInOrder(double a, double b, double c) {
+  asm("vfmadd231sd %2, %1, %0" : "+x"(c) : "x"(a), "xm"(b));
+  return c;
+}
+
+// Fixed-order horizontal reduction: (v2 + v0) + (v3 + v1), each add's
+// operands pinned in the order GCC gave the unpinned form.
+RPAS_AVX2_FN inline double HSum(__m256d v) {
+  const __m128d s =
+      AddInOrder(_mm256_extractf128_pd(v, 1), _mm256_castpd256_pd128(v));
+  return AddInOrder(_mm_cvtsd_f64(s), _mm_cvtsd_f64(_mm_unpackhi_pd(s, s)));
 }
 
 // The cell's first pass over hidden columns [j, j + live) of one row

@@ -1,20 +1,22 @@
-// AVX-512 body of the fused LSTM step. Compiled like kernels_avx2.cc,
-// through per-function `target` attributes, and reached only at
-// SimdLevel::kAvx512, which dispatch in kernels.cc selects after
-// __builtin_cpu_supports("avx512f") passes. Every other kernel runs its
-// AVX2 body at that level.
+// AVX-512 bodies of the fused LSTM step and of the transposed GEMMs
+// (GemmTN, GemmNT). Compiled like kernels_avx2.cc, through per-function
+// `target` attributes, and reached only at SimdLevel::kAvx512, which
+// dispatch in kernels.cc selects after __builtin_cpu_supports("avx512f")
+// passes. Every other kernel runs its AVX2 body at that level.
 //
 // Bit-identity contract: every output equals the AVX2 level's byte for
 // byte. Each lane runs the AVX2 body's operation sequence: Exp8, Sigmoid8
 // and Tanh8 are Exp4, Sigmoid4 and Tanh4 eight lanes wide (Exp8 scales by
 // 2^n in one instruction, with the same results); the gate products sum
 // each element by FMA from +0.0 over ascending p and form
-// (hW_h + xW_x) + b; the cell keeps its mul/add shapes; and each add or
-// product that can meet two NaNs pins its operand order as the AVX2 body
-// does. The bitwise and/or/andnot run in the integer domain. A row's last
-// 1-4 hidden columns run through the AVX2 body's own cell functions on ymm
-// (kernels_avx2_math.h), so the function target adds avx2,fma to avx512f;
-// dispatch already requires both.
+// (hW_h + xW_x) + b; the cell keeps its mul/add shapes; the transposed
+// GEMMs keep each element's FMA chain, HSum, scalar tail and add into C;
+// and each add, product or FMA that can meet two NaNs pins its operand
+// order as the AVX2 body does. The bitwise and/or/andnot run in the
+// integer domain. A row's last 1-4 hidden columns, GemmNT's HSum and tail
+// and its odd last row run through the AVX2 body's own functions on ymm
+// and xmm (kernels_avx2_math.h), so the function target adds avx2,fma to
+// avx512f; dispatch already requires both.
 
 #include "tensor/kernels_internal.h"
 
@@ -131,6 +133,12 @@ RPAS_AVX512_FN inline __m512d AddInOrder8(__m512d a, __m512d b) {
   return r;
 }
 
+// FmaInOrder (kernels_avx2_math.h) on eight lanes: a * b + c.
+RPAS_AVX512_FN inline __m512d FmaInOrder8(__m512d a, __m512d b, __m512d c) {
+  asm("vfmadd231pd %2, %1, %0" : "+v"(c) : "v"(a), "vm"(b));
+  return c;
+}
+
 // Sigmoid4 on eight lanes: e = exp(-|x|), then 1/(1+e) for x >= 0 and
 // e/(1+e) otherwise, with NaN lanes passed through.
 RPAS_AVX512_FN inline __m512d Sigmoid8(__m512d x) {
@@ -224,7 +232,159 @@ RPAS_AVX512_FN void GatePanels(size_t r0, size_t r1, size_t j0,
   }
 }
 
+// Live lanes of p[0..8): a full load, or a masked one that zeroes the
+// rest.
+RPAS_AVX512_FN inline __m512d LoadLive8(const double* p, bool full,
+                                        __mmask8 m) {
+  return full ? _mm512_loadu_pd(p) : _mm512_maskz_loadu_pd(m, p);
+}
+
+// Stores the live lanes of v to p[0..8).
+RPAS_AVX512_FN inline void StoreLive8(double* p, bool full, __mmask8 m,
+                                      __m512d v) {
+  if (full) {
+    _mm512_storeu_pd(p, v);
+  } else {
+    _mm512_mask_storeu_pd(p, m, v);
+  }
+}
+
+// GemmTN over rows [i, i + R) and the w (<= 16) columns at b and c: the
+// AVX2 TnTile's per-element sequence, sixteen columns wide. Off the full
+// path, lanes at or past w load zeros and store nothing.
+template <size_t R, bool kFull>
+RPAS_AVX512_FN inline void TnTile(size_t i, size_t w, size_t k,
+                                  const double* a, size_t lda,
+                                  const double* b, size_t ldb, double* c,
+                                  size_t ldc) {
+  const bool wide = kFull || w > 8;
+  const __mmask8 m0 = LiveMask(std::min<size_t>(w, 8));
+  const __mmask8 m1 = LiveMask(wide ? w - 8 : 0);
+  __m512d acc[R][2];
+  for (size_t t = 0; t < R; ++t) {
+    acc[t][0] = _mm512_setzero_pd();
+    acc[t][1] = _mm512_setzero_pd();
+  }
+  for (size_t p = 0; p < k; ++p) {
+    const double* b_row = b + p * ldb;
+    const __m512d b0 = LoadLive8(b_row, kFull, m0);
+    const __m512d b1 =
+        wide ? LoadLive8(b_row + 8, kFull, m1) : _mm512_setzero_pd();
+    const double* a_row = a + p * lda + i;
+    for (size_t t = 0; t < R; ++t) {
+      const __m512d av = _mm512_set1_pd(a_row[t]);
+      acc[t][0] = FmaInOrder8(av, b0, acc[t][0]);
+      acc[t][1] = FmaInOrder8(av, b1, acc[t][1]);
+    }
+  }
+  for (size_t t = 0; t < R; ++t) {
+    double* c_row = c + (i + t) * ldc;
+    StoreLive8(c_row, kFull, m0,
+               AddInOrder8(LoadLive8(c_row, kFull, m0), acc[t][0]));
+    if (wide) {
+      StoreLive8(c_row + 8, kFull, m1,
+                 AddInOrder8(LoadLive8(c_row + 8, kFull, m1), acc[t][1]));
+    }
+  }
+}
+
+template <bool kFull>
+RPAS_AVX512_FN void TnColumns(size_t m, size_t w, size_t k, const double* a,
+                              size_t lda, const double* b, size_t ldb,
+                              double* c, size_t ldc) {
+  size_t i = 0;
+  for (; i + 4 <= m; i += 4) {
+    TnTile<4, kFull>(i, w, k, a, lda, b, ldb, c, ldc);
+  }
+  for (; i < m; ++i) {
+    TnTile<1, kFull>(i, w, k, a, lda, b, ldb, c, ldc);
+  }
+}
+
+// GemmNT over rows i, i + 1 and columns [j, j + Q). Each zmm holds row i's
+// AVX2 4-lane accumulator in its low half and row i + 1's in its high
+// half: the rows' k-chunks are joined by vinsertf64x4 and a B chunk is
+// broadcast to both halves, so every lane runs NtTile's FMA chain. Each
+// half then takes NtTile's HSum, scalar fma tail and add into C.
+template <size_t Q>
+RPAS_AVX512_FN inline __attribute__((always_inline)) void NtPairTile(
+    size_t i, size_t j, size_t k, const double* a, size_t lda,
+    const double* b, size_t ldb, double* c, size_t ldc) {
+  const double* a_rows[2] = {a + i * lda, a + (i + 1) * lda};
+  __m512d acc[Q];
+  for (size_t q = 0; q < Q; ++q) {
+    acc[q] = _mm512_setzero_pd();
+  }
+  size_t p = 0;
+  for (; p + 4 <= k; p += 4) {
+    const __m512d av = _mm512_insertf64x4(
+        _mm512_castpd256_pd512(_mm256_loadu_pd(a_rows[0] + p)),
+        _mm256_loadu_pd(a_rows[1] + p), 1);
+    for (size_t q = 0; q < Q; ++q) {
+      const __m512d bv =
+          _mm512_broadcast_f64x4(_mm256_loadu_pd(b + (j + q) * ldb + p));
+      acc[q] = FmaInOrder8(av, bv, acc[q]);
+    }
+  }
+  double s[2][Q];
+  for (size_t q = 0; q < Q; ++q) {
+    s[0][q] = avx2::HSum(_mm512_castpd512_pd256(acc[q]));
+    s[1][q] = avx2::HSum(_mm512_extractf64x4_pd(acc[q], 1));
+  }
+  for (; p < k; ++p) {
+    for (size_t r = 0; r < 2; ++r) {
+      for (size_t q = 0; q < Q; ++q) {
+        s[r][q] =
+            avx2::FmaInOrder(a_rows[r][p], b[(j + q) * ldb + p], s[r][q]);
+      }
+    }
+  }
+  for (size_t r = 0; r < 2; ++r) {
+    for (size_t q = 0; q < Q; ++q) {
+      double& c_rq = c[(i + r) * ldc + j + q];
+      c_rq = avx2::AddInOrder(c_rq, s[r][q]);
+    }
+  }
+}
+
 }  // namespace
+
+RPAS_AVX512_FN void GemmTN(size_t m, size_t n, size_t k, const double* a,
+                           size_t lda, const double* b, size_t ldb, double* c,
+                           size_t ldc) {
+  // 4 x 16 register tiles (eight FMA chains), then one masked 16-column
+  // block for the n % 16 tail.
+  size_t j = 0;
+  for (; j + 16 <= n; j += 16) {
+    TnColumns<true>(m, 16, k, a, lda, b + j, ldb, c + j, ldc);
+  }
+  if (j < n) {
+    TnColumns<false>(m, n - j, k, a, lda, b + j, ldb, c + j, ldc);
+  }
+}
+
+RPAS_AVX512_FN void GemmNT(size_t m, size_t n, size_t k, const double* a,
+                           size_t lda, const double* b, size_t ldb, double* c,
+                           size_t ldc) {
+  // Row pairs by eight columns (eight zmm accumulators), then four, then
+  // the column tail one at a time; an odd last row runs the AVX2 body.
+  size_t i = 0;
+  for (; i + 2 <= m; i += 2) {
+    size_t j = 0;
+    for (; j + 8 <= n; j += 8) {
+      NtPairTile<8>(i, j, k, a, lda, b, ldb, c, ldc);
+    }
+    for (; j + 4 <= n; j += 4) {
+      NtPairTile<4>(i, j, k, a, lda, b, ldb, c, ldc);
+    }
+    for (; j < n; ++j) {
+      NtPairTile<1>(i, j, k, a, lda, b, ldb, c, ldc);
+    }
+  }
+  if (i < m) {
+    avx2::GemmNT(1, n, k, a + i * lda, lda, b, ldb, c + i * ldc, ldc);
+  }
+}
 
 RPAS_AVX512_FN void LstmStepRows(size_t r0, size_t r1,
                                  const LstmStepWeights& w, const double* x,

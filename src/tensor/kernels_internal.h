@@ -2,9 +2,10 @@
 #define RPAS_TENSOR_KERNELS_INTERNAL_H_
 
 // Internal contract between kernels.cc (dispatch + scalar reference),
-// kernels_avx2.cc (AVX2+FMA bodies) and kernels_avx512.cc (the AVX-512F body
-// of the LSTM step), both compiled via function target attributes. Not
-// installed / not for use outside src/tensor.
+// kernels_avx2.cc (AVX2+FMA bodies) and kernels_avx512.cc (the AVX-512F
+// bodies of the LSTM step and the transposed GEMMs), both compiled via
+// function target attributes. Not installed / not for use outside
+// src/tensor.
 
 #include <cstddef>
 
@@ -55,6 +56,10 @@ void SortAscending(size_t n, double* data);
 // Bit-identical to the avx2 function of the same name.
 namespace rpas::tensor::kernels::avx512 {
 
+void GemmTN(size_t m, size_t n, size_t k, const double* a, size_t lda,
+            const double* b, size_t ldb, double* c, size_t ldc);
+void GemmNT(size_t m, size_t n, size_t k, const double* a, size_t lda,
+            const double* b, size_t ldb, double* c, size_t ldc);
 void LstmStepRows(size_t r0, size_t r1, const LstmStepWeights& w,
                   const double* x, const double* h_prev, const double* c_prev,
                   size_t ldcp, double* gates, double* h_out, size_t ldh,

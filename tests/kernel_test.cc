@@ -1377,22 +1377,46 @@ TEST(ParallelKernelTest, GemmTNBitIdenticalToOneElementReference) {
 TEST(ParallelKernelTest, TransposedGemmsAddLikeZeroTempThenAxpy) {
   // The accumulate contract every backward relies on: adding straight into
   // C is bit for bit a zero-filled temp, the same product into it, then
-  // Axpy(1.0) into C. Operands and C mix finite values with NaN, +-Inf and
-  // -0.0; shapes cover the row and column tails, 16-row blocks and k = 1,
-  // strided.
+  // Axpy(1.0) into C. And avx512 must write avx2's bytes, into the temp and
+  // into C. Operands and C mix finite values with NaNs of both signs and
+  // random payloads, +-Inf, zeros of both signs and subnormals, so two
+  // NaNs meet in the FMA chains, the horizontal sums and the adds into C.
+  // Shapes cover 16-row blocks, k = 1, the DeepAR fine-tune's reverse
+  // products and every m % 4, n % 16 and k % 4 tail, strided.
   Rng rng(0xACC0);
   const double inf = std::numeric_limits<double>::infinity();
-  const double specials[] = {std::numeric_limits<double>::quiet_NaN(), inf,
-                             -inf, -0.0, 0.0};
-  auto draw = [&]() {
-    return rng.Uniform() < 0.1 ? specials[rng.UniformInt(5)]
-                               : rng.Uniform(-2.0, 2.0);
+  auto draw = [&]() -> double {
+    const uint64_t sign = rng.Bernoulli(0.5) ? 0x8000000000000000ull : 0;
+    switch (rng.Uniform() < 0.1 ? rng.UniformInt(4) : 4) {
+      case 0:
+        return FromBits(sign | 0x7FF8000000000000ull | rng.NextUint64() >> 14);
+      case 1:
+        return sign != 0 ? -inf : inf;
+      case 2:
+        return sign != 0 ? -0.0 : 0.0;
+      case 3:  // a subnormal
+        return FromBits(sign | rng.NextUint64() >> 12);
+      default:
+        return rng.Uniform(-2.0, 2.0);
+    }
   };
   struct Shape {
     size_t m, n, k;
   };
-  const Shape shapes[] = {{1, 1, 1},  {5, 9, 1},   {6, 13, 3},
-                          {9, 17, 7}, {3, 4, 130}, {70, 37, 130}};
+  std::vector<Shape> shapes = {{1, 1, 1},   {5, 9, 1},    {6, 13, 3},
+                               {9, 17, 7},  {3, 4, 130},  {70, 37, 130},
+                               // A six-point fine-tune at H 32: dW_h, dW_x,
+                               // a head's weight row and the bias row by
+                               // GemmTN, dh_prev by GemmNT.
+                               {32, 128, 6}, {5, 128, 6}, {1, 32, 6},
+                               {1, 128, 6},  {6, 32, 128}};
+  for (size_t m = 1; m <= 8; ++m) {
+    for (size_t n = 1; n <= 33; ++n) {
+      for (size_t k = 1; k <= 8; ++k) {
+        shapes.push_back({m, n, k});
+      }
+    }
+  }
   for (const Shape& s : shapes) {
     // GemmTN reads A as (k x m) and B as (k x n); GemmNT reads A as
     // (m x k) and B as (n x k). One buffer per operand serves both.
@@ -1402,6 +1426,7 @@ TEST(ParallelKernelTest, TransposedGemmsAddLikeZeroTempThenAxpy) {
     for (double& v : a) v = draw();
     for (double& v : b) v = draw();
     for (double& v : c0) v = draw();
+    std::vector<double> avx2_out[2][2];  // [GemmTN, GemmNT][temp, C]
     for (SimdLevel level : SupportedLevels()) {
       for (int transposed_b : {0, 1}) {  // 0: GemmTN, 1: GemmNT
         auto product = [&](double* c) {
@@ -1419,11 +1444,22 @@ TEST(ParallelKernelTest, TransposedGemmsAddLikeZeroTempThenAxpy) {
         }
         std::vector<double> got = c0;
         product(got.data());
+        const std::string what =
+            std::string(LevelName(level)) +
+            (transposed_b ? " GemmNT " : " GemmTN ") + std::to_string(s.m) +
+            "x" + std::to_string(s.n) + "x" + std::to_string(s.k);
         for (size_t i = 0; i < got.size(); ++i) {
           ASSERT_TRUE(SameValue(want[i], got[i]))
-              << LevelName(level) << (transposed_b ? " GemmNT " : " GemmTN ")
-              << s.m << "x" << s.n << "x" << s.k << " at " << i << ": "
-              << want[i] << " vs " << got[i];
+              << what << " at " << i << ": " << want[i] << " vs " << got[i];
+        }
+        if (level == SimdLevel::kAvx2) {
+          avx2_out[transposed_b][0] = temp;
+          avx2_out[transposed_b][1] = got;
+        } else if (level == SimdLevel::kAvx512) {
+          ASSERT_TRUE(SameBytes(avx2_out[transposed_b][0].data(), temp.data(),
+                                temp.size(), what + " temp vs avx2"));
+          ASSERT_TRUE(SameBytes(avx2_out[transposed_b][1].data(), got.data(),
+                                got.size(), what + " C vs avx2"));
         }
       }
     }
